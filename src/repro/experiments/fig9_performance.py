@@ -54,7 +54,6 @@ def run_fig9(
     bench_path: Optional[str] = None,
     events_path: Optional[str] = None,
     profile_path: Optional[str] = None,
-    profile_sample_interval: int = 0,
     profile_sample_hz: float = 97.0,
     engine: str = "batch",
 ) -> ExperimentResult:
@@ -140,16 +139,10 @@ def run_fig9(
         else None
     )
     if profile_path is not None:
-        # Out-of-band periodic sampling by default: the profiled thread
-        # pays nothing per call, so the <10% overhead bound asserted in
-        # benchmarks/ holds for exactly this configuration.  tracemalloc
-        # (and the per-call-event sys.setprofile sampler) would distort
-        # the very timings this figure exists to measure.
-        profile_scope = obs.profile_session(
-            sample_interval=profile_sample_interval,
-            sample_hz=profile_sample_hz,
-            track_memory=False,
-        )
+        # Out-of-band periodic sampling: the profiled thread pays
+        # nothing per call, so the <10% overhead bound asserted in
+        # benchmarks/ holds for exactly this configuration.
+        profile_scope = obs.profile_session(sample_hz=profile_sample_hz)
     else:
         profile_scope = contextlib.nullcontext()
 

@@ -314,9 +314,9 @@ def pack_records(
 def pack_feedbacks(feedbacks) -> Dict[str, object]:
     """Pack feedback objects into an in-memory snapshot payload.
 
-    The wire-format counterpart of :func:`write_binary_ledger`: the same
+    The packing step behind :func:`write_binary_ledger`: the
     :data:`RECORD_DTYPE` record block and first-appearance-order id
-    tables, but assembled as a plain dict (record bytes + sidecar lists)
+    tables, assembled as a plain dict (record bytes + sidecar lists)
     instead of files — the shape ledger-snapshot shipment sends over an
     RPC when a cluster node joins or recovers.  Round-trips through
     :func:`unpack_feedbacks`.
@@ -401,12 +401,11 @@ def unpack_feedbacks(payload: Dict[str, object]) -> List["Feedback"]:
 def write_binary_ledger(path: PathLike, feedbacks) -> int:
     """Write feedback records as a fresh binary ledger; returns the count.
 
-    The bulk-export counterpart of the CSV/JSONL writers: ids are
-    interned in first-appearance order and the whole record block is
-    written in one append.
+    The bulk-export counterpart of the CSV/JSONL writers: the records
+    are packed once by :func:`pack_feedbacks` (ids interned in
+    first-appearance order) and the whole record block is written in
+    one append.
     """
-    from .records import Rating  # local import: records.py is dependency-free
-
     path = os.fspath(path)
     if os.path.exists(path):
         os.remove(path)
@@ -415,37 +414,9 @@ def write_binary_ledger(path: PathLike, feedbacks) -> int:
         if os.path.exists(sidecar):
             os.remove(sidecar)
 
-    feedbacks = list(feedbacks)
-    tables: Dict[str, Dict[str, int]] = {kind: {} for kind in _SIDECARS}
-
-    def intern(kind: str, value: str) -> int:
-        table = tables[kind]
-        code = table.get(value)
-        if code is None:
-            code = len(table)
-            table[value] = code
-        return code
-
-    n = len(feedbacks)
-    times = np.empty(n, dtype=np.float64)
-    servers = np.empty(n, dtype=np.uint32)
-    clients = np.empty(n, dtype=np.uint32)
-    ratings = np.empty(n, dtype=np.uint8)
-    authentic = np.empty(n, dtype=np.uint8)
-    categories = np.full(n, CATEGORY_NONE, dtype=np.uint16)
-    for i, fb in enumerate(feedbacks):
-        times[i] = fb.time
-        servers[i] = intern("servers", fb.server)
-        clients[i] = intern("clients", fb.client)
-        ratings[i] = 1 if fb.rating is Rating.POSITIVE else 0
-        authentic[i] = 1 if fb.authentic else 0
-        if fb.category is not None:
-            categories[i] = intern("categories", fb.category)
-
+    payload = pack_feedbacks(feedbacks)
     with BinaryLedgerWriter(path) as writer:
         for kind in _SIDECARS:
-            writer.append_ids(kind, list(tables[kind]))
-        writer.append_records(
-            pack_records(times, servers, clients, ratings, authentic, categories)
-        )
-    return n
+            writer.append_ids(kind, payload[kind])
+        writer.append_records(np.frombuffer(payload["records"], dtype=RECORD_DTYPE))
+    return payload["n"]

@@ -60,7 +60,6 @@ from .context import (
     TraceContext,
     child_of,
     current,
-    explicit_span,
     new_root,
     read_span_jsonl,
     span_to_dict,
@@ -222,7 +221,6 @@ __all__ = [
     "TraceContext",
     "child_of",
     "current",
-    "explicit_span",
     "new_root",
     "read_span_jsonl",
     "span_to_dict",

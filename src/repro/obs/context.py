@@ -5,15 +5,11 @@ tied one ``assess_many`` request to the executor workers, retry
 attempts, breaker flips, and network hops it fanned out into.  This
 module closes that gap with a :class:`TraceContext` — ``trace_id`` /
 ``span_id`` / ``baggage`` in the W3C ``traceparent`` shape — propagated
-three ways:
+two ways:
 
 * **in-process** through a :mod:`contextvars` variable, so nested spans
   (and every :func:`repro.resilience.runtime.emit` event fired under
   them) inherit the request identity without plumbing arguments;
-* **across threads** via :func:`explicit_span`, a stack-free span that
-  re-attaches a serialized parent context inside a pool worker — the
-  shared :class:`~repro.obs.tracing.Tracer` stack is single-threaded by
-  design, so worker spans must not push onto it;
 * **across processes and the (simulated) network** via
   :meth:`TraceContext.to_headers` / :meth:`TraceContext.from_headers`,
   an explicit serialize→deserialize round trip: process-pool initargs
@@ -37,7 +33,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import threading
 import time
 import uuid
 from contextlib import contextmanager
@@ -54,8 +49,6 @@ __all__ = [
     "child_of",
     "current",
     "use",
-    "explicit_span",
-    "innermost_explicit",
     "SpanLog",
     "span_to_dict",
     "read_span_jsonl",
@@ -197,7 +190,7 @@ _CURRENT: ContextVar[Optional[TraceContext]] = ContextVar(
 
 
 def current() -> Optional[TraceContext]:
-    """The context attached to the running (thread's) logical flow."""
+    """The context attached to the running logical flow."""
     return _CURRENT.get()
 
 
@@ -209,95 +202,6 @@ def use(ctx: Optional[TraceContext]) -> Iterator[Optional[TraceContext]]:
         yield ctx
     finally:
         _CURRENT.reset(token)
-
-
-# ---------------------------------------------------------------------- #
-# explicit (stack-free) spans for pool workers
-
-# The Tracer's begin/finish stack assumes one thread; a pool worker
-# opening spans on it would interleave with the parent request's stack.
-# Explicit spans time themselves, keep a thread-local stack (so span
-# events emitted inside the worker attach to the right span), and only
-# touch shared state with single atomic appends on exit.
-_EXPLICIT = threading.local()
-
-
-def innermost_explicit() -> Optional["_ExplicitSpan"]:
-    """The innermost open explicit span on *this* thread, if any."""
-    stack = getattr(_EXPLICIT, "stack", None)
-    return stack[-1] if stack else None
-
-
-class _ExplicitSpan:
-    """An open stack-free span; see :func:`explicit_span`."""
-
-    __slots__ = ("name", "labels", "ctx", "events", "_start", "_token")
-
-    def __init__(self, name: str, labels: Dict[str, str], ctx: TraceContext):
-        self.name = name
-        self.labels = labels
-        self.ctx = ctx
-        self.events: List[Dict[str, object]] = []
-        self._start = 0.0
-        self._token = None
-
-    def add_event(self, name: str, **attrs: object) -> None:
-        """Annotate the span with a timestamped event."""
-        event: Dict[str, object] = {"name": name, "time": time.perf_counter()}
-        event.update({k: str(v) for k, v in attrs.items()})
-        self.events.append(event)
-
-    def __enter__(self) -> "_ExplicitSpan":
-        self._start = time.perf_counter()
-        self._token = _CURRENT.set(self.ctx)
-        stack = getattr(_EXPLICIT, "stack", None)
-        if stack is None:
-            stack = _EXPLICIT.stack = []
-        stack.append(self)
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        end = time.perf_counter()
-        _EXPLICIT.stack.pop()
-        _CURRENT.reset(self._token)
-        record = SpanRecord(
-            span_id=-1,  # no local tree position; identity is the hex ids
-            parent_id=None,
-            name=self.name,
-            labels=self.labels,
-            start=self._start,
-            duration=end - self._start,
-            trace_id=self.ctx.trace_id,
-            trace_span_id=self.ctx.span_id,
-            trace_parent_id=self.ctx.parent_span_id,
-            events=self.events,
-        )
-        from . import runtime as _rt  # local import: runtime imports us
-
-        if _rt.enabled:
-            _rt.tracer.record(record)
-        if _rt.span_sink is not None:
-            _rt.span_sink.write(record)
-        if _rt.flight_recorder is not None:
-            _rt.flight_recorder.record_span(span_to_dict(record))
-        return False
-
-
-def explicit_span(
-    name: str, *, ctx: Optional[TraceContext] = None, **labels: object
-) -> _ExplicitSpan:
-    """A traced region that never touches the shared tracer stack.
-
-    ``ctx`` is the *parent* context (default: the current one; a fresh
-    root when neither exists); the span runs under a child of it, so the
-    caller's serialized context threads straight into worker code:
-
-        with explicit_span("serve.executor.shard", ctx=parent, shard=0):
-            ...  # current() now answers the shard's child context
-    """
-    parent = ctx if ctx is not None else current()
-    span_ctx = child_of(parent) if parent is not None else new_root()
-    return _ExplicitSpan(name, {k: str(v) for k, v in labels.items()}, span_ctx)
 
 
 # ---------------------------------------------------------------------- #

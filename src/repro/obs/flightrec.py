@@ -6,7 +6,7 @@ always "what did the system look like *just before*?" — and until now
 the answer died with the process.  A :class:`FlightRecorder` keeps
 bounded rings of
 
-* recent finished **spans** (fed by the obs runtime's span exit paths,
+* recent finished **spans** (fed by the obs runtime's span exit path,
   the same records the span sink writes),
 * recent structured **events** (fed by the resilience emit funnel, the
   anomaly detector, and any :class:`~repro.obs.events.EventLog` opted
@@ -297,7 +297,7 @@ def flight_recording(
     """Install a :class:`FlightRecorder` globally for a ``with`` block.
 
     The recorder lands in ``obs.runtime.flight_recorder`` (where the
-    span exit paths, the resilience emit funnel, and the scraper find
+    span exit path, the resilience emit funnel, and the scraper find
     it) and the previous recorder is restored on exit.
     """
     from . import runtime as _rt

@@ -1,44 +1,34 @@
-"""Phase-attributed profiling: where wall time and memory go inside a run.
+"""Phase-attributed profiling: where wall time goes inside a run.
 
 The regression gate (``repro obs diff``) can say *that* a bench got
-slower; this module says *where*.  A :class:`PhaseProfiler` rides the
-existing ``span()``/``timer()`` infrastructure: every span begin/finish
-(calibration, suffix rounds, distance evals, reorder, trust update, p2p
-gossip — whatever the pipeline opened) becomes a *phase*, keyed by the
-semicolon-joined span stack, and the profiler attributes to each phase
+slower; this module says *where*.  A :class:`PhaseProfiler` is a view
+over the spans the active :class:`~repro.obs.tracing.Tracer` finished
+during a profiling session (calibration, suffix rounds, distance evals,
+reorder, trust update, p2p gossip — whatever the pipeline opened).
+Every such span belongs to a *phase*, keyed by the semicolon-joined
+span names along its ``parent_id`` chain, and the profiler attributes
+to each phase
 
-* **wall time** — cumulative and *self* (cumulative minus child phases),
-  on the same ``perf_counter`` clock as the tracer;
-* **memory** — the tracemalloc high-water mark observed while the phase
-  was innermost (``track_memory=True``), peak-reset at every phase
-  boundary so a parent's allocations are not billed to its children;
-* **deterministic call samples** — with ``sample_interval=n`` a
-  ``sys.setprofile`` hook records, at every *n*-th python call event,
-  the current phase path plus the called function as a folded stack.
-  Sampling is keyed to call counts rather than a timer interrupt, so the
-  same run produces the same profile.  The hook costs a fixed amount per
-  call event (interpreter dispatch), so reserve it for tests and small
-  runs;
+* **wall time** — cumulative and *self* (duration minus the direct
+  children's durations), read straight off the tracer's records;
 * **periodic stack samples** — with ``sample_hz=h`` a daemon thread
-  wakes ``h`` times a second and reads the profiled thread's current
-  phase path and python frame out-of-band (``sys._current_frames()``,
-  the py-spy approach).  The profiled thread pays nothing beyond its
-  ordinary span bookkeeping, which is what keeps the enabled profiler
-  inside the <10% overhead budget asserted in ``benchmarks/`` — this is
-  the mode the experiment runners default to.
+  wakes ``h`` times a second and reads the tracer's open span stack and
+  the profiled thread's current python frame out-of-band
+  (``sys._current_frames()``, the py-spy approach).  The profiled
+  thread pays nothing beyond its ordinary span bookkeeping, which is
+  what keeps the enabled profiler inside the <10% overhead budget
+  asserted in ``benchmarks/``.
 
 Exports are flamegraph-compatible folded stacks (``a;b;c 1234`` — feed
 them to ``flamegraph.pl`` or speedscope) and a schema-versioned
 ``PROFILE_*.json`` that ``repro obs report`` renders.
 
-The disabled path stays free: when no profiler is installed the span
-fast path performs one ``is None`` check and the behaviour-test hot
-loops are untouched (pinned by a tracemalloc test, like
-:mod:`repro.obs.audit`).  Use :func:`profile_session`::
+The profiler installs no hook on the span path, so it costs nothing
+while no session is open.  Use :func:`profile_session`::
 
     from repro import obs
 
-    with obs.profile_session(sample_interval=127) as prof:
+    with obs.profile_session(sample_hz=97) as prof:
         run_fig9(quick=True)
     print(obs.render_folded(prof))
 """
@@ -49,12 +39,12 @@ import contextlib
 import json
 import sys
 import threading
-import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
 from . import runtime as _runtime
+from .tracing import SpanRecord, Tracer
 
 __all__ = [
     "PROFILE_SCHEMA_VERSION",
@@ -70,7 +60,7 @@ __all__ = [
     "folded_path_for",
 ]
 
-PROFILE_SCHEMA_VERSION = 1
+PROFILE_SCHEMA_VERSION = 2
 
 PathLike = Union[str, Path]
 
@@ -86,7 +76,6 @@ class PhaseStat:
     calls: int = 0
     wall_s: float = 0.0
     self_s: float = 0.0
-    mem_peak_bytes: int = 0
     samples: int = 0
 
     def as_dict(self) -> Dict[str, object]:
@@ -96,175 +85,105 @@ class PhaseStat:
             "calls": self.calls,
             "wall_s": self.wall_s,
             "self_s": self.self_s,
-            "mem_peak_bytes": self.mem_peak_bytes,
             "samples": self.samples,
         }
 
 
-class _Frame:
-    """One open phase on the profiler's stack."""
-
-    __slots__ = ("path", "start", "child_s", "mem_peak", "samples")
-
-    def __init__(self, path: str, start: float):
-        self.path = path
-        self.start = start
-        self.child_s = 0.0
-        self.mem_peak = 0
-        self.samples = 0
-
-
 class PhaseProfiler:
-    """Attributes wall time, memory high-water, and call samples to spans.
+    """Aggregates the spans a tracer finished while it was installed.
 
-    Passive until :meth:`install` puts it into
-    :data:`repro.obs.runtime.profiler` (done by :func:`profile_session`);
-    from then on every live span begin/finish notifies it.
+    Passive until :meth:`install` binds it to a tracer (default: the
+    active one, done by :func:`profile_session`); from then until
+    :meth:`uninstall`, every span that tracer finishes is part of the
+    profile.
     """
 
-    def __init__(
-        self,
-        *,
-        sample_interval: int = 0,
-        sample_hz: float = 0.0,
-        track_memory: bool = False,
-    ):
-        if sample_interval < 0:
-            raise ValueError(
-                f"sample_interval must be non-negative, got {sample_interval}"
-            )
+    def __init__(self, *, sample_hz: float = 0.0):
         if sample_hz < 0:
             raise ValueError(f"sample_hz must be non-negative, got {sample_hz}")
-        self._interval = int(sample_interval)
         self._hz = float(sample_hz)
-        self._track_memory = bool(track_memory)
-        self._stats: Dict[str, PhaseStat] = {}
-        self._frames: List[_Frame] = []
+        self._tracer: Optional[Tracer] = None
+        self._first = 0
+        self._last: Optional[int] = None
+        self._base_depth = 0
+        self._samples: Dict[str, int] = {}
         self._folded: Dict[str, int] = {}
-        self._countdown = self._interval
         self._installed = False
-        self._previous_hook = None
-        self._started_tracemalloc = False
         self._sampler: Optional["_PeriodicSampler"] = None
 
     # -- results -------------------------------------------------------- #
-
-    @property
-    def sample_interval(self) -> int:
-        """Call events between folded-stack samples (0 = sampling off)."""
-        return self._interval
 
     @property
     def sample_hz(self) -> float:
         """Out-of-band samples per second (0 = periodic sampling off)."""
         return self._hz
 
-    @property
-    def track_memory(self) -> bool:
-        """Whether tracemalloc high-water marks are being attributed."""
-        return self._track_memory
+    def records(self) -> List[SpanRecord]:
+        """The tracer's records finished inside the session."""
+        if self._tracer is None:
+            return []
+        return self._tracer.finished[self._first : self._last]
 
     def phases(self) -> List[PhaseStat]:
         """Every phase seen so far, most cumulative wall time first."""
-        return sorted(
-            self._stats.values(), key=lambda s: (-s.wall_s, s.path)
-        )
+        records = self.records()
+        by_id = {r.span_id: r for r in records}
+        child_s: Dict[int, float] = {}
+        for r in records:
+            if r.parent_id in by_id:
+                child_s[r.parent_id] = child_s.get(r.parent_id, 0.0) + r.duration
+        paths: Dict[int, str] = {}
+
+        def path_of(record: SpanRecord) -> str:
+            path = paths.get(record.span_id)
+            if path is None:
+                parent = by_id.get(record.parent_id)
+                path = (
+                    record.name
+                    if parent is None
+                    else f"{path_of(parent)};{record.name}"
+                )
+                paths[record.span_id] = path
+            return path
+
+        stats: Dict[str, PhaseStat] = {}
+        for r in records:
+            path = path_of(r)
+            stat = stats.get(path)
+            if stat is None:
+                stat = stats[path] = PhaseStat(path)
+            stat.calls += 1
+            stat.wall_s += r.duration
+            stat.self_s += max(r.duration - child_s.get(r.span_id, 0.0), 0.0)
+        for path, hits in list(self._samples.items()):  # sampler may append
+            if path in stats:
+                stats[path].samples += hits
+        return sorted(stats.values(), key=lambda s: (-s.wall_s, s.path))
 
     def phase(self, path: str) -> Optional[PhaseStat]:
         """The stats for one exact phase path, or ``None``."""
-        return self._stats.get(path)
+        return next((s for s in self.phases() if s.path == path), None)
 
     @property
     def folded_samples(self) -> Dict[str, int]:
         """Sampled folded call stacks (``phase;...;module:function`` → hits)."""
         return dict(self._folded)
 
-    # -- span hooks (called from repro.obs.runtime._LiveSpan) ----------- #
-
-    def on_span_begin(self, name: str, now: float) -> None:
-        """A live span opened; push its phase frame."""
-        frames = self._frames
-        if self._track_memory:
-            if frames:
-                peak = tracemalloc.get_traced_memory()[1]
-                if peak > frames[-1].mem_peak:
-                    frames[-1].mem_peak = peak
-            tracemalloc.reset_peak()
-        path = f"{frames[-1].path};{name}" if frames else name
-        frames.append(_Frame(path, now))
-
-    def on_span_end(self, now: float) -> None:
-        """The innermost live span closed; fold its frame into the stats."""
-        if not self._frames:
-            return  # span opened before the profiler was installed
-        frame = self._frames.pop()
-        wall = now - frame.start
-        if self._track_memory:
-            peak = tracemalloc.get_traced_memory()[1]
-            if peak > frame.mem_peak:
-                frame.mem_peak = peak
-            tracemalloc.reset_peak()
-        stat = self._stats.get(frame.path)
-        if stat is None:
-            stat = self._stats[frame.path] = PhaseStat(frame.path)
-        stat.calls += 1
-        stat.wall_s += wall
-        stat.self_s += max(wall - frame.child_s, 0.0)
-        stat.samples += frame.samples
-        if frame.mem_peak > stat.mem_peak_bytes:
-            stat.mem_peak_bytes = frame.mem_peak
-        if self._frames:
-            parent = self._frames[-1]
-            parent.child_s += wall
-            if frame.mem_peak > parent.mem_peak:
-                parent.mem_peak = frame.mem_peak
-
-    # -- deterministic call-event sampling ------------------------------ #
-
-    def _hook(self, frame, event: str, arg) -> None:
-        if event != "call" and event != "c_call":
-            return
-        self._countdown -= 1
-        if self._countdown > 0:
-            return
-        self._countdown = self._interval
-        frames = self._frames
-        if frames:
-            frames[-1].samples += 1
-            prefix = frames[-1].path
-        else:
-            prefix = UNTRACED
-        if event == "c_call":
-            module = getattr(arg, "__module__", None) or "c"
-            name = getattr(arg, "__qualname__", None) or getattr(
-                arg, "__name__", "?"
-            )
-        else:
-            module = frame.f_globals.get("__name__", "?")
-            name = frame.f_code.co_name
-        key = f"{prefix};{module}:{name}"
-        self._folded[key] = self._folded.get(key, 0) + 1
-
     # -- periodic out-of-band sampling ---------------------------------- #
 
-    def _sample_remote(self, target_ident: int) -> None:
-        """One sample taken from the sampler thread, not the profiled one.
+    def _sample(self, target_ident: int) -> None:
+        """Take one sample of the open span stack and a thread's frame.
 
-        Reads the open phase stack and the profiled thread's current
-        python frame; every operation here runs on the daemon thread, so
-        the profiled thread's only cost is its ordinary span bookkeeping.
-        The reads race benignly with span push/pop under the GIL — a
-        sample landing exactly on a boundary may be attributed to the
-        neighbouring phase, which is noise a sampling profiler has anyway.
+        Runs on the sampler thread: the profiled thread's only cost is
+        its ordinary span bookkeeping.  The read races benignly with
+        span push/pop under the GIL — a sample landing exactly on a
+        boundary may be attributed to the neighbouring phase, which is
+        noise a sampling profiler has anyway.
         """
-        frames = self._frames
-        try:
-            top: Optional[_Frame] = frames[-1]
-        except IndexError:
-            top = None
-        if top is not None:
-            top.samples += 1
-            prefix = top.path
+        names = self._tracer.open_names()[self._base_depth :]
+        if names:
+            prefix = ";".join(names)
+            self._samples[prefix] = self._samples.get(prefix, 0) + 1
         else:
             prefix = UNTRACED
         frame = sys._current_frames().get(target_ident)
@@ -277,42 +196,33 @@ class PhaseProfiler:
 
     # -- lifecycle ------------------------------------------------------ #
 
-    def install(self) -> None:
-        """Start collecting: memory tracing and (optionally) call sampling."""
+    def install(self, tracer: Optional[Tracer] = None) -> None:
+        """Start the session on ``tracer`` (default: the active one)."""
         if self._installed:
             raise RuntimeError("profiler is already installed")
         self._installed = True
-        if self._track_memory:
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._started_tracemalloc = True
-            tracemalloc.reset_peak()
-        if self._interval:
-            self._countdown = self._interval
-            self._previous_hook = sys.getprofile()
-            sys.setprofile(self._hook)
+        self._tracer = tracer if tracer is not None else _runtime.tracer
+        self._first = len(self._tracer.finished)
+        self._last = None
+        # spans already open belong to the caller, not to the profile
+        self._base_depth = self._tracer.depth
         if self._hz:
             self._sampler = _PeriodicSampler(self, self._hz, threading.get_ident())
             self._sampler.start()
 
     def uninstall(self) -> None:
-        """Stop collecting and restore whatever hooks were there before."""
+        """End the session: later spans are no longer part of the profile."""
         if not self._installed:
             return
         self._installed = False
-        if self._interval:
-            sys.setprofile(self._previous_hook)
-            self._previous_hook = None
+        self._last = len(self._tracer.finished)
         if self._sampler is not None:
             self._sampler.stop()
             self._sampler = None
-        if self._started_tracemalloc:
-            tracemalloc.stop()
-            self._started_tracemalloc = False
 
 
 class _PeriodicSampler(threading.Thread):
-    """Daemon thread driving :meth:`PhaseProfiler._sample_remote`."""
+    """Daemon thread driving :meth:`PhaseProfiler._sample`."""
 
     def __init__(self, profiler: PhaseProfiler, hz: float, target_ident: int):
         super().__init__(name="repro-obs-sampler", daemon=True)
@@ -327,41 +237,28 @@ class _PeriodicSampler(threading.Thread):
 
     def run(self) -> None:
         while not self._halt.wait(self._period):
-            self._profiler._sample_remote(self._target)
+            self._profiler._sample(self._target)
 
 
 @contextlib.contextmanager
-def profile_session(
-    *,
-    sample_interval: int = 0,
-    sample_hz: float = 0.0,
-    track_memory: bool = False,
-) -> Iterator[PhaseProfiler]:
-    """Profile a block: obs collection on, profiler riding every span.
+def profile_session(*, sample_hz: float = 0.0) -> Iterator[PhaseProfiler]:
+    """Profile a block: obs collection on, profiler viewing its spans.
 
     Reuses the ambient obs session when one is active (so the caller's
     tracer still sees the spans), otherwise activates a fresh scoped
-    session exactly like the experiment runners do.  The profiler is
-    uninstalled and the previous runtime state restored on exit, even on
-    error.
+    session exactly like the experiment runners do.  The session ends
+    and the previous runtime state is restored on exit, even on error.
     """
-    profiler = PhaseProfiler(
-        sample_interval=sample_interval,
-        sample_hz=sample_hz,
-        track_memory=track_memory,
-    )
+    profiler = PhaseProfiler(sample_hz=sample_hz)
     if _runtime.is_enabled():
         scope = contextlib.nullcontext()
     else:
         scope = _runtime.activate()
     with scope:
-        previous = _runtime.profiler
         profiler.install()
-        _runtime.profiler = profiler
         try:
             yield profiler
         finally:
-            _runtime.profiler = previous
             profiler.uninstall()
 
 
@@ -375,7 +272,7 @@ def render_folded(profile: PhaseProfiler, *, source: str = "wall") -> str:
     ``source="wall"`` emits one line per phase weighted by *self* time in
     microseconds (the span tree as a flamegraph); ``source="samples"``
     emits the sampled call stacks (phase path + called function) weighted
-    by hit count — empty unless the profiler ran with a sample interval.
+    by hit count — empty unless the profiler ran with ``sample_hz``.
     """
     if source == "wall":
         lines = [
@@ -401,9 +298,7 @@ def profile_payload(
         "profile": name,
         "schema_version": PROFILE_SCHEMA_VERSION,
         "meta": dict(meta or {}),
-        "sample_interval": profile.sample_interval,
         "sample_hz": profile.sample_hz,
-        "track_memory": profile.track_memory,
         "phases": [stat.as_dict() for stat in profile.phases()],
         "folded_samples": profile.folded_samples,
     }
@@ -435,7 +330,7 @@ def validate_profile_payload(payload: object) -> None:
             raise ValueError(f"phases[{i}] must be an object")
         if not isinstance(phase.get("path"), str) or not phase["path"]:
             raise ValueError(f"phases[{i}].path must be a non-empty string")
-        for stat in ("calls", "wall_s", "self_s", "mem_peak_bytes", "samples"):
+        for stat in ("calls", "wall_s", "self_s", "samples"):
             value = phase.get(stat)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(

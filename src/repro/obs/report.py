@@ -130,9 +130,7 @@ def render_profile(payload: Dict[str, object]) -> str:
     phases: List[Dict[str, object]] = payload["phases"]  # type: ignore[assignment]
     lines = [
         f"profile: {payload['profile']}  (schema v{payload['schema_version']}, "
-        f"sample_interval={payload.get('sample_interval', 0)}, "
-        f"sample_hz={payload.get('sample_hz', 0)}, "
-        f"track_memory={payload.get('track_memory', False)})"
+        f"sample_hz={payload.get('sample_hz', 0)})"
     ]
     meta = payload.get("meta") or {}
     if meta:
@@ -141,19 +139,17 @@ def render_profile(payload: Dict[str, object]) -> str:
     if not phases:
         lines.append("(no phases recorded)")
         return "\n".join(lines)
-    header = ["phase", "calls", "wall_s", "self_s", "mem_peak", "samples"]
+    header = ["phase", "calls", "wall_s", "self_s", "samples"]
     table = [header]
     for phase in phases:
         depth = str(phase["path"]).count(";")
         leaf = str(phase["path"]).rsplit(";", 1)[-1]
-        mem = float(phase["mem_peak_bytes"])
         table.append(
             [
                 "  " * depth + leaf,
                 f"{int(phase['calls'])}",
                 f"{float(phase['wall_s']):.6g}",
                 f"{float(phase['self_s']):.6g}",
-                f"{mem / 1024:.1f} KiB" if mem else "-",
                 f"{int(phase['samples'])}",
             ]
         )

@@ -59,15 +59,10 @@ registry: MetricsRegistry = MetricsRegistry()
 #: The active tracer every finished span lands in.
 tracer: Tracer = Tracer()
 
-#: The active phase profiler, installed by ``obs.profile_session`` —
-#: ``None`` (one ``is None`` check on the live-span path) otherwise.
-#: Deliberately untyped to avoid importing profile machinery here.
-profiler = None
-
 #: The active span sink (a :class:`~repro.obs.context.SpanLog`), installed
 #: by ``obs.tracing_session`` — ``None`` otherwise.  Only spans that carry
 #: a trace context are written, so the sink never sees untraced noise.
-#: Untyped for the same layering reason as ``profiler``.
+#: Deliberately untyped to avoid importing context machinery here.
 span_sink = None
 
 #: The active :class:`~repro.obs.tsdb.MetricsScraper` — ``None`` unless a
@@ -183,19 +178,13 @@ class _LiveSpan:
         if ctx is not None:
             ctx = _context.child_of(ctx)
             self._token = _context._CURRENT.set(ctx)
-        now = time.perf_counter()
-        tracer.begin(self._name, self._labels, now, ctx)
-        if profiler is not None:
-            profiler.on_span_begin(self._name, now)
+        tracer.begin(self._name, self._labels, time.perf_counter(), ctx)
         return self
 
     def __exit__(self, *exc_info) -> bool:
-        now = time.perf_counter()
-        record = tracer.finish(now)
+        record = tracer.finish(time.perf_counter())
         if self._token is not None:
             _context._CURRENT.reset(self._token)
-        if profiler is not None:
-            profiler.on_span_end(now)
         if self._observe:
             registry.histogram(self._name, **self._labels).observe(record.duration)
         if record.trace_id is not None:
@@ -224,16 +213,8 @@ def timer(name: str, **labels: object):
 def span_event(name: str, **attrs: object) -> None:
     """Annotate the innermost open span with a timestamped event.
 
-    Resolution order matches how spans nest at runtime: an explicit
-    (pool-worker) span on this thread wins over the shared tracer stack,
-    so events fired inside worker shards land on the shard span, not on
-    whatever the request thread happens to have open.  A no-op when
-    nothing is open or collection is off.
+    A no-op when nothing is open or collection is off.
     """
-    explicit = _context.innermost_explicit()
-    if explicit is not None:
-        explicit.add_event(name, **attrs)
-        return
     if enabled:
         tracer.add_event(name, time.perf_counter(), **attrs)
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .registry import MetricsRegistry, StreamingHistogram
 
@@ -200,18 +200,17 @@ class SloEngine:
         most recent history point to ``source``, ``w2`` from the one
         before it, and so on (wider windows looking further back).
 
-        This snapshot-delta form is the *fallback* path (callers that
-        only hold serialized snapshots); when a
-        :class:`~repro.obs.tsdb.TimeSeriesStore` of scraped history is
-        available, :meth:`evaluate_windows` computes the same burn math
-        over real wall-clock windows.
+        This snapshot-delta form serves callers that only hold
+        serialized snapshots; :meth:`evaluate_windows` feeds the same
+        code path from a :class:`~repro.obs.tsdb.TimeSeriesStore`.
         """
         snapshot = source.snapshot() if isinstance(source, MetricsRegistry) else source
-        results = [self._evaluate_one(spec, snapshot) for spec in self.specs]
-        if history:
-            for result in results:
-                result.burn_rates = self._burn_rates(result.spec, snapshot, history)
-        return SloEvaluation(results)
+        # w1 = since the last snapshot, w2 = since the one before, …
+        windows = [
+            (f"w{width}", older)
+            for width, older in enumerate(reversed(list(history or ())), start=1)
+        ]
+        return self._evaluate(snapshot, windows)
 
     def evaluate_windows(
         self,
@@ -227,26 +226,33 @@ class SloEngine:
         store's reconstruction at ``now`` (default: its newest sample),
         and each window ``w`` in ``windows_s`` contributes a burn rate
         labelled ``"{w:g}s"`` computed between the reconstructed
-        snapshots at ``now - w`` and ``now`` — **the same
-        snapshot-delta math** as :meth:`evaluate`, with the store
-        supplying the snapshots instead of the caller.  A window that
-        predates all retained history sees an empty older snapshot
-        (zero counters), which matches a counter's life-to-date delta.
+        snapshots at ``now - w`` and ``now`` — the same code path as
+        :meth:`evaluate`, with the store supplying the snapshots instead
+        of the caller.  A window that predates all retained history sees
+        an empty older snapshot (zero counters), which matches a
+        counter's life-to-date delta.
         """
         if now is None:
             now = store.latest_time()
         if now is None:
             raise ValueError("the time-series store holds no samples")
-        latest = store.snapshot_at(now)
+        for window in windows_s:
+            if window <= 0:
+                raise ValueError(f"window must be positive, got {window}")
+        windows = [(f"{w:g}s", store.snapshot_at(now - w)) for w in windows_s]
+        return self._evaluate(store.snapshot_at(now), windows)
+
+    def _evaluate(
+        self, latest: Snapshot, windows: Sequence[Tuple[str, Snapshot]]
+    ) -> SloEvaluation:
+        """Point-in-time results plus one burn rate per labelled
+        ``(label, older snapshot)`` window ending at ``latest``."""
         results = [self._evaluate_one(spec, latest) for spec in self.specs]
         for result in results:
-            rates: Dict[str, float] = {}
-            for window in windows_s:
-                if window <= 0:
-                    raise ValueError(f"window must be positive, got {window}")
-                older = store.snapshot_at(now - window)
-                rates[f"{window:g}s"] = self._window_burn(result.spec, older, latest)
-            result.burn_rates = rates
+            result.burn_rates = {
+                label: self._window_burn(result.spec, older, latest)
+                for label, older in windows
+            }
         return SloEvaluation(results)
 
     def _evaluate_one(self, spec: SloSpec, snapshot: Snapshot) -> SloResult:
@@ -259,17 +265,6 @@ class SloEngine:
         bad = _sum_counter_family(snapshot, spec.bad_metric)
         total = _sum_counter_family(snapshot, spec.total_metric)
         return SloResult(spec, total=total, bad=bad)
-
-    # -- burn over snapshot windows ------------------------------------- #
-
-    def _burn_rates(
-        self, spec: SloSpec, latest: Snapshot, history: Sequence[Snapshot]
-    ) -> Dict[str, float]:
-        rates: Dict[str, float] = {}
-        # w1 = since the last snapshot, w2 = since the one before, …
-        for width, older in enumerate(reversed(list(history)), start=1):
-            rates[f"w{width}"] = self._window_burn(spec, older, latest)
-        return rates
 
     def _window_burn(self, spec: SloSpec, older: Snapshot, latest: Snapshot) -> float:
         """Burn rate over the window between two cumulative snapshots."""

@@ -13,7 +13,6 @@ live in :mod:`repro.obs.runtime`.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -26,8 +25,8 @@ class SpanRecord:
 
     ``span_id``/``parent_id`` are process-local integers assigned by the
     tracer stack; the optional ``trace_*`` hex ids are the *causal*
-    identity that survives serialization across thread, process, and
-    network boundaries (see :mod:`repro.obs.context`).  Spans opened
+    identity that survives serialization across process and network
+    boundaries (see :mod:`repro.obs.context`).  Spans opened
     outside any trace context leave them ``None`` — the local tree still
     works, it just isn't part of a distributed trace.
     """
@@ -71,20 +70,20 @@ class Tracer:
     _records: List[SpanRecord] = field(default_factory=list)
     _stack: List[_OpenSpan] = field(default_factory=list)
     _next_id: int = 0
-    # Guards _records only: the begin/finish stack stays single-threaded
-    # by design, but record() accepts appends from pool-worker threads.
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def finished(self) -> List[SpanRecord]:
         """Finished spans, in completion order."""
-        with self._lock:
-            return list(self._records)
+        return list(self._records)
 
     @property
     def depth(self) -> int:
         """How many spans are currently open."""
         return len(self._stack)
+
+    def open_names(self) -> List[str]:
+        """Names of the currently-open spans, outermost first."""
+        return [span.name for span in list(self._stack)]
 
     def begin(
         self, name: str, labels: Dict[str, str], start: float, ctx=None
@@ -136,18 +135,8 @@ class Tracer:
             trace_parent_id=open_span.trace_parent_id,
             events=open_span.events,
         )
-        with self._lock:
-            self._records.append(record)
+        self._records.append(record)
         return record
-
-    def record(self, span: SpanRecord) -> None:
-        """Append an externally-built finished span (thread-safe).
-
-        Pool-worker threads use this for stack-free explicit spans —
-        they must never push onto the shared begin/finish stack.
-        """
-        with self._lock:
-            self._records.append(span)
 
     def reset(self) -> None:
         """Drop all records and abandon any open spans."""

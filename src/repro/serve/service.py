@@ -17,7 +17,7 @@ assessor directly when full phase-1 round provenance is needed).
 
 Every ``assess_many`` request runs under a root
 :class:`~repro.obs.context.TraceContext` (minted unless the caller
-already attached one), serialized across the thread/process executor
+already attached one), serialized across the process executor
 boundary so worker shard spans, resilience events, and audit records
 all carry the request's trace_id.
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, TimeoutError
+from concurrent.futures import ProcessPoolExecutor, TimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -42,6 +42,8 @@ from ..feedback.records import EntityId, Feedback
 from ..obs import audit as _audit
 from ..obs import context as _ctx
 from ..obs import runtime as _obs
+from ..obs.registry import MetricsRegistry
+from ..obs.tracing import Tracer
 from ..resilience import runtime as _res
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.faults import InjectedFault, ResilienceError
@@ -53,14 +55,13 @@ __all__ = ["AssessmentService"]
 
 _log = logging.getLogger(__name__)
 
-_EXECUTORS = ("auto", "serial", "thread", "process")
+_EXECUTORS = ("auto", "serial", "process")
 
 #: Fallback order of the degradation ladder, per starting executor: a
 #: broken pool (or a shard past its deadline) steps down, never up, and
 #: ends at serial — which shares no pool and cannot "break".
 _LADDER = {
-    "process": ("process", "thread", "serial"),
-    "thread": ("thread", "serial"),
+    "process": ("process", "serial"),
     "serial": ("serial",),
 }
 
@@ -113,9 +114,11 @@ def _init_process_worker(
         from ..obs import configure_logging
 
         configure_logging(str(level))
-    if worker_env.get("obs_enabled"):
-        _obs.enable()  # fresh per-worker registry/tracer
     sink_path = worker_env.get("span_sink_path")
+    if worker_env.get("obs_enabled") or sink_path:
+        # fresh per-worker registry/tracer: a forked worker must not
+        # inherit (and nest under) the parent's open span stack
+        _obs.enable(MetricsRegistry(), Tracer())
     if sink_path:
         _obs.span_sink = _ctx.SpanLog(str(sink_path))
     event_path = worker_env.get("event_log_path")
@@ -133,13 +136,12 @@ def _assess_shard_in_process(
     if headers is None:
         return [assessor.assess(history) for history in histories]
     # rebuild the request context from its serialized headers; the
-    # explicit span writes to this worker's own sink/tracer and never
-    # touches a (parent-process) tracer stack
-    shard_ctx = _ctx.TraceContext.from_headers(headers)
-    with _ctx.explicit_span(
-        "serve.executor.shard", ctx=shard_ctx, shard=shard_index, executor="process"
-    ):
-        return [assessor.assess(history) for history in histories]
+    # shard span opens on this worker's own tracer and lands in its sink
+    with _ctx.use(_ctx.TraceContext.from_headers(headers)):
+        with _obs.span(
+            "serve.executor.shard", shard=shard_index, executor="process"
+        ):
+            return [assessor.assess(history) for history in histories]
 
 
 class AssessmentService:
@@ -165,13 +167,15 @@ class AssessmentService:
         and persisted across runs).
     executor:
         Default :meth:`assess_many` sharding mode — ``"auto"``,
-        ``"serial"``, ``"thread"`` or ``"process"``.  ``"auto"`` picks
-        serial unless the machine has spare cores, the batch is large,
-        and (for processes) a declarative config is available.
+        ``"serial"`` or ``"process"``.  ``"auto"`` picks serial unless
+        the machine has spare cores, the batch is large, a declarative
+        config is available, and the assessor has no behavior test
+        (whose Monte-Carlo calibration would draw per-worker RNG
+        streams and so change thresholds).
     max_workers:
-        Pool size for the parallel modes (default: the CPU count).
+        Pool size for ``executor="process"`` (default: the CPU count).
     retry_policy:
-        Retry contract for the pool-backed executors: each ladder step
+        Retry contract for the pool-backed executor: each ladder step
         is attempted this many times (its ``deadline_s``, when set, is
         the per-shard-sweep deadline passed to the pool) before the
         service degrades to the next step.  Default: 2 attempts, no
@@ -191,14 +195,14 @@ class AssessmentService:
 
     **Degradation ladder.**  When a pool-backed ``assess_many`` sweep
     fails recoverably (``BrokenProcessPool``, a pool deadline, an
-    injected worker fault), the service steps down process → thread →
-    serial, records the fallback (``last_degradation``, an
+    injected worker fault), the service steps down process → serial,
+    records the fallback (``last_degradation``, an
     ``executor_degraded`` event, the ``serve.resilience.degradations``
     counter), and returns verdicts **bit-identical** to the healthy
     sweep — serial shares no pool and reuses the same incremental
-    states.  A per-executor :class:`CircuitBreaker` remembers repeated
-    pool failures so later sweeps skip the known-broken step without
-    paying pool startup again.  Only when *every* step fails does the
+    states.  A :class:`CircuitBreaker` on the process pool remembers
+    repeated pool failures so later sweeps skip the known-broken pool
+    without paying pool startup again.  Only when *every* step fails does the
     sweep raise — a single structured
     :class:`~repro.resilience.faults.ResilienceError` naming the
     originating site, never a bare worker traceback.
@@ -228,10 +232,7 @@ class AssessmentService:
             retry_on=_RECOVERABLE,
             name="serve.executor",
         )
-        self._breakers = {
-            mode: CircuitBreaker(name=f"serve.executor.{mode}")
-            for mode in ("process", "thread")
-        }
+        self._breakers = {"process": CircuitBreaker(name="serve.executor.process")}
         self.n_degradations = 0
         #: ``{"from", "to", "error"}`` of the most recent executor
         #: fallback, ``None`` while everything is healthy.
@@ -521,7 +522,7 @@ class AssessmentService:
             if _obs.enabled:
                 _obs.registry.inc("serve.requests")
             with _span("serve.assess_many", mode=mode, batch=len(ids)):
-                if mode in ("serial", "thread"):
+                if mode == "serial":
                     # process workers rebuild their own states; seeds
                     # would never reach them
                     self._prefold_cold(ids)
@@ -586,8 +587,6 @@ class AssessmentService:
     def _run_step(self, step: str, ids: Sequence[EntityId]) -> Dict[EntityId, Assessment]:
         if step == "serial":
             return {sid: self.assess(sid) for sid in ids}
-        if step == "thread":
-            return self._assess_many_threaded(ids)
         return self._assess_many_process(ids)
 
     def _assess_with_ladder(
@@ -658,10 +657,14 @@ class AssessmentService:
         cores = os.cpu_count() or 1
         if cores <= 2 or batch_size < _MIN_PARALLEL_BATCH:
             return "serial"
-        if self._config is not None and self._ledger is None:
+        # each worker calibrates with its own RNG stream, so a behavior
+        # test's thresholds (and verdicts) would depend on the sharding
+        if (
+            self._config is not None
+            and self._ledger is None
+            and self._assessor.behavior_test is None
+        ):
             return "process"
-        # threads keep the incremental caches but contend on the GIL;
-        # they only pay off for the pure-python fallback testers
         return "serial"
 
     def _workers(self) -> int:
@@ -690,41 +693,6 @@ class AssessmentService:
                 "injected worker crash at serve.executor.worker"
             )
         raise InjectedFault("serve.executor.worker", spec.mode, 0)
-
-    def _assess_many_threaded(
-        self, ids: Sequence[EntityId]
-    ) -> Dict[EntityId, Assessment]:
-        # injection happens pool-parent-side (not inside the shard
-        # lambda) so the per-site fault sequence never depends on thread
-        # interleaving — chaos runs must replay bit-identically
-        if _res.armed:
-            self._inject_worker_fault()
-        # contextvars do not flow into pool threads: serialize the
-        # request context here and re-attach it per shard, exactly as
-        # the process executor does across its harder boundary
-        parent_ctx = _ctx.current()
-        headers = parent_ctx.to_headers() if parent_ctx is not None else None
-
-        def _run_shard(task: Tuple[int, List[EntityId]]):
-            index, shard = task
-            if headers is None:
-                return [(sid, self.assess(sid)) for sid in shard]
-            shard_ctx = _ctx.TraceContext.from_headers(headers)
-            with _ctx.explicit_span(
-                "serve.executor.shard", ctx=shard_ctx, shard=index, executor="thread"
-            ):
-                return [(sid, self.assess(sid)) for sid in shard]
-
-        results: Dict[EntityId, Assessment] = {}
-        with ThreadPoolExecutor(max_workers=self._workers()) as pool:
-            shard_results = pool.map(
-                _run_shard,
-                list(enumerate(self._shards(ids))),
-                timeout=self._retry_policy.deadline_s,
-            )
-            for shard in shard_results:
-                results.update(shard)
-        return {sid: results[sid] for sid in ids}
 
     def _assess_many_process(
         self, ids: Sequence[EntityId]

@@ -355,7 +355,6 @@ class TestFig9Profile:
             repeats=1,
             base_seed=7,
             profile_path=str(profile_path),
-            profile_sample_interval=101,
         )
         payload = obs.read_profile_json(profile_path)
         assert payload["profile"] == "fig9"
@@ -363,7 +362,43 @@ class TestFig9Profile:
         paths = [p["path"] for p in payload["phases"]]
         assert "experiments.fig9.run" in paths
         assert any(p.endswith("experiments.fig9.measure") for p in paths)
-        assert payload["folded_samples"], "sampling captured no stacks"
         folded = obs.folded_path_for(profile_path)
         assert folded.exists()
         assert "experiments.fig9.run" in folded.read_text()
+
+    def test_profile_self_time_is_the_tracer_records_self_time(self, tmp_path):
+        """Each phase's ``self_s`` is duration minus direct children's
+        durations, summed over the tracer records of that phase path."""
+        from repro import obs
+
+        profile_path = tmp_path / "PROFILE_fig9.json"
+        with obs.activate() as session:  # fig9 rides the ambient tracer
+            run_fig9(
+                history_sizes=(5_000,),
+                naive_sizes=(),
+                repeats=1,
+                base_seed=7,
+                profile_path=str(profile_path),
+            )
+        records = session.tracer.finished
+        by_id = {r.span_id: r for r in records}
+
+        def path_of(record):
+            parent = by_id.get(record.parent_id)
+            if parent is None:
+                return record.name
+            return f"{path_of(parent)};{record.name}"
+
+        expected = {}
+        for record in records:
+            children = sum(
+                c.duration for c in records if c.parent_id == record.span_id
+            )
+            path = path_of(record)
+            expected[path] = expected.get(path, 0.0) + max(
+                record.duration - children, 0.0
+            )
+        phases = obs.read_profile_json(profile_path)["phases"]
+        assert {p["path"] for p in phases} == set(expected)
+        for phase in phases:
+            assert phase["self_s"] == pytest.approx(expected[phase["path"]])

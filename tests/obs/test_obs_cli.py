@@ -329,10 +329,13 @@ class TestObsValidate:
 
     def test_profile_json_validates(self, tmp_path, capsys):
         from repro.obs.profile import PhaseProfiler
+        from repro.obs.tracing import Tracer
 
+        tracer = Tracer()
         prof = PhaseProfiler()
-        prof.on_span_begin("phase", 0.0)
-        prof.on_span_end(1.0)
+        prof.install(tracer)
+        tracer.begin("phase", {}, 0.0)
+        tracer.finish(1.0)
         path = tmp_path / "PROFILE_x.json"
         obs.write_profile_json(path, "x", prof)
         assert main(["obs", "validate", str(path)]) == 0
@@ -357,10 +360,13 @@ class TestObsValidate:
 class TestObsReportProfile:
     def test_reports_profile_artifact(self, tmp_path, capsys):
         from repro.obs.profile import PhaseProfiler
+        from repro.obs.tracing import Tracer
 
+        tracer = Tracer()
         prof = PhaseProfiler()
-        prof.on_span_begin("calibrate", 0.0)
-        prof.on_span_end(2.0)
+        prof.install(tracer)
+        tracer.begin("calibrate", {}, 0.0)
+        tracer.finish(2.0)
         path = tmp_path / "PROFILE_fig9.json"
         obs.write_profile_json(path, "fig9", prof, meta={"seed": 2008})
         assert main(["obs", "report", str(path)]) == 0

@@ -9,7 +9,6 @@ the same trace, and rides the contextvar so spans opened anywhere under
 from __future__ import annotations
 
 import json
-import threading
 
 import pytest
 
@@ -21,8 +20,6 @@ from repro.obs.context import (
     TraceContext,
     child_of,
     current,
-    explicit_span,
-    innermost_explicit,
     new_root,
     read_span_jsonl,
     span_to_dict,
@@ -30,24 +27,6 @@ from repro.obs.context import (
     use,
     wall_clock_of,
 )
-
-
-def _record_of(span):
-    """A SpanRecord equivalent to what ``span``'s exit would emit."""
-    from repro.obs.tracing import SpanRecord
-
-    return SpanRecord(
-        span_id=-1,
-        parent_id=None,
-        name=span.name,
-        labels=span.labels,
-        start=span._start,
-        duration=0.0,
-        trace_id=span.ctx.trace_id,
-        trace_span_id=span.ctx.span_id,
-        trace_parent_id=span.ctx.parent_span_id,
-        events=span.events,
-    )
 
 
 class TestTraceContextIdentity:
@@ -176,51 +155,38 @@ class TestPropagation:
 
 
 class TestExplicitSpan:
+    """A live span opened under ``use(parent)``: the pattern a pool
+    worker uses to re-attach a serialized request context."""
+
     def test_runs_under_child_of_given_ctx(self):
         parent = new_root()
-        with explicit_span("shard", ctx=parent, shard=3) as span:
-            assert span.ctx.trace_id == parent.trace_id
-            assert span.ctx.parent_span_id == parent.span_id
-            assert current() is span.ctx
-            assert innermost_explicit() is span
-        assert current() is None
-        assert innermost_explicit() is None
+        with obs.activate() as session, use(parent):
+            with obs.span("shard", shard=3):
+                span_ctx = current()
+                assert span_ctx.trace_id == parent.trace_id
+                assert span_ctx.parent_span_id == parent.span_id
+            assert current() is parent
+        [record] = session.tracer.finished
+        assert record.trace_span_id == span_ctx.span_id
+        assert record.trace_parent_id == parent.span_id
 
     def test_labels_stringified(self):
-        with explicit_span("shard", ctx=new_root(), shard=3) as span:
-            assert span.labels == {"shard": "3"}
+        with obs.activate() as session, use(new_root()):
+            with obs.span("shard", shard=3):
+                pass
+        [record] = session.tracer.finished
+        assert record.labels == {"shard": "3"}
 
     def test_add_event_records_offsets(self, tmp_path):
         sink_path = tmp_path / "spans.jsonl"
-        with tracing_session(sink_path):
-            with explicit_span("shard", ctx=new_root()) as span:
-                span.add_event("retry", attempt=1)
+        with obs.activate(), tracing_session(sink_path), use(new_root()):
+            with obs.span("shard"):
+                obs.span_event("retry", attempt=1)
         [line] = read_span_jsonl(sink_path)
         [event] = line["events"]
         assert event["name"] == "retry"
         assert event["attempt"] == "1"
         assert event["offset_s"] >= 0.0
-
-    def test_does_not_touch_tracer_stack(self):
-        """Explicit spans never push onto the shared tracer stack."""
-        with obs.activate() as session:
-            with explicit_span("worker", ctx=new_root()):
-                assert not session.tracer._stack
-        assert len(session.tracer.finished) == 1
-
-    def test_thread_isolation(self):
-        """Each thread sees only its own explicit-span stack."""
-        seen = {}
-
-        def worker():
-            seen["other"] = innermost_explicit()
-
-        with explicit_span("mine", ctx=new_root()):
-            t = threading.Thread(target=worker)
-            t.start()
-            t.join()
-            assert innermost_explicit() is not None
-        assert seen["other"] is None
 
 
 class TestSpanSink:
@@ -278,15 +244,15 @@ class TestSpanSink:
     def test_multiple_writers_append(self, tmp_path):
         """Two SpanLog handles on one file interleave whole lines."""
         path = tmp_path / "spans.jsonl"
-        ctx = new_root()
+        with obs.activate() as session, use(new_root()):
+            with obs.span("one"):
+                pass
+            with obs.span("two"):
+                pass
+        record_a, record_b = session.tracer.finished
         with SpanLog(path) as a, SpanLog(path) as b:
-            with explicit_span("one", ctx=ctx) as span_a:
-                pass
-            with explicit_span("two", ctx=ctx) as span_b:
-                pass
-            # reconstruct the records the sinks would have been handed
-            a.write(_record_of(span_a))
-            b.write(_record_of(span_b))
+            a.write(record_a)
+            b.write(record_b)
         names = {s["name"] for s in read_span_jsonl(path)}
         assert names == {"one", "two"}
 

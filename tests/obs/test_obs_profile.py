@@ -1,6 +1,7 @@
-"""Phase-attributed profiler: attribution, sampling, exports, zero-cost path."""
+"""Phase-attributed profiler: a view over tracer records, sampling, exports."""
 
 import json
+import threading
 import tracemalloc
 
 import pytest
@@ -13,31 +14,40 @@ from repro.obs.profile import (
     profile_payload,
     validate_profile_payload,
 )
+from repro.obs.tracing import Tracer
 
 
-def _visit(profiler, name, start, end, inner=None):
-    """Drive the span hooks directly with a synthetic clock."""
-    profiler.on_span_begin(name, start)
+def _profiled_tracer(**kwargs):
+    """A profiler installed on a private tracer driven by a synthetic clock."""
+    tracer = Tracer()
+    prof = PhaseProfiler(**kwargs)
+    prof.install(tracer)
+    return prof, tracer
+
+
+def _visit(tracer, name, start, end, inner=None):
+    """Open and close one span on ``tracer`` at the given clock readings."""
+    tracer.begin(name, {}, start)
     if inner is not None:
         inner()
-    profiler.on_span_end(end)
+    tracer.finish(end)
 
 
 class TestPhaseAttribution:
     def test_nested_spans_build_semicolon_paths(self):
-        prof = PhaseProfiler()
-        prof.on_span_begin("outer", 0.0)
-        prof.on_span_begin("inner", 1.0)
-        prof.on_span_end(3.0)
-        prof.on_span_end(10.0)
+        prof, tracer = _profiled_tracer()
+        tracer.begin("outer", {}, 0.0)
+        tracer.begin("inner", {}, 1.0)
+        tracer.finish(3.0)
+        tracer.finish(10.0)
         assert {s.path for s in prof.phases()} == {"outer", "outer;inner"}
 
     def test_self_time_excludes_children(self):
-        prof = PhaseProfiler()
-        prof.on_span_begin("outer", 0.0)
-        prof.on_span_begin("inner", 1.0)
-        prof.on_span_end(3.0)
-        prof.on_span_end(10.0)
+        prof, tracer = _profiled_tracer()
+        tracer.begin("outer", {}, 0.0)
+        tracer.begin("inner", {}, 1.0)
+        tracer.finish(3.0)
+        tracer.finish(10.0)
         outer = prof.phase("outer")
         inner = prof.phase("outer;inner")
         assert outer.wall_s == pytest.approx(10.0)
@@ -46,114 +56,64 @@ class TestPhaseAttribution:
         assert inner.self_s == pytest.approx(2.0)
 
     def test_repeat_visits_accumulate_calls(self):
-        prof = PhaseProfiler()
+        prof, tracer = _profiled_tracer()
         for i in range(3):
-            _visit(prof, "phase", float(i), float(i) + 0.5)
+            _visit(tracer, "phase", float(i), float(i) + 0.5)
         stat = prof.phase("phase")
         assert stat.calls == 3
         assert stat.wall_s == pytest.approx(1.5)
 
     def test_phases_sorted_by_cumulative_wall_time(self):
-        prof = PhaseProfiler()
-        _visit(prof, "cheap", 0.0, 1.0)
-        _visit(prof, "expensive", 1.0, 9.0)
+        prof, tracer = _profiled_tracer()
+        _visit(tracer, "cheap", 0.0, 1.0)
+        _visit(tracer, "expensive", 1.0, 9.0)
         assert [s.path for s in prof.phases()] == ["expensive", "cheap"]
 
     def test_span_closed_before_install_is_ignored(self):
-        # on_span_end with no open frame: the span predates the profiler
+        tracer = Tracer()
+        _visit(tracer, "before", 0.0, 1.0)
         prof = PhaseProfiler()
-        prof.on_span_end(1.0)  # must not raise
-        assert prof.phases() == []
+        prof.install(tracer)
+        _visit(tracer, "during", 1.0, 2.0)
+        assert [s.path for s in prof.phases()] == ["during"]
 
-    def test_negative_sample_interval_rejected(self):
-        with pytest.raises(ValueError):
-            PhaseProfiler(sample_interval=-1)
-
-
-class TestMemoryAttribution:
-    def test_child_peak_not_billed_to_parent_self_window(self):
-        prof = PhaseProfiler(track_memory=True)
-        prof.install()
-        try:
-            with runtime.activate():
-                runtime.profiler = prof
-                try:
-                    with runtime.span("outer"):
-                        with runtime.span("inner"):
-                            blob = bytearray(512 * 1024)
-                        del blob
-                finally:
-                    runtime.profiler = None
-        finally:
-            prof.uninstall()
-        inner = prof.phase("outer;inner")
-        outer = prof.phase("outer")
-        assert inner.mem_peak_bytes >= 512 * 1024
-        # child peaks propagate upward: the parent's high-water is >= child's
-        assert outer.mem_peak_bytes >= inner.mem_peak_bytes
-
-    def test_install_starts_and_uninstall_stops_tracemalloc(self):
-        if tracemalloc.is_tracing():  # pragma: no cover - env dependent
-            pytest.skip("tracemalloc already active in this interpreter")
-        prof = PhaseProfiler(track_memory=True)
-        prof.install()
-        assert tracemalloc.is_tracing()
+    def test_span_closed_after_uninstall_is_ignored(self):
+        prof, tracer = _profiled_tracer()
+        _visit(tracer, "during", 0.0, 1.0)
         prof.uninstall()
-        assert not tracemalloc.is_tracing()
+        _visit(tracer, "after", 1.0, 2.0)
+        assert [s.path for s in prof.phases()] == ["during"]
 
 
 class TestSampling:
-    def _run_workload(self):
-        import gc
-
-        def leaf():
-            return sum(range(5))
-
-        # a GC pass mid-workload would fire finalizer/weakref callbacks,
-        # injecting call events that shift the deterministic countdown —
-        # collect up front and keep the collector off while sampling
-        gc.collect()
-        gc.disable()
-        try:
-            with obs.profile_session(sample_interval=7) as prof:
-                with runtime.span("work"):
-                    for _ in range(200):
-                        leaf()
-        finally:
-            gc.enable()
-        return prof
+    """One sample at a time, taken by hand: what the sampler thread does."""
 
     def test_samples_attributed_to_open_phase(self):
-        prof = self._run_workload()
+        prof, tracer = _profiled_tracer()
+        tracer.begin("work", {}, 0.0)
+        for _ in range(3):
+            prof._sample(threading.get_ident())
+        tracer.finish(1.0)
         folded = prof.folded_samples
         assert folded, "sampling produced no stacks"
-        assert any(key.startswith("work;") for key in folded)
-        assert prof.phase("work").samples > 0
-
-    def test_sampling_is_deterministic(self):
-        first = self._run_workload().folded_samples
-        second = self._run_workload().folded_samples
-        in_phase = lambda d: {k: v for k, v in d.items() if k.startswith("work;")}
-        assert in_phase(first) == in_phase(second)
+        assert all(key.startswith("work;") for key in folded)
+        assert sum(folded.values()) == 3
+        assert prof.phase("work").samples == 3
 
     def test_samples_outside_spans_fall_into_untraced(self):
-        prof = PhaseProfiler(sample_interval=1)
-        prof.install()
-        try:
-            sum(range(10))
-        finally:
-            prof.uninstall()
+        prof, _ = _profiled_tracer()
+        prof._sample(threading.get_ident())
         assert any(key.startswith(UNTRACED) for key in prof.folded_samples)
 
     def test_previous_profile_hook_restored(self):
+        """The profiler never touches the interpreter's profile hook."""
         import sys
 
         sentinel = lambda frame, event, arg: None
         sys.setprofile(sentinel)
         try:
-            prof = PhaseProfiler(sample_interval=5)
-            prof.install()
-            prof.uninstall()
+            with obs.profile_session(sample_hz=500.0):
+                assert sys.getprofile() is sentinel
             assert sys.getprofile() is sentinel
         finally:
             sys.setprofile(None)
@@ -180,8 +140,6 @@ class TestPeriodicSampling:
         assert prof.phase("work").samples > 0
 
     def test_sampler_thread_stopped_after_session(self):
-        import threading
-
         with obs.profile_session(sample_hz=500.0):
             names = {t.name for t in threading.enumerate()}
             assert "repro-obs-sampler" in names
@@ -195,15 +153,6 @@ class TestPeriodicSampling:
         payload = profile_payload("p", prof)
         assert payload["sample_hz"] == 97.0
         validate_profile_payload(payload)
-
-    def test_both_modes_can_coexist(self):
-        # interval mode stays deterministic; hz mode just adds extra
-        # statistical stacks on top — install/uninstall must manage both
-        with obs.profile_session(sample_interval=7, sample_hz=500.0) as prof:
-            with runtime.span("work"):
-                for _ in range(200):
-                    sum(range(5))
-        assert any(key.startswith("work") for key in prof.folded_samples)
 
 
 class TestLifecycle:
@@ -220,11 +169,16 @@ class TestLifecycle:
         PhaseProfiler().uninstall()
 
     def test_profile_session_restores_runtime_profiler(self):
-        assert runtime.profiler is None
+        """The session's scoped obs state is torn down on exit."""
+        tracer = runtime.tracer
         with obs.profile_session() as prof:
-            assert runtime.profiler is prof
             assert runtime.is_enabled()
-        assert runtime.profiler is None
+            assert runtime.tracer is not tracer
+            with runtime.span("phase"):
+                pass
+        assert not runtime.is_enabled()
+        assert runtime.tracer is tracer
+        assert prof.phase("phase") is not None
 
     def test_profile_session_rides_ambient_session(self):
         with runtime.activate() as ambient:
@@ -232,20 +186,23 @@ class TestLifecycle:
                 with runtime.span("phase"):
                     pass
             assert runtime.is_enabled()  # ambient session not torn down
-            assert ambient is not None
+            assert ambient.tracer.find("phase")  # the caller's tracer saw it
         assert prof.phase("phase") is not None
 
     def test_profile_session_restores_on_error(self):
+        tracer = runtime.tracer
         with pytest.raises(RuntimeError, match="boom"):
-            with obs.profile_session():
+            with obs.profile_session(sample_hz=500.0):
                 raise RuntimeError("boom")
-        assert runtime.profiler is None
+        assert runtime.tracer is tracer
         assert not runtime.is_enabled()
+        names = {t.name for t in threading.enumerate()}
+        assert "repro-obs-sampler" not in names
 
 
 class TestDisabledPathCost:
     def test_disabled_spans_allocate_nothing(self):
-        """With obs off the span fast path must not allocate (profiler or not)."""
+        """With obs off the span fast path must not allocate."""
         assert not runtime.is_enabled()
 
         def burst(n):
@@ -263,19 +220,20 @@ class TestDisabledPathCost:
         assert peak < 16 * 1024, f"disabled span path allocated {peak} bytes"
 
     def test_enabled_span_without_profiler_skips_hooks(self):
-        with runtime.activate():
-            assert runtime.profiler is None
+        """Spans never consult a profiler: the tracer record is all there is."""
+        with runtime.activate() as session:
             with runtime.span("plain"):
-                pass  # must not raise despite profiler=None
+                pass
+        assert [r.name for r in session.tracer.finished] == ["plain"]
 
 
 class TestFoldedRendering:
     def _profiled(self):
-        prof = PhaseProfiler()
-        prof.on_span_begin("a", 0.0)
-        prof.on_span_begin("b", 1.0)
-        prof.on_span_end(2.0)
-        prof.on_span_end(3.0)
+        prof, tracer = _profiled_tracer()
+        tracer.begin("a", {}, 0.0)
+        tracer.begin("b", {}, 1.0)
+        tracer.finish(2.0)
+        tracer.finish(3.0)
         return prof
 
     def test_wall_folded_lines(self):
@@ -293,8 +251,8 @@ class TestFoldedRendering:
 
 class TestArtifacts:
     def _profiled(self):
-        prof = PhaseProfiler()
-        _visit(prof, "phase", 0.0, 1.0)
+        prof, tracer = _profiled_tracer()
+        _visit(tracer, "phase", 0.0, 1.0)
         return prof
 
     def test_payload_round_trip(self, tmp_path):
@@ -331,7 +289,6 @@ class TestArtifacts:
                     "calls": 1,
                     "wall_s": 0.0,
                     "self_s": 0.0,
-                    "mem_peak_bytes": 0,
                     "samples": 0,
                 }
             ),

@@ -1,11 +1,13 @@
 """End-to-end causal tracing across serve → resilience → p2p → audit.
 
-The acceptance scenario for the tracing layer: one ``assess_many``
-request driven through the auto executor under injected faults, plus a
-p2p round trip, must leave a span log where a **single trace_id** links
+The acceptance scenario for the tracing layer: ``assess_many`` requests
+driven through the process executor, healthy and under injected faults,
+plus a p2p round trip, must leave a span log where a **single trace_id**
+links
 
 * the request root span (``serve.assess_many``),
-* the executor worker spans (``serve.executor.shard``),
+* the executor worker spans (``serve.executor.shard``, written by the
+  pool processes),
 * the retry / breaker / degradation span events the resilience funnel
   annotated along the way,
 * the network hop (``p2p.network.deliver``) and its retry, and
@@ -17,8 +19,6 @@ and ``repro obs trace`` renders that log as one coherent tree.
 from __future__ import annotations
 
 import random
-
-import pytest
 
 from repro import obs
 from repro.core.config import AssessorConfig, BehaviorTestConfig
@@ -44,8 +44,9 @@ CONFIG = AssessorConfig(
 )
 
 
-def _make_service(n_servers=6, n_feedbacks=40):
-    service = AssessmentService(config=CONFIG, max_workers=2)
+def _make_service(n_servers=6, n_feedbacks=40, max_workers=1):
+    # one worker reproduces the serial calibration order exactly
+    service = AssessmentService(config=CONFIG, max_workers=max_workers)
     stream = random.Random(1234)
     t = 0.0
     for s in range(n_servers):
@@ -69,13 +70,6 @@ def _make_service(n_servers=6, n_feedbacks=40):
     return service
 
 
-@pytest.fixture(autouse=True)
-def _parallel_capable(monkeypatch):
-    """Make 'auto' resolve to the thread executor on any host."""
-    monkeypatch.setattr("repro.serve.service.os.cpu_count", lambda: 8)
-    monkeypatch.setattr("repro.serve.service._MIN_PARALLEL_BATCH", 2)
-
-
 def _span_events(spans, name):
     return [
         event
@@ -91,9 +85,6 @@ class TestEndToEndTrace:
         service = _make_service()
 
         plan = FaultPlan(seed=0)
-        # both retry attempts of the process step fault: the request
-        # retries, exhausts, and degrades down the ladder to threads
-        plan.arm("serve.executor.worker", "exception", max_fires=2)
         # the first network send is forcibly lost: send_reliable retries
         plan.arm("p2p.network.send", "crash", max_fires=1)
 
@@ -107,10 +98,16 @@ class TestEndToEndTrace:
             with audit_session() as trail, res.activate(plan, event_log):
                 with trace_ctx.use(root):
                     with obs.span("request.e2e"):
-                        # auto resolves to the process executor; both of
-                        # its retry attempts fault, so the ladder lands
-                        # on threads — whose shard spans join the trace
-                        chaos = service.assess_many(executor="auto")
+                        # a healthy sweep: the pool worker's shard span
+                        # joins the trace through the serialized headers
+                        service.assess_many(executor="process")
+                        # both retry attempts of the process step fault:
+                        # the request retries, exhausts, and degrades
+                        # down the ladder to serial
+                        plan.arm(
+                            "serve.executor.worker", "exception", max_fires=2
+                        )
+                        chaos = service.assess_many(executor="process")
                         for _ in range(2):  # failures 2 and 3 open the breaker
                             plan.arm(
                                 "serve.executor.worker",
@@ -124,13 +121,9 @@ class TestEndToEndTrace:
                                 "peer-1", "trust_query", {"server": "srv-00"}
                             )
 
-        # the chaos run still answers correctly (same verdict per
-        # server — exact ε thresholds may differ because concurrent
-        # thread workers interleave the shared calibration RNG; the
-        # serial-path bit-equivalence contract lives in the chaos suite)
-        assert {s: a.status for s, a in chaos.items()} == {
-            s: a.status for s, a in baseline.items()
-        }
+        # the chaos run still answers bit-identically: the serial step
+        # calibrates in the same order as the fault-free baseline
+        assert chaos == baseline
         assert not any(a.degraded for a in chaos.values())
         assert reply == {"echo": {"server": "srv-00"}}
         assert network.stats.retries >= 1
@@ -143,10 +136,8 @@ class TestEndToEndTrace:
         names = {span["name"] for span in spans}
         assert "request.e2e" in names
         assert "serve.assess_many" in names
-        assert "serve.executor.shard" in names  # thread worker spans
+        assert "serve.executor.shard" in names  # pool worker spans
         assert "p2p.network.deliver" in names  # the network hop
-        shard = next(s for s in spans if s["name"] == "serve.executor.shard")
-        assert shard["labels"]["executor"] == "thread"
 
         # resilience ladder milestones surfaced as span events
         assert _span_events(spans, "retry"), "retry attempts annotated"
@@ -180,17 +171,17 @@ class TestEndToEndTrace:
         assert "executor_degraded" in out
 
     def test_worker_spans_parent_under_the_request(self, tmp_path):
-        """Shard spans written by pool threads slot under assess_many."""
-        service = _make_service()
+        """Shard spans written by pool workers slot under assess_many."""
+        service = _make_service(max_workers=2)
         spans_path = tmp_path / "spans.jsonl"
         root = trace_ctx.new_root()
         with obs.activate(), tracing_session(spans_path):
             with trace_ctx.use(root):
-                service.assess_many(executor="thread")
+                service.assess_many(executor="process")
         spans = read_span_jsonl(spans_path)
         by_id = {s["span_id"]: s for s in spans}
         shards = [s for s in spans if s["name"] == "serve.executor.shard"]
-        assert shards
+        assert sorted(s["labels"]["shard"] for s in shards) == ["0", "1"]
         for shard in shards:
             parent = by_id[shard["parent_span_id"]]
             assert parent["name"] == "serve.assess_many"

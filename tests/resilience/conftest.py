@@ -46,7 +46,14 @@ CHAOS_CONFIG = AssessorConfig(
 
 
 def make_service(n_servers: int = 6, n_feedbacks: int = 40, **kwargs) -> AssessmentService:
-    """A populated service over a deterministic feedback stream."""
+    """A populated service over a deterministic feedback stream.
+
+    One pool worker by default: it rebuilds the assessor from the
+    config's default seed and assesses the servers in order, so a
+    healthy ``executor="process"`` sweep reproduces the serial
+    calibration order and every ``chaos == baseline`` stays exact.
+    """
+    kwargs.setdefault("max_workers", 1)
     service = AssessmentService(config=CHAOS_CONFIG, **kwargs)
     stream = random.Random(1234)
     t = 0.0

@@ -26,7 +26,7 @@ def _strip_time(events):
 
 
 class TestExecutorRecovery:
-    def test_thread_fault_degrades_to_serial_bit_identical(
+    def test_worker_fault_degrades_to_serial_bit_identical(
         self, service, chaos_seed
     ):
         baseline = service.assess_many(executor="serial")
@@ -34,10 +34,10 @@ class TestExecutorRecovery:
         plan.arm("serve.executor.worker", "exception", max_fires=2)
         log = EventLog()
         with res.activate(plan, log):
-            chaos = service.assess_many(executor="thread")
+            chaos = service.assess_many(executor="process")
         assert chaos == baseline
         assert service.n_degradations == 1
-        assert service.last_degradation["from"] == "thread"
+        assert service.last_degradation["from"] == "process"
         assert service.last_degradation["to"] == "serial"
         names = [e["event"] for e in log.events]
         assert "fault_injected" in names
@@ -50,7 +50,7 @@ class TestExecutorRecovery:
         plan = FaultPlan(seed=chaos_seed)
         plan.arm("serve.executor.worker", "crash", max_fires=2)
         with res.activate(plan):
-            chaos = service.assess_many(executor="thread")
+            chaos = service.assess_many(executor="process")
         assert chaos == baseline
         assert "BrokenProcessPool" in service.last_degradation["error"]
 
@@ -62,7 +62,7 @@ class TestExecutorRecovery:
         plan = FaultPlan(seed=chaos_seed)
         plan.arm("serve.executor.worker", "exception", max_fires=1)
         with res.activate(plan):
-            chaos = service.assess_many(executor="thread")
+            chaos = service.assess_many(executor="process")
         assert chaos == baseline
         assert service.n_degradations == 0
         assert service._retry_policy.n_retries == 1
@@ -77,10 +77,10 @@ class TestExecutorRecovery:
         def _dying_pool(ids):
             raise BrokenProcessPool("simulated worker death")
 
-        monkeypatch.setattr(service, "_assess_many_threaded", _dying_pool)
+        monkeypatch.setattr(service, "_assess_many_process", _dying_pool)
         log = EventLog()
         with res.activate(FaultPlan(seed=chaos_seed), log):
-            chaos = service.assess_many(executor="thread")
+            chaos = service.assess_many(executor="process")
         assert chaos == baseline
         assert service.n_degradations == 1
         degradations = [
@@ -111,11 +111,11 @@ class TestExecutorRecovery:
         monkeypatch.setattr(service, "_run_step", _always_failing)
         with res.activate(FaultPlan(seed=chaos_seed)):
             with pytest.raises(ResilienceError) as excinfo:
-                service.assess_many(executor="thread")
+                service.assess_many(executor="process")
         assert excinfo.value.site == "serve.executor.worker"
-        # one attempt record per ladder step: thread, serial
+        # one attempt record per ladder step: process, serial
         assert [step for step, _ in excinfo.value.attempts] == [
-            "thread",
+            "process",
             "serial",
         ]
 
@@ -123,21 +123,21 @@ class TestExecutorRecovery:
 class TestCircuitBreaker:
     def test_repeated_pool_failures_open_the_breaker(self, chaos_seed):
         service = make_service()
-        threshold = service._breakers["thread"].failure_threshold
+        threshold = service._breakers["process"].failure_threshold
         plan = FaultPlan(seed=chaos_seed)
         plan.arm("serve.executor.worker", "exception")  # unbounded
         baseline = service.assess_many(executor="serial")
         log = EventLog()
         with res.activate(plan, log):
             for _ in range(threshold):
-                assert service.assess_many(executor="thread") == baseline
-            assert service._breakers["thread"].state == "open"
-            # next sweep skips the thread pool entirely: no new fault
+                assert service.assess_many(executor="process") == baseline
+            assert service._breakers["process"].state == "open"
+            # next sweep skips the process pool entirely: no new fault
             # decisions at the worker site, still correct answers
             invocations_before = plan.counts()["serve.executor.worker"][
                 "invocations"
             ]
-            assert service.assess_many(executor="thread") == baseline
+            assert service.assess_many(executor="process") == baseline
             assert (
                 plan.counts()["serve.executor.worker"]["invocations"]
                 == invocations_before
@@ -248,7 +248,7 @@ class TestChaosDeterminism:
         plan.arm("core.calibration", "exception", max_fires=1)
         log = EventLog()
         with res.activate(plan, log):
-            results = service.assess_many(executor="thread")
+            results = service.assess_many(executor="process")
         return results, plan.log, _strip_time(log.events)
 
     def test_two_runs_replay_identically(self, chaos_seed):

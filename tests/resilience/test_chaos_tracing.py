@@ -35,7 +35,7 @@ class TestExecutorDegradationTracing:
         root = trace_ctx.new_root(test="chaos")
         with obs.activate(), res.activate(plan, log):
             with trace_ctx.use(root):
-                service.assess_many(executor="thread")
+                service.assess_many(executor="process")
         assert service.n_degradations == 1
         degraded = _events_named(log, "executor_degraded")
         assert len(degraded) == 1, "one degradation => exactly one event"
@@ -49,7 +49,7 @@ class TestExecutorDegradationTracing:
         plan.arm("serve.executor.worker", "exception", max_fires=2)
         log = EventLog()
         with res.activate(plan, log):
-            service.assess_many(executor="thread")
+            service.assess_many(executor="process")
         degraded = _events_named(log, "executor_degraded")
         assert len(degraded) == 1
         assert "trace_id" not in degraded[0]
@@ -67,7 +67,7 @@ class TestExecutorDegradationTracing:
                 root = trace_ctx.new_root()
                 with res.activate(plan, log):
                     with trace_ctx.use(root):
-                        service.assess_many(executor="thread")
+                        service.assess_many(executor="process")
                 seen.append(root.trace_id)
         degraded = _events_named(log, "executor_degraded")
         assert [e["trace_id"] for e in degraded] == seen

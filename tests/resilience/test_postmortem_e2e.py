@@ -45,7 +45,7 @@ def _crash_run(postmortem_dir, chaos_seed, monkeypatch):
     """A degraded sweep, then a sweep whose every ladder step fails."""
     service = make_service()
     plan = FaultPlan(seed=chaos_seed)
-    # two fires exhaust the thread step's retries: the sweep degrades to
+    # two fires exhaust the process step's retries: the sweep degrades to
     # serial for real, emitting a trace-stamped executor_degraded
     plan.arm("serve.executor.worker", "exception", max_fires=2)
     log = EventLog()
@@ -60,7 +60,7 @@ def _crash_run(postmortem_dir, chaos_seed, monkeypatch):
                 for _ in range(2):
                     service.assess_many(executor="serial")
                 # the degraded-but-served sweep
-                service.assess_many(executor="thread")
+                service.assess_many(executor="process")
                 assert service.n_degradations == 1
                 fault = InjectedFault("serve.executor.worker", "exception", 0)
 
@@ -69,7 +69,7 @@ def _crash_run(postmortem_dir, chaos_seed, monkeypatch):
 
                 monkeypatch.setattr(service, "_run_step", _always_failing)
                 with pytest.raises(ResilienceError) as excinfo:
-                    service.assess_many(executor="thread")
+                    service.assess_many(executor="process")
     return recorder, root, excinfo.value
 
 
@@ -125,7 +125,7 @@ class TestPostmortemEndToEnd:
         self, postmortem_dir, chaos_seed
     ):
         service = make_service()
-        threshold = service._breakers["thread"].failure_threshold
+        threshold = service._breakers["process"].failure_threshold
         plan = FaultPlan(seed=chaos_seed)
         plan.arm("serve.executor.worker", "exception")
         log = EventLog()
@@ -134,8 +134,8 @@ class TestPostmortemEndToEnd:
         ) as recorder:
             with res.activate(plan, log):
                 for _ in range(threshold):
-                    service.assess_many(executor="thread")
-        assert service._breakers["thread"].state == "open"
+                    service.assess_many(executor="process")
+        assert service._breakers["process"].state == "open"
         assert any("breaker_open" in p.name for p in recorder.dumps)
         bundle = obs.read_postmortem(
             next(p for p in recorder.dumps if "breaker_open" in p.name)

@@ -169,13 +169,15 @@ class TestStandaloneAssessment:
 
 
 class TestExecutors:
-    def test_thread_executor_matches_serial(self, paper_config, shared_calibrator):
+    def test_thread_executor_is_rejected(self, paper_config, shared_calibrator):
         service = AssessmentService(_assessor(paper_config, shared_calibrator))
-        for history in _histories(10, base_seed=90):
-            service.add_server(history)
-        serial = service.assess_many(executor="serial")
-        threaded = service.assess_many(executor="thread")
-        assert serial == threaded
+        service.add_server("s")
+        with pytest.raises(ValueError, match="executor"):
+            service.assess_many(executor="thread")
+        with pytest.raises(ValueError, match="executor"):
+            AssessmentService(
+                _assessor(paper_config, shared_calibrator), executor="thread"
+            )
 
     def test_process_executor_requires_config(self, paper_config, shared_calibrator):
         service = AssessmentService(_assessor(paper_config, shared_calibrator))
@@ -307,6 +309,30 @@ class TestStatsAndCache:
         path = service.save_cache()
         reloaded = CalibrationCache(path=path)
         assert len(reloaded) == len(cache)
+
+    def test_auto_executor_keeps_calibrating_verdicts(self, monkeypatch):
+        """On a many-core host with a large batch, ``auto`` must not
+        shard a calibrating tester: per-worker calibration RNG streams
+        would change the ε thresholds, and so the verdicts."""
+        monkeypatch.setattr("repro.serve.service.os.cpu_count", lambda: 8)
+        monkeypatch.setattr("repro.serve.service._MIN_PARALLEL_BATCH", 2)
+        config = AssessorConfig(
+            trust_function="average",
+            behavior_test="single",
+            trust_threshold=0.7,
+            test_config=BehaviorTestConfig(
+                window_size=8, min_windows=2, calibration_sets=50
+            ),
+        )
+
+        def build():
+            service = AssessmentService(config=config)
+            for i, history in enumerate(_histories(8, base_seed=130, length=40)):
+                for outcome in history.outcomes()[: 40 - 2 * i]:
+                    service.observe_outcome(history.server, int(outcome))
+            return service
+
+        assert build().assess_many() == build().assess_many(executor="serial")
 
     def test_auto_executor_serial_on_small_batches(
         self, paper_config, shared_calibrator
