@@ -14,7 +14,6 @@ multinomial); any :class:`~repro.trust.base.TrustFunction` or
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Protocol, Union
 
 from ..feedback.history import TransactionHistory
@@ -27,10 +26,6 @@ from .verdict import Assessment, AssessmentStatus, BehaviorVerdict
 
 __all__ = ["BehaviorTestProtocol", "TwoPhaseAssessor", "Assessor"]
 
-_UNSET = object()
-_CTOR_PARAMS = ("behavior_test", "trust_function", "trust_threshold")
-
-
 class BehaviorTestProtocol(Protocol):
     """Anything usable as phase 1."""
 
@@ -42,10 +37,9 @@ class BehaviorTestProtocol(Protocol):
 class TwoPhaseAssessor:
     """Behavior screening composed with a trust function.
 
-    Parameters are keyword-only (``behavior_test=``, ``trust_function=``,
-    ``trust_threshold=``); positional construction still works for one
-    release behind a :class:`DeprecationWarning`.  Prefer
-    :meth:`from_config` when both phases are registry names.
+    Parameters are keyword-only (``trust_function=``, ``behavior_test=``,
+    ``trust_threshold=``).  Prefer :meth:`from_config` when both phases
+    are registry names.
 
     Parameters
     ----------
@@ -61,42 +55,11 @@ class TwoPhaseAssessor:
 
     def __init__(
         self,
-        *args,
-        behavior_test: Optional[BehaviorTestProtocol] = _UNSET,
-        trust_function: Union[TrustFunction, LedgerTrustFunction] = _UNSET,
-        trust_threshold: float = _UNSET,
+        *,
+        trust_function: Union[TrustFunction, LedgerTrustFunction],
+        behavior_test: Optional[BehaviorTestProtocol] = None,
+        trust_threshold: float = 0.9,
     ):
-        if args:
-            # One release of compatibility: map the legacy positional form
-            # onto the keyword parameters, warning exactly once per call.
-            warnings.warn(
-                "positional TwoPhaseAssessor(behavior_test, trust_function, "
-                "trust_threshold) construction is deprecated; pass keyword "
-                "arguments or use TwoPhaseAssessor.from_config(AssessorConfig(...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(args) > len(_CTOR_PARAMS):
-                raise TypeError(
-                    f"TwoPhaseAssessor takes at most {len(_CTOR_PARAMS)} "
-                    f"positional arguments, got {len(args)}"
-                )
-            keyword_values = (behavior_test, trust_function, trust_threshold)
-            for name, positional, keyword in zip(_CTOR_PARAMS, args, keyword_values):
-                if keyword is not _UNSET:
-                    raise TypeError(
-                        f"TwoPhaseAssessor got multiple values for {name!r}"
-                    )
-            behavior_test, trust_function, trust_threshold = (
-                args[i] if i < len(args) else keyword_values[i]
-                for i in range(len(_CTOR_PARAMS))
-            )
-        if trust_function is _UNSET:
-            raise TypeError("TwoPhaseAssessor requires trust_function=...")
-        if behavior_test is _UNSET:
-            behavior_test = None
-        if trust_threshold is _UNSET:
-            trust_threshold = 0.9
         if not 0.0 <= trust_threshold <= 1.0:
             raise ValueError(
                 f"trust_threshold must lie in [0, 1], got {trust_threshold}"

@@ -20,6 +20,69 @@ from .. import obs
 from . import RUNNERS
 from .report import render_report
 
+#: ``--X-dir`` flag -> (runner parameter, artifact file name, help).  A
+#: runner receives a path under the directory only when its signature
+#: takes the parameter; ``None`` passes the directory itself.
+ARTIFACT_DIRS = {
+    "--bench-dir": (
+        "bench_path",
+        "BENCH_{name}.json",
+        "write machine-readable BENCH_<name>.json artifacts into this "
+        "directory (experiments that support benchmarking, e.g. fig9)",
+    ),
+    "--audit-dir": (
+        "audit_path",
+        "AUDIT_{name}.jsonl",
+        "write decision-audit AUDIT_<name>.jsonl logs into this "
+        "directory (experiments that support auditing, e.g. fig5-fig7); "
+        "inspect with `repro explain <server> <log>`",
+    ),
+    "--events-dir": (
+        "events_path",
+        "EVENTS_{name}.jsonl",
+        "write JSONL event logs with progress heartbeats into this "
+        "directory as EVENTS_<name>.jsonl (watch live with "
+        "`repro obs top <log>`)",
+    ),
+    "--profile-dir": (
+        "profile_path",
+        "PROFILE_{name}.json",
+        "write phase profiles into this directory as "
+        "PROFILE_<name>.json plus flamegraph-ready .folded "
+        "(experiments that support profiling, e.g. fig9)",
+    ),
+    "--trace-dir": (
+        "trace_path",
+        "TRACE_{name}.jsonl",
+        "write causal span logs into this directory as "
+        "TRACE_<name>.jsonl (experiments that support tracing, e.g. "
+        "serve); inspect with `repro obs trace <log>`",
+    ),
+    "--slo-dir": (
+        "slo_path",
+        "BENCH_slo.json",
+        "write SLO error-budget artifacts into this directory as "
+        "BENCH_slo.json (experiments that support it, e.g. serve); "
+        "inspect with `repro obs slo <artifact>`",
+    ),
+    "--tsdb-dir": (
+        "tsdb_path",
+        "TSDB_{name}.jsonl",
+        "write scraped metric history into this directory as "
+        "TSDB_<name>.jsonl (experiments that support it, e.g. serve); "
+        "inspect with `repro obs tsdb <file>`",
+    ),
+    "--fleet-dir": (
+        "fleet_dir",
+        None,
+        "write fleet-scope observability artifacts into this directory "
+        "(experiments that support it, e.g. p2p_scale): FLEET_*.json "
+        "per-node snapshots + ring consistency, TSDB_fleet.jsonl "
+        "history, and node-scoped POSTMORTEM_fleet_*.json bundles; "
+        "render with `repro obs fleet <dir>`",
+    ),
+}
+
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
@@ -60,87 +123,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help="also render each figure as an SVG into this directory",
     )
-    parser.add_argument(
-        "--bench-dir",
-        type=str,
-        default=None,
-        help=(
-            "write machine-readable BENCH_<name>.json artifacts into this "
-            "directory (experiments that support benchmarking, e.g. fig9)"
-        ),
-    )
-    parser.add_argument(
-        "--audit-dir",
-        type=str,
-        default=None,
-        help=(
-            "write decision-audit AUDIT_<name>.jsonl logs into this "
-            "directory (experiments that support auditing, e.g. fig5-fig7); "
-            "inspect with `repro explain <server> <log>`"
-        ),
-    )
-    parser.add_argument(
-        "--events-dir",
-        type=str,
-        default=None,
-        help=(
-            "write JSONL event logs with progress heartbeats into this "
-            "directory as EVENTS_<name>.jsonl (watch live with "
-            "`repro obs top <log>`)"
-        ),
-    )
-    parser.add_argument(
-        "--profile-dir",
-        type=str,
-        default=None,
-        help=(
-            "write phase profiles into this directory as "
-            "PROFILE_<name>.json plus flamegraph-ready .folded "
-            "(experiments that support profiling, e.g. fig9)"
-        ),
-    )
-    parser.add_argument(
-        "--trace-dir",
-        type=str,
-        default=None,
-        help=(
-            "write causal span logs into this directory as "
-            "TRACE_<name>.jsonl (experiments that support tracing, e.g. "
-            "serve); inspect with `repro obs trace <log>`"
-        ),
-    )
-    parser.add_argument(
-        "--slo-dir",
-        type=str,
-        default=None,
-        help=(
-            "write SLO error-budget artifacts into this directory as "
-            "BENCH_slo.json (experiments that support it, e.g. serve); "
-            "inspect with `repro obs slo <artifact>`"
-        ),
-    )
-    parser.add_argument(
-        "--tsdb-dir",
-        type=str,
-        default=None,
-        help=(
-            "write scraped metric history into this directory as "
-            "TSDB_<name>.jsonl (experiments that support it, e.g. serve); "
-            "inspect with `repro obs tsdb <file>`"
-        ),
-    )
-    parser.add_argument(
-        "--fleet-dir",
-        type=str,
-        default=None,
-        help=(
-            "write fleet-scope observability artifacts into this directory "
-            "(experiments that support it, e.g. p2p_scale): FLEET_*.json "
-            "per-node snapshots + ring consistency, TSDB_fleet.jsonl "
-            "history, and node-scoped POSTMORTEM_fleet_*.json bundles; "
-            "render with `repro obs fleet <dir>`"
-        ),
-    )
+    for flag, (_, _, help_text) in ARTIFACT_DIRS.items():
+        parser.add_argument(flag, type=str, default=None, help=help_text)
     parser.add_argument(
         "--engine",
         type=str,
@@ -165,22 +149,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if log_level:
         obs.configure_logging(log_level)
 
-    if args.bench_dir:
-        os.makedirs(args.bench_dir, exist_ok=True)
-    if args.audit_dir:
-        os.makedirs(args.audit_dir, exist_ok=True)
-    if args.events_dir:
-        os.makedirs(args.events_dir, exist_ok=True)
-    if args.profile_dir:
-        os.makedirs(args.profile_dir, exist_ok=True)
-    if args.trace_dir:
-        os.makedirs(args.trace_dir, exist_ok=True)
-    if args.slo_dir:
-        os.makedirs(args.slo_dir, exist_ok=True)
-    if args.tsdb_dir:
-        os.makedirs(args.tsdb_dir, exist_ok=True)
-    if args.fleet_dir:
-        os.makedirs(args.fleet_dir, exist_ok=True)
+    artifact_dirs = {
+        flag: getattr(args, flag[2:].replace("-", "_")) for flag in ARTIFACT_DIRS
+    }
+    for directory in artifact_dirs.values():
+        if directory:
+            os.makedirs(directory, exist_ok=True)
 
     names = sorted(RUNNERS) if args.experiment == "all" else [args.experiment]
     rendered = []
@@ -191,28 +165,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         params = inspect.signature(runner).parameters
         if args.engine and "engine" in params:
             kwargs["engine"] = args.engine
-        if args.bench_dir and "bench_path" in params:
-            kwargs["bench_path"] = os.path.join(args.bench_dir, f"BENCH_{name}.json")
-        if args.audit_dir and "audit_path" in params:
-            kwargs["audit_path"] = os.path.join(args.audit_dir, f"AUDIT_{name}.jsonl")
-        if args.events_dir and "events_path" in params:
-            kwargs["events_path"] = os.path.join(
-                args.events_dir, f"EVENTS_{name}.jsonl"
-            )
-        if args.profile_dir and "profile_path" in params:
-            kwargs["profile_path"] = os.path.join(
-                args.profile_dir, f"PROFILE_{name}.json"
-            )
-        if args.trace_dir and "trace_path" in params:
-            kwargs["trace_path"] = os.path.join(
-                args.trace_dir, f"TRACE_{name}.jsonl"
-            )
-        if args.slo_dir and "slo_path" in params:
-            kwargs["slo_path"] = os.path.join(args.slo_dir, "BENCH_slo.json")
-        if args.tsdb_dir and "tsdb_path" in params:
-            kwargs["tsdb_path"] = os.path.join(args.tsdb_dir, f"TSDB_{name}.jsonl")
-        if args.fleet_dir and "fleet_dir" in params:
-            kwargs["fleet_dir"] = args.fleet_dir
+        for flag, (param, pattern, _) in ARTIFACT_DIRS.items():
+            directory = artifact_dirs[flag]
+            if directory and param in params:
+                kwargs[param] = (
+                    directory
+                    if pattern is None
+                    else os.path.join(directory, pattern.format(name=name))
+                )
         started = time.perf_counter()
         result = runner(**kwargs)
         elapsed = time.perf_counter() - started
@@ -220,19 +180,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(block)
         rendered.append(block)
         results.append(result)
-        for key in (
-            "bench_path",
-            "audit_path",
-            "events_path",
-            "profile_path",
-            "trace_path",
-            "slo_path",
-            "tsdb_path",
-        ):
-            if key in kwargs:
-                print(f"wrote {kwargs[key]}")
-        if "fleet_dir" in kwargs:
-            print(f"wrote fleet artifacts to {kwargs['fleet_dir']}")
+        for param, _, _ in ARTIFACT_DIRS.values():
+            if param in kwargs:
+                print(f"wrote {kwargs[param]}")
     if args.out:
         with open(args.out, "a", encoding="utf-8") as handle:
             handle.write("\n".join(rendered))

@@ -10,10 +10,8 @@ colluder ring and the collusion-resilient variants of the schemes.
 
 from __future__ import annotations
 
-import contextlib
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
-from .. import obs
 from ..adversary.collusion import ColludingStrategicAttacker
 from ..adversary.strategic import StrategicAttacker
 from ..core.calibration import ThresholdCalibrator
@@ -29,6 +27,7 @@ from .common import (
     PAPER_TARGET_BADS,
     PAPER_TRUST_THRESHOLD,
     ExperimentResult,
+    ExperimentRun,
     make_shared_calibrator,
     mean_over_seeds,
 )
@@ -65,56 +64,6 @@ class _AuditedTest:
     def test(self, history):
         with _audit.trail.decision_scope(**self._context):
             return self._inner.test(history)
-
-
-@contextlib.contextmanager
-def _maybe_audit(experiment: str, audit_path: Optional[str], sample_every: int):
-    if audit_path is None:
-        yield None
-        return
-    with _audit.audit_session(
-        sample_every=sample_every,
-        path=audit_path,
-        run_meta={"experiment": experiment},
-        include_pmfs=False,
-    ) as trail:
-        yield trail
-
-
-@contextlib.contextmanager
-def _maybe_monitor(
-    experiment: str,
-    events_path: Optional[str],
-    *,
-    total: int,
-    base_seed: int,
-):
-    """A per-attack-run ProgressMonitor into ``events_path``, or ``None``.
-
-    One tick per (prep size, scheme, seed) attack run; tick-throttled so
-    quick sweeps still heartbeat deterministically.
-    """
-    if events_path is None:
-        yield None
-        return
-    log = obs.EventLog(
-        events_path,
-        run_meta=obs.run_metadata(seed=base_seed, experiment=experiment),
-    )
-    monitor = obs.ProgressMonitor(
-        log,
-        total=total,
-        label="attack_runs",
-        interval_seconds=None,
-        interval_ticks=max(total // 20, 1),
-    )
-    monitor.start(experiment=experiment)
-    try:
-        yield monitor
-    finally:
-        monitor.finish(experiment=experiment)
-        log.emit("run_end", experiment=experiment)
-        log.close()
 
 
 def _append_audit_notes(result: ExperimentResult, records) -> None:
@@ -185,44 +134,27 @@ def attack_cost_sweep(
     events_path: Optional[str] = None,
 ) -> ExperimentResult:
     """Fill ``result`` with the Fig. 3/4 sweep for one trust function."""
-    calibrator = make_shared_calibrator(config)
-    schemes = standard_schemes()
-    total = len(tuple(prep_sizes)) * len(schemes) * n_seeds
-    with _maybe_audit(result.experiment, audit_path, audit_sample) as trail, \
-            _maybe_monitor(
-                result.experiment, events_path, total=total, base_seed=base_seed
-            ) as monitor:
-        for prep in prep_sizes:
-            row: Dict[str, object] = {"prep_size": prep}
-            for name, factory in schemes.items():
-                test = factory(config, calibrator)
-                if trail is not None and test is not None:
-                    test = _AuditedTest(
-                        test,
-                        server=f"{name}-prep{prep}",
-                        scheme=name,
-                        adversary="strategic",
-                        prep_size=prep,
-                    )
-                attacker = StrategicAttacker(
-                    trust_factory(),
-                    test,
-                    trust_threshold=trust_threshold,
-                    prep_honesty=prep_honesty,
-                    target_bads=target_bads,
-                    max_steps=max_steps,
-                )
-                costs = []
-                for s in range(n_seeds):
-                    run = attacker.run(prep, seed=base_seed + 7919 * s)
-                    costs.append(run.cost)
-                    if monitor is not None:
-                        monitor.tick(1, transactions=run.cost)
-                row[name] = mean_over_seeds(costs)
-            result.add_row(**row)
-        if trail is not None:
-            _append_audit_notes(result, trail.records)
-    return result
+    return _sweep(
+        result,
+        standard_schemes(),
+        lambda test: StrategicAttacker(
+            trust_factory(),
+            test,
+            trust_threshold=trust_threshold,
+            prep_honesty=prep_honesty,
+            target_bads=target_bads,
+            max_steps=max_steps,
+        ),
+        adversary="strategic",
+        seed_stride=7919,
+        prep_sizes=prep_sizes,
+        n_seeds=n_seeds,
+        base_seed=base_seed,
+        config=config,
+        audit_path=audit_path,
+        audit_sample=audit_sample,
+        events_path=events_path,
+    )
 
 
 def collusion_cost_sweep(
@@ -244,43 +176,81 @@ def collusion_cost_sweep(
     events_path: Optional[str] = None,
 ) -> ExperimentResult:
     """Fill ``result`` with the Fig. 5/6 collusion sweep."""
+    return _sweep(
+        result,
+        collusion_schemes(),
+        lambda test: ColludingStrategicAttacker(
+            trust_factory(),
+            test,
+            trust_threshold=trust_threshold,
+            n_clients=n_clients,
+            n_colluders=n_colluders,
+            prep_honesty=prep_honesty,
+            target_bads=target_bads,
+            max_steps=max_steps,
+        ),
+        adversary="colluding-strategic",
+        seed_stride=6007,
+        prep_sizes=prep_sizes,
+        n_seeds=n_seeds,
+        base_seed=base_seed,
+        config=config,
+        audit_path=audit_path,
+        audit_sample=audit_sample,
+        events_path=events_path,
+    )
+
+
+def _sweep(
+    result: ExperimentResult,
+    schemes: Dict[str, SchemeFactory],
+    make_attacker: Callable[[Optional[object]], object],
+    *,
+    adversary: str,
+    seed_stride: int,
+    prep_sizes: Sequence[int],
+    n_seeds: int,
+    base_seed: int,
+    config: BehaviorTestConfig,
+    audit_path: Optional[str],
+    audit_sample: int,
+    events_path: Optional[str],
+) -> ExperimentResult:
+    """Mean attack cost per (prep size, defense scheme), one row per prep."""
     calibrator = make_shared_calibrator(config)
-    schemes = collusion_schemes()
     total = len(tuple(prep_sizes)) * len(schemes) * n_seeds
-    with _maybe_audit(result.experiment, audit_path, audit_sample) as trail, \
-            _maybe_monitor(
-                result.experiment, events_path, total=total, base_seed=base_seed
-            ) as monitor:
+    with ExperimentRun(
+        result.experiment,
+        seed=base_seed,
+        events_path=events_path,
+        total=total,
+        # one tick per attack run, throttled so quick sweeps still
+        # heartbeat deterministically
+        label="attack_runs",
+        interval_ticks=max(total // 20, 1),
+        audit_path=audit_path,
+        audit_sample=audit_sample,
+    ) as experiment:
         for prep in prep_sizes:
             row: Dict[str, object] = {"prep_size": prep}
             for name, factory in schemes.items():
                 test = factory(config, calibrator)
-                if trail is not None and test is not None:
+                if experiment.trail is not None and test is not None:
                     test = _AuditedTest(
                         test,
                         server=f"{name}-prep{prep}",
                         scheme=name,
-                        adversary="colluding-strategic",
+                        adversary=adversary,
                         prep_size=prep,
                     )
-                attacker = ColludingStrategicAttacker(
-                    trust_factory(),
-                    test,
-                    trust_threshold=trust_threshold,
-                    n_clients=n_clients,
-                    n_colluders=n_colluders,
-                    prep_honesty=prep_honesty,
-                    target_bads=target_bads,
-                    max_steps=max_steps,
-                )
+                attacker = make_attacker(test)
                 costs = []
                 for s in range(n_seeds):
-                    run = attacker.run(prep, seed=base_seed + 6007 * s)
+                    run = attacker.run(prep, seed=base_seed + seed_stride * s)
                     costs.append(run.cost)
-                    if monitor is not None:
-                        monitor.tick(1, transactions=run.cost)
+                    experiment.tick(1, transactions=run.cost)
                 row[name] = mean_over_seeds(costs)
             result.add_row(**row)
-        if trail is not None:
-            _append_audit_notes(result, trail.records)
+        if experiment.trail is not None:
+            _append_audit_notes(result, experiment.trail.records)
     return result

@@ -26,8 +26,7 @@ quick diff.
 
 from __future__ import annotations
 
-import contextlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..core.config import AssessorConfig, BehaviorTestConfig
@@ -36,7 +35,7 @@ from ..feedback.ledger import FeedbackLedger
 from ..feedback.records import Feedback, Rating
 from ..serve import AssessmentService
 from ..stats.rng import make_rng
-from .common import ExperimentResult
+from .common import ExperimentResult, ExperimentRun
 
 __all__ = ["run_cluster_scale", "SWEEP_POINTS", "QUICK_POINTS", "CLUSTER_CONFIG"]
 
@@ -137,74 +136,30 @@ def run_cluster_scale(
         ),
     )
 
-    if obs.is_enabled():
-        scope = contextlib.nullcontext(
-            obs.ObsSession(obs.get_registry(), obs.get_tracer())
-        )
-    else:
-        scope = obs.activate()
-    run_meta = obs.run_metadata(
+    with ExperimentRun(
+        "cluster",
         seed=base_seed,
         config=CLUSTER_CONFIG,
-        experiment="cluster",
-        quick=quick,
-        repeats=repeats,
-    )
-    log = (
-        obs.EventLog(events_path, run_meta=run_meta)
-        if events_path is not None
-        else None
-    )
-    bench_rows: List[Dict[str, object]] = []
-    try:
-        with scope as session:
-            registry = session.registry
-            with obs.span("experiments.cluster.run", quick=quick):
-                for n_servers, events_per_server, shard_counts in sweep_points:
-                    with obs.span(
-                        "experiments.cluster.prepare", n_servers=n_servers
-                    ):
-                        events = _build_events(
-                            n_servers, events_per_server, base_seed
-                        )
-                    for shards in shard_counts:
-                        _run_point(
-                            events,
-                            n_servers=n_servers,
-                            shards=shards,
-                            repeats=repeats,
-                            verify_sample=verify_sample,
-                            registry=registry,
-                            result=result,
-                            bench_rows=bench_rows,
-                            log=log,
-                        )
-                if bench_path is not None:
-                    with obs.span("experiments.cluster.export"):
-                        obs.write_bench_json(
-                            bench_path, "cluster", bench_rows, meta=run_meta
-                        )
-            if log is not None:
-                log.emit_metrics(registry)
-    finally:
-        if log is not None:
-            log.emit("run_end", experiment="cluster")
-            log.close()
+        meta={"quick": quick, "repeats": repeats},
+        bench_path=bench_path,
+        events_path=events_path,
+        total=sum(len(shard_counts) for _, _, shard_counts in sweep_points),
+        label="points",
+    ) as run:
+        for n_servers, events_per_server, shard_counts in sweep_points:
+            with obs.span("experiments.cluster.prepare", n_servers=n_servers):
+                events = _build_events(n_servers, events_per_server, base_seed)
+            for shards in shard_counts:
+                _run_point(
+                    events,
+                    n_servers=n_servers,
+                    shards=shards,
+                    repeats=repeats,
+                    verify_sample=verify_sample,
+                    run=run,
+                    result=result,
+                )
     return result
-
-
-def _bench_row(registry, mode: str, **params) -> Dict[str, object]:
-    hist = registry.histogram(_CLUSTER_METRIC, mode=mode, **params)
-    return {
-        "name": mode,
-        "params": dict(params),
-        "stats": {
-            "mean_s": hist.mean,
-            "min_s": hist.min,
-            "p95_s": hist.p95,
-            "repeats": hist.count,
-        },
-    }
 
 
 def _run_point(
@@ -214,10 +169,8 @@ def _run_point(
     shards: int,
     repeats: int,
     verify_sample: int,
-    registry,
+    run: ExperimentRun,
     result: ExperimentResult,
-    bench_rows: List[Dict[str, object]],
-    log,
 ) -> None:
     from ..cluster import ClusterAssessmentService
     from ..p2p.network import SimulatedNetwork
@@ -287,31 +240,29 @@ def _run_point(
                 f"{len(mismatched)} of {len(sample)} sampled servers "
                 f"(first: {mismatched[0]})"
             )
-    if log is not None:
-        log.emit(
+    if run.log is not None:
+        run.log.emit(
             "cluster_point_done",
             n_servers=n_servers,
             shards=shards,
             verified=len(sample),
         )
+    run.tick(1)
 
+    params = {"n_servers": n_servers, "shards": shards}
+    min_s = {}
     for mode in ("ingest", "assess_cold", "assess_warm"):
-        bench_rows.append(
-            _bench_row(registry, mode, n_servers=n_servers, shards=shards)
-        )
-
-    def _min_s(mode: str) -> float:
-        return registry.histogram(
-            _CLUSTER_METRIC, mode=mode, n_servers=n_servers, shards=shards
-        ).min
+        hist = run.registry.histogram(_CLUSTER_METRIC, mode=mode, **params)
+        run.bench_row(hist, mode, params)
+        min_s[mode] = hist.min
 
     result.add_row(
         n_servers=n_servers,
         n_events=n_events,
         shards=shards,
         replicas=replicas,
-        ingest_evps=round(n_events / _min_s("ingest")),
-        cold_s=round(_min_s("assess_cold"), 4),
-        warm_s=round(_min_s("assess_warm"), 4),
+        ingest_evps=round(n_events / min_s["ingest"]),
+        cold_s=round(min_s["assess_cold"], 4),
+        warm_s=round(min_s["assess_warm"], 4),
         verified=len(sample),
     )

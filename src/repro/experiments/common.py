@@ -4,21 +4,26 @@ Every ``fig*`` module exposes ``run_figN(...) -> ExperimentResult``: a
 self-describing table of the series the paper's figure plots, plus notes
 recording parameters.  The CLI and EXPERIMENTS.md are generated from
 these objects, and the benchmark suite calls the same entry points with
-``quick=True``.
+``quick=True``.  Every runner writes its artifacts (BENCH, EVENTS,
+AUDIT, PROFILE, TRACE) through one :class:`ExperimentRun`.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .. import obs
 from ..core.calibration import ThresholdCalibrator
 from ..core.config import BehaviorTestConfig
+from ..obs import audit as _audit
 
 __all__ = [
     "ExperimentResult",
+    "ExperimentRun",
     "make_shared_calibrator",
     "mean_over_seeds",
     "PAPER_CONFIG",
@@ -101,3 +106,163 @@ def mean_over_seeds(values: Sequence[float]) -> float:
     if arr.size == 0:
         raise ValueError("need at least one measurement")
     return float(arr.mean())
+
+
+class ExperimentRun:
+    """How one experiment run writes its artifacts, as a context manager.
+
+    Entering the run reuses the ambient obs session (or activates a
+    private one), opens the ``events_path`` log with ``run_start`` and
+    ``progress_start``, the audit / profile / tracing sessions the
+    runner was given paths for, and the ``experiments.<name>.run`` span
+    (labelled with ``meta``, the runner's own ``run_meta`` fields).
+
+    Leaving it normally writes the collected :meth:`bench_row` rows to
+    ``bench_path`` (inside ``experiments.<name>.export``), the metrics
+    snapshot, ``PROFILE`` json plus ``.folded``, ``progress_end`` and
+    ``run_end``.  Leaving it by an exception writes only ``run_end``
+    with ``status="error"`` and the exception type, so ``repro obs top``
+    stops following a crashed run; either way every session and the
+    log are closed and the exception propagates.
+
+    ``total`` / ``label`` / ``interval_ticks`` configure the heartbeat
+    :class:`~repro.obs.ProgressMonitor`; :meth:`tick` is a no-op without
+    ``events_path``.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        *,
+        seed: object,
+        config: object = None,
+        meta: Optional[Dict[str, object]] = None,
+        bench_path: Optional[str] = None,
+        events_path: Optional[str] = None,
+        total: Optional[int] = None,
+        label: str = "ticks",
+        interval_ticks: int = 1,
+        audit_path: Optional[str] = None,
+        audit_sample: int = 1,
+        profile_path: Optional[str] = None,
+        profile_sample_hz: float = 97.0,
+        trace_path: Optional[str] = None,
+    ):
+        self.name = name
+        self._labels = dict(meta or {})
+        self.meta = obs.run_metadata(
+            seed=seed, config=config, experiment=name, **self._labels
+        )
+        self._bench_path = bench_path
+        self._events_path = events_path
+        self._progress = {
+            "total": total,
+            "label": label,
+            "interval_ticks": interval_ticks,
+        }
+        self._audit = (audit_path, audit_sample)
+        self._profile = (profile_path, profile_sample_hz)
+        self._trace_path = trace_path
+        self.rows: List[Dict[str, object]] = []
+        self.log: Optional[obs.EventLog] = None
+        self.registry: Optional[obs.MetricsRegistry] = None
+        self.trail = None
+        self._monitor: Optional[obs.ProgressMonitor] = None
+        self._lifecycle = None
+
+    def __enter__(self) -> "ExperimentRun":
+        self._lifecycle = self._run()
+        return self._lifecycle.__enter__()
+
+    def __exit__(self, *exc_info) -> bool:
+        return self._lifecycle.__exit__(*exc_info)
+
+    @contextlib.contextmanager
+    def _run(self):
+        if self._events_path is not None:
+            self.log = obs.EventLog(self._events_path, run_meta=self.meta)
+            self._monitor = obs.ProgressMonitor(
+                self.log, interval_seconds=None, **self._progress
+            )
+            self._monitor.start(experiment=self.name)
+        try:
+            with contextlib.ExitStack() as stack:
+                if obs.is_enabled():
+                    self.registry = obs.get_registry()
+                else:
+                    self.registry = stack.enter_context(obs.activate()).registry
+                audit_path, audit_sample = self._audit
+                if audit_path is not None:
+                    self.trail = stack.enter_context(
+                        _audit.audit_session(
+                            audit_sample,
+                            path=audit_path,
+                            run_meta=self.meta,
+                            include_pmfs=False,
+                        )
+                    )
+                profile_path, sample_hz = self._profile
+                profiler = None
+                if profile_path is not None:
+                    # out-of-band periodic sampling: the profiled thread
+                    # pays nothing per call
+                    profiler = stack.enter_context(
+                        obs.profile_session(sample_hz=sample_hz)
+                    )
+                if self._trace_path is not None:
+                    # one causal trace: every span of the run, service
+                    # request and executor shard shares this trace_id
+                    stack.enter_context(obs.tracing_session(self._trace_path))
+                    stack.enter_context(obs.use(obs.new_root(experiment=self.name)))
+                with obs.span(f"experiments.{self.name}.run", **self._labels):
+                    yield self
+                    if self._bench_path is not None:
+                        with obs.span(f"experiments.{self.name}.export"):
+                            obs.write_bench_json(
+                                self._bench_path, self.name, self.rows, meta=self.meta
+                            )
+                if self.log is not None:
+                    self.log.emit_metrics(self.registry)
+            if profiler is not None:
+                obs.write_profile_json(profile_path, self.name, profiler, meta=self.meta)
+                obs.write_folded(obs.folded_path_for(profile_path), profiler)
+        except BaseException as exc:
+            if self.log is not None:
+                self.log.emit(
+                    "run_end",
+                    experiment=self.name,
+                    status="error",
+                    error=type(exc).__name__,
+                )
+            raise
+        else:
+            if self.log is not None:
+                self._monitor.finish(experiment=self.name)
+                self.log.emit("run_end", experiment=self.name)
+        finally:
+            if self.log is not None:
+                self.log.close()
+
+    def tick(self, n: int = 1, **counts: float) -> None:
+        """Record progress on the heartbeat monitor (no-op without a log)."""
+        if self._monitor is not None:
+            self._monitor.tick(n, **counts)
+
+    def bench_row(
+        self, metric, name: str, params: Dict[str, object], **extra_stats: object
+    ) -> None:
+        """Queue one BENCH row from a timer histogram's summary stats."""
+        self.rows.append(
+            {
+                "name": name,
+                "params": dict(params),
+                "stats": {
+                    "mean_s": metric.mean,
+                    "min_s": metric.min,
+                    # tail latency, preferred by `repro obs diff`
+                    "p95_s": metric.p95,
+                    "repeats": metric.count,
+                    **extra_stats,
+                },
+            }
+        )

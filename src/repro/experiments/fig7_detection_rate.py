@@ -17,8 +17,7 @@ an honest player effectively *is* one.
 
 from __future__ import annotations
 
-import contextlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .. import obs
 from ..adversary.periodic import periodic_attack_history
@@ -26,7 +25,12 @@ from ..core.multi_testing import MultiBehaviorTest
 from ..core.testing import SingleBehaviorTest
 from ..obs import audit as _audit
 from ..stats.rng import make_rng
-from .common import PAPER_CONFIG, ExperimentResult, make_shared_calibrator
+from .common import (
+    PAPER_CONFIG,
+    ExperimentResult,
+    ExperimentRun,
+    make_shared_calibrator,
+)
 
 __all__ = ["run_fig7", "ATTACK_WINDOWS"]
 
@@ -81,110 +85,55 @@ def run_fig7(
             f"{1 - attack_rate:.2f}"
         ),
     )
-    if audit_path is None:
-        scope = contextlib.nullcontext()
-    else:
-        scope = _audit.audit_session(
-            path=audit_path,
-            run_meta={"experiment": "fig7", "trials": trials},
-            include_pmfs=False,
-        )
-    # Timings flow through the obs layer exactly like fig9: reuse the
-    # ambient session when the caller enabled collection, else activate
-    # a private one for this sweep.
-    if obs.is_enabled():
-        obs_scope = contextlib.nullcontext(
-            obs.ObsSession(obs.get_registry(), obs.get_tracer())
-        )
-    else:
-        obs_scope = obs.activate()
-    run_meta = obs.run_metadata(
+    total = len(tuple(attack_windows)) * trials
+    with ExperimentRun(
+        "fig7",
         seed=base_seed,
         config=config,
-        experiment="fig7",
-        quick=quick,
-        trials=trials,
-        history_length=history_length,
-    )
-    log = (
-        obs.EventLog(events_path, run_meta=run_meta)
-        if events_path is not None
-        else None
-    )
-    monitor = None
-    if log is not None:
-        total = len(tuple(attack_windows)) * trials
+        meta={"quick": quick, "trials": trials, "history_length": history_length},
+        bench_path=bench_path,
+        events_path=events_path,
+        total=total,
+        label="trials",
         # tick-based throttling keeps heartbeat counts deterministic
-        monitor = obs.ProgressMonitor(
-            log,
-            total=total,
-            label="trials",
-            interval_seconds=None,
-            interval_ticks=max(total // 20, 1),
-        )
-        monitor.start(experiment="fig7")
-    with scope as trail, obs_scope as session:
-        registry = session.registry
-        with obs.span("experiments.fig7.run", quick=quick):
-            bench_rows: List[Dict[str, object]] = []
-            for window in attack_windows:
-                single_hits = 0
-                multi_hits = 0
-                with obs.span("experiments.fig7.window", attack_window=window):
-                    for _ in range(trials):
-                        trace = periodic_attack_history(
-                            history_length, window, attack_rate=attack_rate, seed=rng
-                        )
-                        with obs.timer(
-                            _TIMER_METRIC, test="single", attack_window=window
-                        ):
-                            single_hits += not _tested(
-                                single, trace, window, trail
-                            ).passed
-                        with obs.timer(
-                            _TIMER_METRIC, test="multi", attack_window=window
-                        ):
-                            multi_hits += not _tested(
-                                multi, trace, window, trail
-                            ).passed
-                        if monitor is not None:
-                            monitor.tick(1, tests=2)
-                result.add_row(
-                    attack_window=window,
-                    single_detection_rate=single_hits / trials,
-                    multi_detection_rate=multi_hits / trials,
+        interval_ticks=max(total // 20, 1),
+        audit_path=audit_path,
+    ) as run:
+        for window in attack_windows:
+            single_hits = 0
+            multi_hits = 0
+            with obs.span("experiments.fig7.window", attack_window=window):
+                for _ in range(trials):
+                    trace = periodic_attack_history(
+                        history_length, window, attack_rate=attack_rate, seed=rng
+                    )
+                    with obs.timer(_TIMER_METRIC, test="single", attack_window=window):
+                        single_hits += not _tested(
+                            single, trace, window, run.trail
+                        ).passed
+                    with obs.timer(_TIMER_METRIC, test="multi", attack_window=window):
+                        multi_hits += not _tested(
+                            multi, trace, window, run.trail
+                        ).passed
+                    run.tick(1, tests=2)
+            result.add_row(
+                attack_window=window,
+                single_detection_rate=single_hits / trials,
+                multi_detection_rate=multi_hits / trials,
+            )
+            for test, hits in (("single", single_hits), ("multi", multi_hits)):
+                hist = run.registry.histogram(
+                    _TIMER_METRIC, test=test, attack_window=window
                 )
-                for test, hits in (("single", single_hits), ("multi", multi_hits)):
-                    hist = registry.histogram(
-                        _TIMER_METRIC, test=test, attack_window=window
-                    )
-                    bench_rows.append(
-                        {
-                            "name": test,
-                            "params": {"attack_window": window},
-                            "stats": {
-                                "mean_s": hist.mean,
-                                "min_s": hist.min,
-                                # tail latency, preferred by `repro obs diff`
-                                "p95_s": hist.p95,
-                                "repeats": hist.count,
-                                "detection_rate": hits / trials,
-                            },
-                        }
-                    )
-            if bench_path is not None:
-                with obs.span("experiments.fig7.export"):
-                    obs.write_bench_json(bench_path, "fig7", bench_rows, meta=run_meta)
-        if trail is not None:
-            for line in _audit_breakdown(trail.records):
+                run.bench_row(
+                    hist,
+                    test,
+                    {"attack_window": window},
+                    detection_rate=hits / trials,
+                )
+        if run.trail is not None:
+            for line in _audit_breakdown(run.trail.records):
                 result.notes += "\n" + line
-        if log is not None:
-            log.emit_metrics(registry)
-    if monitor is not None:
-        monitor.finish(experiment="fig7")
-    if log is not None:
-        log.emit("run_end", experiment="fig7")
-        log.close()
     return result
 
 

@@ -22,8 +22,7 @@ and the quadratic scaling of the naive one.
 
 from __future__ import annotations
 
-import contextlib
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 from .. import obs
 from ..core.config import BehaviorTestConfig
@@ -32,7 +31,7 @@ from ..core.model import generate_honest_outcomes
 from ..core.multi_testing import MultiBehaviorTest
 from ..core.testing import SingleBehaviorTest
 from ..feedback.history import TransactionHistory
-from .common import ExperimentResult, make_shared_calibrator
+from .common import ExperimentResult, ExperimentRun, make_shared_calibrator
 
 __all__ = ["run_fig9", "HISTORY_SIZES", "NAIVE_HISTORY_SIZES"]
 
@@ -116,153 +115,94 @@ def run_fig9(
         notes=notes,
     )
 
-    # Measure through the obs layer: reuse the ambient session when the
-    # caller already enabled collection (so its tracer sees our spans),
-    # otherwise activate a private scoped session just for this sweep.
-    if obs.is_enabled():
-        scope = contextlib.nullcontext(
-            obs.ObsSession(obs.get_registry(), obs.get_tracer())
-        )
-    else:
-        scope = obs.activate()
-    run_meta = obs.run_metadata(
-        seed=base_seed,
-        config=config,
-        experiment="fig9",
-        quick=quick,
-        multi_step=multi_step,
-        repeats=repeats,
-    )
-    log = (
-        obs.EventLog(events_path, run_meta=run_meta)
-        if events_path is not None
-        else None
-    )
-    if profile_path is not None:
-        # Out-of-band periodic sampling: the profiled thread pays
-        # nothing per call, so the <10% overhead bound asserted in
-        # benchmarks/ holds for exactly this configuration.
-        profile_scope = obs.profile_session(sample_hz=profile_sample_hz)
-    else:
-        profile_scope = contextlib.nullcontext()
-
-    bench_rows: List[Dict[str, object]] = []
     naive_set = set(naive_sizes)
     sizes = sorted(set(history_sizes) | naive_set)
-    monitor = None
-    if log is not None:
-        per_size = (3 if engine == "incremental" else 2)
-        total = sum(
+    per_size = 3 if engine == "incremental" else 2
+    with ExperimentRun(
+        "fig9",
+        seed=base_seed,
+        config=config,
+        meta={"quick": quick, "multi_step": multi_step, "repeats": repeats},
+        bench_path=bench_path,
+        events_path=events_path,
+        total=sum(
             max(repeats, 1) * (per_size + (1 if n in naive_set else 0))
             for n in sizes
-        )
-        monitor = obs.ProgressMonitor(
-            log,
-            total=total,
-            label="measurements",
-            interval_seconds=None,
-            interval_ticks=1,
-        )
-        monitor.start(experiment="fig9")
-    with scope as session, profile_scope as profiler:
-        registry = session.registry
-        with obs.span("experiments.fig9.run", quick=quick):
-            for n in sizes:
-                with obs.span("experiments.fig9.prepare", history_size=n):
-                    outcomes = generate_honest_outcomes(n, 0.95, seed=base_seed)
-                    # Warm the threshold cache so timings measure the
-                    # algorithms, not one-off Monte-Carlo calibrations.
-                    single.test(outcomes)
-                    multi_fast.test(outcomes)
-                    state = None
-                    if engine == "incremental":
-                        # Dry-run the exact fold/judge sequence once so the
-                        # grown history lengths' ε-thresholds are calibrated
-                        # before timing, like the batch warm-up above.
-                        warm = IncrementalBehaviorState(
-                            multi_fast, TransactionHistory.from_outcomes(outcomes)
-                        )
+        ),
+        label="measurements",
+        profile_path=profile_path,
+        profile_sample_hz=profile_sample_hz,
+    ) as run:
+        for n in sizes:
+            with obs.span("experiments.fig9.prepare", history_size=n):
+                outcomes = generate_honest_outcomes(n, 0.95, seed=base_seed)
+                # Warm the threshold cache so timings measure the
+                # algorithms, not one-off Monte-Carlo calibrations.
+                single.test(outcomes)
+                multi_fast.test(outcomes)
+                state = None
+                if engine == "incremental":
+                    # Dry-run the exact fold/judge sequence once so the
+                    # grown history lengths' ε-thresholds are calibrated
+                    # before timing, like the batch warm-up above.
+                    warm = IncrementalBehaviorState(
+                        multi_fast, TransactionHistory.from_outcomes(outcomes)
+                    )
+                    warm.verdict()
+                    for _ in range(max(repeats, 1)):
+                        for _ in range(config.window_size):
+                            warm.fold(1)
                         warm.verdict()
-                        for _ in range(max(repeats, 1)):
-                            for _ in range(config.window_size):
-                                warm.fold(1)
-                            warm.verdict()
-                        state = IncrementalBehaviorState(
-                            multi_fast, TransactionHistory.from_outcomes(outcomes)
-                        )
-                        state.verdict()  # warm the window-count cache
-                schemes = [
-                    ("single", single.test),
-                    ("multi_optimized", multi_fast.test),
-                ]
-                if n in naive_set:
-                    schemes.append(("multi_naive", multi_naive.test))
-                if state is not None:
-
-                    def fold_window_and_judge(
-                        _ignored, _state=state, _m=config.window_size
-                    ):
-                        # One new window of feedback, then re-judge: the
-                        # cached counts extend O(m) and the suffix walk
-                        # re-runs over them — the serving amortized cost.
-                        for _ in range(_m):
-                            _state.fold(1)
-                        return _state.verdict()
-
-                    schemes.append(("multi_incremental", fold_window_and_judge))
-                row: Dict[str, Union[int, float]] = {
-                    "history_size": n,
-                    "multi_naive_s": float("nan"),
-                }
-                for scheme, fn in schemes:
-                    with obs.span(
-                        "experiments.fig9.measure", scheme=scheme, history_size=n
-                    ):
-                        for _ in range(max(repeats, 1)):
-                            with obs.timer(
-                                _TIMER_METRIC, scheme=scheme, history_size=n
-                            ):
-                                fn(outcomes)
-                            if monitor is not None:
-                                monitor.tick(1, tests=1)
-                    hist = registry.histogram(
-                        _TIMER_METRIC, scheme=scheme, history_size=n
+                    state = IncrementalBehaviorState(
+                        multi_fast, TransactionHistory.from_outcomes(outcomes)
                     )
-                    row[f"{scheme}_s"] = hist.min
-                    bench_rows.append(
-                        {
-                            "name": scheme,
-                            "params": {"history_size": n},
-                            "stats": {
-                                "mean_s": hist.mean,
-                                "min_s": hist.min,
-                                # tail latency, preferred by `repro obs diff`
-                                "p95_s": hist.p95,
-                                "repeats": hist.count,
-                            },
-                        }
+                    state.verdict()  # warm the window-count cache
+            schemes = [
+                ("single", single.test),
+                ("multi_optimized", multi_fast.test),
+            ]
+            if n in naive_set:
+                schemes.append(("multi_naive", multi_naive.test))
+            if state is not None:
+
+                def fold_window_and_judge(
+                    _ignored, _state=state, _m=config.window_size
+                ):
+                    # One new window of feedback, then re-judge: the
+                    # cached counts extend O(m) and the suffix walk
+                    # re-runs over them — the serving amortized cost.
+                    for _ in range(_m):
+                        _state.fold(1)
+                    return _state.verdict()
+
+                schemes.append(("multi_incremental", fold_window_and_judge))
+            row: Dict[str, Union[int, float]] = {
+                "history_size": n,
+                "multi_naive_s": float("nan"),
+            }
+            for scheme, fn in schemes:
+                with obs.span(
+                    "experiments.fig9.measure", scheme=scheme, history_size=n
+                ):
+                    for _ in range(max(repeats, 1)):
+                        with obs.timer(
+                            _TIMER_METRIC, scheme=scheme, history_size=n
+                        ):
+                            fn(outcomes)
+                        run.tick(1, tests=1)
+                hist = run.registry.histogram(
+                    _TIMER_METRIC, scheme=scheme, history_size=n
+                )
+                row[f"{scheme}_s"] = hist.min
+                run.bench_row(hist, scheme, {"history_size": n})
+            if state is not None:
+                # The serving path must be bit-identical to the batch
+                # scheme on the history it grew to.
+                expected = multi_fast.test(state.history)
+                if state.verdict() != expected:
+                    raise AssertionError(
+                        "incremental verdict diverged from batch "
+                        f"multi-testing at history_size={n}"
                     )
-                if state is not None:
-                    # The serving path must be bit-identical to the batch
-                    # scheme on the history it grew to.
-                    expected = multi_fast.test(state.history)
-                    if state.verdict() != expected:
-                        raise AssertionError(
-                            "incremental verdict diverged from batch "
-                            f"multi-testing at history_size={n}"
-                        )
-                result.add_row(**row)
-            if bench_path is not None:
-                with obs.span("experiments.fig9.export"):
-                    obs.write_bench_json(bench_path, "fig9", bench_rows, meta=run_meta)
-        if log is not None:
-            log.emit_metrics(registry)
-    if profile_path is not None and profiler is not None:
-        obs.write_profile_json(profile_path, "fig9", profiler, meta=run_meta)
-        obs.write_folded(obs.folded_path_for(profile_path), profiler)
-    if monitor is not None:
-        monitor.finish(experiment="fig9")
-    if log is not None:
-        log.emit("run_end", experiment="fig9")
-        log.close()
+            result.add_row(**row)
     return result

@@ -31,11 +31,10 @@ acceptance evidence (10k servers) and the CI quick diff.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import shutil
 import tempfile
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +45,7 @@ from ..feedback.ledger import FeedbackLedger
 from ..feedback.store import FeedbackBatch
 from ..serve import AssessmentService
 from ..stats.rng import make_rng
-from .common import ExperimentResult
+from .common import ExperimentResult, ExperimentRun
 
 __all__ = ["run_ingest_scale", "SWEEP_POINTS", "QUICK_POINTS"]
 
@@ -135,69 +134,30 @@ def run_ingest_scale(
         ),
     )
 
-    if obs.is_enabled():
-        scope = contextlib.nullcontext(
-            obs.ObsSession(obs.get_registry(), obs.get_tracer())
-        )
-    else:
-        scope = obs.activate()
-    run_meta = obs.run_metadata(
-        seed=base_seed,
-        config=None,
-        experiment="ingest",
-        quick=quick,
-        repeats=repeats,
-    )
-    log = (
-        obs.EventLog(events_path, run_meta=run_meta)
-        if events_path is not None
-        else None
-    )
-    bench_rows: List[Dict[str, object]] = []
     workdir = tempfile.mkdtemp(prefix="repro-ingest-")
     try:
-        with scope as session:
-            registry = session.registry
-            with obs.span("experiments.ingest.run", quick=quick):
-                for n_servers, length_range in sweep_points:
-                    _run_point(
-                        n_servers,
-                        length_range,
-                        base_seed=base_seed,
-                        repeats=repeats,
-                        workdir=workdir,
-                        registry=registry,
-                        result=result,
-                        bench_rows=bench_rows,
-                        log=log,
-                    )
-                if bench_path is not None:
-                    with obs.span("experiments.ingest.export"):
-                        obs.write_bench_json(
-                            bench_path, "ingest", bench_rows, meta=run_meta
-                        )
-            if log is not None:
-                log.emit_metrics(registry)
+        with ExperimentRun(
+            "ingest",
+            seed=base_seed,
+            meta={"quick": quick, "repeats": repeats},
+            bench_path=bench_path,
+            events_path=events_path,
+            total=2 * len(sweep_points),
+            label="phases",
+        ) as run:
+            for n_servers, length_range in sweep_points:
+                _run_point(
+                    n_servers,
+                    length_range,
+                    base_seed=base_seed,
+                    repeats=repeats,
+                    workdir=workdir,
+                    run=run,
+                    result=result,
+                )
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-        if log is not None:
-            log.emit("run_end", experiment="ingest")
-            log.close()
     return result
-
-
-def _bench_row(registry, mode: str, **params) -> Dict[str, object]:
-    hist = registry.histogram(_INGEST_METRIC, mode=mode, **params)
-    return {
-        "name": mode,
-        "params": dict(params),
-        "stats": {
-            "mean_s": hist.mean,
-            "min_s": hist.min,
-            "p95_s": hist.p95,
-            "repeats": hist.count,
-        },
-    }
 
 
 def _run_point(
@@ -207,10 +167,8 @@ def _run_point(
     base_seed: int,
     repeats: int,
     workdir: str,
-    registry,
+    run: ExperimentRun,
     result: ExperimentResult,
-    bench_rows: List[Dict[str, object]],
-    log,
 ) -> None:
     with obs.span("experiments.ingest.prepare", n_servers=n_servers):
         batch = _build_batch(n_servers, length_range, base_seed)
@@ -248,8 +206,9 @@ def _run_point(
                 ):
                     ledger.record_batch(batch)
                     ledger.flush()
-    if log is not None:
-        log.emit("ingest_done", n_servers=n_servers, n_events=n_events)
+    if run.log is not None:
+        run.log.emit("ingest_done", n_servers=n_servers, n_events=n_events)
+    run.tick(1)
 
     # ---- cold start: persisted ledger -> verdicts for every server ----
     with obs.span("experiments.ingest.cold_vector", n_servers=n_servers):
@@ -282,9 +241,11 @@ def _run_point(
                 f"cold paths disagree on {len(mismatched)} of {n_servers} "
                 f"servers (first: {mismatched[0]})"
             )
-    if log is not None:
-        log.emit("cold_done", n_servers=n_servers)
+    if run.log is not None:
+        run.log.emit("cold_done", n_servers=n_servers)
+    run.tick(1)
 
+    min_s = {}
     for mode, params in (
         ("ingest_object", {"n_events": n_events}),
         ("ingest_columnar", {"n_events": n_events}),
@@ -292,21 +253,18 @@ def _run_point(
         ("assess_cold_vector", {"n_servers": n_servers}),
         ("assess_cold_object", {"n_servers": n_servers}),
     ):
-        bench_rows.append(_bench_row(registry, mode, **params))
+        hist = run.registry.histogram(_INGEST_METRIC, mode=mode, **params)
+        run.bench_row(hist, mode, params)
+        min_s[mode] = hist.min
 
-    def _min_s(mode: str, **params) -> float:
-        return registry.histogram(_INGEST_METRIC, mode=mode, **params).min
-
-    cold_object = _min_s("assess_cold_object", n_servers=n_servers)
-    cold_vector = _min_s("assess_cold_vector", n_servers=n_servers)
+    cold_object = min_s["assess_cold_object"]
+    cold_vector = min_s["assess_cold_vector"]
     result.add_row(
         n_servers=n_servers,
         n_events=n_events,
-        object_evps=round(n_events / _min_s("ingest_object", n_events=n_events)),
-        columnar_evps=round(
-            n_events / _min_s("ingest_columnar", n_events=n_events)
-        ),
-        mmap_evps=round(n_events / _min_s("ingest_mmap", n_events=n_events)),
+        object_evps=round(n_events / min_s["ingest_object"]),
+        columnar_evps=round(n_events / min_s["ingest_columnar"]),
+        mmap_evps=round(n_events / min_s["ingest_mmap"]),
         cold_object_s=round(cold_object, 4),
         cold_vector_s=round(cold_vector, 4),
         cold_speedup=round(cold_object / cold_vector, 2)

@@ -29,7 +29,7 @@ from ..p2p.chord import ChordRing
 from ..p2p.gossip import GossipAggregator
 from ..p2p.network import SimulatedNetwork
 from ..stats.rng import make_rng
-from .common import ExperimentResult
+from .common import ExperimentResult, ExperimentRun
 
 __all__ = ["run_p2p_scale", "NODE_COUNTS"]
 
@@ -162,184 +162,114 @@ def run_p2p_scale(
         notes=notes,
     )
 
-    if obs.is_enabled():
-        scope = contextlib.nullcontext(
-            obs.ObsSession(obs.get_registry(), obs.get_tracer())
-        )
-    else:
-        scope = obs.activate()
-    run_meta = obs.run_metadata(
-        seed=base_seed,
-        config={"lookups": lookups, "gossip_tolerance": gossip_tolerance},
-        experiment="p2p_scale",
-        quick=quick,
-    )
-    log = (
-        obs.EventLog(events_path, run_meta=run_meta)
-        if events_path is not None
-        else None
-    )
-    monitor = None
-    if log is not None:
-        monitor = obs.ProgressMonitor(
-            log,
-            total=len(node_counts) * lookups,
-            label="lookups",
-            interval_seconds=None,
-            interval_ticks=max(lookups // 4, 1),
-        )
-        monitor.start(experiment="p2p_scale")
-
-    bench_rows: List[Dict[str, object]] = []
     fleet_store: Optional[obs.TimeSeriesStore] = None
     recorder = None
-    with contextlib.ExitStack() as stack:
-        session = stack.enter_context(scope)
-        registry = session.registry
+    with ExperimentRun(
+        "p2p_scale",
+        seed=base_seed,
+        config={"lookups": lookups, "gossip_tolerance": gossip_tolerance},
+        meta={"quick": quick},
+        bench_path=bench_path,
+        events_path=events_path,
+        total=len(node_counts) * lookups,
+        label="lookups",
+        interval_ticks=max(lookups // 4, 1),
+    ) as run, contextlib.ExitStack() as stack:
+        registry = run.registry
         if fleet_dir is not None:
             fleet_store = obs.TimeSeriesStore(max_samples=512, max_series=16384)
             recorder = stack.enter_context(
                 obs.flight_recording(fleet_dir, store=fleet_store)
             )
-        with obs.span("experiments.p2p_scale.run", quick=quick):
-            for n in node_counts:
-                with obs.span("experiments.p2p_scale.build", n_nodes=n):
-                    network = (
-                        SimulatedNetwork(
-                            name=f"p2p_scale_n{n}", link_metrics=True
+        for n in node_counts:
+            with obs.span("experiments.p2p_scale.build", n_nodes=n):
+                network = (
+                    SimulatedNetwork(name=f"p2p_scale_n{n}", link_metrics=True)
+                    if fleet_dir is not None
+                    else None
+                )
+                ring = ChordRing(network=network, seed=base_seed + n)
+                for i in range(n):
+                    ring.add_node(f"node-{i}")
+            if fleet_store is not None:
+                fleet_store.record_snapshot(registry.snapshot(), time.time())
+            hops: List[int] = []
+            with obs.span("experiments.p2p_scale.lookups", n_nodes=n):
+                for i in range(lookups):
+                    with obs.timer(_LOOKUP_METRIC, n_nodes=n):
+                        found = ring.lookup(f"server-{i}")
+                    hops.append(found.hops)
+                    run.tick(1, lookups=1)
+            if fleet_store is not None:
+                fleet_store.record_snapshot(registry.snapshot(), time.time())
+            mean_hops = float(np.mean(hops))
+            with obs.span("experiments.p2p_scale.gossip", n_nodes=n):
+                values = make_rng(base_seed + n).random(n)
+                agg = GossipAggregator(values, seed=base_seed + n)
+                while agg.max_error() > gossip_tolerance:
+                    if agg.rounds >= max_rounds:
+                        raise RuntimeError(
+                            f"gossip did not reach {gossip_tolerance} "
+                            f"within {max_rounds} rounds at n={n}"
                         )
-                        if fleet_dir is not None
-                        else None
-                    )
-                    ring = ChordRing(network=network, seed=base_seed + n)
-                    for i in range(n):
-                        ring.add_node(f"node-{i}")
-                if fleet_store is not None:
-                    fleet_store.record_snapshot(registry.snapshot(), time.time())
-                hops: List[int] = []
-                with obs.span("experiments.p2p_scale.lookups", n_nodes=n):
-                    for i in range(lookups):
-                        with obs.timer(_LOOKUP_METRIC, n_nodes=n):
-                            found = ring.lookup(f"server-{i}")
-                        hops.append(found.hops)
-                        if monitor is not None:
-                            monitor.tick(1, lookups=1)
-                if fleet_store is not None:
-                    fleet_store.record_snapshot(registry.snapshot(), time.time())
-                mean_hops = float(np.mean(hops))
-                with obs.span("experiments.p2p_scale.gossip", n_nodes=n):
-                    values = make_rng(base_seed + n).random(n)
-                    agg = GossipAggregator(values, seed=base_seed + n)
-                    while agg.max_error() > gossip_tolerance:
-                        if agg.rounds >= max_rounds:
-                            raise RuntimeError(
-                                f"gossip did not reach {gossip_tolerance} "
-                                f"within {max_rounds} rounds at n={n}"
-                            )
-                        with obs.timer(_ROUND_METRIC, n_nodes=n):
-                            agg.run_round()
-                        if monitor is not None:
-                            monitor.tick(0, gossip_rounds=1)
-                if fleet_store is not None:
-                    fleet_store.record_snapshot(registry.snapshot(), time.time())
-                lookup_hist = registry.histogram(_LOOKUP_METRIC, n_nodes=n)
-                round_hist = registry.histogram(_ROUND_METRIC, n_nodes=n)
-                row = {
-                    "n_nodes": n,
-                    "chord_mean_hops": mean_hops,
-                    "chord_lookup_s": lookup_hist.min,
-                    "gossip_rounds": agg.rounds,
-                    "gossip_round_s": round_hist.min,
-                }
-                if assessor is not None:
-                    with obs.span("experiments.p2p_scale.assess", n_nodes=n):
-                        from ..serve import AssessmentService
-                        from .serve_scale import _build_population
+                    with obs.timer(_ROUND_METRIC, n_nodes=n):
+                        agg.run_round()
+                    run.tick(0, gossip_rounds=1)
+            if fleet_store is not None:
+                fleet_store.record_snapshot(registry.snapshot(), time.time())
+            lookup_hist = registry.histogram(_LOOKUP_METRIC, n_nodes=n)
+            round_hist = registry.histogram(_ROUND_METRIC, n_nodes=n)
+            row = {
+                "n_nodes": n,
+                "chord_mean_hops": mean_hops,
+                "chord_lookup_s": lookup_hist.min,
+                "gossip_rounds": agg.rounds,
+                "gossip_round_s": round_hist.min,
+            }
+            if assessor is not None:
+                with obs.span("experiments.p2p_scale.assess", n_nodes=n):
+                    from ..serve import AssessmentService
+                    from .serve_scale import _build_population
 
-                        histories = _build_population(n, base_seed=base_seed + n)
-                        for history in histories:
-                            assessor.assess(history)  # warm ε-calibration
-                        service = AssessmentService(assessor)
-                        for history in histories:
-                            service.add_server(history)
-                        service.assess_many()  # cold sweep fills the caches
-                        with obs.timer(_ASSESS_METRIC, mode="serve", n_nodes=n):
-                            batched = service.assess_many()
-                        with obs.timer(_ASSESS_METRIC, mode="percall", n_nodes=n):
-                            percall = {
-                                history.server: assessor.assess(history)
-                                for history in histories
-                            }
-                        if any(
-                            batched[s] != assessment
-                            for s, assessment in percall.items()
-                        ):
-                            raise AssertionError(
-                                "serving assessments diverged from per-call "
-                                f"assessment at n={n}"
-                            )
-                    for mode, column in (
-                        ("percall", "assess_percall_s"),
-                        ("serve", "assess_serve_s"),
+                    histories = _build_population(n, base_seed=base_seed + n)
+                    for history in histories:
+                        assessor.assess(history)  # warm ε-calibration
+                    service = AssessmentService(assessor)
+                    for history in histories:
+                        service.add_server(history)
+                    service.assess_many()  # cold sweep fills the caches
+                    with obs.timer(_ASSESS_METRIC, mode="serve", n_nodes=n):
+                        batched = service.assess_many()
+                    with obs.timer(_ASSESS_METRIC, mode="percall", n_nodes=n):
+                        percall = {
+                            history.server: assessor.assess(history)
+                            for history in histories
+                        }
+                    if any(
+                        batched[s] != assessment
+                        for s, assessment in percall.items()
                     ):
-                        hist = registry.histogram(
-                            _ASSESS_METRIC, mode=mode, n_nodes=n
+                        raise AssertionError(
+                            "serving assessments diverged from per-call "
+                            f"assessment at n={n}"
                         )
-                        row[column] = hist.min
-                        bench_rows.append(
-                            {
-                                "name": f"assess_{mode}",
-                                "params": {"n_nodes": n},
-                                "stats": {
-                                    "mean_s": hist.mean,
-                                    "min_s": hist.min,
-                                    "p95_s": hist.p95,
-                                    "repeats": hist.count,
-                                },
-                            }
-                        )
-                result.add_row(**row)
-                bench_rows.append(
-                    {
-                        "name": "chord_lookup",
-                        "params": {"n_nodes": n},
-                        "stats": {
-                            "mean_s": lookup_hist.mean,
-                            "min_s": lookup_hist.min,
-                            "p95_s": lookup_hist.p95,
-                            "repeats": lookup_hist.count,
-                            "mean_hops": mean_hops,
-                        },
-                    }
+                for mode, column in (
+                    ("percall", "assess_percall_s"),
+                    ("serve", "assess_serve_s"),
+                ):
+                    hist = registry.histogram(_ASSESS_METRIC, mode=mode, n_nodes=n)
+                    row[column] = hist.min
+                    run.bench_row(hist, f"assess_{mode}", {"n_nodes": n})
+            result.add_row(**row)
+            run.bench_row(
+                lookup_hist, "chord_lookup", {"n_nodes": n}, mean_hops=mean_hops
+            )
+            run.bench_row(
+                round_hist, "gossip_round", {"n_nodes": n}, rounds=agg.rounds
+            )
+        if fleet_dir is not None:
+            with obs.span("experiments.p2p_scale.fleet_export"):
+                _write_fleet_artifacts(
+                    fleet_dir, registry, ring, fleet_store, recorder, run.meta
                 )
-                bench_rows.append(
-                    {
-                        "name": "gossip_round",
-                        "params": {"n_nodes": n},
-                        "stats": {
-                            "mean_s": round_hist.mean,
-                            "min_s": round_hist.min,
-                            "p95_s": round_hist.p95,
-                            "repeats": round_hist.count,
-                            "rounds": agg.rounds,
-                        },
-                    }
-                )
-            if bench_path is not None:
-                with obs.span("experiments.p2p_scale.export"):
-                    obs.write_bench_json(
-                        bench_path, "p2p_scale", bench_rows, meta=run_meta
-                    )
-            if fleet_dir is not None:
-                with obs.span("experiments.p2p_scale.fleet_export"):
-                    _write_fleet_artifacts(
-                        fleet_dir, registry, ring, fleet_store, recorder, run_meta
-                    )
-        if log is not None:
-            log.emit_metrics(registry)
-    if monitor is not None:
-        monitor.finish(experiment="p2p_scale")
-    if log is not None:
-        log.emit("run_end", experiment="p2p_scale")
-        log.close()
     return result

@@ -32,7 +32,7 @@ from ..core.two_phase import Assessor
 from ..feedback.history import TransactionHistory
 from ..serve import AssessmentService
 from ..stats.rng import make_rng
-from .common import ExperimentResult, make_shared_calibrator
+from .common import ExperimentResult, ExperimentRun, make_shared_calibrator
 
 __all__ = ["run_serve_scale", "SERVER_COUNTS"]
 
@@ -126,53 +126,18 @@ def run_serve_scale(
         ),
     )
 
-    if obs.is_enabled():
-        scope = contextlib.nullcontext(
-            obs.ObsSession(obs.get_registry(), obs.get_tracer())
-        )
-    else:
-        scope = obs.activate()
-    run_meta = obs.run_metadata(
+    with ExperimentRun(
+        "serve",
         seed=base_seed,
         config=config,
-        experiment="serve",
-        quick=quick,
-        touch_fraction=touch_fraction,
-        repeats=repeats,
-    )
-    log = (
-        obs.EventLog(events_path, run_meta=run_meta)
-        if events_path is not None
-        else None
-    )
-    monitor = None
-    if log is not None:
-        monitor = obs.ProgressMonitor(
-            log,
-            total=len(server_counts) * (2 * max(repeats, 1) + 1),
-            label="sweeps",
-            interval_seconds=None,
-            interval_ticks=1,
-        )
-        monitor.start(experiment="serve")
-
-    # A trace_path turns the whole run into one causal trace: the span
-    # sink is installed for the scope, and a root context is minted so
-    # every experiment span, service request, and executor shard nests
-    # under the same trace_id.
-    trace_scope = (
-        obs.tracing_session(trace_path)
-        if trace_path is not None
-        else contextlib.nullcontext()
-    )
-    root_scope = (
-        obs.use(obs.new_root(experiment="serve"))
-        if trace_path is not None
-        else contextlib.nullcontext()
-    )
-    bench_rows: List[Dict[str, object]] = []
-    with scope as session, trace_scope, root_scope, contextlib.ExitStack() as stack:
-        registry = session.registry
+        meta={"quick": quick, "touch_fraction": touch_fraction, "repeats": repeats},
+        bench_path=bench_path,
+        events_path=events_path,
+        total=len(server_counts) * (2 * max(repeats, 1) + 1),
+        label="sweeps",
+        trace_path=trace_path,
+    ) as run, contextlib.ExitStack() as stack:
+        registry = run.registry
         scraper = None
         if tsdb_path is not None:
             # the serving loop (assess_many) drives maybe_scrape(); a
@@ -180,7 +145,7 @@ def run_serve_scale(
             scraper = obs.MetricsScraper(
                 registry,
                 interval_s=0.25,
-                detector=obs.AnomalyDetector(event_log=log),
+                detector=obs.AnomalyDetector(event_log=run.log),
                 slo_engine=obs.SloEngine(obs.default_serve_slos()),
             )
             stack.enter_context(obs.scraping_session(scraper))
@@ -192,107 +157,78 @@ def run_serve_scale(
                     os.path.dirname(tsdb_path) or ".", scraper=scraper
                 )
             )
-        with obs.span("experiments.serve.run", quick=quick):
-            for n in server_counts:
-                with obs.span("experiments.serve.prepare", n_servers=n):
-                    histories = _build_population(n, base_seed=base_seed)
-                    service = AssessmentService(assessor)
-                    for history in histories:
-                        service.add_server(history)
-                    # Warm the ε-threshold cache so both engines measure
-                    # assessment work, not one-off Monte-Carlo calibration.
-                    for history in histories:
-                        assessor.assess(history)
-                touch_rng = make_rng(base_seed + n)
-                n_touch = max(int(n * touch_fraction), 1)
-                with obs.span("experiments.serve.cold_sweep", n_servers=n):
-                    with obs.timer(_SWEEP_METRIC, mode="serve_cold", n_servers=n):
-                        service.assess_many()
-                    if monitor is not None:
-                        monitor.tick(1, sweeps=1)
-                with obs.span("experiments.serve.warm_sweeps", n_servers=n):
-                    for _ in range(max(repeats, 1)):
-                        touched = touch_rng.choice(n, size=n_touch, replace=False)
-                        for idx in touched:
-                            history = histories[int(idx)]
-                            service.observe_outcome(
-                                history.server, int(touch_rng.random() < 0.95)
-                            )
-                        with obs.timer(
-                            _SWEEP_METRIC, mode="serve_warm", n_servers=n
-                        ):
-                            batched = service.assess_many()
-                        if monitor is not None:
-                            monitor.tick(1, sweeps=1)
-                with obs.span("experiments.serve.percall_sweeps", n_servers=n):
-                    for _ in range(max(repeats, 1)):
-                        with obs.timer(
-                            _SWEEP_METRIC, mode="percall", n_servers=n
-                        ):
-                            percall = {
-                                history.server: assessor.assess(history)
-                                for history in histories
-                            }
-                        if monitor is not None:
-                            monitor.tick(1, sweeps=1)
-                with obs.span("experiments.serve.verify", n_servers=n):
-                    mismatched = [
-                        server
-                        for server, assessment in percall.items()
-                        if batched[server] != assessment
-                    ]
-                    if mismatched:
-                        raise AssertionError(
-                            f"engines disagree on {len(mismatched)} of {n} "
-                            f"servers (first: {mismatched[0]})"
+        for n in server_counts:
+            with obs.span("experiments.serve.prepare", n_servers=n):
+                histories = _build_population(n, base_seed=base_seed)
+                service = AssessmentService(assessor)
+                for history in histories:
+                    service.add_server(history)
+                # Warm the ε-threshold cache so both engines measure
+                # assessment work, not one-off Monte-Carlo calibration.
+                for history in histories:
+                    assessor.assess(history)
+            touch_rng = make_rng(base_seed + n)
+            n_touch = max(int(n * touch_fraction), 1)
+            with obs.span("experiments.serve.cold_sweep", n_servers=n):
+                with obs.timer(_SWEEP_METRIC, mode="serve_cold", n_servers=n):
+                    service.assess_many()
+                run.tick(1, sweeps=1)
+            with obs.span("experiments.serve.warm_sweeps", n_servers=n):
+                for _ in range(max(repeats, 1)):
+                    touched = touch_rng.choice(n, size=n_touch, replace=False)
+                    for idx in touched:
+                        history = histories[int(idx)]
+                        service.observe_outcome(
+                            history.server, int(touch_rng.random() < 0.95)
                         )
-                row: Dict[str, float] = {"n_servers": n}
-                for mode, column in (
-                    ("percall", "percall_s"),
-                    ("serve_cold", "serve_cold_s"),
-                    ("serve_warm", "serve_warm_s"),
-                ):
-                    hist = registry.histogram(_SWEEP_METRIC, mode=mode, n_servers=n)
-                    row[column] = hist.min
-                    bench_rows.append(
-                        {
-                            "name": mode,
-                            "params": {"n_servers": n},
-                            "stats": {
-                                "mean_s": hist.mean,
-                                "min_s": hist.min,
-                                "p95_s": hist.p95,
-                                "repeats": hist.count,
-                            },
+                    with obs.timer(_SWEEP_METRIC, mode="serve_warm", n_servers=n):
+                        batched = service.assess_many()
+                    run.tick(1, sweeps=1)
+            with obs.span("experiments.serve.percall_sweeps", n_servers=n):
+                for _ in range(max(repeats, 1)):
+                    with obs.timer(_SWEEP_METRIC, mode="percall", n_servers=n):
+                        percall = {
+                            history.server: assessor.assess(history)
+                            for history in histories
                         }
+                    run.tick(1, sweeps=1)
+            with obs.span("experiments.serve.verify", n_servers=n):
+                mismatched = [
+                    server
+                    for server, assessment in percall.items()
+                    if batched[server] != assessment
+                ]
+                if mismatched:
+                    raise AssertionError(
+                        f"engines disagree on {len(mismatched)} of {n} "
+                        f"servers (first: {mismatched[0]})"
                     )
-                row["speedup"] = (
-                    row["percall_s"] / row["serve_warm_s"]
-                    if row["serve_warm_s"] > 0
-                    else float("inf")
-                )
-                result.add_row(**row)
-            if bench_path is not None:
-                with obs.span("experiments.serve.export"):
-                    obs.write_bench_json(bench_path, "serve", bench_rows, meta=run_meta)
+            row: Dict[str, float] = {"n_servers": n}
+            for mode, column in (
+                ("percall", "percall_s"),
+                ("serve_cold", "serve_cold_s"),
+                ("serve_warm", "serve_warm_s"),
+            ):
+                hist = registry.histogram(_SWEEP_METRIC, mode=mode, n_servers=n)
+                row[column] = hist.min
+                run.bench_row(hist, mode, {"n_servers": n})
+            row["speedup"] = (
+                row["percall_s"] / row["serve_warm_s"]
+                if row["serve_warm_s"] > 0
+                else float("inf")
+            )
+            result.add_row(**row)
         if slo_path is not None:
             evaluation = obs.SloEngine(obs.default_serve_slos()).evaluate(registry)
             obs.write_bench_json(
                 slo_path,
                 "slo",
                 obs.evaluation_to_bench_rows(evaluation),
-                meta=run_meta,
+                meta=run.meta,
             )
-        if log is not None:
-            log.emit_metrics(registry)
         if scraper is not None:
             # a final unconditional scrape so runs shorter than one slot
             # still persist history, then the store itself
             scraper.scrape()
             scraper.store.dump(tsdb_path)
-    if monitor is not None:
-        monitor.finish(experiment="serve")
-    if log is not None:
-        log.emit("run_end", experiment="serve")
-        log.close()
     return result

@@ -7,8 +7,6 @@ from .io import (
     available_formats,
     parse_rating,
     read,
-    read_feedback_csv,
-    read_feedback_jsonl,
     register_reader,
     write_feedback_binary,
     write_feedback_csv,
@@ -32,8 +30,6 @@ __all__ = [
     "RowError",
     "register_reader",
     "available_formats",
-    "read_feedback_csv",
-    "read_feedback_jsonl",
     "write_feedback_csv",
     "write_feedback_jsonl",
     "write_feedback_binary",

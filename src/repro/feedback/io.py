@@ -19,11 +19,6 @@ sniffing (``format="auto"``, the default)::
     result = read("dump.bin", format="binary")       # explicit
     result = read(path, errors="collect")            # lenient rows
 
-The legacy per-format functions (``read_feedback_csv``,
-``read_feedback_jsonl``) still work but are deprecated: each call
-delegates to :func:`read` after emitting exactly one
-:class:`DeprecationWarning`.
-
 All readers validate eagerly and report the offending line number —
 silent row-skipping turns data bugs into wrong trust decisions.  That
 strictness is the default; production streams that must survive one bad
@@ -41,7 +36,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Union
@@ -61,9 +55,7 @@ __all__ = [
     "register_reader",
     "available_formats",
     "detect_format",
-    "read_feedback_csv",
     "write_feedback_csv",
-    "read_feedback_jsonl",
     "write_feedback_jsonl",
     "write_feedback_binary",
     "parse_rating",
@@ -357,29 +349,6 @@ def read(
     result = reader(path, errors=errors)
     result.format = resolved
     return result
-
-
-# --------------------------------------------------------------------- #
-# deprecated per-format entry points (delegate to read())
-
-def read_feedback_csv(path: PathLike, *, errors: str = "strict") -> ReadResult:
-    """Deprecated: use ``read(path, format="csv", errors=...)``."""
-    warnings.warn(
-        'read_feedback_csv() is deprecated; use read(path, format="csv")',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return read(path, format="csv", errors=errors)
-
-
-def read_feedback_jsonl(path: PathLike, *, errors: str = "strict") -> ReadResult:
-    """Deprecated: use ``read(path, format="jsonl", errors=...)``."""
-    warnings.warn(
-        'read_feedback_jsonl() is deprecated; use read(path, format="jsonl")',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return read(path, format="jsonl", errors=errors)
 
 
 def write_feedback_binary(path: PathLike, feedbacks: Iterable[Feedback]) -> int:

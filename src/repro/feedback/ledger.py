@@ -26,7 +26,6 @@ conformance suite in ``tests/feedback/test_ledger_backends.py``.
 
 from __future__ import annotations
 
-import warnings
 from collections import defaultdict
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -237,35 +236,15 @@ class FeedbackLedger:
     structured event and the stream keeps flowing — the behavior a
     production ingest path needs.  Extra keyword ``options`` are passed
     to the backend factory.
-
-    Passing the quarantine *positionally* (the pre-registry signature)
-    is deprecated: it still works, but emits a :class:`DeprecationWarning`.
     """
 
     def __init__(
         self,
-        *args,
+        *,
         backend: str = "memory",
         quarantine: Optional[Quarantine] = None,
         **options,
     ) -> None:
-        if args:
-            if len(args) > 1:
-                raise TypeError(
-                    f"FeedbackLedger() takes at most 1 positional argument "
-                    f"({len(args)} given)"
-                )
-            warnings.warn(
-                "passing quarantine positionally to FeedbackLedger() is "
-                "deprecated; use FeedbackLedger(quarantine=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if quarantine is not None:
-                raise TypeError(
-                    "quarantine passed both positionally and as a keyword"
-                )
-            quarantine = args[0]
         self._backend = make_ledger_backend(
             backend, quarantine=quarantine, **options
         )

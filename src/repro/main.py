@@ -9,7 +9,7 @@ tooling::
     repro obs report PROFILE_fig9.json              # render a phase profile
     repro obs report run_events.jsonl               # summarize an event log
     repro obs diff baseline.json candidate.json     # bench regression gate
-    repro obs diff candidate.json                   # vs committed BENCH_<bench>.json
+    repro obs diff candidate.json                   # vs benchmarks/baselines/BENCH_<bench>.json
     repro obs top run_events.jsonl                  # live dashboard of a run
     repro obs trend benchmarks/baselines            # multi-run bench time series
     repro obs validate run_audit.jsonl              # schema-check audit records
@@ -42,6 +42,9 @@ from .cli import main as assess_main
 from .experiments.__main__ import main as experiments_main
 
 __all__ = ["main", "build_parser"]
+
+#: Where ``repro obs diff <candidate>`` looks for the committed baseline.
+DEFAULT_BASELINES = Path("benchmarks") / "baselines"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         default=None,
         help="candidate BENCH_*.json; omitted, the single path is the "
-        "candidate and the committed BENCH_<bench>.json in the current "
-        "directory is the baseline",
+        "candidate and the committed benchmarks/baselines/BENCH_<bench>.json "
+        "(relative to the current directory) is the baseline",
     )
     p_diff.add_argument(
         "--max-regression",
@@ -382,9 +385,9 @@ def _obs_diff(baseline: str, candidate: Optional[str], max_regression: float) ->
     try:
         if candidate is None:
             # single-path form: the argument is the candidate; diff it
-            # against the committed BENCH_<bench>.json baseline in cwd.
+            # against the committed benchmarks/baselines/BENCH_<bench>.json.
             cand_payload = obs.read_bench_json(baseline)
-            default = Path(f"BENCH_{cand_payload['bench']}.json")
+            default = DEFAULT_BASELINES / f"BENCH_{cand_payload['bench']}.json"
             if not default.exists():
                 print(
                     f"error: no committed baseline {default} for bench "

@@ -303,7 +303,8 @@ def render_dashboard(
     Works on *partial* logs (a run still in flight): renders the latest
     heartbeat, the progress bar, throughput (with sparkline history over
     the recorded heartbeats when ``history`` is on), ETA, and RSS, plus
-    how stale the last event is.  ``skipped`` (from
+    how stale the last event is; a ``run_end`` with ``status="error"``
+    renders as failed.  ``skipped`` (from
     :func:`read_events_lenient`) is surfaced as a notice, never an
     error.  ``now`` is injectable for tests.
     """
@@ -313,6 +314,14 @@ def render_dashboard(
     start = next((e for e in events if e.get("event") == "progress_start"), None)
     beats = [e for e in events if e.get("event") == "heartbeat"]
     end = next((e for e in events if e.get("event") == "progress_end"), None)
+    failed = next(
+        (
+            e
+            for e in events
+            if e.get("event") == "run_end" and e.get("status") == "error"
+        ),
+        None,
+    )
 
     lines: List[str] = []
     if skipped:
@@ -366,6 +375,8 @@ def render_dashboard(
             f"status: finished ({end.get('done')} {label} in "
             f"{_fmt_seconds(end.get('elapsed_s'))})"
         )
+    elif failed is not None:
+        lines.append(f"status: failed ({failed.get('error')})")
     else:
         last_event = events[-1] if events else None
         age = None

@@ -1,4 +1,4 @@
-"""AssessorConfig / from_config builder, registries, and the deprecation shim."""
+"""AssessorConfig / from_config builder, registries, and the keyword-only constructor."""
 
 from __future__ import annotations
 
@@ -134,29 +134,6 @@ class TestFromConfig:
 
 
 class TestDeprecatedPositionalConstruction:
-    def test_positional_emits_exactly_one_deprecation_warning(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assessor = TwoPhaseAssessor(None, AverageTrust(), 0.8)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "positional" in str(deprecations[0].message)
-        assert assessor.behavior_test is None
-        assert assessor.trust_threshold == 0.8
-
-    def test_partial_positional_merges_with_keywords(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assessor = TwoPhaseAssessor(
-                None, trust_function=AverageTrust(), trust_threshold=0.7
-            )
-        assert sum(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        ) == 1
-        assert assessor.trust_threshold == 0.7
-
     def test_keyword_form_emits_no_warning(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -168,18 +145,6 @@ class TestDeprecatedPositionalConstruction:
         assert not [
             w for w in caught if issubclass(w.category, DeprecationWarning)
         ]
-
-    def test_duplicate_positional_and_keyword_raises(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError, match="multiple values"):
-                TwoPhaseAssessor(None, AverageTrust(), trust_function=AverageTrust())
-
-    def test_too_many_positionals_raise(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError, match="at most"):
-                TwoPhaseAssessor(None, AverageTrust(), 0.9, "extra")
 
     def test_trust_function_is_required(self):
         with pytest.raises(TypeError, match="trust_function"):

@@ -343,6 +343,30 @@ class TestP2pScale:
 
         assert RUNNERS["p2p_scale"].__name__ == "run_p2p_scale"
 
+    def test_failing_run_closes_its_event_stream(self, tmp_path, monkeypatch):
+        from repro import obs
+        from repro.experiments import run_p2p_scale
+
+        logs = []
+
+        class RecordingLog(obs.EventLog):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                logs.append(self)
+
+        monkeypatch.setattr(obs, "EventLog", RecordingLog)
+        events = tmp_path / "EVENTS_p2p_scale.jsonl"
+        with pytest.raises(RuntimeError, match="gossip did not reach"):
+            run_p2p_scale(quick=True, max_rounds=0, events_path=str(events))
+        records = obs.read_events(events)
+        assert records[-1]["event"] == "run_end"
+        assert records[-1]["status"] == "error"
+        assert records[-1]["error"] == "RuntimeError"
+        (log,) = logs
+        assert log._handle is None  # the file sink was closed
+        # `repro obs top` stops following and says why
+        assert "status: failed (RuntimeError)" in obs.render_dashboard(records)
+
 
 class TestFig9Profile:
     def test_profile_artifact_and_folded_sibling(self, tmp_path):

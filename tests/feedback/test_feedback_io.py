@@ -1,6 +1,5 @@
 """Tests for repro.feedback.io (CSV / JSONL / binary serialization)."""
 
-import warnings
 
 import pytest
 
@@ -9,8 +8,6 @@ from repro.feedback.io import (
     detect_format,
     parse_rating,
     read,
-    read_feedback_csv,
-    read_feedback_jsonl,
     register_reader,
     write_feedback_binary,
     write_feedback_csv,
@@ -215,42 +212,6 @@ class TestUnifiedRead:
 
     def test_available_formats_has_builtins(self):
         assert {"csv", "jsonl", "binary"} <= set(available_formats())
-
-
-class TestDeprecatedReaders:
-    def test_read_feedback_csv_warns_once_and_delegates(self, tmp_path):
-        path = tmp_path / "fb.csv"
-        originals = _sample_feedbacks()
-        write_feedback_csv(path, originals)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            loaded = read_feedback_csv(path)
-        assert loaded == originals
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert "read_feedback_csv" in str(deprecations[0].message)
-
-    def test_read_feedback_jsonl_warns_once_and_delegates(self, tmp_path):
-        path = tmp_path / "fb.jsonl"
-        originals = _sample_feedbacks()
-        write_feedback_jsonl(path, originals)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            loaded = read_feedback_jsonl(path)
-        assert loaded == originals
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert "read_feedback_jsonl" in str(deprecations[0].message)
-
-    def test_deprecated_error_modes_still_flow_through(self, tmp_path):
-        path = tmp_path / "mixed.csv"
-        path.write_text(
-            "time,server,client,rating\n1.0,s1,c1,1\noops,s1,c2,1\n"
-        )
-        with pytest.deprecated_call():
-            result = read_feedback_csv(path, errors="collect")
-        assert [fb.time for fb in result] == [1.0]
-        assert [err.line for err in result.errors] == [3]
 
 
 class TestErrorModes:

@@ -197,17 +197,24 @@ class TestObsDiffDefaultBaseline:
         obs.write_bench_json(path, "fig9", [row], meta={})
         return path
 
+    @staticmethod
+    def _baselines(root):
+        """The committed-baseline directory under ``root``."""
+        path = root / "benchmarks" / "baselines"
+        path.mkdir(parents=True)
+        return path
+
     def test_single_path_diffs_against_committed_baseline(
         self, tmp_path, monkeypatch, capsys
     ):
-        self._bench(tmp_path / "BENCH_fig9.json")  # the committed baseline
+        self._bench(self._baselines(tmp_path) / "BENCH_fig9.json")
         cand = self._bench(tmp_path / "candidate.json", factor=1.5)
         monkeypatch.chdir(tmp_path)
         assert main(["obs", "diff", str(cand)]) == 2
         assert "REGRESSED" in capsys.readouterr().out
 
     def test_single_path_ok_when_within_gate(self, tmp_path, monkeypatch, capsys):
-        self._bench(tmp_path / "BENCH_fig9.json")
+        self._bench(self._baselines(tmp_path) / "BENCH_fig9.json")
         cand = self._bench(tmp_path / "candidate.json", factor=1.05)
         monkeypatch.chdir(tmp_path)
         assert main(["obs", "diff", str(cand)]) == 0
@@ -217,11 +224,12 @@ class TestObsDiffDefaultBaseline:
         self, tmp_path, monkeypatch, capsys
     ):
         cand = self._bench(tmp_path / "candidate.json")
+        self._bench(tmp_path / "BENCH_fig9.json")  # a root copy is not a baseline
         monkeypatch.chdir(tmp_path)
         assert main(["obs", "diff", str(cand)]) == 1
         err = capsys.readouterr().err
         assert "no committed baseline" in err
-        assert "BENCH_fig9.json" in err
+        assert "benchmarks/baselines/BENCH_fig9.json" in err
 
 
 class TestObsTop:

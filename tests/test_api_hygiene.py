@@ -2,8 +2,8 @@
 
 A library deliverable is its public surface; these tests keep it honest:
 every public item is documented, every ``__all__`` name resolves, the
-subpackages export what their ``__init__`` promises, and deprecated
-entry points warn exactly once while no in-repo code still uses them.
+subpackages export what their ``__init__`` promises, and retired
+compatibility shims stay retired.
 """
 
 import importlib
@@ -137,13 +137,12 @@ class TestTimingHygiene:
 
 
 class TestDeprecations:
-    """Deprecated entry points warn exactly once and are internally unused.
+    """The retired compatibility shims stay retired.
 
-    The reader/ledger API redesign left compatibility shims behind
-    (``read_feedback_csv``/``read_feedback_jsonl``, positional-quarantine
-    ``FeedbackLedger``).  Each must emit exactly one
-    :class:`DeprecationWarning` per call and still delegate correctly —
-    and no in-repo code may call them, so a clean checkout runs
+    Positional ``TwoPhaseAssessor(...)`` / ``FeedbackLedger(quarantine)``
+    construction and the per-format ``read_feedback_csv`` /
+    ``read_feedback_jsonl`` readers are gone; the keyword forms and
+    :func:`repro.feedback.io.read` are the one way in, and run
     warning-free.
     """
 
@@ -159,43 +158,18 @@ class TestDeprecations:
         )
         return str(path)
 
-    def test_read_feedback_csv_warns_exactly_once(self, tmp_path):
-        from repro.feedback import io
-
-        path = self._csv(tmp_path)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = io.read_feedback_csv(path)
-        (warning,) = self._deprecations(caught)
-        assert 'read(path, format="csv")' in str(warning.message)
-        assert result == io.read(path, format="csv")
-
-    def test_read_feedback_jsonl_warns_exactly_once(self, tmp_path):
-        from repro.feedback import io
-
-        path = tmp_path / "events.jsonl"
-        path.write_text(
-            '{"time": 1.0, "server": "s1", "client": "c1", "rating": 1}\n',
-            encoding="utf-8",
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = io.read_feedback_jsonl(str(path))
-        (warning,) = self._deprecations(caught)
-        assert 'read(path, format="jsonl")' in str(warning.message)
-        assert result == io.read(str(path), format="jsonl")
-
-    def test_positional_quarantine_warns_exactly_once(self):
+    @pytest.mark.parametrize("construct", ["assessor", "ledger"])
+    def test_positional_construction_raises(self, construct):
+        from repro.core.two_phase import TwoPhaseAssessor
         from repro.feedback.ledger import FeedbackLedger
         from repro.resilience import Quarantine
+        from repro.trust.average import AverageTrust
 
-        quarantine = Quarantine(name="legacy")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ledger = FeedbackLedger(quarantine)
-        (warning,) = self._deprecations(caught)
-        assert "positionally" in str(warning.message)
-        assert ledger.quarantine is quarantine
+        with pytest.raises(TypeError):
+            if construct == "assessor":
+                TwoPhaseAssessor(None, AverageTrust(), 0.8)
+            else:
+                FeedbackLedger(Quarantine(name="legacy"))
 
     def test_keyword_paths_do_not_warn(self, tmp_path):
         from repro.feedback import io
@@ -211,25 +185,9 @@ class TestDeprecations:
             FeedbackLedger(backend="columnar")
         assert not self._deprecations(caught)
 
-    # a call looks like ``name(`` — definitions, docstrings, and the
-    # ``read(path, format=...)`` replacements they recommend do not match
-    _DEPRECATED_CALLS = re.compile(
-        r"(?<!def )\b(read_feedback_csv|read_feedback_jsonl)\s*\("
-    )
     _POSITIONAL_LEDGER = re.compile(
         r"\bFeedbackLedger\s*\(\s*(?!\s*\)|\s*\*|\s*\w+\s*=)"
     )
-
-    def test_no_in_repo_callers_of_deprecated_readers(self):
-        src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
-        offenders = []
-        for path in sorted(src.rglob("*.py")):
-            if path.relative_to(src) == pathlib.Path("feedback/io.py"):
-                continue  # the shims (and their warning text) live here
-            text = path.read_text(encoding="utf-8")
-            for match in self._DEPRECATED_CALLS.finditer(text):
-                offenders.append(f"{path.relative_to(src)}: {match.group(0)}")
-        assert not offenders, f"in-repo deprecated reader calls: {offenders}"
 
     def test_no_in_repo_positional_ledger_construction(self):
         src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
