@@ -132,7 +132,7 @@ def _serve_sweep(service):
         # instrumented path instead of returning cached Assessments
         for sid in service.servers():
             service.invalidate(sid)
-        service.assess_many(executor="serial")
+        service.assess_many()
 
     return sweep
 

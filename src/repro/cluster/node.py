@@ -115,7 +115,6 @@ class ClusterNode:
         self.service = AssessmentService(
             assessor=Assessor.from_config(config, calibrator=calibrator),
             ledger=self.ledger,
-            executor="serial",
         )
         self.shards: Dict[str, ShardState] = {}
         #: hinted writes held for unreachable ring positions:

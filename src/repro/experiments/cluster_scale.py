@@ -227,7 +227,6 @@ def _run_point(
                 CLUSTER_CONFIG, calibrator=cluster._calibrator
             ),
             ledger=reference_ledger,
-            executor="serial",
         )
         for feedback in events:
             if feedback.server in keep:

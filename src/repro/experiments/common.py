@@ -211,7 +211,7 @@ class ExperimentRun:
                     )
                 if self._trace_path is not None:
                     # one causal trace: every span of the run, service
-                    # request and executor shard shares this trace_id
+                    # request and network hop shares this trace_id
                     stack.enter_context(obs.tracing_session(self._trace_path))
                     stack.enter_context(obs.use(obs.new_root(experiment=self.name)))
                 with obs.span(f"experiments.{self.name}.run", **self._labels):

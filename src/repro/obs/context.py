@@ -1,8 +1,7 @@
 """Causal trace context: W3C-style identity that crosses boundaries.
 
-PRs 1-3 gave the pipeline spans, but they were *process-local*: nothing
-tied one ``assess_many`` request to the executor workers, retry
-attempts, breaker flips, and network hops it fanned out into.  This
+Spans alone are *process-local*: nothing ties one request to the
+retry attempts, breaker flips, and network hops it fans out into.  This
 module closes that gap with a :class:`TraceContext` — ``trace_id`` /
 ``span_id`` / ``baggage`` in the W3C ``traceparent`` shape — propagated
 two ways:
@@ -12,9 +11,9 @@ two ways:
   them) inherit the request identity without plumbing arguments;
 * **across processes and the (simulated) network** via
   :meth:`TraceContext.to_headers` / :meth:`TraceContext.from_headers`,
-  an explicit serialize→deserialize round trip: process-pool initargs
-  and :class:`~repro.p2p.network.SimulatedNetwork` message envelopes
-  carry the headers dict, never a live object.
+  an explicit serialize→deserialize round trip:
+  :class:`~repro.p2p.network.SimulatedNetwork` message envelopes carry
+  the headers dict, never a live object.
 
 Finished spans that carry a context are additionally written to the
 process-wide span sink (:data:`repro.obs.runtime.span_sink`, a
@@ -238,7 +237,7 @@ class SpanLog:
     """Append-only JSONL sink for finished spans.
 
     Every write is one ``write()+flush()`` of a single line, so several
-    processes (pool workers included) can append to the same file; the
+    processes can append to the same file; the
     reader reassembles traces by hex id, not arrival order.
     """
 

@@ -245,8 +245,8 @@ def render_trace_tree(
     """One trace as an indented span tree with timings and events.
 
     Spans are matched by ``trace_id`` (a unique prefix suffices, like
-    git revisions), parented by hex span id (so spans written by pool
-    workers slot under their request parent regardless of file order),
+    git revisions), parented by hex span id (so spans written by other
+    processes slot under their request parent regardless of file order),
     and ordered by wall-anchored start time.  Spans whose parent never
     reached the sink (e.g. a crashed process) render as extra roots
     rather than disappearing.

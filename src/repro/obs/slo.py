@@ -302,10 +302,11 @@ def default_serve_slos(
             name="serve.degraded_verdicts",
             kind="ratio",
             objective=degraded_objective,
-            bad_metric="serve.resilience.degradations",
-            total_metric="serve.requests",
+            bad_metric="serve.service.degraded_assessments",
+            total_metric="serve.service.assessments",
             description=(
-                f"degraded executions under {1 - degraded_objective:.1%} of requests"
+                f"degraded verdicts under {1 - degraded_objective:.1%} of "
+                "fresh assessments"
             ),
         ),
         SloSpec(

@@ -2,26 +2,26 @@
 
 Production-scale serving of trust assessments has to survive lossy,
 partially-failing infrastructure: corrupted cache files, malformed
-feedback rows, crashed pool workers, dropped messages.  This package
+feedback rows, failed calibrations, dropped messages.  This package
 provides both halves of that story:
 
 * **Fault injection** — a seeded, replayable
   :class:`~repro.resilience.faults.FaultPlan` arming named sites
-  (``serve.executor.worker``, ``serve.cache.load``, ``feedback.io.row``,
-  ``feedback.ledger.fold``, ``p2p.network.send``, ``core.calibration``)
+  (``serve.cache.load``, ``feedback.io.row``, ``feedback.ledger.fold``,
+  ``p2p.network.send``, ``p2p.network.kill``, ``core.calibration``)
   with crash/corrupt/delay/exception faults, scoped with
   :func:`~repro.resilience.runtime.activate`;
 * **Recovery policies** — :class:`RetryPolicy` (exponential backoff,
-  deterministic jitter, per-attempt deadline), :class:`CircuitBreaker`
-  (per-executor), and a bounded :class:`Quarantine` for bad input;
+  deterministic jitter), :class:`CircuitBreaker` (per cluster peer),
+  and a bounded :class:`Quarantine` for bad input;
 * **Health** — every policy registers into a process-wide registry;
   :func:`health_report` / ``repro health`` report breaker states,
   quarantine depth, and retry counters.
 
 Fault checking is **off by default** and costs one module-attribute
 read per site when disarmed — the same zero-overhead discipline as
-:mod:`repro.obs`.  See ``docs/RESILIENCE.md`` for the degradation
-ladder and how to replay a chaos seed.
+:mod:`repro.obs`.  See ``docs/RESILIENCE.md`` for the recovery paths
+and how to replay a chaos seed.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """A per-dependency circuit breaker.
 
 Classic three-state breaker (closed → open → half-open) guarding a
-flaky dependency — here, the serving pool executors: once a pool breaks
-``failure_threshold`` times in a row, the breaker opens and
-``assess_many`` skips straight down the degradation ladder instead of
-paying pool startup just to watch it die again.  After
+flaky dependency — here, one cluster peer: once RPCs to it fail
+``failure_threshold`` times in a row, the breaker opens and the
+coordinator stops sending to it (hinting writes, reading from the
+other replicas) instead of paying retries just to watch them fail.  After
 ``reset_after_s`` the breaker half-opens and lets one probe through;
 success re-closes it, failure re-opens it.
 

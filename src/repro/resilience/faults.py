@@ -13,13 +13,12 @@ run replays exactly, fault for fault, from nothing but its seed.
 Sites are dotted names chosen where production failures actually land:
 
 ========================  ==============================================
-``serve.executor.worker``  a pool worker crashes or a shard times out
-``serve.cache.load``       the persisted calibration cache is corrupt
-``feedback.io.row``        one row of a feedback file is malformed
-``feedback.ledger.fold``   a ledger event cannot be folded
-``p2p.network.send``       a network request is lost or errors out
-``p2p.network.kill``       the destination node dies mid-request
-``core.calibration``       the Monte-Carlo calibration pass fails
+``serve.cache.load``      the persisted calibration cache is corrupt
+``feedback.io.row``       one row of a feedback file is malformed
+``feedback.ledger.fold``  a ledger event cannot be folded
+``p2p.network.send``      a network request is lost or errors out
+``p2p.network.kill``      the destination node dies mid-request
+``core.calibration``      the Monte-Carlo calibration pass fails
 ========================  ==============================================
 
 Instrumented code pays one module-attribute read when nothing is armed
@@ -30,7 +29,7 @@ Instrumented code pays one module-attribute read when nothing is armed
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..stats.rng import make_rng
@@ -46,7 +45,6 @@ __all__ = [
 
 #: The named injection sites wired into the pipeline.
 FAULT_SITES: Tuple[str, ...] = (
-    "serve.executor.worker",
     "serve.cache.load",
     "feedback.io.row",
     "feedback.ledger.fold",
@@ -56,9 +54,9 @@ FAULT_SITES: Tuple[str, ...] = (
 )
 
 #: ``exception`` raises :class:`InjectedFault`; ``crash`` simulates a
-#: dead worker/process (call sites map it onto their native failure,
-#: e.g. ``BrokenProcessPool``); ``corrupt`` damages the in-flight value
-#: (text, row, or message); ``delay`` sleeps for ``delay_s``.
+#: dead node or process (call sites map it onto their native failure,
+#: e.g. a dropped network message); ``corrupt`` damages the in-flight
+#: value (text, row, or message); ``delay`` sleeps for ``delay_s``.
 FAULT_MODES: Tuple[str, ...] = ("exception", "crash", "corrupt", "delay")
 
 
@@ -77,7 +75,7 @@ class ResilienceError(RuntimeError):
 
     Carries the originating ``site`` and the per-step ``attempts`` list
     ``[(step, repr(error)), ...]`` so operators see one structured error
-    instead of a bare worker traceback.
+    instead of a bare traceback from deep inside the pipeline.
     """
 
     def __init__(self, site: str, attempts: List[Tuple[str, str]], message: str = ""):

@@ -32,7 +32,6 @@ __all__ = [
 #: Event names the resilience layer emits (see runtime.emit call sites).
 RESILIENCE_EVENTS = (
     "fault_injected",
-    "executor_degraded",
     "quarantined",
     "retry",
     "retry_exhausted",
@@ -235,7 +234,6 @@ def summarize_events(events: Iterable[Dict[str, object]]) -> Dict[str, object]:
     """
     counts: Counter = Counter()
     by_site: Counter = Counter()
-    degradations: List[Dict[str, object]] = []
     for record in events:
         name = record.get("event")
         if (
@@ -248,19 +246,7 @@ def summarize_events(events: Iterable[Dict[str, object]]) -> Dict[str, object]:
         site = record.get("site")
         if site:
             by_site[str(site)] += 1
-        if name == "executor_degraded":
-            degradations.append(
-                {
-                    "from": record.get("from"),
-                    "to": record.get("to"),
-                    "error": record.get("error"),
-                }
-            )
-    return {
-        "events": dict(counts),
-        "by_site": dict(by_site),
-        "degradations": degradations,
-    }
+    return {"events": dict(counts), "by_site": dict(by_site)}
 
 
 def render_event_summary(summary: Dict[str, object]) -> str:
@@ -275,9 +261,4 @@ def render_event_summary(summary: Dict[str, object]) -> str:
         lines.append("  by site:")
         for site, count in sorted(summary["by_site"].items()):
             lines.append(f"    {site:<24s} {count}")
-    for degradation in summary["degradations"]:
-        lines.append(
-            f"  degraded: {degradation['from']} -> {degradation['to']} "
-            f"({degradation['error']})"
-        )
     return "\n".join(lines)

@@ -1,8 +1,7 @@
 """Bounded retry with exponential backoff and deterministic jitter.
 
 A :class:`RetryPolicy` is a frozen description of *how* to retry — the
-attempt budget, the backoff curve, the per-attempt deadline — plus a
-:meth:`~RetryPolicy.call` runner that applies it to any callable.
+attempt budget and the backoff curve — plus a :meth:`~RetryPolicy.call` runner that applies it to any callable.
 Jitter is drawn from a generator seeded through the standard
 :mod:`repro.stats.rng` plumbing, so two runs of the same seeded chaos
 scenario sleep the same schedule and replay identically.
@@ -52,10 +51,6 @@ class RetryPolicy:
         Fractional jitter: each sleep is scaled by ``1 + jitter * u``
         with ``u`` drawn from the policy's seeded generator — spreading
         herd retries without sacrificing replayability.
-    deadline_s:
-        Per-attempt deadline, enforced by callers that can (the pool
-        executors pass it to ``Executor.map(timeout=...)``); exposed
-        here so the whole retry contract lives in one object.
     retry_on:
         Exception classes that trigger a retry; anything else
         propagates immediately.
@@ -69,7 +64,6 @@ class RetryPolicy:
         multiplier: float = 2.0,
         max_delay: float = 30.0,
         jitter: float = 0.0,
-        deadline_s: Optional[float] = None,
         retry_on: Tuple[Type[BaseException], ...] = (Exception,),
         seed: SeedLike = 0,
         name: str = "retry",
@@ -82,14 +76,11 @@ class RetryPolicy:
             raise ValueError(f"multiplier must be >= 1, got {multiplier}")
         if not 0.0 <= jitter <= 1.0:
             raise ValueError(f"jitter must lie in [0, 1], got {jitter}")
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError(f"deadline_s must be positive, got {deadline_s}")
         self.max_attempts = max_attempts
         self.base_delay = base_delay
         self.multiplier = multiplier
         self.max_delay = max_delay
         self.jitter = jitter
-        self.deadline_s = deadline_s
         self.retry_on = retry_on
         self.name = name
         self._rng = make_rng(seed)

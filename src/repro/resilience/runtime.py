@@ -73,8 +73,8 @@ def check(site: str) -> Optional[FaultSpec]:
     """Consult the plan for ``site``; the fired spec, or ``None``.
 
     Low-level entry point for call sites with native failure semantics
-    (e.g. the network maps a fired fault onto a message drop, the
-    process executor onto ``BrokenProcessPool``).  Emits the
+    (e.g. the network maps a fired fault onto a message drop or a dead
+    node).  Emits the
     ``fault_injected`` event for every fired fault.
     """
     if plan is None:

@@ -5,8 +5,12 @@ pipeline: it keeps one :class:`~repro.core.incremental.IncrementalBehaviorState`
 per server, folds feedback as it arrives (directly or via a subscribed
 :class:`~repro.feedback.ledger.FeedbackLedger`), memoizes phase-1
 verdicts and whole assessments, and answers bulk trust queries through
-:meth:`AssessmentService.assess_many`, sharding across a
-``concurrent.futures`` pool when that actually helps.
+:meth:`AssessmentService.assess_many` in one serial sweep.
+
+Serving stays in one process on purpose: the phase-1 ε thresholds come
+from one Monte-Carlo calibrator whose draw order is part of every
+verdict, so a pool of workers each calibrating on its own RNG stream
+could not reproduce the paper's tests.
 
 Verdicts are bit-identical to per-call
 :meth:`~repro.core.two_phase.TwoPhaseAssessor.assess` — the service
@@ -17,19 +21,14 @@ assessor directly when full phase-1 round provenance is needed).
 
 Every ``assess_many`` request runs under a root
 :class:`~repro.obs.context.TraceContext` (minted unless the caller
-already attached one), serialized across the process executor
-boundary so worker shard spans, resilience events, and audit records
-all carry the request's trace_id.
+already attached one), so its spans, resilience events, and audit
+records all carry the request's trace_id.
 """
 
 from __future__ import annotations
 
-import logging
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor, TimeoutError
-from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..core.config import AssessorConfig
 from ..core.incremental import IncrementalBehaviorState
@@ -42,106 +41,16 @@ from ..feedback.records import EntityId, Feedback
 from ..obs import audit as _audit
 from ..obs import context as _ctx
 from ..obs import runtime as _obs
-from ..obs.registry import MetricsRegistry
-from ..obs.tracing import Tracer
 from ..resilience import runtime as _res
-from ..resilience.breaker import CircuitBreaker
 from ..resilience.faults import InjectedFault, ResilienceError
-from ..resilience.retry import RetryExhausted, RetryPolicy
 from ..trust.base import LedgerTrustFunction
 from .cache import CalibrationCache
 
-__all__ = ["AssessmentService"]
+__all__ = ["AssessmentService", "VECTOR_MIN_BATCH"]
 
-_log = logging.getLogger(__name__)
-
-_EXECUTORS = ("auto", "serial", "process")
-
-#: Fallback order of the degradation ladder, per starting executor: a
-#: broken pool (or a shard past its deadline) steps down, never up, and
-#: ends at serial — which shares no pool and cannot "break".
-_LADDER = {
-    "process": ("process", "serial"),
-    "serial": ("serial",),
-}
-
-#: Failures a ladder step may recover from by stepping down.  Anything
-#: outside this set (KeyError for an unknown server, ValueError for a
-#: misconfigured call) is a caller error and propagates untouched.
-_RECOVERABLE = (BrokenProcessPool, TimeoutError, InjectedFault, OSError)
-
-#: Below this many servers, pool startup outweighs any sharding gain.
-_MIN_PARALLEL_BATCH = 512
-
-# Per-process worker state for executor="process": the assessor is built
-# once per worker from the service's declarative config (initializer),
-# then reused for every shard the pool hands that worker.
-_PROCESS_STATE: dict = {}
-
-
-def _worker_env() -> Dict[str, object]:
-    """Snapshot the parent's observability settings for worker initargs.
-
-    Spawned workers inherit nothing: without this, worker-side events
-    and spans are silently dropped and ``REPRO_LOG_LEVEL`` only governs
-    the parent.  Only serializable settings travel — the event-log and
-    span-sink *paths*, never the open handles (JSONL appends from many
-    processes interleave whole lines safely).
-    """
-    event_log = _res.events
-    return {
-        "log_level": os.environ.get("REPRO_LOG_LEVEL"),
-        "obs_enabled": _obs.enabled,
-        "span_sink_path": (
-            str(_obs.span_sink.path) if _obs.span_sink is not None else None
-        ),
-        "event_log_path": (
-            str(event_log.path)
-            if event_log is not None and event_log.path is not None
-            else None
-        ),
-    }
-
-
-def _init_process_worker(
-    config: AssessorConfig, worker_env: Optional[Dict[str, object]] = None
-) -> None:
-    _PROCESS_STATE["assessor"] = Assessor.from_config(config)
-    if not worker_env:
-        return
-    level = worker_env.get("log_level")
-    if level:
-        from ..obs import configure_logging
-
-        configure_logging(str(level))
-    sink_path = worker_env.get("span_sink_path")
-    if worker_env.get("obs_enabled") or sink_path:
-        # fresh per-worker registry/tracer: a forked worker must not
-        # inherit (and nest under) the parent's open span stack
-        _obs.enable(MetricsRegistry(), Tracer())
-    if sink_path:
-        _obs.span_sink = _ctx.SpanLog(str(sink_path))
-    event_path = worker_env.get("event_log_path")
-    if event_path:
-        from ..obs.events import EventLog
-
-        _res.events = EventLog(str(event_path))
-
-
-def _assess_shard_in_process(
-    task: Tuple[List[TransactionHistory], Optional[Dict[str, str]], int],
-) -> List[Assessment]:
-    histories, headers, shard_index = task
-    assessor = _PROCESS_STATE["assessor"]
-    if headers is None:
-        return [assessor.assess(history) for history in histories]
-    # rebuild the request context from its serialized headers; the
-    # shard span opens on this worker's own tracer and lands in its sink
-    with _ctx.use(_ctx.TraceContext.from_headers(headers)):
-        with _obs.span(
-            "serve.executor.shard", shard=shard_index, executor="process"
-        ):
-            return [assessor.assess(history) for history in histories]
+#: Minimum number of cold states in one ``assess_many`` sweep before the
+#: vectorized pre-fold pays for itself; smaller sweeps stay scalar.
+VECTOR_MIN_BATCH = 32
 
 
 class AssessmentService:
@@ -150,9 +59,8 @@ class AssessmentService:
     Construct from exactly one of:
 
     * ``assessor=`` — an existing :class:`TwoPhaseAssessor`; or
-    * ``config=`` — an :class:`~repro.core.config.AssessorConfig`, which
-      additionally enables ``executor="process"`` (workers rebuild the
-      assessor from the declarative config).
+    * ``config=`` — an :class:`~repro.core.config.AssessorConfig`, from
+      which the assessor is built through the registries.
 
     Parameters
     ----------
@@ -166,46 +74,24 @@ class AssessmentService:
         behavior test's ε-threshold calibrator (shared across services
         and persisted across runs).
     executor:
-        Default :meth:`assess_many` sharding mode — ``"auto"``,
-        ``"serial"`` or ``"process"``.  ``"auto"`` picks serial unless
-        the machine has spare cores, the batch is large, a declarative
-        config is available, and the assessor has no behavior test
-        (whose Monte-Carlo calibration would draw per-worker RNG
-        streams and so change thresholds).
-    max_workers:
-        Pool size for ``executor="process"`` (default: the CPU count).
-    retry_policy:
-        Retry contract for the pool-backed executor: each ladder step
-        is attempted this many times (its ``deadline_s``, when set, is
-        the per-shard-sweep deadline passed to the pool) before the
-        service degrades to the next step.  Default: 2 attempts, no
-        sleeping, no deadline.
+        ``"serial"``, the only mode; kept so callers can state it.
     vectorized:
         Use the batched cold-path kernel
         (:func:`~repro.core.vectorized.fold_cold_batch`): when an
-        ``assess_many`` sweep finds at least ``vector_min_batch`` cold
-        states and the tester qualifies, their phase-1 verdicts are
+        ``assess_many`` sweep finds at least :data:`VECTOR_MIN_BATCH`
+        cold states and the tester qualifies, their phase-1 verdicts are
         folded in one vectorized pass and seeded into the incremental
         states before the per-server walk (which then hits the verdict
-        cache).  Verdicts are bit-identical either way; PR 4's warm
+        cache).  Verdicts are bit-identical either way; the warm
         incremental path is untouched.
-    vector_min_batch:
-        Minimum number of cold states before the vectorized pre-fold
-        pays for itself; smaller sweeps stay on the scalar path.
 
-    **Degradation ladder.**  When a pool-backed ``assess_many`` sweep
-    fails recoverably (``BrokenProcessPool``, a pool deadline, an
-    injected worker fault), the service steps down process → serial,
-    records the fallback (``last_degradation``, an
-    ``executor_degraded`` event, the ``serve.resilience.degradations``
-    counter), and returns verdicts **bit-identical** to the healthy
-    sweep — serial shares no pool and reuses the same incremental
-    states.  A :class:`CircuitBreaker` on the process pool remembers
-    repeated pool failures so later sweeps skip the known-broken pool
-    without paying pool startup again.  Only when *every* step fails does the
-    sweep raise — a single structured
+    **Faults.**  Recovery happens where the fault lands: the calibrator
+    retries a failed Monte-Carlo pass and, failing that, serves a stale
+    threshold flagged as ``degraded``.  When an injected fault escapes
+    the sweep anyway (a cold calibrator has no stale candidate), the
+    flight recorder dumps and ``assess_many`` raises one
     :class:`~repro.resilience.faults.ResilienceError` naming the
-    originating site, never a bare worker traceback.
+    originating site.
     """
 
     def __init__(
@@ -215,31 +101,15 @@ class AssessmentService:
         config: Optional[AssessorConfig] = None,
         ledger: Optional[FeedbackLedger] = None,
         calibration_cache: Optional[CalibrationCache] = None,
-        executor: str = "auto",
-        max_workers: Optional[int] = None,
-        retry_policy: Optional[RetryPolicy] = None,
+        executor: str = "serial",
         vectorized: bool = True,
-        vector_min_batch: int = 32,
     ):
         if (assessor is None) == (config is None):
             raise ValueError("pass exactly one of assessor= or config=")
-        if executor not in _EXECUTORS:
-            raise ValueError(f"executor must be one of {_EXECUTORS}, got {executor!r}")
+        if executor != "serial":
+            raise ValueError(f"executor must be 'serial', got {executor!r}")
         self._config = config
-        self._retry_policy = retry_policy or RetryPolicy(
-            max_attempts=2,
-            base_delay=0.0,
-            retry_on=_RECOVERABLE,
-            name="serve.executor",
-        )
-        self._breakers = {"process": CircuitBreaker(name="serve.executor.process")}
-        self.n_degradations = 0
-        #: ``{"from", "to", "error"}`` of the most recent executor
-        #: fallback, ``None`` while everything is healthy.
-        self.last_degradation: Optional[Dict[str, str]] = None
         self._assessor = assessor if assessor is not None else Assessor.from_config(config)
-        self._executor = executor
-        self._max_workers = max_workers
         self._calibration_cache = calibration_cache
         if calibration_cache is not None:
             behavior = self._assessor.behavior_test
@@ -256,7 +126,6 @@ class AssessmentService:
         self.n_assessments = 0
         self.n_assessment_cache_hits = 0
         self._vectorized = vectorized
-        self._vector_min_batch = vector_min_batch
         self.n_vector_prefolds = 0
         self.n_vector_seeded = 0
         self._ledger: Optional[FeedbackLedger] = None
@@ -414,6 +283,8 @@ class AssessmentService:
             self._assessment_cache[server] = (n, assessment)
         if _obs.enabled:
             _obs.registry.inc("serve.service.assessments")
+            if assessment.degraded:
+                _obs.registry.inc("serve.service.degraded_assessments")
             # a plain histogram observation, not a span: the latency SLO
             # needs the distribution, a span per assessment would not
             # stay bounded across 100k-server sweeps
@@ -489,27 +360,16 @@ class AssessmentService:
         )
 
     def assess_many(
-        self,
-        server_ids: Optional[Iterable[EntityId]] = None,
-        *,
-        executor: Optional[str] = None,
+        self, server_ids: Optional[Iterable[EntityId]] = None
     ) -> Dict[EntityId, Assessment]:
         """Assess a batch of servers (default: every registered server).
 
-        Sharding follows the service's executor mode unless overridden
-        per call.  Results come back as ``{server_id: Assessment}`` in
-        input order.
+        Results come back as ``{server_id: Assessment}`` in input order.
+        An unknown id raises ``KeyError``; an injected fault that no
+        recovery path absorbed raises one
+        :class:`~repro.resilience.faults.ResilienceError`.
         """
         ids = list(server_ids) if server_ids is not None else list(self._states)
-        mode = executor if executor is not None else self._executor
-        if mode not in _EXECUTORS:
-            raise ValueError(f"executor must be one of {_EXECUTORS}, got {mode!r}")
-        if mode == "auto":
-            mode = self._choose_executor(len(ids))
-        # surface caller errors before any pool is paid for — these are
-        # not faults and must not enter the degradation ladder
-        if mode == "process":
-            self._check_process_preconditions()
         from ..obs import span as _span
 
         # every request runs under a trace context when collection is on:
@@ -521,12 +381,9 @@ class AssessmentService:
         with _ctx.use(ctx):
             if _obs.enabled:
                 _obs.registry.inc("serve.requests")
-            with _span("serve.assess_many", mode=mode, batch=len(ids)):
-                if mode == "serial":
-                    # process workers rebuild their own states; seeds
-                    # would never reach them
-                    self._prefold_cold(ids)
-                result = self._assess_with_ladder(ids, mode)
+            with _span("serve.assess_many", batch=len(ids)):
+                self._prefold_cold(ids)
+                result = self._sweep(ids)
             # drive the metrics scraper from the serving loop itself —
             # one wall-clock slot check per request, no background
             # thread; still inside the request context so anomaly
@@ -562,7 +419,7 @@ class AssessmentService:
             seen.add(sid)
             if state.needs_phase1():
                 cold.append(state)
-        if len(cold) < self._vector_min_batch:
+        if len(cold) < VECTOR_MIN_BATCH:
             return
         calibrator = getattr(tester, "calibrator", None)
         stale_before = (
@@ -584,144 +441,21 @@ class AssessmentService:
             _obs.registry.inc("serve.service.vector_prefolds")
             _obs.registry.inc("serve.service.vector_seeded", len(cold))
 
-    def _run_step(self, step: str, ids: Sequence[EntityId]) -> Dict[EntityId, Assessment]:
-        if step == "serial":
+    def _sweep(self, ids: Sequence[EntityId]) -> Dict[EntityId, Assessment]:
+        """The per-server walk; an escaping injected fault becomes one
+        structured error, after the flight recorder captured the
+        system's last moments."""
+        try:
             return {sid: self.assess(sid) for sid in ids}
-        return self._assess_many_process(ids)
-
-    def _assess_with_ladder(
-        self, ids: Sequence[EntityId], mode: str
-    ) -> Dict[EntityId, Assessment]:
-        """Walk the degradation ladder from ``mode`` down to serial."""
-        attempts: List[Tuple[str, str]] = []
-        origin_site = "serve.executor.worker"
-        for step in _LADDER[mode]:
-            breaker = self._breakers.get(step)
-            if breaker is not None and not breaker.allow():
-                attempts.append((step, "circuit breaker open"))
-                _res.emit("breaker_rejection", breaker=breaker.name, step=step)
-                continue
-            try:
-                result = self._retry_policy.call(self._run_step, step, ids)
-            except RetryExhausted as exc:
-                cause = exc.last_error
-                if not isinstance(cause, _RECOVERABLE):
-                    raise cause from exc
-                if breaker is not None:
-                    breaker.record_failure()
-                attempts.append((step, repr(cause)))
-                if isinstance(cause, InjectedFault):
-                    origin_site = cause.site
-                _log.warning("assess_many %s step failed (%r); degrading", step, cause)
-                continue
-            if breaker is not None:
-                breaker.record_success()
-            if step != mode:
-                self._record_degradation(mode, step, attempts)
-            return result
-        # the ladder is exhausted: capture the system's last moments
-        # before the structured error unwinds the caller's stack
-        if _obs.flight_recorder is not None:
-            _obs.flight_recorder.dump(
-                reason="resilience_error",
-                site=origin_site,
-                attempts="; ".join(f"{step}: {err}" for step, err in attempts),
-            )
-        raise ResilienceError(origin_site, attempts)
-
-    def _record_degradation(
-        self, requested: str, served: str, attempts: List[Tuple[str, str]]
-    ) -> None:
-        self.n_degradations += 1
-        error = attempts[-1][1] if attempts else ""
-        self.last_degradation = {"from": requested, "to": served, "error": error}
-        _res.emit("executor_degraded", **self.last_degradation)
-        if _obs.enabled:
-            _obs.registry.inc(
-                "serve.resilience.degradations", requested=requested, served=served
-            )
-
-    def _check_process_preconditions(self) -> None:
-        if self._config is None:
-            raise ValueError(
-                "executor='process' needs a service built from config= "
-                "(workers rebuild the assessor from the declarative config)"
-            )
-        if self._ledger is not None or not self._cacheable_trust:
-            raise ValueError(
-                "executor='process' supports history-based trust functions "
-                "only; ledger-backed schemes cannot be sharded across processes"
-            )
-
-    def _choose_executor(self, batch_size: int) -> str:
-        cores = os.cpu_count() or 1
-        if cores <= 2 or batch_size < _MIN_PARALLEL_BATCH:
-            return "serial"
-        # each worker calibrates with its own RNG stream, so a behavior
-        # test's thresholds (and verdicts) would depend on the sharding
-        if (
-            self._config is not None
-            and self._ledger is None
-            and self._assessor.behavior_test is None
-        ):
-            return "process"
-        return "serial"
-
-    def _workers(self) -> int:
-        return self._max_workers or (os.cpu_count() or 1)
-
-    def _shards(self, ids: Sequence[EntityId]) -> List[List[EntityId]]:
-        n_shards = min(self._workers(), max(1, len(ids)))
-        size = (len(ids) + n_shards - 1) // n_shards
-        return [list(ids[i : i + size]) for i in range(0, len(ids), size)]
-
-    @staticmethod
-    def _inject_worker_fault() -> None:
-        """Consult the plan at the pool-worker site (pool-parent side).
-
-        Worker processes do not inherit the parent's armed plan, so the
-        chaos framework models worker death here, where the pool's
-        native failures (``BrokenProcessPool``) surface anyway: a
-        ``crash`` fault becomes a broken pool, anything else an
-        :class:`InjectedFault`.
-        """
-        spec = _res.check("serve.executor.worker")
-        if spec is None:
-            return
-        if spec.mode == "crash":
-            raise BrokenProcessPool(
-                "injected worker crash at serve.executor.worker"
-            )
-        raise InjectedFault("serve.executor.worker", spec.mode, 0)
-
-    def _assess_many_process(
-        self, ids: Sequence[EntityId]
-    ) -> Dict[EntityId, Assessment]:
-        self._check_process_preconditions()
-        if _res.armed:
-            self._inject_worker_fault()
-        shards = self._shards(ids)
-        parent_ctx = _ctx.current()
-        headers = parent_ctx.to_headers() if parent_ctx is not None else None
-        tasks = [
-            ([self._states[sid].history for sid in shard], headers, index)
-            for index, shard in enumerate(shards)
-        ]
-        results: Dict[EntityId, Assessment] = {}
-        with ProcessPoolExecutor(
-            max_workers=self._workers(),
-            initializer=_init_process_worker,
-            initargs=(self._config, _worker_env()),
-        ) as pool:
-            assessed_shards = pool.map(
-                _assess_shard_in_process,
-                tasks,
-                timeout=self._retry_policy.deadline_s,
-            )
-            for shard, assessed in zip(shards, assessed_shards):
-                for sid, assessment in zip(shard, assessed):
-                    results[sid] = assessment
-        return {sid: results[sid] for sid in ids}
+        except InjectedFault as fault:
+            attempts = [("serial", repr(fault))]
+            if _obs.flight_recorder is not None:
+                _obs.flight_recorder.dump(
+                    reason="resilience_error",
+                    site=fault.site,
+                    attempts=f"serial: {fault!r}",
+                )
+            raise ResilienceError(fault.site, attempts) from fault
 
     # ------------------------------------------------------------------ #
     # maintenance
@@ -749,12 +483,6 @@ class AssessmentService:
             payload["degraded_calibrations"] = calibrator.degraded_calibrations
         if self._calibration_cache is not None:
             payload["calibration_cache"] = self._calibration_cache.stats()
-        payload["degradations"] = self.n_degradations
-        payload["last_degradation"] = self.last_degradation
-        payload["breakers"] = {
-            mode: breaker.state for mode, breaker in self._breakers.items()
-        }
-        payload["executor_retries"] = self._retry_policy.stats()
         return payload
 
     def save_cache(self, path: Optional[str] = None) -> Optional[str]:

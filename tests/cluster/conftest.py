@@ -130,7 +130,6 @@ def make_reference(
     service = AssessmentService(
         assessor=Assessor.from_config(CLUSTER_CONFIG, calibrator=calibrator),
         ledger=ledger,
-        executor="serial",
     )
     keep = set(servers) if servers is not None else None
     for feedback in events:

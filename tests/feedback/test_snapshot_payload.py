@@ -96,9 +96,7 @@ class TestServiceReplaceServer:
     def _service(self):
         ledger = FeedbackLedger(backend="memory")
         assessor = Assessor.from_config(AssessorConfig(trust_function="average"))
-        return AssessmentService(
-            assessor=assessor, ledger=ledger, executor="serial"
-        ), ledger
+        return AssessmentService(assessor=assessor, ledger=ledger), ledger
 
     def test_replace_drops_stale_state_and_reassesses(self):
         service, ledger = self._service()

@@ -488,9 +488,9 @@ class TestObsSlo:
     def _events(self, tmp_path, *, degradations):
         path = tmp_path / "run_events.jsonl"
         registry = obs.MetricsRegistry()
-        registry.inc("serve.requests", 100)
+        registry.inc("serve.service.assessments", 100)
         if degradations:
-            registry.inc("serve.resilience.degradations", degradations)
+            registry.inc("serve.service.degraded_assessments", degradations)
         with obs.EventLog(path) as log:
             log.emit_metrics(registry)
         return path
@@ -655,13 +655,15 @@ class TestObsPostmortem:
         from repro.obs.flightrec import FlightRecorder
 
         recorder = FlightRecorder(tmp_path, clock=lambda: 100.0)
-        recorder.record_event({"event": "executor_degraded", "to": "serial"})
-        path = recorder.dump(reason="resilience_error", site="serve.executor.worker")
+        recorder.record_event(
+            {"event": "calibration_degraded", "site": "core.calibration"}
+        )
+        path = recorder.dump(reason="resilience_error", site="core.calibration")
         assert main(["obs", "postmortem", str(path)]) == 0
         out = capsys.readouterr().out
         assert "post-mortem: resilience_error" in out
-        assert "site=serve.executor.worker" in out
-        assert "executor_degraded" in out
+        assert "site=core.calibration" in out
+        assert "calibration_degraded" in out
 
     def test_tail_flag(self, tmp_path, capsys):
         from repro.obs.flightrec import FlightRecorder

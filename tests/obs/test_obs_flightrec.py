@@ -50,7 +50,7 @@ class TestFlightRecorder:
 
     def test_trigger_event_dumps(self, tmp_path):
         recorder = FlightRecorder(tmp_path, clock=FakeClock())
-        recorder.record_event({"event": "executor_degraded"})  # not a trigger
+        recorder.record_event({"event": "calibration_degraded"})  # not a trigger
         assert recorder.dumps == []
         recorder.record_event({"event": "breaker_open", "component": "thread"})
         (path,) = recorder.dumps
@@ -175,14 +175,14 @@ class TestRuntimeWiring:
         from repro.resilience import runtime as res
 
         plan = FaultPlan(seed=7)
-        plan.arm("serve.executor.worker", "exception", max_fires=2)
+        plan.arm("core.calibration", "exception", max_fires=2)
         with flight_recording(tmp_path) as recorder:
             with res.activate(plan):
                 bundle = recorder.bundle(reason="t")
         state = bundle["fault_plan"]
         assert state["seed"] == 7
-        assert state["specs"]["serve.executor.worker"]["mode"] == "exception"
-        assert "serve.executor.worker" in state["counts"]
+        assert state["specs"]["core.calibration"]["mode"] == "exception"
+        assert "core.calibration" in state["counts"]
 
     def test_event_log_opt_in_forwarding(self, tmp_path):
         from repro.obs.events import EventLog
@@ -295,14 +295,16 @@ class TestRenderPostmortem:
             with trace_ctx.use(trace_ctx.new_root(test="render")):
                 with runtime.span("serve.assess_many"):
                     pass
-            recorder.record_event({"event": "executor_degraded", "to": "serial"})
+            recorder.record_event(
+                {"event": "calibration_degraded", "site": "core.calibration"}
+            )
             scraper.scrape()
             path = recorder.dump(reason="test_render")
         text = render_postmortem(read_postmortem(path))
         assert "slo state:" in text
         assert "trace tail: 1 span(s), 1 trace(s)" in text
         assert "serve.assess_many" in text
-        assert "executor_degraded  to=serial" in text
+        assert "calibration_degraded  site=core.calibration" in text
         assert "series tails" in text
         assert "req.total" in text
 

@@ -215,10 +215,10 @@ class TestEventLogBridge:
         path = tmp_path / "events.jsonl"
         registry = MetricsRegistry()
         log = obs.EventLog(path)
-        registry.inc("serve.requests", 100)
+        registry.inc("serve.service.assessments", 100)
         log.emit_metrics(registry)
-        registry.inc("serve.requests", 100)
-        registry.inc("serve.resilience.degradations", 5)
+        registry.inc("serve.service.assessments", 100)
+        registry.inc("serve.service.degraded_assessments", 5)
         log.emit_metrics(registry)
         log.close()
         evaluation = evaluate_events(path)

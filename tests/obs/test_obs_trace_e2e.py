@@ -1,14 +1,12 @@
-"""End-to-end causal tracing across serve → resilience → p2p → audit.
+"""End-to-end causal tracing across serve → resilience → p2p → cluster → audit.
 
-The acceptance scenario for the tracing layer: ``assess_many`` requests
-driven through the process executor, healthy and under injected faults,
-plus a p2p round trip, must leave a span log where a **single trace_id**
-links
+The acceptance scenario for the tracing layer: ``assess_many`` requests,
+healthy and under injected faults, plus a p2p round trip and cluster
+writes to a dead peer, must leave a span log where a **single
+trace_id** links
 
 * the request root span (``serve.assess_many``),
-* the executor worker spans (``serve.executor.shard``, written by the
-  pool processes),
-* the retry / breaker / degradation span events the resilience funnel
+* the retry / degradation / breaker span events the resilience funnel
   annotated along the way,
 * the network hop (``p2p.network.deliver``) and its retry, and
 * every :class:`AuditRecord` the request produced —
@@ -21,6 +19,7 @@ from __future__ import annotations
 import random
 
 from repro import obs
+from repro.cluster import ClusterAssessmentService
 from repro.core.config import AssessorConfig, BehaviorTestConfig
 from repro.feedback.records import Feedback, Rating
 from repro.main import main
@@ -44,29 +43,29 @@ CONFIG = AssessorConfig(
 )
 
 
-def _make_service(n_servers=6, n_feedbacks=40, max_workers=1):
-    # one worker reproduces the serial calibration order exactly
-    service = AssessmentService(config=CONFIG, max_workers=max_workers)
+def _observe(service, sid, p_good, stream, t, n_feedbacks=40):
+    service.add_server(sid)
+    for i in range(n_feedbacks):
+        t += 1.0
+        service.observe(
+            Feedback(
+                time=t,
+                server=sid,
+                client=f"cli-{i % 5}",
+                rating=(
+                    Rating.POSITIVE if stream.random() < p_good else Rating.NEGATIVE
+                ),
+            )
+        )
+    return t
+
+
+def _make_service(n_servers=6):
+    service = AssessmentService(config=CONFIG)
     stream = random.Random(1234)
     t = 0.0
     for s in range(n_servers):
-        sid = f"srv-{s:02d}"
-        service.add_server(sid)
-        p_good = 0.95 - 0.05 * s
-        for i in range(n_feedbacks):
-            t += 1.0
-            service.observe(
-                Feedback(
-                    time=t,
-                    server=sid,
-                    client=f"cli-{i % 5}",
-                    rating=(
-                        Rating.POSITIVE
-                        if stream.random() < p_good
-                        else Rating.NEGATIVE
-                    ),
-                )
-            )
+        t = _observe(service, f"srv-{s:02d}", 0.95 - 0.05 * s, stream, t)
     return service
 
 
@@ -81,10 +80,15 @@ def _span_events(spans, name):
 
 class TestEndToEndTrace:
     def test_one_trace_links_the_whole_request_path(self, tmp_path, capsys):
-        baseline = _make_service().assess_many(executor="serial")
+        baseline = _make_service().assess_many()
         service = _make_service()
+        cluster = ClusterAssessmentService(CONFIG, n_nodes=4)
+        dead = cluster.members[0]
+        cluster.kill(dead)
 
         plan = FaultPlan(seed=0)
+        # the first calibration attempt fails: the calibrator retries
+        plan.arm("core.calibration", "exception", max_fires=1)
         # the first network send is forcibly lost: send_reliable retries
         plan.arm("p2p.network.send", "crash", max_fires=1)
 
@@ -98,36 +102,38 @@ class TestEndToEndTrace:
             with audit_session() as trail, res.activate(plan, event_log):
                 with trace_ctx.use(root):
                     with obs.span("request.e2e"):
-                        # a healthy sweep: the pool worker's shard span
-                        # joins the trace through the serialized headers
-                        service.assess_many(executor="process")
-                        # both retry attempts of the process step fault:
-                        # the request retries, exhausts, and degrades
-                        # down the ladder to serial
-                        plan.arm(
-                            "serve.executor.worker", "exception", max_fires=2
-                        )
-                        chaos = service.assess_many(executor="process")
-                        for _ in range(2):  # failures 2 and 3 open the breaker
-                            plan.arm(
-                                "serve.executor.worker",
-                                "exception",
-                                max_fires=2,
-                            )
-                            service.assess_many(executor="process")
-                        service.assess_many(executor="process")  # breaker rejects
+                        chaos = service.assess_many()
+                        # a rate bucket no sweep calibrated, while every
+                        # calibration attempt fails: served off a stale
+                        # threshold and flagged degraded
+                        plan.arm("core.calibration", "exception")
+                        _observe(service, "srv-new", 0.5, random.Random(77), 1e4)
+                        stale = service.assess_many(["srv-new"])
                         with obs.span("client.trust_query"):
                             reply = network.send_reliable(
                                 "peer-1", "trust_query", {"server": "srv-00"}
                             )
+                        # writes to the dead peer fail until its breaker
+                        # opens; later writes skip it
+                        for i in range(4):
+                            cluster.record_batch(
+                                Feedback(
+                                    time=float(i * 8 + s),
+                                    server=f"srv-{s:02d}",
+                                    client="cli-0",
+                                    rating=Rating.POSITIVE,
+                                )
+                                for s in range(8)
+                            )
 
-        # the chaos run still answers bit-identically: the serial step
-        # calibrates in the same order as the fault-free baseline
+        # the transient fault was retried before the Monte-Carlo pass
+        # drew, so the sweep answers bit-identically
         assert chaos == baseline
         assert not any(a.degraded for a in chaos.values())
+        assert stale["srv-new"].degraded
         assert reply == {"echo": {"server": "srv-00"}}
         assert network.stats.retries >= 1
-        assert service.n_degradations == 4
+        assert cluster._breakers[dead].state == "open"
 
         spans = read_span_jsonl(spans_path)
         # single trace: every span the request produced shares one id
@@ -136,21 +142,21 @@ class TestEndToEndTrace:
         names = {span["name"] for span in spans}
         assert "request.e2e" in names
         assert "serve.assess_many" in names
-        assert "serve.executor.shard" in names  # pool worker spans
+        assert "cluster.record_batch" in names
         assert "p2p.network.deliver" in names  # the network hop
 
-        # resilience ladder milestones surfaced as span events
+        # resilience milestones surfaced as span events
         assert _span_events(spans, "retry"), "retry attempts annotated"
-        assert _span_events(spans, "executor_degraded")
+        assert _span_events(spans, "calibration_degraded")
         assert _span_events(spans, "breaker_open")
-        assert _span_events(spans, "breaker_rejection")
+        assert _span_events(spans, "cluster_rpc_failed")
         assert _span_events(spans, "p2p.retry")
 
         # structured events carry the same trace id
         degraded = [
-            e for e in event_log.events if e["event"] == "executor_degraded"
+            e for e in event_log.events if e["event"] == "calibration_degraded"
         ]
-        assert len(degraded) == 4
+        assert degraded
         assert all(e["trace_id"] == root.trace_id for e in degraded)
 
         # every audit record the request produced is linked to the trace
@@ -161,49 +167,11 @@ class TestEndToEndTrace:
         tree = render_trace_tree(spans, root.trace_id)
         assert tree.splitlines()[0].startswith(f"trace {root.trace_id}")
         assert "serve.assess_many" in tree
-        assert "serve.executor.shard" in tree
+        assert "cluster.record_batch" in tree
         assert "p2p.network.deliver" in tree
 
         # ...and so does the CLI, from a unique trace-id prefix
         assert main(["obs", "trace", str(spans_path), root.trace_id[:12]]) == 0
         out = capsys.readouterr().out
         assert "request.e2e" in out
-        assert "executor_degraded" in out
-
-    def test_worker_spans_parent_under_the_request(self, tmp_path):
-        """Shard spans written by pool workers slot under assess_many."""
-        service = _make_service(max_workers=2)
-        spans_path = tmp_path / "spans.jsonl"
-        root = trace_ctx.new_root()
-        with obs.activate(), tracing_session(spans_path):
-            with trace_ctx.use(root):
-                service.assess_many(executor="process")
-        spans = read_span_jsonl(spans_path)
-        by_id = {s["span_id"]: s for s in spans}
-        shards = [s for s in spans if s["name"] == "serve.executor.shard"]
-        assert sorted(s["labels"]["shard"] for s in shards) == ["0", "1"]
-        for shard in shards:
-            parent = by_id[shard["parent_span_id"]]
-            assert parent["name"] == "serve.assess_many"
-            assert shard["trace_id"] == root.trace_id
-
-    def test_process_worker_spans_cross_the_boundary(self, tmp_path):
-        """Pool *processes* append shard spans to the shared JSONL sink,
-        linked to the request trace via serialized headers."""
-        import os as _os
-
-        service = _make_service()
-        spans_path = tmp_path / "spans.jsonl"
-        root = trace_ctx.new_root()
-        with obs.activate(), tracing_session(spans_path):
-            with trace_ctx.use(root):
-                service.assess_many(executor="process")
-        spans = read_span_jsonl(spans_path)
-        shards = [s for s in spans if s["name"] == "serve.executor.shard"]
-        assert shards
-        assert {s["labels"]["executor"] for s in shards} == {"process"}
-        assert all(s["trace_id"] == root.trace_id for s in shards)
-        assert all(s["pid"] != _os.getpid() for s in shards)
-        # parented under the request's assess_many span
-        request = next(s for s in spans if s["name"] == "serve.assess_many")
-        assert {s["parent_span_id"] for s in shards} == {request["span_id"]}
+        assert "calibration_degraded" in out

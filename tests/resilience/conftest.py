@@ -46,14 +46,7 @@ CHAOS_CONFIG = AssessorConfig(
 
 
 def make_service(n_servers: int = 6, n_feedbacks: int = 40, **kwargs) -> AssessmentService:
-    """A populated service over a deterministic feedback stream.
-
-    One pool worker by default: it rebuilds the assessor from the
-    config's default seed and assesses the servers in order, so a
-    healthy ``executor="process"`` sweep reproduces the serial
-    calibration order and every ``chaos == baseline`` stays exact.
-    """
-    kwargs.setdefault("max_workers", 1)
+    """A populated service over a deterministic feedback stream."""
     service = AssessmentService(config=CHAOS_CONFIG, **kwargs)
     stream = random.Random(1234)
     t = 0.0
@@ -76,6 +69,37 @@ def make_service(n_servers: int = 6, n_feedbacks: int = 40, **kwargs) -> Assessm
                 )
             )
     return service
+
+
+def add_uncalibrated_server(
+    service: AssessmentService,
+    sid: str = "srv-new",
+    p_good: float = 0.5,
+    n_feedbacks: int = 40,
+) -> str:
+    """A server whose p_hat lands in a rate bucket no warm run calibrated.
+
+    At the standard history length (same (m, k) bucket as
+    :func:`make_service`'s) a failing calibration falls back to a stale
+    threshold; at any other length nothing stale exists and the fault
+    escapes.
+    """
+    stream = random.Random(77)
+    t = 10_000.0
+    service.add_server(sid)
+    for i in range(n_feedbacks):
+        t += 1.0
+        service.observe(
+            Feedback(
+                time=t,
+                server=sid,
+                client=f"cli-{i % 5}",
+                rating=(
+                    Rating.POSITIVE if stream.random() < p_good else Rating.NEGATIVE
+                ),
+            )
+        )
+    return sid
 
 
 @pytest.fixture()

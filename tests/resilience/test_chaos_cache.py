@@ -24,7 +24,7 @@ def _warm_cache(tmp_path, name="cache.json"):
     path = str(tmp_path / name)
     cache = CalibrationCache(path=path)
     service = make_service(calibration_cache=cache)
-    baseline = service.assess_many(executor="serial")
+    baseline = service.assess_many()
     cache.save()
     return path, baseline
 
@@ -59,7 +59,7 @@ class TestCorruptSnapshotRecovery:
             fh.write("{ not json")
         cache = CalibrationCache(path=path)  # comes up cold, no raise
         service = make_service(calibration_cache=cache)
-        assert service.assess_many(executor="serial") == baseline
+        assert service.assess_many() == baseline
 
     def test_foreign_schema_still_raises(self, tmp_path):
         """A parseable file of the wrong schema is a wrong *path*, not

@@ -16,13 +16,13 @@ class TestLiveMode:
         assert "breakers: 0" in out
 
     def test_live_components_appear(self, capsys):
-        breaker = CircuitBreaker("serve.executor.process", failure_threshold=1)
+        breaker = CircuitBreaker("cluster.peer.shard-00", failure_threshold=1)
         breaker.record_failure()
         quarantine = Quarantine(name="ledger")
         quarantine.add("bad", site="feedback.ledger.fold", reason="order")
         assert main(["health"]) == 0
         out = capsys.readouterr().out
-        assert "serve.executor.process" in out
+        assert "cluster.peer.shard-00" in out
         assert "open" in out
         assert "ledger" in out
         assert "depth=1" in out
@@ -36,10 +36,9 @@ class TestEventLogMode:
             {"time": 2.0, "event": "fault_injected", "site": "core.calibration"},
             {
                 "time": 3.0,
-                "event": "executor_degraded",
-                "from": "process",
-                "to": "serial",
-                "error": "BrokenProcessPool('x')",
+                "event": "calibration_degraded",
+                "site": "core.calibration",
+                "stale_p": 0.5,
             },
             {"time": 4.0, "event": "phase", "name": "unrelated"},
         ]
@@ -47,8 +46,8 @@ class TestEventLogMode:
         assert main(["health", str(path)]) == 0
         out = capsys.readouterr().out
         assert "fault_injected           2" in out
-        assert "core.calibration" in out
-        assert "degraded: process -> serial" in out
+        assert "calibration_degraded     1" in out
+        assert "core.calibration         3" in out
 
     def test_log_without_resilience_events(self, tmp_path, capsys):
         path = tmp_path / "quiet.jsonl"

@@ -92,8 +92,6 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(jitter=2.0)
         with pytest.raises(ValueError):
-            RetryPolicy(deadline_s=0.0)
-        with pytest.raises(ValueError):
             RetryPolicy(multiplier=0.5)
 
 

@@ -1,8 +1,8 @@
-"""Acceptance: an exhausted ladder under chaos leaves a post-mortem.
+"""Acceptance: a fault no recovery path absorbs leaves a post-mortem.
 
 The flight recorder's reason to exist: when a
-:class:`~repro.resilience.faults.ResilienceError` escapes the serving
-ladder, a bundle lands on disk holding the dying request's trace tail,
+:class:`~repro.resilience.faults.ResilienceError` escapes a serving
+sweep, a bundle lands on disk holding the dying request's trace tail,
 the degradation events, and the scraped metric history — every span and
 event stamped with the one trace_id of the request that died, so the
 post-mortem reads as a single causal story.
@@ -20,15 +20,17 @@ from pathlib import Path
 import pytest
 
 from repro import obs
+from repro.cluster import ClusterAssessmentService
+from repro.feedback.records import Feedback, Rating
 from repro.main import main
 from repro.obs import context as trace_ctx
 from repro.obs.events import EventLog
 from repro.obs.flightrec import flight_recording
 from repro.obs.tsdb import MetricsScraper, scraping_session
-from repro.resilience import FaultPlan, InjectedFault, ResilienceError
+from repro.resilience import FaultPlan, ResilienceError
 from repro.resilience import runtime as res
 
-from .conftest import make_service
+from .conftest import CHAOS_CONFIG, add_uncalibrated_server, make_service
 
 
 @pytest.fixture()
@@ -41,13 +43,12 @@ def postmortem_dir(tmp_path) -> Path:
     return tmp_path
 
 
-def _crash_run(postmortem_dir, chaos_seed, monkeypatch):
-    """A degraded sweep, then a sweep whose every ladder step fails."""
+def _crash_run(postmortem_dir, chaos_seed):
+    """Healthy sweeps, a degraded-but-served sweep, then a sweep whose
+    calibration fault has no stale threshold to fall back on."""
     service = make_service()
     plan = FaultPlan(seed=chaos_seed)
-    # two fires exhaust the process step's retries: the sweep degrades to
-    # serial for real, emitting a trace-stamped executor_degraded
-    plan.arm("serve.executor.worker", "exception", max_fires=2)
+    plan.arm("core.calibration", "exception")  # every attempt fails
     log = EventLog()
     root = trace_ctx.new_root(test="postmortem_e2e")
     with obs.activate():
@@ -55,32 +56,30 @@ def _crash_run(postmortem_dir, chaos_seed, monkeypatch):
         with scraping_session(scraper), flight_recording(
             postmortem_dir, scraper=scraper, min_dump_interval_s=0.0
         ) as recorder:
-            with res.activate(plan, log), trace_ctx.use(root):
+            with trace_ctx.use(root):
                 # healthy traffic first: spans, metrics, scrapes
                 for _ in range(2):
-                    service.assess_many(executor="serial")
-                # the degraded-but-served sweep
-                service.assess_many(executor="process")
-                assert service.n_degradations == 1
-                fault = InjectedFault("serve.executor.worker", "exception", 0)
-
-                def _always_failing(step, ids):
-                    raise fault
-
-                monkeypatch.setattr(service, "_run_step", _always_failing)
-                with pytest.raises(ResilienceError) as excinfo:
-                    service.assess_many(executor="process")
+                    service.assess_many()
+                with res.activate(plan, log):
+                    # served off a stale threshold, emitting a
+                    # trace-stamped calibration_degraded
+                    stale = add_uncalibrated_server(service)
+                    assert service.assess_many([stale])[stale].degraded
+                    # a new history length: nothing stale to serve
+                    cold = add_uncalibrated_server(
+                        service, sid="srv-long", n_feedbacks=80
+                    )
+                    with pytest.raises(ResilienceError) as excinfo:
+                        service.assess_many([cold])
     return recorder, root, excinfo.value
 
 
 class TestPostmortemEndToEnd:
     def test_escaping_resilience_error_dumps_a_coherent_bundle(
-        self, postmortem_dir, chaos_seed, monkeypatch, capsys
+        self, postmortem_dir, chaos_seed, capsys
     ):
-        recorder, root, error = _crash_run(
-            postmortem_dir, chaos_seed, monkeypatch
-        )
-        assert error.site == "serve.executor.worker"
+        recorder, root, error = _crash_run(postmortem_dir, chaos_seed)
+        assert error.site == "core.calibration"
         assert recorder.dumps, "an escaping ResilienceError must dump"
         path = recorder.dumps[-1]
         assert "resilience_error" in path.name
@@ -88,7 +87,7 @@ class TestPostmortemEndToEnd:
 
         bundle = obs.read_postmortem(path)  # schema-validates
         assert bundle["reason"] == "resilience_error"
-        assert bundle["info"]["site"] == "serve.executor.worker"
+        assert bundle["info"]["site"] == "core.calibration"
 
         # the trace tail: every recorded span belongs to the request's
         # trace — the bundle tells one causal story
@@ -99,7 +98,7 @@ class TestPostmortemEndToEnd:
 
         # the degradation events carry the same trace_id
         degraded = [
-            e for e in bundle["events"] if e["event"] == "executor_degraded"
+            e for e in bundle["events"] if e["event"] == "calibration_degraded"
         ]
         assert degraded
         assert all(e["trace_id"] == root.trace_id for e in degraded)
@@ -110,32 +109,46 @@ class TestPostmortemEndToEnd:
 
         # the armed fault plan is in the bundle, seed and all
         assert bundle["fault_plan"]["seed"] == chaos_seed
-        assert "serve.executor.worker" in bundle["fault_plan"]["specs"]
+        assert "core.calibration" in bundle["fault_plan"]["specs"]
 
         # and `repro obs postmortem` renders every section of it
         assert main(["obs", "postmortem", str(path)]) == 0
         out = capsys.readouterr().out
         assert "post-mortem: resilience_error" in out
         assert "serve.assess_many" in out
-        assert "executor_degraded" in out
+        assert "calibration_degraded" in out
         assert "series tails" in out
         assert f"active fault plan (seed {chaos_seed})" in out
 
     def test_breaker_open_under_chaos_triggers_a_dump(
         self, postmortem_dir, chaos_seed
     ):
-        service = make_service()
-        threshold = service._breakers["process"].failure_threshold
+        """A cluster peer dies mid-request; its breaker opens after
+        repeated failed writes, and that flip alone dumps a bundle."""
+        cluster = ClusterAssessmentService(CHAOS_CONFIG, n_nodes=4)
         plan = FaultPlan(seed=chaos_seed)
-        plan.arm("serve.executor.worker", "exception")
-        log = EventLog()
+        plan.arm("p2p.network.kill", "crash", max_fires=1)
+        t = 0.0
         with obs.activate(), flight_recording(
             postmortem_dir, min_dump_interval_s=0.0
         ) as recorder:
-            with res.activate(plan, log):
-                for _ in range(threshold):
-                    service.assess_many(executor="process")
-        assert service._breakers["process"].state == "open"
+            with res.activate(plan):
+                for _ in range(4):
+                    batch = []
+                    for s in range(8):
+                        t += 1.0
+                        batch.append(
+                            Feedback(
+                                time=t,
+                                server=f"srv-{s:02d}",
+                                client="cli-0",
+                                rating=Rating.POSITIVE,
+                            )
+                        )
+                    cluster.record_batch(batch)
+        assert any(
+            b.state == "open" for b in cluster._breakers.values()
+        )
         assert any("breaker_open" in p.name for p in recorder.dumps)
         bundle = obs.read_postmortem(
             next(p for p in recorder.dumps if "breaker_open" in p.name)

@@ -54,9 +54,6 @@ class TestConstruction:
             AssessmentService(
                 _assessor(paper_config, shared_calibrator), executor="gpu"
             )
-        service = AssessmentService(_assessor(paper_config, shared_calibrator))
-        with pytest.raises(ValueError, match="executor"):
-            service.assess_many(executor="gpu")
 
     def test_from_config_builds_through_registries(self):
         service = AssessmentService(
@@ -170,31 +167,21 @@ class TestStandaloneAssessment:
 
 class TestExecutors:
     def test_thread_executor_is_rejected(self, paper_config, shared_calibrator):
-        service = AssessmentService(_assessor(paper_config, shared_calibrator))
-        service.add_server("s")
-        with pytest.raises(ValueError, match="executor"):
-            service.assess_many(executor="thread")
         with pytest.raises(ValueError, match="executor"):
             AssessmentService(
                 _assessor(paper_config, shared_calibrator), executor="thread"
             )
 
-    def test_process_executor_requires_config(self, paper_config, shared_calibrator):
-        service = AssessmentService(_assessor(paper_config, shared_calibrator))
-        service.add_server("s")
-        with pytest.raises(ValueError, match="config"):
-            service.assess_many(["s"], executor="process")
+    def test_process_and_auto_executors_are_rejected(self):
+        """Serving is single-process: per-worker calibration RNG streams
+        would change the ε thresholds, and so the verdicts."""
+        for executor in ("process", "auto"):
+            with pytest.raises(ValueError, match="executor"):
+                AssessmentService(config=AssessorConfig(), executor=executor)
 
-    def test_process_executor_matches_serial(self):
-        # behavior_test=None keeps the workers free of Monte-Carlo
-        # calibration, so this exercises only the sharding machinery.
-        config = AssessorConfig(trust_function="average", behavior_test=None)
-        service = AssessmentService(config=config)
-        for history in _histories(6, base_seed=95, length=40):
-            service.add_server(history)
-        serial = service.assess_many(executor="serial")
-        sharded = service.assess_many(executor="process")
-        assert serial == sharded
+    def test_serial_is_accepted_by_name(self):
+        service = AssessmentService(config=AssessorConfig(), executor="serial")
+        assert service.assess_many() == {}
 
 
 class TestLedgerMode:
@@ -309,38 +296,3 @@ class TestStatsAndCache:
         path = service.save_cache()
         reloaded = CalibrationCache(path=path)
         assert len(reloaded) == len(cache)
-
-    def test_auto_executor_keeps_calibrating_verdicts(self, monkeypatch):
-        """On a many-core host with a large batch, ``auto`` must not
-        shard a calibrating tester: per-worker calibration RNG streams
-        would change the ε thresholds, and so the verdicts."""
-        monkeypatch.setattr("repro.serve.service.os.cpu_count", lambda: 8)
-        monkeypatch.setattr("repro.serve.service._MIN_PARALLEL_BATCH", 2)
-        config = AssessorConfig(
-            trust_function="average",
-            behavior_test="single",
-            trust_threshold=0.7,
-            test_config=BehaviorTestConfig(
-                window_size=8, min_windows=2, calibration_sets=50
-            ),
-        )
-
-        def build():
-            service = AssessmentService(config=config)
-            for i, history in enumerate(_histories(8, base_seed=130, length=40)):
-                for outcome in history.outcomes()[: 40 - 2 * i]:
-                    service.observe_outcome(history.server, int(outcome))
-            return service
-
-        assert build().assess_many() == build().assess_many(executor="serial")
-
-    def test_auto_executor_serial_on_small_batches(
-        self, paper_config, shared_calibrator
-    ):
-        service = AssessmentService(_assessor(paper_config, shared_calibrator))
-        for history in _histories(4, base_seed=120):
-            service.add_server(history)
-        # one core / tiny batch: auto must not spin up a pool
-        assert service.assess_many(executor="auto") == service.assess_many(
-            executor="serial"
-        )

@@ -20,6 +20,7 @@ from repro.feedback.records import Feedback, Rating
 from repro.resilience import FaultPlan
 from repro.resilience import runtime as res
 from repro.serve import AssessmentService
+from repro.serve.service import VECTOR_MIN_BATCH
 
 CONFIG = AssessorConfig(test_config=BehaviorTestConfig(calibration_sets=50))
 
@@ -37,9 +38,9 @@ def _populate(service: AssessmentService, n=60, seed=11):
     return [f"server-{i:03d}" for i in range(n)]
 
 
-def _pair(**kwargs):
-    vector = AssessmentService(config=CONFIG, vectorized=True, **kwargs)
-    scalar = AssessmentService(config=CONFIG, vectorized=False, **kwargs)
+def _pair():
+    vector = AssessmentService(config=CONFIG, vectorized=True)
+    scalar = AssessmentService(config=CONFIG, vectorized=False)
     ids_v = _populate(vector)
     ids_s = _populate(scalar)
     assert ids_v == ids_s
@@ -65,10 +66,11 @@ class TestEquivalence:
         assert vector.n_vector_prefolds == 1
 
     def test_post_invalidation_sweep_identical(self):
-        vector, scalar, ids = _pair(vector_min_batch=8)
+        vector, scalar, ids = _pair()
         vector.assess_many(ids)
         scalar.assess_many(ids)
-        for sid in ids[:10]:
+        # exactly a minimum batch turns cold again: the kernel re-engages
+        for sid in ids[:VECTOR_MIN_BATCH]:
             vector.invalidate(sid)
             scalar.invalidate(sid)
         assert vector.assess_many(ids) == scalar.assess_many(ids)
@@ -77,8 +79,8 @@ class TestEquivalence:
 
 class TestGating:
     def test_small_batches_skip_the_kernel(self):
-        service = AssessmentService(config=CONFIG, vectorized=True, vector_min_batch=500)
-        ids = _populate(service)
+        service = AssessmentService(config=CONFIG, vectorized=True)
+        ids = _populate(service, n=VECTOR_MIN_BATCH - 1)
         service.assess_many(ids)
         assert service.n_vector_prefolds == 0
 

@@ -2,10 +2,12 @@
 
 A library deliverable is its public surface; these tests keep it honest:
 every public item is documented, every ``__all__`` name resolves, the
-subpackages export what their ``__init__`` promises, and retired
-compatibility shims stay retired.
+subpackages export what their ``__init__`` promises, every declared
+fault site is wired into the code, and retired compatibility shims stay
+retired.
 """
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -134,6 +136,89 @@ class TestTimingHygiene:
             f"new time.time() reads in {unexpected}: use time.perf_counter() "
             "for durations; extend the allowlist only for pure timestamps"
         )
+
+
+class TestFaultSites:
+    """``FAULT_SITES`` and the injection call sites agree.
+
+    A site that nothing consults can be armed but never fires, so a
+    chaos test over it passes vacuously; a site used but not declared
+    raises only once a plan arms it.
+    """
+
+    SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+
+    @staticmethod
+    def _runtime_aliases(tree: ast.Module, in_resilience: bool) -> set:
+        """Names the module binds to ``repro.resilience.runtime``."""
+        aliases = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if module.endswith("resilience") or (not module and in_resilience):
+                aliases.update(
+                    alias.asname or alias.name
+                    for alias in node.names
+                    if alias.name == "runtime"
+                )
+        return aliases
+
+    def _used_sites(self):
+        """``{site: [file:line, ...]}`` of every ``runtime.inject`` /
+        ``runtime.check`` call, resolving module-level string constants."""
+        used = {}
+        for path in sorted(self.SRC.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            rel = path.relative_to(self.SRC)
+            aliases = self._runtime_aliases(tree, rel.parts[0] == "resilience")
+            constants = {
+                target.id: node.value.value
+                for node in tree.body
+                if isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, str)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            for node in ast.walk(tree):
+                func = getattr(node, "func", None)
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(func, ast.Attribute)
+                    and func.attr in ("inject", "check")
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in aliases
+                ):
+                    continue
+                arg = node.args[0]
+                if isinstance(arg, ast.Constant):
+                    site = arg.value
+                else:
+                    site = constants.get(getattr(arg, "id", None))
+                assert isinstance(site, str), (
+                    f"{rel}:{node.lineno}: fault site is not a literal or a "
+                    "module-level string constant"
+                )
+                used.setdefault(site, []).append(f"{rel}:{node.lineno}")
+        return used
+
+    def test_every_declared_site_has_a_call_site(self):
+        from repro.resilience import FAULT_SITES
+
+        used = self._used_sites()
+        dead = [site for site in FAULT_SITES if site not in used]
+        assert not dead, f"declared fault sites nothing injects: {dead}"
+
+    def test_every_used_site_is_declared(self):
+        from repro.resilience import FAULT_SITES
+
+        undeclared = {
+            site: where
+            for site, where in self._used_sites().items()
+            if site not in FAULT_SITES
+        }
+        assert not undeclared, f"undeclared fault sites: {undeclared}"
 
 
 class TestDeprecations:
