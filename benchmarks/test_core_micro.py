@@ -39,6 +39,16 @@ def test_multi_behavior_test_1k(benchmark, outcomes):
     benchmark(test_.test, outcomes)
 
 
+@pytest.mark.parametrize("n, n_rounds", [(60, 1), (400, 8)])
+def test_multi_behavior_test_short(benchmark, n, n_rounds):
+    """Short histories: the per-call cost a cluster's 48-81 event
+    histories pay, where most calls judge a single suffix round."""
+    short = generate_honest_outcomes(n, 0.95, seed=1)
+    test_ = MultiBehaviorTest(CONFIG, CALIBRATOR)
+    assert test_.test(short).n_rounds == n_rounds
+    benchmark(test_.test, short)
+
+
 def test_threshold_calibration_cold(benchmark):
     """One uncached Monte-Carlo calibration (400 sample sets)."""
 

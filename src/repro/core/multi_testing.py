@@ -13,9 +13,11 @@ Two interchangeable implementations are provided:
   scratch: O(n^2 / k) work, the paper's unoptimized baseline;
 * ``strategy="optimized"`` — the paper's O(n) refinement: windows are
   anchored at the newest transaction, so every suffix's windows are a
-  *suffix of the full window-count sequence*; walking from the shortest
-  suffix to the longest, each round extends an incremental histogram by
-  the few windows that entered and recomputes the O(m) distance.
+  *suffix of the full window-count sequence*.  One numpy pass computes
+  every round's histogram (a ``bincount`` of the windows each round adds,
+  then a running ``cumsum``), ``p_hat``, expected pmf and distance; a
+  plain loop then consults the thresholds from the shortest suffix to
+  the longest and stops at the first failure.
 
 Both produce identical verdicts (asserted by the test suite); Fig. 9's
 performance experiment benchmarks the difference.
@@ -23,59 +25,67 @@ performance experiment benchmarks the difference.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..feedback.windows import window_counts
 from ..obs import audit as _audit
 from ..obs import runtime as _obs
-from ..stats.binomial import binomial_pmf
-from ..stats.empirical import IncrementalHistogram
+# binomial_pmf stays a module global here: perfbench counts its calls
+from ..stats.binomial import binomial_pmf, binomial_pmf_many  # noqa: F401
+from ..stats.distances import get_distance
 from .calibration import ThresholdCalibrator
 from .config import DEFAULT_CONFIG, BehaviorTestConfig
 from .testing import HistoryInput, SingleBehaviorTest, _extract_outcomes
 from .verdict import BehaviorVerdict, MultiTestReport
 
-__all__ = ["MultiBehaviorTest", "judge_window_histogram", "run_suffix_rounds"]
+__all__ = ["MultiBehaviorTest", "judge_rounds", "run_suffix_rounds"]
 
 _STRATEGIES = ("optimized", "naive")
 
 
-def judge_window_histogram(
-    histogram: IncrementalHistogram,
+def judge_rounds(
+    walks: Iterable[range],
+    lengths: Sequence[int],
+    wants: Sequence[int],
+    p_hats: Sequence[float],
+    distance: Callable[[int], float],
+    threshold: Callable[[int], float],
     *,
     window_size: int,
-    distance_name: str,
-    calibrator: ThresholdCalibrator,
-) -> BehaviorVerdict:
-    """Judge the window-count distribution held by ``histogram``.
+    collect_all: bool,
+) -> List[List[Tuple[int, BehaviorVerdict]]]:
+    """Turn precomputed suffix rounds into verdicts, shortest suffix first.
 
-    The shared phase-1 comparison: empirical window-count PMF against
-    ``B(m, p_hat)`` under the configured distance, threshold from the
-    calibrator.  Both :class:`MultiBehaviorTest` and the incremental
-    serving engine call this, so their verdicts are bit-identical.
+    Each of ``walks`` is one history's rounds, as indices into the
+    per-round sequences in ascending-suffix order; round ``r`` covers
+    ``lengths[r]`` transactions in ``wants[r]`` windows at rate
+    ``p_hats[r]``.  ``distance(r)`` and ``threshold(r)`` are consulted
+    lazily: only when the window count changes (an unchanged window set
+    reuses the previous verdict), and never after a walk's first failing
+    round unless ``collect_all``.  The calibrator draws from one shared
+    rng stream, so this order of threshold consultations is part of
+    every verdict.  Returns one list of ``(length, verdict)`` per walk.
     """
     m = window_size
-    k = histogram.n_samples
-    p_hat = histogram.mean_rate(m)
-    expected = binomial_pmf(m, p_hat)
-    observed = histogram.pmf()
-    distance = float(np.abs(observed - expected).sum())
-    if distance_name != "l1":
-        from ..stats.distances import get_distance
-
-        distance = float(get_distance(distance_name)(observed, expected))
-    threshold = calibrator.threshold(m, k, p_hat)
-    return BehaviorVerdict(
-        passed=distance <= threshold,
-        distance=distance,
-        threshold=float(threshold),
-        p_hat=p_hat,
-        n_windows=k,
-        window_size=m,
-        n_considered=k * m,
-    )
+    judged: List[List[Tuple[int, BehaviorVerdict]]] = []
+    for walk in walks:
+        rounds: List[Tuple[int, BehaviorVerdict]] = []
+        verdict: Optional[BehaviorVerdict] = None
+        last_want = -1
+        for r in walk:
+            w = wants[r]
+            if w != last_want:
+                d = distance(r)
+                thr = float(threshold(r))
+                verdict = BehaviorVerdict(d <= thr, d, thr, p_hats[r], w, m, w * m)
+                last_want = w
+            rounds.append((lengths[r], verdict))
+            if not verdict.passed and not collect_all:
+                break
+        judged.append(rounds)
+    return judged
 
 
 def run_suffix_rounds(
@@ -91,60 +101,61 @@ def run_suffix_rounds(
     """The paper's O(n) suffix walk over precomputed window counts.
 
     ``counts`` is the recent-aligned window-count array of the full
-    history; each suffix's windows are a suffix of it, so walking from
-    the shortest suffix to the longest extends an incremental histogram
-    by only the windows that entered.  Early-stops on the first failing
-    round unless ``collect_all``.  Extracted from
-    :class:`MultiBehaviorTest` so the incremental serving engine can
-    reuse cached window counts through the exact same code path.
+    history and ``lengths`` the suffix lengths, longest first.  Each
+    suffix's windows are the most recent ``length // m`` counts, so one
+    ``bincount`` of the windows each round adds, summed down the rounds,
+    yields every round's histogram; ``p_hat``, the expected pmf and the
+    distance follow as whole-array expressions.  Distances past the
+    first failing round may be computed, but their thresholds are never
+    consulted (see :func:`judge_rounds`).  Returns the judged rounds
+    shortest suffix first.  Both :class:`MultiBehaviorTest` and the
+    incremental serving engine call this, so their verdicts are
+    bit-identical.
     """
     m = window_size
-    total_windows = counts.size
-    histogram = IncrementalHistogram(m + 1)
-    rounds: List[Tuple[int, BehaviorVerdict]] = []
-    windows_in = 0
-    last_verdict: Optional[BehaviorVerdict] = None
-    for length in reversed(lengths):  # shortest suffix first
-        want = length // m
-        if want > windows_in:
-            # the most recent `want` windows are counts[-want:];
-            # extend by the block that just entered consideration
-            new_block = counts[total_windows - want : total_windows - windows_in]
-            histogram.add_block(new_block)
-            if _obs.enabled:
-                # window stats carried over from the previous round vs.
-                # windows that actually had to be ingested this round
-                _obs.registry.inc(
-                    f"{obs_prefix}.suffix_reuse", windows_in, strategy="optimized"
-                )
-                _obs.registry.inc(
-                    f"{obs_prefix}.suffix_recomputed",
-                    want - windows_in,
-                    strategy="optimized",
-                )
-            windows_in = want
-            last_verdict = judge_window_histogram(
-                histogram,
-                window_size=m,
-                distance_name=distance_name,
-                calibrator=calibrator,
-            )
-        elif last_verdict is None:
-            last_verdict = judge_window_histogram(
-                histogram,
-                window_size=m,
-                distance_name=distance_name,
-                calibrator=calibrator,
-            )
-        elif _obs.enabled:
-            # identical window set => identical verdict; full reuse
-            _obs.registry.inc(
-                f"{obs_prefix}.suffix_reuse", windows_in, strategy="optimized"
-            )
-        rounds.append((length, last_verdict))
-        if not last_verdict.passed and not collect_all:
-            break
-    return rounds
+    suffixes = lengths[::-1]  # shortest suffix first
+    wants_l = [length // m for length in suffixes]
+    wants = np.array(wants_l)
+    n_rounds = len(wants_l)
+    k_max = wants_l[-1]
+    newest_first = counts[counts.size - k_max :][::-1]
+    # window j (0 = newest) first enters the round whose count exceeds j
+    entered = wants.searchsorted(np.arange(k_max), side="right")
+    added = np.bincount(entered * (m + 1) + newest_first, minlength=n_rounds * (m + 1))
+    hist = np.add.accumulate(added.reshape(n_rounds, m + 1), axis=0)  # running sum
+    good = hist @ np.arange(m + 1)
+    p_hat = good / (wants * m)
+    observed = hist / wants[:, None]
+    expected = binomial_pmf_many(m, p_hat)
+    if distance_name == "l1":
+        distance = np.abs(observed - expected).sum(axis=1).tolist().__getitem__
+    else:
+        fn = get_distance(distance_name)
+
+        def distance(r: int) -> float:
+            return float(fn(observed[r], expected[r]))
+
+    p_l = p_hat.tolist()
+    (judged,) = judge_rounds(
+        [range(n_rounds)],
+        suffixes,
+        wants_l,
+        p_l,
+        distance,
+        lambda r: calibrator.threshold(m, wants_l[r], p_l[r]),
+        window_size=m,
+        collect_all=collect_all,
+    )
+    if _obs.enabled:
+        # each judged round carries over the previous round's windows
+        # and ingests only the ones that entered
+        walked = len(judged)
+        reused, ingested = sum(wants_l[: walked - 1]), wants_l[walked - 1]
+        _obs.registry.inc(f"{obs_prefix}.suffix_reuse", reused, strategy="optimized")
+        _obs.registry.inc(
+            f"{obs_prefix}.suffix_recomputed", ingested, strategy="optimized"
+        )
+    return judged
 
 
 class MultiBehaviorTest:
@@ -287,7 +298,7 @@ class MultiBehaviorTest:
         return rounds
 
     # ------------------------------------------------------------------ #
-    # optimized O(n): shortest suffix first, extend an incremental histogram
+    # optimized O(n): every suffix round in one pass over the window counts
 
     def _run_optimized(
         self, outcomes: np.ndarray, lengths: List[int]

@@ -1,20 +1,20 @@
 """Batched vectorized phase-1 folds — the cold-path engine.
 
-PR 4's incremental engine makes *warm* re-assessment cheap; the first
-assessment of a server (or a whole cold fleet after a restart) still
-pays a per-server Python walk through
-:func:`~repro.core.multi_testing.run_suffix_rounds`.
-:func:`fold_cold_batch` replaces that with whole-shard numpy passes over
-the columnar layout: every history's window counts in one
-:func:`~repro.feedback.windows.batched_window_counts` call, every suffix
-round's histogram/distance as one row of a cumulative matrix, and the
-calibrator consulted once per *unique* ``(k, good)`` round shape instead
-of once per server.
+The incremental engine makes *warm* re-assessment cheap; the first
+assessment of a server (or a whole cold fleet after a restart) would
+still pay one :func:`~repro.core.multi_testing.run_suffix_rounds` pass
+per server.  :func:`fold_cold_batch` replaces that with whole-shard
+numpy passes over the columnar layout: every history's window counts in
+one :func:`~repro.feedback.windows.batched_window_counts` call, every
+suffix round's histogram/distance as one row of a cumulative matrix, and
+the calibrator consulted once per *unique* ``(k, p_key)`` round shape
+instead of once per server.
 
 Verdicts are bit-identical to the scalar path — the same integer sums,
 the same float64 division order, the same
-:func:`~repro.stats.binomial.binomial_pmf` calls — which the
-equivalence suites assert verdict-for-verdict.  The kernel only
+:func:`~repro.stats.binomial.binomial_pmf_many` rows, and the same
+threshold walk (:func:`~repro.core.multi_testing.judge_rounds`) — which
+the equivalence suites assert verdict-for-verdict.  The kernel only
 supports the configuration the fast path serves (``optimized``
 :class:`~repro.core.multi_testing.MultiBehaviorTest` with the L1
 distance); anything else raises so callers fall back to the scalar
@@ -30,7 +30,7 @@ import numpy as np
 from ..feedback.windows import batched_window_counts
 from ..obs import runtime as _obs
 from ..stats.binomial import binomial_pmf_many
-from .multi_testing import MultiBehaviorTest
+from .multi_testing import MultiBehaviorTest, judge_rounds
 from .verdict import BehaviorVerdict, MultiTestReport
 
 __all__ = ["fold_cold_batch", "supports_vectorized"]
@@ -188,62 +188,53 @@ def _fold_chunk(
     expected = binomial_pmf_many(m, uniq_p)
     distances = np.abs(observed - expected[inv_p]).sum(axis=1)
 
-    # ---- per-server walk replicating run_suffix_rounds bit-for-bit ----
-    # Thresholds are consulted lazily *inside* the walk, in exactly the
-    # order the scalar path consults them (ascending suffixes, stopping
-    # at the first failure): the calibrator draws its Monte-Carlo sets
-    # from one shared rng stream, so the sequence of calibration cache
-    # misses — not just the set of keys — is part of the bit-parity
-    # contract.  ``thr_memo`` only short-circuits repeat shapes; the
-    # first consultation per (k, p_key) still goes through the
-    # calibrator, exactly as the scalar walk's first miss would.
-    # Plain-python lists throughout: the walk touches every round once
-    # and numpy scalar indexing would dominate it.
+    # ---- per-server threshold walk: the one run_suffix_rounds uses ----
+    # judge_rounds consults thresholds lazily, in exactly the order the
+    # scalar path does (ascending suffixes, stopping at the first
+    # failure): the calibrator draws its Monte-Carlo sets from one shared
+    # rng stream, so the sequence of calibration cache misses — not just
+    # the set of keys — is part of the bit-parity contract.  ``thr_memo``
+    # only short-circuits repeat (k, p_key) shapes; the first
+    # consultation per shape still goes through the calibrator, exactly
+    # as the scalar walk's first miss would.  Plain-python lists
+    # throughout: the walk touches every round once and numpy scalar
+    # indexing would dominate it.
     pk_uniq = [calibrator.quantize_p(float(p)) for p in uniq_p.tolist()]
     inv_l = inv_p.tolist()
     wants_l = wants.tolist()
-    suffix_l = suffix_len.tolist()
-    dist_l = distances.tolist()
     p_l = p_hat.tolist()
-    starts_l = round_starts.tolist()
-    nrounds_l = rounds_per_srv.tolist()
+    memo_before = len(thr_memo)
+
+    def threshold(r: int) -> float:
+        key = (wants_l[r], pk_uniq[inv_l[r]])
+        thr = thr_memo.get(key)
+        if thr is None:
+            thr = thr_memo[key] = calibrator.threshold(m, wants_l[r], p_l[r])
+        return thr
+
+    walks = map(range, round_starts.tolist(), (round_starts + rounds_per_srv).tolist())
+    judged = judge_rounds(
+        walks,
+        suffix_len.tolist(),
+        wants_l,
+        p_l,
+        distances.tolist().__getitem__,
+        threshold,
+        window_size=m,
+        collect_all=collect_all,
+    )
     co_l = co.tolist()
-    chunk_l = chunk.tolist()
-    n_thr_calls = 0
-    for s in range(n_srv):
-        base = starts_l[s]
-        rounds: List[Tuple[int, BehaviorVerdict]] = []
-        last_want = -1
-        verdict: Optional[BehaviorVerdict] = None
-        decisive: Optional[BehaviorVerdict] = None
-        failed = False
-        for r in range(base, base + nrounds_l[s]):
-            w = wants_l[r]
-            if w != last_want:
-                key = (w, pk_uniq[inv_l[r]])
-                thr = thr_memo.get(key)
-                if thr is None:
-                    thr = calibrator.threshold(m, w, p_l[r])
-                    thr_memo[key] = thr
-                    n_thr_calls += 1
-                d = dist_l[r]
-                verdict = BehaviorVerdict(d <= thr, d, thr, p_l[r], w, m, w * m)
-                last_want = w
-            rounds.append((suffix_l[r], verdict))
-            if not verdict.passed:
-                # decisive = the first failing round in report (longest-
-                # first) order, i.e. the *last* failure of this ascending
-                # walk; without collect_all the walk stops right here,
-                # exactly like run_suffix_rounds
-                failed = True
-                decisive = verdict
-                if not collect_all:
-                    break
+    for s, (idx, rounds) in enumerate(zip(chunk.tolist(), judged)):
         rounds.reverse()  # ascending walk -> longest-suffix-first report
-        if not failed:
-            decisive = verdict  # all passed: the full-history round
+        # the decisive round: the first failure in report order, else
+        # the full-history round
+        for _, decisive in rounds:
+            if not decisive.passed:
+                break
+        else:
+            decisive = rounds[0][1]
         report = MultiTestReport(
-            not failed,
+            decisive.passed,
             decisive.distance,
             decisive.threshold,
             decisive.p_hat,
@@ -254,10 +245,9 @@ def _fold_chunk(
             tuple(rounds),
             None,
         )
-        results[chunk_l[s]] = (
-            report,
-            counts_flat[co_l[s] : co_l[s + 1]].copy(),
-        )
+        results[idx] = (report, counts_flat[co_l[s] : co_l[s + 1]].copy())
     if _obs.enabled:
         _obs.registry.inc("core.vectorized.rounds", total_rounds)
-        _obs.registry.inc("core.vectorized.threshold_calls", n_thr_calls)
+        _obs.registry.inc(
+            "core.vectorized.threshold_calls", len(thr_memo) - memo_before
+        )

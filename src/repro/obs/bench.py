@@ -139,6 +139,14 @@ def _row_key(row: Dict[str, object]) -> str:
     )
 
 
+def _ratio(candidate: float, baseline: float) -> float:
+    """``candidate / baseline``; from a zero baseline, an unchanged zero
+    is ``1.0`` and anything above it an unbounded ``inf``."""
+    if baseline > 0:
+        return candidate / baseline
+    return 1.0 if candidate == 0 else float("inf")
+
+
 def compare_bench_payloads(
     baseline: Dict[str, object],
     candidate: Dict[str, object],
@@ -177,7 +185,7 @@ def compare_bench_payloads(
             continue
         base_value = float(base_stats[stat])  # type: ignore[arg-type]
         cand_value = float(cand_stats[stat])  # type: ignore[arg-type]
-        ratio = cand_value / base_value if base_value > 0 else float("inf")
+        ratio = _ratio(cand_value, base_value)
         entry = {
             "name": base_rows[key]["name"],
             "params": base_rows[key]["params"],
@@ -378,7 +386,7 @@ def bench_trend(
         entry["missing_runs"] = n_valid_runs - 1 - last_seen
         if earlier:
             baseline = float(statistics.median(earlier))
-            ratio = latest / baseline if baseline > 0 else float("inf")
+            ratio = _ratio(latest, baseline)
             entry["baseline_median"] = baseline
             entry["ratio"] = ratio
             # a stale series has no point in the newest run — nothing

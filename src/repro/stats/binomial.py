@@ -14,6 +14,8 @@ used by the paper, m <= a few hundred) with a scipy fallback for large
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Tuple
 
 import numpy as np
 from scipy import stats as _sps
@@ -34,31 +36,42 @@ __all__ = [
 _SCIPY_THRESHOLD = 512
 
 
+@lru_cache(maxsize=None)  # one entry per m <= _SCIPY_THRESHOLD at most
+def _log_terms(m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(support, log C(m, support), m - support)`` for ``B(m, .)``.
+
+    Built once per ``m`` from cumulative log-factorials and shared,
+    read-only, by every pmf of that ``m``.  The support vectors are
+    float64; their integers are exact, so the products are unchanged.
+    """
+    support = np.arange(m + 1)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, m + 1)))))
+    log_comb = log_fact[m] - log_fact[support] - log_fact[m - support]
+    terms = (support.astype(np.float64), log_comb, (m - support).astype(np.float64))
+    for arr in terms:
+        arr.flags.writeable = False
+    return terms
+
+
 def binomial_pmf(m: int, p: float) -> np.ndarray:
     """Return the full pmf vector of ``B(m, p)`` over support ``0..m``.
 
     The vector has length ``m + 1`` and sums to 1 (up to floating point).
-    Degenerate probabilities ``p in {0, 1}`` yield point masses.
+    Degenerate probabilities ``p in {0, 1}`` yield point masses.  The
+    result is a fresh array the caller may modify.
     """
     _validate_m(m)
     _validate_p(p)
-    support = np.arange(m + 1)
-    if p == 0.0:
+    if p == 0.0 or p == 1.0:
         pmf = np.zeros(m + 1)
-        pmf[0] = 1.0
-        return pmf
-    if p == 1.0:
-        pmf = np.zeros(m + 1)
-        pmf[m] = 1.0
+        pmf[0 if p == 0.0 else m] = 1.0
         return pmf
     if m > _SCIPY_THRESHOLD:
-        return _sps.binom.pmf(support, m, p)
-    # log C(m, g) + g log p + (m - g) log(1 - p), computed via cumulative
-    # log-factorials so a single vectorized expression covers the support.
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, m + 1)))))
-    log_comb = log_fact[m] - log_fact[support] - log_fact[m - support]
-    log_pmf = log_comb + support * np.log(p) + (m - support) * np.log1p(-p)
-    pmf = np.exp(log_pmf)
+        return _sps.binom.pmf(np.arange(m + 1), m, p)
+    # log C(m, g) + g log p + (m - g) log(1 - p): one vectorized
+    # expression over the support
+    support, log_comb, rest = _log_terms(m)
+    pmf = np.exp(log_comb + support * np.log(p) + rest * np.log1p(-p))
     return pmf / pmf.sum()
 
 
@@ -67,34 +80,32 @@ def binomial_pmf_many(m: int, ps: np.ndarray) -> np.ndarray:
 
     Row ``i`` is bit-identical to ``binomial_pmf(m, ps[i])`` — the same
     elementwise log-space expression evaluated in the same order, just
-    broadcast over a batch — so vectorized callers (the cold-path fold
-    kernel) agree with scalar callers to the last ulp.  For ``m`` beyond
-    the scipy threshold it defers to per-``p`` scalar calls.
+    broadcast over a batch — so vectorized callers agree with scalar
+    callers to the last ulp.  Every row is computed in one pass; the
+    point masses at ``p in {0, 1}`` are patched in afterwards.  For ``m``
+    beyond the scipy threshold it defers to per-``p`` scalar calls.
     """
     _validate_m(m)
     ps = np.asarray(ps, dtype=np.float64)
-    for p in ps:
-        _validate_p(float(p))
+    # the common case, every rate strictly inside (0, 1), in two reductions
+    # (a NaN fails both comparisons)
+    patch = ps.size > 0 and not (ps.min() > 0.0 and ps.max() < 1.0)
+    if patch:
+        interior = (ps > 0.0) & (ps < 1.0)
+        for p in ps[~interior].tolist():
+            _validate_p(p)  # raises on the first rate outside [0, 1]
     if m > _SCIPY_THRESHOLD:
-        return np.stack([binomial_pmf(m, float(p)) for p in ps])
-    out = np.empty((ps.size, m + 1), dtype=np.float64)
-    degenerate = (ps == 0.0) | (ps == 1.0)
-    for i in np.nonzero(degenerate)[0]:
-        out[i] = binomial_pmf(m, float(ps[i]))
-    interior = ~degenerate
-    if interior.any():
-        p_in = ps[interior][:, None]
-        support = np.arange(m + 1)
-        log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, m + 1)))))
-        log_comb = log_fact[m] - log_fact[support] - log_fact[m - support]
-        log_pmf = (
-            log_comb[None, :]
-            + support[None, :] * np.log(p_in)
-            + (m - support)[None, :] * np.log1p(-p_in)
-        )
-        pmf = np.exp(log_pmf)
-        out[interior] = pmf / pmf.sum(axis=1, keepdims=True)
-    return out
+        return np.stack([binomial_pmf(m, p) for p in ps.tolist()])
+    support, log_comb, rest = _log_terms(m)
+    # a placeholder rate keeps log(0) out of the point-mass rows
+    p_col = (np.where(interior, ps, 0.5) if patch else ps)[:, None]
+    pmf = np.exp(log_comb + support * np.log(p_col) + rest * np.log1p(-p_col))
+    pmf /= pmf.sum(axis=1, keepdims=True)
+    if patch:
+        pmf[~interior] = 0.0
+        pmf[ps == 0.0, 0] = 1.0
+        pmf[ps == 1.0, m] = 1.0
+    return pmf
 
 
 def binomial_cdf(m: int, p: float) -> np.ndarray:

@@ -3,8 +3,8 @@
 The behavior tests compare the *empirical* distribution of per-window
 good-transaction counts ``{G_1, ..., G_k}`` against the theoretical
 binomial ``B(m, p_hat)``.  This module provides the histogram /
-normalization plumbing, including an incremental variant used by the
-optimized multi-testing scheme (adding one window at a time must be O(1)).
+normalization plumbing, including an incremental variant that absorbs
+window counts one block at a time.
 """
 
 from __future__ import annotations
@@ -43,12 +43,10 @@ def empirical_pmf(samples: Sequence[int], support_size: int) -> np.ndarray:
 class IncrementalHistogram:
     """A histogram over ``0..support_size-1`` supporting O(1) updates.
 
-    The optimized multi-testing algorithm of Sec. 5.5 walks from the most
-    recent suffix of the history toward the full history, reusing the
-    statistics already accumulated for shorter suffixes.  Each step adds a
-    handful of windows; this class makes that addition constant-time per
-    window while exposing the normalized pmf and total-successes count the
-    distance computation needs.
+    Suited to walks that grow a sample a few windows at a time (e.g. from
+    the most recent suffix of a history toward the full history, as in
+    Sec. 5.5): each addition is constant-time per window, and the
+    normalized pmf and total-successes count stay available throughout.
     """
 
     def __init__(self, support_size: int):
@@ -89,11 +87,7 @@ class IncrementalHistogram:
             self.add(int(value))
 
     def add_block(self, values: np.ndarray) -> None:
-        """Vectorized bulk add (one ``bincount`` per block).
-
-        This is what makes the optimized multi-testing walk O(n) with
-        numpy constants instead of per-window Python-call constants.
-        """
+        """Vectorized bulk add (one ``bincount`` per block)."""
         arr = np.asarray(values, dtype=np.int64)
         if arr.size == 0:
             return

@@ -130,6 +130,21 @@ class TestCompare:
         diff = obs.compare_bench_payloads(_payload(no_p95), _payload(no_p95))
         assert all(row["stat"] == "mean_s" for row in diff["rows"])
 
+    def test_zero_to_zero_is_unchanged(self):
+        zero = [_row("single", {"history_size": 1000}, mean_s=0.0, min_s=0.0, repeats=3)]
+        diff = obs.compare_bench_payloads(_payload(zero), _payload(zero))
+        assert diff["ok"]
+        (row,) = diff["rows"]
+        assert row["ratio"] == 1.0
+
+    def test_zero_to_positive_is_infinite_regression(self):
+        zero = [_row("single", {"history_size": 1000}, mean_s=0.0, min_s=0.0, repeats=3)]
+        some = [_row("single", {"history_size": 1000}, mean_s=0.01, min_s=0.0, repeats=3)]
+        diff = obs.compare_bench_payloads(_payload(zero), _payload(some))
+        assert not diff["ok"]
+        (bad,) = diff["regressions"]
+        assert bad["ratio"] == float("inf")
+
     def test_unmatched_rows_reported_not_fatal(self):
         extra = self.BASE + [
             _row("naive", {"history_size": 500}, mean_s=1.0, min_s=0.9, repeats=1),

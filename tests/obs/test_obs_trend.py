@@ -104,6 +104,18 @@ class TestBenchTrend:
         assert series["baseline_median"] is None
         assert series["ratio"] is None
 
+    def test_zero_to_zero_is_unchanged(self, tmp_path):
+        trend = bench_trend(load_bench_history(_history_dir(tmp_path, [0.0, 0.0])))
+        assert trend["ok"]
+        (series,) = trend["series"]
+        assert series["ratio"] == 1.0
+
+    def test_zero_to_positive_is_infinite_regression(self, tmp_path):
+        trend = bench_trend(load_bench_history(_history_dir(tmp_path, [0.0, 0.0, 0.2])))
+        assert not trend["ok"]
+        (flagged,) = trend["regressions"]
+        assert flagged["ratio"] == float("inf")
+
     def test_empty_history(self):
         trend = bench_trend([])
         assert trend["ok"]

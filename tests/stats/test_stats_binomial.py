@@ -8,8 +8,10 @@ from scipy import stats as sps
 
 from repro.stats.binomial import (
     BinomialDistribution,
+    _log_terms,
     binomial_cdf,
     binomial_pmf,
+    binomial_pmf_many,
     estimate_p,
     sample_window_counts,
 )
@@ -73,6 +75,42 @@ class TestBinomialPmf:
         pmf = binomial_pmf(m, p)
         mean = float(np.arange(m + 1) @ pmf)
         assert mean == pytest.approx(m * p, rel=1e-6)
+
+
+class TestBinomialPmfMany:
+    """The batched pmf must equal the scalar one bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 10, 512, 513])  # 513 takes the scipy path
+    def test_rows_bit_identical_to_scalar(self, m):
+        ps = np.concatenate([np.arange(10_001) * 1e-4, [0.0, 1.0]])
+        rows = binomial_pmf_many(m, ps)
+        assert rows.shape == (ps.size, m + 1)
+        for p, row in zip(ps.tolist(), rows):
+            assert np.array_equal(row, binomial_pmf(m, p)), p
+
+    def test_empty_batch(self):
+        assert binomial_pmf_many(10, np.array([])).shape == (0, 11)
+
+    def test_cached_log_terms_are_read_only(self):
+        for arr in _log_terms(10):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_scalar_pmf_is_fresh_and_writable(self, p):
+        first = binomial_pmf(10, p)
+        assert first.flags.writeable
+        first[:] = -1.0
+        assert (binomial_pmf(10, p) >= 0.0).all()
+
+    @pytest.mark.parametrize("bad_p", [-0.1, 1.1, np.nan])
+    def test_invalid_p_raises_like_scalar(self, bad_p):
+        with pytest.raises(ValueError) as scalar:
+            binomial_pmf(10, bad_p)
+        with pytest.raises(ValueError) as batched:
+            binomial_pmf_many(10, np.array([0.5, bad_p, 0.0]))
+        assert str(batched.value) == str(scalar.value)
 
 
 class TestBinomialCdf:
