@@ -8,16 +8,15 @@ layer       switched on for the second run                        budget
 ==========  ====================================================  ======
 trace       root context + span sink on every span                <10%
 profile     a profiler session at the fig9 ``sample_hz=97``       <10%
-tsdb        a per-request ``maybe_scrape`` on a 50 ms cadence     <5%
 fleet       Chord lookups inside ``node_scope``                   <5%
 resilience  an activated-but-empty ``FaultPlan`` on a serve sweep <5%
 ==========  ====================================================  ======
 
 Next to the ratios sit the per-layer cost pins (untraced span cost,
-same-slot scrape cost, retry-wrapper cost) and the checks that disabled
-paths allocate or record nothing.  Select one layer with ``-k``::
+retry-wrapper cost) and the checks that disabled paths allocate or
+record nothing.  Select one layer with ``-k``::
 
-    PYTHONPATH=src python -m pytest benchmarks/test_overhead.py -k tsdb
+    PYTHONPATH=src python -m pytest benchmarks/test_overhead.py -k fleet
 
 Timing assertions live here rather than in ``tests/`` (tier-1) because
 they are load-sensitive; both sides are measured as a min-of-repeats so
@@ -40,7 +39,6 @@ from repro.experiments.common import make_shared_calibrator
 from repro.feedback.records import Feedback, Rating
 from repro.obs import context as trace_ctx
 from repro.obs import runtime, scope
-from repro.obs.tsdb import MetricsScraper, scraping_session
 from repro.p2p.chord import ChordRing
 from repro.p2p.network import SimulatedNetwork
 from repro.resilience import FaultPlan
@@ -166,28 +164,6 @@ def _profile_case(tmp_path):
     return baseline, profiled
 
 
-def _tsdb_case(tmp_path):
-    span_run = _multi_test_run("bench.tsdb_overhead")
-
-    def run():
-        # the serving loop's shape: do the work, then offer the scraper
-        # one wall-clock slot check (scrapes only on rollover)
-        span_run()
-        if runtime.scraper is not None:
-            runtime.scraper.maybe_scrape()
-
-    with obs.activate():
-        baseline = _min_of(run)
-    with obs.activate():
-        scraper = MetricsScraper(obs.get_registry(), interval_s=0.05)
-        with scraping_session(scraper):
-            scraped = _min_of(run)
-    # the scraped run really did scrape: history made it into the store
-    assert scraper.store.n_scrapes >= 1
-    assert scraper.store.series()
-    return baseline, scraped
-
-
 def _fleet_case(tmp_path):
     ring = _build_ring()
     node = ring.nodes["node-0"]
@@ -228,7 +204,6 @@ def _resilience_case(tmp_path):
 CASES = {
     "trace": (_trace_case, 1.10),
     "profile": (_profile_case, 1.10),
-    "tsdb": (_tsdb_case, 1.05),
     "fleet": (_fleet_case, 1.05),
     "resilience": (_resilience_case, 1.05),
 }
@@ -286,26 +261,6 @@ def test_profile_disabled_span_path_allocates_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 1024, f"disabled span path allocated {peak} bytes"
-
-
-def test_tsdb_same_slot_scrape_is_a_clock_read():
-    """Inside one slot, maybe_scrape must not approach microbenchmark
-    visibility — a snapshot on the no-rollover path would show up here."""
-    with obs.activate():
-        registry = obs.get_registry()
-        registry.inc("bench.counter", 3)
-        scraper = MetricsScraper(registry, interval_s=3600.0)
-        scraper.scrape()  # pin the slot: nothing below should scrape
-
-        def burst(n):
-            for _ in range(n):
-                scraper.maybe_scrape()
-
-        burst(1_000)  # warm
-        best = _min_of(lambda: burst(5_000), repeats=7)
-    assert scraper.store.n_scrapes == 1
-    per_call = best / 5_000
-    assert per_call < 5e-6, f"maybe_scrape cost {per_call * 1e6:.2f}µs"
 
 
 def test_fleet_disabled_scope_records_nothing():

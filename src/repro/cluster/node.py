@@ -18,10 +18,14 @@ chord protocol unchanged.
 Write-path semantics: ``cluster_record`` is the in-order ingest path —
 events at or below a server's high-water mark are treated as duplicate
 deliveries and skipped (exact re-sends from retries, hint replays, and
-tail replays collapse idempotently).  Divergence *repair* never goes
-through it: read-repair and anti-entropy install a merged stream via
-``cluster_reset``, which rebuilds the server's ledger history, serving
-state, and shard digest from scratch.
+tail replays collapse idempotently).  Each skip is counted as
+``cluster.shard.events_skipped`` with a ``reason`` label:
+``below_watermark`` (earlier than the mark: a replay and a late event
+look the same there) or ``duplicate_digest`` (at the mark, already
+applied).  Divergence *repair* never goes through it: read-repair and
+anti-entropy install a merged stream via ``cluster_reset``, which
+rebuilds the server's ledger history, serving state, and shard digest
+from scratch.
 """
 
 from __future__ import annotations
@@ -71,12 +75,17 @@ class ShardState:
         self.tie_digests: set = set()
         self.content_hash = ""
 
-    def is_duplicate(self, feedback: Feedback, digest: str) -> bool:
+    def skip_reason(self, feedback: Feedback, digest: str) -> Optional[str]:
+        """Why ``feedback`` must not be applied, or ``None`` to apply it.
+
+        Below the watermark the shard cannot tell a replay from a late
+        event, so the reason names the position, not a diagnosis.
+        """
         if feedback.time < self.last_time:
-            return True  # inside the already-applied region
+            return "below_watermark"
         if feedback.time == self.last_time and digest in self.tie_digests:
-            return True
-        return False
+            return "duplicate_digest"
+        return None
 
     def applied(self, feedback: Feedback, digest: str) -> None:
         if feedback.time > self.last_time:
@@ -142,14 +151,18 @@ class ClusterNode:
     # data plane
 
     def apply_events(self, events: List[Feedback]) -> int:
-        """Fold events into this shard, skipping duplicate deliveries."""
+        """Fold events into this shard, skipping (and, when observed,
+        counting by reason) events at or below its watermark."""
         applied = 0
         for feedback in events:
             state = self.shards.get(feedback.server)
             if state is None:
                 state = self.shards[feedback.server] = ShardState()
             digest = event_digest(feedback)
-            if state.is_duplicate(feedback, digest):
+            reason = state.skip_reason(feedback, digest)
+            if reason is not None:
+                if _obs.enabled:
+                    _obs.registry.inc("cluster.shard.events_skipped", reason=reason)
                 continue
             self.ledger.record(feedback)
             state.applied(feedback, digest)

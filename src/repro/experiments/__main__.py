@@ -65,20 +65,13 @@ ARTIFACT_DIRS = {
         "BENCH_slo.json (experiments that support it, e.g. serve); "
         "inspect with `repro obs slo <artifact>`",
     ),
-    "--tsdb-dir": (
-        "tsdb_path",
-        "TSDB_{name}.jsonl",
-        "write scraped metric history into this directory as "
-        "TSDB_<name>.jsonl (experiments that support it, e.g. serve); "
-        "inspect with `repro obs tsdb <file>`",
-    ),
     "--fleet-dir": (
         "fleet_dir",
         None,
         "write fleet-scope observability artifacts into this directory "
         "(experiments that support it, e.g. p2p_scale): FLEET_*.json "
-        "per-node snapshots + ring consistency, TSDB_fleet.jsonl "
-        "history, and node-scoped POSTMORTEM_fleet_*.json bundles; "
+        "per-node snapshots + ring consistency and node-scoped "
+        "POSTMORTEM_fleet_*.json bundles; "
         "render with `repro obs fleet <dir>`",
     ),
 }

@@ -19,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import time
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -45,11 +44,10 @@ def _write_fleet_artifacts(
     fleet_dir: str,
     registry,
     ring: ChordRing,
-    store,
     recorder,
     run_meta: Dict[str, object],
 ) -> None:
-    """Write FLEET/TSDB/POSTMORTEM artifacts for ``--fleet-dir`` runs.
+    """Write FLEET/POSTMORTEM artifacts for ``--fleet-dir`` runs.
 
     Per-node metrics accumulate across every ring size in the sweep
     (node names are reused between sizes); the topology and the
@@ -71,8 +69,6 @@ def _write_fleet_artifacts(
     obs.write_fleet_json(
         os.path.join(fleet_dir, "FLEET_p2p_scale.json"), payload
     )
-    if store is not None:
-        store.dump(os.path.join(fleet_dir, "TSDB_fleet.jsonl"))
     if recorder is not None:
         for entry in topology["nodes"][:2]:
             node = str(entry["name"])
@@ -115,11 +111,11 @@ def run_p2p_scale(
 
     ``fleet_dir`` turns on fleet-scope observability: rings run on a
     named :class:`~repro.p2p.network.SimulatedNetwork` with per-link
-    metrics, a flight recorder plus metric-history store capture the
-    whole sweep, and the directory receives ``FLEET_p2p_scale.json``
-    (per-node snapshots, topology, ring consistency, fleet SLOs),
-    ``TSDB_fleet.jsonl``, and node-scoped ``POSTMORTEM_fleet_*.json``
-    bundles — render with ``repro obs fleet <dir>``.
+    metrics, a flight recorder captures the whole sweep, and the
+    directory receives ``FLEET_p2p_scale.json`` (per-node snapshots,
+    topology, ring consistency, fleet SLOs) and node-scoped
+    ``POSTMORTEM_fleet_*.json`` bundles — render with
+    ``repro obs fleet <dir>``.
     """
     if engine not in _ENGINES:
         raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
@@ -162,7 +158,6 @@ def run_p2p_scale(
         notes=notes,
     )
 
-    fleet_store: Optional[obs.TimeSeriesStore] = None
     recorder = None
     with ExperimentRun(
         "p2p_scale",
@@ -177,10 +172,7 @@ def run_p2p_scale(
     ) as run, contextlib.ExitStack() as stack:
         registry = run.registry
         if fleet_dir is not None:
-            fleet_store = obs.TimeSeriesStore(max_samples=512, max_series=16384)
-            recorder = stack.enter_context(
-                obs.flight_recording(fleet_dir, store=fleet_store)
-            )
+            recorder = stack.enter_context(obs.flight_recording(fleet_dir))
         for n in node_counts:
             with obs.span("experiments.p2p_scale.build", n_nodes=n):
                 network = (
@@ -191,8 +183,6 @@ def run_p2p_scale(
                 ring = ChordRing(network=network, seed=base_seed + n)
                 for i in range(n):
                     ring.add_node(f"node-{i}")
-            if fleet_store is not None:
-                fleet_store.record_snapshot(registry.snapshot(), time.time())
             hops: List[int] = []
             with obs.span("experiments.p2p_scale.lookups", n_nodes=n):
                 for i in range(lookups):
@@ -200,8 +190,6 @@ def run_p2p_scale(
                         found = ring.lookup(f"server-{i}")
                     hops.append(found.hops)
                     run.tick(1, lookups=1)
-            if fleet_store is not None:
-                fleet_store.record_snapshot(registry.snapshot(), time.time())
             mean_hops = float(np.mean(hops))
             with obs.span("experiments.p2p_scale.gossip", n_nodes=n):
                 values = make_rng(base_seed + n).random(n)
@@ -215,8 +203,6 @@ def run_p2p_scale(
                     with obs.timer(_ROUND_METRIC, n_nodes=n):
                         agg.run_round()
                     run.tick(0, gossip_rounds=1)
-            if fleet_store is not None:
-                fleet_store.record_snapshot(registry.snapshot(), time.time())
             lookup_hist = registry.histogram(_LOOKUP_METRIC, n_nodes=n)
             round_hist = registry.histogram(_ROUND_METRIC, n_nodes=n)
             row = {
@@ -270,6 +256,6 @@ def run_p2p_scale(
         if fleet_dir is not None:
             with obs.span("experiments.p2p_scale.fleet_export"):
                 _write_fleet_artifacts(
-                    fleet_dir, registry, ring, fleet_store, recorder, run.meta
+                    fleet_dir, registry, ring, recorder, run.meta
                 )
     return result

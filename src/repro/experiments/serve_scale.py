@@ -74,7 +74,6 @@ def run_serve_scale(
     events_path: Optional[str] = None,
     trace_path: Optional[str] = None,
     slo_path: Optional[str] = None,
-    tsdb_path: Optional[str] = None,
 ) -> ExperimentResult:
     """Measure per-call vs. batched-incremental assessment sweeps.
 
@@ -86,12 +85,10 @@ def run_serve_scale(
     writes ``BENCH_serve.json`` through :mod:`repro.obs.bench`;
     ``events_path`` a heartbeat JSONL log; ``trace_path`` a span-sink
     JSONL (the whole run becomes one trace rooted at
-    ``experiments.serve.run``); ``slo_path`` a ``BENCH_slo.json``
-    error-budget artifact from the run's own metrics; ``tsdb_path`` a
-    TSDB JSONL of the run's scraped metric history (a
-    :class:`~repro.obs.tsdb.MetricsScraper` with an anomaly detector and
-    wall-clock SLO windows runs for the duration, driven by the serving
-    loop — inspect with ``repro obs tsdb``).
+    ``experiments.serve.run``) with a flight recorder beside it, so an
+    escaping ``ResilienceError`` or a breaker opening leaves a
+    ``POSTMORTEM_*.json`` bundle next to the span log; ``slo_path`` a
+    ``BENCH_slo.json`` error-budget artifact from the run's own metrics.
     """
     if server_counts is None:
         server_counts = (200, 500) if quick else SERVER_COUNTS
@@ -138,24 +135,9 @@ def run_serve_scale(
         trace_path=trace_path,
     ) as run, contextlib.ExitStack() as stack:
         registry = run.registry
-        scraper = None
-        if tsdb_path is not None:
-            # the serving loop (assess_many) drives maybe_scrape(); a
-            # sub-second cadence gives quick runs real history too
-            scraper = obs.MetricsScraper(
-                registry,
-                interval_s=0.25,
-                detector=obs.AnomalyDetector(event_log=run.log),
-                slo_engine=obs.SloEngine(obs.default_serve_slos()),
-            )
-            stack.enter_context(obs.scraping_session(scraper))
-            # and a flight recorder next to the store: an escaping
-            # ResilienceError, a breaker opening, or an SLO burn leaves
-            # a POSTMORTEM_*.json bundle beside TSDB_serve.jsonl
+        if trace_path is not None:
             stack.enter_context(
-                obs.flight_recording(
-                    os.path.dirname(tsdb_path) or ".", scraper=scraper
-                )
+                obs.flight_recording(os.path.dirname(trace_path) or ".")
             )
         for n in server_counts:
             with obs.span("experiments.serve.prepare", n_servers=n):
@@ -226,9 +208,4 @@ def run_serve_scale(
                 obs.evaluation_to_bench_rows(evaluation),
                 meta=run.meta,
             )
-        if scraper is not None:
-            # a final unconditional scrape so runs shorter than one slot
-            # still persist history, then the store itself
-            scraper.scrape()
-            scraper.store.dump(tsdb_path)
     return result

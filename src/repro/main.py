@@ -185,55 +185,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of assessments that must meet the bound (default: 0.99)",
     )
 
-    p_tsdb = obs_sub.add_parser(
-        "tsdb",
-        help="inspect a dumped metric time-series store: list series, "
-        "query one with downsampling, or export as Prometheus text",
-    )
-    p_tsdb.add_argument("store", help="path to a TSDB JSONL dump (e.g. --tsdb-dir)")
-    p_tsdb.add_argument(
-        "series",
-        nargs="?",
-        default=None,
-        help="series to query, as name or name.field (e.g. "
-        "serve.assess.seconds.p95); omitted, lists every series",
-    )
-    p_tsdb.add_argument(
-        "--start", type=float, default=None, help="window start (unix seconds)"
-    )
-    p_tsdb.add_argument(
-        "--end", type=float, default=None, help="window end (unix seconds)"
-    )
-    p_tsdb.add_argument(
-        "--step",
-        type=float,
-        default=None,
-        help="downsample onto this epoch-aligned bucket width (seconds)",
-    )
-    p_tsdb.add_argument(
-        "--agg",
-        default="last",
-        choices=("last", "mean", "min", "max", "sum"),
-        help="bucket reducer used with --step (default: last)",
-    )
-    p_tsdb.add_argument(
-        "--export-prom",
-        default=None,
-        metavar="PATH",
-        help="write the newest retained snapshot as Prometheus exposition "
-        "text (timestamped with the snapshot instant); '-' for stdout",
-    )
     p_fleet = obs_sub.add_parser(
         "fleet",
-        help="fleet view of a p2p run: topology table, per-node metrics "
-        "with sparklines, ring-consistency report; exit 2 when the ring "
-        "is inconsistent",
+        help="fleet view of a p2p run: topology table, per-node metrics, "
+        "ring-consistency report; exit 2 when the ring is inconsistent",
     )
     p_fleet.add_argument(
         "source",
         help="FLEET_*.json artifact, or a directory holding one "
-        "(e.g. the --fleet-dir of a p2p_scale run; a TSDB_fleet.jsonl "
-        "sibling feeds the sparklines)",
+        "(e.g. the --fleet-dir of a p2p_scale run)",
     )
     p_fleet.add_argument(
         "--out",
@@ -325,16 +285,6 @@ def _run(argv: Optional[List[str]] = None) -> int:
     if args.obs_command == "slo":
         return _obs_slo(
             args.source, args.out, args.latency_threshold, args.latency_objective
-        )
-    if args.obs_command == "tsdb":
-        return _obs_tsdb(
-            args.store,
-            args.series,
-            start=args.start,
-            end=args.end,
-            step=args.step,
-            agg=args.agg,
-            export_prom=args.export_prom,
         )
     if args.obs_command == "fleet":
         return _obs_fleet(args.source, args.out)
@@ -513,103 +463,8 @@ def _obs_slo(
     return 0 if evaluation.ok else 2
 
 
-def _obs_tsdb(
-    store_path: str,
-    series: Optional[str],
-    *,
-    start: Optional[float],
-    end: Optional[float],
-    step: Optional[float],
-    agg: str,
-    export_prom: Optional[str],
-) -> int:
-    from .obs import tsdb as _tsdb
-
-    try:
-        store = _tsdb.TimeSeriesStore.load(store_path)
-    except BrokenPipeError:
-        raise
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if export_prom is not None:
-        latest = store.latest_time()
-        snapshot = store.snapshot_at(latest)
-        stamp = None if latest is None else int(latest * 1000)
-        text = obs.render_prometheus(
-            _SnapshotRegistry(snapshot), timestamp_ms=stamp
-        )
-        if export_prom == "-":
-            sys.stdout.write(text)
-        else:
-            with open(export_prom, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            print(f"wrote {export_prom}")
-        return 0
-    if series is None:
-        print(_tsdb.render_series_table(store))
-        return 0
-    # a bare family name selects every series under it (all fields and
-    # label sets); a fully rendered key selects exactly one
-    matches = [
-        key for key in store.series() if key.render() == series or key.name == series
-    ]
-    if not matches:
-        known = ", ".join(k.render() for k in store.series()[:8])
-        print(
-            f"error: no series {series!r} in {store_path} (known: {known}, ...)",
-            file=sys.stderr,
-        )
-        return 1
-    for key in matches:
-        samples = store.query(
-            key.name,
-            labels=dict(key.labels),
-            field=key.field,
-            start=start,
-            end=end,
-            step=step,
-            agg=agg,
-        )
-        print(f"{key.render()}  ({len(samples)} samples)")
-        for t, value in samples:
-            print(f"  {t:.3f}  {value:.6g}")
-    return 0
-
-
-class _SnapshotRegistry:
-    """A snapshot-shaped mapping wearing the registry's ``collect()``
-    face, so the Prometheus renderer works on reconstructed history."""
-
-    def __init__(self, snapshot):
-        self._snapshot = snapshot
-
-    def collect(self):
-        samples = []
-        for name in sorted(self._snapshot):
-            for entry in self._snapshot[name]:
-                labels = tuple(sorted(
-                    (str(k), str(v)) for k, v in (entry.get("labels") or {}).items()
-                ))
-                kind = str(entry.get("kind", "gauge"))
-                if kind == "histogram":
-                    samples.append(
-                        obs.MetricSample(
-                            name, labels, kind, None, dict(entry.get("summary") or {})
-                        )
-                    )
-                else:
-                    samples.append(
-                        obs.MetricSample(name, labels, kind, entry.get("value"))
-                    )
-        return samples
-
-
 def _obs_fleet(source: str, out: Optional[str]) -> int:
-    from .obs import tsdb as _tsdb
-
     path = Path(source)
-    store_path = None
     try:
         if path.is_dir():
             candidates = sorted(path.glob("FLEET_*.json"))
@@ -619,24 +474,13 @@ def _obs_fleet(source: str, out: Optional[str]) -> int:
             fleet_path = candidates[0]
         else:
             fleet_path = path
-        sibling = fleet_path.parent / "TSDB_fleet.jsonl"
-        if sibling.exists():
-            store_path = sibling
         payload = obs.read_fleet_json(fleet_path)
     except BrokenPipeError:
         raise
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    store = None
-    if store_path is not None:
-        try:
-            store = _tsdb.TimeSeriesStore.load(store_path)
-        except BrokenPipeError:
-            raise
-        except (OSError, ValueError) as exc:
-            print(f"notice: ignoring {store_path}: {exc}", file=sys.stderr)
-    print(obs.render_fleet(payload, store=store))
+    print(obs.render_fleet(payload))
     if out is not None:
         bench = obs.write_bench_json(
             out,

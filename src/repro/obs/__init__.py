@@ -111,6 +111,7 @@ from .monitor import (
     ProgressMonitor,
     read_events_lenient,
     render_dashboard,
+    render_sparkline,
     rss_bytes,
     tail_dashboard,
 )
@@ -160,16 +161,6 @@ from .slo import (
     validate_slo_payload,
 )
 from .tracing import SpanRecord, Tracer
-from .tsdb import (
-    TSDB_SCHEMA_VERSION,
-    AnomalyDetector,
-    MetricsScraper,
-    SeriesKey,
-    TimeSeriesStore,
-    render_series_table,
-    render_sparkline,
-    scraping_session,
-)
 
 # Library logging etiquette: the package never configures the root
 # logger; a NullHandler keeps "no handler" warnings away from users who
@@ -240,6 +231,7 @@ __all__ = [
     "ProgressMonitor",
     "read_events_lenient",
     "render_dashboard",
+    "render_sparkline",
     "rss_bytes",
     "tail_dashboard",
     "POSTMORTEM_SCHEMA_VERSION",
@@ -269,14 +261,6 @@ __all__ = [
     "node_snapshot",
     "nodes_in",
     "split_snapshot",
-    "TSDB_SCHEMA_VERSION",
-    "AnomalyDetector",
-    "MetricsScraper",
-    "SeriesKey",
-    "TimeSeriesStore",
-    "render_series_table",
-    "render_sparkline",
-    "scraping_session",
     "PROFILE_SCHEMA_VERSION",
     "PhaseProfiler",
     "PhaseStat",

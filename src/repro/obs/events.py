@@ -103,8 +103,8 @@ class EventLog:
         self._events: List[Dict[str, object]] = []
         # Opt-in: mirror every event into the installed flight recorder.
         # Leave False for logs already covered by another funnel (the
-        # resilience emit path and the anomaly detector feed the
-        # recorder themselves) or the rings see every event twice.
+        # resilience emit path feeds the recorder itself) or the ring
+        # sees every event twice.
         self._forward_to_recorder = forward_to_recorder
         if run_meta is not None:
             self.emit("run_start", **run_meta)

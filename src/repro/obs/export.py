@@ -87,22 +87,14 @@ def render_text(registry: MetricsRegistry) -> str:
 _PROM_KINDS = {"counter": "counter", "gauge": "gauge", "histogram": "summary"}
 
 
-def render_prometheus(
-    registry: MetricsRegistry, *, timestamp_ms: Optional[int] = None
-) -> str:
+def render_prometheus(registry: MetricsRegistry) -> str:
     """Prometheus text-exposition rendering of every metric.
 
     Samples are grouped into metric families first, so ``# HELP`` and
     ``# TYPE`` appear exactly once per family no matter how many label
     sets (series) a metric has, and every series of a family is emitted
     contiguously as the format requires.
-
-    ``timestamp_ms`` (epoch milliseconds) is appended to every sample
-    line per the exposition format.  Source it from the scraper's wall
-    anchor (``int(scraper.last_scrape_wall * 1000)``) so an external
-    scrape pipeline sees the same instants the embedded TSDB recorded.
     """
-    suffix = "" if timestamp_ms is None else f" {int(timestamp_ms)}"
     families: Dict[str, Dict[str, object]] = {}
     for sample in registry.collect():
         base = _prom_name(sample.name)
@@ -122,7 +114,7 @@ def render_prometheus(
             if sample.kind in ("counter", "gauge"):
                 lines.append(
                     f"{family_name}{_prom_labels(sample.labels)} "
-                    f"{sample.value:.10g}{suffix}"
+                    f"{sample.value:.10g}"
                 )
             else:  # histogram -> summary exposition
                 s = sample.summary or {}
@@ -130,15 +122,15 @@ def render_prometheus(
                     extra = 'quantile="%s"' % quantile
                     lines.append(
                         f"{family_name}{_prom_labels(sample.labels, extra)} "
-                        f"{s[key]:.10g}{suffix}"
+                        f"{s[key]:.10g}"
                     )
                 lines.append(
                     f"{family_name}_sum{_prom_labels(sample.labels)} "
-                    f"{s['sum']:.10g}{suffix}"
+                    f"{s['sum']:.10g}"
                 )
                 lines.append(
                     f"{family_name}_count{_prom_labels(sample.labels)} "
-                    f"{s['count']:.10g}{suffix}"
+                    f"{s['count']:.10g}"
                 )
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -7,8 +7,8 @@ observation; this module rolls nodes back up into a fleet:
   one fleet snapshot: counters sum, histograms merge exactly (the
   :meth:`~repro.obs.registry.StreamingHistogram.merge` algebra), gauges
   keep their ``node`` label so last-written values are not averaged
-  away.  The result is registry-snapshot shaped, so the SLO engine,
-  exporters, and TSDB consume it unchanged.
+  away.  The result is registry-snapshot shaped, so the SLO engine and
+  exporters consume it unchanged.
 * :func:`check_ring` / :func:`topology_snapshot` — structural health of
   a :class:`~repro.p2p.chord.ChordRing` (duck-typed; no import cycle):
   successor/predecessor agreement against the sorted-id ground truth,
@@ -576,26 +576,7 @@ def node_bundle(
 # rendering (the text behind ``repro obs fleet``)
 
 
-def _node_spark(store, node: str, family: str, width: int = 16) -> str:
-    """Sparkline of a node's summed ``family`` series from a TSDB store."""
-    from .tsdb import render_sparkline
-
-    by_time: Dict[float, float] = {}
-    for key in store.series():
-        if key.name != family or key.field:
-            continue
-        labels = dict(key.labels)
-        if labels.get(NODE_LABEL) != node:
-            continue
-        for t, value in store.samples(key):
-            if isinstance(value, (int, float)):
-                by_time[t] = by_time.get(t, 0.0) + value
-    if not by_time:
-        return ""
-    return render_sparkline([by_time[t] for t in sorted(by_time)], width=width)
-
-
-def render_fleet(payload: Dict[str, Any], *, store=None, spark_width: int = 16) -> str:
+def render_fleet(payload: Dict[str, Any]) -> str:
     """Topology table, per-node metrics, consistency report, SLO lines."""
     topology = payload["topology"]
     consistency = payload["consistency"]
@@ -617,7 +598,7 @@ def render_fleet(payload: Dict[str, Any], *, store=None, spark_width: int = 16) 
     lines.append("per-node metrics:")
     lines.append(
         f"  {'node':<12} {'messages':>9} {'drops':>6} {'retries':>8} "
-        f"{'lookups':>8} {'hops p95':>9}  activity"
+        f"{'lookups':>8} {'hops p95':>9}"
     )
     for node in sorted(payload["nodes"]):
         snapshot = payload["nodes"][node]
@@ -627,14 +608,9 @@ def render_fleet(payload: Dict[str, Any], *, store=None, spark_width: int = 16) 
         hops = _family_histogram(snapshot, "p2p.chord.lookup_hops")
         lookups = 0 if hops is None else int(hops.count)
         hops_p95 = "-" if hops is None or not hops.count else f"{hops.p95:.1f}"
-        spark = (
-            _node_spark(store, node, "p2p.network.messages", width=spark_width)
-            if store is not None
-            else ""
-        )
         lines.append(
             f"  {node:<12} {messages:>9.0f} {drops:>6.0f} {retries:>8.0f} "
-            f"{lookups:>8} {hops_p95:>9}  {spark}"
+            f"{lookups:>8} {hops_p95:>9}"
         )
     aggregate = payload.get("aggregate") or {}
     total_messages = _family_total(aggregate, "p2p.network.messages")

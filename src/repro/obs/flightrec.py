@@ -1,29 +1,23 @@
 """Crash flight recorder: bounded recent history, dumped on failure.
 
-When the resilience ladder degrades to nothing, a breaker opens, an SLO
-budget burns, or the process catches a fatal signal, the question is
-always "what did the system look like *just before*?" — and until now
-the answer died with the process.  A :class:`FlightRecorder` keeps
-bounded rings of
+When the serving path raises a resilience error, a breaker opens, or
+the process catches a fatal signal, the question is always "what did
+the system look like *just before*?" — and until now the answer died
+with the process.  A :class:`FlightRecorder` keeps bounded rings of
 
 * recent finished **spans** (fed by the obs runtime's span exit path,
-  the same records the span sink writes),
-* recent structured **events** (fed by the resilience emit funnel, the
-  anomaly detector, and any :class:`~repro.obs.events.EventLog` opted
-  in), and
-* recent **metric history** (the attached
-  :class:`~repro.obs.tsdb.TimeSeriesStore` tails),
+  the same records the span sink writes), and
+* recent structured **events** (fed by the resilience emit funnel and
+  any :class:`~repro.obs.events.EventLog` opted in),
 
 and on a trigger writes one schema-validated **post-mortem bundle**: the
-trace-tree tail, the last-N events, the series tails, the latest SLO
-state, and the active fault plan.  Triggers:
+trace-tree tail, the last-N events, and the active fault plan.
+Triggers:
 
 * a :class:`~repro.resilience.faults.ResilienceError` escaping the
-  serving ladder (``AssessmentService`` dumps before raising);
+  serving path (``AssessmentService`` dumps before raising);
 * a circuit breaker opening (the resilience emit funnel forwards every
   event into the ring; ``breaker_open`` is a trigger event);
-* an SLO burn detected at scrape time
-  (:meth:`~repro.obs.tsdb.MetricsScraper` calls :meth:`on_slo_burn`);
 * a fatal signal (:meth:`install_signal_handlers`, opt-in).
 
 Install with :func:`flight_recording` (scoped) or by assigning
@@ -36,7 +30,6 @@ bundle back into human form.
 from __future__ import annotations
 
 import json
-import math
 import signal
 import time
 from collections import deque
@@ -55,7 +48,7 @@ __all__ = [
     "render_postmortem",
 ]
 
-POSTMORTEM_SCHEMA_VERSION = 1
+POSTMORTEM_SCHEMA_VERSION = 2
 
 PathLike = Union[str, Path]
 
@@ -71,9 +64,6 @@ class FlightRecorder:
     out_dir:
         Directory bundles are written into (created on first dump) as
         ``POSTMORTEM_<seq>_<reason>.json``.
-    store:
-        Optional :class:`~repro.obs.tsdb.TimeSeriesStore`; its series
-        tails (last ``series_tail`` samples each) join every bundle.
     max_spans / max_events:
         Ring sizes.
     trigger_events:
@@ -90,25 +80,19 @@ class FlightRecorder:
         self,
         out_dir: PathLike,
         *,
-        store=None,
-        scraper=None,
         max_spans: int = 256,
         max_events: int = 512,
-        series_tail: int = 64,
         trigger_events=DEFAULT_TRIGGER_EVENTS,
         min_dump_interval_s: float = 5.0,
         clock=time.time,
     ):
-        if max_spans < 1 or max_events < 1 or series_tail < 1:
+        if max_spans < 1 or max_events < 1:
             raise ValueError("ring sizes must be >= 1")
         if min_dump_interval_s < 0:
             raise ValueError(
                 f"min_dump_interval_s must be non-negative, got {min_dump_interval_s}"
             )
         self.out_dir = Path(out_dir)
-        self.store = store
-        self.scraper = scraper
-        self.series_tail = series_tail
         self.trigger_events = frozenset(trigger_events)
         self.min_dump_interval_s = min_dump_interval_s
         self._clock = clock
@@ -134,11 +118,6 @@ class FlightRecorder:
         name = event.get("event")
         if isinstance(name, str) and name in self.trigger_events:
             self.dump(reason=name, trigger_event=dict(event))
-
-    def on_slo_burn(self, evaluation, *, now: Optional[float] = None) -> Optional[Path]:
-        """An SLO budget is burning (called by the scraper); dump."""
-        burning = ", ".join(r.spec.name for r in evaluation.burning)
-        return self.dump(reason="slo_burn", burning=burning)
 
     # -- signal hook ---------------------------------------------------- #
 
@@ -222,50 +201,9 @@ class FlightRecorder:
             "meta": run_metadata(),
             "spans": [dict(s) for s in self._spans],
             "events": [dict(e) for e in self._events],
-            "series": self._series_tails(),
-            "slo": self._slo_state(),
             "fault_plan": self._fault_plan_state(),
         }
         return payload
-
-    def _series_tails(self) -> Dict[str, List[List[float]]]:
-        store = self.store
-        if store is None and self.scraper is not None:
-            store = self.scraper.store
-        if store is None:
-            return {}
-        return {
-            name: [[t, v] for t, v in samples]
-            for name, samples in store.tails(self.series_tail).items()
-        }
-
-    def _slo_state(self) -> Optional[List[Dict[str, object]]]:
-        evaluation = (
-            self.scraper.last_slo_evaluation if self.scraper is not None else None
-        )
-        if evaluation is None:
-            return None
-        rows = []
-        for result in evaluation.results:
-            fraction = result.bad_fraction
-            consumed = result.budget_consumed
-            rows.append(
-                {
-                    "name": result.spec.name,
-                    "kind": result.spec.kind,
-                    "total": result.total,
-                    "bad": result.bad,
-                    "bad_fraction": None if math.isnan(fraction) else fraction,
-                    "budget": result.spec.budget,
-                    "budget_consumed": None if math.isnan(consumed) else consumed,
-                    "burning": result.burning,
-                    "burn_rates": {
-                        k: (None if math.isnan(v) else v)
-                        for k, v in result.burn_rates.items()
-                    },
-                }
-            )
-        return rows
 
     def _fault_plan_state(self) -> Optional[Dict[str, object]]:
         # lazy import: resilience.runtime imports obs modules at import
@@ -297,8 +235,8 @@ def flight_recording(
     """Install a :class:`FlightRecorder` globally for a ``with`` block.
 
     The recorder lands in ``obs.runtime.flight_recorder`` (where the
-    span exit path, the resilience emit funnel, and the scraper find
-    it) and the previous recorder is restored on exit.
+    span exit path and the resilience emit funnel find it) and the
+    previous recorder is restored on exit.
     """
     from . import runtime as _rt
 
@@ -346,26 +284,6 @@ def validate_postmortem_bundle(payload: Dict[str, object]) -> None:
         for i, item in enumerate(value):
             if not isinstance(item, dict):
                 raise ValueError(f"{key}[{i}]: expected an object")
-    series = payload.get("series")
-    if not isinstance(series, dict):
-        raise ValueError("series: expected an object")
-    for name, samples in series.items():
-        if not isinstance(samples, list):
-            raise ValueError(f"series[{name!r}]: expected a list")
-        for i, sample in enumerate(samples):
-            if (
-                not isinstance(sample, list)
-                or len(sample) != 2
-                or not all(isinstance(x, (int, float)) for x in sample)
-            ):
-                raise ValueError(f"series[{name!r}][{i}]: expected [t, value]")
-    slo = payload.get("slo")
-    if slo is not None:
-        if not isinstance(slo, list):
-            raise ValueError("slo: expected a list or null")
-        for i, row in enumerate(slo):
-            if not isinstance(row, dict) or "name" not in row or "burning" not in row:
-                raise ValueError(f"slo[{i}]: expected an object with name/burning")
     plan = payload.get("fault_plan")
     if plan is not None and not isinstance(plan, dict):
         raise ValueError("fault_plan: expected an object or null")
@@ -374,7 +292,6 @@ def validate_postmortem_bundle(payload: Dict[str, object]) -> None:
 def render_postmortem(payload: Dict[str, object], *, tail: int = 20) -> str:
     """A bundle as the text report behind ``repro obs postmortem``."""
     from .export import render_trace_tree, trace_ids
-    from .tsdb import render_sparkline
 
     lines: List[str] = []
     meta = payload.get("meta") or {}
@@ -391,28 +308,6 @@ def render_postmortem(payload: Dict[str, object], *, tail: int = 20) -> str:
     }
     if interesting:
         lines.append("  " + "  ".join(f"{k}={v}" for k, v in interesting.items()))
-
-    slo = payload.get("slo")
-    lines.append("")
-    if slo:
-        lines.append("slo state:")
-        for row in slo:
-            status = "BURN" if row.get("burning") else "ok"
-            consumed = row.get("budget_consumed")
-            consumed_text = (
-                f"{float(consumed):.0%}" if isinstance(consumed, (int, float)) else "-"
-            )
-            burn = row.get("burn_rates") or {}
-            burn_text = " ".join(
-                f"{k}={'-' if v is None else format(float(v), '.2f')}"
-                for k, v in sorted(burn.items())
-            )
-            lines.append(
-                f"  [{status:>4}] {row.get('name')}  consumed {consumed_text}"
-                + (f"  burn[{burn_text}]" if burn_text else "")
-            )
-    else:
-        lines.append("slo state: (none recorded)")
 
     spans = payload.get("spans") or []
     lines.append("")
@@ -445,21 +340,6 @@ def render_postmortem(payload: Dict[str, object], *, tail: int = 20) -> str:
             lines.append(f"  {name}  {attr_text}".rstrip())
     else:
         lines.append("events: (none recorded)")
-
-    series = payload.get("series") or {}
-    lines.append("")
-    if series:
-        lines.append(f"series tails ({len(series)}):")
-        width = max(len(name) for name in series)
-        for name in sorted(series):
-            samples = series[name]
-            values = [v for _, v in samples]
-            last = f"{values[-1]:.6g}" if values else "-"
-            lines.append(
-                f"  {name:<{width}}  last={last:>12}  {render_sparkline(values)}"
-            )
-    else:
-        lines.append("series tails: (none recorded)")
 
     plan = payload.get("fault_plan")
     lines.append("")

@@ -19,21 +19,24 @@ place until the run ends.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, TextIO, Tuple, Union
+from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .events import EventLog
-from .tsdb import render_sparkline
 
 __all__ = [
     "rss_bytes",
     "ProgressMonitor",
     "read_events_lenient",
     "render_dashboard",
+    "render_sparkline",
     "tail_dashboard",
 ]
+
+_SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
 
 def rss_bytes() -> Optional[int]:
@@ -428,6 +431,19 @@ def _render_history(beats: List[Dict[str, object]]) -> List[str]:
         spark = render_sparkline(values)
         lines.append(f"  {label:<{label_width}}  {spark}  {_fmt_rate(values[-1])}")
     return lines
+
+
+def render_sparkline(values: Sequence[float], width: int = 24) -> str:
+    """A unicode sparkline of ``values`` (newest-last), width-bounded."""
+    values = [v for v in values if isinstance(v, (int, float)) and not math.isnan(v)]
+    if not values:
+        return ""
+    values = values[-width:]
+    lo, hi = min(values), max(values)
+    if hi <= lo:
+        return _SPARK_CHARS[0] * len(values)
+    scale = (len(_SPARK_CHARS) - 1) / (hi - lo)
+    return "".join(_SPARK_CHARS[int((v - lo) * scale)] for v in values)
 
 
 def tail_dashboard(

@@ -36,7 +36,6 @@ __all__ = [
     "registry",
     "tracer",
     "span_sink",
-    "scraper",
     "flight_recorder",
     "is_enabled",
     "get_registry",
@@ -64,11 +63,6 @@ tracer: Tracer = Tracer()
 #: a trace context are written, so the sink never sees untraced noise.
 #: Deliberately untyped to avoid importing context machinery here.
 span_sink = None
-
-#: The active :class:`~repro.obs.tsdb.MetricsScraper` — ``None`` unless a
-#: runner installed one.  Serving loops call ``maybe_scrape()`` on it to
-#: drive the wall-anchored cadence without a background thread.
-scraper = None
 
 #: The active :class:`~repro.obs.flightrec.FlightRecorder` — ``None``
 #: unless installed (``obs.flight_recording``).  Traced span exits, the

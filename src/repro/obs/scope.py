@@ -15,10 +15,10 @@ Design notes:
   is anywhere on the stack — the common case for the single-process
   core/serve layers — and only touches the contextvar when a scope is
   actually open somewhere.
-* Cardinality guard: the same idiom as the TSDB ``max_series`` cap.  At
-  most ``max_nodes`` distinct node ids are admitted; later node ids are
-  stamped with the ``OVERFLOW_NODE`` sentinel and counted in
-  ``dropped_nodes`` so runaway fleets cannot explode the registry.
+* Cardinality guard: at most ``max_nodes`` distinct node ids are
+  admitted; later node ids are stamped with the ``OVERFLOW_NODE``
+  sentinel and counted in ``dropped_nodes`` so runaway fleets cannot
+  explode the registry.
 * Scoped-snapshot extraction (``split_snapshot`` / ``node_snapshot``)
   partitions a registry snapshot back into per-node views with the
   ``node`` label stripped, which is what the fleet aggregator consumes.
@@ -58,7 +58,7 @@ DEFAULT_MAX_NODES = 256
 #: plain module global keeps the unscoped path to a single read.
 active: bool = False
 
-#: Cardinality cap on distinct node labels (TSDB ``max_series`` idiom).
+#: Cardinality cap on distinct node labels.
 max_nodes: int = DEFAULT_MAX_NODES
 
 #: Attribution attempts that hit the cap and were stamped ``OVERFLOW_NODE``.
@@ -105,9 +105,8 @@ def attribution_node() -> Optional[str]:
 
     Returns ``None`` outside any scope, the scope's node id while under
     the ``max_nodes`` cap, and ``OVERFLOW_NODE`` (counting the drop in
-    ``dropped_nodes``) once the cap is reached — mirroring how the TSDB
-    silently drops series past ``max_series`` instead of growing without
-    bound.
+    ``dropped_nodes``) once the cap is reached, instead of growing
+    without bound.
     """
     global dropped_nodes
     node = _NODE.get()
@@ -155,7 +154,7 @@ def node_snapshot(
     """The slice of ``snapshot`` attributed to ``node``, label stripped.
 
     The result is itself registry-snapshot shaped, so every downstream
-    consumer (SLO engine, exporters, TSDB) works on a single node's view
+    consumer (SLO engine, exporters) works on a single node's view
     unchanged.
     """
     wanted = str(node)

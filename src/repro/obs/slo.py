@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from .registry import MetricsRegistry, StreamingHistogram
 
@@ -199,54 +199,13 @@ class SloEngine:
         multi-window burn rates: window ``w1`` is the delta from the
         most recent history point to ``source``, ``w2`` from the one
         before it, and so on (wider windows looking further back).
-
-        This snapshot-delta form serves callers that only hold
-        serialized snapshots; :meth:`evaluate_windows` feeds the same
-        code path from a :class:`~repro.obs.tsdb.TimeSeriesStore`.
         """
-        snapshot = source.snapshot() if isinstance(source, MetricsRegistry) else source
+        latest = source.snapshot() if isinstance(source, MetricsRegistry) else source
         # w1 = since the last snapshot, w2 = since the one before, …
         windows = [
             (f"w{width}", older)
             for width, older in enumerate(reversed(list(history or ())), start=1)
         ]
-        return self._evaluate(snapshot, windows)
-
-    def evaluate_windows(
-        self,
-        store,
-        windows_s: Sequence[float],
-        *,
-        now: Optional[float] = None,
-    ) -> SloEvaluation:
-        """Evaluate specs with burn rates over real wall-clock windows.
-
-        ``store`` is a :class:`~repro.obs.tsdb.TimeSeriesStore` of
-        scraped cumulative snapshots.  The point-in-time state is the
-        store's reconstruction at ``now`` (default: its newest sample),
-        and each window ``w`` in ``windows_s`` contributes a burn rate
-        labelled ``"{w:g}s"`` computed between the reconstructed
-        snapshots at ``now - w`` and ``now`` — the same code path as
-        :meth:`evaluate`, with the store supplying the snapshots instead
-        of the caller.  A window that predates all retained history sees
-        an empty older snapshot (zero counters), which matches a
-        counter's life-to-date delta.
-        """
-        if now is None:
-            now = store.latest_time()
-        if now is None:
-            raise ValueError("the time-series store holds no samples")
-        for window in windows_s:
-            if window <= 0:
-                raise ValueError(f"window must be positive, got {window}")
-        windows = [(f"{w:g}s", store.snapshot_at(now - w)) for w in windows_s]
-        return self._evaluate(store.snapshot_at(now), windows)
-
-    def _evaluate(
-        self, latest: Snapshot, windows: Sequence[Tuple[str, Snapshot]]
-    ) -> SloEvaluation:
-        """Point-in-time results plus one burn rate per labelled
-        ``(label, older snapshot)`` window ending at ``latest``."""
         results = [self._evaluate_one(spec, latest) for spec in self.specs]
         for result in results:
             result.burn_rates = {

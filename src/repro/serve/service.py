@@ -384,12 +384,6 @@ class AssessmentService:
             with _span("serve.assess_many", batch=len(ids)):
                 self._prefold_cold(ids)
                 result = self._sweep(ids)
-            # drive the metrics scraper from the serving loop itself —
-            # one wall-clock slot check per request, no background
-            # thread; still inside the request context so anomaly
-            # events are stamped with the triggering request's trace_id
-            if _obs.scraper is not None:
-                _obs.scraper.maybe_scrape()
         return result
 
     def _prefold_cold(self, ids: Sequence[EntityId]) -> None:

@@ -568,88 +568,6 @@ class TestObsReportAuditSummary:
         assert "suffix_distance_exceeds_epsilon" in out
 
 
-@pytest.fixture()
-def tsdb_file(tmp_path):
-    from repro.obs.tsdb import MetricsScraper
-
-    registry = obs.MetricsRegistry()
-    registry.inc("serve.requests", 10)
-    registry.observe("serve.assess.seconds", 0.002)
-    scraper = MetricsScraper(registry, interval_s=1.0, clock=lambda: 145.0)
-    scraper.scrape()
-    registry.inc("serve.requests", 5)
-    scraper.scrape(now=146.0)
-    path = tmp_path / "TSDB_serve.jsonl"
-    scraper.store.dump(path)
-    return path
-
-
-class TestObsTsdb:
-    def test_series_table_listing(self, tsdb_file, capsys):
-        assert main(["obs", "tsdb", str(tsdb_file)]) == 0
-        out = capsys.readouterr().out
-        assert "serve.requests" in out
-        assert "serve.assess.seconds.p95" in out
-        assert "2 scrape(s)" in out
-
-    def test_query_one_series(self, tsdb_file, capsys):
-        assert main(["obs", "tsdb", str(tsdb_file), "serve.requests"]) == 0
-        out = capsys.readouterr().out
-        assert "serve.requests  (2 samples)" in out
-        assert "145.000  10" in out
-        assert "146.000  15" in out
-
-    def test_bare_family_selects_every_field(self, tsdb_file, capsys):
-        assert main(["obs", "tsdb", str(tsdb_file), "serve.assess.seconds"]) == 0
-        out = capsys.readouterr().out
-        assert "serve.assess.seconds.count" in out
-        assert "serve.assess.seconds.p99" in out
-
-    def test_downsampled_query(self, tsdb_file, capsys):
-        assert (
-            main(
-                [
-                    "obs", "tsdb", str(tsdb_file), "serve.requests",
-                    "--step", "10", "--agg", "max",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "(1 samples)" in out  # both scrapes share the 140s bucket
-        assert "140.000  15" in out
-
-    def test_unknown_series_errors_and_lists_known(self, tsdb_file, capsys):
-        assert main(["obs", "tsdb", str(tsdb_file), "no.such"]) == 1
-        err = capsys.readouterr().err
-        assert "no series 'no.such'" in err
-        assert "serve.assess.seconds.count" in err
-
-    def test_missing_or_malformed_store_errors(self, tmp_path, capsys):
-        assert main(["obs", "tsdb", str(tmp_path / "absent.jsonl")]) == 1
-        assert "error:" in capsys.readouterr().err
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("nope\n")
-        assert main(["obs", "tsdb", str(bad)]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_export_prom_stamps_scrape_time(self, tsdb_file, capsys):
-        assert main(["obs", "tsdb", str(tsdb_file), "--export-prom", "-"]) == 0
-        out = capsys.readouterr().out
-        # the newest scrape (146.0s) becomes the exposition timestamp
-        assert "repro_serve_requests_total 15 146000" in out
-        assert "repro_serve_assess_seconds_count 1 146000" in out
-
-    def test_export_prom_to_file(self, tsdb_file, tmp_path, capsys):
-        target = tmp_path / "metrics.prom"
-        assert (
-            main(["obs", "tsdb", str(tsdb_file), "--export-prom", str(target)])
-            == 0
-        )
-        assert "wrote" in capsys.readouterr().out
-        assert "146000" in target.read_text()
-
-
 class TestObsPostmortem:
     def test_renders_bundle(self, tmp_path, capsys):
         from repro.obs.flightrec import FlightRecorder

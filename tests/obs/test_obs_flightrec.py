@@ -17,8 +17,6 @@ from repro.obs.flightrec import (
     render_postmortem,
     validate_postmortem_bundle,
 )
-from repro.obs.registry import MetricsRegistry
-from repro.obs.tsdb import MetricsScraper, TimeSeriesStore
 
 
 class FakeClock:
@@ -85,42 +83,6 @@ class TestFlightRecorder:
         assert path.parent == tmp_path
         assert "/" not in path.name.replace("POSTMORTEM", "")
         assert path.name == "POSTMORTEM_001_weird____reason__.json"
-
-    def test_bundle_includes_series_tails_and_slo_state(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.inc("req.errors", 50)
-        registry.inc("req.total", 100)
-        scraper = MetricsScraper(
-            registry,
-            interval_s=1.0,
-            clock=FakeClock(),
-            slo_engine=obs.SloEngine(
-                [
-                    obs.SloSpec(
-                        name="req.errors",
-                        kind="ratio",
-                        objective=0.99,
-                        bad_metric="req.errors",
-                        total_metric="req.total",
-                    )
-                ]
-            ),
-        )
-        recorder = FlightRecorder(tmp_path, scraper=scraper, series_tail=8)
-        scraper.scrape()
-        bundle = recorder.bundle(reason="test")
-        validate_postmortem_bundle(bundle)
-        assert "req.total" in bundle["series"]
-        (slo_row,) = bundle["slo"]
-        assert slo_row["name"] == "req.errors"
-        assert slo_row["burning"] is True
-        assert bundle["fault_plan"] is None
-
-    def test_bundle_prefers_explicit_store(self, tmp_path):
-        store = TimeSeriesStore()
-        store.append("m", 1.0, 2.0)
-        recorder = FlightRecorder(tmp_path, store=store)
-        assert recorder.bundle(reason="t")["series"] == {"m": [[1.0, 2.0]]}
 
     def test_dump_writes_valid_json_round_trip(self, tmp_path):
         recorder = FlightRecorder(tmp_path, clock=FakeClock())
@@ -226,14 +188,12 @@ class TestBundleValidation:
     @staticmethod
     def _minimal():
         return {
-            "postmortem": POSTMORTEM_SCHEMA_VERSION,
+            "postmortem": 2,
             "reason": "r",
             "info": {},
             "meta": {},
             "spans": [],
             "events": [],
-            "series": {},
-            "slo": None,
             "fault_plan": None,
         }
 
@@ -244,13 +204,11 @@ class TestBundleValidation:
         "mutate, message",
         [
             (lambda b: b.update(postmortem=99), "schema version"),
+            (lambda b: b.update(postmortem=1), "expected schema version 2, got 1"),
             (lambda b: b.update(reason=""), "reason"),
             (lambda b: b.update(meta=None), "meta"),
             (lambda b: b.update(spans={}), "spans"),
             (lambda b: b.update(events=[1]), r"events\[0\]"),
-            (lambda b: b.update(series=[]), "series"),
-            (lambda b: b.update(series={"m": [[1.0]]}), r"series\['m'\]\[0\]"),
-            (lambda b: b.update(slo=[{"name": "x"}]), r"slo\[0\]"),
             (lambda b: b.update(fault_plan=[]), "fault_plan"),
         ],
     )
@@ -274,23 +232,13 @@ class TestRenderPostmortem:
     def test_empty_bundle_renders_placeholders(self):
         text = render_postmortem(TestBundleValidation._minimal())
         assert "post-mortem: r" in text
-        assert "slo state: (none recorded)" in text
         assert "trace tail: (no spans recorded)" in text
         assert "events: (none recorded)" in text
-        assert "series tails: (none recorded)" in text
         assert "active fault plan: (none)" in text
 
     def test_full_bundle_renders_every_section(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.inc("req.total", 100)
-        scraper = MetricsScraper(
-            registry,
-            interval_s=1.0,
-            clock=FakeClock(),
-            slo_engine=obs.SloEngine(obs.default_serve_slos()),
-        )
         with obs.activate(), flight_recording(
-            tmp_path, scraper=scraper, clock=FakeClock()
+            tmp_path, clock=FakeClock()
         ) as recorder:
             with trace_ctx.use(trace_ctx.new_root(test="render")):
                 with runtime.span("serve.assess_many"):
@@ -298,15 +246,11 @@ class TestRenderPostmortem:
             recorder.record_event(
                 {"event": "calibration_degraded", "site": "core.calibration"}
             )
-            scraper.scrape()
             path = recorder.dump(reason="test_render")
         text = render_postmortem(read_postmortem(path))
-        assert "slo state:" in text
         assert "trace tail: 1 span(s), 1 trace(s)" in text
         assert "serve.assess_many" in text
         assert "calibration_degraded  site=core.calibration" in text
-        assert "series tails" in text
-        assert "req.total" in text
 
     def test_tail_limits_event_count(self):
         bundle = TestBundleValidation._minimal()

@@ -7,7 +7,12 @@ import pytest
 
 from repro import obs
 from repro.obs.events import EventLog
-from repro.obs.monitor import ProgressMonitor, render_dashboard, rss_bytes
+from repro.obs.monitor import (
+    ProgressMonitor,
+    render_dashboard,
+    render_sparkline,
+    rss_bytes,
+)
 
 
 class FakeClock:
@@ -449,3 +454,15 @@ class TestDashboardHistory:
         # 4 heartbeats seen, rows built from the 3 sane ones
         assert "history (4 heartbeats):" in text
         assert "steps_per_s" in text
+
+
+class TestRendering:
+    def test_sparkline_shapes(self):
+        assert render_sparkline([]) == ""
+        assert render_sparkline([5.0, 5.0, 5.0]) == "▁▁▁"
+        line = render_sparkline([0.0, 1.0, 2.0, 3.0])
+        assert line[0] == "▁" and line[-1] == "█"
+        assert len(render_sparkline(list(range(100)), width=24)) == 24
+        assert render_sparkline([float("nan"), 1.0, 2.0]) == render_sparkline(
+            [1.0, 2.0]
+        )

@@ -3,8 +3,7 @@
 The flight recorder's reason to exist: when a
 :class:`~repro.resilience.faults.ResilienceError` escapes a serving
 sweep, a bundle lands on disk holding the dying request's trace tail,
-the degradation events, and the scraped metric history — every span and
-event stamped with the one trace_id of the request that died, so the
+and the degradation events — every span and event stamped with the one trace_id of the request that died, so the
 post-mortem reads as a single causal story.
 
 Bundles are written to ``$REPRO_POSTMORTEM_DIR`` when set (CI exports it
@@ -26,7 +25,6 @@ from repro.main import main
 from repro.obs import context as trace_ctx
 from repro.obs.events import EventLog
 from repro.obs.flightrec import flight_recording
-from repro.obs.tsdb import MetricsScraper, scraping_session
 from repro.resilience import FaultPlan, ResilienceError
 from repro.resilience import runtime as res
 
@@ -52,12 +50,9 @@ def _crash_run(postmortem_dir, chaos_seed):
     log = EventLog()
     root = trace_ctx.new_root(test="postmortem_e2e")
     with obs.activate():
-        scraper = MetricsScraper(obs.get_registry(), interval_s=0.001)
-        with scraping_session(scraper), flight_recording(
-            postmortem_dir, scraper=scraper, min_dump_interval_s=0.0
-        ) as recorder:
+        with flight_recording(postmortem_dir, min_dump_interval_s=0.0) as recorder:
             with trace_ctx.use(root):
-                # healthy traffic first: spans, metrics, scrapes
+                # healthy traffic first: spans and metrics
                 for _ in range(2):
                     service.assess_many()
                 with res.activate(plan, log):
@@ -86,6 +81,7 @@ class TestPostmortemEndToEnd:
         assert path.parent == postmortem_dir
 
         bundle = obs.read_postmortem(path)  # schema-validates
+        assert bundle["postmortem"] == 2
         assert bundle["reason"] == "resilience_error"
         assert bundle["info"]["site"] == "core.calibration"
 
@@ -103,9 +99,8 @@ class TestPostmortemEndToEnd:
         assert degraded
         assert all(e["trace_id"] == root.trace_id for e in degraded)
 
-        # the scraped series history made it in
-        assert bundle["series"]
-        assert any(name.startswith("serve.") for name in bundle["series"])
+        # schema 2 carries no metric history
+        assert "series" not in bundle
 
         # the armed fault plan is in the bundle, seed and all
         assert bundle["fault_plan"]["seed"] == chaos_seed
@@ -115,9 +110,10 @@ class TestPostmortemEndToEnd:
         assert main(["obs", "postmortem", str(path)]) == 0
         out = capsys.readouterr().out
         assert "post-mortem: resilience_error" in out
+        assert f"trace tail: {len(spans)} span(s), 1 trace(s)" in out
         assert "serve.assess_many" in out
+        assert "events (last" in out
         assert "calibration_degraded" in out
-        assert "series tails" in out
         assert f"active fault plan (seed {chaos_seed})" in out
 
     def test_breaker_open_under_chaos_triggers_a_dump(

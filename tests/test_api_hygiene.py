@@ -106,16 +106,16 @@ class TestTimingHygiene:
     ``time.time()`` jumps under NTP slews and has coarse resolution on
     some platforms, so it is banned from duration math. The allowlist
     below names the only legitimate wall-clock reads left in the tree —
-    each is a *timestamp* (when did this happen), never a delta.
+    each is a *timestamp* (when did this happen), never a delta — and
+    their exact count, so an entry cannot outlive the reads it excuses.
     """
 
-    # relative path under src/repro -> max permitted time.time() reads
+    # relative path under src/repro -> exact number of time.time() reads
     WALL_CLOCK_ALLOWLIST = {
         "obs/context.py": 1,  # _ANCHOR_WALL: per-process anchor pairing
         "obs/events.py": 2,  # run_metadata + event record timestamps
         "obs/monitor.py": 1,  # dashboard staleness vs. "now"
         "resilience/runtime.py": 1,  # flight-recorder record timestamp
-        "experiments/p2p_scale.py": 3,  # fleet TSDB snapshot timestamps
     }
 
     def test_wall_clock_reads_confined_to_timestamp_allowlist(self):
@@ -135,6 +135,15 @@ class TestTimingHygiene:
         assert not unexpected, (
             f"new time.time() reads in {unexpected}: use time.perf_counter() "
             "for durations; extend the allowlist only for pure timestamps"
+        )
+        stale = {
+            name: (offenders.get(name, 0), allowed)
+            for name, allowed in self.WALL_CLOCK_ALLOWLIST.items()
+            if offenders.get(name, 0) < allowed
+        }
+        assert not stale, (
+            f"stale allowlist entries (reads, allowed): {stale}; lower or "
+            "drop them so the allowlist matches the tree"
         )
 
 
