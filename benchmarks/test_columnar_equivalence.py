@@ -3,7 +3,7 @@
 The heavyweight throughput acceptance lives in ``test_ingest_scale.py``;
 this file is the fast correctness companion that every CI run executes:
 a small population recorded once, then checked end-to-end — backend
-state (histories, feedback graph) and verdicts (vectorized kernel vs
+state (histories, feedback graph) and verdicts (batched fold vs
 the scalar tester, vectorized service vs the scalar service) must be
 identical across the memory, columnar, and mmap backends.
 """
@@ -13,8 +13,7 @@ import pytest
 
 from repro.core.calibration import ThresholdCalibrator
 from repro.core.config import AssessorConfig, BehaviorTestConfig
-from repro.core.multi_testing import MultiBehaviorTest
-from repro.core.vectorized import fold_cold_batch
+from repro.core.multi_testing import MultiBehaviorTest, fold_cold_batch
 from repro.feedback.ledger import FeedbackLedger
 from repro.feedback.records import Feedback, Rating
 from repro.serve import AssessmentService
@@ -86,7 +85,7 @@ def test_kernel_verdicts_match_scalar(backend, tmp_path, events):
     histories = [led.history(sid) for sid in servers]
     expected = [scalar.test(h) for h in histories]
     folded = fold_cold_batch([h.outcomes() for h in histories], tester())
-    assert [report for report, _ in folded] == expected
+    assert folded == expected
 
 
 @pytest.mark.parametrize("backend", ["memory", "columnar", "mmap"])

@@ -34,6 +34,7 @@ from ..feedback.records import EntityId, Feedback
 from ..obs import audit as _audit
 from .calibration import ThresholdCalibrator
 from .config import DEFAULT_CONFIG, BehaviorTestConfig
+from .multi_testing import insufficient_report, suffix_report
 from .testing import SingleBehaviorTest
 from .verdict import BehaviorVerdict, MultiTestReport, ReorderTrace
 
@@ -150,16 +151,6 @@ class CollusionResilientMultiTest:
     def calibrator(self) -> ThresholdCalibrator:
         return self._single.calibrator
 
-    def suffix_lengths(self, n: int) -> List[int]:
-        """The multi-testing suffix schedule for an ``n``-feedback history."""
-        floor = self._config.min_transactions
-        lengths = []
-        length = n
-        while length >= floor:
-            lengths.append(length)
-            length -= self._config.multi_step
-        return lengths
-
     def test(self, history) -> MultiTestReport:
         """Judge every time-recent suffix after issuer-grouped reordering."""
         feedbacks = _feedbacks_of(history)
@@ -171,18 +162,10 @@ class CollusionResilientMultiTest:
         return self._test(feedbacks, audited=False)
 
     def _test(self, feedbacks: List[Feedback], *, audited: bool) -> MultiTestReport:
-        lengths = self.suffix_lengths(len(feedbacks))
+        lengths = self._config.suffix_lengths(len(feedbacks))
+        trace = ReorderTrace.from_feedbacks(feedbacks)
         if not lengths:
-            verdict = BehaviorVerdict.insufficient_history(
-                passed=(self._config.on_insufficient == "pass"),
-                window_size=self._config.window_size,
-                n_considered=len(feedbacks),
-            )
-            report = MultiTestReport(
-                passed=verdict.passed,
-                rounds=((len(feedbacks), verdict),),
-                reorder=ReorderTrace.from_feedbacks(feedbacks),
-            )
+            report = insufficient_report(self._config, len(feedbacks), trace)
             if audited:
                 self._emit_audit(feedbacks, report, [None])
             return report
@@ -197,12 +180,7 @@ class CollusionResilientMultiTest:
                 round_outcomes.append(reordered)
             if not verdict.passed and not self._collect_all:
                 break
-        passed = all(v.passed for _, v in rounds)
-        report = MultiTestReport(
-            passed=passed,
-            rounds=tuple(rounds),
-            reorder=ReorderTrace.from_feedbacks(feedbacks),
-        )
+        report = suffix_report(rounds, trace)
         if audited:
             self._emit_audit(feedbacks, report, round_outcomes)
         return report

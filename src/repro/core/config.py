@@ -8,7 +8,7 @@ paper's experimental defaults, so an experiment is fully described by
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 __all__ = ["BehaviorTestConfig", "DEFAULT_CONFIG", "AssessorConfig"]
 
@@ -91,6 +91,16 @@ class BehaviorTestConfig:
     def min_transactions(self) -> int:
         """Smallest history length the single test will actually judge."""
         return self.window_size * self.min_windows
+
+    def suffix_lengths(self, n: int) -> List[int]:
+        """Multi-testing's suffix schedule for an ``n``-transaction history.
+
+        ``[n, n - k, n - 2k, ...]`` down to the statistical-significance
+        floor (:attr:`min_transactions`); empty below the floor.
+        """
+        if n < 0:
+            raise ValueError(f"n must be non-negative, got {n}")
+        return list(range(n, self.min_transactions - 1, -self.multi_step))
 
     def with_(self, **changes) -> "BehaviorTestConfig":
         """A copy with the given fields replaced."""

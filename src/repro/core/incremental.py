@@ -1,43 +1,36 @@
 """Per-server incremental behavior state — the serving fast path.
 
-``assess()`` recomputes phase 1 from the whole history on every call;
-at serving scale (the ROADMAP's millions of users) that re-pays the full
-suffix-testing cost per feedback event.  :class:`IncrementalBehaviorState`
-amortizes it:
+``assess()`` recomputes phase 1 from the whole history on every call,
+but most serving queries find a server whose history has not changed
+since its last verdict.  :class:`IncrementalBehaviorState` folds each
+new feedback into the server's history in O(1) amortized and memoizes
+the verdict by history length, so re-assessing an unchanged server is a
+dictionary lookup.  A grown history is re-judged in full: queries follow
+a few new events, rarely a whole window, so window counts carried from
+the previous verdict would almost never line up with the new windows.
 
-* each new feedback folds into the server's transaction history in O(1)
-  amortized;
-* the recent-aligned window-count array is cached and *extended* rather
-  than rebuilt whenever the new history length is congruent to the
-  cached one modulo the window size (recent alignment pins window
-  boundaries to ``n mod m``, so congruent lengths share them — the same
-  invariant behind the paper's O(n) multi-testing optimization);
-* verdicts are memoized by history length, so re-assessing an unchanged
-  server is a dictionary lookup.
-
-The fast path only applies to ``strategy="optimized"``
-:class:`~repro.core.multi_testing.MultiBehaviorTest` — it reuses that
-tester's own judging code (:func:`~repro.core.multi_testing.run_suffix_rounds`),
-so verdicts are bit-identical.  Every other tester (naive multi,
-collusion-resilient reordering that scrambles window boundaries per
-suffix, categorized/temporal metadata tests, ...) takes the
-exact-equivalence fallback: the tester itself is invoked on the full
-history, with only the verdict memoization on top.  A collusion-style
-invalidation (:meth:`invalidate`) sets a dirty flag that drops both
-caches and forces a full recompute on the next verdict.
+``strategy="optimized"`` :class:`~repro.core.multi_testing.MultiBehaviorTest`
+is re-judged by that tester's own suffix walk
+(:func:`~repro.core.multi_testing.run_suffix_rounds`), so verdicts are
+bit-identical.  Every other tester (naive multi, collusion-resilient
+reordering, categorized/temporal metadata tests, ...) is invoked on the
+full history, with only the verdict memoization on top.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-import numpy as np
-
 from ..feedback.history import TransactionHistory
 from ..feedback.records import Feedback
 from ..feedback.windows import window_counts
 from ..obs import runtime as _obs
-from .multi_testing import MultiBehaviorTest, run_suffix_rounds
+from .multi_testing import (
+    insufficient_report,
+    run_suffix_rounds,
+    suffix_report,
+    supports_vectorized,
+)
 from .verdict import BehaviorVerdict, MultiTestReport
 
 __all__ = ["IncrementalBehaviorState"]
@@ -50,9 +43,9 @@ class IncrementalBehaviorState:
     ----------
     tester:
         Any behavior test.  ``strategy="optimized"``
-        :class:`MultiBehaviorTest` instances get the incremental
-        window-count fast path; everything else falls back to invoking
-        the tester directly (still memoized by history length).
+        :class:`MultiBehaviorTest` instances get the suffix-walk fast
+        path; everything else falls back to invoking the tester directly
+        (still memoized by history length).
     history:
         The server's transaction history.  May be a *live* history owned
         by a ledger — appends made elsewhere are detected by length, no
@@ -67,17 +60,12 @@ class IncrementalBehaviorState:
     ):
         self._tester = tester
         self._history = history if history is not None else TransactionHistory()
-        self._fast_multi = (
-            isinstance(tester, MultiBehaviorTest) and tester.strategy == "optimized"
-        )
-        self._counts: Optional[np.ndarray] = None  # recent-aligned window counts
-        self._counts_n = 0  # history length the cached counts describe
+        self._fast_multi = supports_vectorized(tester)
         self._cached: Optional[Tuple[int, BehaviorVerdict]] = None
-        self._dirty = False
         self.n_folds = 0
         self.n_cache_hits = 0
-        self.n_count_extensions = 0
-        self.n_count_recomputes = 0
+        #: fast-path verdicts whose window counts were taken afresh
+        self.n_recomputes = 0
 
     # ------------------------------------------------------------------ #
     # state surface
@@ -94,7 +82,7 @@ class IncrementalBehaviorState:
 
     @property
     def incremental(self) -> bool:
-        """True when the window-count fast path applies to this tester."""
+        """True when the suffix-walk fast path applies to this tester."""
         return self._fast_multi
 
     def __len__(self) -> int:
@@ -114,57 +102,38 @@ class IncrementalBehaviorState:
         self.n_folds += 1
 
     def invalidate(self) -> None:
-        """Drop every cache; the next :meth:`verdict` recomputes in full.
+        """Drop the verdict memo; the next :meth:`verdict` recomputes in full.
 
         The collusion-reorder hook: issuer-grouped reordering scrambles
-        window boundaries, so cached counts cannot be trusted after a
+        window boundaries, so a memoized verdict cannot be trusted after a
         reordering-relevant change (or any external mutation the length
         heuristic cannot see).
         """
-        self._dirty = True
+        self._cached = None
 
     # ------------------------------------------------------------------ #
-    # external seeding (the vectorized cold-path kernel)
+    # external seeding (the batched cold-path fold)
 
     def needs_phase1(self) -> bool:
         """True when the next :meth:`verdict` would recompute phase 1.
 
-        The batched cold-path kernel
-        (:func:`~repro.core.vectorized.fold_cold_batch`) uses this to
-        collect the states worth folding in one vectorized pass.  Only
-        fast-path testers qualify — fallback testers cannot consume a
-        kernel seed.
+        The batched cold-path fold
+        (:func:`~repro.core.multi_testing.fold_cold_batch`) uses this to
+        collect the states worth folding in one pass.  Only fast-path
+        testers qualify — the batch reproduces only the optimized walk.
         """
         if not self._fast_multi:
             return False
-        if self._dirty:
-            return True
-        n = len(self._history)
-        return self._cached is None or self._cached[0] != n
+        return self._cached is None or self._cached[0] != len(self._history)
 
-    def seed_phase1(
-        self,
-        verdict: BehaviorVerdict,
-        counts: Optional[np.ndarray] = None,
-    ) -> None:
+    def seed_phase1(self, verdict: BehaviorVerdict) -> None:
         """Install an externally computed phase-1 verdict for the
         *current* history length.
 
         ``verdict`` must equal what :meth:`verdict` would have computed
-        (the vectorized kernel guarantees bit-parity); ``counts``, when
-        given, seeds the recent-aligned window-count cache so later
-        incremental folds extend instead of recomputing.
+        (the batched fold guarantees bit-parity).
         """
-        if self._dirty:
-            self._counts = None
-            self._counts_n = 0
-            self._cached = None
-            self._dirty = False
-        n = len(self._history)
-        if counts is not None:
-            self._counts = counts
-            self._counts_n = n
-        self._cached = (n, verdict)
+        self._cached = (len(self._history), verdict)
         if _obs.enabled:
             _obs.registry.inc("core.incremental.seeded_verdicts")
 
@@ -177,11 +146,6 @@ class IncrementalBehaviorState:
         Bit-identical to ``tester.test(history)``; cached until the
         history grows or :meth:`invalidate` is called.
         """
-        if self._dirty:
-            self._counts = None
-            self._counts_n = 0
-            self._cached = None
-            self._dirty = False
         n = len(self._history)
         if self._cached is not None and self._cached[0] == n:
             self.n_cache_hits += 1
@@ -201,56 +165,19 @@ class IncrementalBehaviorState:
         return verdict
 
     def _multi_verdict(self, n: int) -> MultiTestReport:
-        """Mirror ``MultiBehaviorTest._test`` over cached window counts."""
-        tester = self._tester
-        cfg = tester.config
-        lengths = tester.suffix_lengths(n)
+        """``MultiBehaviorTest._test`` without its audit and obs records."""
+        cfg = self._tester.config
+        lengths = cfg.suffix_lengths(n)
         if not lengths:
-            verdict = BehaviorVerdict.insufficient_history(
-                passed=(cfg.on_insufficient == "pass"),
-                window_size=cfg.window_size,
-                n_considered=n,
-            )
-            return MultiTestReport(passed=verdict.passed, rounds=((n, verdict),))
-        self._update_counts(n, cfg.window_size)
+            return insufficient_report(cfg, n)
+        self.n_recomputes += 1
         rounds = run_suffix_rounds(
-            self._counts,
+            window_counts(self._history.outcomes(), cfg.window_size, align="recent"),
             lengths,
             window_size=cfg.window_size,
             distance_name=cfg.distance,
-            calibrator=tester.calibrator,
-            collect_all=tester.collect_all,
+            calibrator=self._tester.calibrator,
+            collect_all=self._tester.collect_all,
             obs_prefix="core.incremental",
         )
-        passed = all(v.passed for _, v in rounds)
-        ordered = tuple(sorted(rounds, key=lambda pair: -pair[0]))
-        return MultiTestReport(passed=passed, rounds=ordered)
-
-    def _update_counts(self, n: int, m: int) -> None:
-        """Refresh the cached recent-aligned window counts for length ``n``.
-
-        Recent alignment anchors window boundaries at offset ``n mod m``,
-        so when the history grew by a whole number of windows the cached
-        array is a prefix of the new one and only the new windows are
-        summed (O(delta)); a residue mismatch moves every boundary and
-        forces the vectorized full recompute (O(n/m)).
-        """
-        outcomes = self._history.outcomes()
-        cached_n = self._counts_n
-        if (
-            self._counts is not None
-            and n >= cached_n
-            and n % m == cached_n % m
-        ):
-            if n > cached_n:
-                new = window_counts(outcomes[cached_n:], m, align="recent")
-                self._counts = np.concatenate([self._counts, new])
-                self.n_count_extensions += 1
-                if _obs.enabled:
-                    _obs.registry.inc("core.incremental.count_extensions")
-        else:
-            self._counts = window_counts(outcomes, m, align="recent")
-            self.n_count_recomputes += 1
-            if _obs.enabled:
-                _obs.registry.inc("core.incremental.count_recomputes")
-        self._counts_n = n
+        return suffix_report(rounds[::-1])

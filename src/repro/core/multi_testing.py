@@ -21,15 +21,21 @@ Two interchangeable implementations are provided:
 
 Both produce identical verdicts (asserted by the test suite); Fig. 9's
 performance experiment benchmarks the difference.
+
+:func:`fold_cold_batch` runs the optimized walk over many histories at
+once (the serving cold path): the same ``bincount`` and running sum, over
+every history's rounds back to back.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..feedback.windows import window_counts
+from ..feedback.windows import batched_window_counts, window_counts
 from ..obs import audit as _audit
 from ..obs import runtime as _obs
 # binomial_pmf stays a module global here: perfbench counts its calls
@@ -38,48 +44,100 @@ from ..stats.distances import get_distance
 from .calibration import ThresholdCalibrator
 from .config import DEFAULT_CONFIG, BehaviorTestConfig
 from .testing import HistoryInput, SingleBehaviorTest, _extract_outcomes
-from .verdict import BehaviorVerdict, MultiTestReport
+from .verdict import BehaviorVerdict, MultiTestReport, ReorderTrace
 
-__all__ = ["MultiBehaviorTest", "judge_rounds", "run_suffix_rounds"]
+__all__ = [
+    "MultiBehaviorTest",
+    "fold_cold_batch",
+    "insufficient_report",
+    "judge_rounds",
+    "run_suffix_rounds",
+    "suffix_report",
+    "supports_vectorized",
+]
 
 _STRATEGIES = ("optimized", "naive")
 
+#: Cap on windows :func:`fold_cold_batch` folds in one pass; bounds its
+#: per-window and per-round arrays.
+_CHUNK_WINDOWS = 1_000_000
+
+Rounds = List[Tuple[int, BehaviorVerdict]]
+
+
+def suffix_report(
+    rounds: Sequence[Tuple[int, BehaviorVerdict]],
+    reorder: Optional[ReorderTrace] = None,
+) -> MultiTestReport:
+    """The report over judged suffix rounds, given longest suffix first
+    (the order the paper describes); it fails iff any round failed."""
+    return MultiTestReport(
+        passed=all(v.passed for _, v in rounds), rounds=tuple(rounds), reorder=reorder
+    )
+
+
+def insufficient_report(
+    config: BehaviorTestConfig, n: int, reorder: Optional[ReorderTrace] = None
+) -> MultiTestReport:
+    """The one-round report for a history too short for any suffix round."""
+    verdict = BehaviorVerdict.insufficient_history(
+        passed=(config.on_insufficient == "pass"),
+        window_size=config.window_size,
+        n_considered=n,
+    )
+    return MultiTestReport(passed=verdict.passed, rounds=((n, verdict),), reorder=reorder)
+
 
 def judge_rounds(
-    walks: Iterable[range],
+    hist: np.ndarray,
+    wants: np.ndarray,
     lengths: Sequence[int],
-    wants: Sequence[int],
-    p_hats: Sequence[float],
-    distance: Callable[[int], float],
-    threshold: Callable[[int], float],
+    walks: Iterable[range],
+    threshold: Callable[[int, float], float],
     *,
     window_size: int,
+    distance_name: str,
     collect_all: bool,
-) -> List[List[Tuple[int, BehaviorVerdict]]]:
-    """Turn precomputed suffix rounds into verdicts, shortest suffix first.
+) -> List[Rounds]:
+    """Verdicts for suffix rounds, from their window-count histograms.
 
-    Each of ``walks`` is one history's rounds, as indices into the
-    per-round sequences in ascending-suffix order; round ``r`` covers
-    ``lengths[r]`` transactions in ``wants[r]`` windows at rate
-    ``p_hats[r]``.  ``distance(r)`` and ``threshold(r)`` are consulted
-    lazily: only when the window count changes (an unchanged window set
-    reuses the previous verdict), and never after a walk's first failing
-    round unless ``collect_all``.  The calibrator draws from one shared
-    rng stream, so this order of threshold consultations is part of
-    every verdict.  Returns one list of ``(length, verdict)`` per walk.
+    Row ``r`` of ``hist`` is the integer ``(m + 1)``-bin histogram of the
+    ``wants[r]`` windows of a round over ``lengths[r]`` transactions; each
+    of ``walks`` is one history's rounds, as row indices in
+    ascending-suffix order.  ``p_hat``, the expected pmfs (one
+    :func:`binomial_pmf_many` call) and L1 distances are whole-array
+    expressions.  Other distances and ``threshold(k, p_hat)`` are
+    consulted lazily: only when the window count changes (an unchanged
+    window set reuses the previous verdict), and never after a walk's
+    first failing round unless ``collect_all``.  The calibrator draws
+    from one shared rng stream, so this order of threshold consultations
+    is part of every verdict.  Returns one list of ``(length, verdict)``
+    per walk, shortest suffix first.
     """
     m = window_size
-    judged: List[List[Tuple[int, BehaviorVerdict]]] = []
+    p_hat = (hist @ np.arange(m + 1)) / (wants * m)
+    observed = hist / wants[:, None]
+    expected = binomial_pmf_many(m, p_hat)
+    if distance_name == "l1":
+        distance = np.abs(observed - expected).sum(axis=1).tolist().__getitem__
+    else:
+        fn = get_distance(distance_name)
+
+        def distance(r: int) -> float:
+            return float(fn(observed[r], expected[r]))
+
+    wants_l, p_l = wants.tolist(), p_hat.tolist()
+    judged: List[Rounds] = []
     for walk in walks:
-        rounds: List[Tuple[int, BehaviorVerdict]] = []
+        rounds: Rounds = []
         verdict: Optional[BehaviorVerdict] = None
         last_want = -1
         for r in walk:
-            w = wants[r]
+            w = wants_l[r]
             if w != last_want:
                 d = distance(r)
-                thr = float(threshold(r))
-                verdict = BehaviorVerdict(d <= thr, d, thr, p_hats[r], w, m, w * m)
+                thr = float(threshold(w, p_l[r]))
+                verdict = BehaviorVerdict(d <= thr, d, thr, p_l[r], w, m, w * m)
                 last_want = w
             rounds.append((lengths[r], verdict))
             if not verdict.passed and not collect_all:
@@ -97,65 +155,171 @@ def run_suffix_rounds(
     calibrator: ThresholdCalibrator,
     collect_all: bool = False,
     obs_prefix: str = "core.multi_testing",
-) -> List[Tuple[int, BehaviorVerdict]]:
+) -> Rounds:
     """The paper's O(n) suffix walk over precomputed window counts.
 
     ``counts`` is the recent-aligned window-count array of the full
     history and ``lengths`` the suffix lengths, longest first.  Each
     suffix's windows are the most recent ``length // m`` counts, so one
     ``bincount`` of the windows each round adds, summed down the rounds,
-    yields every round's histogram; ``p_hat``, the expected pmf and the
-    distance follow as whole-array expressions.  Distances past the
-    first failing round may be computed, but their thresholds are never
-    consulted (see :func:`judge_rounds`).  Returns the judged rounds
-    shortest suffix first.  Both :class:`MultiBehaviorTest` and the
-    incremental serving engine call this, so their verdicts are
+    yields every round's histogram for :func:`judge_rounds`.  Returns the
+    judged rounds shortest suffix first.  Both :class:`MultiBehaviorTest`
+    and the incremental serving engine call this, so their verdicts are
     bit-identical.
     """
     m = window_size
     suffixes = lengths[::-1]  # shortest suffix first
-    wants_l = [length // m for length in suffixes]
-    wants = np.array(wants_l)
-    n_rounds = len(wants_l)
-    k_max = wants_l[-1]
+    wants = np.array([length // m for length in suffixes])
+    n_rounds = wants.size
+    k_max = suffixes[-1] // m
     newest_first = counts[counts.size - k_max :][::-1]
     # window j (0 = newest) first enters the round whose count exceeds j
     entered = wants.searchsorted(np.arange(k_max), side="right")
     added = np.bincount(entered * (m + 1) + newest_first, minlength=n_rounds * (m + 1))
     hist = np.add.accumulate(added.reshape(n_rounds, m + 1), axis=0)  # running sum
-    good = hist @ np.arange(m + 1)
-    p_hat = good / (wants * m)
-    observed = hist / wants[:, None]
-    expected = binomial_pmf_many(m, p_hat)
-    if distance_name == "l1":
-        distance = np.abs(observed - expected).sum(axis=1).tolist().__getitem__
-    else:
-        fn = get_distance(distance_name)
-
-        def distance(r: int) -> float:
-            return float(fn(observed[r], expected[r]))
-
-    p_l = p_hat.tolist()
     (judged,) = judge_rounds(
-        [range(n_rounds)],
+        hist,
+        wants,
         suffixes,
-        wants_l,
-        p_l,
-        distance,
-        lambda r: calibrator.threshold(m, wants_l[r], p_l[r]),
+        [range(n_rounds)],
+        partial(calibrator.threshold, m),
         window_size=m,
+        distance_name=distance_name,
         collect_all=collect_all,
     )
     if _obs.enabled:
         # each judged round carries over the previous round's windows
         # and ingests only the ones that entered
         walked = len(judged)
-        reused, ingested = sum(wants_l[: walked - 1]), wants_l[walked - 1]
+        reused, ingested = int(wants[: walked - 1].sum()), int(wants[walked - 1])
         _obs.registry.inc(f"{obs_prefix}.suffix_reuse", reused, strategy="optimized")
         _obs.registry.inc(
             f"{obs_prefix}.suffix_recomputed", ingested, strategy="optimized"
         )
     return judged
+
+
+def supports_vectorized(tester) -> bool:
+    """Whether ``tester`` is the optimized walk that :func:`fold_cold_batch`
+    and the incremental serving state reproduce."""
+    return isinstance(tester, MultiBehaviorTest) and tester.strategy == "optimized"
+
+
+def fold_cold_batch(
+    histories: Sequence[HistoryInput], tester: "MultiBehaviorTest"
+) -> List[MultiTestReport]:
+    """Phase-1 multi-test reports for many histories in one pass.
+
+    ``histories`` holds :class:`~repro.feedback.history.TransactionHistory`
+    objects or 1-D 0/1 outcome arrays (oldest first; validated like the
+    scalar path's).  Returns, in order, reports equal to
+    ``tester.test(history)`` bit-for-bit: every history's rounds run back
+    to back through the suffix walk's arithmetic, and the thresholds are
+    consulted history by history in the scalar walk's order.
+    """
+    if not supports_vectorized(tester):
+        raise ValueError(
+            "fold_cold_batch requires an optimized MultiBehaviorTest; "
+            "use the scalar path for other testers"
+        )
+    cfg = tester.config
+    outcomes = [_extract_outcomes(history) for history in histories]
+    reports: List[Optional[MultiTestReport]] = [None] * len(outcomes)
+    # the judged histories, in chunks of at most _CHUNK_WINDOWS windows
+    # (a longer history gets a chunk of its own)
+    chunks: List[List[int]] = []
+    windows = 0
+    for i, arr in enumerate(outcomes):
+        if arr.size < cfg.min_transactions:
+            reports[i] = insufficient_report(cfg, int(arr.size))
+            continue
+        k = arr.size // cfg.window_size
+        if not chunks or windows + k > _CHUNK_WINDOWS:
+            chunks.append([])
+            windows = 0
+        chunks[-1].append(i)
+        windows += k
+    # One threshold memo across chunks: repeat (k, p_key) shapes skip the
+    # calibrator, whose first consultation per shape is the scalar walk's.
+    thr_memo: Dict[Tuple[int, float], float] = {}
+    quantize = lru_cache(maxsize=None)(tester.calibrator.quantize_p)
+    with _obs.timer("core.vectorized.seconds"):
+        for chunk in chunks:
+            folded = _fold_chunk(
+                [outcomes[i] for i in chunk], tester, thr_memo, quantize
+            )
+            for i, report in zip(chunk, folded):
+                reports[i] = report
+    if _obs.enabled and chunks:
+        _obs.registry.inc("core.vectorized.batches")
+        _obs.registry.inc("core.vectorized.servers", sum(map(len, chunks)))
+    return reports  # type: ignore[return-value]
+
+
+def _fold_chunk(
+    outcomes: List[np.ndarray],
+    tester: "MultiBehaviorTest",
+    thr_memo: Dict[Tuple[int, float], float],
+    quantize: Callable[[float], float],
+) -> List[MultiTestReport]:
+    cfg = tester.config
+    m = cfg.window_size
+    n_srv = len(outcomes)
+    sizes = [int(arr.size) for arr in outcomes]
+    offsets = np.zeros(n_srv + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    counts = batched_window_counts(
+        np.concatenate(outcomes).astype(np.int64, copy=False), offsets, m
+    )
+    ks = np.diff(offsets) // m
+    first_window = np.zeros(n_srv + 1, dtype=np.int64)
+    np.cumsum(ks, out=first_window[1:])
+
+    # every history's rounds, shortest suffix first, back to back
+    schedules = [cfg.suffix_lengths(size)[::-1] for size in sizes]
+    lengths = list(chain.from_iterable(schedules))
+    n_rounds = len(lengths)
+    first_round = np.zeros(n_srv + 1, dtype=np.int64)
+    np.cumsum([len(schedule) for schedule in schedules], out=first_round[1:])
+    wants = np.array(lengths) // m
+    round_srv = np.repeat(np.arange(n_srv), np.diff(first_round))
+
+    # window j of a history (0 = newest) first enters that history's
+    # round whose window count exceeds j; keys offset by history keep
+    # every history's rounds apart in one searchsorted
+    stride = int(ks.max()) + 1
+    newest = np.repeat(first_window[1:] - 1, ks) - np.arange(first_window[-1])
+    entered = (round_srv * stride + wants).searchsorted(
+        np.repeat(np.arange(n_srv), ks) * stride + newest, side="right"
+    )
+    added = np.bincount(entered * (m + 1) + counts, minlength=n_rounds * (m + 1))
+    hist = np.add.accumulate(added.reshape(n_rounds, m + 1), axis=0)
+    # the running sum carries on across histories: subtract each one's base
+    base = hist[first_round[:-1] - 1]
+    base[0] = 0
+    hist -= base[round_srv]
+
+    def threshold(k: int, p_hat: float) -> float:
+        key = (k, quantize(p_hat))
+        thr = thr_memo.get(key)
+        if thr is None:
+            thr = thr_memo[key] = tester.calibrator.threshold(m, k, p_hat)
+        return thr
+
+    bounds = first_round.tolist()
+    judged = judge_rounds(
+        hist,
+        wants,
+        lengths,
+        map(range, bounds[:-1], bounds[1:]),
+        threshold,
+        window_size=m,
+        distance_name=cfg.distance,
+        collect_all=tester.collect_all,
+    )
+    if _obs.enabled:
+        _obs.registry.inc("core.vectorized.rounds", n_rounds)
+    return [suffix_report(rounds[::-1]) for rounds in judged]
 
 
 class MultiBehaviorTest:
@@ -207,22 +371,6 @@ class MultiBehaviorTest:
         """Whether rounds after the first failure are still judged."""
         return self._collect_all
 
-    def suffix_lengths(self, n: int) -> List[int]:
-        """Suffix lengths tested for a history of ``n`` transactions.
-
-        ``[n, n - k, n - 2k, ...]`` down to the statistical-significance
-        floor (``min_windows`` complete windows).
-        """
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        floor = self._config.min_transactions
-        lengths = []
-        length = n
-        while length >= floor:
-            lengths.append(length)
-            length -= self._config.multi_step
-        return lengths
-
     def test(self, history: HistoryInput) -> MultiTestReport:
         """Judge all suffixes; fails if any round fails."""
         if _audit.enabled:
@@ -248,43 +396,38 @@ class MultiBehaviorTest:
         return report
 
     def _test(self, outcomes: np.ndarray) -> MultiTestReport:
-        lengths = self.suffix_lengths(int(outcomes.size))
+        lengths = self._config.suffix_lengths(int(outcomes.size))
         if not lengths:
-            verdict = BehaviorVerdict.insufficient_history(
-                passed=(self._config.on_insufficient == "pass"),
-                window_size=self._config.window_size,
-                n_considered=int(outcomes.size),
-            )
-            return MultiTestReport(
-                passed=verdict.passed, rounds=((int(outcomes.size), verdict),)
-            )
+            return insufficient_report(self._config, int(outcomes.size))
+        m = self._config.window_size
         with _obs.timer("core.multi_testing.seconds", strategy=self._strategy):
             if self._strategy == "naive":
                 rounds = self._run_naive(outcomes, lengths)
             else:
-                rounds = self._run_optimized(outcomes, lengths)
-        passed = all(v.passed for _, v in rounds)
+                rounds = run_suffix_rounds(
+                    window_counts(outcomes, m, align="recent"),
+                    lengths,
+                    window_size=m,
+                    distance_name=self._config.distance,
+                    calibrator=self._calibrator,
+                    collect_all=self._collect_all,
+                )[::-1]
+        report = suffix_report(rounds)
         if _obs.enabled:
             _obs.registry.inc("core.multi_testing.runs", strategy=self._strategy)
             _obs.registry.inc(
                 "core.multi_testing.rounds", len(rounds), strategy=self._strategy
             )
-            if not passed and not self._collect_all and len(rounds) < len(lengths):
+            if not report.passed and not self._collect_all and len(rounds) < len(lengths):
                 _obs.registry.inc(
                     "core.multi_testing.early_stops", strategy=self._strategy
                 )
-        # Present rounds longest-first, the order the paper describes.
-        ordered = tuple(sorted(rounds, key=lambda pair: -pair[0]))
-        return MultiTestReport(passed=passed, rounds=ordered)
+        return report
 
-    # ------------------------------------------------------------------ #
     # naive O(n^2 / k): re-test every suffix from scratch
-
-    def _run_naive(
-        self, outcomes: np.ndarray, lengths: List[int]
-    ) -> List[Tuple[int, BehaviorVerdict]]:
+    def _run_naive(self, outcomes: np.ndarray, lengths: List[int]) -> Rounds:
         m = self._config.window_size
-        rounds: List[Tuple[int, BehaviorVerdict]] = []
+        rounds: Rounds = []
         for length in lengths:
             verdict = self._single.test_outcomes(outcomes[outcomes.size - length :])
             if _obs.enabled:
@@ -296,20 +439,3 @@ class MultiBehaviorTest:
             if not verdict.passed and not self._collect_all:
                 break
         return rounds
-
-    # ------------------------------------------------------------------ #
-    # optimized O(n): every suffix round in one pass over the window counts
-
-    def _run_optimized(
-        self, outcomes: np.ndarray, lengths: List[int]
-    ) -> List[Tuple[int, BehaviorVerdict]]:
-        m = self._config.window_size
-        counts = window_counts(outcomes, m, align="recent")
-        return run_suffix_rounds(
-            counts,
-            lengths,
-            window_size=m,
-            distance_name=self._config.distance,
-            calibrator=self._calibrator,
-            collect_all=self._collect_all,
-        )

@@ -13,7 +13,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..feedback.history import TransactionHistory
+from ..feedback.history import TransactionHistory, check_binary
 from ..obs import audit as _audit
 from ..obs import runtime as _obs
 from ..stats.distances import get_distance
@@ -28,11 +28,14 @@ HistoryInput = Union[TransactionHistory, np.ndarray, list, tuple]
 
 
 def _extract_outcomes(history: HistoryInput) -> np.ndarray:
+    """The 0/1 outcome vector of ``history``; raw arrays are validated
+    (a :class:`TransactionHistory` already was, on every append)."""
     if isinstance(history, TransactionHistory):
         return history.outcomes()
     arr = np.asarray(history)
     if arr.ndim != 1:
         raise ValueError("history must be a TransactionHistory or 1-D outcomes")
+    check_binary(arr)
     return arr
 
 

@@ -145,16 +145,15 @@ class BehaviorVerdict:
         )
 
     def _decisive_round(self) -> Optional["BehaviorVerdict"]:
-        """The round whose numbers summarize a composite verdict."""
-        if not self.rounds:
-            return None
-        failure = self.first_failure
-        if failure is not None:
-            return failure[1]
+        """The round whose numbers summarize a composite verdict: the
+        first failure, else the first judged round, else the first."""
+        judged = None
         for _, verdict in self.rounds:
-            if not verdict.insufficient:
+            if not verdict.passed:
                 return verdict
-        return self.rounds[0][1]
+            if judged is None and not verdict.insufficient:
+                judged = verdict
+        return judged or (self.rounds[0][1] if self.rounds else None)
 
     def _fill_aggregates_from_rounds(self) -> None:
         """Copy the decisive round's numbers into defaulted aggregate fields.
@@ -181,7 +180,12 @@ class BehaviorVerdict:
                 "n_considered",
             ):
                 object.__setattr__(self, name, getattr(decisive, name))
-        if not self.insufficient and all(v.insufficient for _, v in self.rounds):
+        # a judged decisive round means not every round is insufficient
+        if (
+            decisive.insufficient
+            and not self.insufficient
+            and all(v.insufficient for _, v in self.rounds)
+        ):
             object.__setattr__(self, "insufficient", True)
 
 
@@ -197,11 +201,6 @@ class MultiTestReport(BehaviorVerdict):
     """
 
     def __post_init__(self) -> None:
-        if self.n_windows or self.distance or self.threshold or self.p_hat:
-            # The constructor supplied the decisive round's aggregates
-            # directly (the vectorized cold-path kernel does, to avoid
-            # re-deriving them per report); nothing to fill.
-            return
         self._fill_aggregates_from_rounds()
 
 

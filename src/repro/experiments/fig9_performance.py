@@ -68,8 +68,9 @@ def run_fig9(
 
     ``engine="incremental"`` additionally times the serving fast path
     (:class:`~repro.core.incremental.IncrementalBehaviorState`): seconds
-    to re-judge after one new *window* of feedback arrived, the
-    amortized cost the batch schemes re-pay in full.  The extra
+    to fold one new *window* of feedback and re-judge — the suffix walk
+    over the grown history plus the per-event folds, so it tracks
+    ``multi_optimized_s``.  The extra
     ``multi_incremental_s`` column only appears in this mode (the
     default column list is pinned), and the incremental verdict is
     asserted identical to ``multi_optimized``'s at every size.
@@ -156,7 +157,7 @@ def run_fig9(
                     state = IncrementalBehaviorState(
                         multi_fast, TransactionHistory.from_outcomes(outcomes)
                     )
-                    state.verdict()  # warm the window-count cache
+                    state.verdict()  # warm the verdict memo
             schemes = [
                 ("single", single.test),
                 ("multi_optimized", multi_fast.test),
@@ -169,8 +170,8 @@ def run_fig9(
                     _ignored, _state=state, _m=config.window_size
                 ):
                     # One new window of feedback, then re-judge: the
-                    # cached counts extend O(m) and the suffix walk
-                    # re-runs over them — the serving amortized cost.
+                    # grown history's window counts are taken afresh and
+                    # the suffix walk re-runs over them.
                     for _ in range(_m):
                         _state.fold(1)
                     return _state.verdict()

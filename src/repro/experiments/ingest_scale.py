@@ -6,8 +6,8 @@ at a time, which caps ingest throughput and makes a cold service start
 (persisted ledger -> verdicts for the whole fleet) pay per-event object
 materialization before the first assessment lands.  The columnar store
 (:mod:`repro.feedback.store`) ingests whole batches as column arrays
-and feeds the vectorized fold kernel
-(:func:`repro.core.vectorized.fold_cold_batch`), so the same cold start
+and feeds the batched fold
+(:func:`repro.core.multi_testing.fold_cold_batch`), so the same cold start
 is a handful of numpy passes.
 
 Two sweeps per population size:

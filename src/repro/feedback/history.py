@@ -26,9 +26,26 @@ import numpy as np
 from .records import EntityId, Feedback, Rating
 from .windows import window_counts
 
-__all__ = ["TransactionHistory"]
+__all__ = ["TransactionHistory", "check_binary"]
 
 _INITIAL_CAPACITY = 64
+
+
+def check_binary(outcomes: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every value of ``outcomes`` is 0 or 1.
+
+    Integer and boolean arrays cost one ``min`` and one ``max``; other
+    dtypes take the exact membership test, so a 0.5 is rejected rather
+    than truncated to 0.
+    """
+    if not outcomes.size:
+        return
+    if outcomes.dtype.kind in "biu":
+        binary = outcomes.min() >= 0 and outcomes.max() <= 1
+    else:
+        binary = np.isin(outcomes, (0, 1)).all()
+    if not binary:
+        raise ValueError("outcomes must be binary (0/1)")
 
 
 class TransactionHistory:
@@ -57,11 +74,10 @@ class TransactionHistory:
         collusion-resilient tests (which need issuer identities) refuse it.
         """
         history = cls(server)
-        arr = np.asarray(outcomes, dtype=np.int64)
+        arr = np.asarray(outcomes)
         if arr.ndim != 1:
             raise ValueError("outcomes must be 1-D")
-        if arr.size and not np.isin(arr, (0, 1)).all():
-            raise ValueError("outcomes must be binary (0/1)")
+        check_binary(arr)
         history._ensure_capacity(arr.size)
         history._buf[: arr.size] = arr
         history._n = int(arr.size)

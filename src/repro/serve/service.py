@@ -32,8 +32,8 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..core.config import AssessorConfig
 from ..core.incremental import IncrementalBehaviorState
+from ..core.multi_testing import fold_cold_batch, supports_vectorized
 from ..core.two_phase import Assessor, TwoPhaseAssessor
-from ..core.vectorized import fold_cold_batch, supports_vectorized
 from ..core.verdict import Assessment, AssessmentStatus
 from ..feedback.history import TransactionHistory
 from ..feedback.ledger import FeedbackLedger
@@ -49,7 +49,7 @@ from .cache import CalibrationCache
 __all__ = ["AssessmentService", "VECTOR_MIN_BATCH"]
 
 #: Minimum number of cold states in one ``assess_many`` sweep before the
-#: vectorized pre-fold pays for itself; smaller sweeps stay scalar.
+#: batched pre-fold pays for itself; smaller sweeps stay scalar.
 VECTOR_MIN_BATCH = 32
 
 
@@ -76,14 +76,14 @@ class AssessmentService:
     executor:
         ``"serial"``, the only mode; kept so callers can state it.
     vectorized:
-        Use the batched cold-path kernel
-        (:func:`~repro.core.vectorized.fold_cold_batch`): when an
+        Use the batched cold-path fold
+        (:func:`~repro.core.multi_testing.fold_cold_batch`): when an
         ``assess_many`` sweep finds at least :data:`VECTOR_MIN_BATCH`
         cold states and the tester qualifies, their phase-1 verdicts are
-        folded in one vectorized pass and seeded into the incremental
-        states before the per-server walk (which then hits the verdict
-        cache).  Verdicts are bit-identical either way; the warm
-        incremental path is untouched.
+        folded in one pass and seeded into the incremental states before
+        the per-server walk (which then hits the verdict cache).
+        Verdicts are bit-identical either way; the warm incremental path
+        is untouched.
 
     **Faults.**  Recovery happens where the fault lands: the calibrator
     retries a failed Monte-Carlo pass and, failing that, serves a stale
@@ -387,17 +387,18 @@ class AssessmentService:
         return result
 
     def _prefold_cold(self, ids: Sequence[EntityId]) -> None:
-        """Batch-fold every cold state's phase 1 through the vectorized
-        kernel and seed the results, so the per-server walk below turns
-        into verdict-cache hits.
+        """Batch-fold every cold state's phase 1 and seed the results, so
+        the per-server walk below turns into verdict-cache hits.
 
-        Skipped entirely when faults are armed: the kernel computes
-        thresholds for *all* suffix rounds up front, which would consume
-        injected calibration faults in a different order than the scalar
-        walk — chaos runs must replay bit-identically.  Likewise, seeds
-        are discarded when the kernel answered off a stale calibration
-        threshold, so the scalar path can re-derive and flag the
-        assessment as degraded.
+        Seeds are discarded when the batch answered off a stale
+        calibration threshold, so the scalar path can re-derive and flag
+        the assessment as degraded.  Skipped entirely when faults are
+        armed: the batch consults thresholds in the scalar walk's order,
+        but it memoizes a degraded (uncached) threshold for the rest of
+        the batch and raises an escaping fault outside :meth:`_sweep`.
+        Either way the calibration fault site would see a different
+        sequence of draws than the scalar walk, and chaos runs must
+        replay bit-identically.
         """
         if not self._vectorized or _res.armed:
             return
@@ -419,16 +420,14 @@ class AssessmentService:
         stale_before = (
             calibrator.degraded_calibrations if calibrator is not None else 0
         )
-        folded = fold_cold_batch(
-            [state.history.outcomes() for state in cold], tester
-        )
+        folded = fold_cold_batch([state.history for state in cold], tester)
         if (
             calibrator is not None
             and calibrator.degraded_calibrations > stale_before
         ):
             return
-        for state, (report, counts) in zip(cold, folded):
-            state.seed_phase1(report, counts)
+        for state, report in zip(cold, folded):
+            state.seed_phase1(report)
         self.n_vector_prefolds += 1
         self.n_vector_seeded += len(cold)
         if _obs.enabled:
@@ -458,8 +457,7 @@ class AssessmentService:
         """Serving counters: states, memo hits, calibration reuse."""
         folds = sum(s.n_folds for s in self._states.values())
         verdict_hits = sum(s.n_cache_hits for s in self._states.values())
-        extensions = sum(s.n_count_extensions for s in self._states.values())
-        recomputes = sum(s.n_count_recomputes for s in self._states.values())
+        recomputes = sum(s.n_recomputes for s in self._states.values())
         calibrator = getattr(self._assessor.behavior_test, "calibrator", None)
         payload: Dict[str, object] = {
             "servers": len(self._states),
@@ -467,7 +465,9 @@ class AssessmentService:
             "assessment_cache_hits": self.n_assessment_cache_hits,
             "folds": folds,
             "verdict_cache_hits": verdict_hits,
-            "count_extensions": extensions,
+            # window counts are always taken afresh; the key stays for
+            # readers of the old extend/recompute split
+            "count_extensions": 0,
             "count_recomputes": recomputes,
         }
         if calibrator is not None:

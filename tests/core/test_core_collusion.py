@@ -155,7 +155,7 @@ class TestCollusionResilientMulti:
 
     def test_suffix_schedule_matches_plain_multi(self, paper_config, shared_calibrator):
         test_ = CollusionResilientMultiTest(paper_config, shared_calibrator)
-        assert test_.suffix_lengths(200) == [200, 150, 100, 50]
+        assert test_.config.suffix_lengths(200) == [200, 150, 100, 50]
 
     def test_insufficient_history(self, paper_config, shared_calibrator):
         test_ = CollusionResilientMultiTest(paper_config, shared_calibrator)

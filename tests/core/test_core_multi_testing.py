@@ -23,20 +23,20 @@ def multi_all(paper_config, shared_calibrator):
 class TestSuffixSchedule:
     def test_lengths(self, multi):
         # n=200, step=50, floor=40: 200, 150, 100, 50
-        assert multi.suffix_lengths(200) == [200, 150, 100, 50]
+        assert multi.config.suffix_lengths(200) == [200, 150, 100, 50]
 
     def test_short_history(self, multi):
-        assert multi.suffix_lengths(39) == []
-        assert multi.suffix_lengths(40) == [40]
+        assert multi.config.suffix_lengths(39) == []
+        assert multi.config.suffix_lengths(40) == [40]
 
     def test_negative_raises(self, multi):
         with pytest.raises(ValueError):
-            multi.suffix_lengths(-1)
+            multi.config.suffix_lengths(-1)
 
     def test_custom_step(self, shared_calibrator):
         config = BehaviorTestConfig(multi_step=100)
         test_ = MultiBehaviorTest(config, shared_calibrator)
-        assert test_.suffix_lengths(250) == [250, 150, 50]
+        assert test_.config.suffix_lengths(250) == [250, 150, 50]
 
 
 class TestVerdicts:

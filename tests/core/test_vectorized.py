@@ -1,10 +1,10 @@
-"""Bit-parity of the vectorized cold-path kernel with the scalar tester.
+"""Bit-parity of the batched cold-path fold with the scalar tester.
 
-:func:`repro.core.vectorized.fold_cold_batch` must reproduce
+:func:`repro.core.multi_testing.fold_cold_batch` must reproduce
 ``tester.test(history)`` *exactly* — same distances, same thresholds,
 same decisive rounds — including the calibration side effects: the
 calibrator draws Monte-Carlo sets from one shared rng stream, so the
-kernel must consult it in the scalar path's miss order.
+batch must consult it in the scalar path's miss order.
 """
 
 from __future__ import annotations
@@ -12,13 +12,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import multi_testing
 from repro.core.calibration import ThresholdCalibrator
 from repro.core.config import BehaviorTestConfig
 from repro.core.model import generate_honest_outcomes
-from repro.core.multi_testing import MultiBehaviorTest
+from repro.core.multi_testing import (
+    MultiBehaviorTest,
+    fold_cold_batch,
+    supports_vectorized,
+)
 from repro.core.testing import SingleBehaviorTest
-from repro.core.vectorized import fold_cold_batch, supports_vectorized
-from repro.feedback.windows import window_counts
+from repro.feedback.history import TransactionHistory
 
 CONFIG = BehaviorTestConfig(calibration_sets=50)
 
@@ -73,51 +77,109 @@ class TestSupport:
         assert not supports_vectorized(SingleBehaviorTest(CONFIG, _calibrator()))
 
 
-@pytest.mark.parametrize("collect_all", [False, True])
 class TestParity:
+    @pytest.mark.parametrize("collect_all", [False, True])
     def test_verdict_for_verdict_shared_calibrator(self, collect_all):
         tester = MultiBehaviorTest(CONFIG, _calibrator(), collect_all=collect_all)
         histories = _histories()
         folded = fold_cold_batch(histories, tester)
-        for history, (report, _) in zip(histories, folded):
+        for history, report in zip(histories, folded):
             assert report == tester.test(history)
 
-    def test_order_parity_with_fresh_calibrators(self, collect_all):
+    @pytest.mark.parametrize(
+        "collect_all, chunk_windows",
+        [(False, None), (True, None), (False, 7), (True, 7)],
+        ids=["False", "True", "False-chunk7", "True-chunk7"],
+    )
+    def test_order_parity_with_fresh_calibrators(
+        self, collect_all, chunk_windows, monkeypatch
+    ):
         """Two *independent* same-seed calibrators must end up with the
-        same thresholds: the kernel consults calibration cache misses in
+        same thresholds: the batch consults calibration cache misses in
         exactly the scalar walk's order, so the shared rng streams stay
-        in lockstep."""
+        in lockstep.  A 7-window chunk cap splits the batch into a pass
+        per history; the threshold memo spans chunks, so the calibrator
+        sees the same calls as in one pass."""
         histories = _histories(seed=3)
-        vec_tester = MultiBehaviorTest(CONFIG, _calibrator(), collect_all=collect_all)
-        scalar_tester = MultiBehaviorTest(CONFIG, _calibrator(), collect_all=collect_all)
-        folded = fold_cold_batch(histories, vec_tester)
-        for history, (report, _) in zip(histories, folded):
-            assert report == scalar_tester.test(history)
+
+        def tester():
+            return MultiBehaviorTest(CONFIG, _calibrator(), collect_all=collect_all)
+
+        one_pass, scalar = tester(), tester()
+        fold_cold_batch(histories, one_pass)
+        if chunk_windows is not None:
+            monkeypatch.setattr(multi_testing, "_CHUNK_WINDOWS", chunk_windows)
+        chunked = tester()
+        folded = fold_cold_batch(histories, chunked)
+        assert folded == [scalar.test(history) for history in histories]
+        assert chunked.calibrator.cache_stats == one_pass.calibrator.cache_stats
+        assert chunked.calibrator.cache_stats[1] == scalar.calibrator.cache_stats[1]
+
+    @pytest.mark.parametrize("distance", ["ks", "chi2"])
+    def test_non_l1_distances(self, distance):
+        config = CONFIG.with_(distance=distance)
+        calibrator = ThresholdCalibrator(n_sets=50, distance=distance, seed=777)
+        tester = MultiBehaviorTest(config, calibrator)
+        histories = _histories(seed=9)
+        folded = fold_cold_batch(histories, tester)
+        assert folded == [tester.test(history) for history in histories]
+
+    def test_mixed_history_inputs(self):
+        tester = MultiBehaviorTest(CONFIG, _calibrator())
+        arrays = _histories(seed=4)
+        mixed = [
+            TransactionHistory.from_outcomes(h) if i % 2 else h.astype(bool)
+            for i, h in enumerate(arrays)
+        ]
+        assert fold_cold_batch(mixed, tester) == [tester.test(h) for h in arrays]
 
 
 class TestSeeds:
-    def test_counts_match_recent_aligned_window_counts(self):
-        tester = MultiBehaviorTest(CONFIG, _calibrator())
-        histories = _histories(seed=5)
-        folded = fold_cold_batch(histories, tester)
-        m = CONFIG.window_size
-        for history, (_, counts) in zip(histories, folded):
-            if len(history) < CONFIG.min_transactions:
-                assert counts is None
-            else:
-                assert np.array_equal(
-                    counts, window_counts(np.asarray(history), m, align="recent")
-                )
-
     def test_insufficient_histories_report_like_scalar(self):
         tester = MultiBehaviorTest(CONFIG, _calibrator())
         short = [np.array([], dtype=np.int64), np.ones(5, dtype=np.int64)]
         folded = fold_cold_batch(short, tester)
-        for history, (report, counts) in zip(short, folded):
-            assert counts is None
+        for history, report in zip(short, folded):
             assert report == tester.test(history)
             assert report.insufficient
 
     def test_empty_batch(self):
         tester = MultiBehaviorTest(CONFIG, _calibrator())
         assert fold_cold_batch([], tester) == []
+
+
+def _single(history):
+    return SingleBehaviorTest(CONFIG, _calibrator()).test(history)
+
+
+def _multi(strategy):
+    return lambda history: MultiBehaviorTest(CONFIG, _calibrator(), strategy).test(history)
+
+
+def _batch(history):
+    # a valid history first: one bad history fails the whole batch
+    valid = np.ones(60, dtype=np.int64)
+    return fold_cold_batch([valid, history], MultiBehaviorTest(CONFIG, _calibrator()))
+
+
+@pytest.mark.parametrize(
+    "path",
+    [_single, _multi("naive"), _multi("optimized"), _batch],
+    ids=["single", "naive", "optimized", "batch"],
+)
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.full(60, 2, dtype=np.int64),
+        np.full(60, -1, dtype=np.int8),
+        np.full(60, 0.5),
+        np.concatenate([np.ones(59), [np.nan]]),
+    ],
+    ids=["two", "minus-one", "half", "nan"],
+)
+def test_one_outcome_contract(path, bad):
+    """Every path rejects a non-0/1 raw history with the ledger's error."""
+    with pytest.raises(ValueError, match=r"outcomes must be binary \(0/1\)"):
+        TransactionHistory.from_outcomes(bad)
+    with pytest.raises(ValueError, match=r"outcomes must be binary \(0/1\)"):
+        path(bad)

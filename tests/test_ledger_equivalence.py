@@ -22,8 +22,7 @@ from repro.adversary.periodic import periodic_attack_history
 from repro.core.calibration import ThresholdCalibrator
 from repro.core.config import BehaviorTestConfig
 from repro.core.model import generate_honest_outcomes
-from repro.core.multi_testing import MultiBehaviorTest
-from repro.core.vectorized import fold_cold_batch
+from repro.core.multi_testing import MultiBehaviorTest, fold_cold_batch
 from repro.feedback.ledger import FeedbackLedger
 from repro.feedback.records import Feedback, Rating
 from repro.resilience import FaultPlan, Quarantine
@@ -127,7 +126,7 @@ class TestBackendEquivalence:
         ref_graph = reference.feedback_graph()
         servers = sorted(reference.servers())
         # scalar verdicts on the object backend are the ground truth;
-        # each columnar backend is judged by the vectorized kernel so
+        # each columnar backend is judged by the batched fold so
         # the equivalence covers the whole cold path, not just storage
         tester = _tester()
         expected = {
@@ -139,7 +138,7 @@ class TestBackendEquivalence:
             assert led.feedback_graph() == ref_graph
             histories = [led.history(sid).outcomes() for sid in servers]
             folded = fold_cold_batch(histories, tester)
-            for sid, (report, _) in zip(servers, folded):
+            for sid, report in zip(servers, folded):
                 assert report == expected[sid], f"{backend} diverged on {sid}"
             for sid in servers:
                 assert led.feedbacks_for_server(sid) == reference.feedbacks_for_server(
