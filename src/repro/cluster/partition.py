@@ -30,7 +30,9 @@ class HashRingView:
     Immutable by design: the cluster facade rebuilds the view on every
     membership change, so a view in hand always answers consistently —
     mid-rebalance races cannot produce two different owners for one
-    server within a single routing decision.
+    server within a single routing decision.  It also makes every
+    preference list a constant of the view, memoised on first use, so
+    routing a batch hashes each server once per view, not per batch.
     """
 
     def __init__(self, members: Iterable[str], *, m_bits: int, replicas: int):
@@ -50,6 +52,13 @@ class HashRingView:
         self._replicas = replicas
         self._ids = [node_id for node_id, _ in pairs]
         self._names = [name for _, name in pairs]
+        n, k = len(names), min(replicas, len(names))
+        #: the n possible preference lists: one per owner position
+        self._rotations = [
+            tuple(self._names[(start + i) % n] for i in range(k))
+            for start in range(n)
+        ]
+        self._prefs: Dict[str, Tuple[str, ...]] = {}
 
     @property
     def members(self) -> List[str]:
@@ -66,7 +75,7 @@ class HashRingView:
 
     def owner(self, server: str) -> str:
         """The member responsible for ``server`` (first clockwise)."""
-        return self._names[self._owner_index(server)]
+        return self._preference(server)[0]
 
     def preference_list(self, server: str) -> List[str]:
         """The ``min(K, n)`` distinct members replicating ``server``.
@@ -74,9 +83,7 @@ class HashRingView:
         Successor order: element 0 is the owner, element ``i`` the
         ``i``-th replica — the deterministic read/write/repair order.
         """
-        start = self._owner_index(server)
-        n = len(self._names)
-        return [self._names[(start + i) % n] for i in range(min(self._replicas, n))]
+        return list(self._preference(server))
 
     def partition(
         self, servers: Sequence[str]
@@ -89,9 +96,14 @@ class HashRingView:
         """
         groups: Dict[Tuple[str, ...], List[str]] = {}
         for server in servers:
-            key = tuple(self.preference_list(server))
-            groups.setdefault(key, []).append(server)
+            groups.setdefault(self._preference(server), []).append(server)
         return groups
+
+    def _preference(self, server: str) -> Tuple[str, ...]:
+        pref = self._prefs.get(server)
+        if pref is None:
+            pref = self._prefs[server] = self._rotations[self._owner_index(server)]
+        return pref
 
     def _owner_index(self, server: str) -> int:
         key = key_of(server, self._m)

@@ -48,7 +48,7 @@ from ..resilience import runtime as _res
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.health import GLOBAL_HEALTH
 from ..resilience.retry import RetryExhausted, RetryPolicy
-from .node import ClusterNode, ShardState, event_digest
+from .node import ClusterNode, event_digest, rolling_digest
 from .partition import HashRingView
 
 __all__ = ["ClusterAssessmentService", "PeerUnavailable"]
@@ -259,38 +259,51 @@ class ClusterAssessmentService:
     def record_batch(self, feedbacks: Iterable[Feedback]) -> Dict[str, int]:
         """Route a feedback batch to every replica of each server.
 
-        Returns ``{"events", "servers", "replica_writes", "hinted"}``.
-        An unreachable replica never loses its share: the events park on
-        a hint holder and replay on recovery (or, failing even that, the
-        loss is emitted as ``cluster_hint_lost`` — surviving replicas
-        still hold the data, anti-entropy restores the factor later).
+        Returns ``{"events", "servers", "replica_writes", "hinted",
+        "skipped"}``; ``skipped`` sums the replicas' skips by reason
+        (``below_watermark``, ``duplicate_digest``), so an event every
+        replica dropped does not pass for a write.  An unreachable
+        replica never loses its share: the events park on a hint holder
+        and replay on recovery (or, failing even that, the loss is
+        emitted as ``cluster_hint_lost`` — surviving replicas still hold
+        the data, anti-entropy restores the factor later).
         """
-        by_server: Dict[str, List[Feedback]] = {}
-        for feedback in feedbacks:
-            by_server.setdefault(feedback.server, []).append(feedback)
-            self._servers.setdefault(feedback.server, None)
+        feedbacks = list(feedbacks)
+        servers = list(dict.fromkeys(fb.server for fb in feedbacks))
+        self._servers.update(dict.fromkeys(servers))
         ctx = _ctx.current()
         if ctx is None and _obs.enabled:
             ctx = _ctx.new_root(op="cluster_record_batch")
         writes = hinted = 0
+        skipped = {"below_watermark": 0, "duplicate_digest": 0}
         with _ctx.use(ctx):
-            with _obs.span("cluster.record_batch", servers=len(by_server)):
-                groups = self._ring.partition(list(by_server))
-                for pref, servers in groups.items():
-                    events = [fb for s in servers for fb in by_server[s]]
+            with _obs.span("cluster.record_batch", servers=len(servers)):
+                # one message per preference list, in arrival order
+                messages: Dict[Tuple[str, ...], List[Feedback]] = {}
+                route: Dict[str, List[Feedback]] = {}
+                for pref, group in self._ring.partition(servers).items():
+                    message = messages[pref] = []
+                    for server in group:
+                        route[server] = message
+                for feedback in feedbacks:
+                    route[feedback.server].append(feedback)
+                for pref, events in messages.items():
                     for member in pref:
                         reply = self._call(
                             member, "cluster_record", {"events": events}
                         )
                         if reply is None:
                             hinted += self._hint(member, pref, events)
-                        else:
-                            writes += 1
+                            continue
+                        writes += 1
+                        for reason, count in reply["skipped"].items():
+                            skipped[reason] += count
         return {
-            "events": sum(len(v) for v in by_server.values()),
-            "servers": len(by_server),
+            "events": len(feedbacks),
+            "servers": len(servers),
             "replica_writes": writes,
             "hinted": hinted,
+            "skipped": skipped,
         }
 
     def _hint(
@@ -365,12 +378,21 @@ class ClusterAssessmentService:
             s: [] for s in servers
         }
         # pass 1 — the preference list in successor order, asking each
-        # replica only about the servers still short of quorum
+        # replica only about the servers still short of quorum; once a
+        # server has an assessment, later replicas send only their
+        # digest, which is all the quorum compares
         for member in pref:
             needed = [s for s in servers if len(answers[s]) < self.read_quorum]
             if not needed:
                 break
-            reply = self._call(member, "cluster_assess", {"servers": needed})
+            reply = self._call(
+                member,
+                "cluster_assess",
+                {
+                    "servers": needed,
+                    "digest_only": [s for s in needed if answers[s]],
+                },
+            )
             if reply is None:
                 continue
             for server, result in reply["results"].items():
@@ -452,17 +474,13 @@ class ClusterAssessmentService:
                 pulls.append((member, reply))
         if not pulls:
             return None
-        merged: Dict[str, Feedback] = {}
+        merged: Dict[int, Feedback] = {}
         for _, reply in pulls:
             for feedback in reply["events"]:
                 merged[event_digest(feedback)] = feedback
-        ordered = sorted(
-            merged.values(), key=lambda fb: (fb.time, event_digest(fb))
-        )
-        state = ShardState()
-        for feedback in ordered:
-            state.applied(feedback, event_digest(feedback))
-        expected = state.content_hash
+        keyed = sorted(merged.items(), key=lambda item: (item[1].time, item[0]))
+        ordered = [feedback for _, feedback in keyed]
+        expected = rolling_digest(digest for digest, _ in keyed)
         reset = 0
         for member, reply in pulls:
             if reply["digest"] != expected:

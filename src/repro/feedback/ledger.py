@@ -87,10 +87,14 @@ def available_ledger_backends() -> List[str]:
 class MemoryLedgerBackend:
     """The original per-object ledger storage (``backend="memory"``).
 
-    Folds one Python :class:`Feedback` at a time into per-server
+    Folds Python :class:`Feedback` objects into per-server
     :class:`TransactionHistory` objects plus by-server/by-client lists,
-    and maintains a ``(server, client) -> last feedback`` index so
-    :meth:`last_interaction` is O(1) instead of a reverse scan.
+    and maintains a ``server -> client -> last feedback`` index so
+    :meth:`last_interaction` is O(1) instead of a reverse scan.  The
+    index is nested rather than keyed by ``(server, client)`` tuples:
+    a tuple per new pair is one more garbage-collected object kept
+    alive per event, which moves full collections into later, timed
+    work.
     """
 
     name = "memory"
@@ -100,7 +104,7 @@ class MemoryLedgerBackend:
         self._by_server: Dict[EntityId, List[Feedback]] = defaultdict(list)
         self._by_client: Dict[EntityId, List[Feedback]] = defaultdict(list)
         self._histories: Dict[EntityId, TransactionHistory] = {}
-        self._pair_last: Dict[Tuple[EntityId, EntityId], Feedback] = {}
+        self._pair_last: Dict[EntityId, Dict[EntityId, Feedback]] = {}
         self._quarantine = quarantine
 
     @property
@@ -133,8 +137,64 @@ class MemoryLedgerBackend:
         self._by_client[feedback.client].append(feedback)
         # quarantined events never reach this line, so the index only
         # ever sees folded records — matching the query's contract
-        self._pair_last[(feedback.server, feedback.client)] = feedback
+        pairs = self._pair_last.get(feedback.server)
+        if pairs is None:
+            pairs = self._pair_last[feedback.server] = {}
+        pairs[feedback.client] = feedback
         return True
+
+    def record_batch(self, batch) -> Optional[int]:
+        """Fold a list of feedbacks (or a column batch) at once;
+        ``None`` defers to the per-event path.
+
+        The result equals calling :meth:`record` on every event in
+        order.  Each server's run is validated once, then its history
+        and indexes grow by one extend.  Armed faults need per-event
+        injection sequencing, and an ordering violation needs the
+        per-event raise-or-quarantine decision, so either defers.  A
+        clean run cannot reach the quarantine, which only ever receives
+        events the per-event path rejects.
+        """
+        if _res.armed:
+            return None
+        feedbacks = (
+            list(batch.iter_feedbacks())
+            if hasattr(batch, "iter_feedbacks")
+            else batch
+        )
+        runs: Dict[EntityId, List[Feedback]] = {}
+        for fb in feedbacks:
+            run = runs.get(fb.server)
+            if run is None:
+                runs[fb.server] = [fb]
+            else:
+                run.append(fb)
+        histories = self._histories
+        for server, run in runs.items():
+            history = histories.get(server)
+            last = run[0].time if history is None else history.last_time()
+            for fb in run:
+                if fb.time < last:
+                    return None
+                last = fb.time
+        by_server = self._by_server
+        pair_last = self._pair_last
+        for server, run in runs.items():
+            history = histories.get(server)
+            if history is None:
+                history = histories[server] = TransactionHistory(server)
+            history.extend_feedbacks(run)
+            by_server[server].extend(run)
+            pairs = pair_last.get(server)
+            if pairs is None:
+                pairs = pair_last[server] = {}
+            for fb in run:
+                pairs[fb.client] = fb
+        self._all.extend(feedbacks)
+        by_client = self._by_client
+        for fb in feedbacks:
+            by_client[fb.client].append(fb)
+        return len(feedbacks)
 
     def reset_server(self, server: EntityId, feedbacks: List[Feedback]) -> int:
         """Replace every record for ``server`` with a reconciled stream.
@@ -152,8 +212,7 @@ class MemoryLedgerBackend:
             self._all = [fb for fb in self._all if fb.server != server]
             for client_events in self._by_client.values():
                 client_events[:] = [fb for fb in client_events if fb.server != server]
-            for pair in [p for p in self._pair_last if p[0] == server]:
-                del self._pair_last[pair]
+            self._pair_last.pop(server, None)
             del self._by_server[server]
             self._histories.pop(server, None)
         installed = 0
@@ -196,7 +255,7 @@ class MemoryLedgerBackend:
         self, server: EntityId, client: EntityId
     ) -> Optional[Feedback]:
         """Most recent feedback from ``client`` about ``server``, if any."""
-        return self._pair_last.get((server, client))
+        return self._pair_last.get(server, {}).get(client)
 
     def interaction_counts(self, server: EntityId) -> Dict[EntityId, int]:
         """Number of feedbacks per issuing client for ``server``."""
@@ -306,22 +365,29 @@ class FeedbackLedger:
         return recorded
 
     def record_batch(self, batch) -> int:
-        """Bulk-ingest a :class:`~repro.feedback.store.FeedbackBatch`.
+        """Bulk-ingest a :class:`~repro.feedback.store.FeedbackBatch`
+        or a list of :class:`Feedback` records.
 
-        Columnar backends fold the whole batch in one vectorized pass
-        when nothing demands per-event sequencing (no subscribers, no
-        armed fault plan, clean ordering); otherwise — and always on the
-        object backend — this degrades to the per-event path with
-        identical semantics.  Returns how many events were folded.
+        The backend folds the whole batch in one pass when nothing
+        demands per-event sequencing (no armed fault plan, clean
+        ordering); otherwise this degrades to the per-event path with
+        identical semantics.  Subscribers see every folded event, in
+        order, after the fold; a column batch with subscribers takes
+        the per-event path, since they need the records materialized.
+        Returns how many events were folded.
         """
-        if not self._subscribers:
-            bulk = getattr(self._backend, "record_batch", None)
-            if bulk is not None:
-                folded = bulk(batch)
-                if folded is not None:
-                    return folded
+        columns = hasattr(batch, "iter_feedbacks")
+        bulk = getattr(self._backend, "record_batch", None)
+        if bulk is not None and not (columns and self._subscribers):
+            folded = bulk(batch)
+            if folded is not None:
+                if not columns:
+                    for fb in batch:
+                        for callback in self._subscribers:
+                            callback(fb)
+                return folded
         recorded = 0
-        for fb in batch.iter_feedbacks():
+        for fb in batch.iter_feedbacks() if columns else batch:
             if self.record(fb):
                 recorded += 1
         return recorded

@@ -555,8 +555,9 @@ class ColumnarLedgerBackend:
         self._persist_row(row, feedback)
         return True
 
-    def record_batch(self, batch: FeedbackBatch) -> Optional[int]:
-        """Vectorized bulk fold; ``None`` defers to the per-event path.
+    def record_batch(self, batch) -> Optional[int]:
+        """Vectorized bulk fold of a :class:`FeedbackBatch` (or a list
+        of feedbacks); ``None`` defers to the per-event path.
 
         The fast path requires clean data (no ordering violations
         against the stored per-server last times or within the batch),
@@ -566,6 +567,8 @@ class ColumnarLedgerBackend:
         """
         if _res.armed or self._histories or len(batch) == 0:
             return None
+        if not isinstance(batch, FeedbackBatch):
+            batch = FeedbackBatch.from_feedbacks(batch)
         store = self._store
         server_codes, new_servers = store.server_table.intern_many(batch.servers)
         times = batch.times

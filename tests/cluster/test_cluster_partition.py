@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import HashRingView, MerkleTree
+from repro.cluster import HashRingView, MerkleTree, partition
 from repro.p2p.chord import key_of
 
 
@@ -55,6 +55,19 @@ class TestHashRingView:
                 assert tuple(ring.preference_list(server)) == pref
             # within-group order follows input order
             assert group == [s for s in servers if s in set(group)]
+
+    def test_a_view_hashes_each_server_once(self, monkeypatch):
+        ring = HashRingView(self.MEMBERS, m_bits=32, replicas=3)
+        servers = [f"srv-{i}" for i in range(50)]
+        first = ring.partition(servers)
+        hashed = []
+        monkeypatch.setattr(
+            partition, "key_of", lambda name, m: hashed.append(name) or key_of(name, m)
+        )
+        assert ring.partition(servers) == first
+        route = {s: pref for pref, group in first.items() for s in group}
+        assert all(ring.owner(s) == route[s][0] for s in servers)
+        assert hashed == []
 
     def test_empty_membership_rejected(self):
         with pytest.raises(ValueError):

@@ -73,6 +73,50 @@ class TestQuorumDegradation:
         assert sorted(got) == sorted(cluster.servers)
 
 
+class TestDigestFirstReads:
+    """A quorum read needs one assessment per server; the other
+    replicas answer with their digest, which is all the quorum compares."""
+
+    def _count_assessed(self, cluster, monkeypatch):
+        assessed = []
+        for node in cluster._members.values():
+            original = node.service.assess_many
+
+            def counting(servers, _original=original):
+                assessed.extend(servers)
+                return _original(servers)
+
+            monkeypatch.setattr(node.service, "assess_many", counting)
+        return assessed
+
+    def test_one_replica_assessment_per_verdict(self, monkeypatch):
+        events = corpus()
+        cluster = make_cluster()
+        cluster.record_batch(events)
+        expected = make_reference(events, cluster._calibrator).assess_many(
+            cluster.servers
+        )
+        assessed = self._count_assessed(cluster, monkeypatch)
+        got = cluster.assess_many()
+        assert got == expected
+        assert sorted(assessed) == sorted(cluster.servers)
+
+    def test_dead_first_replica_still_yields_an_assessment(self, monkeypatch):
+        events = corpus()
+        cluster = make_cluster()
+        cluster.record_batch(events)
+        expected = make_reference(events, cluster._calibrator).assess_many(
+            cluster.servers
+        )
+        server = cluster.servers[0]
+        cluster.kill(_pref(cluster, server)[0])
+        assessed = self._count_assessed(cluster, monkeypatch)
+        got = cluster.assess_many()
+        assert got == expected
+        assert not any(a.degraded for a in got.values())
+        assert sorted(assessed) == sorted(cluster.servers)
+
+
 class TestReadRepair:
     def _diverge(self, cluster, server, events):
         """Apply one extra event to the second replica only."""

@@ -27,14 +27,18 @@ def test_back_dated_event_is_counted_below_watermark_on_every_replica():
     """10 in-order events, then one at t=5.5: every replica skips it."""
     cluster = make_cluster()
     with obs.activate() as session:
-        cluster.record_batch([_event(float(t)) for t in range(10)])
+        written = cluster.record_batch([_event(float(t)) for t in range(10)])
+        assert written["skipped"] == {"below_watermark": 0, "duplicate_digest": 0}
         applied_before = _counts(session.registry, "cluster.shard.events_applied")
-        cluster.record_batch([_event(5.5)])
+        written = cluster.record_batch([_event(5.5)])
         applied_after = _counts(session.registry, "cluster.shard.events_applied")
         skipped = _counts(session.registry, "cluster.shard.events_skipped")
 
     replicas = set(cluster._ring.preference_list("srv-late"))
     assert len(replicas) == 3
+    # the write report no longer passes the dropped event off as written
+    assert written["replica_writes"] == 3
+    assert written["skipped"] == {"below_watermark": 3, "duplicate_digest": 0}
     assert skipped == {(node, "below_watermark"): 1 for node in replicas}
     assert sum(skipped.values()) == 3
     assert applied_after == applied_before
@@ -46,10 +50,11 @@ def test_redelivered_tie_event_is_counted_as_duplicate_digest():
     cluster = make_cluster()
     with obs.activate() as session:
         cluster.record_batch([_event(float(t)) for t in range(3)])
-        cluster.record_batch([_event(2.0)])
+        written = cluster.record_batch([_event(2.0)])
         skipped = _counts(session.registry, "cluster.shard.events_skipped")
     assert {reason for _, reason in skipped} == {"duplicate_digest"}
     assert sum(skipped.values()) == 3
+    assert written["skipped"] == {"below_watermark": 0, "duplicate_digest": 3}
 
 
 def test_skips_are_not_counted_when_observability_is_off(monkeypatch):
@@ -58,5 +63,7 @@ def test_skips_are_not_counted_when_observability_is_off(monkeypatch):
     assert not obs.is_enabled()
     cluster = make_cluster()
     cluster.record_batch([_event(float(t)) for t in range(3)])
-    cluster.record_batch([_event(1.0)])
+    written = cluster.record_batch([_event(1.0)])
     assert _counts(registry, "cluster.shard.events_skipped") == {}
+    # the write report counts skips whether or not anything observes
+    assert written["skipped"]["below_watermark"] == 3

@@ -32,6 +32,14 @@ def _fb(t, server="s1", client="c1", rating=Rating.POSITIVE, category=None):
     )
 
 
+def _rows(feedbacks):
+    """Comparable field tuples (``Feedback`` equality looks at time only)."""
+    return [
+        None if fb is None else (fb.time, fb.server, fb.client, fb.rating, fb.category)
+        for fb in feedbacks
+    ]
+
+
 @pytest.fixture(params=BACKENDS)
 def make_ledger(request, tmp_path):
     """Factory producing a fresh ledger of the parametrized backend."""
@@ -159,6 +167,52 @@ class TestConformance:
                 server
             )
 
+    def test_record_batch_of_records_matches_per_event(self, make_ledger):
+        """A list of records folds as ``record_many`` would: same
+        indexes, same order, every event shown to subscribers."""
+        bulk, per_event = make_ledger(), make_ledger()
+        seen_bulk, seen = [], []
+        bulk.subscribe(seen_bulk.append)
+        per_event.subscribe(seen.append)
+        assert bulk.record_batch(list(STREAM)) == len(STREAM)
+        per_event.record_many(STREAM)
+        assert [id(fb) for fb in seen_bulk] == [id(fb) for fb in seen]
+        assert _rows(seen) == _rows(STREAM)
+        assert list(bulk.feedback_graph().items()) == list(
+            per_event.feedback_graph().items()
+        )
+        for client in per_event.clients():
+            assert _rows(bulk.feedbacks_by_client(client)) == _rows(
+                per_event.feedbacks_by_client(client)
+            )
+        for server in per_event.servers():
+            assert _rows(bulk.feedbacks_for_server(server)) == _rows(
+                per_event.feedbacks_for_server(server)
+            )
+            for client in per_event.clients():
+                assert _rows([bulk.last_interaction(server, client)]) == _rows(
+                    [per_event.last_interaction(server, client)]
+                )
+
+    def test_record_batch_out_of_order_folds_like_per_event(self, make_ledger):
+        """A back-dated record sends the batch down the per-event path:
+        quarantined with a quarantine, raised at the same record without."""
+        stream = STREAM + [_fb(2, "s1", "c9"), _fb(7, "s2", "c1")]
+        quarantined = []
+        for fold in ("record_batch", "record_many"):
+            quarantine = Quarantine(name="ledger")
+            led = make_ledger(quarantine=quarantine)
+            assert getattr(led, fold)(list(stream)) == len(stream) - 1
+            quarantined.append([item.item.time for item in quarantine.items()])
+        assert quarantined[0] == quarantined[1] == [2.0]
+        lengths = []
+        for fold in ("record_batch", "record_many"):
+            led = make_ledger()
+            with pytest.raises(ValueError, match="non-decreasing"):
+                getattr(led, fold)(list(stream))
+            lengths.append(len(led))
+        assert lengths[0] == lengths[1] == len(STREAM)
+
     def test_quarantine_captures_out_of_order(self, make_ledger):
         quarantine = Quarantine(name="ledger")
         led = make_ledger(quarantine=quarantine)
@@ -248,3 +302,28 @@ class TestLastInteractionIndex:
             latest[(server, client)] = fb.time
         for (server, client), expected in latest.items():
             assert led.last_interaction(server, client).time == expected
+
+
+def test_memory_fold_keeps_no_per_event_gc_objects():
+    """Folding N events over fresh (server, client) pairs allocates
+    garbage-collected objects per server and per client, not per event:
+    each surviving object brings full collections closer."""
+    import gc
+
+    n_servers, n_clients = 20, 100
+    stream = [
+        _fb(t, f"s{t % n_servers}", f"c{t // n_servers}")
+        for t in range(n_servers * n_clients)
+    ]
+    for fold in ("record_many", "record_batch"):
+        led = FeedbackLedger(backend="memory")
+        gc.collect()
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            getattr(led, fold)(stream)
+            allocated = gc.get_count()[0] - before
+        finally:
+            gc.enable()
+        assert len(led.feedback_graph()) == len(stream)  # every pair is new
+        assert allocated <= 4 * (n_servers + n_clients), fold
