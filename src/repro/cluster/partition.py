@@ -92,7 +92,7 @@ class HashRingView:
 
         Groups preserve the input's server order; the dict preserves
         first-appearance group order — both matter for deterministic
-        routing and calibration order.
+        routing.
         """
         groups: Dict[Tuple[str, ...], List[str]] = {}
         for server in servers:

@@ -109,10 +109,10 @@ class ClusterAssessmentService:
             )
         self.name = name
         self._config = config
-        # ONE calibrator across every shard (and any single-node
-        # reference built with it): the ε-threshold Monte-Carlo draws
-        # from a shared stream, so sharing the calibrator's cache is
-        # what makes cluster and single-node verdicts bit-identical.
+        # One calibrator across every shard, for its cache: each ε
+        # threshold is a pure function of its key and the seed, so any
+        # calibrator with the same settings and seed (a single-node
+        # reference, say) gives the same verdicts.
         self._calibrator = calibrator or ThresholdCalibrator(
             confidence=config.test_config.confidence,
             n_sets=config.test_config.calibration_sets,

@@ -8,14 +8,33 @@ value under which the configured fraction (95%) of null distances fall.
 
 The calibrator is the hot path of every experiment: the strategic
 attacker consults the behavior test before *each* transaction, and every
-consultation needs a threshold for the current ``(m, k, p_hat)``.  Two
-measures keep this cheap:
+consultation needs a threshold for the current ``(m, k, p_hat)``.  Every
+threshold is a pure function of ``(seed, m, k, p_key, n_sets,
+confidence, distance)``, so it does not matter which keys were asked
+before it, and a miss is cheap:
 
 * thresholds are cached keyed on ``(m, k, quantized p_hat)`` — ``p_hat``
-  moves slowly during an attack, so the hit rate is high; and
-* the Monte-Carlo itself draws whole sample sets as single multinomial
-  vectors (see :func:`repro.stats.bootstrap.null_l1_distances`), so one
-  calibration is a single vectorized numpy pass.
+  moves slowly during an attack, so the hit rate is high;
+* each ``(m, p_key)`` has its own stream of null window counts, drawn
+  window-major in blocks of ``_BLOCK_ROWS`` rows of ``n_sets`` counts
+  from ``B(m, p_key)``.  Block ``i`` is seeded from ``(seed, m, bits of
+  p_key, i)`` alone, so a stream extended in any order, or after a
+  failed attempt, holds the same counts.  Set ``s`` of ``k`` windows is
+  column ``s`` of the first ``k`` rows: the thresholds of one key at
+  different ``k`` share nested prefixes of the same draws; and
+* a miss only extends its key's stream to ``k`` rows, then takes one
+  ``bincount`` of those rows for every set's histogram, the distances to
+  ``B(m, p_key)`` and their percentile.
+
+That miss costs ``O(k * n_sets)``, so the streams only serve
+``k <= _STREAM_ROWS``, where it beats a multinomial draw.  A larger
+``k`` (long histories: Fig. 9 reaches k = 80,000) draws its sets'
+histograms at once with one ``multinomial(k, B(m, p_key))``, seeded from
+``(seed, m, bits of p_key, k)`` alone — ``O(n_sets * m)`` whatever ``k``
+is, still a pure function of the key, and nothing is kept but the
+threshold.  At most ``_MAX_STREAMS`` streams are kept (the oldest is
+dropped and redrawn if asked for again), so ``p_quantum=0``, which keys
+every distinct rate, cannot grow them without bound.
 """
 
 from __future__ import annotations
@@ -29,15 +48,54 @@ from ..obs import runtime as _obs
 from ..resilience import runtime as _res
 from ..resilience.retry import RetryExhausted, RetryPolicy
 from ..stats.binomial import binomial_pmf
-from ..stats.bootstrap import percentile_threshold
+from ..stats.bootstrap import batch_histograms, percentile_threshold
 from ..stats.distances import get_distance
-from ..stats.rng import SeedLike, make_rng
+from ..stats.rng import SeedLike, derive_seed
 
 __all__ = ["ThresholdCalibrator"]
 
 _log = logging.getLogger(__name__)
 
 _CacheKey = Tuple[int, int, float]
+
+#: window-count rows per drawn block of a key's null stream
+_BLOCK_ROWS = 16
+#: the most rows a stream holds; a larger k draws a multinomial instead.
+#: It is about where the two cost the same per miss (m = 10, n_sets = 400).
+_STREAM_ROWS = 256
+#: the most (m, p_key) streams kept at once
+_MAX_STREAMS = 128
+
+
+def _root_seed(seed: SeedLike) -> int:
+    """The integer every block seed derives from: an int seed itself,
+    else one 63-bit draw (fresh entropy for ``None``)."""
+    if seed is None or isinstance(seed, np.random.Generator):
+        return derive_seed(np.random.default_rng(seed))
+    root = int(seed)
+    if root < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return root
+
+
+def _key_rng(root: int, m: int, p: float, index: int) -> np.random.Generator:
+    """The generator of draw ``index`` of the ``(m, p)`` key: a block
+    number below ``_STREAM_ROWS // _BLOCK_ROWS``, or a ``k`` above
+    ``_STREAM_ROWS`` for a multinomial, so the two never share a seed."""
+    bits = int(np.float64(p).view(np.uint64))
+    return np.random.default_rng(np.random.SeedSequence([root, m, bits, index]))
+
+
+def _window_rows(root: int, m: int, p: float, blocks: range, n_sets: int) -> np.ndarray:
+    """Blocks ``blocks`` of the ``(m, p)`` null stream, stacked: rows of
+    ``n_sets`` window counts drawn from ``B(m, p)``."""
+    dtype = np.min_scalar_type(m)
+    return np.concatenate(
+        [
+            _key_rng(root, m, p, i).binomial(m, p, size=(_BLOCK_ROWS, n_sets)).astype(dtype)
+            for i in blocks
+        ]
+    )
 
 
 class ThresholdCalibrator:
@@ -64,16 +122,18 @@ class ThresholdCalibrator:
         self._distance_name = distance
         self._distance = get_distance(distance)
         self._p_quantum = p_quantum
-        self._rng = make_rng(seed)
+        self._root = _root_seed(seed)
+        #: (m, p_key) -> (pmf of B(m, p_key), the stream's rows drawn so far)
+        self._streams: Dict[Tuple[int, float], Tuple[np.ndarray, np.ndarray]] = {}
         self._cache: Dict[_CacheKey, float] = {}
         self._hits = 0
         self._misses = 0
         self._store = None
         # Recovery path for a failing Monte-Carlo pass: bounded retry
-        # (an injected or transient fault on attempt 1 leaves the rng
-        # untouched, so the retry reproduces the fault-free threshold
-        # bit-for-bit), then — retries exhausted — the nearest already-
-        # calibrated threshold for the same (m, k) as a *stale* answer,
+        # (every draw is seeded from its key alone, so the retry
+        # reproduces the fault-free threshold bit-for-bit), then —
+        # retries exhausted — the nearest already-calibrated threshold
+        # for the same (m, k) as a *stale* answer,
         # counted in ``degraded_calibrations`` so callers can flag the
         # verdict instead of raising mid-assessment.
         self._retry = retry_policy or RetryPolicy(
@@ -102,14 +162,15 @@ class ThresholdCalibrator:
 
         ``store`` needs ``get(key) -> Optional[float]`` and
         ``put(key, value)``; keys are the *full* calibration identity
-        ``(m, k, p_key, confidence, n_sets, distance)``, so one store
-        (e.g. :class:`repro.serve.CalibrationCache`) can safely serve
-        calibrators with different settings.  Pass ``None`` to detach.
+        ``(m, k, p_key, confidence, n_sets, distance, seed)``, so one
+        store (e.g. :class:`repro.serve.CalibrationCache`) can safely
+        serve calibrators with different settings or seeds.  Pass
+        ``None`` to detach.
         """
         self._store = store
 
     def _store_key(self, m: int, k: int, p_key: float) -> Tuple:
-        return (m, k, p_key, self._confidence, self._n_sets, self._distance_name)
+        return (m, k, p_key, self._confidence, self._n_sets, self._distance_name, self._root)
 
     def quantize_p(self, p: float) -> float:
         """``p`` snapped to the caching grid.
@@ -218,18 +279,52 @@ class ThresholdCalibrator:
     def null_distances(
         self, m: int, k: int, p: float, *, seed: Optional[SeedLike] = None
     ) -> np.ndarray:
-        """The raw Monte-Carlo null distances (for diagnostics/plots)."""
-        pmf = binomial_pmf(m, p)
-        rng = self._rng if seed is None else make_rng(seed)
-        counts = rng.multinomial(k, pmf, size=self._n_sets).astype(np.float64)
-        empirical = counts / k
-        if self._distance_name == "l1":
-            # fast path: vectorized row-wise L1
-            return np.abs(empirical - pmf[None, :]).sum(axis=1)
-        return np.array([self._distance(row, pmf) for row in empirical])
+        """The ``n_sets`` Monte-Carlo null distances of ``(m, k, p)``.
+
+        With ``seed=None`` these are the distances the calibrator itself
+        draws, so their :func:`percentile_threshold` is
+        ``threshold(m, k, p)`` for any ``p`` on the caching grid; another
+        ``seed`` gives the distances a calibrator of that seed would use
+        (for diagnostics and plots).
+        """
+        root = self._root if seed is None else _root_seed(seed)
+        if k > _STREAM_ROWS:
+            pmf = binomial_pmf(m, p)
+            hist = _key_rng(root, m, p, k).multinomial(k, pmf, size=self._n_sets)
+        else:
+            if seed is None:
+                pmf, rows = self._stream(m, p, k)
+            else:
+                pmf = binomial_pmf(m, p)
+                blocks = range(-(-k // _BLOCK_ROWS))
+                rows = _window_rows(root, m, p, blocks, self._n_sets)
+            # set s is column s of the first k rows
+            hist = batch_histograms(rows[:k].T, m + 1)
+        empirical = hist / k
+        if self._distance_name != "l1":
+            return np.array([self._distance(row, pmf) for row in empirical])
+        empirical -= pmf
+        return np.abs(empirical, out=empirical).sum(axis=1)
+
+    def _stream(self, m: int, p: float, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(pmf, rows)`` of the ``(m, p)`` stream, drawn to >= ``k`` rows."""
+        entry = self._streams.get((m, p))
+        if entry is not None and len(entry[1]) >= k:
+            return entry
+        if entry is None:
+            if len(self._streams) >= _MAX_STREAMS:
+                del self._streams[next(iter(self._streams))]
+            pmf, drawn = binomial_pmf(m, p), 0
+        else:
+            pmf, drawn = entry[0], len(entry[1]) // _BLOCK_ROWS
+        blocks = range(drawn, -(-k // _BLOCK_ROWS))
+        rows = _window_rows(self._root, m, p, blocks, self._n_sets)
+        if entry is not None:
+            rows = np.concatenate([entry[1], rows])
+        self._streams[(m, p)] = (pmf, rows)
+        return pmf, rows
 
     # ------------------------------------------------------------------ #
 
     def _calibrate(self, m: int, k: int, p: float) -> float:
-        distances = self.null_distances(m, k, p)
-        return percentile_threshold(distances, self._confidence)
+        return percentile_threshold(self.null_distances(m, k, p), self._confidence)

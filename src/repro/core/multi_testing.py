@@ -109,10 +109,9 @@ def judge_rounds(
     expressions.  Other distances and ``threshold(k, p_hat)`` are
     consulted lazily: only when the window count changes (an unchanged
     window set reuses the previous verdict), and never after a walk's
-    first failing round unless ``collect_all``.  The calibrator draws
-    from one shared rng stream, so this order of threshold consultations
-    is part of every verdict.  Returns one list of ``(length, verdict)``
-    per walk, shortest suffix first.
+    first failing round unless ``collect_all``, so no walk pays for a
+    threshold its verdict does not use.  Returns one list of
+    ``(length, verdict)`` per walk, shortest suffix first.
     """
     m = window_size
     p_hat = (hist @ np.arange(m + 1)) / (wants * m)
@@ -214,8 +213,8 @@ def fold_cold_batch(
     objects or 1-D 0/1 outcome arrays (oldest first; validated like the
     scalar path's).  Returns, in order, reports equal to
     ``tester.test(history)`` bit-for-bit: every history's rounds run back
-    to back through the suffix walk's arithmetic, and the thresholds are
-    consulted history by history in the scalar walk's order.
+    to back through the suffix walk's arithmetic, and the batch asks the
+    calibrator for exactly the thresholds the scalar walks would.
     """
     if not supports_vectorized(tester):
         raise ValueError(
@@ -240,7 +239,7 @@ def fold_cold_batch(
         chunks[-1].append(i)
         windows += k
     # One threshold memo across chunks: repeat (k, p_key) shapes skip the
-    # calibrator, whose first consultation per shape is the scalar walk's.
+    # calibrator's quantize-and-lookup; thresholds depend on the key only.
     thr_memo: Dict[Tuple[int, float], float] = {}
     quantize = lru_cache(maxsize=None)(tester.calibrator.quantize_p)
     with _obs.timer("core.vectorized.seconds"):

@@ -10,8 +10,8 @@ free — attach one :class:`CalibrationCache` to any number of
 ``calibrator.attach_store(cache)``.
 
 Keys are the full calibration identity
-``(m, k, p_key, confidence, n_sets, distance)``, so calibrators with
-different settings can safely share one store.
+``(m, k, p_key, confidence, n_sets, distance, seed)``, so calibrators
+with different settings or seeds can safely share one store.
 """
 
 from __future__ import annotations
@@ -30,10 +30,13 @@ _log = logging.getLogger(__name__)
 
 __all__ = ["CalibrationCache"]
 
-#: (m, k, p_key, confidence, n_sets, distance_name)
-CacheKey = Tuple[int, int, float, float, int, str]
+#: (m, k, p_key, confidence, n_sets, distance_name, seed)
+CacheKey = Tuple[int, int, float, float, int, str, int]
 
-_SCHEMA = "repro.serve.calibration_cache/v1"
+_SCHEMA = "repro.serve.calibration_cache/v2"
+#: this cache's earlier formats: their keys lack the seed and their
+#: values predate the per-key ε streams, so they load as a cold start
+_OLDER_SCHEMAS = ("repro.serve.calibration_cache/v1",)
 
 
 class CalibrationCache:
@@ -145,10 +148,12 @@ class CalibrationCache:
         already present.  A truncated or otherwise corrupt snapshot (a
         crashed writer, a bad disk) yields **0 entries and a warning
         event** — a cold cache recalibrates correctly, whereas aborting
-        the service start turns one bad file into an outage.  A file
-        that parses but carries a *different schema* still raises
-        ``ValueError``: that is a wrong path, not corruption, and
-        silently ignoring it would hide a configuration bug.
+        the service start turns one bad file into an outage.  So does
+        a snapshot in one of this cache's older schemas: its thresholds
+        are stale, not wrong-path.  A file that parses but carries a
+        *foreign schema* still raises ``ValueError``: that is a wrong
+        path, not corruption, and silently ignoring it would hide a
+        configuration bug.
         """
         source = path or self._path
         if source is None:
@@ -159,11 +164,14 @@ class CalibrationCache:
             if _res.armed:
                 raw = _res.inject("serve.cache.load", value=raw)
             payload = json.loads(raw)
-            if not isinstance(payload, dict) or payload.get("schema") != _SCHEMA:
+            schema = payload.get("schema") if isinstance(payload, dict) else None
+            if schema in _OLDER_SCHEMAS:
+                raise ValueError(f"{source}: an older {schema} snapshot")
+            if schema != _SCHEMA:
                 raise _SchemaMismatch(f"{source}: not a {_SCHEMA} snapshot")
             entries = []
             for raw_key, value in payload.get("entries", []):
-                m, k, p_key, confidence, n_sets, distance = raw_key
+                m, k, p_key, confidence, n_sets, distance, seed = raw_key
                 entries.append(
                     (
                         (
@@ -173,6 +181,7 @@ class CalibrationCache:
                             float(confidence),
                             int(n_sets),
                             str(distance),
+                            int(seed),
                         ),
                         float(value),
                     )

@@ -7,10 +7,11 @@ per server, folds feedback as it arrives (directly or via a subscribed
 verdicts and whole assessments, and answers bulk trust queries through
 :meth:`AssessmentService.assess_many` in one serial sweep.
 
-Serving stays in one process on purpose: the phase-1 ε thresholds come
-from one Monte-Carlo calibrator whose draw order is part of every
-verdict, so a pool of workers each calibrating on its own RNG stream
-could not reproduce the paper's tests.
+Serving runs in one process: the speed comes from memoization and
+incremental window-count reuse, not from parallelism.  The phase-1 ε
+thresholds do not tie it there: each is a pure function of its key and
+the calibrator's seed, so any calibrator with the same settings and
+seed answers with the same thresholds.
 
 Verdicts are bit-identical to per-call
 :meth:`~repro.core.two_phase.TwoPhaseAssessor.assess` — the service
@@ -393,12 +394,11 @@ class AssessmentService:
         Seeds are discarded when the batch answered off a stale
         calibration threshold, so the scalar path can re-derive and flag
         the assessment as degraded.  Skipped entirely when faults are
-        armed: the batch consults thresholds in the scalar walk's order,
-        but it memoizes a degraded (uncached) threshold for the rest of
-        the batch and raises an escaping fault outside :meth:`_sweep`.
-        Either way the calibration fault site would see a different
-        sequence of draws than the scalar walk, and chaos runs must
-        replay bit-identically.
+        armed: the batch memoizes a degraded (uncached) threshold for the
+        rest of the batch and raises an escaping fault outside
+        :meth:`_sweep`, so the calibration fault site would see a
+        different sequence of consultations than the scalar walk, and
+        chaos runs must replay bit-identically.
         """
         if not self._vectorized or _res.armed:
             return

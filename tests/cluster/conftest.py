@@ -7,9 +7,9 @@ failure replays locally by exporting the same seed.
 
 The central invariant under test: a *healthy* cluster returns verdicts
 bit-identical to a single-node :class:`~repro.serve.AssessmentService`
-sharing the cluster's threshold calibrator (the ε-threshold Monte-Carlo
-draws from one stream, so sharing the calibrator's cache removes the
-calibration-order dependence between deployments).
+with the same calibrator settings and seed (every ε threshold is a pure
+function of its key and the seed; sharing the calibrator only shares
+its cache).
 """
 
 from __future__ import annotations

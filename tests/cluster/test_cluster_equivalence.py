@@ -2,18 +2,20 @@
 
 The acceptance bar for the sharded deployment: for the full corpus of
 honest / hibernating / periodic / collusive servers, a healthy cluster
-and a single-node service sharing its calibrator return identical
+and a single-node service return identical
 :class:`~repro.core.verdict.Assessment` objects — across shard counts,
-incremental ingest, and membership changes.
+incremental ingest, and membership changes — whether the single node
+shares the cluster's calibrator or builds its own with the same seed.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.calibration import ThresholdCalibrator
 from repro.feedback.records import Feedback
 
-from .conftest import corpus, make_cluster, make_reference
+from .conftest import CLUSTER_CONFIG, corpus, make_cluster, make_reference
 
 
 class TestHealthyEquivalence:
@@ -27,6 +29,24 @@ class TestHealthyEquivalence:
         got = cluster.assess_many()
         assert got == expected
         assert not any(a.degraded for a in got.values())
+
+    def test_single_node_with_its_own_calibrator_agrees(self):
+        # thresholds are pure functions of their key and the seed, so a
+        # fresh same-seed calibrator reproduces the cluster's verdicts
+        events = corpus()
+        cluster = make_cluster(n_nodes=4)
+        cluster.record_batch(events)
+        got = cluster.assess_many()
+        test_config = CLUSTER_CONFIG.test_config
+        own = ThresholdCalibrator(
+            confidence=test_config.confidence,
+            n_sets=test_config.calibration_sets,
+            distance=test_config.distance,
+            p_quantum=test_config.p_quantum,
+        )
+        assert own is not cluster._calibrator
+        reference = make_reference(events, own)
+        assert reference.assess_many(cluster.servers) == got
 
     def test_single_node_cluster_degenerates_cleanly(self):
         events = corpus(n_per_kind=1)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.calibration import ThresholdCalibrator
+from repro.core.calibration import _MAX_STREAMS, _STREAM_ROWS, ThresholdCalibrator
+from repro.stats.bootstrap import percentile_threshold
 from repro.stats.binomial import sample_window_counts
 from repro.stats.distances import l1_distance
 from repro.stats.empirical import empirical_pmf
@@ -21,10 +24,12 @@ class TestThreshold:
         cal = ThresholdCalibrator(n_sets=1000, seed=2)
         assert cal.threshold(10, 320, 0.95) < cal.threshold(10, 10, 0.95)
 
-    def test_honest_samples_pass_at_roughly_the_confidence(self):
+    @pytest.mark.parametrize("p", [0.6, 0.9, 0.95])
+    @pytest.mark.parametrize("k", [4, 16, 64, 512])
+    def test_honest_samples_pass_at_roughly_the_confidence(self, k, p):
         # ~95% of honest sample sets should fall under the 95% threshold
         cal = ThresholdCalibrator(n_sets=2000, seed=3)
-        m, k, p = 10, 40, 0.9
+        m = 10
         eps = cal.threshold(m, k, p)
         pmf = binomial_pmf(m, p)
         passes = 0
@@ -138,3 +143,102 @@ class TestNullDistances:
         assert distances.shape == (50,)
         assert (distances >= 0).all() and (distances <= 1).all()
         assert cal.threshold(10, 30, 0.9) > 0
+
+
+#: (m, k, p_hat) consultations: a few window sizes, k across several
+#: 16-row blocks and across the streams' row cap, rates on and off the
+#: caching grid
+_KEYS = st.tuples(
+    st.sampled_from([4, 10]),
+    st.one_of(st.integers(1, 40), st.integers(_STREAM_ROWS - 8, _STREAM_ROWS + 8)),
+    st.floats(0.0, 1.0, allow_nan=False),
+)
+
+
+def _calibrator(seed=31):
+    return ThresholdCalibrator(n_sets=64, seed=seed)
+
+
+class TestPerKeyStreams:
+    """Every threshold is a pure function of its key and the seed."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(keys=st.lists(_KEYS, min_size=1, max_size=12), data=st.data())
+    def test_same_seed_agrees_whatever_the_order(self, keys, data):
+        one = data.draw(st.permutations(keys))
+        two = data.draw(st.permutations(keys))
+        first, second = _calibrator(), _calibrator()
+        asked_first = {key: first.threshold(*key) for key in one}
+        asked_second = {key: second.threshold(*key) for key in two}
+        assert asked_first == asked_second
+
+    @settings(max_examples=20, deadline=None)
+    @given(m=st.sampled_from([4, 10]), p=st.floats(0.05, 0.95))
+    def test_longer_stream_first_leaves_shorter_keys_alone(self, m, p):
+        extended = _calibrator()
+        extended.threshold(m, 40, p)
+        assert extended.threshold(m, 8, p) == _calibrator().threshold(m, 8, p)
+
+    def test_another_seed_moves_a_threshold(self):
+        keys = [(10, k, p) for k in (5, 12, 30) for p in (0.6, 0.8, 0.95)]
+        first, other = _calibrator(seed=1), _calibrator(seed=2)
+        assert [first.threshold(*key) for key in keys] != [
+            other.threshold(*key) for key in keys
+        ]
+
+    @pytest.mark.parametrize("distance", ["l1", "ks"])
+    def test_threshold_is_the_percentile_of_the_stream_distances(self, distance):
+        cal = ThresholdCalibrator(n_sets=300, distance=distance, seed=17)
+        for k in (3, 16, 17, 50, _STREAM_ROWS + 1):
+            distances = cal.null_distances(10, k, 0.87)
+            assert distances.shape == (300,)
+            assert percentile_threshold(distances, 0.95) == cal.threshold(10, k, 0.87)
+
+    @pytest.mark.parametrize("k", [20, _STREAM_ROWS + 1])
+    def test_explicit_seed_gives_that_seeds_stream(self, k):
+        cal = _calibrator(seed=5)
+        np.testing.assert_array_equal(
+            cal.null_distances(10, k, 0.9, seed=6),
+            _calibrator(seed=6).null_distances(10, k, 0.9),
+        )
+
+    def test_kept_rows_stay_bounded(self):
+        # p_quantum=0 keys every distinct rate; a long history's k is
+        # past the streams and keeps no rows at all
+        cal = ThresholdCalibrator(n_sets=16, p_quantum=0, seed=4)
+        rates = np.linspace(0.3, 0.7, _MAX_STREAMS + 5)
+        for p in rates:
+            cal.threshold(10, 8, p)
+        assert len(cal._streams) == _MAX_STREAMS
+
+        def kept():
+            return {key: len(rows) for key, (_, rows) in cal._streams.items()}
+
+        before = kept()
+        assert (10, 0.5) in before
+        cal.threshold(10, 50_000, 0.5)
+        assert kept() == before
+        fresh = ThresholdCalibrator(n_sets=16, p_quantum=0, seed=4)
+        # the first rate's stream was dropped; redrawn, it agrees
+        assert cal.threshold(10, 9, rates[0]) == fresh.threshold(10, 9, rates[0])
+
+    def test_generator_seed_draws_one_root(self):
+        a = ThresholdCalibrator(n_sets=64, seed=np.random.default_rng(9))
+        b = ThresholdCalibrator(n_sets=64, seed=np.random.default_rng(9))
+        assert a.threshold(10, 12, 0.9) == b.threshold(10, 12, 0.9)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            ThresholdCalibrator(seed=-1)
+
+
+class TestPercentile:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=50),
+        confidence=st.floats(0.01, 0.99),
+    )
+    def test_matches_numpy_quantile(self, values, confidence):
+        assert percentile_threshold(values, confidence) == float(
+            np.quantile(values, confidence)
+        )

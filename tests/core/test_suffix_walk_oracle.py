@@ -6,9 +6,9 @@ histogram, ``p_hat``, expected pmf and distance in one numpy pass, and
 histories at once.  The oracle below is the walk they replaced: an
 incremental histogram that absorbs each round's entering windows, judged
 one round at a time.  All must agree on every round's numbers with
-``==`` and must consult the calibrator with the same key sequence,
-because the calibrator draws its Monte-Carlo sets from one shared rng
-stream.
+``==`` and must consult the calibrator with the same key sequence, so
+the one-pass walks calibrate no threshold the round-by-round walk
+does not.
 """
 
 from __future__ import annotations

@@ -2,9 +2,8 @@
 
 :func:`repro.core.multi_testing.fold_cold_batch` must reproduce
 ``tester.test(history)`` *exactly* — same distances, same thresholds,
-same decisive rounds — including the calibration side effects: the
-calibrator draws Monte-Carlo sets from one shared rng stream, so the
-batch must consult it in the scalar path's miss order.
+same decisive rounds — and must ask the calibrator for no threshold
+the scalar path does not (its misses equal the scalar path's).
 """
 
 from __future__ import annotations
@@ -94,12 +93,12 @@ class TestParity:
     def test_order_parity_with_fresh_calibrators(
         self, collect_all, chunk_windows, monkeypatch
     ):
-        """Two *independent* same-seed calibrators must end up with the
-        same thresholds: the batch consults calibration cache misses in
-        exactly the scalar walk's order, so the shared rng streams stay
-        in lockstep.  A 7-window chunk cap splits the batch into a pass
-        per history; the threshold memo spans chunks, so the calibrator
-        sees the same calls as in one pass."""
+        """Independent same-seed calibrators give the batch and the
+        scalar walk the same thresholds (each is a pure function of its
+        key), and the batch asks for no threshold the scalar walk does
+        not: its misses equal the walk's.  A 7-window chunk cap splits
+        the batch into a pass per history; the threshold memo spans
+        chunks, so the calibrator sees the same calls as in one pass."""
         histories = _histories(seed=3)
 
         def tester():

@@ -7,11 +7,13 @@ import json
 import pytest
 
 from repro.core.calibration import ThresholdCalibrator
+from repro.obs.events import EventLog
+from repro.resilience import runtime as res
 from repro.serve import CalibrationCache
 
 
 def _key(i: int):
-    return (10, 20 + i, 0.95, 0.95, 100, "l1")
+    return (10, 20 + i, 0.95, 0.95, 100, "l1", 12345)
 
 
 class TestLRU:
@@ -91,6 +93,34 @@ class TestCalibratorIntegration:
         assert cache.hits >= 1
         # the second calibrator answered from the store, not Monte Carlo
         assert cache.misses == misses_before
+
+    def test_other_seed_misses_the_shared_entries(self):
+        cache = CalibrationCache()
+        first = ThresholdCalibrator(n_sets=50, seed=1)
+        first.attach_store(cache)
+        first.threshold(m=10, k=12, p_hat=0.95)
+        other = ThresholdCalibrator(n_sets=50, seed=2)
+        other.attach_store(cache)
+        hits_before = cache.hits
+        other.threshold(m=10, k=12, p_hat=0.95)
+        # the other seed calibrated its own threshold, beside the first's
+        assert cache.hits == hits_before
+        assert other.cache_stats == (0, 1)
+        assert len(cache) == 2
+
+    def test_v1_snapshot_starts_cold(self, tmp_path):
+        path = tmp_path / "v1.json"
+        entry = [[10, 20, 0.95, 0.95, 100, "l1"], 0.5]
+        path.write_text(
+            json.dumps({"schema": "repro.serve.calibration_cache/v1", "entries": [entry]})
+        )
+        log = EventLog()
+        with res.activate(event_log=log):
+            assert CalibrationCache().load(str(path)) == 0
+            cache = CalibrationCache(path=str(path))  # a service still starts
+        assert len(cache) == 0
+        failures = [e for e in log.events if e["event"] == "cache_load_failed"]
+        assert len(failures) == 2
 
     def test_detach_store(self):
         cache = CalibrationCache()

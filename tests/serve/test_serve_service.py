@@ -173,8 +173,8 @@ class TestExecutors:
             )
 
     def test_process_and_auto_executors_are_rejected(self):
-        """Serving is single-process: per-worker calibration RNG streams
-        would change the ε thresholds, and so the verdicts."""
+        """Serving is single-process: there is no worker pool to
+        select."""
         for executor in ("process", "auto"):
             with pytest.raises(ValueError, match="executor"):
                 AssessmentService(config=AssessorConfig(), executor=executor)
