@@ -7,7 +7,6 @@ and asserts the ratio stays inside the layer's budget:
 layer       switched on for the second run                        budget
 ==========  ====================================================  ======
 trace       root context + span sink on every span                <10%
-profile     a profiler session at the fig9 ``sample_hz=97``       <10%
 fleet       Chord lookups inside ``node_scope``                   <5%
 resilience  an activated-but-empty ``FaultPlan`` on a serve sweep <5%
 ==========  ====================================================  ======
@@ -46,7 +45,6 @@ from repro.resilience import runtime as res
 from repro.serve import AssessmentService
 
 REPEATS = 15
-SAMPLE_HZ = 97.0  # the fig9 profile_path default (out-of-band sampler)
 
 MULTI_CONFIG = BehaviorTestConfig(multi_step=1000)
 MULTI_CALIBRATOR = make_shared_calibrator(MULTI_CONFIG)
@@ -154,16 +152,6 @@ def _trace_case(tmp_path):
     return baseline, traced
 
 
-def _profile_case(tmp_path):
-    run = _multi_test_run("bench.profile_overhead")
-    with obs.activate():
-        baseline = _min_of(run)
-    with obs.profile_session(sample_hz=SAMPLE_HZ) as profiler:
-        profiled = _min_of(run)
-    assert profiler.phase("bench.profile_overhead").calls == REPEATS
-    return baseline, profiled
-
-
 def _fleet_case(tmp_path):
     ring = _build_ring()
     node = ring.nodes["node-0"]
@@ -203,7 +191,6 @@ def _resilience_case(tmp_path):
 
 CASES = {
     "trace": (_trace_case, 1.10),
-    "profile": (_profile_case, 1.10),
     "fleet": (_fleet_case, 1.05),
     "resilience": (_resilience_case, 1.05),
 }
@@ -244,7 +231,7 @@ def test_trace_untraced_span_cost():
     assert per_span < 50e-6, f"untraced span cost {per_span * 1e6:.1f}µs"
 
 
-def test_profile_disabled_span_path_allocates_nothing():
+def test_trace_disabled_span_path_allocates_nothing():
     """No session open: the span path stays allocation-free."""
     assert not runtime.is_enabled()
 

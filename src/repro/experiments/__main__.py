@@ -40,23 +40,16 @@ ARTIFACT_DIRS = {
     "--events-dir": (
         "events_path",
         "EVENTS_{name}.jsonl",
-        "write JSONL event logs with progress heartbeats into this "
-        "directory as EVENTS_<name>.jsonl (watch live with "
-        "`repro obs top <log>`)",
-    ),
-    "--profile-dir": (
-        "profile_path",
-        "PROFILE_{name}.json",
-        "write phase profiles into this directory as "
-        "PROFILE_<name>.json plus flamegraph-ready .folded "
-        "(experiments that support profiling, e.g. fig9)",
+        "write each run's lifecycle event log (run_start, final metrics "
+        "snapshot, run_end) into this directory as EVENTS_<name>.jsonl",
     ),
     "--trace-dir": (
         "trace_path",
         "TRACE_{name}.jsonl",
         "write causal span logs into this directory as "
         "TRACE_<name>.jsonl (experiments that support tracing, e.g. "
-        "serve); inspect with `repro obs trace <log>`",
+        "fig9, serve); `repro obs report <log>` renders the phase "
+        "table, `repro obs trace <log>` one trace's span tree",
     ),
     "--slo-dir": (
         "slo_path",

@@ -218,16 +218,10 @@ def _sweep(
 ) -> ExperimentResult:
     """Mean attack cost per (prep size, defense scheme), one row per prep."""
     calibrator = make_shared_calibrator(config)
-    total = len(tuple(prep_sizes)) * len(schemes) * n_seeds
     with ExperimentRun(
         result.experiment,
         seed=base_seed,
         events_path=events_path,
-        total=total,
-        # one tick per attack run, throttled so quick sweeps still
-        # heartbeat deterministically
-        label="attack_runs",
-        interval_ticks=max(total // 20, 1),
         audit_path=audit_path,
         audit_sample=audit_sample,
     ) as experiment:
@@ -248,7 +242,6 @@ def _sweep(
                 for s in range(n_seeds):
                     run = attacker.run(prep, seed=base_seed + seed_stride * s)
                     costs.append(run.cost)
-                    experiment.tick(1, transactions=run.cost)
                 row[name] = mean_over_seeds(costs)
             result.add_row(**row)
         if experiment.trail is not None:

@@ -143,8 +143,6 @@ def run_cluster_scale(
         meta={"quick": quick, "repeats": repeats},
         bench_path=bench_path,
         events_path=events_path,
-        total=sum(len(shard_counts) for _, _, shard_counts in sweep_points),
-        label="points",
     ) as run:
         for n_servers, events_per_server, shard_counts in sweep_points:
             with obs.span("experiments.cluster.prepare", n_servers=n_servers):
@@ -246,7 +244,6 @@ def _run_point(
             shards=shards,
             verified=len(sample),
         )
-    run.tick(1)
 
     params = {"n_servers": n_servers, "shards": shards}
     min_s = {}

@@ -5,7 +5,7 @@ self-describing table of the series the paper's figure plots, plus notes
 recording parameters.  The CLI and EXPERIMENTS.md are generated from
 these objects, and the benchmark suite calls the same entry points with
 ``quick=True``.  Every runner writes its artifacts (BENCH, EVENTS,
-AUDIT, PROFILE, TRACE) through one :class:`ExperimentRun`.
+AUDIT, TRACE) through one :class:`ExperimentRun`.
 """
 
 from __future__ import annotations
@@ -112,22 +112,18 @@ class ExperimentRun:
     """How one experiment run writes its artifacts, as a context manager.
 
     Entering the run reuses the ambient obs session (or activates a
-    private one), opens the ``events_path`` log with ``run_start`` and
-    ``progress_start``, the audit / profile / tracing sessions the
-    runner was given paths for, and the ``experiments.<name>.run`` span
-    (labelled with ``meta``, the runner's own ``run_meta`` fields).
+    private one), opens the ``events_path`` log with ``run_start``, the
+    audit and tracing sessions the runner was given paths for, and the
+    ``experiments.<name>.run`` span (labelled with ``meta``, the
+    runner's own ``run_meta`` fields).
 
     Leaving it normally writes the collected :meth:`bench_row` rows to
     ``bench_path`` (inside ``experiments.<name>.export``), the metrics
-    snapshot, ``PROFILE`` json plus ``.folded``, ``progress_end`` and
-    ``run_end``.  Leaving it by an exception writes only ``run_end``
-    with ``status="error"`` and the exception type, so ``repro obs top``
-    stops following a crashed run; either way every session and the
-    log are closed and the exception propagates.
-
-    ``total`` / ``label`` / ``interval_ticks`` configure the heartbeat
-    :class:`~repro.obs.ProgressMonitor`; :meth:`tick` is a no-op without
-    ``events_path``.
+    snapshot and ``run_end``.  Leaving it by an exception writes only
+    ``run_end`` with ``status="error"`` and the exception type; either
+    way every session and the log are closed and the exception
+    propagates.  The span log at ``trace_path`` is the run's timing
+    record: ``repro obs report`` renders it as a phase table.
     """
 
     def __init__(
@@ -139,13 +135,8 @@ class ExperimentRun:
         meta: Optional[Dict[str, object]] = None,
         bench_path: Optional[str] = None,
         events_path: Optional[str] = None,
-        total: Optional[int] = None,
-        label: str = "ticks",
-        interval_ticks: int = 1,
         audit_path: Optional[str] = None,
         audit_sample: int = 1,
-        profile_path: Optional[str] = None,
-        profile_sample_hz: float = 97.0,
         trace_path: Optional[str] = None,
     ):
         self.name = name
@@ -155,19 +146,12 @@ class ExperimentRun:
         )
         self._bench_path = bench_path
         self._events_path = events_path
-        self._progress = {
-            "total": total,
-            "label": label,
-            "interval_ticks": interval_ticks,
-        }
         self._audit = (audit_path, audit_sample)
-        self._profile = (profile_path, profile_sample_hz)
         self._trace_path = trace_path
         self.rows: List[Dict[str, object]] = []
         self.log: Optional[obs.EventLog] = None
         self.registry: Optional[obs.MetricsRegistry] = None
         self.trail = None
-        self._monitor: Optional[obs.ProgressMonitor] = None
         self._lifecycle = None
 
     def __enter__(self) -> "ExperimentRun":
@@ -181,10 +165,6 @@ class ExperimentRun:
     def _run(self):
         if self._events_path is not None:
             self.log = obs.EventLog(self._events_path, run_meta=self.meta)
-            self._monitor = obs.ProgressMonitor(
-                self.log, interval_seconds=None, **self._progress
-            )
-            self._monitor.start(experiment=self.name)
         try:
             with contextlib.ExitStack() as stack:
                 if obs.is_enabled():
@@ -201,14 +181,6 @@ class ExperimentRun:
                             include_pmfs=False,
                         )
                     )
-                profile_path, sample_hz = self._profile
-                profiler = None
-                if profile_path is not None:
-                    # out-of-band periodic sampling: the profiled thread
-                    # pays nothing per call
-                    profiler = stack.enter_context(
-                        obs.profile_session(sample_hz=sample_hz)
-                    )
                 if self._trace_path is not None:
                     # one causal trace: every span of the run, service
                     # request and network hop shares this trace_id
@@ -223,9 +195,6 @@ class ExperimentRun:
                             )
                 if self.log is not None:
                     self.log.emit_metrics(self.registry)
-            if profiler is not None:
-                obs.write_profile_json(profile_path, self.name, profiler, meta=self.meta)
-                obs.write_folded(obs.folded_path_for(profile_path), profiler)
         except BaseException as exc:
             if self.log is not None:
                 self.log.emit(
@@ -237,16 +206,10 @@ class ExperimentRun:
             raise
         else:
             if self.log is not None:
-                self._monitor.finish(experiment=self.name)
                 self.log.emit("run_end", experiment=self.name)
         finally:
             if self.log is not None:
                 self.log.close()
-
-    def tick(self, n: int = 1, **counts: float) -> None:
-        """Record progress on the heartbeat monitor (no-op without a log)."""
-        if self._monitor is not None:
-            self._monitor.tick(n, **counts)
 
     def bench_row(
         self, metric, name: str, params: Dict[str, object], **extra_stats: object

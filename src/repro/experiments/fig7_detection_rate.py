@@ -61,8 +61,8 @@ def run_fig7(
     ``bench_path`` times every behavior test through the obs layer and
     writes a schema-validated ``BENCH_fig7.json`` (test × attack window
     → mean/min/p95 seconds plus the detection rate) so detection speed
-    joins fig9 in the regression gate.  ``events_path`` streams progress
-    heartbeats to a JSONL log; tail it live with ``repro obs top``.
+    joins fig9 in the regression gate.  ``events_path`` writes the run's
+    lifecycle events to a JSONL log.
     """
     if attack_windows is None:
         attack_windows = ATTACK_WINDOWS
@@ -85,7 +85,6 @@ def run_fig7(
             f"{1 - attack_rate:.2f}"
         ),
     )
-    total = len(tuple(attack_windows)) * trials
     with ExperimentRun(
         "fig7",
         seed=base_seed,
@@ -93,10 +92,6 @@ def run_fig7(
         meta={"quick": quick, "trials": trials, "history_length": history_length},
         bench_path=bench_path,
         events_path=events_path,
-        total=total,
-        label="trials",
-        # tick-based throttling keeps heartbeat counts deterministic
-        interval_ticks=max(total // 20, 1),
         audit_path=audit_path,
     ) as run:
         for window in attack_windows:
@@ -115,7 +110,6 @@ def run_fig7(
                         multi_hits += not _tested(
                             multi, trace, window, run.trail
                         ).passed
-                    run.tick(1, tests=2)
             result.add_row(
                 attack_window=window,
                 single_detection_rate=single_hits / trials,

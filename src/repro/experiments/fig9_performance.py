@@ -52,19 +52,17 @@ def run_fig9(
     quick: bool = False,
     bench_path: Optional[str] = None,
     events_path: Optional[str] = None,
-    profile_path: Optional[str] = None,
-    profile_sample_hz: float = 97.0,
+    trace_path: Optional[str] = None,
     engine: str = "batch",
 ) -> ExperimentResult:
     """Reproduce Fig. 9 (seconds per behavior test).
 
     When ``bench_path`` is given, a schema-validated ``BENCH_fig9.json``
     (scheme → history size → mean/min seconds) is written there through
-    the :mod:`repro.obs.bench` layer.  ``events_path`` streams progress
-    heartbeats (one per timed measurement) to a JSONL log for
-    ``repro obs top``; ``profile_path`` runs the sweep under a phase
-    profiler and writes both ``PROFILE_fig9.json`` and the sibling
-    flamegraph-ready ``.folded`` file.
+    the :mod:`repro.obs.bench` layer.  ``events_path`` writes the run's
+    lifecycle events to a JSONL log; ``trace_path`` writes its spans as
+    a JSONL span log, whose phase table (``repro obs report``) says
+    where the time went.
 
     ``engine="incremental"`` additionally times the serving fast path
     (:class:`~repro.core.incremental.IncrementalBehaviorState`): seconds
@@ -118,7 +116,6 @@ def run_fig9(
 
     naive_set = set(naive_sizes)
     sizes = sorted(set(history_sizes) | naive_set)
-    per_size = 3 if engine == "incremental" else 2
     with ExperimentRun(
         "fig9",
         seed=base_seed,
@@ -126,13 +123,7 @@ def run_fig9(
         meta={"quick": quick, "multi_step": multi_step, "repeats": repeats},
         bench_path=bench_path,
         events_path=events_path,
-        total=sum(
-            max(repeats, 1) * (per_size + (1 if n in naive_set else 0))
-            for n in sizes
-        ),
-        label="measurements",
-        profile_path=profile_path,
-        profile_sample_hz=profile_sample_hz,
+        trace_path=trace_path,
     ) as run:
         for n in sizes:
             with obs.span("experiments.fig9.prepare", history_size=n):
@@ -190,7 +181,6 @@ def run_fig9(
                             _TIMER_METRIC, scheme=scheme, history_size=n
                         ):
                             fn(outcomes)
-                        run.tick(1, tests=1)
                 hist = run.registry.histogram(
                     _TIMER_METRIC, scheme=scheme, history_size=n
                 )

@@ -142,8 +142,6 @@ def run_ingest_scale(
             meta={"quick": quick, "repeats": repeats},
             bench_path=bench_path,
             events_path=events_path,
-            total=2 * len(sweep_points),
-            label="phases",
         ) as run:
             for n_servers, length_range in sweep_points:
                 _run_point(
@@ -208,7 +206,6 @@ def _run_point(
                     ledger.flush()
     if run.log is not None:
         run.log.emit("ingest_done", n_servers=n_servers, n_events=n_events)
-    run.tick(1)
 
     # ---- cold start: persisted ledger -> verdicts for every server ----
     with obs.span("experiments.ingest.cold_vector", n_servers=n_servers):
@@ -243,7 +240,6 @@ def _run_point(
             )
     if run.log is not None:
         run.log.emit("cold_done", n_servers=n_servers)
-    run.tick(1)
 
     min_s = {}
     for mode, params in (

@@ -10,8 +10,7 @@ agreement (O(log n) rounds claim).
 
 Like fig7/fig9, timings flow through the obs layer; ``bench_path``
 emits a schema-valid ``BENCH_p2p_scale.json`` so the substrate joins the
-regression gate, and ``events_path`` streams progress heartbeats for
-``repro obs top``.
+regression gate, and ``events_path`` writes the run's lifecycle events.
 """
 
 from __future__ import annotations
@@ -100,7 +99,7 @@ def run_p2p_scale(
     key lookups (recording hop counts), then gossip a random value
     vector of the same size to within ``gossip_tolerance`` of the mean,
     timing every round.  ``bench_path`` writes the artifact through
-    :mod:`repro.obs.bench`; ``events_path`` a heartbeat JSONL log.
+    :mod:`repro.obs.bench`; ``events_path`` a lifecycle JSONL log.
 
     ``engine="incremental"`` additionally assesses one synthetic server
     per node at every size, per-call and through
@@ -166,9 +165,6 @@ def run_p2p_scale(
         meta={"quick": quick},
         bench_path=bench_path,
         events_path=events_path,
-        total=len(node_counts) * lookups,
-        label="lookups",
-        interval_ticks=max(lookups // 4, 1),
     ) as run, contextlib.ExitStack() as stack:
         registry = run.registry
         if fleet_dir is not None:
@@ -189,7 +185,6 @@ def run_p2p_scale(
                     with obs.timer(_LOOKUP_METRIC, n_nodes=n):
                         found = ring.lookup(f"server-{i}")
                     hops.append(found.hops)
-                    run.tick(1, lookups=1)
             mean_hops = float(np.mean(hops))
             with obs.span("experiments.p2p_scale.gossip", n_nodes=n):
                 values = make_rng(base_seed + n).random(n)
@@ -202,7 +197,6 @@ def run_p2p_scale(
                         )
                     with obs.timer(_ROUND_METRIC, n_nodes=n):
                         agg.run_round()
-                    run.tick(0, gossip_rounds=1)
             lookup_hist = registry.histogram(_LOOKUP_METRIC, n_nodes=n)
             round_hist = registry.histogram(_ROUND_METRIC, n_nodes=n)
             row = {

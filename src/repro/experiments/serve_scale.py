@@ -12,8 +12,8 @@ identical assessments.
 
 Like fig9/p2p_scale, timings flow through the obs layer; ``bench_path``
 emits a schema-valid ``BENCH_serve.json`` so the serving layer joins the
-regression gate, and ``events_path`` streams progress heartbeats for
-``repro obs top``.  ``trace_path`` records the run's spans as JSONL
+regression gate, and ``events_path`` writes the run's lifecycle events.
+``trace_path`` records the run's spans as JSONL
 (inspect with ``repro obs trace``) and ``slo_path`` evaluates the
 default serve SLOs against the run's metrics, writing a
 ``BENCH_slo.json`` budget artifact for the CI gate.
@@ -83,7 +83,7 @@ def run_serve_scale(
     feedback since the last sweep.  The two engines' assessments are
     compared server-for-server; any mismatch raises.  ``bench_path``
     writes ``BENCH_serve.json`` through :mod:`repro.obs.bench`;
-    ``events_path`` a heartbeat JSONL log; ``trace_path`` a span-sink
+    ``events_path`` a lifecycle JSONL log; ``trace_path`` a span-sink
     JSONL (the whole run becomes one trace rooted at
     ``experiments.serve.run``) with a flight recorder beside it, so an
     escaping ``ResilienceError`` or a breaker opening leaves a
@@ -130,8 +130,6 @@ def run_serve_scale(
         meta={"quick": quick, "touch_fraction": touch_fraction, "repeats": repeats},
         bench_path=bench_path,
         events_path=events_path,
-        total=len(server_counts) * (2 * max(repeats, 1) + 1),
-        label="sweeps",
         trace_path=trace_path,
     ) as run, contextlib.ExitStack() as stack:
         registry = run.registry
@@ -154,7 +152,6 @@ def run_serve_scale(
             with obs.span("experiments.serve.cold_sweep", n_servers=n):
                 with obs.timer(_SWEEP_METRIC, mode="serve_cold", n_servers=n):
                     service.assess_many()
-                run.tick(1, sweeps=1)
             with obs.span("experiments.serve.warm_sweeps", n_servers=n):
                 for _ in range(max(repeats, 1)):
                     touched = touch_rng.choice(n, size=n_touch, replace=False)
@@ -165,7 +162,6 @@ def run_serve_scale(
                         )
                     with obs.timer(_SWEEP_METRIC, mode="serve_warm", n_servers=n):
                         batched = service.assess_many()
-                    run.tick(1, sweeps=1)
             with obs.span("experiments.serve.percall_sweeps", n_servers=n):
                 for _ in range(max(repeats, 1)):
                     with obs.timer(_SWEEP_METRIC, mode="percall", n_servers=n):
@@ -173,7 +169,6 @@ def run_serve_scale(
                             history.server: assessor.assess(history)
                             for history in histories
                         }
-                    run.tick(1, sweeps=1)
             with obs.span("experiments.serve.verify", n_servers=n):
                 mismatched = [
                     server

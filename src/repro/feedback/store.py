@@ -50,9 +50,12 @@ _INITIAL_CAPACITY = 1024
 class StringTable:
     """Bidirectional intern table: string id <-> dense integer code.
 
-    Codes are assigned in first-appearance order and never change, so
-    they double as stable on-disk indices for the binary ledger's
-    sidecar tables.
+    Codes are dense, never change, and double as stable on-disk
+    indices for the binary ledger's sidecar tables, so the order they
+    are assigned in is part of the file layout: :meth:`intern` gives an
+    unseen value the next code, and :meth:`intern_many` gives a batch's
+    unseen values the next codes in *sorted* order of the batch's
+    unique values, not in order of first appearance.
     """
 
     def __init__(self, items: Sequence[str] = ()):
@@ -79,7 +82,9 @@ class StringTable:
 
         One :func:`numpy.unique` pass plus a Python loop over the
         *unique* values only — the per-event cost of interning a large
-        batch of mostly-repeated ids is amortized away.
+        batch of mostly-repeated ids is amortized away.  The loop walks
+        the unique values sorted, so that is the order new codes (and
+        the returned ids) come in.
         """
         arr = np.asarray(values)
         if arr.dtype == object:

@@ -6,12 +6,10 @@ tooling::
     repro assess feedback.csv --test multi          # = repro-assess
     repro experiments fig9 --quick                  # = repro-experiments
     repro obs report BENCH_fig9.json                # render a bench artifact
-    repro obs report PROFILE_fig9.json              # render a phase profile
+    repro obs report TRACE_fig9.jsonl               # phase table of a span log
     repro obs report run_events.jsonl               # summarize an event log
     repro obs diff baseline.json candidate.json     # bench regression gate
     repro obs diff candidate.json                   # vs benchmarks/baselines/BENCH_<bench>.json
-    repro obs top run_events.jsonl                  # live dashboard of a run
-    repro obs trend benchmarks/baselines            # multi-run bench time series
     repro obs validate run_audit.jsonl              # schema-check audit records
     repro obs validate BENCH_fig7.json              # schema-check a bench artifact
     repro obs trace run_spans.jsonl                 # list trace ids in a span log
@@ -81,10 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs = sub.add_parser("obs", help="observability artifact tooling")
     obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
     p_report = obs_sub.add_parser(
-        "report", help="render a BENCH_*.json, JSONL event log, or artifact directory"
+        "report",
+        help="render a BENCH_*.json, a span log's phase table, a JSONL event "
+        "log, or an artifact directory",
     )
     p_report.add_argument(
-        "artifact", help="path to a bench JSON, JSONL event log, or directory"
+        "artifact", help="path to a bench JSON, span log, event log, or directory"
     )
     p_diff = obs_sub.add_parser(
         "diff", help="compare two bench artifacts; exit 2 on regression"
@@ -104,38 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.20,
         help="tolerated fractional slowdown per benchmark (default: 0.20)",
     )
-    p_top = obs_sub.add_parser(
-        "top", help="tail a live run's JSONL event log as a text dashboard"
-    )
-    p_top.add_argument("events", help="path to the run's JSONL event log")
-    p_top.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        help="seconds between refreshes (default: 2.0)",
-    )
-    p_top.add_argument(
-        "--once", action="store_true", help="render one snapshot and exit"
-    )
-    p_trend = obs_sub.add_parser(
-        "trend",
-        help="per-metric time series across a directory of BENCH_*.json runs",
-    )
-    p_trend.add_argument("directory", help="directory holding BENCH_*.json files")
-    p_trend.add_argument(
-        "--bench", default=None, help="only consider artifacts for this bench name"
-    )
-    p_trend.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.20,
-        help="flag (exit 2) when the latest point exceeds the median of "
-        "earlier points by this fraction (default: 0.20)",
-    )
     p_validate = obs_sub.add_parser(
         "validate",
         help="schema-validate an artifact: JSONL audit log, BENCH_*.json, "
-        "or PROFILE_*.json",
+        "FLEET_*.json or POSTMORTEM_*.json",
     )
     p_validate.add_argument("artifact", help="path to the artifact")
     p_trace = obs_sub.add_parser(
@@ -266,18 +238,6 @@ def _run(argv: Optional[List[str]] = None) -> int:
         return _health(args.events)
     if args.obs_command == "diff":
         return _obs_diff(args.baseline, args.candidate, args.max_regression)
-    if args.obs_command == "top":
-        try:
-            return obs.tail_dashboard(
-                args.events, interval=args.interval, once=args.once
-            )
-        except BrokenPipeError:
-            raise
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    if args.obs_command == "trend":
-        return _obs_trend(args.directory, args.bench, args.max_regression)
     if args.obs_command == "validate":
         return _obs_validate(args.artifact)
     if args.obs_command == "trace":
@@ -359,19 +319,6 @@ def _obs_diff(baseline: str, candidate: Optional[str], max_regression: float) ->
         return 1
     print(obs.render_bench_diff(diff))
     return 0 if diff["ok"] else 2
-
-
-def _obs_trend(directory: str, bench: Optional[str], max_regression: float) -> int:
-    try:
-        history = obs.load_bench_history(directory, bench=bench)
-        trend = obs.bench_trend(history, max_regression=max_regression)
-    except BrokenPipeError:
-        raise
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(obs.render_bench_trend(trend))
-    return 0 if trend["ok"] else 2
 
 
 def _obs_trace(spans_path: str, trace_id: Optional[str], otlp: Optional[str]) -> int:
@@ -520,7 +467,6 @@ def _obs_validate(artifact: str) -> int:
             return 1
         for kind, validate in (
             ("bench", obs.validate_bench_payload),
-            ("profile", obs.validate_profile_payload),
             ("fleet", obs.validate_fleet_payload),
             ("postmortem", obs.validate_postmortem_bundle),
         ):
@@ -531,7 +477,7 @@ def _obs_validate(artifact: str) -> int:
             print(f"{artifact}: valid {kind} artifact")
             return 0
         print(
-            f"error: {artifact} is not a valid bench, profile, fleet, "
+            f"error: {artifact} is not a valid bench, fleet, "
             f"or postmortem artifact",
             file=sys.stderr,
         )

@@ -46,12 +46,9 @@ from .audit import (
 from .bench import (
     BENCH_SCHEMA_VERSION,
     bench_payload,
-    bench_trend,
     compare_bench_payloads,
-    load_bench_history,
     read_bench_json,
     render_bench_diff,
-    render_bench_trend,
     validate_bench_payload,
     write_bench_json,
 )
@@ -107,27 +104,6 @@ from .fleet import (
     validate_fleet_payload,
     write_fleet_json,
 )
-from .monitor import (
-    ProgressMonitor,
-    read_events_lenient,
-    render_dashboard,
-    render_sparkline,
-    rss_bytes,
-    tail_dashboard,
-)
-from .profile import (
-    PROFILE_SCHEMA_VERSION,
-    PhaseProfiler,
-    PhaseStat,
-    folded_path_for,
-    profile_payload,
-    profile_session,
-    read_profile_json,
-    render_folded,
-    validate_profile_payload,
-    write_folded,
-    write_profile_json,
-)
 from .registry import Counter, Gauge, MetricSample, MetricsRegistry, StreamingHistogram
 from .scope import (
     current_node,
@@ -136,7 +112,13 @@ from .scope import (
     nodes_in,
     split_snapshot,
 )
-from .report import render_artifact, render_bench, render_event_log, render_profile
+from .report import (
+    phase_table,
+    render_artifact,
+    render_bench,
+    render_event_log,
+    render_phase_table,
+)
 from .runtime import (
     ObsSession,
     activate,
@@ -200,12 +182,9 @@ __all__ = [
     "validate_audit_record",
     "BENCH_SCHEMA_VERSION",
     "bench_payload",
-    "bench_trend",
     "compare_bench_payloads",
-    "load_bench_history",
     "read_bench_json",
     "render_bench_diff",
-    "render_bench_trend",
     "validate_bench_payload",
     "write_bench_json",
     "SpanLog",
@@ -228,12 +207,6 @@ __all__ = [
     "render_trace_tree",
     "spans_to_otlp",
     "trace_ids",
-    "ProgressMonitor",
-    "read_events_lenient",
-    "render_dashboard",
-    "render_sparkline",
-    "rss_bytes",
-    "tail_dashboard",
     "POSTMORTEM_SCHEMA_VERSION",
     "FlightRecorder",
     "flight_recording",
@@ -261,17 +234,6 @@ __all__ = [
     "node_snapshot",
     "nodes_in",
     "split_snapshot",
-    "PROFILE_SCHEMA_VERSION",
-    "PhaseProfiler",
-    "PhaseStat",
-    "folded_path_for",
-    "profile_payload",
-    "profile_session",
-    "read_profile_json",
-    "render_folded",
-    "validate_profile_payload",
-    "write_folded",
-    "write_profile_json",
     "Counter",
     "Gauge",
     "MetricSample",
@@ -280,7 +242,8 @@ __all__ = [
     "render_artifact",
     "render_bench",
     "render_event_log",
-    "render_profile",
+    "phase_table",
+    "render_phase_table",
     "ObsSession",
     "activate",
     "disable",

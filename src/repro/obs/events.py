@@ -164,9 +164,9 @@ def read_events(
     """Load a JSONL event log back into a list of dicts.
 
     ``allow_partial=True`` forgives an unparsable *final* line — the
-    normal state of a log whose producer is mid-write — so live tailing
-    (``repro obs top``) can re-read a file the run is still appending to.
-    Corruption anywhere else still raises.
+    normal state of a log whose producer is mid-write or crashed while
+    flushing — so a reader can use a file its run is still appending
+    to.  Corruption anywhere else still raises.
     """
     events = []
     with open(path, encoding="utf-8") as handle:

@@ -1,22 +1,29 @@
-"""Render observability artifacts (bench JSON, event logs) for humans.
+"""Render observability artifacts (bench JSON, span and event logs).
 
-Backs the ``repro obs report`` CLI: given a ``BENCH_*.json`` or a JSONL
-event log it produces the aligned text a terminal wants, without the
-producer process having to stay alive.
+Backs the ``repro obs report`` CLI: given a ``BENCH_*.json``, a span
+log or a JSONL event log it produces the aligned text a terminal wants,
+without the producer process having to stay alive.  A span log renders
+as its phase table, the one answer to "where did the time go?".
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, List, Tuple, Union
 
 from .audit import render_audit_summary, summarize_records, validate_audit_record
 from .bench import read_bench_json
+from .context import read_span_jsonl
 from .events import read_events
-from .profile import validate_profile_payload
 
-__all__ = ["render_bench", "render_event_log", "render_profile", "render_artifact"]
+__all__ = [
+    "render_bench",
+    "render_event_log",
+    "phase_table",
+    "render_phase_table",
+    "render_artifact",
+]
 
 PathLike = Union[str, Path]
 
@@ -118,39 +125,73 @@ def render_event_log(events: List[Dict[str, object]]) -> str:
     return "\n".join(lines)
 
 
-def render_profile(payload: Dict[str, object]) -> str:
-    """A validated ``PROFILE_*.json`` payload as an aligned text table.
+def phase_table(spans: List[Dict[str, object]]) -> List[Dict[str, object]]:
+    """Where the time went: calls, wall_s and self_s per span path.
 
-    Phases are listed by cumulative wall time (the artifact's order);
-    the ``self`` column is where optimization effort should go, and the
-    sampled folded stacks — when the profiler ran with sampling — are
-    summarized by their hottest leaves.
+    A span's path is the ``;``-joined names along its
+    ``parent_span_id`` chain (a span whose parent is not in ``spans``
+    starts a path).  ``self_s`` is a span's duration minus its direct
+    children's; visits to the same path are summed.  Rows come in tree
+    order: each path after its parent, siblings most wall time first.
     """
-    validate_profile_payload(payload)
-    phases: List[Dict[str, object]] = payload["phases"]  # type: ignore[assignment]
-    lines = [
-        f"profile: {payload['profile']}  (schema v{payload['schema_version']}, "
-        f"sample_hz={payload.get('sample_hz', 0)})"
-    ]
-    meta = payload.get("meta") or {}
-    if meta:
-        rendered = ", ".join(f"{k}={v}" for k, v in sorted(meta.items()))
-        lines.append(f"meta: {rendered}")
+    by_id = {s["span_id"]: s for s in spans}
+    child_s: Dict[object, float] = {}
+    for s in spans:
+        parent = s["parent_span_id"]
+        if parent in by_id:
+            child_s[parent] = child_s.get(parent, 0.0) + float(s["duration_s"])
+    paths: Dict[object, str] = {}
+
+    def path_of(span: Dict[str, object]) -> str:
+        path = paths.get(span["span_id"])
+        if path is None:
+            name = str(span["name"])
+            paths[span["span_id"]] = name  # ends a parent cycle in a corrupt log
+            parent = by_id.get(span["parent_span_id"])
+            path = name if parent is None else f"{path_of(parent)};{name}"
+            paths[span["span_id"]] = path
+        return path
+
+    rows: Dict[str, Dict[str, object]] = {}
+    for s in spans:
+        path = path_of(s)
+        row = rows.get(path)
+        if row is None:
+            row = rows[path] = {"path": path, "calls": 0, "wall_s": 0.0, "self_s": 0.0}
+        duration = float(s["duration_s"])
+        row["calls"] += 1
+        row["wall_s"] += duration
+        row["self_s"] += max(duration - child_s.get(s["span_id"], 0.0), 0.0)
+
+    def tree_order(row: Dict[str, object]) -> List[Tuple[float, str]]:
+        # depth first: each path sorts under its parent, siblings by wall time
+        parts = str(row["path"]).split(";")
+        prefixes = (";".join(parts[: i + 1]) for i in range(len(parts)))
+        return [(-rows[p]["wall_s"] if p in rows else 0.0, p) for p in prefixes]
+
+    return sorted(rows.values(), key=tree_order)
+
+
+def render_phase_table(spans: List[Dict[str, object]]) -> str:
+    """A span log's :func:`phase_table` as an aligned text table.
+
+    The ``self_s`` column is where optimization effort should go.
+    """
+    phases = phase_table(spans)
+    lines = [f"phases: {len(spans)} spans"]
     if not phases:
-        lines.append("(no phases recorded)")
+        lines.append("(no spans recorded)")
         return "\n".join(lines)
-    header = ["phase", "calls", "wall_s", "self_s", "samples"]
+    header = ["phase", "calls", "wall_s", "self_s"]
     table = [header]
     for phase in phases:
-        depth = str(phase["path"]).count(";")
-        leaf = str(phase["path"]).rsplit(";", 1)[-1]
+        path = str(phase["path"])
         table.append(
             [
-                "  " * depth + leaf,
+                "  " * path.count(";") + path.rsplit(";", 1)[-1],
                 f"{int(phase['calls'])}",
                 f"{float(phase['wall_s']):.6g}",
                 f"{float(phase['self_s']):.6g}",
-                f"{int(phase['samples'])}",
             ]
         )
     widths = [max(len(line[i]) for line in table) for i in range(len(header))]
@@ -162,46 +203,50 @@ def render_profile(payload: Dict[str, object]) -> str:
         lines.append("  ".join(cells).rstrip())
         if j == 0:
             lines.append("  ".join("-" * w for w in widths))
-    folded: Dict[str, object] = payload.get("folded_samples") or {}  # type: ignore[assignment]
-    if folded:
-        top = sorted(folded.items(), key=lambda kv: (-int(kv[1]), kv[0]))[:10]
-        lines.append("hottest sampled stacks:")
-        for stack, count in top:
-            lines.append(f"  {count:>6} {stack}")
     return "\n".join(lines)
 
 
-def render_artifact(path: PathLike) -> str:
-    """Render a bench/profile JSON or JSONL event log, inferring which.
+def _holds_spans(path: Path) -> bool:
+    """Is ``path`` a span log? Decided by its first record's shape."""
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            if line.strip():
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError:
+                    return False
+                return (
+                    isinstance(record, dict)
+                    and "span_id" in record
+                    and "event" not in record
+                )
+    return False
 
-    A directory is scanned for ``BENCH_*.json``, ``PROFILE_*.json`` and
-    ``*.jsonl`` / ``*.ndjson`` artifacts; pointing at a directory
-    holding none is a clear error rather than a traceback.
+
+def render_artifact(path: PathLike) -> str:
+    """Render a bench JSON, a span log or an event log, inferring which.
+
+    A JSONL file whose records are spans renders as its phase table;
+    any other is read as an event log.  A directory is scanned for
+    ``BENCH_*.json`` and ``*.jsonl`` / ``*.ndjson`` artifacts; pointing
+    at a directory holding none is a clear error rather than a
+    traceback.
     """
     path = Path(path)
     if path.is_dir():
-        artifacts = (
-            sorted(path.glob("BENCH_*.json"))
-            + sorted(path.glob("PROFILE_*.json"))
-            + sorted(p for ext in ("*.jsonl", "*.ndjson") for p in path.glob(ext))
+        artifacts = sorted(path.glob("BENCH_*.json")) + sorted(
+            p for ext in ("*.jsonl", "*.ndjson") for p in path.glob(ext)
         )
         if not artifacts:
             raise ValueError(
-                "no observability artifacts (BENCH_*.json, PROFILE_*.json "
-                f"or *.jsonl) in {path}"
+                f"no observability artifacts (BENCH_*.json or *.jsonl) in {path}"
             )
         return "\n\n".join(render_artifact(p) for p in artifacts)
-    if path.suffix.lower() in (".jsonl", ".ndjson"):
-        return render_event_log(read_events(path))
-    try:
-        return render_bench(read_bench_json(path))
-    except (ValueError, json.JSONDecodeError):
-        pass
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        validate_profile_payload(payload)
-    except (ValueError, json.JSONDecodeError):
-        # neither bench nor profile; fall back to the event-log reader
-        return render_event_log(read_events(path))
-    return render_profile(payload)
+    if path.suffix.lower() not in (".jsonl", ".ndjson"):
+        try:
+            return render_bench(read_bench_json(path))
+        except (ValueError, json.JSONDecodeError):
+            pass  # not a bench artifact; try the line-oriented readers
+    if _holds_spans(path):
+        return render_phase_table(read_span_jsonl(path))
+    return render_event_log(read_events(path))

@@ -76,15 +76,6 @@ class Tracer:
         """Finished spans, in completion order."""
         return list(self._records)
 
-    @property
-    def depth(self) -> int:
-        """How many spans are currently open."""
-        return len(self._stack)
-
-    def open_names(self) -> List[str]:
-        """Names of the currently-open spans, outermost first."""
-        return [span.name for span in list(self._stack)]
-
     def begin(
         self, name: str, labels: Dict[str, str], start: float, ctx=None
     ) -> None:

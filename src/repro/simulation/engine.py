@@ -175,33 +175,12 @@ class ReputationSimulation:
 
     # ------------------------------------------------------------------ #
 
-    def run(self, steps: int, *, monitor=None) -> SimulationMetrics:
-        """Advance the simulation ``steps`` steps; returns the metrics.
-
-        ``monitor`` is an optional :class:`repro.obs.ProgressMonitor`:
-        each step ticks it with the step's transaction / assessment /
-        request deltas, so a long run streams heartbeats (``repro obs
-        top``) without the engine knowing about event logs.
-        """
+    def run(self, steps: int) -> SimulationMetrics:
+        """Advance the simulation ``steps`` steps; returns the metrics."""
         if steps < 0:
             raise ValueError(f"steps must be non-negative, got {steps}")
-        if monitor is None:
-            for _ in range(steps):
-                self.step()
-            return self._metrics
         for _ in range(steps):
-            before = (
-                self._metrics.total_transactions,
-                self._metrics.total_assessments,
-                self._metrics.total_requests,
-            )
             self.step()
-            monitor.tick(
-                1,
-                transactions=self._metrics.total_transactions - before[0],
-                assessments=self._metrics.total_assessments - before[1],
-                requests=self._metrics.total_requests - before[2],
-            )
         return self._metrics
 
     def step(self) -> None:

@@ -259,17 +259,12 @@ class TestFig7Artifacts:
         assert payload["meta"]["experiment"] == "fig7"
         assert payload["meta"]["seed"] == 7
 
-    def test_events_stream_progress(self, artifacts):
+    def test_events_record_the_run_lifecycle(self, artifacts):
         _, _, events = artifacts
         kinds = [e["event"] for e in events]
-        assert kinds[0] == "run_start"
-        assert kinds[-1] == "run_end"
-        assert "progress_start" in kinds and "progress_end" in kinds
-        beats = [e for e in events if e["event"] == "heartbeat"]
-        assert beats, "no heartbeats emitted"
-        assert beats[-1]["done"] == 2 * 20
-        assert beats[-1]["pct"] == 100.0
-        assert beats[-1]["counts"]["tests"] == 2 * 2 * 20
+        assert kinds == ["run_start", "metrics", "run_end"]
+        assert events[-1]["experiment"] == "fig7"
+        assert "status" not in events[-1]
 
     def test_events_include_metrics_snapshot(self, artifacts):
         _, _, events = artifacts
@@ -331,12 +326,12 @@ class TestP2pScale:
             else:
                 assert row["stats"]["rounds"] > 0
 
-    def test_events_stream_progress(self, artifacts):
+    def test_events_record_the_run_lifecycle(self, artifacts):
         _, _, events = artifacts
-        kinds = [e["event"] for e in events]
-        assert "progress_start" in kinds and "progress_end" in kinds
-        beats = [e for e in events if e["event"] == "heartbeat"]
-        assert beats[-1]["counts"]["gossip_rounds"] > 0
+        assert [e["event"] for e in events] == ["run_start", "metrics", "run_end"]
+        (metrics,) = [e["metrics"] for e in events if e["event"] == "metrics"]
+        assert "experiments.p2p_scale.gossip_round_seconds" in metrics
+        assert "status" not in events[-1]
 
     def test_registered_runner_accepts_quick(self):
         from repro.experiments import RUNNERS
@@ -364,68 +359,24 @@ class TestP2pScale:
         assert records[-1]["error"] == "RuntimeError"
         (log,) = logs
         assert log._handle is None  # the file sink was closed
-        # `repro obs top` stops following and says why
-        assert "status: failed (RuntimeError)" in obs.render_dashboard(records)
 
 
-class TestFig9Profile:
-    def test_profile_artifact_and_folded_sibling(self, tmp_path):
+class TestFig9Trace:
+    def test_phase_table_accounts_for_the_run(self, tmp_path):
+        """The span log's phase table is the run's timing record: every
+        second of ``experiments.fig9.run`` is some phase's self time."""
         from repro import obs
 
-        profile_path = tmp_path / "PROFILE_fig9.json"
-        run_fig9(
-            history_sizes=(5_000,),
-            naive_sizes=(),
-            repeats=1,
-            base_seed=7,
-            profile_path=str(profile_path),
+        trace_path = tmp_path / "TRACE_fig9.jsonl"
+        run_fig9(quick=True, trace_path=str(trace_path))
+        phases = obs.phase_table(obs.read_span_jsonl(trace_path))
+        by_path = {p["path"]: p for p in phases}
+        root = by_path["experiments.fig9.run"]
+        assert root["calls"] == 1
+        assert "experiments.fig9.run;experiments.fig9.measure" in by_path
+        assert sum(p["self_s"] for p in phases) == pytest.approx(
+            root["wall_s"], abs=1e-6
         )
-        payload = obs.read_profile_json(profile_path)
-        assert payload["profile"] == "fig9"
-        assert payload["meta"]["experiment"] == "fig9"
-        paths = [p["path"] for p in payload["phases"]]
-        assert "experiments.fig9.run" in paths
-        assert any(p.endswith("experiments.fig9.measure") for p in paths)
-        folded = obs.folded_path_for(profile_path)
-        assert folded.exists()
-        assert "experiments.fig9.run" in folded.read_text()
-
-    def test_profile_self_time_is_the_tracer_records_self_time(self, tmp_path):
-        """Each phase's ``self_s`` is duration minus direct children's
-        durations, summed over the tracer records of that phase path."""
-        from repro import obs
-
-        profile_path = tmp_path / "PROFILE_fig9.json"
-        with obs.activate() as session:  # fig9 rides the ambient tracer
-            run_fig9(
-                history_sizes=(5_000,),
-                naive_sizes=(),
-                repeats=1,
-                base_seed=7,
-                profile_path=str(profile_path),
-            )
-        records = session.tracer.finished
-        by_id = {r.span_id: r for r in records}
-
-        def path_of(record):
-            parent = by_id.get(record.parent_id)
-            if parent is None:
-                return record.name
-            return f"{path_of(parent)};{record.name}"
-
-        expected = {}
-        for record in records:
-            children = sum(
-                c.duration for c in records if c.parent_id == record.span_id
-            )
-            path = path_of(record)
-            expected[path] = expected.get(path, 0.0) + max(
-                record.duration - children, 0.0
-            )
-        phases = obs.read_profile_json(profile_path)["phases"]
-        assert {p["path"] for p in phases} == set(expected)
-        for phase in phases:
-            assert phase["self_s"] == pytest.approx(expected[phase["path"]])
 
 
 class TestServeFlightRecorder:

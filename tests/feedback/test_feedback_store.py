@@ -56,6 +56,10 @@ class TestStringTable:
         codes, fresh = table.intern_many(np.array(["a", "b", "a"]))
         assert codes.tolist() == [0, 1, 0]
         assert fresh == ["a", "b"]
+        # new codes follow the sorted unique values, not first appearance
+        codes, fresh = StringTable().intern_many(np.array(["b", "a", "b"]))
+        assert codes.tolist() == [1, 0, 1]
+        assert fresh == ["a", "b"]
 
 
 class TestFeedbackBatch:

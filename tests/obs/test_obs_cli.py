@@ -232,87 +232,6 @@ class TestObsDiffDefaultBaseline:
         assert "benchmarks/baselines/BENCH_fig9.json" in err
 
 
-class TestObsTop:
-    def _progressing_log(self, path, *, finish):
-        from repro.obs.monitor import ProgressMonitor
-
-        with obs.EventLog(path, run_meta=obs.run_metadata(seed=1, experiment="fig7")) as log:
-            monitor = ProgressMonitor(
-                log, total=40, label="trials", interval_seconds=None, interval_ticks=10
-            )
-            monitor.start(experiment="fig7")
-            monitor.tick(10, tests=20)
-            if finish:
-                monitor.tick(30, tests=60)
-                monitor.finish()
-        return path
-
-    def test_once_renders_live_run_snapshot(self, tmp_path, capsys):
-        path = self._progressing_log(tmp_path / "run.jsonl", finish=False)
-        assert main(["obs", "top", str(path), "--once"]) == 0
-        out = capsys.readouterr().out
-        assert "experiment=fig7" in out
-        assert "10/40 trials" in out
-        assert "status: running" in out
-
-    def test_partially_written_tail_line_is_tolerated(self, tmp_path, capsys):
-        path = self._progressing_log(tmp_path / "run.jsonl", finish=False)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"event": "heartbe')  # producer mid-write
-        assert main(["obs", "top", str(path), "--once"]) == 0
-        assert "10/40 trials" in capsys.readouterr().out
-
-    def test_finished_run_exits_without_once(self, tmp_path, capsys):
-        path = self._progressing_log(tmp_path / "run.jsonl", finish=True)
-        assert main(["obs", "top", str(path), "--interval", "0.01"]) == 0
-        assert "status: finished" in capsys.readouterr().out
-
-    def test_missing_file_renders_empty_dashboard(self, tmp_path, capsys):
-        assert main(["obs", "top", str(tmp_path / "absent.jsonl"), "--once"]) == 0
-        assert "(no progress events yet" in capsys.readouterr().out
-
-
-class TestObsTrend:
-    def _history(self, tmp_path, p95s):
-        for i, p95 in enumerate(p95s):
-            row = {
-                "name": "single",
-                "params": {"history_size": 1000},
-                "stats": {"mean_s": p95 * 0.9, "min_s": 0.2, "p95_s": p95, "repeats": 3},
-            }
-            obs.write_bench_json(
-                tmp_path / f"BENCH_fig9_{i:03d}.json",
-                "fig9",
-                [row],
-                meta={"timestamp": 1000.0 + i},
-            )
-        return tmp_path
-
-    def test_stable_history_exits_zero(self, tmp_path, capsys):
-        directory = self._history(tmp_path, [0.30, 0.31, 0.30])
-        assert main(["obs", "trend", str(directory)]) == 0
-        assert "OK: no series regressed" in capsys.readouterr().out
-
-    def test_regression_exits_two(self, tmp_path, capsys):
-        directory = self._history(tmp_path, [0.30, 0.31, 0.30, 0.60])
-        assert main(["obs", "trend", str(directory)]) == 2
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out and "FAIL" in out
-
-    def test_max_regression_flag(self, tmp_path):
-        directory = self._history(tmp_path, [0.30, 0.31, 0.30, 0.60])
-        assert main(["obs", "trend", str(directory), "--max-regression", "1.5"]) == 0
-
-    def test_bench_filter_flag(self, tmp_path, capsys):
-        directory = self._history(tmp_path, [0.30, 0.60])
-        assert main(["obs", "trend", str(directory), "--bench", "other"]) == 0
-        assert "(no series found)" in capsys.readouterr().out
-
-    def test_missing_directory_is_error(self, tmp_path, capsys):
-        assert main(["obs", "trend", str(tmp_path / "absent")]) == 1
-        assert "error:" in capsys.readouterr().err
-
-
 class TestObsValidate:
     def test_valid_audit_log_passes(self, audit_file, capsys):
         assert main(["obs", "validate", str(audit_file)]) == 0
@@ -335,26 +254,12 @@ class TestObsValidate:
         assert main(["obs", "validate", str(bench_file)]) == 0
         assert "valid bench artifact" in capsys.readouterr().out
 
-    def test_profile_json_validates(self, tmp_path, capsys):
-        from repro.obs.profile import PhaseProfiler
-        from repro.obs.tracing import Tracer
-
-        tracer = Tracer()
-        prof = PhaseProfiler()
-        prof.install(tracer)
-        tracer.begin("phase", {}, 0.0)
-        tracer.finish(1.0)
-        path = tmp_path / "PROFILE_x.json"
-        obs.write_profile_json(path, "x", prof)
-        assert main(["obs", "validate", str(path)]) == 0
-        assert "valid profile artifact" in capsys.readouterr().out
-
     def test_json_matching_neither_schema_is_error(self, tmp_path, capsys):
         path = tmp_path / "BENCH_x.json"
         path.write_text(json.dumps({"bench": "x"}), encoding="utf-8")
         assert main(["obs", "validate", str(path)]) == 1
         assert (
-            "not a valid bench, profile, fleet, or postmortem"
+            "not a valid bench, fleet, or postmortem"
             in capsys.readouterr().err
         )
 
@@ -363,25 +268,6 @@ class TestObsValidate:
         path.write_text("{broken", encoding="utf-8")
         assert main(["obs", "validate", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
-
-
-class TestObsReportProfile:
-    def test_reports_profile_artifact(self, tmp_path, capsys):
-        from repro.obs.profile import PhaseProfiler
-        from repro.obs.tracing import Tracer
-
-        tracer = Tracer()
-        prof = PhaseProfiler()
-        prof.install(tracer)
-        tracer.begin("calibrate", {}, 0.0)
-        tracer.finish(2.0)
-        path = tmp_path / "PROFILE_fig9.json"
-        obs.write_profile_json(path, "fig9", prof, meta={"seed": 2008})
-        assert main(["obs", "report", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "profile: fig9" in out
-        assert "calibrate" in out
-        assert "seed=2008" in out
 
 
 class TestReproLogLevelEnv:
@@ -568,6 +454,34 @@ class TestObsReportAuditSummary:
         assert "suffix_distance_exceeds_epsilon" in out
 
 
+class TestObsReportSpanLog:
+    def test_span_log_renders_phase_table(self, spans_file, capsys):
+        assert main(["obs", "report", str(spans_file)]) == 0
+        out = capsys.readouterr().out
+        assert "phases: 2 spans" in out
+        assert "self_s" in out
+        assert "\n  request.child " in out  # nested under its parent
+
+    def test_span_log_is_recognised_by_content(self, spans_file, tmp_path, capsys):
+        renamed = tmp_path / "spans.log"
+        renamed.write_text(spans_file.read_text(encoding="utf-8"), encoding="utf-8")
+        assert main(["obs", "report", str(renamed)]) == 0
+        assert "phases: 2 spans" in capsys.readouterr().out
+
+    def test_serve_trace_and_slo_directory_renders_both(self, tmp_path, capsys):
+        """A ``--trace-dir`` directory holds a span log next to the SLO
+        bench; the report renders both instead of failing on the spans."""
+        out_dir = str(tmp_path / "serve-out")
+        argv = ["--quick", "--trace-dir", out_dir, "--slo-dir", out_dir]
+        assert main(["experiments", "serve", *argv]) == 0
+        capsys.readouterr()
+        assert main(["obs", "report", out_dir]) == 0
+        captured = capsys.readouterr()
+        assert "bench: slo" in captured.out
+        assert "experiments.serve.run" in captured.out
+        assert captured.err == ""
+
+
 class TestObsPostmortem:
     def test_renders_bundle(self, tmp_path, capsys):
         from repro.obs.flightrec import FlightRecorder
@@ -601,20 +515,3 @@ class TestObsPostmortem:
         bad.write_text(json.dumps({"postmortem": 99}))
         assert main(["obs", "postmortem", str(bad)]) == 1
         assert "schema version" in capsys.readouterr().err
-
-
-class TestObsTopDegradation:
-    """Satellite: `obs top` exits 0 with a notice on broken logs."""
-
-    def test_empty_log_exits_zero(self, tmp_path, capsys):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        assert main(["obs", "top", str(path), "--once"]) == 0
-        assert "(no progress events yet" in capsys.readouterr().out
-
-    def test_fully_malformed_log_exits_zero_with_notice(self, tmp_path, capsys):
-        path = tmp_path / "garbage.jsonl"
-        path.write_text("not json\n[1, 2]\n")
-        assert main(["obs", "top", str(path), "--once"]) == 0
-        out = capsys.readouterr().out
-        assert "(skipped 2 malformed log line(s))" in out

@@ -101,7 +101,7 @@ class TestPublicMethodDocs:
 
 
 class TestTimingHygiene:
-    """Span/heartbeat *durations* must come from ``time.perf_counter()``.
+    """Span *durations* must come from ``time.perf_counter()``.
 
     ``time.time()`` jumps under NTP slews and has coarse resolution on
     some platforms, so it is banned from duration math. The allowlist
@@ -114,7 +114,6 @@ class TestTimingHygiene:
     WALL_CLOCK_ALLOWLIST = {
         "obs/context.py": 1,  # _ANCHOR_WALL: per-process anchor pairing
         "obs/events.py": 2,  # run_metadata + event record timestamps
-        "obs/monitor.py": 1,  # dashboard staleness vs. "now"
         "resilience/runtime.py": 1,  # flight-recorder record timestamp
     }
 
