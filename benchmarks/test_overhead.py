@@ -267,12 +267,15 @@ def test_fleet_disabled_scope_records_nothing():
 
 
 def test_resilience_retry_wrapper_cost():
-    """The ladder + retry + span machinery around the serial sweep stays
-    within 10% of iterating ``assess()`` by hand."""
+    """The retry + span machinery around the serial sweep stays within
+    10% of iterating ``assess()`` by hand.
+
+    Wrapped and bare runs alternate within each repeat, so load that
+    shifts during the measurement lands on both sides of the ratio.
+    """
     service = _serve_service()
     sweep = _serve_sweep(service)
     sweep()
-    wrapped = _min_of(sweep, SERVE_REPEATS)
 
     def bare():
         for sid in service.servers():
@@ -280,7 +283,10 @@ def test_resilience_retry_wrapper_cost():
         for sid in service.servers():
             service.assess(sid)
 
-    bare_time = _min_of(bare, SERVE_REPEATS)
+    wrapped = bare_time = float("inf")
+    for _ in range(SERVE_REPEATS):
+        wrapped = min(wrapped, _min_of(sweep, 1))
+        bare_time = min(bare_time, _min_of(bare, 1))
     assert wrapped / bare_time < 1.10, (
         f"assess_many wrapper costs {wrapped / bare_time:.3f}x the bare "
         f"loop (wrapped={wrapped:.4f}s bare={bare_time:.4f}s)"

@@ -260,9 +260,10 @@ class ClusterAssessmentService:
         """Route a feedback batch to every replica of each server.
 
         Returns ``{"events", "servers", "replica_writes", "hinted",
-        "skipped"}``; ``skipped`` sums the replicas' skips by reason
-        (``below_watermark``, ``duplicate_digest``), so an event every
-        replica dropped does not pass for a write.  An unreachable
+        "skipped"}``.  ``replica_writes`` counts the replica replies that
+        stored at least one event; ``skipped`` sums the replicas' skips
+        by reason (``below_watermark``, ``duplicate_digest``), so an
+        event every replica dropped does not pass for a write.  An unreachable
         replica never loses its share: the events park on a hint holder
         and replay on recovery (or, failing even that, the loss is
         emitted as ``cluster_hint_lost`` — surviving replicas still hold
@@ -295,7 +296,8 @@ class ClusterAssessmentService:
                         if reply is None:
                             hinted += self._hint(member, pref, events)
                             continue
-                        writes += 1
+                        if reply["applied"]:
+                            writes += 1
                         for reason, count in reply["skipped"].items():
                             skipped[reason] += count
         return {
@@ -734,7 +736,7 @@ class ClusterAssessmentService:
         return sum(node.open_hints() for node in self._members.values())
 
     def stats_report(self) -> Dict[str, Any]:
-        """One row for ``repro health`` (shard ownership, replication)."""
+        """One row for the resilience health report (shard ownership, replication)."""
         alive = set(self._alive_members())
         ownership: Counter = Counter()
         satisfied = violated = 0

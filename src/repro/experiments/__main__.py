@@ -1,10 +1,15 @@
-"""Command-line entry point: regenerate the paper's figures as text tables.
+"""The ``repro experiments`` subcommand: regenerate the paper's figures.
 
 Usage::
 
     python -m repro.experiments fig3            # one figure
     python -m repro.experiments all --quick     # smoke-run everything
     python -m repro.experiments fig7 --out fig7.txt
+
+The ``repro`` parser tree (:mod:`repro.main`) registers
+:func:`add_arguments` and dispatches to :func:`run`;
+``python -m repro.experiments`` and ``repro-experiments`` are aliases
+for ``repro experiments``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import sys
 import time
 from typing import List, Optional
 
-from .. import obs
 from . import RUNNERS
 from .report import render_report
 
@@ -70,14 +74,8 @@ ARTIFACT_DIRS = {
 }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments",
-        description=(
-            "Reproduce the evaluation figures of 'On the Modeling of "
-            "Honest Players in Reputation Systems'"
-        ),
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The experiment selection and every runner flag."""
     parser.add_argument(
         "experiment",
         choices=sorted(RUNNERS) + ["all"],
@@ -121,20 +119,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             "the repro.serve incremental path and assert equivalence)"
         ),
     )
-    parser.add_argument(
-        "--log-level",
-        type=str,
-        default=None,
-        help=(
-            "enable repro.* logging at this level (DEBUG, INFO, ...); "
-            "defaults to $REPRO_LOG_LEVEL"
-        ),
-    )
-    args = parser.parse_args(argv)
-    log_level = args.log_level or os.environ.get("REPRO_LOG_LEVEL")
-    if log_level:
-        obs.configure_logging(log_level)
 
+
+def run(args: argparse.Namespace) -> int:
+    """Run the selected experiment(s) and write the requested artifacts."""
     artifact_dirs = {
         flag: getattr(args, flag[2:].replace("-", "_")) for flag in ARTIFACT_DIRS
     }
@@ -185,6 +173,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             write_svg(result, target, log_x=(result.experiment == "fig9"))
             print(f"wrote {target}")
     return 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """``repro experiments`` under its own name (``repro-experiments``)."""
+    from ..main import main as repro_main  # lazy: repro.main imports this module
+
+    return repro_main(["experiments", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

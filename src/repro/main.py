@@ -1,93 +1,124 @@
-"""``repro`` — the umbrella command line for the whole package.
+"""``repro`` — the command line for the whole package.
 
-One front door over the existing entry points plus the observability
-tooling::
+One parser tree covers the assessment, the experiment runners and the
+observability tooling::
 
     repro assess feedback.csv --test multi          # = repro-assess
     repro experiments fig9 --quick                  # = repro-experiments
     repro obs report BENCH_fig9.json                # render a bench artifact
     repro obs report TRACE_fig9.jsonl               # phase table of a span log
+    repro obs report POSTMORTEM_x.json              # render a post-mortem bundle
     repro obs report run_events.jsonl               # summarize an event log
     repro obs diff baseline.json candidate.json     # bench regression gate
     repro obs diff candidate.json                   # vs benchmarks/baselines/BENCH_<bench>.json
     repro obs validate run_audit.jsonl              # schema-check audit records
-    repro obs validate BENCH_fig7.json              # schema-check a bench artifact
+    repro obs validate TRACE_fig9.jsonl             # schema-check a span log
     repro obs trace run_spans.jsonl                 # list trace ids in a span log
     repro obs trace run_spans.jsonl 3f2a            # render one trace's span tree
     repro obs slo run_events.jsonl --out BENCH_slo.json  # error-budget report/gate
     repro obs fleet fleet-out/                      # per-node metrics + ring consistency
     repro explain mallory run_audit.jsonl           # why was this server rejected?
-    repro health                                    # live breaker/quarantine/retry state
     repro health run_events.jsonl                   # resilience events of a finished run
     repro --log-level DEBUG assess feedback.csv     # opt into repro.* logging
 
-``assess`` and ``experiments`` forward their remaining arguments
-verbatim to the dedicated parsers, so every flag documented there works
-here unchanged.  ``REPRO_LOG_LEVEL`` in the environment acts as the
-default for ``--log-level``.
+``--log-level`` is accepted before or after the subcommand, and
+``REPRO_LOG_LEVEL`` in the environment is its default.  ``obs report``
+and ``obs validate`` recognise an artifact by its content
+(:func:`repro.obs.artifact_kind`), never by its file name.
+
+Every command but ``experiments`` reports an unreadable or malformed
+input as ``error: ...`` on stderr with exit 1; a runner's exception
+keeps its traceback.  A reader that closes the pipe early gets the
+conventional SIGPIPE status 141 from every command.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
+from collections import Counter, defaultdict
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from . import obs
-from .cli import main as assess_main
-from .experiments.__main__ import main as experiments_main
+from .core.config import BehaviorTestConfig
+from .core.registry import make_behavior_test
+from .core.two_phase import TwoPhaseAssessor
+from .core.verdict import AssessmentStatus, BehaviorVerdict, MultiTestReport
+from .experiments import __main__ as experiments
+from .feedback.history import TransactionHistory
+from .feedback.io import read
+from .feedback.records import Feedback
+from .trust.registry import available_trust_functions, make_trust_function
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "assess_main", "build_parser"]
 
 #: Where ``repro obs diff <candidate>`` looks for the committed baseline.
 DEFAULT_BASELINES = Path("benchmarks") / "baselines"
 
+_TEST_CHOICES = ("none", "single", "multi", "collusion", "collusion-multi")
 
-def build_parser() -> argparse.ArgumentParser:
-    """The top-level ``repro`` argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Two-phase trust assessment toolkit (honest-player modeling)",
-    )
+
+def _log_level_parser(default) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument(
         "--log-level",
-        type=str,
-        default=None,
+        default=default,
         help=(
             "enable repro.* logging at this level (DEBUG, INFO, ...); "
             "defaults to $REPRO_LOG_LEVEL"
         ),
     )
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser, every subcommand included."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Two-phase trust assessment toolkit (honest-player modeling)",
+        parents=[_log_level_parser(None)],
+    )
+    # after the subcommand, --log-level sets the value only when given,
+    # so it never overwrites one given before the subcommand
+    after = [_log_level_parser(argparse.SUPPRESS)]
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_assess = sub.add_parser(
         "assess",
-        help="two-phase assessment of a feedback log (see repro-assess)",
-        add_help=False,
+        parents=after,
+        help="two-phase assessment of the servers in a feedback log",
+        description="Two-phase trust assessment of servers in a feedback log; "
+        "exit 2 when any server is suspicious",
     )
-    p_assess.add_argument("rest", nargs=argparse.REMAINDER)
+    _add_assess_arguments(p_assess)
+    p_assess.set_defaults(run=_assess)
 
     p_exp = sub.add_parser(
         "experiments",
-        help="regenerate the paper's figures (see repro-experiments)",
-        add_help=False,
+        parents=after,
+        help="regenerate the paper's figures",
+        description="Reproduce the evaluation figures of 'On the Modeling of "
+        "Honest Players in Reputation Systems'",
     )
-    p_exp.add_argument("rest", nargs=argparse.REMAINDER)
+    experiments.add_arguments(p_exp)
+    p_exp.set_defaults(run=experiments.run)
 
     p_obs = sub.add_parser("obs", help="observability artifact tooling")
     obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
     p_report = obs_sub.add_parser(
         "report",
-        help="render a BENCH_*.json, a span log's phase table, a JSONL event "
-        "log, or an artifact directory",
+        parents=after,
+        help="render a bench JSON, fleet snapshot, post-mortem bundle, span "
+        "log's phase table or event log, or an artifact directory",
     )
-    p_report.add_argument(
-        "artifact", help="path to a bench JSON, span log, event log, or directory"
-    )
+    p_report.add_argument("artifact", help="path to an artifact or a directory")
+    p_report.set_defaults(run=_obs_report)
+
     p_diff = obs_sub.add_parser(
-        "diff", help="compare two bench artifacts; exit 2 on regression"
+        "diff", parents=after, help="compare two bench artifacts; exit 2 on regression"
     )
     p_diff.add_argument("baseline", help="baseline BENCH_*.json (or the candidate)")
     p_diff.add_argument(
@@ -104,14 +135,24 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.20,
         help="tolerated fractional slowdown per benchmark (default: 0.20)",
     )
+    p_diff.set_defaults(run=_obs_diff)
+
     p_validate = obs_sub.add_parser(
         "validate",
-        help="schema-validate an artifact: JSONL audit log, BENCH_*.json, "
-        "FLEET_*.json or POSTMORTEM_*.json",
+        parents=after,
+        help="schema-validate an artifact: bench JSON, fleet snapshot, "
+        "post-mortem bundle, span log or audit log",
     )
     p_validate.add_argument("artifact", help="path to the artifact")
+    p_validate.set_defaults(
+        run=lambda args: print(
+            f"{args.artifact}: {obs.validate_artifact(args.artifact)}"
+        )
+    )
+
     p_trace = obs_sub.add_parser(
         "trace",
+        parents=after,
         help="render one trace's span tree from a JSONL span log "
         "(or list the trace ids it holds)",
     )
@@ -128,8 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="additionally write the spans as OTLP/JSON to PATH",
     )
+    p_trace.set_defaults(run=_obs_trace)
+
     p_slo = obs_sub.add_parser(
         "slo",
+        parents=after,
         help="error-budget/burn-rate report from a run's metric snapshots; "
         "exit 2 when any budget is burning",
     )
@@ -156,9 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.99,
         help="fraction of assessments that must meet the bound (default: 0.99)",
     )
+    p_slo.set_defaults(run=_obs_slo)
 
     p_fleet = obs_sub.add_parser(
         "fleet",
+        parents=after,
         help="fleet view of a p2p run: topology table, per-node metrics, "
         "ring-consistency report; exit 2 when the ring is inconsistent",
     )
@@ -173,208 +219,279 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write a schema-validated BENCH_fleet.json to PATH",
     )
-    p_postmortem = obs_sub.add_parser(
-        "postmortem",
-        help="render a flight-recorder post-mortem bundle (POSTMORTEM_*.json)",
-    )
-    p_postmortem.add_argument("bundle", help="path to the bundle")
-    p_postmortem.add_argument(
-        "--tail",
-        type=int,
-        default=20,
-        help="events to show from the end of the ring (default: 20)",
-    )
+    p_fleet.set_defaults(run=_obs_fleet)
 
     p_explain = sub.add_parser(
-        "explain", help="explain a server's latest audit verdict from a JSONL log"
+        "explain",
+        parents=after,
+        help="explain a server's latest audit verdict from a JSONL log",
     )
     p_explain.add_argument("server", help="server id to explain")
     p_explain.add_argument("audit_log", help="JSONL event log containing audit records")
+    p_explain.set_defaults(
+        run=lambda args: print(
+            obs.explain_server(obs.read_audit_jsonl(args.audit_log), args.server)
+        )
+    )
 
     p_health = sub.add_parser(
         "health",
-        help="resilience health: breaker states, quarantine depth, retry counters",
+        parents=after,
+        help="resilience health of a finished run: breaker, quarantine, "
+        "retry and fault events from its JSONL event log",
     )
-    p_health.add_argument(
-        "events",
-        nargs="?",
-        default=None,
-        help="optional JSONL event log to summarize instead of the live "
-        "in-process registry (which is empty unless this process built "
-        "serving components)",
-    )
+    p_health.add_argument("events", help="JSONL event log of the run")
+    p_health.set_defaults(run=_health)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for the ``repro`` console script.
-
-    Wraps the dispatcher in the BrokenPipeError guard so *every*
-    subcommand — ``obs report | head`` included, however it was
-    launched — exits quietly with the conventional SIGPIPE status
-    instead of a traceback.
-    """
+    """Entry point for the ``repro`` console script."""
+    args = build_parser().parse_args(argv)
+    log_level = args.log_level or os.environ.get("REPRO_LOG_LEVEL")
+    if log_level:
+        obs.configure_logging(log_level)
     try:
-        return _run(argv)
+        return args.run(args) or 0
     except BrokenPipeError:
         # the reader closed the pipe mid-print: point stdout at devnull
         # so the interpreter's exit flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except (OSError, ValueError) as exc:
+        if args.command == "experiments":
+            raise  # a runner's failure keeps its traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
-def _run(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    log_level = args.log_level or os.environ.get("REPRO_LOG_LEVEL")
-    if log_level:
-        obs.configure_logging(log_level)
-    if args.command == "assess":
-        return assess_main(args.rest)
-    if args.command == "experiments":
-        return experiments_main(args.rest)
-    if args.command == "explain":
-        return _explain(args.server, args.audit_log)
-    if args.command == "health":
-        return _health(args.events)
-    if args.obs_command == "diff":
-        return _obs_diff(args.baseline, args.candidate, args.max_regression)
-    if args.obs_command == "validate":
-        return _obs_validate(args.artifact)
-    if args.obs_command == "trace":
-        return _obs_trace(args.spans, args.trace_id, args.otlp)
-    if args.obs_command == "slo":
-        return _obs_slo(
-            args.source, args.out, args.latency_threshold, args.latency_objective
+def assess_main(argv: Optional[List[str]] = None) -> int:
+    """Entry point for the ``repro-assess`` console script."""
+    return main(["assess", *(sys.argv[1:] if argv is None else argv)])
+
+
+# ---------------------------------------------------------------------- #
+# repro assess
+
+
+def _add_assess_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("feedback_file", type=Path, help="CSV or JSONL feedback log")
+    parser.add_argument(
+        "--test",
+        choices=_TEST_CHOICES,
+        default="multi",
+        help="phase-1 behavior test (default: multi)",
+    )
+    parser.add_argument(
+        "--trust",
+        choices=[n for n in available_trust_functions() if n not in ("peertrust", "eigentrust", "htrust")],
+        default="average",
+        help="phase-2 trust function (default: average)",
+    )
+    parser.add_argument(
+        "--threshold", type=float, default=0.9, help="client trust threshold"
+    )
+    parser.add_argument(
+        "--window", type=int, default=10, help="behavior-test window size m"
+    )
+    parser.add_argument(
+        "--confidence", type=float, default=0.95, help="threshold confidence level"
+    )
+    parser.add_argument(
+        "--server",
+        action="append",
+        default=None,
+        help="assess only this server (repeatable)",
+    )
+    parser.add_argument(
+        "--format",
+        choices=("table", "json"),
+        default="table",
+        help="output format (default: table)",
+    )
+    parser.add_argument(
+        "--audit-out",
+        type=Path,
+        default=None,
+        help="write per-assessment audit records (JSONL) to this path; "
+        "inspect them with `repro explain <server> <path>`",
+    )
+    parser.add_argument(
+        "--audit-sample",
+        type=int,
+        default=1,
+        help="record every Nth assessment decision (default: 1 = all)",
+    )
+
+
+def _make_test(name: str, config: BehaviorTestConfig):
+    # The CLI's historical "collusion" means the single-test wrapper; the
+    # core registry's "collusion" alias points at the multi-test one.
+    registry_name = "collusion-single" if name == "collusion" else name
+    return make_behavior_test(registry_name, config=config)
+
+
+def _maybe_audit(args):
+    """Audit session writing to ``--audit-out``, or a no-op context."""
+    if args.audit_out is None:
+        import contextlib
+
+        return contextlib.nullcontext()
+    from .obs import audit
+
+    if args.audit_sample < 1:
+        raise ValueError("--audit-sample must be >= 1")
+    return audit.audit_session(
+        sample_every=args.audit_sample,
+        path=args.audit_out,
+        run_meta={"tool": "repro-assess", "feedback_file": str(args.feedback_file)},
+    )
+
+
+def _failure_detail(behavior) -> str:
+    # Most specific first: MultiTestReport is itself a BehaviorVerdict.
+    if isinstance(behavior, MultiTestReport) and behavior.first_failure:
+        length, verdict = behavior.first_failure
+        return (
+            f"(suffix {length}: distance {verdict.distance:.2f} > "
+            f"eps {verdict.threshold:.2f})"
         )
-    if args.obs_command == "fleet":
-        return _obs_fleet(args.source, args.out)
-    if args.obs_command == "postmortem":
-        return _obs_postmortem(args.bundle, args.tail)
-    # obs report
-    try:
-        print(obs.render_artifact(args.artifact))
-    except BrokenPipeError:
-        raise
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    if isinstance(behavior, BehaviorVerdict):
+        return f"(distance {behavior.distance:.2f} > eps {behavior.threshold:.2f})"
+    return ""
 
 
-def _explain(server: str, audit_log: str) -> int:
-    try:
-        records = obs.read_audit_jsonl(audit_log)
-        print(obs.explain_server(records, server))
-    except BrokenPipeError:
-        raise
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+def _assess(args) -> int:
+    feedbacks = read(args.feedback_file)  # format resolved by extension, then content
+    if not feedbacks:
+        raise ValueError("no feedback records found")
+
+    by_server: Dict[str, List[Feedback]] = defaultdict(list)
+    for fb in feedbacks:
+        by_server[fb.server].append(fb)
+    servers = args.server if args.server else sorted(by_server)
+    unknown = [s for s in servers if s not in by_server]
+    if unknown:
+        raise ValueError(f"no feedback for server(s) {unknown}")
+
+    config = BehaviorTestConfig(window_size=args.window, confidence=args.confidence)
+    assessor = TwoPhaseAssessor(
+        behavior_test=_make_test(args.test, config),
+        trust_function=make_trust_function(args.trust),
+        trust_threshold=args.threshold,
+    )
+
+    rows = []
+    any_suspicious = False
+    with _maybe_audit(args):
+        for server in servers:
+            history = TransactionHistory.from_feedbacks(by_server[server])
+            result = assessor.assess(history)
+            any_suspicious = (
+                any_suspicious or result.status is AssessmentStatus.SUSPICIOUS
+            )
+            rows.append((server, len(history), result))
+    if args.audit_out is not None:
+        print(f"audit records written to {args.audit_out}", file=sys.stderr)
+
+    if args.format == "json":
+        payload = [
+            {
+                "server": server,
+                "transactions": n,
+                "status": result.status.value,
+                "trust": result.trust_value,
+                "detail": (
+                    _failure_detail(result.behavior)
+                    if result.status is AssessmentStatus.SUSPICIOUS
+                    else ""
+                ),
+            }
+            for server, n, result in rows
+        ]
+        print(json.dumps(payload, indent=2))
+        return 2 if any_suspicious else 0
+
+    width = max(len("server"), *(len(s) for s in servers))
+    print(f"{'server':{width}s}  {'n':>6s}  {'trust':>7s}  verdict")
+    for server, n, result in rows:
+        if result.status is AssessmentStatus.SUSPICIOUS:
+            verdict = f"SUSPICIOUS {_failure_detail(result.behavior)}".rstrip()
+            trust_text = "-"
+        else:
+            verdict = result.status.value
+            trust_text = f"{result.trust_value:.3f}"
+        print(f"{server:{width}s}  {n:>6d}  {trust_text:>7s}  {verdict}")
+
+    return 2 if any_suspicious else 0
 
 
-def _health(events: Optional[str]) -> int:
+# ---------------------------------------------------------------------- #
+# repro health, repro obs ...
+
+
+def _health(args) -> int:
     from . import resilience
 
-    if events is None:
-        print(resilience.render_health(resilience.health_report()))
-        return 0
-    try:
-        records = obs.read_events(events)
-    except BrokenPipeError:
-        raise
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    summary = resilience.summarize_events(records)
+    summary = resilience.summarize_events(obs.read_events(args.events))
     print(resilience.render_event_summary(summary))
     return 0
 
 
-def _obs_diff(baseline: str, candidate: Optional[str], max_regression: float) -> int:
-    try:
-        if candidate is None:
-            # single-path form: the argument is the candidate; diff it
-            # against the committed benchmarks/baselines/BENCH_<bench>.json.
-            cand_payload = obs.read_bench_json(baseline)
-            default = DEFAULT_BASELINES / f"BENCH_{cand_payload['bench']}.json"
-            if not default.exists():
-                print(
-                    f"error: no committed baseline {default} for bench "
-                    f"{cand_payload['bench']!r}; pass an explicit baseline",
-                    file=sys.stderr,
-                )
-                return 1
-            base_payload = obs.read_bench_json(default)
-        else:
-            base_payload = obs.read_bench_json(baseline)
-            cand_payload = obs.read_bench_json(candidate)
-        diff = obs.compare_bench_payloads(
-            base_payload, cand_payload, max_regression=max_regression
-        )
-    except BrokenPipeError:
-        raise
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def _obs_report(args) -> int:
+    print(obs.render_artifact(args.artifact))
+    return 0
+
+
+def _obs_diff(args) -> int:
+    if args.candidate is None:
+        # single-path form: the argument is the candidate; diff it
+        # against the committed benchmarks/baselines/BENCH_<bench>.json.
+        cand_payload = obs.read_bench_json(args.baseline)
+        default = DEFAULT_BASELINES / f"BENCH_{cand_payload['bench']}.json"
+        if not default.exists():
+            raise ValueError(
+                f"no committed baseline {default} for bench "
+                f"{cand_payload['bench']!r}; pass an explicit baseline"
+            )
+        base_payload = obs.read_bench_json(default)
+    else:
+        base_payload = obs.read_bench_json(args.baseline)
+        cand_payload = obs.read_bench_json(args.candidate)
+    diff = obs.compare_bench_payloads(
+        base_payload, cand_payload, max_regression=args.max_regression
+    )
     print(obs.render_bench_diff(diff))
     return 0 if diff["ok"] else 2
 
 
-def _obs_trace(spans_path: str, trace_id: Optional[str], otlp: Optional[str]) -> int:
-    import json
-
-    try:
-        spans = obs.read_span_jsonl(spans_path)
-    except BrokenPipeError:
-        raise
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if otlp is not None:
-        with open(otlp, "w", encoding="utf-8") as handle:
+def _obs_trace(args) -> int:
+    spans = obs.read_span_jsonl(args.spans)
+    if args.otlp is not None:
+        with open(args.otlp, "w", encoding="utf-8") as handle:
             json.dump(obs.spans_to_otlp(spans), handle, indent=2, sort_keys=True)
             handle.write("\n")
-        print(f"wrote OTLP JSON export to {otlp}")
-    if trace_id is None:
-        ids = obs.trace_ids(spans)
-        if not ids:
-            print(f"error: no spans in {spans_path}", file=sys.stderr)
-            return 1
-        counts: dict = {}
-        for span in spans:
-            counts[span["trace_id"]] = counts.get(span["trace_id"], 0) + 1
-        print(f"{len(ids)} trace(s) in {spans_path}:")
-        for tid in ids:
-            print(f"  {tid}  ({counts[tid]} spans)")
+        print(f"wrote OTLP JSON export to {args.otlp}")
+    if args.trace_id is not None:
+        print(obs.render_trace_tree(spans, args.trace_id))
         return 0
-    try:
-        print(obs.render_trace_tree(spans, trace_id))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    ids = obs.trace_ids(spans)
+    if not ids:
+        raise ValueError(f"no spans in {args.spans}")
+    counts = Counter(span["trace_id"] for span in spans)
+    print(f"{len(ids)} trace(s) in {args.spans}:")
+    for tid in ids:
+        print(f"  {tid}  ({counts[tid]} spans)")
     return 0
 
 
-def _obs_slo(
-    source: str,
-    out: Optional[str],
-    latency_threshold: float,
-    latency_objective: float,
-) -> int:
+def _obs_slo(args) -> int:
     from .obs import slo as _slo
 
-    path = Path(source)
-    if path.suffix.lower() == ".json":
+    if Path(args.source).suffix.lower() == ".json":
         # an already-written BENCH_slo.json: validate and re-report burn
-        try:
-            payload = obs.read_bench_json(path)
-            obs.validate_slo_payload(payload)
-        except BrokenPipeError:
-            raise
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        payload = obs.read_bench_json(args.source)
+        obs.validate_slo_payload(payload)
         burning = [
             str(row["name"])
             for row in payload["results"]
@@ -382,118 +499,50 @@ def _obs_slo(
         ]
         total = len(payload["results"])
         if burning:
-            print(f"{source}: {len(burning)}/{total} budgets burning: " + ", ".join(burning))
+            print(
+                f"{args.source}: {len(burning)}/{total} budgets burning: "
+                + ", ".join(burning)
+            )
             return 2
-        print(f"{source}: all {total} SLOs within budget")
+        print(f"{args.source}: all {total} SLOs within budget")
         return 0
     specs = _slo.default_serve_slos(
-        latency_threshold_s=latency_threshold,
-        latency_objective=latency_objective,
+        latency_threshold_s=args.latency_threshold,
+        latency_objective=args.latency_objective,
     )
-    try:
-        evaluation = _slo.evaluate_events(source, specs)
-    except BrokenPipeError:
-        raise
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    evaluation = _slo.evaluate_events(args.source, specs)
     print(obs.render_slo_report(evaluation))
-    if out is not None:
+    if args.out is not None:
         payload = obs.write_bench_json(
-            out,
+            args.out,
             "slo",
             obs.evaluation_to_bench_rows(evaluation),
-            meta=obs.run_metadata(source=str(source)),
+            meta=obs.run_metadata(source=str(args.source)),
         )
         obs.validate_slo_payload(payload)
-        print(f"wrote {out}")
+        print(f"wrote {args.out}")
     return 0 if evaluation.ok else 2
 
 
-def _obs_fleet(source: str, out: Optional[str]) -> int:
-    path = Path(source)
-    try:
-        if path.is_dir():
-            candidates = sorted(path.glob("FLEET_*.json"))
-            if not candidates:
-                print(f"error: no FLEET_*.json in {source}", file=sys.stderr)
-                return 1
-            fleet_path = candidates[0]
-        else:
-            fleet_path = path
-        payload = obs.read_fleet_json(fleet_path)
-    except BrokenPipeError:
-        raise
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def _obs_fleet(args) -> int:
+    fleet_path = Path(args.source)
+    if fleet_path.is_dir():
+        candidates = sorted(fleet_path.glob("FLEET_*.json"))
+        if not candidates:
+            raise ValueError(f"no FLEET_*.json in {args.source}")
+        fleet_path = candidates[0]
+    payload = obs.read_fleet_json(fleet_path)
     print(obs.render_fleet(payload))
-    if out is not None:
+    if args.out is not None:
         bench = obs.write_bench_json(
-            out,
+            args.out,
             "fleet",
             obs.fleet_to_bench_rows(payload),
             meta=payload.get("meta") or obs.run_metadata(source=str(fleet_path)),
         )
         obs.validate_fleet_bench_payload(bench)
-        print(f"wrote {out}")
+        print(f"wrote {args.out}")
     return 0 if payload["consistency"].get("ok") else 2
-
-
-def _obs_postmortem(bundle_path: str, tail: int) -> int:
-    try:
-        bundle = obs.read_postmortem(bundle_path)
-    except BrokenPipeError:
-        raise
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(obs.render_postmortem(bundle, tail=tail))
-    return 0
-
-
-def _obs_validate(artifact: str) -> int:
-    import json
-
-    path = Path(artifact)
-    if path.suffix.lower() == ".json":
-        try:
-            with open(path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except BrokenPipeError:
-            raise
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        for kind, validate in (
-            ("bench", obs.validate_bench_payload),
-            ("fleet", obs.validate_fleet_payload),
-            ("postmortem", obs.validate_postmortem_bundle),
-        ):
-            try:
-                validate(payload)
-            except ValueError:
-                continue
-            print(f"{artifact}: valid {kind} artifact")
-            return 0
-        print(
-            f"error: {artifact} is not a valid bench, fleet, "
-            f"or postmortem artifact",
-            file=sys.stderr,
-        )
-        return 1
-    try:
-        records = obs.read_audit_jsonl(artifact)
-    except BrokenPipeError:
-        raise
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if not records:
-        print(f"error: no audit records in {artifact}", file=sys.stderr)
-        return 1
-    print(f"{artifact}: {len(records)} audit record(s), all valid")
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via console script

@@ -113,11 +113,13 @@ from .scope import (
     split_snapshot,
 )
 from .report import (
+    artifact_kind,
     phase_table,
     render_artifact,
     render_bench,
     render_event_log,
     render_phase_table,
+    validate_artifact,
 )
 from .runtime import (
     ObsSession,
@@ -239,7 +241,9 @@ __all__ = [
     "MetricSample",
     "MetricsRegistry",
     "StreamingHistogram",
+    "artifact_kind",
     "render_artifact",
+    "validate_artifact",
     "render_bench",
     "render_event_log",
     "phase_table",

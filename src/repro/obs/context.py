@@ -272,8 +272,30 @@ class SpanLog:
         return False
 
 
+def _check_span(record: object) -> None:
+    """Raise ``ValueError`` unless ``record`` has :func:`span_to_dict`'s fields."""
+    if not isinstance(record, dict) or "trace_id" not in record:
+        raise ValueError("not a span object")
+    for key in ("trace_id", "span_id", "name"):
+        if not isinstance(record.get(key), str) or not record[key]:
+            raise ValueError(f"{key} must be a non-empty string")
+    parent = record.get("parent_span_id")
+    if parent is not None and (not isinstance(parent, str) or not parent):
+        raise ValueError("parent_span_id must be null or a non-empty string")
+    for key in ("start_unix_s", "duration_s"):
+        value = record.get(key)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValueError(f"{key} must be a number, got {value!r}")
+    if record["duration_s"] < 0:
+        raise ValueError("duration_s must not be negative")
+
+
 def read_span_jsonl(path: PathLike) -> List[Dict[str, object]]:
-    """Load a span JSONL file back into dicts (blank lines skipped)."""
+    """Load a span JSONL file back into dicts (blank lines skipped).
+
+    Every record must carry the fields :func:`span_to_dict` writes;
+    the first that does not raises ``ValueError`` naming its line.
+    """
     spans = []
     with open(path, encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -284,8 +306,10 @@ def read_span_jsonl(path: PathLike) -> List[Dict[str, object]]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"line {line_number}: invalid JSON ({exc})") from None
-            if not isinstance(record, dict) or "trace_id" not in record:
-                raise ValueError(f"line {line_number}: not a span object")
+            try:
+                _check_span(record)
+            except ValueError as exc:
+                raise ValueError(f"line {line_number}: {exc}") from None
             spans.append(record)
     return spans
 

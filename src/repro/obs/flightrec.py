@@ -23,7 +23,7 @@ Triggers:
 Install with :func:`flight_recording` (scoped) or by assigning
 ``obs.runtime.flight_recorder`` directly; dumps are throttled by
 ``min_dump_interval_s`` so a failure storm produces a handful of
-bundles, not thousands.  ``repro obs postmortem <bundle>`` renders a
+bundles, not thousands.  ``repro obs report <bundle>`` renders a
 bundle back into human form.
 """
 
@@ -54,6 +54,9 @@ PathLike = Union[str, Path]
 
 #: Structured events whose arrival triggers a bundle dump.
 DEFAULT_TRIGGER_EVENTS = ("breaker_open",)
+
+#: How many of a bundle's most recent events :func:`render_postmortem` shows.
+EVENT_TAIL = 20
 
 
 class FlightRecorder:
@@ -289,8 +292,8 @@ def validate_postmortem_bundle(payload: Dict[str, object]) -> None:
         raise ValueError("fault_plan: expected an object or null")
 
 
-def render_postmortem(payload: Dict[str, object], *, tail: int = 20) -> str:
-    """A bundle as the text report behind ``repro obs postmortem``."""
+def render_postmortem(payload: Dict[str, object]) -> str:
+    """A bundle as the text report behind ``repro obs report``."""
     from .export import render_trace_tree, trace_ids
 
     lines: List[str] = []
@@ -328,8 +331,9 @@ def render_postmortem(payload: Dict[str, object], *, tail: int = 20) -> str:
     events = payload.get("events") or []
     lines.append("")
     if events:
-        lines.append(f"events (last {min(tail, len(events))} of {len(events)}):")
-        for event in events[-tail:]:
+        shown = events[-EVENT_TAIL:]
+        lines.append(f"events (last {len(shown)} of {len(events)}):")
+        for event in shown:
             name = event.get("event", "?")
             attrs = {
                 k: v

@@ -1,9 +1,10 @@
-"""Render observability artifacts (bench JSON, span and event logs).
+"""Recognise, render and validate observability artifacts.
 
-Backs the ``repro obs report`` CLI: given a ``BENCH_*.json``, a span
-log or a JSONL event log it produces the aligned text a terminal wants,
-without the producer process having to stay alive.  A span log renders
-as its phase table, the one answer to "where did the time go?".
+Backs ``repro obs report`` and ``repro obs validate``: one classifier,
+:func:`artifact_kind`, tells a bench JSON, a fleet snapshot, a
+post-mortem bundle, a span log and a JSONL event log apart by content,
+and both commands dispatch on it.  A span log renders as its phase
+table, the one answer to "where did the time go?".
 """
 
 from __future__ import annotations
@@ -12,17 +13,26 @@ import json
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
-from .audit import render_audit_summary, summarize_records, validate_audit_record
+from .audit import (
+    read_audit_jsonl,
+    render_audit_summary,
+    summarize_records,
+    validate_audit_record,
+)
 from .bench import read_bench_json
 from .context import read_span_jsonl
 from .events import read_events
+from .fleet import read_fleet_json, render_fleet
+from .flightrec import read_postmortem, render_postmortem
 
 __all__ = [
     "render_bench",
     "render_event_log",
     "phase_table",
     "render_phase_table",
+    "artifact_kind",
     "render_artifact",
+    "validate_artifact",
 ]
 
 PathLike = Union[str, Path]
@@ -206,47 +216,86 @@ def render_phase_table(spans: List[Dict[str, object]]) -> str:
     return "\n".join(lines)
 
 
-def _holds_spans(path: Path) -> bool:
-    """Is ``path`` a span log? Decided by its first record's shape."""
+def artifact_kind(path: PathLike) -> str:
+    """Which artifact ``path`` holds: bench, fleet, postmortem, spans or events.
+
+    Decided by content, never by file name.  A JSONL file is an event
+    log when its first record is an event (or it holds none) and a span
+    log when that record is a span.  A JSON document is a post-mortem
+    bundle or a fleet snapshot by its schema marker, a bench artifact
+    otherwise.
+    """
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    return False
-                return (
-                    isinstance(record, dict)
-                    and "span_id" in record
-                    and "event" not in record
-                )
-    return False
+        first = next((line for line in handle if line.strip()), None)
+        if first is None:
+            return "events"
+        try:
+            record = json.loads(first)
+        except json.JSONDecodeError:
+            handle.seek(0)  # a pretty-printed document, not a record line
+            try:
+                record = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: invalid JSON ({exc})") from None
+    if isinstance(record, dict):
+        if "event" in record:
+            return "events"
+        if "span_id" in record:
+            return "spans"
+        for kind in ("postmortem", "fleet"):
+            if kind in record:
+                return kind
+    return "bench"
+
+
+#: artifact kind -> (reader that loads and schema-checks it, renderer)
+_ARTIFACTS = {
+    "bench": (read_bench_json, render_bench),
+    "fleet": (read_fleet_json, render_fleet),
+    "postmortem": (read_postmortem, render_postmortem),
+    "spans": (read_span_jsonl, render_phase_table),
+    "events": (read_events, render_event_log),
+}
 
 
 def render_artifact(path: PathLike) -> str:
-    """Render a bench JSON, a span log or an event log, inferring which.
+    """Render any artifact :func:`artifact_kind` recognises.
 
-    A JSONL file whose records are spans renders as its phase table;
-    any other is read as an event log.  A directory is scanned for
-    ``BENCH_*.json`` and ``*.jsonl`` / ``*.ndjson`` artifacts; pointing
-    at a directory holding none is a clear error rather than a
-    traceback.
+    A directory renders every ``*.json`` / ``*.jsonl`` / ``*.ndjson``
+    file in it, each by its content; pointing at a directory holding
+    none is a clear error rather than a traceback.
     """
     path = Path(path)
     if path.is_dir():
-        artifacts = sorted(path.glob("BENCH_*.json")) + sorted(
-            p for ext in ("*.jsonl", "*.ndjson") for p in path.glob(ext)
+        artifacts = sorted(
+            p for ext in ("*.json", "*.jsonl", "*.ndjson") for p in path.glob(ext)
         )
         if not artifacts:
             raise ValueError(
-                f"no observability artifacts (BENCH_*.json or *.jsonl) in {path}"
+                f"no observability artifacts (*.json or *.jsonl) in {path}"
             )
         return "\n\n".join(render_artifact(p) for p in artifacts)
-    if path.suffix.lower() not in (".jsonl", ".ndjson"):
-        try:
-            return render_bench(read_bench_json(path))
-        except (ValueError, json.JSONDecodeError):
-            pass  # not a bench artifact; try the line-oriented readers
-    if _holds_spans(path):
-        return render_phase_table(read_span_jsonl(path))
-    return render_event_log(read_events(path))
+    read, render = _ARTIFACTS[artifact_kind(path)]
+    return render(read(path))
+
+
+def validate_artifact(path: PathLike) -> str:
+    """Schema-check every record of an artifact; returns a one-line verdict.
+
+    Raises ``ValueError`` naming the first violation.  An event log
+    passes only when it holds at least one audit record, and all of
+    them are valid.
+    """
+    kind = artifact_kind(path)
+    if kind == "events":
+        records = read_audit_jsonl(path)
+        if not records:
+            raise ValueError(f"no audit records in {path}")
+        return f"{len(records)} audit record(s), all valid"
+    try:
+        loaded = _ARTIFACTS[kind][0](path)
+    except ValueError as exc:
+        raise ValueError(f"{path} is not a valid {kind} artifact: {exc}") from None
+    if kind == "spans":
+        return f"{len(loaded)} span record(s), all valid"
+    return f"valid {kind} artifact"

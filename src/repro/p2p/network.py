@@ -103,7 +103,7 @@ class SimulatedNetwork:
         return self._stats
 
     def stats_report(self) -> Dict[str, Any]:
-        """One row for the resilience health report (``repro health``)."""
+        """One row for the resilience health report."""
         report = self._stats.as_dict()
         report["name"] = self.name
         report["nodes"] = len(self._handlers)

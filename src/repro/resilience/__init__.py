@@ -15,8 +15,9 @@ provides both halves of that story:
   deterministic jitter), :class:`CircuitBreaker` (per cluster peer),
   and a bounded :class:`Quarantine` for bad input;
 * **Health** — every policy registers into a process-wide registry;
-  :func:`health_report` / ``repro health`` report breaker states,
-  quarantine depth, and retry counters.
+  :func:`health_report` reports breaker states,
+  quarantine depth, and retry counters; ``repro health`` summarizes a
+  finished run's resilience events.
 
 Fault checking is **off by default** and costs one module-attribute
 read per site when disarmed — the same zero-overhead discipline as

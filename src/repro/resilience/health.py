@@ -5,8 +5,8 @@ Every :class:`~repro.resilience.breaker.CircuitBreaker`,
 :class:`~repro.resilience.retry.RetryPolicy` registers itself (by weak
 reference — the registry never keeps serving objects alive) into
 :data:`GLOBAL_HEALTH`; :func:`health_report` aggregates their live
-state and ``repro health`` renders it.  For post-hoc analysis,
-:func:`summarize_events` folds a structured-event stream (the
+state and :func:`render_health` renders it.  For post-hoc analysis
+(``repro health <events.jsonl>``), :func:`summarize_events` folds a structured-event stream (the
 ``resilience.*`` events a chaos run wrote to JSONL) into the same
 shape.
 """
@@ -141,7 +141,7 @@ class HealthRegistry:
         self._clusters.clear()
 
 
-#: The process-wide registry ``repro health`` reports on.
+#: The process-wide registry :func:`health_report` reports on.
 GLOBAL_HEALTH = HealthRegistry()
 
 

@@ -8,8 +8,8 @@ scenario sleep the same schedule and replay identically.
 
 Retry *counters* are process-global (see
 :mod:`repro.resilience.health`): every policy reports its attempts,
-retries, and exhaustions into the health registry so ``repro health``
-can answer "how hard is the service working to stay up".
+retries, and exhaustions into the health registry so
+:func:`~repro.resilience.health.health_report` can answer "how hard is the service working to stay up".
 """
 
 from __future__ import annotations

@@ -64,16 +64,36 @@ class TestParserShape:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_forwarding_captures_remainder(self):
+    def test_experiments_is_a_real_subparser(self):
         args = build_parser().parse_args(
             ["experiments", "fig9", "--quick", "--seed", "5"]
         )
         assert args.command == "experiments"
-        assert args.rest == ["fig9", "--quick", "--seed", "5"]
+        assert (args.experiment, args.quick, args.seed) == ("fig9", True, 5)
+        assert args.bench_dir is None and args.trace_dir is None
 
-    def test_assess_remainder(self):
+    def test_assess_is_a_real_subparser(self):
         args = build_parser().parse_args(["assess", "feedback.csv", "--test", "multi"])
-        assert args.rest == ["feedback.csv", "--test", "multi"]
+        assert args.command == "assess"
+        assert str(args.feedback_file) == "feedback.csv"
+        assert (args.test, args.trust, args.window) == ("multi", "average", 10)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--log-level", "INFO", "obs", "report", "x"],
+            ["obs", "report", "x", "--log-level", "INFO"],
+        ],
+    )
+    def test_log_level_before_or_after_the_subcommand(self, argv):
+        assert build_parser().parse_args(argv).log_level == "INFO"
+
+    def test_log_level_after_does_not_erase_one_before(self):
+        args = build_parser().parse_args(
+            ["--log-level", "DEBUG", "experiments", "fig9"]
+        )
+        assert args.log_level == "DEBUG"
+        assert build_parser().parse_args(["experiments", "fig9"]).log_level is None
 
 
 class TestLogLevel:
@@ -258,10 +278,7 @@ class TestObsValidate:
         path = tmp_path / "BENCH_x.json"
         path.write_text(json.dumps({"bench": "x"}), encoding="utf-8")
         assert main(["obs", "validate", str(path)]) == 1
-        assert (
-            "not a valid bench, fleet, or postmortem"
-            in capsys.readouterr().err
-        )
+        assert "not a valid bench artifact" in capsys.readouterr().err
 
     def test_unparsable_json_is_error(self, tmp_path, capsys):
         path = tmp_path / "BENCH_x.json"
@@ -483,6 +500,8 @@ class TestObsReportSpanLog:
 
 
 class TestObsPostmortem:
+    """``obs report`` renders a flight-recorder bundle, found by content."""
+
     def test_renders_bundle(self, tmp_path, capsys):
         from repro.obs.flightrec import FlightRecorder
 
@@ -491,27 +510,130 @@ class TestObsPostmortem:
             {"event": "calibration_degraded", "site": "core.calibration"}
         )
         path = recorder.dump(reason="resilience_error", site="core.calibration")
-        assert main(["obs", "postmortem", str(path)]) == 0
+        assert main(["obs", "report", str(path)]) == 0
         out = capsys.readouterr().out
         assert "post-mortem: resilience_error" in out
         assert "site=core.calibration" in out
         assert "calibration_degraded" in out
 
-    def test_tail_flag(self, tmp_path, capsys):
-        from repro.obs.flightrec import FlightRecorder
-
-        recorder = FlightRecorder(tmp_path, clock=lambda: 100.0)
-        for i in range(10):
-            recorder.record_event({"event": f"e{i}"})
-        path = recorder.dump(reason="r")
-        assert main(["obs", "postmortem", str(path), "--tail", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "events (last 2 of 10):" in out
-
     def test_missing_or_invalid_bundle_errors(self, tmp_path, capsys):
-        assert main(["obs", "postmortem", str(tmp_path / "absent.json")]) == 1
+        assert main(["obs", "report", str(tmp_path / "absent.json")]) == 1
         assert "error:" in capsys.readouterr().err
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"postmortem": 99}))
-        assert main(["obs", "postmortem", str(bad)]) == 1
+        assert main(["obs", "report", str(bad)]) == 1
         assert "schema version" in capsys.readouterr().err
+
+
+def _bench_artifact(tmp_path):
+    path = tmp_path / "BENCH_fig9.json"
+    obs.write_bench_json(path, "fig9", [GOOD_ROW], meta={"seed": 2008})
+    return path
+
+
+def _slo_artifact(tmp_path):
+    from repro.obs import slo
+
+    events = tmp_path / "run_events.jsonl"
+    registry = obs.MetricsRegistry()
+    registry.inc("serve.service.assessments", 100)
+    with obs.EventLog(events) as log:
+        log.emit_metrics(registry)
+    evaluation = slo.evaluate_events(events, slo.default_serve_slos())
+    path = tmp_path / "BENCH_slo.json"
+    obs.write_bench_json(path, "slo", obs.evaluation_to_bench_rows(evaluation))
+    return path
+
+
+def _fleet_artifact(tmp_path):
+    path = tmp_path / "FLEET_p2p_scale.json"
+    obs.write_fleet_json(
+        path,
+        obs.fleet_payload(topology={"nodes": []}, per_node={}, consistency={"ok": True}),
+    )
+    return path
+
+
+def _postmortem_artifact(tmp_path):
+    from repro.obs.flightrec import FlightRecorder
+
+    recorder = FlightRecorder(tmp_path, clock=lambda: 100.0)
+    recorder.record_event({"event": "calibration_degraded", "site": "x"})
+    return recorder.dump(reason="resilience_error")
+
+
+def _span_artifact(tmp_path):
+    from repro.obs import context as trace_ctx
+
+    # the name a --trace-dir run writes, which once read as an event log
+    path = tmp_path / "TRACE_fig9.jsonl"
+    with obs.activate(), trace_ctx.tracing_session(path):
+        with trace_ctx.use(trace_ctx.new_root(test="kinds")):
+            with obs.span("request"):
+                with obs.span("request.child"):
+                    pass
+    return path
+
+
+def _audit_artifact(tmp_path):
+    from repro.core.multi_testing import MultiBehaviorTest
+    from repro.obs import audit as audit_module
+
+    path = tmp_path / "AUDIT_fig7.jsonl"
+    with audit_module.audit_session(path=path) as trail:
+        with trail.decision_scope(server="mallory"):
+            MultiBehaviorTest().test([1] * 200 + [0] * 40)
+    return path
+
+
+ARTIFACT_KINDS = {
+    # name: (writer, kind, report marker, validate marker)
+    "bench": (_bench_artifact, "bench", "bench: fig9", "valid bench artifact"),
+    "bench_slo": (_slo_artifact, "bench", "bench: slo", "valid bench artifact"),
+    "fleet": (_fleet_artifact, "fleet", "ring consistency: OK", "valid fleet artifact"),
+    "postmortem": (
+        _postmortem_artifact,
+        "postmortem",
+        "post-mortem: resilience_error",
+        "valid postmortem artifact",
+    ),
+    "spans": (_span_artifact, "spans", "phases: 2 spans", "2 span record(s), all valid"),
+    "events": (_audit_artifact, "events", "audit summary", "audit record(s), all valid"),
+}
+
+
+class TestEveryArtifactKind:
+    """One classifier behind ``obs report`` and ``obs validate``."""
+
+    @pytest.mark.parametrize("name", list(ARTIFACT_KINDS))
+    def test_report_and_validate_agree_on_the_kind(self, name, tmp_path, capsys):
+        write, kind, report_marker, validate_marker = ARTIFACT_KINDS[name]
+        path = write(tmp_path)
+        assert obs.artifact_kind(path) == kind
+        assert main(["obs", "report", str(path)]) == 0
+        assert report_marker in capsys.readouterr().out
+        assert main(["obs", "validate", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert validate_marker in captured.out
+        assert captured.err == ""
+
+    def test_directory_renders_each_file_by_its_kind(self, tmp_path, capsys):
+        _postmortem_artifact(tmp_path)
+        _fleet_artifact(tmp_path)
+        assert main(["obs", "report", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "post-mortem: resilience_error" in out
+        assert "ring consistency: OK" in out
+
+    def test_kind_ignores_the_file_name(self, tmp_path):
+        renamed = tmp_path / "artifact.json"
+        renamed.write_bytes(_span_artifact(tmp_path).read_bytes())
+        assert obs.artifact_kind(renamed) == "spans"
+
+    def test_malformed_span_record_fails_validation(self, tmp_path, capsys):
+        path = _span_artifact(tmp_path)
+        spans = obs.read_span_jsonl(path)
+        spans[1]["duration_s"] = "slow"
+        path.write_text("".join(json.dumps(s) + "\n" for s in spans))
+        assert main(["obs", "validate", str(path)]) == 1
+        assert "line 2: duration_s must be a number" in capsys.readouterr().err

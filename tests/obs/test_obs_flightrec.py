@@ -10,6 +10,7 @@ from repro import obs
 from repro.obs import context as trace_ctx
 from repro.obs import runtime
 from repro.obs.flightrec import (
+    EVENT_TAIL,
     POSTMORTEM_SCHEMA_VERSION,
     FlightRecorder,
     flight_recording,
@@ -254,7 +255,11 @@ class TestRenderPostmortem:
 
     def test_tail_limits_event_count(self):
         bundle = TestBundleValidation._minimal()
-        bundle["events"] = [{"event": f"e{i}"} for i in range(30)]
-        text = render_postmortem(bundle, tail=5)
-        assert "events (last 5 of 30):" in text
-        assert "e29" in text and "e24" not in text
+        bundle["events"] = [{"event": f"e{i}"} for i in range(EVENT_TAIL + 10)]
+        text = render_postmortem(bundle)
+        lines = [line.strip() for line in text.splitlines()]
+        start = lines.index(f"events (last {EVENT_TAIL} of {EVENT_TAIL + 10}):") + 1
+        assert lines[start : start + EVENT_TAIL + 1] == [
+            *(f"e{i}" for i in range(10, EVENT_TAIL + 10)),
+            "",
+        ]

@@ -1,31 +1,20 @@
-"""The ``repro health`` subcommand: live registry and event-log modes."""
+"""The ``repro health`` subcommand: resilience events of a finished run."""
 
 from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.main import main
-from repro.resilience import CircuitBreaker, Quarantine
 
 
-class TestLiveMode:
-    def test_empty_registry_renders_cleanly(self, capsys):
-        assert main(["health"]) == 0
-        out = capsys.readouterr().out
-        assert "resilience health" in out
-        assert "breakers: 0" in out
-
-    def test_live_components_appear(self, capsys):
-        breaker = CircuitBreaker("cluster.peer.shard-00", failure_threshold=1)
-        breaker.record_failure()
-        quarantine = Quarantine(name="ledger")
-        quarantine.add("bad", site="feedback.ledger.fold", reason="order")
-        assert main(["health"]) == 0
-        out = capsys.readouterr().out
-        assert "cluster.peer.shard-00" in out
-        assert "open" in out
-        assert "ledger" in out
-        assert "depth=1" in out
+def test_event_log_is_required(capsys):
+    """A process that built nothing has no live state to report."""
+    with pytest.raises(SystemExit) as exc:
+        main(["health"])
+    assert exc.value.code == 2
+    assert "events" in capsys.readouterr().err
 
 
 class TestEventLogMode:

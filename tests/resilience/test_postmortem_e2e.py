@@ -106,8 +106,8 @@ class TestPostmortemEndToEnd:
         assert bundle["fault_plan"]["seed"] == chaos_seed
         assert "core.calibration" in bundle["fault_plan"]["specs"]
 
-        # and `repro obs postmortem` renders every section of it
-        assert main(["obs", "postmortem", str(path)]) == 0
+        # and `repro obs report` renders every section of it
+        assert main(["obs", "report", str(path)]) == 0
         out = capsys.readouterr().out
         assert "post-mortem: resilience_error" in out
         assert f"trace tail: {len(spans)} span(s), 1 trace(s)" in out

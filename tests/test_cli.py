@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.main import assess_main as main
 from repro.core.model import generate_honest_outcomes
 from repro.feedback.io import write_feedback_csv, write_feedback_jsonl
 from repro.feedback.records import Feedback, Rating
