@@ -7,9 +7,10 @@ successor set, and any replica can answer for its servers.  This
 package supplies that deployment shape:
 
 * :class:`~repro.cluster.partition.HashRingView` — preference lists by
-  consistent hashing on the Chord identifier circle;
-* :class:`~repro.cluster.node.ClusterNode` — one member: Chord overlay
-  node + private ledger + incremental assessment shard + hint store;
+  consistent hashing on the Chord identifier circle; the cluster's only
+  ring, rebuilt from the member list on every membership change;
+* :class:`~repro.cluster.node.ClusterNode` — one member: private
+  ledger + incremental assessment shard + hint store;
 * :class:`~repro.cluster.antientropy.MerkleTree` — replica comparison
   in O(log n) exchanged hashes;
 * :class:`~repro.cluster.service.ClusterAssessmentService` — the

@@ -1,19 +1,16 @@
-"""One cluster member: a Chord overlay node plus an assessment shard.
+"""One cluster member: an assessment shard on the simulated network.
 
-A :class:`ClusterNode` wraps a :class:`~repro.p2p.chord.ChordNode` (ring
-maintenance, O(log n) lookups) and adds the assessment data plane: a
-private :class:`~repro.feedback.ledger.FeedbackLedger` holding this
-replica's copy of every server assigned to it, an
+A :class:`ClusterNode` registers one handler for the ``cluster_*``
+message vocabulary (attributed to this node in the fleet view via
+``node_scope``) and holds the assessment data plane: a private
+:class:`~repro.feedback.ledger.FeedbackLedger` holding this replica's
+copy of every server assigned to it, an
 :class:`~repro.serve.AssessmentService` folding that ledger
 incrementally, and per-server :class:`ShardState` bookkeeping (event
 count, high-water timestamp, rolling content digest) that makes
 duplicate suppression O(1) and replica comparison O(1) per server.
-
-The simulated network allows one handler per name, so the cluster node
-*multiplexes*: it takes over the chord node's registration and routes
-``cluster_*`` message types to its own dispatch (attributed to this node
-in the fleet view via ``node_scope``), delegating everything else to the
-chord protocol unchanged.
+Placement is not the node's business: the coordinator routes by
+:class:`~repro.cluster.partition.HashRingView`.
 
 Write-path semantics: ``cluster_record`` is the in-order ingest path —
 events at or below a server's high-water mark are treated as duplicate
@@ -55,7 +52,6 @@ from ..feedback.ledger import FeedbackLedger
 from ..feedback.records import Feedback
 from ..obs import runtime as _obs
 from ..obs import scope as _scope
-from ..p2p.chord import ChordNode
 from ..p2p.network import SimulatedNetwork
 from ..resilience import runtime as _res
 from ..serve import AssessmentService
@@ -209,25 +205,18 @@ class ShardState:
 
 
 class ClusterNode:
-    """One member of the assessment cluster (overlay node + shard)."""
+    """One member of the assessment cluster (one shard)."""
 
     def __init__(
         self,
         name: str,
         network: SimulatedNetwork,
         *,
-        m_bits: int,
-        replicas: int,
         config: AssessorConfig,
         calibrator=None,
     ):
         self.name = name
         self._network = network
-        self._config = config
-        self.chord = ChordNode(name, network, m_bits, replicas)
-        # take over the registration: one handler per name, so the
-        # cluster vocabulary and the chord protocol share the wire
-        network.unregister(name)
         network.register(name, self._handle)
         self.ledger = FeedbackLedger(backend="memory")
         self.service = AssessmentService(
@@ -245,16 +234,14 @@ class ClusterNode:
     # ------------------------------------------------------------------ #
     # lifecycle
 
-    def rejoin(self, bootstrap: Optional[str]) -> None:
-        """Re-register after a crash and rejoin the overlay.
+    def rejoin(self) -> None:
+        """Re-register after a crash.
 
         Shard state survives the crash (a restarted node reloads its
         ledger); what it missed while dark arrives through hint replay
         and the next anti-entropy sweep.
         """
         self._network.register(self.name, self._handle)
-        if bootstrap is not None and bootstrap != self.name:
-            self.chord.join(bootstrap)
 
     # ------------------------------------------------------------------ #
     # data plane
@@ -373,8 +360,6 @@ class ClusterNode:
         return _scope.NOOP
 
     def _handle(self, message_type: str, payload: Dict[str, Any]) -> Any:
-        if not message_type.startswith("cluster_"):
-            return self.chord._handle(message_type, payload)
         with self._scoped():
             return self._dispatch(message_type, payload)
 

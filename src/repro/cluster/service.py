@@ -3,9 +3,11 @@
 :class:`ClusterAssessmentService` presents the single-node
 :class:`~repro.serve.AssessmentService` surface (``record_batch`` /
 ``assess_many``) over a fleet of :class:`~repro.cluster.node.ClusterNode`
-shards.  Servers are consistent-hashed onto a Chord identifier circle
-(:class:`~repro.cluster.partition.HashRingView`) and replicated on the
-K-member successor set of their owner; the facade is the coordinator:
+shards.  Servers are consistent-hashed onto an identifier circle
+built from the member list (:class:`~repro.cluster.partition.HashRingView`,
+the cluster's only ring: no overlay runs between the shards) and
+replicated on the K-member successor set of their owner; the facade is
+the coordinator:
 
 * **writes** go to all K replicas of a server's preference list; an
   unreachable replica's share is parked on a *hint holder* (the first
@@ -46,7 +48,6 @@ from ..obs import runtime as _obs
 from ..p2p.network import NodeUnreachable, SimulatedNetwork
 from ..resilience import runtime as _res
 from ..resilience.breaker import CircuitBreaker
-from ..resilience.health import GLOBAL_HEALTH
 from ..resilience.retry import RetryExhausted, RetryPolicy
 from .node import ClusterNode, event_digest, rolling_digest
 from .partition import HashRingView
@@ -56,29 +57,6 @@ __all__ = ["ClusterAssessmentService", "PeerUnavailable"]
 
 class PeerUnavailable(RuntimeError):
     """A request to a cluster peer timed out (retryable)."""
-
-
-class _RingAdapter:
-    """Duck-typed ring view for :mod:`repro.obs.fleet` topology capture."""
-
-    def __init__(self, cluster: "ClusterAssessmentService"):
-        self._cluster = cluster
-
-    @property
-    def nodes(self) -> Dict[str, Any]:
-        return {
-            name: member.chord
-            for name, member in self._cluster._members.items()
-            if name not in self._cluster._dead
-        }
-
-    @property
-    def _m(self) -> int:
-        return self._cluster._m_bits
-
-    @property
-    def _replicas(self) -> int:
-        return self._cluster._replicas
 
 
 class ClusterAssessmentService:
@@ -97,7 +75,6 @@ class ClusterAssessmentService:
         node_prefix: str = "shard",
         name: str = "cluster",
         retry_policy: Optional[RetryPolicy] = None,
-        stabilize_rounds: int = 3,
     ):
         if n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
@@ -137,29 +114,15 @@ class ClusterAssessmentService:
         self._servers: Dict[str, None] = {}
         for i in range(n_nodes):
             self._spawn(f"{node_prefix}-{i:02d}")
-            # stabilize per join (as ChordRing does) — one sweep at the
-            # end does not converge pointers for every join order
-            self._stabilize(rounds=stabilize_rounds)
         self._ring = self._build_ring()
-        GLOBAL_HEALTH.register_cluster(self)
 
     # ------------------------------------------------------------------ #
     # membership plumbing
 
-    def _spawn(self, name: str) -> ClusterNode:
-        node = ClusterNode(
-            name,
-            self._network,
-            m_bits=self._m_bits,
-            replicas=self._replicas,
-            config=self._config,
-            calibrator=self._calibrator,
+    def _spawn(self, name: str) -> None:
+        self._members[name] = ClusterNode(
+            name, self._network, config=self._config, calibrator=self._calibrator
         )
-        bootstrap = self._any_alive(exclude=name)
-        if bootstrap is not None:
-            node.chord.join(bootstrap)
-        self._members[name] = node
-        return node
 
     def _build_ring(self) -> HashRingView:
         return HashRingView(
@@ -172,25 +135,6 @@ class ClusterAssessmentService:
             for name in self._members
             if name not in self._dead and self._network.is_alive(name)
         ]
-
-    def _any_alive(self, *, exclude: Optional[str] = None) -> Optional[str]:
-        for name in self._members:
-            if name != exclude and name not in self._dead and self._network.is_alive(name):
-                return name
-        return None
-
-    def _stabilize(self, rounds: int = 3) -> None:
-        for _ in range(rounds):
-            alive = self._alive_members()
-            for name in alive:
-                self._members[name].chord.stabilize()
-            for name in alive:
-                self._members[name].chord.fix_fingers()
-
-    @property
-    def ring(self) -> _RingAdapter:
-        """Duck-typed view for ``topology_snapshot`` / ``check_ring``."""
-        return _RingAdapter(self)
 
     @property
     def network(self) -> SimulatedNetwork:
@@ -590,7 +534,7 @@ class ClusterAssessmentService:
     # ------------------------------------------------------------------ #
     # membership operations
 
-    def add_node(self, name: str, *, stabilize_rounds: int = 3) -> None:
+    def add_node(self, name: str) -> None:
         """Join a node and ship it the shards it now replicates.
 
         Transfer is snapshot + tail: the source packs the moving
@@ -603,7 +547,6 @@ class ClusterAssessmentService:
             raise ValueError(f"node {name!r} already in the cluster")
         old_ring = self._ring
         self._spawn(name)
-        self._stabilize(rounds=stabilize_rounds)
         self._ring = self._build_ring()
         by_source: Dict[str, List[str]] = {}
         for server in self._servers:
@@ -622,9 +565,7 @@ class ClusterAssessmentService:
         for source, servers in by_source.items():
             self._ship(source, name, servers)
 
-    def remove_node(
-        self, name: str, *, graceful: bool = True, stabilize_rounds: int = 3
-    ) -> None:
+    def remove_node(self, name: str, *, graceful: bool = True) -> None:
         """Retire a member; graceful removal re-homes its shards first."""
         if name not in self._members:
             raise KeyError(f"node {name!r} not in the cluster")
@@ -655,7 +596,6 @@ class ClusterAssessmentService:
         self._dead.discard(name)
         self._breakers.pop(name, None)
         self._ring = new_ring
-        self._stabilize(rounds=stabilize_rounds)
 
     def _ship(self, source: str, target: str, servers: List[str]) -> None:
         snapshot = self._call(source, "cluster_snapshot", {"servers": servers})
@@ -691,7 +631,7 @@ class ClusterAssessmentService:
     # ------------------------------------------------------------------ #
     # failure and recovery
 
-    def kill(self, name: str, *, stabilize_rounds: int = 2) -> None:
+    def kill(self, name: str) -> None:
         """Crash a member (keeps its ring position; hints will queue)."""
         if name not in self._members:
             raise KeyError(f"node {name!r} not in the cluster")
@@ -699,21 +639,18 @@ class ClusterAssessmentService:
             self._network.unregister(name)
             _res.emit("node_killed", node=name, site="cluster.kill")
         self._dead.add(name)
-        self._stabilize(rounds=stabilize_rounds)
 
-    def recover(self, name: str, *, stabilize_rounds: int = 3) -> int:
+    def recover(self, name: str) -> int:
         """Bring a crashed member back and replay its queued hints.
 
         Returns the number of hinted events replayed onto the node.
         """
         if name not in self._members:
             raise KeyError(f"node {name!r} not in the cluster")
-        node = self._members[name]
         self._dead.discard(name)
         if not self._network.is_alive(name):
-            node.rejoin(self._any_alive(exclude=name))
+            self._members[name].rejoin()
         self._breaker(name).reset()
-        self._stabilize(rounds=stabilize_rounds)
         replayed = 0
         for member in self._alive_members():
             if member == name:
@@ -736,7 +673,7 @@ class ClusterAssessmentService:
         return sum(node.open_hints() for node in self._members.values())
 
     def stats_report(self) -> Dict[str, Any]:
-        """One row for the resilience health report (shard ownership, replication)."""
+        """Shard ownership and replication of the live membership."""
         alive = set(self._alive_members())
         ownership: Counter = Counter()
         satisfied = violated = 0

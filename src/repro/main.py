@@ -18,12 +18,11 @@ observability tooling::
     repro obs slo run_events.jsonl --out BENCH_slo.json  # error-budget report/gate
     repro obs fleet fleet-out/                      # per-node metrics + ring consistency
     repro explain mallory run_audit.jsonl           # why was this server rejected?
-    repro health run_events.jsonl                   # resilience events of a finished run
     repro --log-level DEBUG assess feedback.csv     # opt into repro.* logging
 
 ``--log-level`` is accepted before or after the subcommand, and
-``REPRO_LOG_LEVEL`` in the environment is its default.  ``obs report``
-and ``obs validate`` recognise an artifact by its content
+``REPRO_LOG_LEVEL`` in the environment is its default.  ``obs report``,
+``obs validate`` and ``obs slo`` recognise an artifact by its content
 (:func:`repro.obs.artifact_kind`), never by its file name.
 
 Every command but ``experiments`` reports an unreadable or malformed
@@ -234,14 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
     )
 
-    p_health = sub.add_parser(
-        "health",
-        parents=after,
-        help="resilience health of a finished run: breaker, quarantine, "
-        "retry and fault events from its JSONL event log",
-    )
-    p_health.add_argument("events", help="JSONL event log of the run")
-    p_health.set_defaults(run=_health)
     return parser
 
 
@@ -427,15 +418,7 @@ def _assess(args) -> int:
 
 
 # ---------------------------------------------------------------------- #
-# repro health, repro obs ...
-
-
-def _health(args) -> int:
-    from . import resilience
-
-    summary = resilience.summarize_events(obs.read_events(args.events))
-    print(resilience.render_event_summary(summary))
-    return 0
+# repro obs ...
 
 
 def _obs_report(args) -> int:
@@ -488,7 +471,7 @@ def _obs_trace(args) -> int:
 def _obs_slo(args) -> int:
     from .obs import slo as _slo
 
-    if Path(args.source).suffix.lower() == ".json":
+    if obs.artifact_kind(args.source) == "bench":
         # an already-written BENCH_slo.json: validate and re-report burn
         payload = obs.read_bench_json(args.source)
         obs.validate_slo_payload(payload)

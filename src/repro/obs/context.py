@@ -251,11 +251,14 @@ class SpanLog:
 
     def write(self, record: SpanRecord) -> None:
         """Serialize and append one finished span."""
-        if record.trace_id is None:
-            return
+        if record.trace_id is not None:
+            self.append(span_to_dict(record))
+
+    def append(self, span: Dict[str, object]) -> None:
+        """Append one span already in :func:`span_to_dict`'s shape."""
         if self._handle is None:
             self._handle = open(self._path, "a", encoding="utf-8")
-        self._handle.write(json.dumps(span_to_dict(record), default=repr) + "\n")
+        self._handle.write(json.dumps(span, default=repr) + "\n")
         self._handle.flush()
 
     def close(self) -> None:

@@ -10,6 +10,7 @@ table, the one answer to "where did the time go?".
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
@@ -74,7 +75,8 @@ def render_bench(payload: Dict[str, object]) -> str:
 
 
 def render_event_log(events: List[Dict[str, object]]) -> str:
-    """Summarize a JSONL event log: run metadata, event counts, metrics."""
+    """Summarize a JSONL event log: run metadata, event counts (by name
+    and by fault ``site``), metrics."""
     lines: List[str] = [f"{len(events)} events"]
     for event in events:
         if event.get("event") == "run_start":
@@ -86,14 +88,13 @@ def render_event_log(events: List[Dict[str, object]]) -> str:
             rendered = ", ".join(f"{k}={v}" for k, v in sorted(interesting.items()))
             lines.append(f"run_start: {rendered}")
             break
-    counts: Dict[str, int] = {}
-    for event in events:
-        name = str(event.get("event"))
-        counts[name] = counts.get(name, 0) + 1
-    width = max(len(name) for name in counts) if counts else 0
-    lines.append("event counts:")
-    for name in sorted(counts):
-        lines.append(f"  {name:<{width}}  {counts[name]}")
+    counts = Counter(str(event.get("event")) for event in events)
+    sites = Counter(str(event["site"]) for event in events if event.get("site"))
+    blocks = [("event counts:", counts)] + ([("by site:", sites)] if sites else [])
+    for title, table in blocks:
+        width = max(map(len, table), default=0)
+        lines.append(title)
+        lines.extend(f"  {key:<{width}}  {table[key]}" for key in sorted(table))
     # the last metrics snapshot, if any, is the run's final word
     for event in reversed(events):
         metrics = event.get("metrics")

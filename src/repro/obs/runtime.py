@@ -181,11 +181,15 @@ class _LiveSpan:
             _context._CURRENT.reset(self._token)
         if self._observe:
             registry.histogram(self._name, **self._labels).observe(record.duration)
-        if record.trace_id is not None:
+        if record.trace_id is not None and (
+            span_sink is not None or flight_recorder is not None
+        ):
+            # one line dict serves both sinks; neither mutates it
+            span = _context.span_to_dict(record)
             if span_sink is not None:
-                span_sink.write(record)
+                span_sink.append(span)
             if flight_recorder is not None:
-                flight_recorder.record_span(_context.span_to_dict(record))
+                flight_recorder.record_span(span)
         return False
 
 

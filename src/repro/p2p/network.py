@@ -26,7 +26,6 @@ from ..obs import context as _ctx
 from ..obs import runtime as _obs
 from ..obs import scope as _scope
 from ..resilience import runtime as _res
-from ..resilience.health import GLOBAL_HEALTH
 from ..stats.rng import SeedLike, make_rng
 
 __all__ = ["NetworkStats", "NodeUnreachable", "SimulatedNetwork"]
@@ -59,7 +58,7 @@ class NetworkStats:
                 _obs.registry.inc("p2p.network.drops", type=message_type)
 
     def as_dict(self) -> Dict[str, Any]:
-        """JSON-safe view of the accounting (health report / exports)."""
+        """JSON-safe view of the accounting (tests, benches, exports)."""
         return {
             "messages": self.messages,
             "drops": self.drops,
@@ -96,18 +95,10 @@ class SimulatedNetwork:
         # they are opt-in: fleet captures and e2e tests turn them on,
         # ambient benches keep the type-only families.
         self.link_metrics = link_metrics
-        GLOBAL_HEALTH.register_network(self)
 
     @property
     def stats(self) -> NetworkStats:
         return self._stats
-
-    def stats_report(self) -> Dict[str, Any]:
-        """One row for the resilience health report."""
-        report = self._stats.as_dict()
-        report["name"] = self.name
-        report["nodes"] = len(self._handlers)
-        return report
 
     @property
     def node_ids(self):

@@ -14,10 +14,9 @@ provides both halves of that story:
 * **Recovery policies** — :class:`RetryPolicy` (exponential backoff,
   deterministic jitter), :class:`CircuitBreaker` (per cluster peer),
   and a bounded :class:`Quarantine` for bad input;
-* **Health** — every policy registers into a process-wide registry;
-  :func:`health_report` reports breaker states,
-  quarantine depth, and retry counters; ``repro health`` summarizes a
-  finished run's resilience events.
+* **Health** — every policy emits its activity as structured events
+  (:func:`~repro.resilience.runtime.emit`); ``repro obs report`` on a
+  run's event log counts them by name and by fault site.
 
 Fault checking is **off by default** and costs one module-attribute
 read per site when disarmed — the same zero-overhead discipline as
@@ -36,14 +35,6 @@ from .faults import (
     InjectedFault,
     ResilienceError,
 )
-from .health import (
-    GLOBAL_HEALTH,
-    HealthRegistry,
-    health_report,
-    render_event_summary,
-    render_health,
-    summarize_events,
-)
 from .quarantine import Quarantine, QuarantinedItem
 from .retry import RetryExhausted, RetryPolicy
 from .runtime import activate, check, emit, inject
@@ -60,12 +51,6 @@ __all__ = [
     "QuarantinedItem",
     "RetryExhausted",
     "RetryPolicy",
-    "GLOBAL_HEALTH",
-    "HealthRegistry",
-    "health_report",
-    "render_event_summary",
-    "render_health",
-    "summarize_events",
     "activate",
     "check",
     "emit",

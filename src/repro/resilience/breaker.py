@@ -52,9 +52,6 @@ class CircuitBreaker:
         self.n_successes = 0
         self.n_rejections = 0
         self.n_opens = 0
-        from .health import GLOBAL_HEALTH
-
-        GLOBAL_HEALTH.register_breaker(self)
 
     @property
     def state(self) -> str:
@@ -109,7 +106,7 @@ class CircuitBreaker:
         self._consecutive_failures = 0
 
     def stats(self) -> dict:
-        """State and counters for the health report."""
+        """State and counters, for tests and ad-hoc inspection."""
         return {
             "name": self.name,
             "state": self.state,

@@ -46,9 +46,6 @@ class Quarantine:
         self._items: "deque[QuarantinedItem]" = deque(maxlen=capacity)
         self.n_quarantined = 0
         self.n_dropped = 0
-        from .health import GLOBAL_HEALTH
-
-        GLOBAL_HEALTH.register_quarantine(self)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -81,7 +78,7 @@ class Quarantine:
         return drained
 
     def stats(self) -> dict:
-        """Depth and counters for the health report."""
+        """Depth and counters, for tests and ad-hoc inspection."""
         return {
             "name": self.name,
             "depth": self.depth,

@@ -6,10 +6,10 @@ Jitter is drawn from a generator seeded through the standard
 :mod:`repro.stats.rng` plumbing, so two runs of the same seeded chaos
 scenario sleep the same schedule and replay identically.
 
-Retry *counters* are process-global (see
-:mod:`repro.resilience.health`): every policy reports its attempts,
-retries, and exhaustions into the health registry so
-:func:`~repro.resilience.health.health_report` can answer "how hard is the service working to stay up".
+Each policy counts its own calls, attempts, retries and exhaustions
+(:meth:`~RetryPolicy.stats`); across a run, every retry and exhaustion
+is also a ``retry`` / ``retry_exhausted`` event in the run's event log,
+which ``repro obs report`` counts.
 """
 
 from __future__ import annotations
@@ -88,9 +88,6 @@ class RetryPolicy:
         self.n_attempts = 0
         self.n_retries = 0
         self.n_exhausted = 0
-        from .health import GLOBAL_HEALTH
-
-        GLOBAL_HEALTH.register_retry(self)
 
     def delay_for(self, retry_index: int) -> float:
         """The sleep before retry ``retry_index`` (0 = first retry)."""
@@ -133,7 +130,7 @@ class RetryPolicy:
         raise RetryExhausted(self.name, self.max_attempts, last_error) from last_error
 
     def stats(self) -> dict:
-        """Counters for the health report."""
+        """Counters, for tests and ad-hoc inspection."""
         return {
             "name": self.name,
             "max_attempts": self.max_attempts,

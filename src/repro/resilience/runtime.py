@@ -128,8 +128,8 @@ def emit(event: str, **fields: object) -> None:
 
     Lands in the scoped :data:`events` log when one is active, and in
     the obs counter ``resilience.events`` (labelled by event name)
-    whenever obs collection is on — so ``repro health`` and the chaos
-    determinism suite see the same stream.
+    whenever obs collection is on — so ``repro obs report`` and the
+    chaos determinism suite see the same stream.
 
     When the calling flow carries a
     :class:`~repro.obs.context.TraceContext`, the event is additionally

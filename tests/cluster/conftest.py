@@ -28,7 +28,6 @@ from repro.core.model import generate_honest_outcomes
 from repro.core.two_phase import Assessor
 from repro.feedback.ledger import FeedbackLedger
 from repro.feedback.records import Feedback, Rating
-from repro.resilience.health import GLOBAL_HEALTH
 from repro.serve import AssessmentService
 
 
@@ -36,14 +35,6 @@ from repro.serve import AssessmentService
 def chaos_seed() -> int:
     """The seed every fault plan in this run derives from."""
     return int(os.environ.get("REPRO_CHAOS_SEED", "0"))
-
-
-@pytest.fixture(autouse=True)
-def _isolate_health_registry():
-    """Each test sees only the resilience components it creates."""
-    GLOBAL_HEALTH.clear()
-    yield
-    GLOBAL_HEALTH.clear()
 
 
 #: Small-but-real serving config: single behavior test, cheap Monte-Carlo

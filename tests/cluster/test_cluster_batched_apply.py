@@ -40,9 +40,7 @@ events = st.builds(
 
 def _node() -> ClusterNode:
     network = SimulatedNetwork(name="batched-apply")
-    return ClusterNode(
-        "node", network, m_bits=16, replicas=1, config=CLUSTER_CONFIG
-    )
+    return ClusterNode("node", network, config=CLUSTER_CONFIG)
 
 
 def _ids(feedbacks):

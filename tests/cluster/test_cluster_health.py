@@ -1,16 +1,12 @@
-"""Cluster observability: health report, event summary, fleet topology."""
+"""Cluster health: the replication report, and the event log through
+``repro obs report``."""
 
 from __future__ import annotations
 
-from repro import obs
+from repro.feedback.records import Feedback
+from repro.main import main
 from repro.obs.events import EventLog
 from repro.resilience import runtime as res
-from repro.resilience.health import (
-    GLOBAL_HEALTH,
-    health_report,
-    render_health,
-    summarize_events,
-)
 
 from .conftest import corpus, make_cluster
 
@@ -20,19 +16,15 @@ class TestHealthReport:
         events = corpus(n_per_kind=1)
         cluster = make_cluster(name="unit-cluster")
         cluster.record_batch(events)
-        report = health_report()
-        clusters = report["clusters"]
-        assert [c["name"] for c in clusters] == ["unit-cluster"]
-        row = clusters[0]
+        row = cluster.stats_report()
+        assert row["name"] == "unit-cluster"
         assert row["nodes"] == row["alive"] == 5
         assert row["replicas"] == 3 and row["read_quorum"] == 2
         assert row["servers"] == len(cluster.servers)
         assert sum(row["ownership"].values()) == row["servers"]
-        assert row["replication"]["violated"] == 0
-        rendered = render_health(report)
-        assert "unit-cluster" in rendered
-        assert "replication: satisfied=" in rendered
-        assert "ownership:" in rendered
+        assert set(row["ownership"]) <= set(cluster.members)
+        assert row["replication"] == {"satisfied": row["servers"], "violated": 0}
+        assert row["open_hints"] == 0
 
     def test_kill_and_hints_show_up(self):
         events = corpus(n_per_kind=1)
@@ -41,8 +33,6 @@ class TestHealthReport:
         victim = cluster.members[0]
         cluster.kill(victim)
         base = max(fb.time for fb in events) + 1.0
-        from repro.feedback.records import Feedback
-
         more = [
             Feedback(
                 time=base + i * 0.001,
@@ -53,51 +43,49 @@ class TestHealthReport:
             for i, fb in enumerate(corpus(n_per_kind=1, n_events=2, seed=9))
         ]
         cluster.record_batch(more)
-        report = health_report()
-        row = report["clusters"][0]
+        row = cluster.stats_report()
         assert row["alive"] == 4
-        assert row["open_hints"] == report["open_hints"] == cluster.open_hints()
+        assert row["open_hints"] == cluster.open_hints()
         if cluster.open_hints():
             assert row["replication"]["violated"] > 0
 
-    def test_dead_cluster_drops_out_of_the_registry(self):
-        cluster = make_cluster()
-        assert len(health_report()["clusters"]) == 1
-        del cluster
-        assert health_report()["clusters"] == []
-        GLOBAL_HEALTH.clear()
-
 
 class TestEventSummary:
-    def test_cluster_events_are_counted(self):
+    def test_cluster_events_are_counted(self, tmp_path, capsys):
         events = corpus(n_per_kind=1)
         cluster = make_cluster()
         cluster.record_batch(events)
-        log = EventLog()
+        path = tmp_path / "cluster_events.jsonl"
+        log = EventLog(path)
         with res.activate(None, log):
             victim = cluster.members[0]
             cluster.kill(victim)
             cluster.anti_entropy()
             cluster.recover(victim)
-        summary = summarize_events(log.events)
-        assert summary["events"].get("cluster_anti_entropy") == 1
-        assert summary["events"].get("cluster_node_recovered") == 1
-        assert summary["events"].get("node_killed") == 1
+        log.close()
+        assert main(["obs", "report", str(path)]) == 0
+        out = capsys.readouterr().out
+        counts = out.split("event counts:\n")[1].split("by site:\n")
+        assert "  cluster_anti_entropy    1\n" in counts[0]
+        assert "  cluster_node_recovered  1\n" in counts[0]
+        assert "  node_killed             1\n" in counts[0]
+        assert counts[1].startswith("  cluster.kill  1")
 
 
-class TestFleetTopology:
-    def test_topology_snapshot_and_check_ring_accept_the_cluster(self):
+class TestOneRing:
+    def test_the_cluster_sends_only_its_own_vocabulary(self):
+        """No overlay runs beside the hash ring: every message the
+        cluster puts on the wire is a ``cluster_*`` RPC."""
+        events = corpus(n_per_kind=1)
         cluster = make_cluster()
-        topology = obs.topology_snapshot(cluster.ring)
-        assert topology["n_nodes"] == 5
-        assert topology["replicas"] == 3
-        names = [n["name"] for n in topology["nodes"]]
-        assert sorted(names) == sorted(cluster.members)
-        verdict = obs.check_ring(cluster.ring)
-        assert verdict["ok"], verdict
-
-    def test_killed_nodes_leave_the_topology_view(self):
-        cluster = make_cluster()
-        cluster.kill(cluster.members[0])
-        topology = obs.topology_snapshot(cluster.ring)
-        assert topology["n_nodes"] == 4
+        cluster.record_batch(events)
+        cluster.assess_many()
+        victim = cluster.members[0]
+        cluster.kill(victim)
+        cluster.recover(victim)
+        cluster.anti_entropy()
+        cluster.add_node("shard-new")
+        cluster.remove_node(cluster.members[1])
+        by_type = cluster.network.stats.as_dict()["by_type"]
+        assert by_type
+        assert all(kind.startswith("cluster_") for kind in by_type), by_type

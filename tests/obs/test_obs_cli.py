@@ -405,6 +405,22 @@ class TestObsSlo:
         assert "serve.degraded_verdicts" in out
         assert "within budget" in out
 
+    def test_event_log_named_json_is_evaluated(self, tmp_path, capsys):
+        """The input is told apart by content, not by its suffix."""
+        path = self._events(tmp_path, degradations=0).rename(
+            tmp_path / "events.json"
+        )
+        assert main(["obs", "slo", str(path)]) == 0
+        assert "within budget" in capsys.readouterr().out
+
+    def test_span_log_is_error(self, tmp_path, capsys):
+        path = tmp_path / "TRACE_x.jsonl"
+        with obs.activate(), obs.tracing_session(path), obs.use(obs.new_root()):
+            with obs.span("one"):
+                pass
+        assert main(["obs", "slo", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_burning_budget_exits_two(self, tmp_path, capsys):
         # 5% degraded against a 1% budget: the ratio SLO burns
         path = self._events(tmp_path, degradations=5)

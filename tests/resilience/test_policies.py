@@ -1,4 +1,4 @@
-"""Unit tests for the recovery policies: retry, breaker, quarantine, health."""
+"""Unit tests for the recovery policies: retry, breaker, quarantine."""
 
 from __future__ import annotations
 
@@ -9,10 +9,7 @@ from repro.resilience import (
     Quarantine,
     RetryExhausted,
     RetryPolicy,
-    health_report,
-    render_health,
 )
-from repro.resilience.health import GLOBAL_HEALTH
 
 
 class _Flaky:
@@ -184,42 +181,3 @@ class TestQuarantine:
     def test_validation(self):
         with pytest.raises(ValueError):
             Quarantine(capacity=0)
-
-
-class TestHealthRegistry:
-    def test_report_aggregates_live_components(self):
-        breaker = CircuitBreaker("svc.pool", failure_threshold=1)
-        breaker.record_failure()
-        quarantine = Quarantine(name="ledger")
-        quarantine.add("bad", site="feedback.ledger.fold", reason="order")
-        policy = RetryPolicy(max_attempts=2, name="svc.retry")
-        with pytest.raises(RetryExhausted):
-            policy.call(_Flaky(10))
-        report = health_report()
-        assert report["open_breakers"] == 1
-        assert report["quarantine_depth"] == 1
-        assert report["total_retries"] == 1
-        rendered = render_health(report)
-        assert "svc.pool" in rendered
-        assert "ledger" in rendered
-        assert "svc.retry" in rendered
-
-    def test_dead_components_fall_out_of_the_report(self):
-        CircuitBreaker("ephemeral")
-        assert len(health_report()["breakers"]) <= 1  # may already be gone
-        import gc
-
-        gc.collect()
-        assert health_report()["breakers"] == []
-
-    def test_registry_does_not_keep_components_alive(self):
-        import weakref
-
-        breaker = CircuitBreaker("weak")
-        ref = weakref.ref(breaker)
-        del breaker
-        import gc
-
-        gc.collect()
-        assert ref() is None
-        assert GLOBAL_HEALTH.report()["breakers"] == []
