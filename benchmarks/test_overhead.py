@@ -1,13 +1,13 @@
 """Overhead guards for the observability and resilience layers.
 
-Each layer's guard runs one workload twice — the layer off, then on —
-and asserts the ratio stays inside the layer's budget:
+Each layer's guard runs one workload with the layer off and on and
+asserts the ratio of the two minima stays inside the layer's budget:
 
 ==========  ====================================================  ======
 layer       switched on for the second run                        budget
 ==========  ====================================================  ======
 trace       root context + span sink on every span                <10%
-fleet       Chord lookups inside ``node_scope``                   <5%
+scope       Chord lookups inside ``node_scope``                   <5%
 resilience  an activated-but-empty ``FaultPlan`` on a serve sweep <5%
 ==========  ====================================================  ======
 
@@ -15,7 +15,7 @@ Next to the ratios sit the per-layer cost pins (untraced span cost,
 retry-wrapper cost) and the checks that disabled paths allocate or
 record nothing.  Select one layer with ``-k``::
 
-    PYTHONPATH=src python -m pytest benchmarks/test_overhead.py -k fleet
+    PYTHONPATH=src python -m pytest benchmarks/test_overhead.py -k scope
 
 Timing assertions live here rather than in ``tests/`` (tier-1) because
 they are load-sensitive; both sides are measured as a min-of-repeats so
@@ -139,12 +139,17 @@ def _serve_sweep(service):
 
 def _trace_case(tmp_path):
     run = _multi_test_run("bench.trace_overhead")
-    with obs.activate():
-        baseline = _min_of(run)
+    root = trace_ctx.new_root(bench="trace_overhead")
     spans_path = tmp_path / "spans.jsonl"
+    baseline = traced = float("inf")
     with obs.activate(), trace_ctx.tracing_session(spans_path):
-        with trace_ctx.use(trace_ctx.new_root(bench="trace_overhead")):
-            traced = _min_of(run)
+        # one untraced and one traced run per repeat, so load that shifts
+        # during the measurement lands on both sides of the ratio; with
+        # no context attached the installed sink writes nothing
+        for _ in range(REPEATS):
+            baseline = min(baseline, _min_of(run, 1))
+            with trace_ctx.use(root):
+                traced = min(traced, _min_of(run, 1))
     # the traced run really did trace: one line per span per repeat
     spans = trace_ctx.read_span_jsonl(spans_path)
     assert len(spans) >= REPEATS
@@ -152,7 +157,7 @@ def _trace_case(tmp_path):
     return baseline, traced
 
 
-def _fleet_case(tmp_path):
+def _scope_case(tmp_path):
     ring = _build_ring()
     node = ring.nodes["node-0"]
 
@@ -191,7 +196,7 @@ def _resilience_case(tmp_path):
 
 CASES = {
     "trace": (_trace_case, 1.10),
-    "fleet": (_fleet_case, 1.05),
+    "scope": (_scope_case, 1.05),
     "resilience": (_resilience_case, 1.05),
 }
 
@@ -250,7 +255,7 @@ def test_trace_disabled_span_path_allocates_nothing():
     assert peak < 16 * 1024, f"disabled span path allocated {peak} bytes"
 
 
-def test_fleet_disabled_scope_records_nothing():
+def test_scope_disabled_records_nothing():
     """Obs off: the hot path never consults the scope or the registry."""
     ring = _build_ring(seed=7)
     node = ring.nodes["node-0"]

@@ -1,8 +1,8 @@
 """One cluster member: an assessment shard on the simulated network.
 
 A :class:`ClusterNode` registers one handler for the ``cluster_*``
-message vocabulary (attributed to this node in the fleet view via
-``node_scope``) and holds the assessment data plane: a private
+message vocabulary (its metrics and events carry this node's ``node``
+label via ``node_scope``) and holds the assessment data plane: a private
 :class:`~repro.feedback.ledger.FeedbackLedger` holding this replica's
 copy of every server assigned to it, an
 :class:`~repro.serve.AssessmentService` folding that ledger

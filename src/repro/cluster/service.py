@@ -30,7 +30,7 @@ Every inter-shard RPC runs under the resilience stack: a shared
 per-peer :class:`~repro.resilience.breaker.CircuitBreaker` stops
 hammering dead members, and every hop carries the ambient
 :class:`~repro.obs.context.TraceContext` so cluster traffic lands in
-the fleet view alongside single-node serving.
+the span log alongside single-node serving.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from .report import render_report
 
 #: ``--X-dir`` flag -> (runner parameter, artifact file name, help).  A
 #: runner receives a path under the directory only when its signature
-#: takes the parameter; ``None`` passes the directory itself.
+#: takes the parameter.
 ARTIFACT_DIRS = {
     "--bench-dir": (
         "bench_path",
@@ -61,15 +61,6 @@ ARTIFACT_DIRS = {
         "write SLO error-budget artifacts into this directory as "
         "BENCH_slo.json (experiments that support it, e.g. serve); "
         "inspect with `repro obs slo <artifact>`",
-    ),
-    "--fleet-dir": (
-        "fleet_dir",
-        None,
-        "write fleet-scope observability artifacts into this directory "
-        "(experiments that support it, e.g. p2p_scale): FLEET_*.json "
-        "per-node snapshots + ring consistency and node-scoped "
-        "POSTMORTEM_fleet_*.json bundles; "
-        "render with `repro obs fleet <dir>`",
     ),
 }
 
@@ -142,11 +133,7 @@ def run(args: argparse.Namespace) -> int:
         for flag, (param, pattern, _) in ARTIFACT_DIRS.items():
             directory = artifact_dirs[flag]
             if directory and param in params:
-                kwargs[param] = (
-                    directory
-                    if pattern is None
-                    else os.path.join(directory, pattern.format(name=name))
-                )
+                kwargs[param] = os.path.join(directory, pattern.format(name=name))
         started = time.perf_counter()
         result = runner(**kwargs)
         elapsed = time.perf_counter() - started

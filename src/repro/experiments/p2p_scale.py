@@ -11,21 +11,21 @@ agreement (O(log n) rounds claim).
 Like fig7/fig9, timings flow through the obs layer; ``bench_path``
 emits a schema-valid ``BENCH_p2p_scale.json`` so the substrate joins the
 regression gate, and ``events_path`` writes the run's lifecycle events.
+Overlay work runs under each node's scope, so the log's final metrics
+snapshot carries per-node ``{node=...}`` series (``repro obs report``
+prints them).  Every ring must pass its own consistency check before the
+sweep moves on.
 """
 
 from __future__ import annotations
 
-import contextlib
-import json
-import os
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .. import obs
 from ..p2p.chord import ChordRing
 from ..p2p.gossip import GossipAggregator
-from ..p2p.network import SimulatedNetwork
 from ..stats.rng import make_rng
 from .common import ExperimentResult, ExperimentRun
 
@@ -37,47 +37,12 @@ _LOOKUP_METRIC = "experiments.p2p_scale.lookup_seconds"
 _ROUND_METRIC = "experiments.p2p_scale.gossip_round_seconds"
 _ASSESS_METRIC = "experiments.p2p_scale.assess_sweep_seconds"
 _ENGINES = ("direct", "incremental")
-
-
-def _write_fleet_artifacts(
-    fleet_dir: str,
-    registry,
-    ring: ChordRing,
-    recorder,
-    run_meta: Dict[str, object],
-) -> None:
-    """Write FLEET/POSTMORTEM artifacts for ``--fleet-dir`` runs.
-
-    Per-node metrics accumulate across every ring size in the sweep
-    (node names are reused between sizes); the topology and the
-    consistency report reflect the final — largest — ring.
-    """
-    per_node, _unscoped = obs.split_snapshot(registry.snapshot())
-    aggregate = obs.aggregate_snapshots(per_node)
-    topology = obs.topology_snapshot(ring)
-    consistency = obs.check_ring(ring)
-    slo_rows = obs.evaluation_rows(obs.evaluate_fleet_slos(aggregate))
-    payload = obs.fleet_payload(
-        topology=topology,
-        per_node=per_node,
-        consistency=consistency,
-        aggregate=aggregate,
-        slo=slo_rows,
-        meta=run_meta,
-    )
-    obs.write_fleet_json(
-        os.path.join(fleet_dir, "FLEET_p2p_scale.json"), payload
-    )
-    if recorder is not None:
-        for entry in topology["nodes"][:2]:
-            node = str(entry["name"])
-            bundle = obs.node_bundle(
-                recorder, node, topology=topology, reason="fleet_export"
-            )
-            path = os.path.join(fleet_dir, f"POSTMORTEM_fleet_{node}.json")
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(bundle, handle, indent=2, sort_keys=True, default=repr)
-                handle.write("\n")
+_RING_ERRORS = (
+    "successor_errors",
+    "predecessor_errors",
+    "orphaned_keys",
+    "under_replicated",
+)
 
 
 def run_p2p_scale(
@@ -90,7 +55,6 @@ def run_p2p_scale(
     quick: bool = False,
     bench_path: Optional[str] = None,
     events_path: Optional[str] = None,
-    fleet_dir: Optional[str] = None,
     engine: str = "direct",
 ) -> ExperimentResult:
     """Scale the P2P substrate and measure lookup and gossip cost.
@@ -108,13 +72,10 @@ def run_p2p_scale(
     columns only appear in this mode — the default column list is
     pinned.
 
-    ``fleet_dir`` turns on fleet-scope observability: rings run on a
-    named :class:`~repro.p2p.network.SimulatedNetwork` with per-link
-    metrics, a flight recorder captures the whole sweep, and the
-    directory receives ``FLEET_p2p_scale.json`` (per-node snapshots,
-    topology, ring consistency, fleet SLOs) and node-scoped
-    ``POSTMORTEM_fleet_*.json`` bundles — render with
-    ``repro obs fleet <dir>``.
+    Every ring must pass :meth:`~repro.p2p.chord.ChordRing.check_consistency`
+    after its lookups and gossip; an inconsistent ring raises
+    ``RuntimeError`` naming the first error, like gossip that does not
+    converge.
     """
     if engine not in _ENGINES:
         raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
@@ -157,7 +118,6 @@ def run_p2p_scale(
         notes=notes,
     )
 
-    recorder = None
     with ExperimentRun(
         "p2p_scale",
         seed=base_seed,
@@ -165,18 +125,11 @@ def run_p2p_scale(
         meta={"quick": quick},
         bench_path=bench_path,
         events_path=events_path,
-    ) as run, contextlib.ExitStack() as stack:
+    ) as run:
         registry = run.registry
-        if fleet_dir is not None:
-            recorder = stack.enter_context(obs.flight_recording(fleet_dir))
         for n in node_counts:
             with obs.span("experiments.p2p_scale.build", n_nodes=n):
-                network = (
-                    SimulatedNetwork(name=f"p2p_scale_n{n}", link_metrics=True)
-                    if fleet_dir is not None
-                    else None
-                )
-                ring = ChordRing(network=network, seed=base_seed + n)
+                ring = ChordRing(seed=base_seed + n)
                 for i in range(n):
                     ring.add_node(f"node-{i}")
             hops: List[int] = []
@@ -197,6 +150,13 @@ def run_p2p_scale(
                         )
                     with obs.timer(_ROUND_METRIC, n_nodes=n):
                         agg.run_round()
+            consistency = ring.check_consistency()
+            if not consistency["ok"]:
+                kind = next(k for k in _RING_ERRORS if consistency[k])
+                raise RuntimeError(
+                    f"Chord ring inconsistent at n={n}: "
+                    f"{kind} {consistency[kind][0]}"
+                )
             lookup_hist = registry.histogram(_LOOKUP_METRIC, n_nodes=n)
             round_hist = registry.histogram(_ROUND_METRIC, n_nodes=n)
             row = {
@@ -247,9 +207,4 @@ def run_p2p_scale(
             run.bench_row(
                 round_hist, "gossip_round", {"n_nodes": n}, rounds=agg.rounds
             )
-        if fleet_dir is not None:
-            with obs.span("experiments.p2p_scale.fleet_export"):
-                _write_fleet_artifacts(
-                    fleet_dir, registry, ring, recorder, run.meta
-                )
     return result

@@ -12,7 +12,7 @@ such data (and feed the ``repro-assess`` CLI).  Formats:
   :mod:`repro.feedback.binlog` (fixed-width records + id sidecars).
 
 The single entry point is :func:`read`, which dispatches through a
-format *registry* — by explicit name, by file extension, or by content
+fixed format table — by explicit name, by file extension, or by content
 sniffing (``format="auto"``, the default)::
 
     result = read("events.csv")                      # extension
@@ -52,8 +52,6 @@ __all__ = [
     "RowError",
     "ReadResult",
     "read",
-    "register_reader",
-    "available_formats",
     "detect_format",
     "write_feedback_csv",
     "write_feedback_jsonl",
@@ -271,47 +269,30 @@ def _read_binary(path: PathLike, *, errors: str = "strict") -> ReadResult:
 
 
 # --------------------------------------------------------------------- #
-# the unified reader: format registry + dispatch
+# the unified reader: fixed format tables + dispatch
 
 #: format name -> reader(path, *, errors) -> ReadResult
-_READERS: Dict[str, Callable[..., ReadResult]] = {}
+_READERS: Dict[str, Callable[..., ReadResult]] = {
+    "csv": _read_csv,
+    "jsonl": _read_jsonl,
+    "binary": _read_binary,
+}
 
 #: lowercased file extension -> format name
-_EXTENSIONS: Dict[str, str] = {}
-
-
-def register_reader(
-    name: str,
-    reader: Callable[..., ReadResult],
-    *,
-    extensions: Iterable[str] = (),
-) -> None:
-    """Register a feedback file format with :func:`read`.
-
-    ``reader(path, *, errors)`` must return a :class:`ReadResult`;
-    ``extensions`` (e.g. ``(".csv",)``) map file suffixes to the format
-    during ``format="auto"`` detection.  Re-registering a name replaces
-    the old reader.
-    """
-    _READERS[name] = reader
-    for ext in extensions:
-        _EXTENSIONS[ext.lower()] = name
-
-
-register_reader("csv", _read_csv, extensions=(".csv",))
-register_reader("jsonl", _read_jsonl, extensions=(".jsonl", ".ndjson", ".json"))
-register_reader("binary", _read_binary, extensions=(".ledger", ".bin"))
-
-
-def available_formats() -> List[str]:
-    """Names of every registered feedback file format, sorted."""
-    return sorted(_READERS)
+_EXTENSIONS = {
+    ".csv": "csv",
+    ".jsonl": "jsonl",
+    ".ndjson": "jsonl",
+    ".json": "jsonl",
+    ".ledger": "binary",
+    ".bin": "binary",
+}
 
 
 def detect_format(path: PathLike) -> str:
     """Resolve the format of ``path``: by extension, then by content.
 
-    A registered extension wins; otherwise the first bytes decide —
+    A known extension wins; otherwise the first bytes decide —
     the binary ledger magic, a ``{`` (JSONL), anything else is CSV.
     """
     by_ext = _EXTENSIONS.get(Path(path).suffix.lower())
@@ -331,7 +312,7 @@ def read(
 ) -> ReadResult:
     """Load feedback records from ``path`` — the one reader entry point.
 
-    ``format`` names a registered format (:func:`available_formats`) or
+    ``format`` names a format (``"csv"``, ``"jsonl"``, ``"binary"``) or
     ``"auto"`` (default) to resolve via :func:`detect_format`.
     ``errors`` selects what a malformed *row* does: ``"strict"``
     (default) raises with the offending line number, ``"collect"``
@@ -344,8 +325,8 @@ def read(
     resolved = detect_format(path) if format == "auto" else format
     reader = _READERS.get(resolved)
     if reader is None:
-        known = ", ".join(available_formats())
-        raise ValueError(f"unknown feedback format {resolved!r}; registered: {known}")
+        known = ", ".join(sorted(_READERS))
+        raise ValueError(f"unknown feedback format {resolved!r}; known: {known}")
     result = reader(path, errors=errors)
     result.format = resolved
     return result

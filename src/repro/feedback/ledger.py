@@ -8,8 +8,7 @@ centralized, append-only store indexed by server and by client, from
 which per-server :class:`TransactionHistory` objects and the feedback
 graph (used by the EigenTrust baseline) are derived.
 
-The ledger is now a *facade* over pluggable storage backends, selected
-by name through a registry:
+The ledger is a *facade* over three storage backends, selected by name:
 
 * ``"memory"`` (default) — the original per-object store, one Python
   ``Feedback`` at a time;
@@ -33,56 +32,11 @@ from ..resilience import runtime as _res
 from ..resilience.quarantine import Quarantine
 from .history import TransactionHistory
 from .records import EntityId, Feedback, Rating
+from .store import ColumnarLedgerBackend, MmapLedgerBackend
 
-__all__ = [
-    "FeedbackLedger",
-    "MemoryLedgerBackend",
-    "register_ledger_backend",
-    "make_ledger_backend",
-    "available_ledger_backends",
-]
+__all__ = ["FeedbackLedger", "MemoryLedgerBackend"]
 
 _FOLD_SITE = "feedback.ledger.fold"
-
-#: backend name -> factory(**options) -> backend instance
-_LEDGER_BACKENDS: Dict[str, Callable[..., object]] = {}
-
-
-def register_ledger_backend(name: str, factory: Callable[..., object]) -> None:
-    """Register a ledger storage backend under ``name``.
-
-    ``factory(**options)`` must return an object implementing the
-    backend surface (``record``, ``history``, ``feedback_graph``, the
-    query methods — see :class:`MemoryLedgerBackend` for the reference
-    implementation).  Re-registering a name replaces the old factory.
-    """
-    _LEDGER_BACKENDS[name] = factory
-
-
-def make_ledger_backend(name: str, **options) -> object:
-    """Instantiate the backend registered under ``name``.
-
-    The columnar backends live in :mod:`repro.feedback.store`, imported
-    lazily on the first miss so the registry never forces numpy-heavy
-    modules on users of the plain object path.
-    """
-    factory = _LEDGER_BACKENDS.get(name)
-    if factory is None and name not in _LEDGER_BACKENDS:
-        from . import store as _store  # noqa: F401  (registers its backends)
-
-        factory = _LEDGER_BACKENDS.get(name)
-    if factory is None:
-        known = ", ".join(sorted(_LEDGER_BACKENDS))
-        raise ValueError(f"unknown ledger backend {name!r}; registered: {known}")
-    return factory(**options)
-
-
-def available_ledger_backends() -> List[str]:
-    """Names of every registered ledger backend, sorted."""
-    from . import store as _store  # noqa: F401  (ensure built-ins registered)
-
-    return sorted(_LEDGER_BACKENDS)
-
 
 class MemoryLedgerBackend:
     """The original per-object ledger storage (``backend="memory"``).
@@ -276,7 +230,12 @@ class MemoryLedgerBackend:
         return {pair: (pos, neg) for pair, (pos, neg) in edges.items()}
 
 
-register_ledger_backend("memory", MemoryLedgerBackend)
+#: backend name -> class; each takes ``quarantine=`` plus its own options
+_BACKENDS = {
+    "memory": MemoryLedgerBackend,
+    "columnar": ColumnarLedgerBackend,
+    "mmap": MmapLedgerBackend,
+}
 
 
 class FeedbackLedger:
@@ -304,9 +263,11 @@ class FeedbackLedger:
         quarantine: Optional[Quarantine] = None,
         **options,
     ) -> None:
-        self._backend = make_ledger_backend(
-            backend, quarantine=quarantine, **options
-        )
+        factory = _BACKENDS.get(backend)
+        if factory is None:
+            known = ", ".join(sorted(_BACKENDS))
+            raise ValueError(f"unknown ledger backend {backend!r}; known: {known}")
+        self._backend = factory(quarantine=quarantine, **options)
         self._subscribers: List[Callable[[Feedback], None]] = []
 
     @property
@@ -316,7 +277,7 @@ class FeedbackLedger:
 
     @property
     def backend_name(self) -> str:
-        """The registry name of the active backend."""
+        """The name of the active backend (``"memory"``, ``"columnar"``, ``"mmap"``)."""
         return self._backend.name
 
     @property

@@ -13,9 +13,8 @@ are built on it:
   :mod:`repro.feedback.binlog` (records are appended on every fold, the
   existing file is memory-mapped and recovered on open).
 
-Both register with the backend registry in
-:mod:`repro.feedback.ledger`, behind the same ``FeedbackLedger``
-facade, with identical semantics to the object backend — including the
+Both sit in the fixed backend table of :mod:`repro.feedback.ledger`,
+behind the same ``FeedbackLedger`` facade, with identical semantics to the object backend — including the
 ``feedback.ledger.fold`` fault site, quarantine behavior, and the
 live-history contract (the conformance and hypothesis-equivalence
 suites assert all of it, verdict-for-verdict).
@@ -835,11 +834,3 @@ class MmapLedgerBackend(ColumnarLedgerBackend):
     def close(self) -> None:
         """Flush and close the backing file (the backend stays queryable)."""
         self._writer.close()
-
-
-# register with the facade's backend registry (imported lazily from
-# ledger.py on the first unknown-name lookup)
-from .ledger import register_ledger_backend  # noqa: E402
-
-register_ledger_backend("columnar", ColumnarLedgerBackend)
-register_ledger_backend("mmap", MmapLedgerBackend)

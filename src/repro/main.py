@@ -16,7 +16,6 @@ observability tooling::
     repro obs trace run_spans.jsonl                 # list trace ids in a span log
     repro obs trace run_spans.jsonl 3f2a            # render one trace's span tree
     repro obs slo run_events.jsonl --out BENCH_slo.json  # error-budget report/gate
-    repro obs fleet fleet-out/                      # per-node metrics + ring consistency
     repro explain mallory run_audit.jsonl           # why was this server rejected?
     repro --log-level DEBUG assess feedback.csv     # opt into repro.* logging
 
@@ -110,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = obs_sub.add_parser(
         "report",
         parents=after,
-        help="render a bench JSON, fleet snapshot, post-mortem bundle, span "
-        "log's phase table or event log, or an artifact directory",
+        help="render a bench JSON, post-mortem bundle, span log's phase "
+        "table or event log, or an artifact directory",
     )
     p_report.add_argument("artifact", help="path to an artifact or a directory")
     p_report.set_defaults(run=_obs_report)
@@ -139,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate = obs_sub.add_parser(
         "validate",
         parents=after,
-        help="schema-validate an artifact: bench JSON, fleet snapshot, "
-        "post-mortem bundle, span log or audit log",
+        help="schema-validate an artifact: bench JSON, post-mortem bundle, "
+        "span log or audit log",
     )
     p_validate.add_argument("artifact", help="path to the artifact")
     p_validate.set_defaults(
@@ -200,25 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of assessments that must meet the bound (default: 0.99)",
     )
     p_slo.set_defaults(run=_obs_slo)
-
-    p_fleet = obs_sub.add_parser(
-        "fleet",
-        parents=after,
-        help="fleet view of a p2p run: topology table, per-node metrics, "
-        "ring-consistency report; exit 2 when the ring is inconsistent",
-    )
-    p_fleet.add_argument(
-        "source",
-        help="FLEET_*.json artifact, or a directory holding one "
-        "(e.g. the --fleet-dir of a p2p_scale run)",
-    )
-    p_fleet.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write a schema-validated BENCH_fleet.json to PATH",
-    )
-    p_fleet.set_defaults(run=_obs_fleet)
 
     p_explain = sub.add_parser(
         "explain",
@@ -505,27 +485,6 @@ def _obs_slo(args) -> int:
         obs.validate_slo_payload(payload)
         print(f"wrote {args.out}")
     return 0 if evaluation.ok else 2
-
-
-def _obs_fleet(args) -> int:
-    fleet_path = Path(args.source)
-    if fleet_path.is_dir():
-        candidates = sorted(fleet_path.glob("FLEET_*.json"))
-        if not candidates:
-            raise ValueError(f"no FLEET_*.json in {args.source}")
-        fleet_path = candidates[0]
-    payload = obs.read_fleet_json(fleet_path)
-    print(obs.render_fleet(payload))
-    if args.out is not None:
-        bench = obs.write_bench_json(
-            args.out,
-            "fleet",
-            obs.fleet_to_bench_rows(payload),
-            meta=payload.get("meta") or obs.run_metadata(source=str(fleet_path)),
-        )
-        obs.validate_fleet_bench_payload(bench)
-        print(f"wrote {args.out}")
-    return 0 if payload["consistency"].get("ok") else 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via console script

@@ -9,6 +9,9 @@ One unified observability layer for the two-phase trust pipeline:
   and cost one branch (no allocation) when collection is disabled;
 * **Events** — an append-only :class:`EventLog` with a JSONL sink and
   seeded-run metadata (seed, config hash, git revision);
+* **Node attribution** — work wrapped in :func:`node_scope` stamps a
+  ``node`` label on its metrics and events, so one run's event log,
+  read through ``repro obs report``, shows every P2P and cluster node;
 * **Exporters** — text and Prometheus renderings plus the
   ``BENCH_*.json`` benchmark-artifact format.
 
@@ -86,32 +89,8 @@ from .flightrec import (
     render_postmortem,
     validate_postmortem_bundle,
 )
-from .fleet import (
-    FLEET_SCHEMA_VERSION,
-    aggregate_snapshots,
-    check_ring,
-    default_fleet_slos,
-    evaluate_fleet_slos,
-    evaluation_rows,
-    fleet_payload,
-    fleet_to_bench_rows,
-    gauge_table,
-    node_bundle,
-    read_fleet_json,
-    render_fleet,
-    topology_snapshot,
-    validate_fleet_bench_payload,
-    validate_fleet_payload,
-    write_fleet_json,
-)
 from .registry import Counter, Gauge, MetricSample, MetricsRegistry, StreamingHistogram
-from .scope import (
-    current_node,
-    node_scope,
-    node_snapshot,
-    nodes_in,
-    split_snapshot,
-)
+from .scope import current_node, node_scope
 from .report import (
     artifact_kind,
     phase_table,
@@ -215,27 +194,8 @@ __all__ = [
     "read_postmortem",
     "render_postmortem",
     "validate_postmortem_bundle",
-    "FLEET_SCHEMA_VERSION",
-    "aggregate_snapshots",
-    "check_ring",
-    "default_fleet_slos",
-    "evaluate_fleet_slos",
-    "evaluation_rows",
-    "fleet_payload",
-    "fleet_to_bench_rows",
-    "gauge_table",
-    "node_bundle",
-    "read_fleet_json",
-    "render_fleet",
-    "topology_snapshot",
-    "validate_fleet_bench_payload",
-    "validate_fleet_payload",
-    "write_fleet_json",
     "current_node",
     "node_scope",
-    "node_snapshot",
-    "nodes_in",
-    "split_snapshot",
     "Counter",
     "Gauge",
     "MetricSample",

@@ -33,7 +33,6 @@ import json
 import os
 import re
 import time
-import uuid
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
@@ -75,12 +74,14 @@ def wall_clock_of(perf_time: float) -> float:
     return _ANCHOR_WALL + (perf_time - _ANCHOR_PERF)
 
 
+# Ids come straight from the OS entropy pool, which holds no
+# per-process state, so forked workers never mint the same id.
 def _new_trace_id() -> str:
-    return uuid.uuid4().hex
+    return os.urandom(16).hex()
 
 
 def _new_span_id() -> str:
-    return uuid.uuid4().hex[:16]
+    return os.urandom(8).hex()
 
 
 @dataclass(frozen=True)

@@ -196,33 +196,15 @@ class StreamingHistogram:
                 good += count
         return good / self._count
 
-    def merge(self, other: "StreamingHistogram") -> "StreamingHistogram":
-        """Fold ``other``'s state into this histogram, exactly.
-
-        count/sum/min/max add (resp. extremize) and per-bucket counts
-        sum, so merging per-node histograms is indistinguishable from
-        having observed every sample in one histogram — the algebra the
-        fleet aggregator depends on.  Returns ``self`` for chaining.
-        """
-        if other._count == 0:
-            return self
-        self._count += other._count
-        self._sum += other._sum
-        if other._min < self._min:
-            self._min = other._min
-        if other._max > self._max:
-            self._max = other._max
-        for index, count in other._buckets.items():
-            self._buckets[index] = self._buckets.get(index, 0) + count
-        return self
-
     def merge_serialized(
         self, summary: Dict[str, float], buckets: Dict[str, int]
     ) -> "StreamingHistogram":
         """Fold one snapshot-serialized histogram (summary + buckets) in.
 
         The inverse of ``summary()``/``bucket_counts()`` for merge
-        purposes; same exact algebra as :meth:`merge`.
+        purposes: count/sum add, min/max extremize and per-bucket counts
+        sum, so the result is indistinguishable from having observed
+        both sample sets in one histogram.
         """
         count = int(summary.get("count", 0))
         if count <= 0:
@@ -410,7 +392,7 @@ class MetricsRegistry:
             node = _scope.attribution_node()
             if node is not None and _scope.NODE_LABEL not in labels:
                 labels[_scope.NODE_LABEL] = node
-        key = (name, _labels_key(labels))
+        key = (name, _labels_key(labels) if labels else ())
         metric = self._metrics.get(key)
         if metric is not None:
             if not isinstance(metric, cls):  # pragma: no cover - defensive

@@ -156,7 +156,7 @@ class _LiveSpan:
     calling flow, the span runs under a fresh *child* context (stamped
     onto its record and visible to nested spans and resilience events);
     with no ambient context, no trace identity is minted — keeping the
-    common untraced path free of uuid cost.
+    common untraced path free of id-minting cost.
     """
 
     __slots__ = ("_name", "_labels", "_observe", "_token")

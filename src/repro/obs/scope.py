@@ -1,4 +1,4 @@
-"""Node-scoped metric attribution for fleet-scope observability.
+"""Node-scoped metric attribution.
 
 The paper's protocol is decentralized: feedback lives in a P2P overlay
 and assessments happen at many nodes.  Every metric family in the
@@ -17,11 +17,11 @@ Design notes:
   actually open somewhere.
 * Cardinality guard: at most ``max_nodes`` distinct node ids are
   admitted; later node ids are stamped with the ``OVERFLOW_NODE``
-  sentinel and counted in ``dropped_nodes`` so runaway fleets cannot
-  explode the registry.
-* Scoped-snapshot extraction (``split_snapshot`` / ``node_snapshot``)
-  partitions a registry snapshot back into per-node views with the
-  ``node`` label stripped, which is what the fleet aggregator consumes.
+  sentinel and counted in ``dropped_nodes`` so a runaway number of
+  nodes cannot explode the registry.
+* The label rides every snapshot: ``repro obs report`` on a run's event
+  log prints each scoped series as ``name{node=...}``, and resilience
+  events emitted under a scope carry the same ``node`` field.
 
 Deliberately dependency-free (stdlib only), like the registry.
 """
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, Optional
 
 __all__ = [
     "NODE_LABEL",
@@ -40,9 +40,6 @@ __all__ = [
     "current_node",
     "attribution_node",
     "reset",
-    "nodes_in",
-    "node_snapshot",
-    "split_snapshot",
 ]
 
 #: Label key stamped onto metrics created inside a scope.
@@ -131,66 +128,3 @@ def reset(max_nodes_cap: Optional[int] = None) -> None:
     _seen.clear()
     dropped_nodes = 0
     max_nodes = DEFAULT_MAX_NODES if max_nodes_cap is None else int(max_nodes_cap)
-
-
-# ---------------------------------------------------------------------------
-# Scoped-snapshot extraction
-
-
-def nodes_in(snapshot: Dict[str, List[Dict[str, Any]]]) -> List[str]:
-    """Sorted distinct node labels present in a registry snapshot."""
-    names = set()
-    for entries in snapshot.values():
-        for entry in entries:
-            node = (entry.get("labels") or {}).get(NODE_LABEL)
-            if node is not None:
-                names.add(str(node))
-    return sorted(names)
-
-
-def node_snapshot(
-    snapshot: Dict[str, List[Dict[str, Any]]], node: Any
-) -> Dict[str, Any]:
-    """The slice of ``snapshot`` attributed to ``node``, label stripped.
-
-    The result is itself registry-snapshot shaped, so every downstream
-    consumer (SLO engine, exporters) works on a single node's view
-    unchanged.
-    """
-    wanted = str(node)
-    out: Dict[str, Any] = {}
-    for name, entries in snapshot.items():
-        kept = []
-        for entry in entries:
-            labels = dict(entry.get("labels") or {})
-            if NODE_LABEL not in labels or str(labels[NODE_LABEL]) != wanted:
-                continue
-            del labels[NODE_LABEL]
-            stripped = dict(entry)
-            stripped["labels"] = labels
-            kept.append(stripped)
-        if kept:
-            out[name] = kept
-    return out
-
-
-def split_snapshot(
-    snapshot: Dict[str, List[Dict[str, Any]]]
-) -> Tuple[Dict[str, Dict[str, Any]], Dict[str, Any]]:
-    """Partition a snapshot into ``(per_node, unscoped)``.
-
-    ``per_node`` maps node id -> snapshot-shaped dict with the ``node``
-    label stripped; ``unscoped`` holds everything emitted outside any
-    scope (experiment-level timers, serve metrics, ...).
-    """
-    per_node: Dict[str, Dict[str, Any]] = {}
-    unscoped: Dict[str, Any] = {}
-    for name, entries in snapshot.items():
-        for entry in entries:
-            labels = dict(entry.get("labels") or {})
-            node = labels.pop(NODE_LABEL, None)
-            copy = dict(entry)
-            copy["labels"] = labels
-            target = unscoped if node is None else per_node.setdefault(str(node), {})
-            target.setdefault(name, []).append(copy)
-    return per_node, unscoped

@@ -21,6 +21,7 @@ claim is assertable in tests.  Ring maintenance follows Chord's
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 from typing import Any, Dict, List, Optional, Set, Tuple
@@ -666,12 +667,84 @@ class ChordRing:
 
     def responsible_node(self, name: str) -> str:
         """Ground truth owner, computed centrally (for tests)."""
-        key = key_of(name, self._m)
-        ids = sorted((key_of(n, self._m), n) for n in self.nodes)
-        for node_id, node_name in ids:
-            if node_id >= key:
-                return node_name
-        return ids[0][1]
+        return self._owner_of(key_of(name, self._m))
+
+    def _owner_of(self, key: int) -> str:
+        """The first node clockwise from ``key``, from the sorted ids."""
+        ids = sorted((node.node_id, name) for name, node in self.nodes.items())
+        return ids[bisect.bisect_left(ids, (key, "")) % len(ids)][1]
+
+    def check_consistency(self) -> Dict[str, Any]:
+        """Structural consistency of the ring against central ground truth.
+
+        Checks, with the sorted node ids as the reference ring:
+
+        * **successor agreement** — each node's successor pointer names
+          the next node clockwise;
+        * **predecessor agreement** — each node's predecessor pointer
+          names the previous node (``None`` is tolerated only on a
+          1-node ring);
+        * **orphaned keys** — a key stored *somewhere* must also be
+          stored at its responsible node, else lookups route to an
+          empty owner;
+        * **replication deficits** — each owned key should be held by
+          ``min(replicas, n_nodes)`` nodes.
+
+        ``ok`` is True only when every list is empty.
+        """
+        names = sorted(self.nodes, key=lambda name: self.nodes[name].node_id)
+        n = len(names)
+        successor_errors: List[Dict[str, Any]] = []
+        predecessor_errors: List[Dict[str, Any]] = []
+        for i, name in enumerate(names):
+            node = self.nodes[name]
+            expected = names[(i + 1) % n]
+            if node.successor != expected:
+                successor_errors.append(
+                    {"node": name, "expected": expected, "actual": node.successor}
+                )
+            expected = names[i - 1]
+            if n > 1 and node.predecessor != expected:
+                predecessor_errors.append(
+                    {"node": name, "expected": expected, "actual": node.predecessor}
+                )
+
+        # every key seen anywhere must live at its owner, replicated
+        # min(replicas, n) ways (replica copies double as the hand-over
+        # trail, so extra copies are fine — deficits are not)
+        holders: Dict[int, List[str]] = {}
+        for name in names:
+            for key, values in self.nodes[name].storage.items():
+                if values:
+                    holders.setdefault(key, []).append(name)
+        expected_copies = min(self._replicas, n)
+        orphaned_keys: List[Dict[str, Any]] = []
+        under_replicated: List[Dict[str, Any]] = []
+        for key in sorted(holders):
+            owner = self._owner_of(key)
+            if owner not in holders[key]:
+                orphaned_keys.append(
+                    {"key": key, "owner": owner, "holders": sorted(holders[key])}
+                )
+            elif len(holders[key]) < expected_copies:
+                under_replicated.append(
+                    {"key": key, "copies": len(holders[key]), "expected": expected_copies}
+                )
+
+        return {
+            "ok": not (
+                successor_errors
+                or predecessor_errors
+                or orphaned_keys
+                or under_replicated
+            ),
+            "n_nodes": n,
+            "n_keys": len(holders),
+            "successor_errors": successor_errors,
+            "predecessor_errors": predecessor_errors,
+            "orphaned_keys": orphaned_keys,
+            "under_replicated": under_replicated,
+        }
 
     def _any_node(self) -> ChordNode:
         if not self.nodes:

@@ -24,7 +24,6 @@ from typing import Any, Callable, Dict, Optional
 
 from ..obs import context as _ctx
 from ..obs import runtime as _obs
-from ..obs import scope as _scope
 from ..resilience import runtime as _res
 from ..stats.rng import SeedLike, make_rng
 
@@ -82,7 +81,6 @@ class SimulatedNetwork:
         seed: SeedLike = None,
         *,
         name: str = "simnet",
-        link_metrics: bool = False,
     ):
         if not 0.0 <= drop_rate < 1.0:
             raise ValueError(f"drop_rate must lie in [0, 1), got {drop_rate}")
@@ -91,10 +89,6 @@ class SimulatedNetwork:
         self._handlers: Dict[str, Handler] = {}
         self._stats = NetworkStats()
         self.name = name
-        # Per-link series are quadratic in fleet size (src × dst), so
-        # they are opt-in: fleet captures and e2e tests turn them on,
-        # ambient benches keep the type-only families.
-        self.link_metrics = link_metrics
 
     @property
     def stats(self) -> NetworkStats:
@@ -156,19 +150,6 @@ class SimulatedNetwork:
                     raise _res.InjectedFault("p2p.network.send", spec.mode, 0)
                 dropped = True
         self._stats.record(message_type, dropped)
-        if self.link_metrics and _obs.enabled and _scope.active:
-            # src comes from the ambient node scope (the sender), dst is
-            # explicit; stamping node=src keeps the series attributed to
-            # the sending node when the snapshot is split per node.
-            src = _scope.attribution_node()
-            if src is not None:
-                _obs.registry.inc(
-                    "p2p.network.link.messages", src=src, dst=dst, node=src
-                )
-                if dropped:
-                    _obs.registry.inc(
-                        "p2p.network.link.drops", src=src, dst=dst, node=src
-                    )
         ctx = _ctx.current()
         if ctx is None:
             # untraced hop: zero envelope/serialization overhead — this

@@ -148,7 +148,6 @@ def emit(event: str, **fields: object) -> None:
     if _scope.active and "node" not in fields:
         # node-scoped attribution mirrors the trace_id stamp: events
         # emitted while a node scope is open are attributable per node
-        # (fleet bundles filter the recorder ring on this field)
         node = _scope.current_node()
         if node is not None:
             fields = dict(fields, node=node)

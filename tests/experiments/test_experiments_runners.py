@@ -360,6 +360,47 @@ class TestP2pScale:
         (log,) = logs
         assert log._handle is None  # the file sink was closed
 
+    def test_every_ring_is_checked(self, monkeypatch):
+        from repro.experiments import run_p2p_scale
+        from repro.p2p.chord import ChordRing
+
+        reports = []
+        check = ChordRing.check_consistency
+
+        def spy(ring):
+            reports.append(check(ring))
+            return reports[-1]
+
+        monkeypatch.setattr(ChordRing, "check_consistency", spy)
+        run_p2p_scale(quick=True)
+        assert [r["n_nodes"] for r in reports] == [8, 16]
+        assert all(r["ok"] for r in reports)
+
+    def test_inconsistent_ring_fails_the_run(self, tmp_path, monkeypatch):
+        from repro import obs
+        from repro.experiments import run_p2p_scale
+        from repro.p2p.chord import ChordRing
+
+        check = ChordRing.check_consistency
+
+        def broken(ring):
+            report = check(ring)
+            report["ok"] = False
+            report["successor_errors"] = [
+                {"node": "node-0", "expected": "node-1", "actual": "node-2"}
+            ]
+            return report
+
+        monkeypatch.setattr(ChordRing, "check_consistency", broken)
+        events = tmp_path / "EVENTS_p2p_scale.jsonl"
+        with pytest.raises(
+            RuntimeError, match="inconsistent at n=8: successor_errors .*node-0"
+        ):
+            run_p2p_scale(quick=True, events_path=str(events))
+        records = obs.read_events(events)
+        assert records[-1]["status"] == "error"
+        assert records[-1]["error"] == "RuntimeError"
+
 
 class TestFig9Trace:
     def test_phase_table_accounts_for_the_run(self, tmp_path):

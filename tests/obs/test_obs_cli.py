@@ -64,6 +64,18 @@ class TestParserShape:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["obs", "fleet", "out"],
+            ["experiments", "p2p_scale", "--quick", "--fleet-dir", "out"],
+        ],
+    )
+    def test_fleet_view_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
     def test_experiments_is_a_real_subparser(self):
         args = build_parser().parse_args(
             ["experiments", "fig9", "--quick", "--seed", "5"]
@@ -561,15 +573,6 @@ def _slo_artifact(tmp_path):
     return path
 
 
-def _fleet_artifact(tmp_path):
-    path = tmp_path / "FLEET_p2p_scale.json"
-    obs.write_fleet_json(
-        path,
-        obs.fleet_payload(topology={"nodes": []}, per_node={}, consistency={"ok": True}),
-    )
-    return path
-
-
 def _postmortem_artifact(tmp_path):
     from repro.obs.flightrec import FlightRecorder
 
@@ -606,7 +609,6 @@ ARTIFACT_KINDS = {
     # name: (writer, kind, report marker, validate marker)
     "bench": (_bench_artifact, "bench", "bench: fig9", "valid bench artifact"),
     "bench_slo": (_slo_artifact, "bench", "bench: slo", "valid bench artifact"),
-    "fleet": (_fleet_artifact, "fleet", "ring consistency: OK", "valid fleet artifact"),
     "postmortem": (
         _postmortem_artifact,
         "postmortem",
@@ -635,11 +637,11 @@ class TestEveryArtifactKind:
 
     def test_directory_renders_each_file_by_its_kind(self, tmp_path, capsys):
         _postmortem_artifact(tmp_path)
-        _fleet_artifact(tmp_path)
+        _bench_artifact(tmp_path)
         assert main(["obs", "report", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "post-mortem: resilience_error" in out
-        assert "ring consistency: OK" in out
+        assert "bench: fig9" in out
 
     def test_kind_ignores_the_file_name(self, tmp_path):
         renamed = tmp_path / "artifact.json"

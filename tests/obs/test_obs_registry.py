@@ -173,6 +173,31 @@ class TestStreamingHistogram:
         assert h.min <= h.p50 and h.p99 <= h.max * 1.1
 
 
+class TestHistogramMerge:
+    def _sample(self, values):
+        hist = StreamingHistogram()
+        for value in values:
+            hist.observe(value)
+        return hist
+
+    def test_merge_serialized_round_trip(self):
+        source = self._sample([0.25, 4.0, 4.0, 100.0])
+        target = self._sample([0.125])
+        expected = self._sample([0.25, 4.0, 4.0, 100.0, 0.125])
+        target.merge_serialized(source.summary(), source.bucket_counts())
+        assert target.count == expected.count
+        assert target.sum == expected.sum
+        assert target.min == expected.min
+        assert target.max == expected.max
+        assert target.bucket_counts() == expected.bucket_counts()
+
+    def test_merge_serialized_ignores_empty_summary(self):
+        hist = self._sample([1.0])
+        hist.merge_serialized({"count": 0}, {})
+        assert hist.count == 1
+        assert hist.min == 1.0
+
+
 class TestRegistryCollection:
     def test_collect_sorted_and_typed(self):
         reg = MetricsRegistry()

@@ -119,35 +119,3 @@ class TestCardinalityGuard:
         scope.reset()
         assert scope.max_nodes == scope.DEFAULT_MAX_NODES
         assert scope.dropped_nodes == 0
-
-
-class TestSnapshotExtraction:
-    def _registry(self):
-        registry = MetricsRegistry()
-        registry.inc("experiment.runs")  # unscoped
-        for node in ("a", "b"):
-            with scope.node_scope(node):
-                registry.inc("p2p.messages", 3)
-                registry.observe("p2p.hops", 2.0)
-        return registry
-
-    def test_nodes_in(self):
-        snapshot = self._registry().snapshot()
-        assert scope.nodes_in(snapshot) == ["a", "b"]
-
-    def test_node_snapshot_strips_label(self):
-        snapshot = self._registry().snapshot()
-        view = scope.node_snapshot(snapshot, "a")
-        assert set(view) == {"p2p.messages", "p2p.hops"}
-        assert view["p2p.messages"][0]["labels"] == {}
-        assert view["p2p.messages"][0]["value"] == 3
-        assert view["p2p.hops"][0]["summary"]["count"] == 1
-
-    def test_split_snapshot_partition(self):
-        snapshot = self._registry().snapshot()
-        per_node, unscoped = scope.split_snapshot(snapshot)
-        assert set(per_node) == {"a", "b"}
-        assert set(unscoped) == {"experiment.runs"}
-        # each node view is itself registry-snapshot shaped
-        assert per_node["b"]["p2p.messages"][0]["value"] == 3
-        assert "node" not in per_node["b"]["p2p.messages"][0]["labels"]

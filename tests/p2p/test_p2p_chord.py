@@ -175,3 +175,68 @@ class TestValidation:
     def test_empty_ring_lookup(self):
         with pytest.raises(RuntimeError):
             ChordRing().lookup("x")
+
+
+class TestCheckRing:
+    """``ChordRing.check_consistency`` against deliberately broken rings."""
+
+    def _stored(self, replicas=1):
+        # three nodes and one stored key; returns the ring, the node names
+        # in ring (id) order, the key, and the key's owner
+        ring = _ring(3, replicas=replicas)
+        owner = ring.put("rec", "v")
+        names = sorted(ring.nodes, key=lambda name: ring.nodes[name].node_id)
+        return ring, names, key_of("rec"), owner
+
+    def test_healthy_ring_ok(self):
+        ring, _, _, _ = self._stored()
+        report = ring.check_consistency()
+        assert report["ok"] is True
+        assert report["n_nodes"] == 3
+        assert report["n_keys"] == 1
+        assert report["successor_errors"] == []
+        assert report["orphaned_keys"] == []
+
+    def test_broken_successor_detected(self):
+        ring, (a, b, c), _, _ = self._stored()
+        ring.nodes[a].successors[0] = c  # should be b
+        report = ring.check_consistency()
+        assert report["ok"] is False
+        assert report["successor_errors"] == [
+            {"node": a, "expected": b, "actual": c}
+        ]
+
+    def test_broken_predecessor_detected(self):
+        ring, (_, b, _), _, _ = self._stored()
+        ring.nodes[b].predecessor = None
+        report = ring.check_consistency()
+        assert report["ok"] is False
+        assert report["predecessor_errors"][0]["node"] == b
+
+    def test_orphaned_key_detected(self):
+        ring, names, key, owner = self._stored()
+        # strand the key at a node that does not own it
+        other = next(name for name in names if name != owner)
+        ring.nodes[owner].storage = {}
+        ring.nodes[other].storage = {key: ["v"]}
+        report = ring.check_consistency()
+        assert report["ok"] is False
+        assert report["orphaned_keys"] == [
+            {"key": key, "owner": owner, "holders": [other]}
+        ]
+
+    def test_under_replication_detected(self):
+        ring, names, key, owner = self._stored(replicas=3)
+        for name in names:
+            if name != owner:
+                ring.nodes[name].storage = {}
+        report = ring.check_consistency()
+        assert report["ok"] is False
+        assert report["under_replicated"] == [
+            {"key": key, "copies": 1, "expected": 3}
+        ]
+
+    def test_single_node_ring_tolerates_none_predecessor(self):
+        ring = _ring(1)
+        ring.nodes["node-0"].predecessor = None
+        assert ring.check_consistency()["ok"] is True
