@@ -11,17 +11,16 @@ package supplies that deployment shape:
   ring, rebuilt from the member list on every membership change;
 * :class:`~repro.cluster.node.ClusterNode` — one member: private
   ledger + incremental assessment shard + hint store;
-* :class:`~repro.cluster.antientropy.MerkleTree` — replica comparison
-  in O(log n) exchanged hashes;
 * :class:`~repro.cluster.service.ClusterAssessmentService` — the
-  facade: quorum reads with read-repair, hinted handoff, anti-entropy,
-  and snapshot-shipping membership changes.
+  facade: quorum reads, hinted handoff, anti-entropy and membership
+  changes.  Read repair, anti-entropy and membership changes reconcile
+  replicas the same way: pull every reachable copy, merge by event
+  digest, reset the replicas that differ.
 
 See ``docs/CLUSTER.md`` for the full protocol walk-through and the
 degradation matrix.
 """
 
-from .antientropy import MerkleTree
 from .node import ClusterNode, ShardState, event_digest
 from .partition import HashRingView
 from .service import ClusterAssessmentService, PeerUnavailable
@@ -30,7 +29,6 @@ __all__ = [
     "ClusterAssessmentService",
     "ClusterNode",
     "HashRingView",
-    "MerkleTree",
     "PeerUnavailable",
     "ShardState",
     "event_digest",

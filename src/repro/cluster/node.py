@@ -14,9 +14,9 @@ Placement is not the node's business: the coordinator routes by
 
 Write-path semantics: ``cluster_record`` is the in-order ingest path —
 events at or below a server's high-water mark are treated as duplicate
-deliveries and skipped (exact re-sends from retries, hint replays, and
-tail replays collapse idempotently).  Each skip is counted with a
-reason, in the reply and as ``cluster.shard.events_skipped``:
+deliveries and skipped (exact re-sends from retries and hint replays
+collapse idempotently).  Each skip is counted with a reason, in the
+reply and as ``cluster.shard.events_skipped``:
 ``below_watermark`` (earlier than the mark: a replay and a late event
 look the same there) or ``duplicate_digest`` (at the mark, already
 applied).  A message is folded per server run: the run's events, in
@@ -25,7 +25,8 @@ admitted events of the whole message one ledger append, and each run
 one digest update (:meth:`ShardState.applied`).  An armed fault plan
 needs per-event fault sequencing, so it takes the event-at-a-time
 path, which the batched one reproduces exactly.  Divergence *repair*
-never goes through it: read-repair and anti-entropy install a merged
+never goes through it: read repair, anti-entropy and membership changes
+all pull the replicas' copies (``cluster_pull``) and install the merged
 stream via ``cluster_reset``, which rebuilds the server's ledger
 history, serving state, and shard digest from scratch.
 
@@ -47,7 +48,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.config import AssessorConfig
 from ..core.two_phase import Assessor
-from ..feedback.binlog import pack_feedbacks, unpack_feedbacks
 from ..feedback.ledger import FeedbackLedger
 from ..feedback.records import Feedback
 from ..obs import runtime as _obs
@@ -55,7 +55,6 @@ from ..obs import scope as _scope
 from ..p2p.network import SimulatedNetwork
 from ..resilience import runtime as _res
 from ..serve import AssessmentService
-from .antientropy import MerkleTree
 
 __all__ = ["ClusterNode", "ShardState", "event_digest", "rolling_digest"]
 
@@ -227,9 +226,6 @@ class ClusterNode:
         #: hinted writes held for unreachable ring positions:
         #: target node name -> time-ordered event list
         self.hints: Dict[str, List[Feedback]] = {}
-        #: bumped on every applied/reset event; versions the merkle cache
-        self.state_version = 0
-        self._merkle_cache: Dict[Tuple[str, int], MerkleTree] = {}
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -269,10 +265,8 @@ class ClusterNode:
                     _obs.registry.inc(
                         "cluster.shard.events_skipped", count, reason=reason
                     )
-        if applied:
-            self.state_version += 1
-            if _obs.enabled:
-                _obs.registry.inc("cluster.shard.events_applied", applied)
+        if applied and _obs.enabled:
+            _obs.registry.inc("cluster.shard.events_applied", applied)
         return applied
 
     def _apply_runs(self, events: List[Feedback], skipped: Dict[str, int]) -> int:
@@ -337,7 +331,6 @@ class ClusterNode:
             self.service.replace_server(self.ledger.history(server))
         else:
             self.shards.pop(server, None)
-        self.state_version += 1
         if _obs.enabled:
             _obs.registry.inc("cluster.shard.resets")
         return state.content_hash
@@ -381,16 +374,6 @@ class ClusterNode:
             return {
                 "digest": self.reset_server(payload["server"], payload["events"])
             }
-        if message_type == "cluster_merkle":
-            tree = self._merkle_tree(payload["servers"])
-            return tree.node(payload.get("path", ()))
-        if message_type == "cluster_snapshot":
-            return self._snapshot(payload["servers"])
-        if message_type == "cluster_install":
-            return self._install(payload["payload"])
-        if message_type == "cluster_tail":
-            events = self.events_of(payload["server"])
-            return {"events": events[int(payload.get("after", 0)) :]}
         if message_type == "cluster_hint_store":
             target = payload["target"]
             self.hints.setdefault(target, []).extend(payload["events"])
@@ -399,8 +382,6 @@ class ClusterNode:
             return {"held": len(self.hints[target])}
         if message_type == "cluster_hint_replay":
             return self._replay_hints(payload["target"])
-        if message_type == "cluster_stats":
-            return self.shard_stats()
         raise ValueError(f"unknown message type {message_type!r}")
 
     # ------------------------------------------------------------------ #
@@ -432,42 +413,6 @@ class ClusterNode:
                 }
         return results
 
-    def _merkle_tree(self, servers: List[str]) -> MerkleTree:
-        group_key = hashlib.sha1(
-            "\n".join(sorted(servers)).encode("utf-8")
-        ).hexdigest()
-        cached = self._merkle_cache.get((group_key, self.state_version))
-        if cached is None:
-            cached = MerkleTree(
-                [(server, self.digest_of(server)) for server in servers]
-            )
-            # one live version per group is enough; stale versions drop
-            self._merkle_cache = {(group_key, self.state_version): cached}
-        return cached
-
-    def _snapshot(self, servers: List[str]) -> Dict[str, Any]:
-        """Binlog-packed snapshot of the requested servers (join/leave)."""
-        events: List[Feedback] = []
-        counts: Dict[str, int] = {}
-        for server in servers:
-            copy = self.events_of(server)
-            if copy:
-                counts[server] = len(copy)
-                events.extend(copy)
-        return {"payload": pack_feedbacks(events), "counts": counts}
-
-    def _install(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Unpack a snapshot and fold it through the dedup path."""
-        events = unpack_feedbacks(payload)
-        by_server: Dict[str, List[Feedback]] = {}
-        for feedback in events:
-            by_server.setdefault(feedback.server, []).append(feedback)
-        applied = 0
-        for stream in by_server.values():
-            stream.sort(key=lambda fb: (fb.time, event_digest(fb)))
-            applied += self.apply_events(stream)
-        return {"applied": applied, "servers": len(by_server)}
-
     def _replay_hints(self, target: str) -> Dict[str, int]:
         """Push held hints to their recovered target (cluster_record)."""
         events = self.hints.pop(target, [])
@@ -494,13 +439,3 @@ class ClusterNode:
     def open_hints(self) -> int:
         """Total hinted events currently held for unreachable targets."""
         return sum(len(events) for events in self.hints.values())
-
-    def shard_stats(self) -> Dict[str, Any]:
-        return {
-            "node": self.name,
-            "servers": len(self.shards),
-            "events": sum(state.n for state in self.shards.values()),
-            "open_hints": self.open_hints(),
-            "hint_targets": sorted(self.hints),
-            "state_version": self.state_version,
-        }

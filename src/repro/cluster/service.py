@@ -14,16 +14,20 @@ the coordinator:
   alive member past the preference list) and replayed when the replica
   recovers — hinted handoff;
 * **reads** are quorum reads: replicas are asked in successor order
-  until R of K answer; divergent replica digests trigger *read-repair*
-  (pull, merge by event digest, reset the stragglers) before the
-  verdict is returned; fewer than R answers degrade the verdict
-  (``Assessment.degraded=True``), zero answers yield the fail-safe
-  UNTRUSTED verdict rather than an exception;
-* **anti-entropy** compares replicas pairwise through Merkle trees over
-  per-server content digests and repairs exactly the divergent servers;
-* **membership changes** ship binlog-packed ledger snapshots to the
-  new replica set, then replay the log tail recorded after the
-  snapshot cut.
+  until R of K answer; divergent replica digests trigger *read repair*
+  before the verdict is returned; fewer than R answers degrade the
+  verdict (``Assessment.degraded=True``), zero answers yield the
+  fail-safe UNTRUSTED verdict rather than an exception;
+* **anti-entropy** asks every alive replica of a preference group for
+  its per-server content digests and repairs exactly the servers whose
+  digests differ;
+* **membership changes** repair every server whose preference list
+  moved, across its reachable old and new replicas.
+
+Repair is one path for all three: pull every reachable replica's copy
+(``cluster_pull``), merge by event digest in ``(time, digest)`` order,
+and reset each replica whose digest differs (``cluster_reset``).  A
+replica that joins therefore holds the union of every reachable copy.
 
 Every inter-shard RPC runs under the resilience stack: a shared
 :class:`~repro.resilience.retry.RetryPolicy` absorbs message loss, a
@@ -401,18 +405,20 @@ class ClusterAssessmentService:
             assessment = replace(assessment, degraded=True)
         return assessment
 
-    def _read_repair(
-        self, server: str, pref: Sequence[str]
-    ) -> Optional[Assessment]:
-        """Merge divergent replicas of ``server`` and reset stragglers.
+    def _reconcile(
+        self, server: str, sources: Sequence[str], targets: Sequence[str]
+    ) -> Optional[Tuple[Dict[str, int], List[str]]]:
+        """Merge every reachable copy of ``server``; reset the stragglers.
 
-        Pulls every reachable preference-list replica, unions the event
-        streams by content digest, resets each replica whose digest
-        differs from the merged stream's, and returns the re-assessment
-        from the first repaired replica (``None`` if nothing reachable).
+        Pulls ``server`` from each reachable member of ``sources``,
+        unions the streams by event digest in ``(time, digest)`` order,
+        and resets each pulled member of ``targets`` whose digest
+        differs from the merged stream's.  Returns the counts and the
+        targets that now hold the merged digest (``None`` if no source
+        answered).
         """
         pulls: List[Tuple[str, Dict[str, Any]]] = []
-        for member in pref:
+        for member in sources:
             if member in self._dead:
                 continue
             reply = self._call(member, "cluster_pull", {"server": server})
@@ -427,27 +433,42 @@ class ClusterAssessmentService:
         keyed = sorted(merged.items(), key=lambda item: (item[1].time, item[0]))
         ordered = [feedback for _, feedback in keyed]
         expected = rolling_digest(digest for digest, _ in keyed)
+        holders: List[str] = []
         reset = 0
         for member, reply in pulls:
+            if member not in targets:
+                continue
             if reply["digest"] != expected:
                 if self._call(
-                    member,
-                    "cluster_reset",
-                    {"server": server, "events": ordered},
-                ) is not None:
-                    reset += 1
-        _res.emit(
-            "cluster_read_repair",
-            server=server,
-            replicas=len(pulls),
-            reset=reset,
-            events=len(ordered),
-        )
+                    member, "cluster_reset", {"server": server, "events": ordered}
+                ) is None:
+                    continue
+                reset += 1
+            holders.append(member)
+        counts = {"replicas": len(pulls), "reset": reset, "events": len(ordered)}
+        return counts, holders
+
+    def _repair(self, server: str, pref: Sequence[str]) -> Optional[str]:
+        """Reconcile ``server``'s preference list; a replica holding the
+        merged stream, or ``None``."""
+        repair = self._reconcile(server, pref, pref)
+        if repair is None:
+            return None
+        counts, holders = repair
+        _res.emit("cluster_read_repair", server=server, **counts)
         if _obs.enabled:
             _obs.registry.inc("cluster.read_repairs")
-        reply = self._call(
-            pulls[0][0], "cluster_assess", {"servers": [server]}
-        )
+        return holders[0] if holders else None
+
+    def _read_repair(
+        self, server: str, pref: Sequence[str]
+    ) -> Optional[Assessment]:
+        """Repair ``server`` and re-assess it on a repaired replica
+        (``None`` if no replica holds the merged stream)."""
+        holder = self._repair(server, pref)
+        if holder is None:
+            return None
+        reply = self._call(holder, "cluster_assess", {"servers": [server]})
         if reply is None:
             return None
         result = reply["results"][server]
@@ -457,12 +478,13 @@ class ClusterAssessmentService:
     # anti-entropy
 
     def anti_entropy(self) -> Dict[str, int]:
-        """Merkle-sweep every replica group; repair divergent servers.
+        """Compare every replica group's digests; repair divergent servers.
 
-        Each preference group with at least two reachable replicas is
-        compared pairwise against its first reachable replica: equal
-        roots settle the whole group in one RPC each; mismatches descend
-        the tree and read-repair exactly the divergent servers.
+        Each alive replica of a preference group answers one digest-only
+        ``cluster_assess`` for the whole group; the servers whose
+        digests differ are repaired.  A group is ``synced`` when every
+        alive replica answered and agreed, ``skipped`` when fewer than
+        two are alive or one did not answer.
         """
         ctx = _ctx.current()
         if ctx is None and _obs.enabled:
@@ -480,116 +502,61 @@ class ClusterAssessmentService:
                     if len(alive) < 2:
                         summary["skipped"] += 1
                         continue
+                    reference: Optional[Dict[str, Dict[str, Any]]] = None
                     divergent: set = set()
-                    reference = alive[0]
-                    clean = True
-                    for other in alive[1:]:
-                        diff = self._merkle_diff(reference, other, group)
-                        if diff is None:
-                            clean = False
+                    answered = 0
+                    for member in alive:
+                        reply = self._call(
+                            member,
+                            "cluster_assess",
+                            {"servers": group, "digest_only": group},
+                        )
+                        if reply is None:
                             continue
-                        divergent.update(diff)
+                        answered += 1
+                        results = reply["results"]
+                        if reference is None:
+                            reference = results
+                            continue
+                        divergent.update(
+                            s
+                            for s in group
+                            if results[s]["digest"] != reference[s]["digest"]
+                        )
                     if not divergent:
-                        summary["synced" if clean else "skipped"] += 1
+                        summary["synced" if answered == len(alive) else "skipped"] += 1
                         continue
                     summary["diverged"] += 1
                     for server in sorted(divergent):
-                        if self._read_repair(server, pref) is not None:
+                        if self._repair(server, pref) is not None:
                             summary["repaired"] += 1
         _res.emit("cluster_anti_entropy", **summary)
         return summary
-
-    def _merkle_diff(
-        self, a: str, b: str, servers: List[str]
-    ) -> Optional[List[str]]:
-        """Servers whose digests differ between replicas ``a`` and ``b``.
-
-        ``None`` when either side stopped answering mid-descent.
-        """
-        divergent: List[str] = []
-        queue: List[Tuple[int, ...]] = [()]
-        while queue:
-            path = queue.pop(0)
-            payload = {"servers": servers, "path": list(path)}
-            node_a = self._call(a, "cluster_merkle", payload)
-            node_b = self._call(b, "cluster_merkle", payload)
-            if node_a is None or node_b is None:
-                return None
-            if node_a["hash"] == node_b["hash"]:
-                continue
-            if node_a["leaf"]:
-                items_a = {s: d for s, d in node_a["items"]}
-                items_b = {s: d for s, d in node_b["items"]}
-                for server in set(items_a) | set(items_b):
-                    if items_a.get(server) != items_b.get(server):
-                        divergent.append(server)
-                continue
-            for step, (ha, hb) in enumerate(
-                zip(node_a["children"], node_b["children"])
-            ):
-                if ha != hb:
-                    queue.append(path + (step,))
-        return divergent
 
     # ------------------------------------------------------------------ #
     # membership operations
 
     def add_node(self, name: str) -> None:
-        """Join a node and ship it the shards it now replicates.
-
-        Transfer is snapshot + tail: the source packs the moving
-        servers' ledgers in the binlog wire format, the new node
-        installs the snapshot, then replays whatever the source recorded
-        after the snapshot cut — the same recovery contract as a real
-        log-shipping system, collapsed by the synchronous simulator.
-        """
+        """Join a node and repair every server it now replicates."""
         if name in self._members:
             raise ValueError(f"node {name!r} already in the cluster")
         old_ring = self._ring
         self._spawn(name)
         self._ring = self._build_ring()
-        by_source: Dict[str, List[str]] = {}
-        for server in self._servers:
-            if name not in self._ring.preference_list(server):
-                continue
-            source = next(
-                (
-                    m
-                    for m in old_ring.preference_list(server)
-                    if m not in self._dead and self._network.is_alive(m)
-                ),
-                None,
-            )
-            if source is not None:
-                by_source.setdefault(source, []).append(server)
-        for source, servers in by_source.items():
-            self._ship(source, name, servers)
+        self._rebalance(name, old_ring, self._ring)
 
-    def remove_node(self, name: str, *, graceful: bool = True) -> None:
-        """Retire a member; graceful removal re-homes its shards first."""
+    def remove_node(self, name: str) -> None:
+        """Retire a member after repairing the servers it replicated; it
+        is a source while alive (a crash is ``kill``, then this)."""
         if name not in self._members:
             raise KeyError(f"node {name!r} not in the cluster")
-        old_ring = self._ring
-        leaving_alive = (
-            name not in self._dead and self._network.is_alive(name)
-        )
         new_members = [m for m in self._members if m != name]
         if not new_members:
             raise ValueError("cannot remove the last cluster member")
         new_ring = HashRingView(
             new_members, m_bits=self._m_bits, replicas=self._replicas
         )
-        if graceful and leaving_alive:
-            by_target: Dict[str, List[str]] = {}
-            for server in self._servers:
-                old_pref = old_ring.preference_list(server)
-                if name not in old_pref:
-                    continue
-                for target in new_ring.preference_list(server):
-                    if target not in old_pref:
-                        by_target.setdefault(target, []).append(server)
-            for target, servers in by_target.items():
-                self._ship(name, target, servers)
+        self._rebalance(name, self._ring, new_ring)
         if self._network.is_alive(name):
             self._network.unregister(name)
         del self._members[name]
@@ -597,36 +564,25 @@ class ClusterAssessmentService:
         self._breakers.pop(name, None)
         self._ring = new_ring
 
-    def _ship(self, source: str, target: str, servers: List[str]) -> None:
-        snapshot = self._call(source, "cluster_snapshot", {"servers": servers})
-        if snapshot is None:
-            _res.emit(
-                "cluster_rpc_failed",
-                node=source,
-                type="cluster_snapshot",
-                reason="unreachable",
-            )
-            return
-        self._call(target, "cluster_install", {"payload": snapshot["payload"]})
-        tailed = 0
-        for server in servers:
-            cut = snapshot["counts"].get(server, 0)
-            tail = self._call(
-                source, "cluster_tail", {"server": server, "after": cut}
-            )
-            if tail and tail["events"]:
-                self._call(target, "cluster_record", {"events": tail["events"]})
-                tailed += len(tail["events"])
+    def _rebalance(
+        self, name: str, old_ring: HashRingView, new_ring: HashRingView
+    ) -> None:
+        """Reconcile each server whose preference list ``name`` enters
+        or leaves, across its reachable old and new replicas."""
+        moved = reset = events = 0
+        for server in self._servers:
+            old = old_ring.preference_list(server)
+            new = new_ring.preference_list(server)
+            if name not in old and name not in new:
+                continue
+            moved += 1
+            repair = self._reconcile(server, list(dict.fromkeys(old + new)), new)
+            if repair is not None:
+                reset += repair[0]["reset"]
+                events += repair[0]["events"]
         _res.emit(
-            "cluster_snapshot_shipped",
-            source=source,
-            target=target,
-            servers=len(servers),
-            events=int(snapshot["payload"]["n"]),
-            tail_events=tailed,
+            "cluster_rebalanced", node=name, servers=moved, reset=reset, events=events
         )
-        if _obs.enabled:
-            _obs.registry.inc("cluster.snapshots_shipped")
 
     # ------------------------------------------------------------------ #
     # failure and recovery

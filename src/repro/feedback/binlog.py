@@ -50,9 +50,7 @@ __all__ = [
     "BinaryLedgerData",
     "BinaryLedgerWriter",
     "load_binary_ledger",
-    "pack_feedbacks",
     "pack_records",
-    "unpack_feedbacks",
     "write_binary_ledger",
 ]
 
@@ -311,28 +309,28 @@ def pack_records(
     return records
 
 
-def pack_feedbacks(feedbacks) -> Dict[str, object]:
-    """Pack feedback objects into an in-memory snapshot payload.
+def write_binary_ledger(path: PathLike, feedbacks) -> int:
+    """Write feedback records as a fresh binary ledger; returns the count.
 
-    The packing step behind :func:`write_binary_ledger`: the
-    :data:`RECORD_DTYPE` record block and first-appearance-order id
-    tables, assembled as a plain dict (record bytes + sidecar lists)
-    instead of files — the shape ledger-snapshot shipment sends over an
-    RPC when a cluster node joins or recovers.  Round-trips through
-    :func:`unpack_feedbacks`.
+    The bulk-export counterpart of the CSV/JSONL writers: ids are
+    interned in first-appearance order and the whole record block is
+    written in one append.
     """
     from .records import Rating  # local import: records.py is dependency-free
+
+    path = os.fspath(path)
+    if os.path.exists(path):
+        os.remove(path)
+    for kind in _SIDECARS:
+        sidecar = _sidecar_path(path, kind)
+        if os.path.exists(sidecar):
+            os.remove(sidecar)
 
     feedbacks = list(feedbacks)
     tables: Dict[str, Dict[str, int]] = {kind: {} for kind in _SIDECARS}
 
     def intern(kind: str, value: str) -> int:
-        table = tables[kind]
-        code = table.get(value)
-        if code is None:
-            code = len(table)
-            table[value] = code
-        return code
+        return tables[kind].setdefault(value, len(tables[kind]))
 
     n = len(feedbacks)
     times = np.empty(n, dtype=np.float64)
@@ -349,74 +347,10 @@ def pack_feedbacks(feedbacks) -> Dict[str, object]:
         authentic[i] = 1 if fb.authentic else 0
         if fb.category is not None:
             categories[i] = intern("categories", fb.category)
-    records = pack_records(times, servers, clients, ratings, authentic, categories)
-    return {
-        "format": "binlog",
-        "version": VERSION,
-        "n": n,
-        "records": records.tobytes(),
-        "servers": list(tables["servers"]),
-        "clients": list(tables["clients"]),
-        "categories": list(tables["categories"]),
-    }
-
-
-def unpack_feedbacks(payload: Dict[str, object]) -> List["Feedback"]:
-    """Rebuild the feedback objects of a :func:`pack_feedbacks` payload."""
-    from .records import Feedback, Rating
-
-    if payload.get("format") != "binlog":
-        raise ValueError(f"not a binlog payload: format={payload.get('format')!r}")
-    if payload.get("version") != VERSION:
-        raise ValueError(f"unsupported snapshot version {payload.get('version')!r}")
-    records = np.frombuffer(payload["records"], dtype=RECORD_DTYPE)
-    if records.size != payload["n"]:
-        raise ValueError(
-            f"snapshot record count mismatch: header says {payload['n']}, "
-            f"block holds {records.size}"
-        )
-    servers = list(payload["servers"])
-    clients = list(payload["clients"])
-    categories = list(payload["categories"])
-    feedbacks: List[Feedback] = []
-    for rec in records:
-        category_code = int(rec["category"])
-        feedbacks.append(
-            Feedback(
-                time=float(rec["time"]),
-                server=servers[int(rec["server"])],
-                client=clients[int(rec["client"])],
-                rating=Rating.POSITIVE if int(rec["rating"]) else Rating.NEGATIVE,
-                category=(
-                    None
-                    if category_code == CATEGORY_NONE
-                    else categories[category_code]
-                ),
-                authentic=bool(int(rec["authentic"])),
-            )
-        )
-    return feedbacks
-
-
-def write_binary_ledger(path: PathLike, feedbacks) -> int:
-    """Write feedback records as a fresh binary ledger; returns the count.
-
-    The bulk-export counterpart of the CSV/JSONL writers: the records
-    are packed once by :func:`pack_feedbacks` (ids interned in
-    first-appearance order) and the whole record block is written in
-    one append.
-    """
-    path = os.fspath(path)
-    if os.path.exists(path):
-        os.remove(path)
-    for kind in _SIDECARS:
-        sidecar = _sidecar_path(path, kind)
-        if os.path.exists(sidecar):
-            os.remove(sidecar)
-
-    payload = pack_feedbacks(feedbacks)
     with BinaryLedgerWriter(path) as writer:
         for kind in _SIDECARS:
-            writer.append_ids(kind, payload[kind])
-        writer.append_records(np.frombuffer(payload["records"], dtype=RECORD_DTYPE))
-    return payload["n"]
+            writer.append_ids(kind, list(tables[kind]))
+        writer.append_records(
+            pack_records(times, servers, clients, ratings, authentic, categories)
+        )
+    return n

@@ -7,8 +7,9 @@ per server, folds feedback as it arrives (directly or via a subscribed
 verdicts and whole assessments, and answers bulk trust queries through
 :meth:`AssessmentService.assess_many` in one serial sweep.
 
-Serving runs in one process: the speed comes from memoization and
-incremental window-count reuse, not from parallelism.  The phase-1 ε
+Serving runs in one process: the speed comes from the phase-1 verdict
+memo keyed by history length, the whole-assessment memo and the
+vectorized cold-path prefold, not from parallelism.  The phase-1 ε
 thresholds do not tie it there: each is a pure function of its key and
 the calibrator's seed, so any calibrator with the same settings and
 seed answers with the same thresholds.

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import HashRingView
 from repro.core.calibration import ThresholdCalibrator
-from repro.feedback.records import Feedback
+from repro.feedback.records import Feedback, Rating
 
 from .conftest import CLUSTER_CONFIG, corpus, make_cluster, make_reference
 
@@ -103,7 +104,19 @@ class TestMembershipEquivalence:
         cluster = make_cluster(n_nodes=4)
         cluster.record_batch(events)
         baseline = cluster.assess_many()
-        cluster.remove_node(cluster.members[0], graceful=True)
+        cluster.remove_node(cluster.members[0])
+        assert cluster.assess_many() == baseline
+        assert cluster.stats_report()["replication"]["violated"] == 0
+
+    def test_crash_leave_is_kill_then_remove(self):
+        events = corpus()
+        cluster = make_cluster(n_nodes=4)
+        cluster.record_batch(events)
+        baseline = cluster.assess_many()
+        victim = cluster.members[0]
+        cluster.kill(victim)
+        cluster.remove_node(victim)
+        assert victim not in cluster.members
         assert cluster.assess_many() == baseline
         assert cluster.stats_report()["replication"]["violated"] == 0
 
@@ -116,3 +129,43 @@ class TestMembershipEquivalence:
         cluster.record_batch(events[cut:])
         reference = make_reference(events, cluster._calibrator)
         assert cluster.assess_many() == reference.assess_many(cluster.servers)
+
+    def test_join_merges_every_old_replica(self):
+        """A newcomer gets the union of the old replicas' copies, even
+        when the first replica in the preference list is the stale one."""
+        events = corpus(n_per_kind=1)
+        cluster = make_cluster(n_nodes=4)
+        cluster.record_batch(events)
+        server = cluster.servers[0]
+        old_pref = cluster._ring.preference_list(server)
+        extra = Feedback(
+            time=max(fb.time for fb in events if fb.server == server) + 1.0,
+            server=server,
+            client="cli-divergent",
+            rating=Rating.NEGATIVE,
+        )
+        for member in old_pref[1:]:
+            cluster._members[member].apply_events([extra])
+        merged = cluster._members[old_pref[1]].digest_of(server)
+        assert cluster._members[old_pref[0]].digest_of(server) != merged
+        newcomer = next(
+            name
+            for name in (f"shard-join-{i}" for i in range(100))
+            if name
+            in HashRingView(
+                cluster.members + [name], m_bits=32, replicas=3
+            ).preference_list(server)
+        )
+        cluster.add_node(newcomer)
+        new_pref = cluster._ring.preference_list(server)
+        assert newcomer in new_pref
+        assert {
+            m: cluster._members[m].digest_of(server) for m in new_pref
+        } == {m: merged for m in new_pref}
+        reference = make_reference(
+            events + [extra], cluster._calibrator, servers=[server]
+        )
+        assert (
+            cluster.assess_many([server])[server]
+            == reference.assess_many([server])[server]
+        )

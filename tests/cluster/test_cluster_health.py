@@ -3,6 +3,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.feedback.records import Feedback
 from repro.main import main
 from repro.obs.events import EventLog
@@ -72,10 +74,22 @@ class TestEventSummary:
         assert counts[1].startswith("  cluster.kill  1")
 
 
+#: every message type the cluster puts on the wire
+VOCABULARY = {
+    "cluster_record",
+    "cluster_assess",
+    "cluster_pull",
+    "cluster_reset",
+    "cluster_hint_store",
+    "cluster_hint_replay",
+}
+
+
 class TestOneRing:
     def test_the_cluster_sends_only_its_own_vocabulary(self):
-        """No overlay runs beside the hash ring: every message the
-        cluster puts on the wire is a ``cluster_*`` RPC."""
+        """No overlay runs beside the hash ring, and every repair is a
+        pull and a reset: writes, reads, kills, recovery, anti-entropy,
+        joins and leaves use six RPC types between them."""
         events = corpus(n_per_kind=1)
         cluster = make_cluster()
         cluster.record_batch(events)
@@ -89,3 +103,20 @@ class TestOneRing:
         by_type = cluster.network.stats.as_dict()["by_type"]
         assert by_type
         assert all(kind.startswith("cluster_") for kind in by_type), by_type
+        assert set(by_type) <= VOCABULARY, by_type
+
+    @pytest.mark.parametrize(
+        "message_type",
+        [
+            "cluster_merkle",
+            "cluster_snapshot",
+            "cluster_install",
+            "cluster_tail",
+            "cluster_stats",
+        ],
+    )
+    def test_a_node_refuses_any_other_message_type(self, message_type):
+        cluster = make_cluster()
+        node = cluster._members[cluster.members[0]]
+        with pytest.raises(ValueError, match="unknown message type"):
+            node._handle(message_type, {"servers": [], "server": "s"})

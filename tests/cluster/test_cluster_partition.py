@@ -1,10 +1,10 @@
-"""Unit coverage for the partitioning and anti-entropy primitives."""
+"""Unit coverage for the partitioning primitive."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cluster import HashRingView, MerkleTree, partition
+from repro.cluster import HashRingView, partition
 from repro.p2p.chord import key_of
 
 
@@ -72,61 +72,3 @@ class TestHashRingView:
     def test_empty_membership_rejected(self):
         with pytest.raises(ValueError):
             HashRingView([], m_bits=32, replicas=3)
-
-
-class TestMerkleTree:
-    def _items(self, n, diverge=()):
-        return [
-            (f"srv-{i:03d}", f"digest-{i}x" if i in diverge else f"digest-{i}")
-            for i in range(n)
-        ]
-
-    def test_equal_items_equal_roots(self):
-        a = MerkleTree(self._items(40))
-        b = MerkleTree(list(reversed(self._items(40))))
-        assert a.root == b.root
-
-    def test_any_divergence_changes_the_root(self):
-        a = MerkleTree(self._items(40))
-        b = MerkleTree(self._items(40, diverge={17}))
-        assert a.root != b.root
-
-    def test_descent_finds_exactly_the_divergent_servers(self):
-        diverge = {3, 17, 38}
-        a = MerkleTree(self._items(40), leaf_size=4)
-        b = MerkleTree(self._items(40, diverge=diverge), leaf_size=4)
-        found = set()
-        queue = [()]
-        while queue:
-            path = queue.pop(0)
-            node_a, node_b = a.node(path), b.node(path)
-            if node_a["hash"] == node_b["hash"]:
-                continue
-            if node_a["leaf"]:
-                items_a = dict(map(tuple, node_a["items"]))
-                items_b = dict(map(tuple, node_b["items"]))
-                for server in set(items_a) | set(items_b):
-                    if items_a.get(server) != items_b.get(server):
-                        found.add(server)
-                continue
-            for step, (ha, hb) in enumerate(
-                zip(node_a["children"], node_b["children"])
-            ):
-                if ha != hb:
-                    queue.append(path + (step,))
-        assert found == {f"srv-{i:03d}" for i in diverge}
-
-    def test_empty_group_has_a_root(self):
-        tree = MerkleTree([])
-        assert tree.root == MerkleTree([]).root
-        node = tree.node(())
-        assert node["leaf"] is True
-        assert node["items"] == []
-
-    def test_bad_paths_raise(self):
-        tree = MerkleTree(self._items(4), leaf_size=8)  # single leaf
-        with pytest.raises(KeyError):
-            tree.node((0,))  # descends below the root leaf
-        big = MerkleTree(self._items(64), leaf_size=4)
-        with pytest.raises(KeyError):
-            big.node((2,))

@@ -154,6 +154,38 @@ class TestReadRepair:
         assert got[server] == reference.assess_many([server])[server]
         assert not got[server].degraded
 
+    def test_reassessment_reads_a_replica_holding_the_merged_stream(
+        self, monkeypatch
+    ):
+        """The first replica is stale and its reset is lost: the
+        repaired verdict comes from a replica that holds the merge."""
+        events = corpus(n_per_kind=1)
+        cluster = make_cluster()
+        cluster.record_batch(events)
+        server = cluster.servers[0]
+        first, *rest = _pref(cluster, server)
+        extra = Feedback(
+            time=max(fb.time for fb in events if fb.server == server) + 1.0,
+            server=server,
+            client="cli-divergent",
+            rating=Rating.NEGATIVE,
+        )
+        for member in rest:
+            cluster._members[member].apply_events([extra])
+        call = cluster._call
+
+        def lose_reset_of_first(dst, message_type, payload):
+            if dst == first and message_type == "cluster_reset":
+                return None
+            return call(dst, message_type, payload)
+
+        monkeypatch.setattr(cluster, "_call", lose_reset_of_first)
+        got = cluster.assess_many([server])[server]
+        reference = make_reference(
+            events + [extra], cluster._calibrator, servers=[server]
+        )
+        assert got == reference.assess_many([server])[server]
+
     def test_anti_entropy_repairs_without_reads(self):
         events = corpus(n_per_kind=1)
         cluster = make_cluster()

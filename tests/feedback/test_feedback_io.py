@@ -1,5 +1,6 @@
 """Tests for repro.feedback.io (CSV / JSONL / binary serialization)."""
 
+import hashlib
 
 import pytest
 
@@ -129,6 +130,23 @@ class TestBinaryRoundTrip:
         loaded = read(path, format="binary")
         assert loaded == originals
         assert loaded.format == "binary"
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        """The on-disk format is a contract: ids interned in
+        first-appearance order, one record block after the header."""
+        path = tmp_path / "fb.ledger"
+        write_feedback_binary(path, _sample_feedbacks())
+        body = path.read_bytes()
+        assert len(body) == 32 + 3 * 24
+        assert hashlib.sha256(body).hexdigest() == (
+            "9d462dcb25dbc0c2fbfc30265560fb53e7c6bd6872dd59ac3df27893be2e5d65"
+        )
+        for kind, ids in (
+            ("servers", b'"s1"\n"s2"\n'),
+            ("clients", b'"c1"\n"c2"\n'),
+            ("categories", b'"NA"\n'),
+        ):
+            assert (tmp_path / f"fb.ledger.{kind}").read_bytes() == ids
 
     def test_strict_raises_on_damaged_tail(self, tmp_path):
         path = tmp_path / "fb.ledger"

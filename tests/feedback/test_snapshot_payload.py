@@ -1,8 +1,7 @@
-"""Snapshot-shipment plumbing: binlog payloads, ledger resets, service swaps.
+"""Replica-repair plumbing: ledger resets and service swaps.
 
-The cluster's join/recover path ships a node's ledger as a
-``pack_feedbacks`` payload, installs it with ``unpack_feedbacks``, and
-repairs divergent replicas through ``FeedbackLedger.reset_server`` +
+The cluster repairs a divergent or newly joined replica by installing
+the merged stream through ``FeedbackLedger.reset_server`` +
 ``AssessmentService.replace_server``.  These tests pin each hop of that
 pipeline in isolation.
 """
@@ -13,7 +12,6 @@ import pytest
 
 from repro.core import AssessorConfig
 from repro.core.two_phase import Assessor
-from repro.feedback.binlog import pack_feedbacks, unpack_feedbacks
 from repro.feedback.ledger import FeedbackLedger
 from repro.feedback.records import Feedback, Rating
 from repro.serve.service import AssessmentService
@@ -31,35 +29,6 @@ def _events(server="srv-a", n=12, base=0.0):
         )
         for i in range(n)
     ]
-
-
-class TestPackUnpackRoundTrip:
-    def test_round_trip_preserves_every_field_and_the_order(self):
-        events = _events() + _events(server="srv-b", base=100.0)
-        payload = pack_feedbacks(events)
-        assert payload["format"] == "binlog"
-        assert payload["n"] == len(events)
-        assert unpack_feedbacks(payload) == events
-
-    def test_empty_stream_round_trips(self):
-        assert unpack_feedbacks(pack_feedbacks([])) == []
-
-    def test_payload_is_plain_data(self):
-        """The payload must survive a dict-copying RPC boundary."""
-        payload = pack_feedbacks(_events(n=3))
-        assert isinstance(payload["records"], bytes)
-        for key in ("servers", "clients", "categories"):
-            assert all(isinstance(v, str) for v in payload[key])
-        assert unpack_feedbacks(dict(payload)) == _events(n=3)
-
-    def test_wrong_format_and_version_are_rejected(self):
-        payload = pack_feedbacks(_events(n=2))
-        with pytest.raises(ValueError, match="not a binlog payload"):
-            unpack_feedbacks({**payload, "format": "csv"})
-        with pytest.raises(ValueError, match="version"):
-            unpack_feedbacks({**payload, "version": 999})
-        with pytest.raises(ValueError, match="mismatch"):
-            unpack_feedbacks({**payload, "n": payload["n"] + 1})
 
 
 class TestLedgerResetServer:
