@@ -14,6 +14,7 @@ from repro.core.model import generate_honest_outcomes
 from repro.core.multi_testing import MultiBehaviorTest
 from repro.core.testing import SingleBehaviorTest
 from repro.feedback.history import TransactionHistory
+from repro.feedback.store import StringTable
 from repro.stats.binomial import binomial_pmf
 from repro.trust.weighted import WeightedTrust
 
@@ -189,3 +190,33 @@ def test_multi_testing_sampled_audit_overhead(outcomes):
     assert sampled < disabled * 3.0, (
         f"sampled auditing too slow: {sampled:.6f}s vs {disabled:.6f}s disabled"
     )
+
+
+@pytest.fixture(scope="module")
+def cold_start_ids():
+    """Id columns shaped like perfbench's cold_start cycle: 2,400
+    servers arriving grouped (120-360 events each), clients drawn from
+    1,000 ids per event; about 580k rows."""
+    rng = np.random.default_rng([1, 3, 0])
+    lengths = rng.integers(120, 361, size=2400)
+    servers = np.repeat(np.array([f"server-{i:05d}" for i in range(2400)]), lengths)
+    client_ids = rng.integers(0, 1000, size=servers.size)
+    return {"servers": servers, "clients": np.char.add("client-", client_ids.astype("U4"))}
+
+
+@pytest.mark.parametrize("path", ["hash", "sort"])
+@pytest.mark.parametrize("column", ["servers", "clients"])
+def test_intern_many(benchmark, cold_start_ids, column, path):
+    """Interning one cold_start id column into a fresh table: the
+    verified-hash grouping against the string-sort fallback."""
+    values = cold_start_ids[column]
+
+    def intern():
+        table = StringTable()
+        if path == "hash":
+            return table.intern_many(values)
+        return table.intern_unique(*np.unique(values, return_inverse=True))
+
+    codes, fresh = intern()
+    assert codes.size == values.size and len(fresh) == np.unique(values).size
+    benchmark(intern)

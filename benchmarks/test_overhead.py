@@ -19,11 +19,16 @@ record nothing.  Select one layer with ``-k``::
 
 Timing assertions live here rather than in ``tests/`` (tier-1) because
 they are load-sensitive; both sides are measured as a min-of-repeats so
-scheduler noise cancels out of the comparison.
+scheduler noise cancels out of the comparison.  The trace and scope
+workloads take 1-13 ms a run, too short for one run to resolve a 5-10%
+budget on a small shared host, so each of their samples alternates the
+two sides run by run until each has ``SAMPLE_S`` of work
+(:func:`_paired_samples`).
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 import tracemalloc
@@ -45,6 +50,8 @@ from repro.resilience import runtime as res
 from repro.serve import AssessmentService
 
 REPEATS = 15
+#: least work per side in one sample of the trace and scope cases
+SAMPLE_S = 0.2
 
 MULTI_CONFIG = BehaviorTestConfig(multi_step=1000)
 MULTI_CALIBRATOR = make_shared_calibrator(MULTI_CONFIG)
@@ -73,6 +80,29 @@ def _min_of(fn, repeats=REPEATS):
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _paired_samples(baseline, enabled):
+    """Per-run time of each side, as the min over ``REPEATS`` samples.
+
+    A sample alternates one ``baseline`` and one ``enabled`` run back to
+    back until each side has ``SAMPLE_S`` of work, timing each run, so
+    load that shifts during the measurement lands on both sides alike.
+    """
+    runs = max(1, math.ceil(SAMPLE_S / _min_of(baseline, 3)))
+    best_base = best_enabled = float("inf")
+    for _ in range(REPEATS):
+        base = on = 0.0
+        for _ in range(runs):
+            start = time.perf_counter()
+            baseline()
+            middle = time.perf_counter()
+            enabled()
+            on += time.perf_counter() - middle
+            base += middle - start
+        best_base = min(best_base, base / runs)
+        best_enabled = min(best_enabled, on / runs)
+    return best_base, best_enabled
 
 
 def _multi_test_run(span_name):
@@ -141,15 +171,14 @@ def _trace_case(tmp_path):
     run = _multi_test_run("bench.trace_overhead")
     root = trace_ctx.new_root(bench="trace_overhead")
     spans_path = tmp_path / "spans.jsonl"
-    baseline = traced = float("inf")
+
+    def traced_run():
+        with trace_ctx.use(root):
+            run()
+
     with obs.activate(), trace_ctx.tracing_session(spans_path):
-        # one untraced and one traced run per repeat, so load that shifts
-        # during the measurement lands on both sides of the ratio; with
-        # no context attached the installed sink writes nothing
-        for _ in range(REPEATS):
-            baseline = min(baseline, _min_of(run, 1))
-            with trace_ctx.use(root):
-                traced = min(traced, _min_of(run, 1))
+        # with no context attached the installed sink writes nothing
+        baseline, traced = _paired_samples(run, traced_run)
     # the traced run really did trace: one line per span per repeat
     spans = trace_ctx.read_span_jsonl(spans_path)
     assert len(spans) >= REPEATS
@@ -169,15 +198,10 @@ def _scope_case(tmp_path):
         with scope.node_scope("bench-node"):
             unscoped()
 
-    base = overhead = float("inf")
     with obs.activate():
         unscoped()  # warm caches and metric families on both sides
         scoped()
-        # one run of each side per repeat, so load that shifts during
-        # the measurement lands on both sides of the ratio
-        for _ in range(REPEATS):
-            base = min(base, _min_of(unscoped, 1))
-            overhead = min(overhead, _min_of(scoped, 1))
+        base, overhead = _paired_samples(unscoped, scoped)
     scope.reset()
     return base, overhead
 

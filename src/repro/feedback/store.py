@@ -5,8 +5,13 @@ at a time; at the ROADMAP's millions-of-users scale that per-event
 constant dominates ingest.  :class:`ColumnarStore` holds the same data
 as parallel numpy columns (``float64`` times, ``uint8`` ratings,
 ``uint32`` interned server/client ids) with amortized O(1) append and a
-vectorized bulk path (:class:`FeedbackBatch`), and two ledger backends
-are built on it:
+vectorized bulk path (:class:`FeedbackBatch`).  The bulk path interns
+a batch's id columns without sorting strings: :func:`id_hash` keys each
+id with a 64-bit FNV-1a, :func:`unique_ids` groups the keys and checks
+every row against its group's representative (a collision falls back to
+the string sort), and only the distinct ids are sorted, so codes come
+out exactly as a sort would give them.  Two ledger backends are built
+on it:
 
 * ``"columnar"`` — in-memory columns only;
 * ``"mmap"`` — columns plus the append-only binary file format of
@@ -35,6 +40,8 @@ from .history import TransactionHistory
 from .records import EntityId, Feedback, Rating
 
 __all__ = [
+    "id_hash",
+    "unique_ids",
     "StringTable",
     "FeedbackBatch",
     "ColumnarStore",
@@ -46,6 +53,84 @@ _FOLD_SITE = "feedback.ledger.fold"
 _INITIAL_CAPACITY = 1024
 
 
+_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
+_FNV_PRIME = np.uint64(0x100000001B3)
+_HASH_BLOCK = 16384
+
+
+def id_hash(values: np.ndarray) -> np.ndarray:
+    """64-bit FNV-1a of each id over its UCS4 code units, as ``uint64``.
+
+    ``values`` is a fixed-width unicode (``<U``) array.  NUL code units
+    are skipped, so a key does not depend on the array's width (the
+    padding of a short id) and the same id hashes alike in every batch.
+    The columns are walked in blocks of rows that stay in cache.
+    """
+    arr = np.ascontiguousarray(values).reshape(-1)
+    n = arr.size
+    width = arr.dtype.itemsize // 4
+    units = arr.view(np.uint32).reshape(n, width)
+    keys = np.full(n, _FNV_OFFSET, dtype=np.uint64)
+    unit = np.empty(min(n, _HASH_BLOCK), dtype=np.uint64)
+    live = np.empty(unit.size, dtype=bool)
+    for lo in range(0, n, _HASH_BLOCK):
+        hi = min(lo + _HASH_BLOCK, n)
+        block_keys, block_units = keys[lo:hi], units[lo:hi]
+        u, z = unit[: hi - lo], live[: hi - lo]
+        for j in range(width):
+            np.copyto(u, block_units[:, j])
+            block_keys ^= u
+            np.not_equal(u, 0, out=z)
+            np.multiply(block_keys, _FNV_PRIME, out=block_keys, where=z)
+    return keys
+
+
+def unique_ids(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` for id columns, by hash.
+
+    Groups rows by :func:`id_hash` instead of argsorting the strings:
+    runs of equal keys (ids that arrive grouped) collapse first, the
+    unique pass sorts only the run keys, and every row is then checked
+    against its class's representative with one vectorized ``==``.  Only
+    the distinct ids are sorted, so the result — sorted distinct ids and
+    each row's index into them — is exactly :func:`numpy.unique`'s.  A
+    hash collision (a failed check) takes the string sort for the call.
+    Object arrays are converted to fixed-width unicode first; any other
+    dtype takes the sort as well.
+    """
+    arr = np.asarray(values).reshape(-1)
+    if arr.dtype == object:
+        arr = arr.astype(str)
+    if arr.dtype.kind != "U" or arr.size == 0:
+        return np.unique(arr, return_inverse=True)
+    keys = id_hash(arr)
+    n = arr.size
+    breaks = keys[1:] != keys[:-1]
+    heads = np.flatnonzero(breaks) + 1
+    if 2 * (heads.size + 1) <= n:
+        # grouped: every row equals its predecessor within a run of
+        # equal keys, so only the run heads go on to the unique pass
+        if not np.all((arr[1:] == arr[:-1]) | breaks):
+            return np.unique(arr, return_inverse=True)
+        heads = np.concatenate(([0], heads))
+        keys, rows = keys[heads], arr[heads]
+    else:
+        heads, rows = None, arr
+    class_keys, inverse = np.unique(keys, return_inverse=True)
+    rep = np.empty(class_keys.size, dtype=np.intp)
+    rep[inverse] = np.arange(inverse.size)
+    uniq = rows[rep]
+    if not np.all(rows == uniq[inverse]):
+        return np.unique(arr, return_inverse=True)
+    order = np.argsort(uniq, kind="stable")
+    rank = np.empty(order.size, dtype=np.intp)
+    rank[order] = np.arange(order.size)
+    inverse = rank[inverse]
+    if heads is not None:
+        inverse = np.repeat(inverse, np.diff(heads, append=n))
+    return uniq[order], inverse
+
+
 class StringTable:
     """Bidirectional intern table: string id <-> dense integer code.
 
@@ -54,7 +139,9 @@ class StringTable:
     are assigned in is part of the file layout: :meth:`intern` gives an
     unseen value the next code, and :meth:`intern_many` gives a batch's
     unseen values the next codes in *sorted* order of the batch's
-    unique values, not in order of first appearance.
+    unique values, not in order of first appearance.  Bulk interning
+    groups the batch with :func:`unique_ids` (a verified 64-bit hash,
+    no string sort) and touches the table once per distinct id.
     """
 
     def __init__(self, items: Sequence[str] = ()):
@@ -77,24 +164,22 @@ class StringTable:
         return code
 
     def intern_many(self, values: np.ndarray) -> Tuple[np.ndarray, List[str]]:
-        """Vectorized intern: codes for ``values`` plus the newly added ids.
+        """Vectorized intern: codes for ``values`` plus the newly added ids."""
+        return self.intern_unique(*unique_ids(values))
 
-        One :func:`numpy.unique` pass plus a Python loop over the
-        *unique* values only — the per-event cost of interning a large
-        batch of mostly-repeated ids is amortized away.  The loop walks
-        the unique values sorted, so that is the order new codes (and
-        the returned ids) come in.
+    def intern_unique(
+        self, uniq: np.ndarray, inverse: np.ndarray
+    ) -> Tuple[np.ndarray, List[str]]:
+        """Intern :func:`unique_ids` output: per-row codes and new ids.
+
+        A Python loop over the *sorted distinct* ids only, so the
+        per-event cost of a large batch of mostly-repeated ids is
+        amortized away, and new codes (and the returned ids) come in
+        sorted order.
         """
-        arr = np.asarray(values)
-        if arr.dtype == object:
-            # np.unique on an object array argsorts with Python-level
-            # comparisons; fixed-width unicode keeps the sort in C and
-            # is ~20x faster on multi-million-row batches
-            arr = arr.astype(str)
-        uniq, inverse = np.unique(arr, return_inverse=True)
         fresh: List[str] = []
-        codes = np.empty(uniq.size, dtype=np.uint32)
-        for i, value in enumerate(uniq):
+        codes = np.empty(len(uniq), dtype=np.uint32)
+        for i, value in enumerate(uniq.tolist()):
             value = str(value)
             code = self._index.get(value)
             if code is None:
@@ -574,19 +659,26 @@ class ColumnarLedgerBackend:
         if not isinstance(batch, FeedbackBatch):
             batch = FeedbackBatch.from_feedbacks(batch)
         store = self._store
-        server_codes, new_servers = store.server_table.intern_many(batch.servers)
+        # ordering is checked on batch-local groups, so a declined batch
+        # leaves no id behind in the tables (nor in the mmap sidecars)
+        server_ids, server_groups = unique_ids(batch.servers)
         times = batch.times
-        order = np.argsort(server_codes, kind="stable")
-        codes_sorted = server_codes[order]
+        order = np.argsort(server_groups, kind="stable")
+        groups_sorted = server_groups[order]
         times_sorted = times[order]
-        same = codes_sorted[1:] == codes_sorted[:-1]
+        same = groups_sorted[1:] == groups_sorted[:-1]
         if np.any(same & (np.diff(times_sorted) < 0)):
             return None
-        starts = np.concatenate([[0], np.nonzero(~same)[0] + 1])
-        for pos in starts:
-            last = store.last_time(int(codes_sorted[pos]))
-            if last is not None and float(times_sorted[pos]) < last:
+        # every group occurs, so group g's earliest row opens its g-th run
+        firsts = times_sorted[np.concatenate([[0], np.nonzero(~same)[0] + 1])]
+        for server, first in zip(server_ids.tolist(), firsts.tolist()):
+            code = store.server_table.lookup(str(server))
+            last = None if code is None else store.last_time(code)
+            if last is not None and first < last:
                 return None
+        server_codes, new_servers = store.server_table.intern_unique(
+            server_ids, server_groups
+        )
         client_codes, _ = store.client_table.intern_many(batch.clients)
         n = len(batch)
         if batch.categories is None:

@@ -9,12 +9,16 @@ feedback metadata of columnar histories.
 
 from __future__ import annotations
 
+import hashlib
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.feedback import binlog
+from repro.feedback import binlog, store as store_module
 from repro.feedback.history import TransactionHistory
 from repro.feedback.ledger import FeedbackLedger
 from repro.feedback.records import Feedback, Rating
@@ -23,6 +27,7 @@ from repro.feedback.store import (
     FeedbackBatch,
     StringTable,
     _ColumnarHistory,
+    id_hash,
 )
 
 
@@ -60,6 +65,137 @@ class TestStringTable:
         codes, fresh = StringTable().intern_many(np.array(["b", "a", "b"]))
         assert codes.tolist() == [1, 0, 1]
         assert fresh == ["a", "b"]
+
+
+def _reference_intern_many(table, values):
+    """The string-sort intern: one ``np.unique`` over the ids themselves."""
+    arr = np.asarray(values)
+    if arr.dtype == object:
+        arr = arr.astype(str)
+    uniq, inverse = np.unique(arr, return_inverse=True)
+    fresh = []
+    codes = np.empty(uniq.size, dtype=np.uint32)
+    for i, value in enumerate(uniq):
+        value = str(value)
+        code = table.lookup(value)
+        if code is None:
+            code = table.intern(value)
+            fresh.append(value)
+        codes[i] = code
+    return codes[inverse], fresh
+
+
+def _assert_interns_like_reference(seeded, values):
+    table, reference = StringTable(seeded), StringTable(seeded)
+    codes, fresh = table.intern_many(values)
+    ref_codes, ref_fresh = _reference_intern_many(reference, values)
+    assert codes.dtype == np.uint32
+    assert codes.tolist() == ref_codes.tolist()
+    assert fresh == ref_fresh
+    assert table.values() == reference.values()
+
+
+# mixed lengths, non-BMP characters and interior NULs (which the hash
+# skips, so "a\0b" and "ab" share a key and must be told apart)
+_IDS = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",)), min_size=0, max_size=9
+)
+
+
+def _length_hash(arr):
+    """A hash under which every two ids of the same length collide."""
+    return np.char.str_len(arr).astype(np.uint64)
+
+
+class TestInternByHash:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pool=st.lists(_IDS, min_size=1, max_size=12, unique=True),
+        picks=st.lists(st.integers(0, 11), min_size=0, max_size=60),
+        seeded=st.lists(st.integers(0, 11), max_size=5, unique=True),
+        grouped=st.booleans(),
+        dtype=st.sampled_from([str, object]),
+        colliding=st.booleans(),
+    )
+    def test_matches_sort_reference(
+        self, pool, picks, seeded, grouped, dtype, colliding
+    ):
+        values = [pool[i % len(pool)] for i in picks]
+        if grouped:  # ids arriving in runs take the run-collapsing branch
+            values.sort()
+        arr = np.array(values, dtype=dtype)
+        seed_ids = list(dict.fromkeys(pool[i % len(pool)] for i in seeded))
+        with pytest.MonkeyPatch.context() as patch:
+            if colliding:  # the sort fallback, and the hash path on a poor hash
+                patch.setattr(store_module, "id_hash", _length_hash)
+            _assert_interns_like_reference(seed_ids, arr)
+
+    def test_hash_is_width_independent_fnv1a(self):
+        narrow = np.array(["ab", "\U0001F600"])
+        wide = narrow.astype("<U16")
+        assert id_hash(narrow).tolist() == id_hash(wide).tolist()
+        key = 0xCBF29CE484222325
+        for unit in map(ord, "ab"):
+            key = ((key ^ unit) * 0x100000001B3) % 2**64
+        assert int(id_hash(narrow)[0]) == key
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            ["aa", "b", "bb", "c", "aa", "d"],  # scattered: class check fails
+            ["aa", "aa", "aa", "bb", "bb", "cc", "cc", "cc"],  # runs: run check fails
+            ["zz", "zz", "zz", "zz", "yy", "yy", "xx", "zz"],
+        ],
+    )
+    @pytest.mark.parametrize("dtype", [str, object])
+    def test_forced_collision_takes_sort_path(self, monkeypatch, values, dtype):
+        monkeypatch.setattr(store_module, "id_hash", _length_hash)
+        calls = []
+        unique = np.unique
+
+        def spy(ar, *args, **kwargs):
+            calls.append(np.asarray(ar).dtype.kind)
+            return unique(ar, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        _assert_interns_like_reference(["bb"], np.array(values, dtype=dtype))
+        # the table's intern sorted the strings (the reference sorts too)
+        assert calls.count("U") == 2
+
+
+def _cold_start_batch(seed, n_servers=12, offset=0):
+    """A small fleet shaped like perfbench's cold_start cycle."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(120, 361, size=n_servers)
+    names = [f"server-{i:05d}" for i in range(offset, offset + n_servers)]
+    servers = np.repeat(np.array(names), lengths)
+    clients = np.char.add("client-", rng.integers(0, 1000, size=servers.size).astype("U4"))
+    times = np.concatenate([np.arange(k, dtype=np.float64) for k in lengths])
+    ratings = (rng.random(servers.size) < 0.9).astype(np.uint8)
+    return FeedbackBatch(times=times, servers=servers, clients=clients, ratings=ratings)
+
+
+def _ledger_digests(tmp_path, name):
+    path = str(tmp_path / f"{name}.ledger")
+    with FeedbackLedger(backend="mmap", path=path) as led:
+        first = _cold_start_batch(1)
+        assert led.record_batch(first) == len(first)
+        # a second batch: old servers continue, new ones join, the
+        # client table is already seeded
+        later = _cold_start_batch(2, offset=6)
+        later.times = later.times + 400.0
+        assert led.record_batch(later) == len(later)
+        led.flush()
+    files = [path] + [f"{path}.{kind}" for kind in ("servers", "clients", "categories")]
+    return [hashlib.sha256(Path(f).read_bytes()).hexdigest() for f in files]
+
+
+def test_ledger_bytes_same_with_hash_and_sort_paths(tmp_path, monkeypatch):
+    hashed = _ledger_digests(tmp_path, "hashed")
+    monkeypatch.setattr(
+        store_module, "id_hash", lambda arr: np.zeros(np.asarray(arr).size, np.uint64)
+    )
+    assert _ledger_digests(tmp_path, "sorted") == hashed
 
 
 class TestFeedbackBatch:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.feedback import binlog
 from repro.feedback.ledger import FeedbackLedger
 from repro.feedback.store import FeedbackBatch
 from repro.feedback.records import Feedback, Rating
@@ -207,6 +208,30 @@ class TestConformance:
                 getattr(led, fold)(list(stream))
             lengths.append(len(led))
         assert lengths[0] == lengths[1] == len(STREAM)
+
+    def test_declined_batch_interns_no_phantom_ids(self, make_ledger):
+        """A batch the bulk path declines interns nothing of its own: the
+        per-event fold raises at the back-dated record, before ``s-z``."""
+        batch = FeedbackBatch(
+            times=[1.0, 0.5, 1.0],
+            servers=["s-b", "s-b", "s-z"],
+            clients=["c1", "c2", "c3"],
+            ratings=[1, 1, 0],
+        )
+        led = make_ledger()
+        with pytest.raises(ValueError, match="non-decreasing"):
+            led.record_batch(batch)
+        assert led.servers() == {"s-b"}
+        led.record(_fb(2, "s-b", "c1"))  # the next write syncs the sidecars
+        if make_ledger.backend == "memory":
+            return
+        tables = led.backend.store
+        assert tables.server_table.values() == ["s-b"]
+        assert tables.client_table.values() == ["c1"]
+        if make_ledger.backend == "mmap":
+            led.close()
+            on_disk = binlog.load_binary_ledger(led.backend.path)
+            assert on_disk.servers == ["s-b"] and on_disk.clients == ["c1"]
 
     def test_quarantine_captures_out_of_order(self, make_ledger):
         quarantine = Quarantine(name="ledger")
