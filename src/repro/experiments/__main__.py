@@ -55,13 +55,6 @@ ARTIFACT_DIRS = {
         "fig9, serve); `repro obs report <log>` renders the phase "
         "table, `repro obs trace <log>` one trace's span tree",
     ),
-    "--slo-dir": (
-        "slo_path",
-        "BENCH_slo.json",
-        "write SLO error-budget artifacts into this directory as "
-        "BENCH_slo.json (experiments that support it, e.g. serve); "
-        "inspect with `repro obs slo <artifact>`",
-    ),
 }
 
 

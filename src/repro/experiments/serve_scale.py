@@ -14,15 +14,13 @@ Like fig9/p2p_scale, timings flow through the obs layer; ``bench_path``
 emits a schema-valid ``BENCH_serve.json`` so the serving layer joins the
 regression gate, and ``events_path`` writes the run's lifecycle events.
 ``trace_path`` records the run's spans as JSONL
-(inspect with ``repro obs trace``) and ``slo_path`` evaluates the
-default serve SLOs against the run's metrics, writing a
-``BENCH_slo.json`` budget artifact for the CI gate.
+(inspect with ``repro obs trace``).  The final ``metrics`` snapshot in
+the event log carries the ``serve.assess.seconds`` distribution and the
+degraded counters that CI's serve health check reads.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 from typing import Dict, List, Optional, Sequence
 
 from .. import obs
@@ -73,7 +71,6 @@ def run_serve_scale(
     bench_path: Optional[str] = None,
     events_path: Optional[str] = None,
     trace_path: Optional[str] = None,
-    slo_path: Optional[str] = None,
 ) -> ExperimentResult:
     """Measure per-call vs. batched-incremental assessment sweeps.
 
@@ -85,10 +82,7 @@ def run_serve_scale(
     writes ``BENCH_serve.json`` through :mod:`repro.obs.bench`;
     ``events_path`` a lifecycle JSONL log; ``trace_path`` a span-sink
     JSONL (the whole run becomes one trace rooted at
-    ``experiments.serve.run``) with a flight recorder beside it, so an
-    escaping ``ResilienceError`` or a breaker opening leaves a
-    ``POSTMORTEM_*.json`` bundle next to the span log; ``slo_path`` a
-    ``BENCH_slo.json`` error-budget artifact from the run's own metrics.
+    ``experiments.serve.run``).
     """
     if server_counts is None:
         server_counts = (200, 500) if quick else SERVER_COUNTS
@@ -131,12 +125,8 @@ def run_serve_scale(
         bench_path=bench_path,
         events_path=events_path,
         trace_path=trace_path,
-    ) as run, contextlib.ExitStack() as stack:
+    ) as run:
         registry = run.registry
-        if trace_path is not None:
-            stack.enter_context(
-                obs.flight_recording(os.path.dirname(trace_path) or ".")
-            )
         for n in server_counts:
             with obs.span("experiments.serve.prepare", n_servers=n):
                 histories = _build_population(n, base_seed=base_seed)
@@ -195,12 +185,4 @@ def run_serve_scale(
                 else float("inf")
             )
             result.add_row(**row)
-        if slo_path is not None:
-            evaluation = obs.SloEngine(obs.default_serve_slos()).evaluate(registry)
-            obs.write_bench_json(
-                slo_path,
-                "slo",
-                obs.evaluation_to_bench_rows(evaluation),
-                meta=run.meta,
-            )
     return result

@@ -381,11 +381,16 @@ class ColumnarStore:
         ratings: np.ndarray,
         category_codes: np.ndarray,
         authentic: np.ndarray,
+        *,
+        last_codes: np.ndarray,
+        last_times: np.ndarray,
     ) -> int:
         """Bulk-append pre-validated column arrays; returns the first row.
 
-        Purely vectorized: per-server last times are updated per *unique*
-        server in the block, the row/pair indices are invalidated and
+        ``last_codes`` names every server in the block once and
+        ``last_times`` the time of its last row there, so the caller's
+        grouping by server (which it needs anyway) also sets the
+        per-server last times.  The row/pair indices are invalidated and
         rebuilt lazily on the next point query.
         """
         n = int(times.size)
@@ -401,12 +406,7 @@ class ColumnarStore:
         self._cat[start:end] = category_codes
         self._auth[start:end] = authentic
         self._n = end
-        order = np.argsort(server_codes, kind="stable")
-        codes_sorted = server_codes[order]
-        boundaries = np.nonzero(np.diff(codes_sorted))[0]
-        group_last = np.concatenate([boundaries, [n - 1]])
-        for pos in group_last:
-            self._last_time[int(codes_sorted[pos])] = float(times[order[pos]])
+        self._last_time.update(zip(last_codes.tolist(), last_times.tolist()))
         self._rows_dirty = True
         self._rows_by_server.clear()
         self._pair_dirty = True
@@ -669,8 +669,11 @@ class ColumnarLedgerBackend:
         same = groups_sorted[1:] == groups_sorted[:-1]
         if np.any(same & (np.diff(times_sorted) < 0)):
             return None
-        # every group occurs, so group g's earliest row opens its g-th run
-        firsts = times_sorted[np.concatenate([[0], np.nonzero(~same)[0] + 1])]
+        # every group occurs, so group g's g-th run opens with its
+        # earliest row and closes with its latest
+        breaks = np.flatnonzero(~same)
+        firsts = times_sorted[np.concatenate([[0], breaks + 1])]
+        ends = np.append(breaks, len(batch) - 1)
         for server, first in zip(server_ids.tolist(), firsts.tolist()):
             code = store.server_table.lookup(str(server))
             last = None if code is None else store.last_time(code)
@@ -705,6 +708,8 @@ class ColumnarLedgerBackend:
             batch.ratings,
             category_codes,
             authentic,
+            last_codes=server_codes[order[ends]],
+            last_times=times_sorted[ends],
         )
         self._persist_block(start_row, n, new_servers)
         return n
@@ -855,13 +860,19 @@ class MmapLedgerBackend(ColumnarLedgerBackend):
             records = data.records
             n_loaded = int(records.size)
             if n_loaded:
+                times = records["time"].astype(np.float64)
+                servers = records["server"]
+                order = np.argsort(servers, kind="stable")
+                ends = np.append(np.flatnonzero(np.diff(servers[order])), n_loaded - 1)
                 store.append_columns(
-                    records["time"].astype(np.float64),
-                    records["server"],
+                    times,
+                    servers,
                     records["client"],
                     records["rating"],
                     records["category"],
                     records["authentic"],
+                    last_codes=servers[order[ends]],
+                    last_times=times[order[ends]],
                 )
         self._writer = binlog.BinaryLedgerWriter(path, truncate_to=n_loaded)
         # ids already in the file must not be re-appended on the next sync

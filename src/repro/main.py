@@ -7,7 +7,6 @@ observability tooling::
     repro experiments fig9 --quick                  # = repro-experiments
     repro obs report BENCH_fig9.json                # render a bench artifact
     repro obs report TRACE_fig9.jsonl               # phase table of a span log
-    repro obs report POSTMORTEM_x.json              # render a post-mortem bundle
     repro obs report run_events.jsonl               # summarize an event log
     repro obs diff baseline.json candidate.json     # bench regression gate
     repro obs diff candidate.json                   # vs benchmarks/baselines/BENCH_<bench>.json
@@ -15,13 +14,12 @@ observability tooling::
     repro obs validate TRACE_fig9.jsonl             # schema-check a span log
     repro obs trace run_spans.jsonl                 # list trace ids in a span log
     repro obs trace run_spans.jsonl 3f2a            # render one trace's span tree
-    repro obs slo run_events.jsonl --out BENCH_slo.json  # error-budget report/gate
     repro explain mallory run_audit.jsonl           # why was this server rejected?
     repro --log-level DEBUG assess feedback.csv     # opt into repro.* logging
 
 ``--log-level`` is accepted before or after the subcommand, and
-``REPRO_LOG_LEVEL`` in the environment is its default.  ``obs report``,
-``obs validate`` and ``obs slo`` recognise an artifact by its content
+``REPRO_LOG_LEVEL`` in the environment is its default.  ``obs report``
+and ``obs validate`` recognise an artifact by its content
 (:func:`repro.obs.artifact_kind`), never by its file name.
 
 Every command but ``experiments`` reports an unreadable or malformed
@@ -109,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = obs_sub.add_parser(
         "report",
         parents=after,
-        help="render a bench JSON, post-mortem bundle, span log's phase "
-        "table or event log, or an artifact directory",
+        help="render a bench JSON, a span log's phase table or an event "
+        "log, or an artifact directory",
     )
     p_report.add_argument("artifact", help="path to an artifact or a directory")
     p_report.set_defaults(run=_obs_report)
@@ -138,8 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate = obs_sub.add_parser(
         "validate",
         parents=after,
-        help="schema-validate an artifact: bench JSON, post-mortem bundle, "
-        "span log or audit log",
+        help="schema-validate an artifact: bench JSON, span log or audit log",
     )
     p_validate.add_argument("artifact", help="path to the artifact")
     p_validate.set_defaults(
@@ -161,44 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="trace id (a unique prefix suffices); omitted, lists all trace ids",
     )
-    p_trace.add_argument(
-        "--otlp",
-        default=None,
-        metavar="PATH",
-        help="additionally write the spans as OTLP/JSON to PATH",
-    )
     p_trace.set_defaults(run=_obs_trace)
-
-    p_slo = obs_sub.add_parser(
-        "slo",
-        parents=after,
-        help="error-budget/burn-rate report from a run's metric snapshots; "
-        "exit 2 when any budget is burning",
-    )
-    p_slo.add_argument(
-        "source",
-        help="JSONL event log with metric snapshots, or an existing BENCH_slo.json",
-    )
-    p_slo.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the evaluation as a BENCH_slo.json artifact to PATH",
-    )
-    p_slo.add_argument(
-        "--latency-threshold",
-        type=float,
-        default=0.050,
-        metavar="SECONDS",
-        help="latency SLO bound for serve.assess.seconds (default: 0.050)",
-    )
-    p_slo.add_argument(
-        "--latency-objective",
-        type=float,
-        default=0.99,
-        help="fraction of assessments that must meet the bound (default: 0.99)",
-    )
-    p_slo.set_defaults(run=_obs_slo)
 
     p_explain = sub.add_parser(
         "explain",
@@ -430,11 +390,6 @@ def _obs_diff(args) -> int:
 
 def _obs_trace(args) -> int:
     spans = obs.read_span_jsonl(args.spans)
-    if args.otlp is not None:
-        with open(args.otlp, "w", encoding="utf-8") as handle:
-            json.dump(obs.spans_to_otlp(spans), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote OTLP JSON export to {args.otlp}")
     if args.trace_id is not None:
         print(obs.render_trace_tree(spans, args.trace_id))
         return 0
@@ -446,45 +401,6 @@ def _obs_trace(args) -> int:
     for tid in ids:
         print(f"  {tid}  ({counts[tid]} spans)")
     return 0
-
-
-def _obs_slo(args) -> int:
-    from .obs import slo as _slo
-
-    if obs.artifact_kind(args.source) == "bench":
-        # an already-written BENCH_slo.json: validate and re-report burn
-        payload = obs.read_bench_json(args.source)
-        obs.validate_slo_payload(payload)
-        burning = [
-            str(row["name"])
-            for row in payload["results"]
-            if row["slo"].get("burning")
-        ]
-        total = len(payload["results"])
-        if burning:
-            print(
-                f"{args.source}: {len(burning)}/{total} budgets burning: "
-                + ", ".join(burning)
-            )
-            return 2
-        print(f"{args.source}: all {total} SLOs within budget")
-        return 0
-    specs = _slo.default_serve_slos(
-        latency_threshold_s=args.latency_threshold,
-        latency_objective=args.latency_objective,
-    )
-    evaluation = _slo.evaluate_events(args.source, specs)
-    print(obs.render_slo_report(evaluation))
-    if args.out is not None:
-        payload = obs.write_bench_json(
-            args.out,
-            "slo",
-            obs.evaluation_to_bench_rows(evaluation),
-            meta=obs.run_metadata(source=str(args.source)),
-        )
-        obs.validate_slo_payload(payload)
-        print(f"wrote {args.out}")
-    return 0 if evaluation.ok else 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via console script

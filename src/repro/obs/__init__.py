@@ -12,7 +12,7 @@ One unified observability layer for the two-phase trust pipeline:
 * **Node attribution** — work wrapped in :func:`node_scope` stamps a
   ``node`` label on its metrics and events, so one run's event log,
   read through ``repro obs report``, shows every P2P and cluster node;
-* **Exporters** — text and Prometheus renderings plus the
+* **Exporters** — the aligned text rendering, span trees, and the
   ``BENCH_*.json`` benchmark-artifact format.
 
 Collection is **off by default**; the instrumented hot paths in
@@ -74,21 +74,7 @@ from .events import (
     read_events,
     run_metadata,
 )
-from .export import (
-    render_prometheus,
-    render_text,
-    render_trace_tree,
-    spans_to_otlp,
-    trace_ids,
-)
-from .flightrec import (
-    POSTMORTEM_SCHEMA_VERSION,
-    FlightRecorder,
-    flight_recording,
-    read_postmortem,
-    render_postmortem,
-    validate_postmortem_bundle,
-)
+from .export import render_text, render_trace_tree, trace_ids
 from .registry import Counter, Gauge, MetricSample, MetricsRegistry, StreamingHistogram
 from .scope import current_node, node_scope
 from .report import (
@@ -111,17 +97,6 @@ from .runtime import (
     span,
     span_event,
     timer,
-)
-from .slo import (
-    SloEngine,
-    SloEvaluation,
-    SloResult,
-    SloSpec,
-    default_serve_slos,
-    evaluate_events,
-    evaluation_to_bench_rows,
-    render_slo_report,
-    validate_slo_payload,
 )
 from .tracing import SpanRecord, Tracer
 
@@ -183,17 +158,9 @@ __all__ = [
     "git_revision",
     "read_events",
     "run_metadata",
-    "render_prometheus",
     "render_text",
     "render_trace_tree",
-    "spans_to_otlp",
     "trace_ids",
-    "POSTMORTEM_SCHEMA_VERSION",
-    "FlightRecorder",
-    "flight_recording",
-    "read_postmortem",
-    "render_postmortem",
-    "validate_postmortem_bundle",
     "current_node",
     "node_scope",
     "Counter",
@@ -218,15 +185,6 @@ __all__ = [
     "span",
     "span_event",
     "timer",
-    "SloEngine",
-    "SloEvaluation",
-    "SloResult",
-    "SloSpec",
-    "default_serve_slos",
-    "evaluate_events",
-    "evaluation_to_bench_rows",
-    "render_slo_report",
-    "validate_slo_payload",
     "SpanRecord",
     "Tracer",
     "configure_logging",

@@ -96,16 +96,10 @@ class EventLog:
         path: Optional[PathLike] = None,
         *,
         run_meta: Optional[Dict[str, object]] = None,
-        forward_to_recorder: bool = False,
     ):
         self._path = Path(path) if path is not None else None
         self._handle = None
         self._events: List[Dict[str, object]] = []
-        # Opt-in: mirror every event into the installed flight recorder.
-        # Leave False for logs already covered by another funnel (the
-        # resilience emit path feeds the recorder itself) or the ring
-        # sees every event twice.
-        self._forward_to_recorder = forward_to_recorder
         if run_meta is not None:
             self.emit("run_start", **run_meta)
 
@@ -129,11 +123,6 @@ class EventLog:
                 self._handle = open(self._path, "a", encoding="utf-8")
             self._handle.write(json.dumps(record, default=repr) + "\n")
             self._handle.flush()
-        if self._forward_to_recorder:
-            from . import runtime as _rt
-
-            if _rt.flight_recorder is not None:
-                _rt.flight_recorder.record_event(dict(record))
         return record
 
     def emit_metrics(

@@ -1,60 +1,24 @@
-"""Exporters: registries as text/Prometheus, spans as OTLP JSON / trees.
+"""Exporters: registries as aligned text, spans as trace trees.
 
-The text form is what ``repro obs report`` prints and humans read; the
-Prometheus form follows the text exposition conventions (sanitized
-``snake_case`` names with a ``repro_`` prefix, ``_total`` on counters,
-``_count``/``_sum`` plus ``quantile``-labelled samples for histograms,
-``# HELP``/``# TYPE`` emitted once per metric family, label values
-escaped per the spec) so a scrape-style pipeline can ingest run output
-unchanged.
-
-Span exports work off the JSONL span-sink lines
-(:func:`repro.obs.context.read_span_jsonl`): :func:`spans_to_otlp`
-produces the OTLP/JSON ``resourceSpans`` shape any OpenTelemetry
-collector ingests, and :func:`render_trace_tree` is the human form
-behind ``repro obs trace`` — the tree reassembled from hex span ids
-(which survive process hops), with per-span timing bars and annotated
-events inline.
+The text form is what ``repro obs report`` prints and humans read.
+:func:`render_trace_tree` is the human form behind ``repro obs trace``,
+working off the JSONL span-sink lines
+(:func:`repro.obs.context.read_span_jsonl`): the tree reassembled from
+hex span ids (which survive process hops), with per-span timing bars
+and annotated events inline.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .registry import MetricSample, MetricsRegistry
+from .registry import MetricsRegistry
 
 __all__ = [
     "render_text",
-    "render_prometheus",
-    "spans_to_otlp",
     "render_trace_tree",
     "trace_ids",
 ]
-
-_NAME_SANITIZER = re.compile(r"[^a-zA-Z0-9_:]")
-_HISTOGRAM_QUANTILES = (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99"))
-
-
-def _prom_name(name: str) -> str:
-    return "repro_" + _NAME_SANITIZER.sub("_", name)
-
-
-def _escape_label_value(value: str) -> str:
-    """Escape per the exposition format: backslash, quote, newline."""
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _escape_help(text: str) -> str:
-    """HELP text allows quotes but needs backslash/newline escaped."""
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def _prom_labels(labels: Tuple[Tuple[str, str], ...], extra: str = "") -> str:
-    parts = [f'{k}="{_escape_label_value(v)}"' for k, v in labels]
-    if extra:
-        parts.append(extra)
-    return "{" + ",".join(parts) + "}" if parts else ""
 
 
 def _text_labels(labels: Tuple[Tuple[str, str], ...]) -> str:
@@ -82,132 +46,6 @@ def render_text(registry: MetricsRegistry) -> str:
         return "(no metrics recorded)"
     width = max(len(label) for label, _ in rows)
     return "\n".join(f"{label:<{width}}  {value}" for label, value in rows)
-
-
-_PROM_KINDS = {"counter": "counter", "gauge": "gauge", "histogram": "summary"}
-
-
-def render_prometheus(registry: MetricsRegistry) -> str:
-    """Prometheus text-exposition rendering of every metric.
-
-    Samples are grouped into metric families first, so ``# HELP`` and
-    ``# TYPE`` appear exactly once per family no matter how many label
-    sets (series) a metric has, and every series of a family is emitted
-    contiguously as the format requires.
-    """
-    families: Dict[str, Dict[str, object]] = {}
-    for sample in registry.collect():
-        base = _prom_name(sample.name)
-        family_name = base + "_total" if sample.kind == "counter" else base
-        family = families.setdefault(
-            family_name,
-            {"kind": _PROM_KINDS[sample.kind], "source": sample.name, "samples": []},
-        )
-        family["samples"].append(sample)  # type: ignore[union-attr]
-    lines: List[str] = []
-    for family_name, family in families.items():
-        help_text = _escape_help(f"repro metric '{family['source']}'")
-        lines.append(f"# HELP {family_name} {help_text}")
-        lines.append(f"# TYPE {family_name} {family['kind']}")
-        samples: List[MetricSample] = family["samples"]  # type: ignore[assignment]
-        for sample in samples:
-            if sample.kind in ("counter", "gauge"):
-                lines.append(
-                    f"{family_name}{_prom_labels(sample.labels)} "
-                    f"{sample.value:.10g}"
-                )
-            else:  # histogram -> summary exposition
-                s = sample.summary or {}
-                for quantile, key in _HISTOGRAM_QUANTILES:
-                    extra = 'quantile="%s"' % quantile
-                    lines.append(
-                        f"{family_name}{_prom_labels(sample.labels, extra)} "
-                        f"{s[key]:.10g}"
-                    )
-                lines.append(
-                    f"{family_name}_sum{_prom_labels(sample.labels)} "
-                    f"{s['sum']:.10g}"
-                )
-                lines.append(
-                    f"{family_name}_count{_prom_labels(sample.labels)} "
-                    f"{s['count']:.10g}"
-                )
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-# ---------------------------------------------------------------------- #
-# span exports (OTLP JSON and the CLI trace tree)
-
-
-def _otlp_value(value: object) -> Dict[str, object]:
-    if isinstance(value, bool):
-        return {"boolValue": value}
-    if isinstance(value, int):
-        return {"intValue": str(value)}
-    if isinstance(value, float):
-        return {"doubleValue": value}
-    return {"stringValue": str(value)}
-
-
-def _otlp_attributes(mapping: Dict[str, object]) -> List[Dict[str, object]]:
-    return [{"key": k, "value": _otlp_value(v)} for k, v in sorted(mapping.items())]
-
-
-def spans_to_otlp(
-    spans: Sequence[Dict[str, object]],
-    *,
-    service_name: str = "repro",
-) -> Dict[str, object]:
-    """Span-sink lines as an OTLP/JSON ``ExportTraceServiceRequest``.
-
-    One resource (the repro service), one scope, one OTLP span per
-    JSONL line: hex ids pass through unchanged, wall-anchored start
-    times become ``startTimeUnixNano``, labels become attributes, and
-    span events keep their in-span offsets.
-    """
-    otlp_spans = []
-    for span in spans:
-        start_ns = int(float(span["start_unix_s"]) * 1e9)
-        end_ns = start_ns + int(float(span["duration_s"]) * 1e9)
-        events = []
-        for event in span.get("events") or []:
-            attrs = {
-                k: v for k, v in event.items() if k not in ("name", "offset_s")
-            }
-            events.append(
-                {
-                    "name": event.get("name"),
-                    "timeUnixNano": str(
-                        start_ns + int(float(event.get("offset_s", 0.0)) * 1e9)
-                    ),
-                    "attributes": _otlp_attributes(attrs),
-                }
-            )
-        otlp: Dict[str, object] = {
-            "traceId": span["trace_id"],
-            "spanId": span["span_id"],
-            "name": span["name"],
-            "kind": 1,  # SPAN_KIND_INTERNAL
-            "startTimeUnixNano": str(start_ns),
-            "endTimeUnixNano": str(end_ns),
-            "attributes": _otlp_attributes(dict(span.get("labels") or {})),
-            "events": events,
-        }
-        if span.get("parent_span_id"):
-            otlp["parentSpanId"] = span["parent_span_id"]
-        otlp_spans.append(otlp)
-    return {
-        "resourceSpans": [
-            {
-                "resource": {
-                    "attributes": _otlp_attributes({"service.name": service_name})
-                },
-                "scopeSpans": [
-                    {"scope": {"name": "repro.obs"}, "spans": otlp_spans}
-                ],
-            }
-        ]
-    }
 
 
 def trace_ids(spans: Sequence[Dict[str, object]]) -> List[str]:

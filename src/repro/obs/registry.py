@@ -172,7 +172,7 @@ class StreamingHistogram:
         return self.quantile(0.99)
 
     def fraction_below(self, threshold: float) -> float:
-        """Fraction of observations ≤ ``threshold`` (the SLO "good" rate).
+        """Fraction of observations ≤ ``threshold`` (the latency "good" rate).
 
         Exact when ``threshold`` falls outside the observed range;
         otherwise resolved on the bucket grid — a bucket wholly below
@@ -362,8 +362,8 @@ class MetricsRegistry:
             }
             if isinstance(metric, StreamingHistogram):
                 entry["summary"] = metric.summary()
-                # bucket counts let offline consumers (the SLO engine)
-                # recompute fraction_below from a serialized snapshot
+                # bucket counts let offline readers (CI's serve health
+                # check) recompute fraction_below from a serialized snapshot
                 entry["buckets"] = metric.bucket_counts()
             else:
                 entry["value"] = metric.value

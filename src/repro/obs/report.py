@@ -1,8 +1,8 @@
 """Recognise, render and validate observability artifacts.
 
 Backs ``repro obs report`` and ``repro obs validate``: one classifier,
-:func:`artifact_kind`, tells a bench JSON, a post-mortem bundle, a
-span log and a JSONL event log apart by content, and both commands
+:func:`artifact_kind`, tells a bench JSON, a span log and a JSONL
+event log apart by content, and both commands
 dispatch on it.  A span log renders as its phase table, the one answer
 to "where did the time go?".
 """
@@ -23,7 +23,6 @@ from .audit import (
 from .bench import read_bench_json
 from .context import read_span_jsonl
 from .events import read_events
-from .flightrec import read_postmortem, render_postmortem
 
 __all__ = [
     "render_bench",
@@ -217,12 +216,12 @@ def render_phase_table(spans: List[Dict[str, object]]) -> str:
 
 
 def artifact_kind(path: PathLike) -> str:
-    """Which artifact ``path`` holds: bench, postmortem, spans or events.
+    """Which artifact ``path`` holds: bench, spans or events.
 
     Decided by content, never by file name.  A JSONL file is an event
     log when its first record is an event (or it holds none) and a span
-    log when that record is a span.  A JSON document is a post-mortem
-    bundle by its schema marker, a bench artifact otherwise.
+    log when that record is a span.  A JSON document is a bench
+    artifact.
     """
     with open(path, encoding="utf-8") as handle:
         first = next((line for line in handle if line.strip()), None)
@@ -241,15 +240,12 @@ def artifact_kind(path: PathLike) -> str:
             return "events"
         if "span_id" in record:
             return "spans"
-        if "postmortem" in record:
-            return "postmortem"
     return "bench"
 
 
 #: artifact kind -> (reader that loads and schema-checks it, renderer)
 _ARTIFACTS = {
     "bench": (read_bench_json, render_bench),
-    "postmortem": (read_postmortem, render_postmortem),
     "spans": (read_span_jsonl, render_phase_table),
     "events": (read_events, render_event_log),
 }

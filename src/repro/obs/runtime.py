@@ -36,7 +36,6 @@ __all__ = [
     "registry",
     "tracer",
     "span_sink",
-    "flight_recorder",
     "is_enabled",
     "get_registry",
     "get_tracer",
@@ -63,11 +62,6 @@ tracer: Tracer = Tracer()
 #: a trace context are written, so the sink never sees untraced noise.
 #: Deliberately untyped to avoid importing context machinery here.
 span_sink = None
-
-#: The active :class:`~repro.obs.flightrec.FlightRecorder` — ``None``
-#: unless installed (``obs.flight_recording``).  Traced span exits, the
-#: resilience emit funnel, and opted-in event logs feed its rings.
-flight_recorder = None
 
 
 class ObsSession(NamedTuple):
@@ -181,15 +175,8 @@ class _LiveSpan:
             _context._CURRENT.reset(self._token)
         if self._observe:
             registry.histogram(self._name, **self._labels).observe(record.duration)
-        if record.trace_id is not None and (
-            span_sink is not None or flight_recorder is not None
-        ):
-            # one line dict serves both sinks; neither mutates it
-            span = _context.span_to_dict(record)
-            if span_sink is not None:
-                span_sink.append(span)
-            if flight_recorder is not None:
-                flight_recorder.record_span(span)
+        if record.trace_id is not None and span_sink is not None:
+            span_sink.append(_context.span_to_dict(record))
         return False
 
 

@@ -137,10 +137,6 @@ def emit(event: str, **fields: object) -> None:
     span as an annotated span event — this one funnel is what turns
     retry attempts, breaker flips, degradations, and calibration
     fallbacks into trace-visible annotations.
-
-    When a flight recorder is installed (:data:`repro.obs.runtime.flight_recorder`),
-    every event additionally lands in its ring — and trigger events like
-    ``breaker_open`` cause it to dump a post-mortem bundle.
     """
     ctx = _ctx.current()
     if ctx is not None and "trace_id" not in fields:
@@ -153,14 +149,7 @@ def emit(event: str, **fields: object) -> None:
             fields = dict(fields, node=node)
     if ctx is not None or _obs.enabled:
         _obs.span_event(event, **fields)
-    record: Optional[Dict[str, object]] = None
     if events is not None:
-        record = events.emit(event, **fields)
+        events.emit(event, **fields)
     if _obs.enabled:
         _obs.registry.inc("resilience.events", event=event)
-    recorder = _obs.flight_recorder
-    if recorder is not None:
-        if record is None:
-            record = {"event": event, "time": time.time()}
-            record.update(fields)
-        recorder.record_event(dict(record))

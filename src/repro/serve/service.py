@@ -90,8 +90,8 @@ class AssessmentService:
     **Faults.**  Recovery happens where the fault lands: the calibrator
     retries a failed Monte-Carlo pass and, failing that, serves a stale
     threshold flagged as ``degraded``.  When an injected fault escapes
-    the sweep anyway (a cold calibrator has no stale candidate), the
-    flight recorder dumps and ``assess_many`` raises one
+    the sweep anyway (a cold calibrator has no stale candidate),
+    ``assess_many`` raises one
     :class:`~repro.resilience.faults.ResilienceError` naming the
     originating site.
     """
@@ -287,9 +287,9 @@ class AssessmentService:
             _obs.registry.inc("serve.service.assessments")
             if assessment.degraded:
                 _obs.registry.inc("serve.service.degraded_assessments")
-            # a plain histogram observation, not a span: the latency SLO
-            # needs the distribution, a span per assessment would not
-            # stay bounded across 100k-server sweeps
+            # a plain histogram observation, not a span: CI's serve
+            # health check needs the distribution, a span per assessment
+            # would not stay bounded across 100k-server sweeps
             _obs.registry.observe(
                 "serve.assess.seconds", time.perf_counter() - start
             )
@@ -437,19 +437,11 @@ class AssessmentService:
 
     def _sweep(self, ids: Sequence[EntityId]) -> Dict[EntityId, Assessment]:
         """The per-server walk; an escaping injected fault becomes one
-        structured error, after the flight recorder captured the
-        system's last moments."""
+        structured error."""
         try:
             return {sid: self.assess(sid) for sid in ids}
         except InjectedFault as fault:
-            attempts = [("serial", repr(fault))]
-            if _obs.flight_recorder is not None:
-                _obs.flight_recorder.dump(
-                    reason="resilience_error",
-                    site=fault.site,
-                    attempts=f"serial: {fault!r}",
-                )
-            raise ResilienceError(fault.site, attempts) from fault
+            raise ResilienceError(fault.site, [("serial", repr(fault))]) from fault
 
     # ------------------------------------------------------------------ #
     # maintenance

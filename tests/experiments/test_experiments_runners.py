@@ -418,28 +418,3 @@ class TestFig9Trace:
         assert sum(p["self_s"] for p in phases) == pytest.approx(
             root["wall_s"], abs=1e-6
         )
-
-
-class TestServeFlightRecorder:
-    def test_trace_dir_installs_the_recorder_beside_the_span_log(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.experiments import serve_scale
-        from repro.obs import runtime
-
-        seen = []
-        build = serve_scale._build_population
-
-        def spy(n, **kwargs):
-            seen.append(runtime.flight_recorder)
-            return build(n, **kwargs)
-
-        monkeypatch.setattr(serve_scale, "_build_population", spy)
-        trace = tmp_path / "TRACE_serve.jsonl"
-        serve_scale.run_serve_scale(
-            server_counts=(20,), repeats=1, quick=True, trace_path=str(trace)
-        )
-        (recorder,) = seen
-        assert recorder is not None and recorder.out_dir == tmp_path
-        assert runtime.flight_recorder is None  # uninstalled on exit
-        assert trace.exists()

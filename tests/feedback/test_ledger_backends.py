@@ -163,6 +163,28 @@ class TestConformance:
                 server
             )
 
+    def test_record_batch_keeps_each_servers_last_time(self, make_ledger):
+        """Interleaved servers out of global time order: after the bulk
+        fold (and after reopening an mmap file) each server rejects an
+        event just before its own last time and accepts one at it."""
+        stream = [
+            _fb(5, "s2", "c1"),
+            _fb(1, "s1", "c2"),
+            _fb(7, "s3", "c1"),
+            _fb(2, "s1", "c1"),
+            _fb(6, "s2", "c3"),
+            _fb(3, "s1", "c3"),
+        ]
+        led = make_ledger()
+        assert led.record_batch(FeedbackBatch.from_feedbacks(stream)) == len(stream)
+        if make_ledger.backend == "mmap":
+            led.close()
+            led = make_ledger(path=led.backend.path)
+        for server, last in (("s1", 3.0), ("s2", 6.0), ("s3", 7.0)):
+            with pytest.raises(ValueError, match="non-decreasing"):
+                led.record(_fb(last - 0.5, server, "c9"))
+            assert led.record(_fb(last, server, "c9"))
+
     def test_record_batch_of_records_matches_per_event(self, make_ledger):
         """A list of records folds as ``record_many`` would: same
         indexes, same order, every event shown to subscribers."""

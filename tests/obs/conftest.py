@@ -12,13 +12,11 @@ def _obs_disabled_after():
     """Guarantee test isolation: obs globals restored after every test."""
     saved = (runtime.enabled, runtime.registry, runtime.tracer)
     saved_sink = runtime.span_sink
-    saved_recorder = runtime.flight_recorder
     saved_audit = (audit.enabled, audit.trail)
     saved_scope_cap = scope.max_nodes
     yield
     runtime.enabled, runtime.registry, runtime.tracer = saved
     runtime.span_sink = saved_sink
-    runtime.flight_recorder = saved_recorder
     audit.enabled, audit.trail = saved_audit
     # node-scope attribution state (seen-node set, overflow counter, and
     # the active flag itself) is process-global like the runtime flags

@@ -391,104 +391,6 @@ class TestObsTrace:
         assert main(["obs", "trace", str(path)]) == 1
         assert "no spans" in capsys.readouterr().err
 
-    def test_otlp_export_writes_resource_spans(self, spans_file, tmp_path, capsys):
-        out_path = tmp_path / "spans_otlp.json"
-        assert main(["obs", "trace", str(spans_file), "--otlp", str(out_path)]) == 0
-        payload = json.loads(out_path.read_text(encoding="utf-8"))
-        assert "resourceSpans" in payload
-        assert "wrote OTLP JSON export" in capsys.readouterr().out
-
-
-class TestObsSlo:
-    def _events(self, tmp_path, *, degradations):
-        path = tmp_path / "run_events.jsonl"
-        registry = obs.MetricsRegistry()
-        registry.inc("serve.service.assessments", 100)
-        if degradations:
-            registry.inc("serve.service.degraded_assessments", degradations)
-        with obs.EventLog(path) as log:
-            log.emit_metrics(registry)
-        return path
-
-    def test_healthy_run_exits_zero(self, tmp_path, capsys):
-        path = self._events(tmp_path, degradations=0)
-        assert main(["obs", "slo", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "serve.degraded_verdicts" in out
-        assert "within budget" in out
-
-    def test_event_log_named_json_is_evaluated(self, tmp_path, capsys):
-        """The input is told apart by content, not by its suffix."""
-        path = self._events(tmp_path, degradations=0).rename(
-            tmp_path / "events.json"
-        )
-        assert main(["obs", "slo", str(path)]) == 0
-        assert "within budget" in capsys.readouterr().out
-
-    def test_span_log_is_error(self, tmp_path, capsys):
-        path = tmp_path / "TRACE_x.jsonl"
-        with obs.activate(), obs.tracing_session(path), obs.use(obs.new_root()):
-            with obs.span("one"):
-                pass
-        assert main(["obs", "slo", str(path)]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_burning_budget_exits_two(self, tmp_path, capsys):
-        # 5% degraded against a 1% budget: the ratio SLO burns
-        path = self._events(tmp_path, degradations=5)
-        assert main(["obs", "slo", str(path)]) == 2
-        assert "BURN" in capsys.readouterr().out
-
-    def test_out_writes_validated_bench_artifact(self, tmp_path, capsys):
-        path = self._events(tmp_path, degradations=0)
-        artifact = tmp_path / "BENCH_slo.json"
-        assert main(["obs", "slo", str(path), "--out", str(artifact)]) == 0
-        payload = obs.read_bench_json(artifact)
-        obs.validate_slo_payload(payload)  # schema round-trips
-        assert "wrote" in capsys.readouterr().out
-
-    def test_rereports_burn_from_written_artifact(self, tmp_path, capsys):
-        path = self._events(tmp_path, degradations=5)
-        artifact = tmp_path / "BENCH_slo.json"
-        assert main(["obs", "slo", str(path), "--out", str(artifact)]) == 2
-        capsys.readouterr()
-        assert main(["obs", "slo", str(artifact)]) == 2
-        assert "budgets burning" in capsys.readouterr().out
-
-    def test_ok_artifact_exits_zero(self, tmp_path, capsys):
-        path = self._events(tmp_path, degradations=0)
-        artifact = tmp_path / "BENCH_slo.json"
-        main(["obs", "slo", str(path), "--out", str(artifact)])
-        capsys.readouterr()
-        assert main(["obs", "slo", str(artifact)]) == 0
-        assert "within budget" in capsys.readouterr().out
-
-    def test_latency_flags_reach_the_specs(self, tmp_path, capsys):
-        # every assessment takes ~100ms: burning against the default
-        # 50ms bound, healthy once --latency-threshold raises it
-        path = tmp_path / "run_events.jsonl"
-        registry = obs.MetricsRegistry()
-        for _ in range(100):
-            registry.observe("serve.assess.seconds", 0.1)
-        with obs.EventLog(path) as log:
-            log.emit_metrics(registry)
-        assert main(["obs", "slo", str(path)]) == 2
-        capsys.readouterr()
-        assert main(["obs", "slo", str(path), "--latency-threshold", "0.2"]) == 0
-
-    def test_event_log_without_snapshots_is_error(self, tmp_path, capsys):
-        path = tmp_path / "run_events.jsonl"
-        with obs.EventLog(path) as log:
-            log.emit("run_start")
-        assert main(["obs", "slo", str(path)]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_invalid_json_artifact_is_error(self, tmp_path, capsys):
-        path = tmp_path / "BENCH_slo.json"
-        path.write_text(json.dumps({"bench": "slo"}), encoding="utf-8")
-        assert main(["obs", "slo", str(path)]) == 1
-        assert "error:" in capsys.readouterr().err
-
 
 class TestObsReportAuditSummary:
     def test_event_log_report_includes_audit_summary(self, audit_file, capsys):
@@ -513,72 +415,24 @@ class TestObsReportSpanLog:
         assert main(["obs", "report", str(renamed)]) == 0
         assert "phases: 2 spans" in capsys.readouterr().out
 
-    def test_serve_trace_and_slo_directory_renders_both(self, tmp_path, capsys):
-        """A ``--trace-dir`` directory holds a span log next to the SLO
+    def test_serve_trace_and_bench_directory_renders_both(self, tmp_path, capsys):
+        """A ``--trace-dir`` directory holds a span log next to the serve
         bench; the report renders both instead of failing on the spans."""
         out_dir = str(tmp_path / "serve-out")
-        argv = ["--quick", "--trace-dir", out_dir, "--slo-dir", out_dir]
+        argv = ["--quick", "--trace-dir", out_dir, "--bench-dir", out_dir]
         assert main(["experiments", "serve", *argv]) == 0
         capsys.readouterr()
         assert main(["obs", "report", out_dir]) == 0
         captured = capsys.readouterr()
-        assert "bench: slo" in captured.out
+        assert "bench: serve" in captured.out
         assert "experiments.serve.run" in captured.out
         assert captured.err == ""
-
-
-class TestObsPostmortem:
-    """``obs report`` renders a flight-recorder bundle, found by content."""
-
-    def test_renders_bundle(self, tmp_path, capsys):
-        from repro.obs.flightrec import FlightRecorder
-
-        recorder = FlightRecorder(tmp_path, clock=lambda: 100.0)
-        recorder.record_event(
-            {"event": "calibration_degraded", "site": "core.calibration"}
-        )
-        path = recorder.dump(reason="resilience_error", site="core.calibration")
-        assert main(["obs", "report", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "post-mortem: resilience_error" in out
-        assert "site=core.calibration" in out
-        assert "calibration_degraded" in out
-
-    def test_missing_or_invalid_bundle_errors(self, tmp_path, capsys):
-        assert main(["obs", "report", str(tmp_path / "absent.json")]) == 1
-        assert "error:" in capsys.readouterr().err
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"postmortem": 99}))
-        assert main(["obs", "report", str(bad)]) == 1
-        assert "schema version" in capsys.readouterr().err
 
 
 def _bench_artifact(tmp_path):
     path = tmp_path / "BENCH_fig9.json"
     obs.write_bench_json(path, "fig9", [GOOD_ROW], meta={"seed": 2008})
     return path
-
-
-def _slo_artifact(tmp_path):
-    from repro.obs import slo
-
-    events = tmp_path / "run_events.jsonl"
-    registry = obs.MetricsRegistry()
-    registry.inc("serve.service.assessments", 100)
-    with obs.EventLog(events) as log:
-        log.emit_metrics(registry)
-    evaluation = slo.evaluate_events(events, slo.default_serve_slos())
-    path = tmp_path / "BENCH_slo.json"
-    obs.write_bench_json(path, "slo", obs.evaluation_to_bench_rows(evaluation))
-    return path
-
-
-def _postmortem_artifact(tmp_path):
-    from repro.obs.flightrec import FlightRecorder
-
-    recorder = FlightRecorder(tmp_path, clock=lambda: 100.0)
-    recorder.record_event({"event": "calibration_degraded", "site": "x"})
-    return recorder.dump(reason="resilience_error")
 
 
 def _span_artifact(tmp_path):
@@ -608,13 +462,6 @@ def _audit_artifact(tmp_path):
 ARTIFACT_KINDS = {
     # name: (writer, kind, report marker, validate marker)
     "bench": (_bench_artifact, "bench", "bench: fig9", "valid bench artifact"),
-    "bench_slo": (_slo_artifact, "bench", "bench: slo", "valid bench artifact"),
-    "postmortem": (
-        _postmortem_artifact,
-        "postmortem",
-        "post-mortem: resilience_error",
-        "valid postmortem artifact",
-    ),
     "spans": (_span_artifact, "spans", "phases: 2 spans", "2 span record(s), all valid"),
     "events": (_audit_artifact, "events", "audit summary", "audit record(s), all valid"),
 }
@@ -636,11 +483,11 @@ class TestEveryArtifactKind:
         assert captured.err == ""
 
     def test_directory_renders_each_file_by_its_kind(self, tmp_path, capsys):
-        _postmortem_artifact(tmp_path)
+        _span_artifact(tmp_path)
         _bench_artifact(tmp_path)
         assert main(["obs", "report", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "post-mortem: resilience_error" in out
+        assert "phases: 2 spans" in out
         assert "bench: fig9" in out
 
     def test_kind_ignores_the_file_name(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Exporter output formats: aligned text and Prometheus exposition."""
+"""Exporter output format: the aligned text listing."""
 
 import re
 
@@ -26,106 +26,3 @@ class TestTextExporter:
 
     def test_empty_registry(self):
         assert "no metrics" in obs.render_text(obs.MetricsRegistry())
-
-
-class TestPrometheusExporter:
-    def test_counter_exposition(self):
-        out = obs.render_prometheus(_populated_registry())
-        assert "# TYPE repro_core_calibration_cache_hits_total counter" in out
-        assert "repro_core_calibration_cache_hits_total 7" in out
-        assert 'repro_p2p_network_messages_total{type="lookup"} 3' in out
-
-    def test_gauge_exposition(self):
-        out = obs.render_prometheus(_populated_registry())
-        assert "# TYPE repro_simulation_totals_steps gauge" in out
-        assert "repro_simulation_totals_steps 50" in out
-
-    def test_histogram_as_summary(self):
-        out = obs.render_prometheus(_populated_registry())
-        assert "# TYPE repro_core_testing_seconds summary" in out
-        assert 'repro_core_testing_seconds{quantile="0.5"}' in out
-        assert 'repro_core_testing_seconds{quantile="0.99"}' in out
-        assert "repro_core_testing_seconds_count 3" in out
-        assert re.search(r"repro_core_testing_seconds_sum 0\.0[67]", out)
-
-    def test_names_sanitized(self):
-        reg = obs.MetricsRegistry()
-        reg.inc("weird-name.with chars!")
-        out = obs.render_prometheus(reg)
-        sample_lines = [l for l in out.splitlines() if not l.startswith("#")]
-        for line in sample_lines:
-            name = line.split("{")[0].split(" ")[0]
-            assert re.fullmatch(r"[a-zA-Z_:][a-zA-Z0-9_:]*", name), name
-
-    def test_type_comment_emitted_once_per_name(self):
-        reg = obs.MetricsRegistry()
-        reg.inc("msgs", 1, type="a")
-        reg.inc("msgs", 1, type="b")
-        out = obs.render_prometheus(reg)
-        assert out.count("# TYPE repro_msgs_total counter") == 1
-        assert out.count("repro_msgs_total{") == 2
-
-    def test_empty_registry(self):
-        assert obs.render_prometheus(obs.MetricsRegistry()) == ""
-
-    def test_help_emitted_once_per_family(self):
-        reg = obs.MetricsRegistry()
-        reg.inc("msgs", 1, type="a")
-        reg.inc("msgs", 1, type="b")
-        reg.set("load", 0.5)
-        out = obs.render_prometheus(reg)
-        assert out.count("# HELP repro_msgs_total repro metric 'msgs'") == 1
-        assert out.count("# HELP repro_load repro metric 'load'") == 1
-
-    def test_family_series_are_contiguous(self):
-        reg = obs.MetricsRegistry()
-        reg.inc("a.msgs", 1, type="x")
-        reg.set("b.gauge", 1)
-        reg.inc("a.msgs", 1, type="y")
-        out = obs.render_prometheus(reg)
-        lines = out.splitlines()
-        series = [l.split("{")[0].split(" ")[0] for l in lines if not l.startswith("#")]
-        # once a family's samples end, the name never reappears
-        seen, finished = set(), set()
-        for name in series:
-            assert name not in finished, f"family {name} split across the output"
-            if seen and name not in seen:
-                finished |= seen - {name}
-            seen.add(name)
-
-    def test_label_value_backslash_escaped(self):
-        reg = obs.MetricsRegistry()
-        reg.inc("m", 1, path="C:\\temp\\x")
-        out = obs.render_prometheus(reg)
-        assert 'path="C:\\\\temp\\\\x"' in out
-
-    def test_label_value_quote_escaped(self):
-        reg = obs.MetricsRegistry()
-        reg.inc("m", 1, msg='say "hi"')
-        out = obs.render_prometheus(reg)
-        assert 'msg="say \\"hi\\""' in out
-
-    def test_label_value_newline_escaped(self):
-        reg = obs.MetricsRegistry()
-        reg.inc("m", 1, text="line1\nline2")
-        out = obs.render_prometheus(reg)
-        assert 'text="line1\\nline2"' in out
-        # the exposition format is line-oriented: no raw newline may leak
-        for line in out.splitlines():
-            assert "line1" not in line or "line2" in line
-
-    def test_escaping_round_trips_through_exposition_parser(self):
-        # unescape exactly per the spec and recover the original value
-        reg = obs.MetricsRegistry()
-        original = 'mix\\of "all" three\nescapes'
-        reg.inc("m", 1, v=original)
-        out = obs.render_prometheus(reg)
-        (line,) = [l for l in out.splitlines() if l.startswith("repro_m_total{")]
-        quoted = line[line.index('v="') + 3 : line.rindex('"}')]
-        unescaped = (
-            quoted.replace("\\\\", "\x00")
-            .replace('\\"', '"')
-            .replace("\\n", "\n")
-            .replace("\x00", "\\")
-        )
-        assert unescaped == original

@@ -173,6 +173,26 @@ class TestStreamingHistogram:
         assert h.min <= h.p50 and h.p99 <= h.max * 1.1
 
 
+class TestFractionBelow:
+    def test_empty_is_nan(self):
+        assert math.isnan(StreamingHistogram().fraction_below(1.0))
+
+    def test_all_below_and_all_above(self):
+        hist = StreamingHistogram()
+        for value in (0.01, 0.02, 0.03):
+            hist.observe(value)
+        assert hist.fraction_below(1.0) == 1.0
+        assert hist.fraction_below(0.001) == 0.0
+
+    def test_split_is_bucket_resolution_close(self):
+        hist = StreamingHistogram()
+        for _ in range(90):
+            hist.observe(0.01)
+        for _ in range(10):
+            hist.observe(0.5)
+        assert hist.fraction_below(0.1) == pytest.approx(0.9, abs=0.02)
+
+
 class TestHistogramMerge:
     def _sample(self, values):
         hist = StreamingHistogram()

@@ -114,7 +114,6 @@ class TestTimingHygiene:
     WALL_CLOCK_ALLOWLIST = {
         "obs/context.py": 1,  # _ANCHOR_WALL: per-process anchor pairing
         "obs/events.py": 2,  # run_metadata + event record timestamps
-        "resilience/runtime.py": 1,  # flight-recorder record timestamp
     }
 
     def test_wall_clock_reads_confined_to_timestamp_allowlist(self):
