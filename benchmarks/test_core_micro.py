@@ -8,13 +8,16 @@ transaction, plus a look-ahead).
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterNode, ReplicaBatch
 from repro.core.calibration import ThresholdCalibrator
-from repro.core.config import BehaviorTestConfig
+from repro.core.config import AssessorConfig, BehaviorTestConfig
 from repro.core.model import generate_honest_outcomes
 from repro.core.multi_testing import MultiBehaviorTest
 from repro.core.testing import SingleBehaviorTest
 from repro.feedback.history import TransactionHistory
+from repro.feedback.records import Feedback, Rating
 from repro.feedback.store import StringTable
+from repro.p2p.network import SimulatedNetwork
 from repro.stats.binomial import binomial_pmf
 from repro.trust.weighted import WeightedTrust
 
@@ -220,3 +223,41 @@ def test_intern_many(benchmark, cold_start_ids, column, path):
     codes, fresh = intern()
     assert codes.size == values.size and len(fresh) == np.unique(values).size
     benchmark(intern)
+
+
+@pytest.mark.parametrize("events, servers", [(16, 4), (2000, 800)])
+def test_replica_apply_events(benchmark, events, servers):
+    """One replica folding one write message: 16 events over 4 servers
+    (a round's message) and 2,000 over 800 (a fleet ingest batch), each
+    message built as the coordinator builds it and each server's live
+    history registered with the replica's service."""
+    rng = np.random.default_rng(7)
+    names = [f"server-{i:05d}" for i in range(servers)]
+    clocks = np.zeros(servers)
+
+    def message():
+        feedbacks = []
+        for s in rng.integers(0, servers, size=events).tolist():
+            clocks[s] += 1.0
+            feedbacks.append(
+                Feedback(
+                    time=float(clocks[s]),
+                    server=names[s],
+                    client=f"client-{int(rng.integers(0, 500)):03d}",
+                    rating=Rating.POSITIVE if rng.random() < 0.9 else Rating.NEGATIVE,
+                )
+            )
+        servers_in = sorted({fb.server for fb in feedbacks})
+        (batch,) = ReplicaBatch.split(feedbacks, [servers_in])
+        return batch
+
+    network = SimulatedNetwork(name="micro")
+    node = ClusterNode("replica", network, config=AssessorConfig())
+    for _ in range(3):
+        node.apply_events(message())
+    benchmark.pedantic(
+        node.apply_events,
+        setup=lambda: ((message(),), {}),
+        rounds=200 if events < 100 else 20,
+        iterations=1,
+    )

@@ -22,7 +22,8 @@ they are load-sensitive; both sides are measured as a min-of-repeats so
 scheduler noise cancels out of the comparison.  The trace and scope
 workloads take 1-13 ms a run, too short for one run to resolve a 5-10%
 budget on a small shared host, so each of their samples alternates the
-two sides run by run until each has ``SAMPLE_S`` of work
+two sides run by run until each has ``SAMPLE_S`` of work, and the
+comparison is the median of the samples' ratios
 (:func:`_paired_samples`).
 """
 
@@ -83,14 +84,17 @@ def _min_of(fn, repeats=REPEATS):
 
 
 def _paired_samples(baseline, enabled):
-    """Per-run time of each side, as the min over ``REPEATS`` samples.
+    """Per-run time of each side in the sample with the median ratio.
 
     A sample alternates one ``baseline`` and one ``enabled`` run back to
     back until each side has ``SAMPLE_S`` of work, timing each run, so
     load that shifts during the measurement lands on both sides alike.
+    The two sides are compared within each of ``REPEATS`` samples and
+    the median sample is returned: a minimum taken on each side apart
+    can pair one side's luckiest sample with the other's ordinary one.
     """
     runs = max(1, math.ceil(SAMPLE_S / _min_of(baseline, 3)))
-    best_base = best_enabled = float("inf")
+    samples = []
     for _ in range(REPEATS):
         base = on = 0.0
         for _ in range(runs):
@@ -100,9 +104,9 @@ def _paired_samples(baseline, enabled):
             enabled()
             on += time.perf_counter() - middle
             base += middle - start
-        best_base = min(best_base, base / runs)
-        best_enabled = min(best_enabled, on / runs)
-    return best_base, best_enabled
+        samples.append((base / runs, on / runs))
+    samples.sort(key=lambda sample: sample[1] / sample[0])
+    return samples[len(samples) // 2]
 
 
 def _multi_test_run(span_name):

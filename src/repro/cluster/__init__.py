@@ -21,7 +21,7 @@ See ``docs/CLUSTER.md`` for the full protocol walk-through and the
 degradation matrix.
 """
 
-from .node import ClusterNode, ShardState, event_digest
+from .node import ClusterNode, ReplicaBatch, ShardState, event_digest, event_digests
 from .partition import HashRingView
 from .service import ClusterAssessmentService, PeerUnavailable
 
@@ -30,6 +30,8 @@ __all__ = [
     "ClusterNode",
     "HashRingView",
     "PeerUnavailable",
+    "ReplicaBatch",
     "ShardState",
     "event_digest",
+    "event_digests",
 ]

@@ -19,48 +19,71 @@ collapse idempotently).  Each skip is counted with a reason, in the
 reply and as ``cluster.shard.events_skipped``:
 ``below_watermark`` (earlier than the mark: a replay and a late event
 look the same there) or ``duplicate_digest`` (at the mark, already
-applied).  A message is folded per server run: the run's events, in
-arrival order, take one watermark pass (:meth:`ShardState.admit`), the
-admitted events of the whole message one ledger append, and each run
-one digest update (:meth:`ShardState.applied`).  An armed fault plan
-needs per-event fault sequencing, so it takes the event-at-a-time
-path, which the batched one reproduces exactly.  Divergence *repair*
-never goes through it: read repair, anti-entropy and membership changes
-all pull the replicas' copies (``cluster_pull``) and install the merged
-stream via ``cluster_reset``, which rebuilds the server's ledger
-history, serving state, and shard digest from scratch.
+applied).
 
-Digests are 64-bit integers.  An event's digest hashes memoised
-blake2b keys of its ids together with the bits of its time, its rating
-and its flags, so it is stable across processes (no salted ``str``
-hash).  A server's content digest rolls the event digests in fold
-order, ``acc = acc * P + d (mod 2**64)``.  It is deliberately order
-dependent: two replicas holding the same tied events in a different
-order can cut different windows, so their verdicts may differ, and the
-differing digests are what sends them to read repair.
+A message is a :class:`ReplicaBatch`: columns the coordinator built once
+per client batch (:meth:`ReplicaBatch.split`), with the event digests
+and the per-server runs already computed, so a replica hashes no id
+and computes no digest.  It is folded with numpy: a run that starts
+above its server's watermark, never goes back in time and repeats no
+``(time, digest)`` is admitted whole; only the other runs take the
+scalar watermark pass (:meth:`ShardState.admit`).  All admitted runs
+take one state update (:meth:`ShardState.applied`, one
+``np.add.reduceat`` for every content digest) and the whole message
+one columnar ledger append.  An armed fault plan needs per-event fault
+sequencing, so it takes the event-at-a-time path, which the columnar
+one reproduces exactly.  Divergence *repair* never goes through it:
+read repair, anti-entropy and membership changes all pull the
+replicas' copies (``cluster_pull``) and install the merged stream via
+``cluster_reset``, which rebuilds the server's ledger history, serving
+state, and shard digest from scratch.
+
+Digests are 64-bit integers.  An event's digest chains five words —
+memoised blake2b keys of its server and client, the bits of its time,
+the key of its category and its rating and authenticity flags — as
+``acc = (acc ^ word) * P (mod 2**64)``: :func:`event_digest` for one
+event, :func:`event_digests` for a batch, bit for bit alike and stable
+across processes (no salted ``str`` hash).  A server's content digest
+rolls the event digests in fold order, ``acc = acc * P + d (mod
+2**64)``.  It is deliberately order dependent: two replicas holding the
+same tied events in a different order can cut different windows, so
+their verdicts may differ, and the differing digests are what sends
+them to read repair.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.config import AssessorConfig
 from ..core.two_phase import Assessor
 from ..feedback.ledger import FeedbackLedger
 from ..feedback.records import Feedback
+from ..feedback.store import FeedbackBatch, ServerRuns, group_ids
 from ..obs import runtime as _obs
 from ..obs import scope as _scope
 from ..p2p.network import SimulatedNetwork
 from ..resilience import runtime as _res
 from ..serve import AssessmentService
 
-__all__ = ["ClusterNode", "ShardState", "event_digest", "rolling_digest"]
+__all__ = [
+    "ClusterNode",
+    "ReplicaBatch",
+    "ShardState",
+    "event_digest",
+    "event_digests",
+    "rolling_digest",
+]
 
 _MASK = (1 << 64) - 1
-#: multiplier of the rolling digest; odd and 3 mod 4, so swapping two
-#: different event digests changes the result
+#: multiplier of the rolling digest and of the event digest's word
+#: chain; odd and 3 mod 4, so swapping two different event digests
+#: changes the result
 _ROLL = 0x100000001B3
 _double = struct.Struct("<d").pack
 #: entity id -> 64-bit key; bounded by the ids the ledgers already hold
@@ -79,32 +102,62 @@ def _key(text: Optional[str]) -> int:
     return key
 
 
-def _digest(server_key: int, feedback: Feedback) -> int:
-    client_key = _KEYS.get(feedback.client)
-    if client_key is None:
-        client_key = _key(feedback.client)
-    # a tuple of ints hashes without the salted str hash; the rating
-    # is an IntEnum, which hashes as its int value
-    return hash(
-        (
-            server_key,
-            client_key,
-            int.from_bytes(_double(feedback.time), "little"),
-            feedback.rating,
-            _key(feedback.category),
-            feedback.authentic,
-        )
-    ) & _MASK
-
-
 def event_digest(feedback: Feedback) -> int:
     """Content digest of one feedback event (the dedup/merge key).
 
     Two events with identical ``(time, server, client, rating, category,
     authentic)`` are indistinguishable under at-least-once delivery and
-    collapse into one — the standard trade-off.
+    collapse into one — the standard trade-off.  The scalar twin of
+    :func:`event_digests`, bit for bit.
     """
-    return _digest(_key(feedback.server), feedback)
+    words = (
+        _key(feedback.server),
+        _key(feedback.client),
+        int.from_bytes(_double(feedback.time), "little"),
+        _key(feedback.category),
+        int(feedback.rating) | (2 if feedback.authentic else 0),
+    )
+    acc = 0
+    for word in words:
+        acc = ((acc ^ word) * _ROLL) & _MASK
+    return acc
+
+
+def _keys(ids: np.ndarray) -> np.ndarray:
+    """The memoised keys of an object array of ids."""
+    texts = ids.tolist()
+    try:
+        return np.array(list(map(_KEYS.__getitem__, texts)), dtype=np.uint64)
+    except KeyError:  # an id seen for the first time
+        return np.array([_key(text) for text in texts], dtype=np.uint64)
+
+
+_U_ROLL = np.uint64(_ROLL)
+
+
+def event_digests(batch: FeedbackBatch) -> np.ndarray:
+    """:func:`event_digest` of every row of a grouped batch, as ``uint64``.
+
+    The id keys are looked up once per distinct id; the words are
+    chained with numpy's wrapping ``uint64`` arithmetic.
+    """
+    server_ids, servers = batch.server_groups
+    client_ids, clients = batch.client_groups
+    # the first step of the chain, (0 ^ key) * P, once per server
+    acc = (_keys(server_ids) * _U_ROLL)[servers]
+    acc ^= _keys(client_ids)[clients]
+    acc *= _U_ROLL
+    acc ^= np.ascontiguousarray(batch.times, dtype="<f8").view("<u8")
+    acc *= _U_ROLL
+    if batch.categories is not None:
+        acc ^= np.array([_key(c) for c in batch.categories], dtype=np.uint64)
+    acc *= _U_ROLL
+    flags = batch.ratings | (
+        np.uint8(2) if batch.authentic is None else batch.authentic.view(np.uint8) << 1
+    )
+    acc ^= flags
+    acc *= _U_ROLL
+    return acc
 
 
 def rolling_digest(digests: Iterable[int], acc: int = 0) -> int:
@@ -114,32 +167,288 @@ def rolling_digest(digests: Iterable[int], acc: int = 0) -> int:
     return acc
 
 
+#: _ROLL ** k and _ROLL ** -k (mod 2**64; _ROLL is odd, so invertible)
+#: for k = 0, 1, ...; grown on demand
+_POWERS: Tuple[np.ndarray, np.ndarray] = (np.ones(1, np.uint64), np.ones(1, np.uint64))
+
+
+def _powers(k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """At least ``_ROLL ** 0 .. _ROLL ** k`` and their inverses."""
+    global _POWERS
+    have = _POWERS[0].size
+    if k >= have:
+        grow = max(k + 1, 2 * have, 4096) - have
+        steps = (
+            np.multiply.accumulate(np.full(grow, base, dtype=np.uint64))
+            for base in (_ROLL, pow(_ROLL, -1, 1 << 64))
+        )
+        _POWERS = tuple(
+            np.append(table, table[-1] * step) for table, step in zip(_POWERS, steps)
+        )
+    return _POWERS
+
+
+class DigestRuns:
+    """Stored runs to account: ``times`` and ``digests`` (``uint64``)
+    with run ``r`` spanning rows ``bounds[r]:bounds[r + 1]``, each run
+    non-empty and time-ordered.
+
+    :meth:`rolled` derives, once, everything :meth:`ShardState.applied`
+    needs that does not depend on the states the runs are accounted
+    to, so the replicas of one message share it.
+    """
+
+    __slots__ = ("times", "digests", "bounds", "_rolled", "_within")
+
+    def __init__(
+        self,
+        times: np.ndarray,
+        digests: np.ndarray,
+        bounds: np.ndarray,
+        within: Optional[Tuple["DigestRuns", int, int]] = None,
+    ):
+        self.times = times
+        self.digests = digests
+        self.bounds = bounds
+        self._rolled: Optional[tuple] = None
+        #: ``(whole, first, last)`` when these are runs ``first:last`` of
+        #: ``whole``, whose :meth:`rolled` these then slice
+        self._within = within
+
+    def rolled(self) -> tuple:
+        """``(counts, P**counts, sums, lasts, tails, ties)``: each run's
+        length, the multiplier and the addend that roll a content digest
+        over it (``acc * P**k + sums``), its last time, its last
+        digest, and the ``(run, digest)`` of every other event tied with
+        its run's last one.
+
+        The sum over a run ending at row ``e`` is ``P**e * sum(d[i] *
+        P**-i)`` — ``P`` is odd, so invertible — one ``np.add.reduceat``
+        for every run (``uint64`` wrap-around is the ``mod 2**64``).
+        """
+        if self._rolled is None and self._within is not None:
+            # the sums do not depend on where the runs sit in the array:
+            # P**e * P**-i only sees the distance from a row to its run's end
+            whole, first, last = self._within
+            counts, multipliers, sums, lasts, tails, ties = whole.rolled()
+            self._rolled = (
+                counts[first:last],
+                multipliers[first:last],
+                sums[first:last],
+                lasts[first:last],
+                tails[first:last],
+                [(r - first, d) for r, d in ties if first <= r < last],
+            )
+        if self._rolled is None:
+            times, digests, bounds = self.times, self.digests, self.bounds
+            starts, ends = bounds[:-1], bounds[1:] - 1
+            counts = bounds[1:] - starts
+            powers, inverses = _powers(times.size)
+            sums = powers[ends] * np.add.reduceat(
+                digests * inverses[: times.size], starts
+            )
+            lasts = times[ends]
+            ties: List[Tuple[int, int]] = []
+            tied = times[1:] == times[:-1]
+            tied[ends[:-1]] = False  # a step from one run to the next
+            if tied.any():
+                run = np.arange(starts.size).repeat(counts)
+                at = (times == lasts[run]).nonzero()[0]
+                ties = list(zip(run[at].tolist(), digests[at].tolist()))
+            self._rolled = (
+                counts.tolist(),
+                powers[counts].tolist(),
+                sums.tolist(),
+                lasts.tolist(),
+                digests[ends].tolist(),
+                ties,
+            )
+        return self._rolled
+
+
+@dataclass
+class ReplicaBatch(FeedbackBatch):
+    """One replica write message: a grouped feedback batch plus its
+    event-digest column (:func:`event_digests`).
+
+    The coordinator columnarizes each client batch once and sends each
+    preference group a slice of it (:meth:`split`), so no replica
+    groups an id or computes a digest again.  A list of records given
+    to :meth:`ClusterNode.apply_events` is columnarized on arrival.
+    """
+
+    digests: Optional[np.ndarray] = None
+    _admission: Optional[Tuple[DigestRuns, Optional[np.ndarray]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @classmethod
+    def from_feedbacks(
+        cls,
+        feedbacks: Sequence[Feedback],
+        *,
+        server_ids: Optional[Sequence[str]] = None,
+    ) -> "ReplicaBatch":
+        batch = super().from_feedbacks(feedbacks, server_ids=server_ids)
+        batch.digests = event_digests(batch)
+        return batch
+
+    def take(self, rows: np.ndarray) -> "ReplicaBatch":
+        batch = super().take(rows)
+        batch._admission = None
+        batch.digests = self.digests[rows]
+        return batch
+
+    def run_digests(self) -> Tuple[DigestRuns, Optional[np.ndarray]]:
+        """The batch's :meth:`server_runs` as :class:`DigestRuns`, and
+        the runs that go back in time or repeat a ``(time, digest)``
+        (``None`` when none does) — what admission needs besides each
+        replica's watermarks, computed once per message."""
+        if self._admission is None:
+            runs = self.server_runs()
+            digests = self.digests[runs.order]
+            irregular = runs.backward
+            times = runs.times
+            tied = times[1:] == times[:-1]
+            tied[runs.bounds[1:-1] - 1] = False  # a step from one run to the next
+            if tied.any():
+                groups = runs.inverse[runs.order]
+                ranked = np.lexsort((digests, times, groups))
+                g, t, d = groups[ranked], times[ranked], digests[ranked]
+                repeat = (g[1:] == g[:-1]) & (t[1:] == t[:-1]) & (d[1:] == d[:-1])
+                if repeat.any():
+                    irregular = (
+                        np.zeros(len(runs.ids), dtype=bool)
+                        if irregular is None
+                        else irregular.copy()
+                    )
+                    irregular[g[1:][repeat]] = True
+            self._admission = (DigestRuns(times, digests, runs.bounds), irregular)
+        return self._admission
+
+    @classmethod
+    def split(
+        cls, feedbacks: Sequence[Feedback], groups: Sequence[Sequence[str]]
+    ) -> List["ReplicaBatch"]:
+        """Columnarize a client batch once and cut it into one message
+        per server group (every server of ``feedbacks`` in exactly one
+        group), each in arrival order.
+
+        The rows are columnarized in message order, so each message's
+        columns are views, and each message's :meth:`server_runs` and
+        :meth:`run_digests` come sliced from the whole batch's: digests,
+        grouping and sorting happen once per client batch, not once per
+        message or replica.
+        """
+        slot = {server: m for m, group in enumerate(groups) for server in group}
+        row_message = np.array([slot[fb.server] for fb in feedbacks], dtype=np.intp)
+        rows = row_message.argsort(kind="stable").tolist()
+        batch = cls.from_feedbacks(
+            list(map(feedbacks.__getitem__, rows)),
+            server_ids=[server for group in groups for server in group],
+        )
+        runs = batch.server_runs()
+        stored, irregular = batch.run_digests()
+        ratings, goods, run_bounds, lasts = batch.run_outcomes(runs)
+        client_ids, client_inverse = batch.client_groups
+        row_bounds = np.bincount(row_message, minlength=len(groups)).cumsum().tolist()
+        messages = []
+        lo = glo = 0
+        for group, hi in zip(groups, row_bounds):
+            ghi = glo + len(group)
+            part = object.__new__(cls)
+            part.__dict__.update(batch.__dict__)
+            part.times = batch.times[lo:hi]
+            part.servers = batch.servers[lo:hi]
+            part.clients = batch.clients[lo:hi]
+            part.ratings = batch.ratings[lo:hi]
+            if batch.categories is not None:
+                part.categories = batch.categories[lo:hi]
+            if batch.authentic is not None:
+                part.authentic = batch.authentic[lo:hi]
+            part.digests = batch.digests[lo:hi]
+            inverse = runs.inverse[lo:hi] - glo
+            part.server_groups = (runs.ids[glo:ghi], inverse)
+            # the batch's client ids for every message: a replica interns
+            # a few ids it holds no row of (invisible to every query),
+            # which costs less than narrowing the ids once per message
+            part.client_groups = (client_ids, client_inverse[lo:hi])
+            bounds = runs.bounds[glo : ghi + 1] - lo
+            backward = None if runs.backward is None else runs.backward[glo:ghi]
+            part._runs = ServerRuns(
+                runs.ids[glo:ghi],
+                runs.servers[glo:ghi],
+                inverse,
+                runs.order[lo:hi] - lo,
+                bounds,
+                runs.times[lo:hi],
+                runs.firsts[glo:ghi],
+                runs.lasts[glo:ghi],
+                None if backward is None or not backward.any() else backward,
+            )
+            flagged = None if irregular is None else irregular[glo:ghi]
+            part._admission = (
+                DigestRuns(
+                    runs.times[lo:hi],
+                    stored.digests[lo:hi],
+                    bounds,
+                    (stored, glo, ghi),
+                ),
+                None if flagged is None or not flagged.any() else flagged,
+            )
+            part._outcomes = (
+                ratings[lo:hi],
+                goods[glo:ghi],
+                [b - lo for b in run_bounds[glo : ghi + 1]],
+                lasts[glo:ghi],
+            )
+            messages.append(part)
+            lo, glo = hi, ghi
+        return messages
+
+    @classmethod
+    def concat(cls, batches: Sequence["ReplicaBatch"]) -> "ReplicaBatch":
+        """One batch of ``batches``' rows, in order (a hint replay)."""
+        if len(batches) == 1:
+            return batches[0]
+        servers = np.concatenate([b.servers for b in batches])
+        clients = np.concatenate([b.clients for b in batches])
+        categories = None
+        if any(b.categories is not None for b in batches):
+            categories = np.concatenate(
+                [
+                    np.full(len(b), None, dtype=object)
+                    if b.categories is None
+                    else np.asarray(b.categories, dtype=object)
+                    for b in batches
+                ]
+            )
+        return cls(
+            times=np.concatenate([b.times for b in batches]),
+            servers=servers,
+            clients=clients,
+            ratings=np.concatenate([b.ratings for b in batches]),
+            categories=categories,
+            authentic=np.concatenate(
+                [
+                    np.ones(len(b), dtype=bool) if b.authentic is None else b.authentic
+                    for b in batches
+                ]
+            ),
+            server_groups=group_ids(servers.tolist()),
+            client_groups=group_ids(clients.tolist()),
+            digests=np.concatenate([b.digests for b in batches]),
+        )
+
+
+def _replica_batch(events) -> ReplicaBatch:
+    if isinstance(events, ReplicaBatch):
+        return events
+    return ReplicaBatch.from_feedbacks(events)
+
+
 def _skip_counts() -> Dict[str, int]:
     return {"below_watermark": 0, "duplicate_digest": 0}
-
-
-def _arrival_order(
-    events: List[Feedback], partial: Dict[str, List[Feedback]]
-) -> List[Feedback]:
-    """``events`` without the ones their server's run skipped.
-
-    ``partial`` maps each server whose run skipped something to the
-    events it admitted.  They are matched by identity, in order: a
-    record delivered twice is admitted at most once, at its first
-    delivery, so the first match is the right one.
-    """
-    cursors = {server: [admitted, 0] for server, admitted in partial.items()}
-    ordered = []
-    for feedback in events:
-        cursor = cursors.get(feedback.server)
-        if cursor is None:
-            ordered.append(feedback)
-            continue
-        admitted, i = cursor
-        if i < len(admitted) and admitted[i] is feedback:
-            ordered.append(feedback)
-            cursor[1] = i + 1
-    return ordered
 
 
 class ShardState:
@@ -156,10 +465,11 @@ class ShardState:
         self.content_hash = 0
 
     def admit(
-        self, run: List[Feedback], skipped: Dict[str, int]
-    ) -> Tuple[List[Feedback], List[int]]:
-        """The events of one server's run that folding them one at a
-        time would apply, with their digests.
+        self, times: Sequence[float], digests: Sequence[int], skipped: Dict[str, int]
+    ) -> List[int]:
+        """The positions, in one server's run of events (their times
+        and digests, in arrival order), of the events folding them one
+        at a time would apply.
 
         Counts each skipped event into ``skipped`` by reason.  Below
         the watermark a replay and a late event look the same, so that
@@ -167,40 +477,42 @@ class ShardState:
         is not changed; :meth:`applied` does that once the admitted
         events are stored.
         """
-        server_key = _key(run[0].server)
         last, ties = self.last_time, self.tie_digests
-        admitted: List[Feedback] = []
-        digests: List[int] = []
-        tied_from = 0  # digests[tied_from:] are of events at ``last``
-        for feedback in run:
-            time = feedback.time
+        admitted: List[int] = []
+        tied: List[int] = []  # digests admitted at ``last`` in this run
+        for i, (time, digest) in enumerate(zip(times, digests)):
             if time < last:
                 skipped["below_watermark"] += 1
                 continue
-            digest = _digest(server_key, feedback)
             if time > last:
-                last, ties, tied_from = time, (), len(digests)
-            elif digest in ties or digest in digests[tied_from:]:
+                last, ties, tied = time, (), []
+            elif digest in ties or digest in tied:
                 skipped["duplicate_digest"] += 1
                 continue
-            admitted.append(feedback)
-            digests.append(digest)
-        return admitted, digests
+            admitted.append(i)
+            tied.append(digest)
+        return admitted
 
-    def applied(self, feedbacks: List[Feedback], digests: List[int]) -> None:
-        """Account a stored run: time-ordered, none below the watermark."""
-        if not feedbacks:
-            return
-        last = feedbacks[-1].time
-        if last > self.last_time:
-            self.last_time = last
-            self.tie_digests.clear()
-        i = len(feedbacks) - 1
-        while i >= 0 and feedbacks[i].time == last:
-            self.tie_digests.add(digests[i])
-            i -= 1
-        self.n += len(feedbacks)
-        self.content_hash = rolling_digest(digests, self.content_hash)
+    @staticmethod
+    def applied(states: Sequence["ShardState"], runs: DigestRuns) -> None:
+        """Account stored runs: run ``r`` of ``runs`` holds nothing
+        below the watermark of ``states[r]``.
+
+        Each content digest rolls as :func:`rolling_digest` would over
+        its run, for every run at once (:meth:`DigestRuns.rolled`).
+        """
+        counts, multipliers, sums, lasts, tails, ties = runs.rolled()
+        for state, count, last, multiplier, addend, tail in zip(
+            states, counts, lasts, multipliers, sums, tails
+        ):
+            state.n += count
+            state.content_hash = (state.content_hash * multiplier + addend) & _MASK
+            if last > state.last_time:
+                state.last_time = last
+                state.tie_digests.clear()
+            state.tie_digests.add(tail)
+        for r, digest in ties:
+            states[r].tie_digests.add(digest)
 
 
 class ClusterNode:
@@ -217,15 +529,15 @@ class ClusterNode:
         self.name = name
         self._network = network
         network.register(name, self._handle)
-        self.ledger = FeedbackLedger(backend="memory")
+        self.ledger = FeedbackLedger(backend="columnar")
         self.service = AssessmentService(
             assessor=Assessor.from_config(config, calibrator=calibrator),
             ledger=self.ledger,
         )
         self.shards: Dict[str, ShardState] = {}
         #: hinted writes held for unreachable ring positions:
-        #: target node name -> time-ordered event list
-        self.hints: Dict[str, List[Feedback]] = {}
+        #: target node name -> the messages, in arrival order
+        self.hints: Dict[str, List[ReplicaBatch]] = {}
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -243,19 +555,23 @@ class ClusterNode:
     # data plane
 
     def apply_events(
-        self, events: List[Feedback], skipped: Optional[Dict[str, int]] = None
+        self, events, skipped: Optional[Dict[str, int]] = None
     ) -> int:
-        """Fold events into this shard, skipping events at or below its
-        watermark; returns how many were applied.
+        """Fold a message — a :class:`ReplicaBatch`, or feedback records,
+        which are columnarized first — into this shard, skipping events
+        at or below its watermark; returns how many were applied.
 
         Skips are counted by reason into ``skipped`` when given, and
         into ``cluster.shard.events_skipped`` when observed.
         """
+        batch = _replica_batch(events)
         counts = _skip_counts()
-        if _res.armed:
-            applied = self._apply_each(events, counts)
+        if not len(batch):
+            applied = 0
+        elif _res.armed:
+            applied = self._apply_each(batch, counts)
         else:
-            applied = self._apply_runs(events, counts)
+            applied = self._apply_columns(batch, counts)
         if skipped is not None:
             for reason, count in counts.items():
                 skipped[reason] = skipped.get(reason, 0) + count
@@ -269,50 +585,84 @@ class ClusterNode:
             _obs.registry.inc("cluster.shard.events_applied", applied)
         return applied
 
-    def _apply_runs(self, events: List[Feedback], skipped: Dict[str, int]) -> int:
-        """The batched fold: per server run, one watermark pass and one
-        digest update; then one ledger append of the admitted events,
-        in arrival order.  Accounting the runs before the append is
-        safe: a run admits only events at or above its watermark, in
-        time order, and the watermark is the ledger history's last
-        time, so the append cannot refuse them."""
-        runs: Dict[str, List[Feedback]] = {}
-        for feedback in events:
-            run = runs.get(feedback.server)
-            if run is None:
-                runs[feedback.server] = [feedback]
-            else:
-                run.append(feedback)
-        applied = 0
-        partial: Dict[str, List[Feedback]] = {}
-        for server, run in runs.items():
-            state = self.shards.get(server)
+    def _states(
+        self, servers: List[str], firsts: List[float]
+    ) -> Tuple[List[ShardState], List[int]]:
+        """Each server's state (created on first sight), and the runs
+        that start at or below their server's watermark."""
+        shards = self.shards
+        states = []
+        behind = []
+        for g, (server, first) in enumerate(zip(servers, firsts)):
+            state = shards.get(server)
             if state is None:
-                state = self.shards[server] = ShardState()
-            admitted, digests = state.admit(run, skipped)
-            if admitted:
-                state.applied(admitted, digests)
-                applied += len(admitted)
-            if len(admitted) < len(run):
-                partial[server] = admitted
-        if partial:
-            events = _arrival_order(events, partial)
-        if applied:
-            self.ledger.record_batch(events)
-        return applied
+                state = shards[server] = ShardState()
+            elif first <= state.last_time:
+                behind.append(g)
+            states.append(state)
+        return states, behind
 
-    def _apply_each(self, events: List[Feedback], skipped: Dict[str, int]) -> int:
+    def _apply_columns(self, batch: ReplicaBatch, skipped: Dict[str, int]) -> int:
+        """The columnar fold.  Rows are grouped into per-server runs
+        (arrival order within a run).  A run that starts above its
+        watermark, never goes back in time and repeats no ``(time,
+        digest)`` is admitted whole, which is what folding it one event
+        at a time would do; any other run takes :meth:`ShardState.admit`.
+        The admitted runs are accounted in one :meth:`ShardState.applied`
+        and stored in one ledger append, in arrival order.  Accounting
+        before the append is safe: a run admits only events at or above
+        its watermark, in time order, and the watermark is the ledger
+        history's last time, so the append cannot refuse them."""
+        runs = batch.server_runs()
+        stored, irregular = batch.run_digests()
+        states, slow = self._states(runs.servers, runs.firsts)
+        if irregular is not None:
+            slow = sorted(set(slow).union(irregular.nonzero()[0].tolist()))
+        if slow:
+            times, digests, bounds = stored.times, stored.digests, stored.bounds
+            n = len(batch)
+            admitted = np.ones(n, dtype=bool)
+            for g in slow:
+                lo, hi = bounds[g], bounds[g + 1]
+                taken = states[g].admit(
+                    times[lo:hi].tolist(), digests[lo:hi].tolist(), skipped
+                )
+                if len(taken) < hi - lo:
+                    admitted[lo:hi] = False
+                    admitted[lo + np.array(taken, dtype=np.intp)] = True
+            if not admitted.all():
+                if not admitted.any():
+                    return 0
+                counts = np.add.reduceat(admitted, bounds[:-1], dtype=np.intp)
+                states = [state for state, k in zip(states, counts.tolist()) if k]
+                stored = DigestRuns(
+                    times[admitted],
+                    digests[admitted],
+                    np.append(0, counts[counts > 0].cumsum()),
+                )
+                mask = np.zeros(n, dtype=bool)
+                mask[runs.order[admitted]] = True
+                batch = batch.take(mask)
+        ShardState.applied(states, stored)
+        self.ledger.record_batch(batch)
+        return len(batch)
+
+    def _apply_each(self, batch: ReplicaBatch, skipped: Dict[str, int]) -> int:
         """One event at a time, so an armed fault plan sees every
         ledger fold in order."""
         applied = 0
-        for feedback in events:
+        one = np.array([0, 1])
+        for i in range(len(batch)):
+            feedback = batch.feedback_at(i)
             state = self.shards.get(feedback.server)
             if state is None:
                 state = self.shards[feedback.server] = ShardState()
-            admitted, digests = state.admit([feedback], skipped)
-            if admitted:
+            digest = batch.digests[i : i + 1]
+            if state.admit([feedback.time], digest.tolist(), skipped):
                 self.ledger.record(feedback)
-                state.applied(admitted, digests)
+                ShardState.applied(
+                    [state], DigestRuns(batch.times[i : i + 1], digest, one)
+                )
                 applied += 1
         return applied
 
@@ -325,8 +675,15 @@ class ClusterNode:
         ordered = [fb for _, fb in keyed]
         self.ledger.reset_server(server, ordered)
         state = ShardState()
-        state.applied(ordered, [digest for digest, _ in keyed])
         if ordered:
+            ShardState.applied(
+                [state],
+                DigestRuns(
+                    np.array([fb.time for fb in ordered], dtype=np.float64),
+                    np.array([digest for digest, _ in keyed], dtype=np.uint64),
+                    np.array([0, len(ordered)]),
+                ),
+            )
             self.shards[server] = state
             self.service.replace_server(self.ledger.history(server))
         else:
@@ -376,10 +733,10 @@ class ClusterNode:
             }
         if message_type == "cluster_hint_store":
             target = payload["target"]
-            self.hints.setdefault(target, []).extend(payload["events"])
+            self.hints.setdefault(target, []).append(payload["events"])
             if _obs.enabled:
                 _obs.registry.inc("cluster.hints.stored", len(payload["events"]))
-            return {"held": len(self.hints[target])}
+            return {"held": sum(len(batch) for batch in self.hints[target])}
         if message_type == "cluster_hint_replay":
             return self._replay_hints(payload["target"])
         raise ValueError(f"unknown message type {message_type!r}")
@@ -415,9 +772,10 @@ class ClusterNode:
 
     def _replay_hints(self, target: str) -> Dict[str, int]:
         """Push held hints to their recovered target (cluster_record)."""
-        events = self.hints.pop(target, [])
-        if not events:
+        held = self.hints.pop(target, [])
+        if not held:
             return {"replayed": 0, "remaining": 0}
+        events = ReplicaBatch.concat(held)
         try:
             reply = self._network.send(
                 target, "cluster_record", {"events": events}
@@ -427,8 +785,11 @@ class ClusterNode:
         if reply is None:
             # target still unreachable (or the replay was dropped):
             # keep holding, the next recovery pass tries again
-            self.hints[target] = events + self.hints.pop(target, [])
-            return {"replayed": 0, "remaining": len(self.hints[target])}
+            self.hints[target] = held + self.hints.pop(target, [])
+            return {
+                "replayed": 0,
+                "remaining": sum(len(batch) for batch in self.hints[target]),
+            }
         if _obs.enabled:
             _obs.registry.inc("cluster.hints.replayed", len(events))
         return {"replayed": len(events), "remaining": 0}
@@ -438,4 +799,4 @@ class ClusterNode:
 
     def open_hints(self) -> int:
         """Total hinted events currently held for unreachable targets."""
-        return sum(len(events) for events in self.hints.values())
+        return sum(len(batch) for held in self.hints.values() for batch in held)

@@ -53,7 +53,7 @@ from ..p2p.network import NodeUnreachable, SimulatedNetwork
 from ..resilience import runtime as _res
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.retry import RetryExhausted, RetryPolicy
-from .node import ClusterNode, event_digest, rolling_digest
+from .node import ClusterNode, ReplicaBatch, event_digest, rolling_digest
 from .partition import HashRingView
 
 __all__ = ["ClusterAssessmentService", "PeerUnavailable"]
@@ -218,7 +218,7 @@ class ClusterAssessmentService:
         the data, anti-entropy restores the factor later).
         """
         feedbacks = list(feedbacks)
-        servers = list(dict.fromkeys(fb.server for fb in feedbacks))
+        servers = list(dict.fromkeys([fb.server for fb in feedbacks]))
         self._servers.update(dict.fromkeys(servers))
         ctx = _ctx.current()
         if ctx is None and _obs.enabled:
@@ -227,16 +227,11 @@ class ClusterAssessmentService:
         skipped = {"below_watermark": 0, "duplicate_digest": 0}
         with _ctx.use(ctx):
             with _obs.span("cluster.record_batch", servers=len(servers)):
-                # one message per preference list, in arrival order
-                messages: Dict[Tuple[str, ...], List[Feedback]] = {}
-                route: Dict[str, List[Feedback]] = {}
-                for pref, group in self._ring.partition(servers).items():
-                    message = messages[pref] = []
-                    for server in group:
-                        route[server] = message
-                for feedback in feedbacks:
-                    route[feedback.server].append(feedback)
-                for pref, events in messages.items():
+                # one message per preference list, in arrival order: a
+                # slice of the batch's columns, digests included
+                groups = self._ring.partition(servers)
+                messages = ReplicaBatch.split(feedbacks, list(groups.values()))
+                for pref, events in zip(groups, messages):
                     for member in pref:
                         reply = self._call(
                             member, "cluster_record", {"events": events}
@@ -257,7 +252,7 @@ class ClusterAssessmentService:
         }
 
     def _hint(
-        self, target: str, pref: Tuple[str, ...], events: List[Feedback]
+        self, target: str, pref: Tuple[str, ...], events: ReplicaBatch
     ) -> int:
         """Park a failed replica write on the first member past ``pref``."""
         holder = self._hint_holder(pref)

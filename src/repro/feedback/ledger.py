@@ -19,8 +19,9 @@ The ledger is a *facade* over three storage backends, selected by name:
 
 All backends keep identical query semantics — ``history()`` returns the
 same live object, ``feedback_graph()`` the same dict byte-for-byte,
-``subscribe()`` fires per folded record — enforced by the shared
-conformance suite in ``tests/feedback/test_ledger_backends.py``.
+``subscribe()`` fires per folded record, ``subscribe_servers()`` once
+per server a fold touches — enforced by the shared conformance suite in
+``tests/feedback/test_ledger_backends.py``.
 """
 
 from __future__ import annotations
@@ -161,23 +162,24 @@ class MemoryLedgerBackend:
         events were installed.  An empty ``feedbacks`` removes the server
         entirely.
         """
-        had = server in self._by_server
-        if had:
-            self._all = [fb for fb in self._all if fb.server != server]
-            for client_events in self._by_client.values():
-                client_events[:] = [fb for fb in client_events if fb.server != server]
-            self._pair_last.pop(server, None)
-            del self._by_server[server]
-            self._histories.pop(server, None)
-        installed = 0
         for fb in feedbacks:
             if fb.server != server:
                 raise ValueError(
                     f"reset_server({server!r}) got feedback for {fb.server!r}"
                 )
-            if self.record(fb):
-                installed += 1
-        return installed
+        if server in self._by_server:
+            self._all = [fb for fb in self._all if fb.server != server]
+            for client, client_events in list(self._by_client.items()):
+                kept = [fb for fb in client_events if fb.server != server]
+                if kept:
+                    client_events[:] = kept
+                else:
+                    # a client left with no folded feedback is no client
+                    del self._by_client[client]
+            self._pair_last.pop(server, None)
+            del self._by_server[server]
+            self._histories.pop(server, None)
+        return sum(self.record(fb) for fb in feedbacks)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -269,6 +271,7 @@ class FeedbackLedger:
             raise ValueError(f"unknown ledger backend {backend!r}; known: {known}")
         self._backend = factory(quarantine=quarantine, **options)
         self._subscribers: List[Callable[[Feedback], None]] = []
+        self._server_subscribers: List[Callable[[EntityId], None]] = []
 
     @property
     def backend(self):
@@ -302,6 +305,21 @@ class FeedbackLedger:
         """Remove a previously subscribed callback (ValueError if absent)."""
         self._subscribers.remove(callback)
 
+    def subscribe_servers(self, callback) -> None:
+        """Call ``callback(server)`` for each server a fold touches.
+
+        Once per :meth:`record` that folds, and once per distinct server
+        of a :meth:`record_batch`, after the whole batch is folded — so
+        a consumer that only needs to learn servers (the serving
+        engine's registration) costs no call per event of a batch, and a
+        column batch can stay columnar.
+        """
+        self._server_subscribers.append(callback)
+
+    def unsubscribe_servers(self, callback) -> None:
+        """Remove a callback given to :meth:`subscribe_servers`."""
+        self._server_subscribers.remove(callback)
+
     def record(self, feedback: Feedback) -> bool:
         """Append one feedback; times per server must be non-decreasing.
 
@@ -312,6 +330,8 @@ class FeedbackLedger:
         if folded:
             for callback in self._subscribers:
                 callback(feedback)
+            for callback in self._server_subscribers:
+                callback(feedback.server)
         return folded
 
     def record_many(self, feedbacks: Iterable[Feedback]) -> int:
@@ -335,7 +355,8 @@ class FeedbackLedger:
         identical semantics.  Subscribers see every folded event, in
         order, after the fold; a column batch with subscribers takes
         the per-event path, since they need the records materialized.
-        Returns how many events were folded.
+        Server subscribers hear of each distinct server once, after the
+        fold.  Returns how many events were folded.
         """
         columns = hasattr(batch, "iter_feedbacks")
         bulk = getattr(self._backend, "record_batch", None)
@@ -346,6 +367,8 @@ class FeedbackLedger:
                     for fb in batch:
                         for callback in self._subscribers:
                             callback(fb)
+                if self._server_subscribers:
+                    self._announce(batch, columns)
                 return folded
         recorded = 0
         for fb in batch.iter_feedbacks() if columns else batch:
@@ -353,11 +376,21 @@ class FeedbackLedger:
                 recorded += 1
         return recorded
 
+    def _announce(self, batch, columns: bool) -> None:
+        """Tell the server subscribers each distinct server of ``batch``."""
+        if columns:
+            servers = batch.server_runs().servers
+        else:
+            servers = dict.fromkeys(fb.server for fb in batch)
+        for callback in self._server_subscribers:
+            for server in servers:
+                callback(server)
+
     def reset_server(self, server: EntityId, feedbacks: Iterable[Feedback]) -> int:
         """Replace every record for ``server`` with a reconciled stream.
 
-        Only backends with rebuildable per-server indexes support this
-        (currently ``memory``); others raise :class:`NotImplementedError`.
+        The ``memory`` and ``columnar`` backends support this; ``mmap``,
+        whose file is append-only, raises :class:`NotImplementedError`.
         Subscribers are *not* notified — a reset is a repair of existing
         state, not new feedback — so serving layers that cache per-server
         state must re-register the rebuilt history themselves (see

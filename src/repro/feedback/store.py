@@ -28,8 +28,9 @@ suites assert all of it, verdict-for-verdict).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from copy import copy
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -42,6 +43,8 @@ from .records import EntityId, Feedback, Rating
 __all__ = [
     "id_hash",
     "unique_ids",
+    "group_ids",
+    "ServerRuns",
     "StringTable",
     "FeedbackBatch",
     "ColumnarStore",
@@ -131,6 +134,24 @@ def unique_ids(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return uniq[order], inverse
 
 
+def group_ids(
+    values: Sequence[str], ids: Optional[Sequence[str]] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`unique_ids` of a sequence of Python strings, by dict.
+
+    One dict pass over the rows and a sort of the distinct ids only:
+    the sorted distinct ids (an object array) and each row's index into
+    them, exactly what :func:`unique_ids` returns for the same ids.
+    ``ids`` numbers the distinct ids in another order instead; it must
+    name each of them once.
+    """
+    if ids is None:
+        ids = sorted(dict.fromkeys(values))
+    position = dict(zip(ids, range(len(ids))))
+    inverse = np.array(list(map(position.__getitem__, values)), dtype=np.intp)
+    return np.array(ids, dtype=object), inverse
+
+
 class StringTable:
     """Bidirectional intern table: string id <-> dense integer code.
 
@@ -177,18 +198,30 @@ class StringTable:
         amortized away, and new codes (and the returned ids) come in
         sorted order.
         """
+        values = uniq.tolist()
+        codes, fresh = self.intern_codes(values, self.codes(values))
+        return np.array(codes, dtype=np.uint32)[inverse], fresh
+
+    def codes(self, values: List[str]) -> List[Optional[int]]:
+        """The code of each of ``values`` (``None`` when never interned)."""
+        return list(map(self._index.get, values))
+
+    def intern_codes(
+        self, values: List[str], codes: List[Optional[int]]
+    ) -> Tuple[List[int], List[str]]:
+        """Complete :meth:`codes` output: intern the ``None`` entries'
+        values, in order; returns every code and the new ids."""
         fresh: List[str] = []
-        codes = np.empty(len(uniq), dtype=np.uint32)
-        for i, value in enumerate(uniq.tolist()):
-            value = str(value)
-            code = self._index.get(value)
-            if code is None:
-                code = len(self._items)
-                self._index[value] = code
-                self._items.append(value)
-                fresh.append(value)
-            codes[i] = code
-        return codes[inverse], fresh
+        if None in codes:
+            codes = list(codes)
+            index = self._index
+            for i, code in enumerate(codes):
+                if code is None:
+                    value = str(values[i])
+                    codes[i] = index[value] = len(self._items)
+                    self._items.append(value)
+                    fresh.append(value)
+        return codes, fresh
 
     def lookup(self, value: str) -> Optional[int]:
         """The code of ``value``, or ``None`` when never interned."""
@@ -203,15 +236,44 @@ class StringTable:
         return list(self._items)
 
 
+class ServerRuns(NamedTuple):
+    """A batch's rows grouped into per-server runs.
+
+    ``ids`` / ``inverse`` are the server groups (the batch's, or
+    :func:`unique_ids`); ``order`` lists the rows by server, stably, so
+    each run keeps arrival order; run ``g`` (of ``ids[g]``) is
+    ``order[bounds[g]:bounds[g + 1]]``.  ``times`` is the time column in
+    that order, ``firsts`` / ``lasts`` each run's first and last time
+    (lists), and ``backward`` flags the runs that go back in time
+    (``None`` when none does).  ``servers`` is ``ids`` as a list.
+    """
+
+    ids: np.ndarray
+    servers: List[str]
+    inverse: np.ndarray
+    order: np.ndarray
+    bounds: np.ndarray
+    times: np.ndarray
+    firsts: List[float]
+    lasts: List[float]
+    backward: Optional[np.ndarray]
+
+
 @dataclass
 class FeedbackBatch:
     """A batch of feedback events as parallel column arrays.
 
     The columnar ingest interchange: ``times`` (float64), ``servers`` /
     ``clients`` (string arrays), ``ratings`` (0/1 uint8), optional
-    ``categories`` (list of ``str | None``) and ``authentic`` (bool).
-    Rows are in arrival order; the same validation as the per-event path
-    (non-decreasing times per server) is applied vectorized on ingest.
+    ``categories`` (a sequence of ``str | None``) and ``authentic``
+    (bool).  Rows are in arrival order; the same validation as the
+    per-event path (non-decreasing times per server) is applied
+    vectorized on ingest.  ``server_groups`` / ``client_groups``
+    optionally carry the id columns grouped — the distinct ids, each
+    occurring, and each row's index into them, as :func:`unique_ids`
+    gives them — when the producer already has them, so ingest neither
+    hashes nor sorts ids.  Codes are assigned in the order of the
+    distinct ids, so sorted ids give the codes a string sort would.
     """
 
     times: np.ndarray
@@ -220,6 +282,14 @@ class FeedbackBatch:
     ratings: np.ndarray
     categories: Optional[Sequence[Optional[str]]] = None
     authentic: Optional[np.ndarray] = None
+    server_groups: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    client_groups: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    _runs: Optional[ServerRuns] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _outcomes: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -243,17 +313,120 @@ class FeedbackBatch:
         return int(self.times.size)
 
     @classmethod
-    def from_feedbacks(cls, feedbacks: Sequence[Feedback]) -> "FeedbackBatch":
-        """Columnarize a sequence of feedback records (arrival order kept)."""
-        feedbacks = list(feedbacks)
-        return cls(
-            times=np.array([fb.time for fb in feedbacks], dtype=np.float64),
-            servers=np.array([fb.server for fb in feedbacks], dtype=object),
-            clients=np.array([fb.client for fb in feedbacks], dtype=object),
-            ratings=np.array([fb.outcome for fb in feedbacks], dtype=np.uint8),
-            categories=[fb.category for fb in feedbacks],
-            authentic=np.array([fb.authentic for fb in feedbacks], dtype=bool),
+    def from_feedbacks(
+        cls,
+        feedbacks: Sequence[Feedback],
+        *,
+        server_ids: Optional[Sequence[str]] = None,
+    ) -> "FeedbackBatch":
+        """Columnarize a sequence of feedback records (arrival order kept).
+
+        The id columns are grouped by dict (:func:`group_ids`, the
+        servers in the order of ``server_ids`` when given) on the way;
+        ``categories`` stays ``None`` when no record has one, and
+        ``authentic`` when every record is authentic.
+        """
+        positive = Rating.POSITIVE
+        columns = [
+            (
+                fb.time,
+                fb.server,
+                fb.client,
+                fb.rating is positive,
+                fb.category,
+                fb.authentic,
+            )
+            for fb in feedbacks
+        ]
+        times, servers, clients, ratings, categories, authentic = (
+            zip(*columns) if columns else ((),) * 6
         )
+        return cls(
+            times=np.array(times, dtype=np.float64),
+            servers=np.array(servers, dtype=object),
+            clients=np.array(clients, dtype=object),
+            ratings=np.array(ratings, dtype=bool).view(np.uint8),
+            categories=(
+                None
+                if categories.count(None) == len(categories)
+                else np.array(categories, dtype=object)
+            ),
+            authentic=None if all(authentic) else np.array(authentic, dtype=bool),
+            server_groups=group_ids(servers, server_ids),
+            client_groups=group_ids(clients),
+        )
+
+    def server_runs(self) -> "ServerRuns":
+        """The batch's rows grouped into per-server runs
+        (:class:`ServerRuns`), computed once per batch so every
+        consumer of one batch shares them."""
+        if self._runs is None:
+            self._runs = self._group_runs()
+        return self._runs
+
+    def _group_runs(self) -> "ServerRuns":
+        """:meth:`server_runs` without keeping them: the cached runs if
+        a consumer already asked, else runs computed afresh."""
+        if self._runs is not None:
+            return self._runs
+        ids, inverse = self.server_groups or unique_ids(self.servers)
+        order = inverse.argsort(kind="stable")
+        bounds = inverse[order].searchsorted(np.arange(len(ids) + 1))
+        times = self.times[order]
+        ends = bounds[1:] - 1
+        back = times[1:] < times[:-1]
+        back[ends[:-1]] = False  # a step from one run to the next
+        backward = None
+        if back.any():
+            backward = np.zeros(len(ids), dtype=bool)
+            backward[inverse[order[1:][back]]] = True
+        return ServerRuns(
+            ids,
+            ids.tolist(),
+            inverse,
+            order,
+            bounds,
+            times,
+            times[bounds[:-1]].tolist(),
+            times[ends].tolist(),
+            backward,
+        )
+
+    def run_outcomes(
+        self, runs: ServerRuns
+    ) -> Tuple[np.ndarray, List[int], List[int], List[float]]:
+        """What extending live histories by this batch (grouped as
+        ``runs``) takes: the ratings in run order, each run's good
+        count, and the run bounds and last times as lists; computed once
+        per batch."""
+        if self._outcomes is None:
+            ratings = self.ratings[runs.order]
+            goods = np.add.reduceat(ratings, runs.bounds[:-1], dtype=np.int64)
+            self._outcomes = (
+                ratings,
+                goods.tolist(),
+                runs.bounds.tolist(),
+                runs.lasts,
+            )
+        return self._outcomes
+
+    def take(self, rows: np.ndarray) -> "FeedbackBatch":
+        """The batch of rows ``rows`` (ascending indices or a boolean
+        mask) of this valid batch; the id groups are narrowed to the ids
+        those rows hold."""
+        batch = copy(self)
+        batch._runs = batch._outcomes = None
+        batch.times = self.times[rows]
+        batch.servers = self.servers[rows]
+        batch.clients = self.clients[rows]
+        batch.ratings = self.ratings[rows]
+        if self.categories is not None:
+            batch.categories = np.asarray(self.categories, dtype=object)[rows]
+        if self.authentic is not None:
+            batch.authentic = self.authentic[rows]
+        batch.server_groups = _narrow(self.server_groups, rows)
+        batch.client_groups = _narrow(self.client_groups, rows)
+        return batch
 
     def feedback_at(self, i: int) -> Feedback:
         """Materialize row ``i`` as a :class:`Feedback` object."""
@@ -272,6 +445,20 @@ class FeedbackBatch:
             yield self.feedback_at(i)
 
 
+def _narrow(
+    groups: Optional[Tuple[np.ndarray, np.ndarray]], rows: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``groups`` of a batch, restricted to ``rows`` of it."""
+    if groups is None:
+        return None
+    ids, inverse = groups
+    inverse = inverse[rows]
+    present = np.zeros(len(ids), dtype=bool)
+    present[inverse] = True
+    code = present.cumsum() - 1
+    return ids[present], code[inverse]
+
+
 class ColumnarStore:
     """Growable structure-of-arrays storage for folded feedback events.
 
@@ -280,8 +467,11 @@ class ColumnarStore:
     ``client_codes`` uint32 (interned via :class:`StringTable`),
     ``category_codes`` uint16 (:data:`~repro.feedback.binlog.CATEGORY_NONE`
     for none) and ``authentic`` uint8.  Derived indices (per-server row
-    lists, per-pair last row) are rebuilt lazily after bulk appends so
-    the ingest path stays purely vectorized.
+    lists, per-pair last row) catch up lazily with the rows appended
+    since they were last read, so the ingest path stays purely
+    vectorized.  :meth:`drop_server` tombstones a server's rows: they
+    stay in the columns (and in the binary file, which is append-only)
+    but leave every index, and :meth:`live_rows` names the rest.
     """
 
     def __init__(self) -> None:
@@ -298,11 +488,13 @@ class ColumnarStore:
         #: last folded feedback time per server code — maintained eagerly
         #: (the ordering validation needs it on every append).
         self._last_time: Dict[int, float] = {}
-        # lazily rebuilt derived indices
+        # derived indices, each covering the rows before its mark
         self._rows_by_server: Dict[int, List[int]] = {}
-        self._rows_dirty = False
+        self._rows_indexed = 0
         self._pair_last: Dict[Tuple[int, int], int] = {}
-        self._pair_dirty = False
+        self._pairs_indexed = 0
+        #: tombstoned rows (:meth:`drop_server`), in drop order
+        self._dropped = np.empty(0, dtype=np.int64)
 
     def __len__(self) -> int:
         return self._n
@@ -344,6 +536,17 @@ class ColumnarStore:
         """Most recent folded feedback time for ``server_code``, if any."""
         return self._last_time.get(server_code)
 
+    def behind(self, server_codes: List[Optional[int]], times: List[float]) -> bool:
+        """Whether any time comes before its server's last time (a
+        ``None`` code is a server not stored yet)."""
+        get = self._last_time.get
+        last: Optional[float]
+        for code, time in zip(server_codes, times):
+            last = get(code)
+            if last is not None and time < last:
+                return True
+        return False
+
     # ------------------------------------------------------------------ #
     # append paths
 
@@ -367,10 +570,12 @@ class ColumnarStore:
         self._auth[row] = authentic
         self._n = row + 1
         self._last_time[server_code] = time
-        if not self._rows_dirty:
+        if self._rows_indexed == row:
             self._rows_by_server.setdefault(server_code, []).append(row)
-        if not self._pair_dirty:
+            self._rows_indexed = row + 1
+        if self._pairs_indexed == row:
             self._pair_last[(server_code, client_code)] = row
+            self._pairs_indexed = row + 1
         return row
 
     def append_columns(
@@ -382,16 +587,17 @@ class ColumnarStore:
         category_codes: np.ndarray,
         authentic: np.ndarray,
         *,
-        last_codes: np.ndarray,
-        last_times: np.ndarray,
+        last_codes: Sequence[int],
+        last_times: Sequence[float],
     ) -> int:
-        """Bulk-append pre-validated column arrays; returns the first row.
+        """Bulk-append pre-validated column arrays (a scalar stands for
+        a column constant across the block); returns the first row.
 
         ``last_codes`` names every server in the block once and
         ``last_times`` the time of its last row there, so the caller's
         grouping by server (which it needs anyway) also sets the
-        per-server last times.  The row/pair indices are invalidated and
-        rebuilt lazily on the next point query.
+        per-server last times.  The row/pair indices take the block in
+        on the next point query.
         """
         n = int(times.size)
         if n == 0:
@@ -406,11 +612,7 @@ class ColumnarStore:
         self._cat[start:end] = category_codes
         self._auth[start:end] = authentic
         self._n = end
-        self._last_time.update(zip(last_codes.tolist(), last_times.tolist()))
-        self._rows_dirty = True
-        self._rows_by_server.clear()
-        self._pair_dirty = True
-        self._pair_last.clear()
+        self._last_time.update(zip(last_codes, last_times))
         return start
 
     def _ensure_capacity(self, needed: int) -> None:
@@ -438,36 +640,68 @@ class ColumnarStore:
         return self._pair_last.get((server_code, client_code))
 
     def _ensure_row_index(self) -> None:
-        if not self._rows_dirty:
+        lo = self._rows_indexed
+        if lo == self._n:
             return
-        srv = self._srv[: self._n]
+        srv = self._srv[lo : self._n]
         order = np.argsort(srv, kind="stable")
         codes_sorted = srv[order]
-        self._rows_by_server = {}
-        if self._n:
-            boundaries = np.nonzero(np.diff(codes_sorted))[0] + 1
-            starts = np.concatenate([[0], boundaries])
-            ends = np.concatenate([boundaries, [self._n]])
-            for lo, hi in zip(starts, ends):
-                self._rows_by_server[int(codes_sorted[lo])] = order[lo:hi].tolist()
-        self._rows_dirty = False
+        if lo:
+            order += lo
+        starts = (np.flatnonzero(np.diff(codes_sorted)) + 1).tolist()
+        index = self._rows_by_server
+        for code, a, b in zip(
+            codes_sorted[[0, *starts]].tolist(), [0, *starts], [*starts, order.size]
+        ):
+            run = index.get(code)
+            if run is None:
+                index[code] = order[a:b].tolist()
+            else:
+                run.extend(order[a:b].tolist())
+        self._rows_indexed = self._n
 
     def _ensure_pair_index(self) -> None:
-        if not self._pair_dirty:
+        lo = self._pairs_indexed
+        if lo == self._n:
             return
-        self._pair_last = {}
-        if self._n:
-            combined = (
-                self._srv[: self._n].astype(np.int64) << 32
-            ) | self._cli[: self._n].astype(np.int64)
-            order = np.argsort(combined, kind="stable")
-            keys_sorted = combined[order]
-            boundaries = np.nonzero(np.diff(keys_sorted))[0]
-            group_last = np.concatenate([boundaries, [self._n - 1]])
-            for pos in group_last:
-                key = int(keys_sorted[pos])
-                self._pair_last[(key >> 32, key & 0xFFFFFFFF)] = int(order[pos])
-        self._pair_dirty = False
+        combined = (
+            self._srv[lo : self._n].astype(np.int64) << 32
+        ) | self._cli[lo : self._n].astype(np.int64)
+        # the last row of each pair is the first one of the reversed block
+        keys, first = np.unique(combined[::-1], return_index=True)
+        last = (self._n - 1 - first).tolist()
+        self._pair_last.update(
+            ((key >> 32, key & 0xFFFFFFFF), row)
+            for key, row in zip(keys.tolist(), last)
+        )
+        self._pairs_indexed = self._n
+
+    # ------------------------------------------------------------------ #
+    # repair
+
+    def drop_server(self, server_code: int) -> None:
+        """Tombstone every row of ``server_code``: its row list, pair
+        entries and last time go, in time linear in its rows."""
+        self._ensure_row_index()
+        self._ensure_pair_index()
+        rows = self._rows_by_server.pop(server_code, [])
+        for client_code in set(self._cli[rows].tolist()):
+            del self._pair_last[(server_code, client_code)]
+        self._last_time.pop(server_code, None)
+        self._dropped = np.append(self._dropped, rows)
+
+    @property
+    def n_dropped(self) -> int:
+        """How many rows :meth:`drop_server` tombstoned."""
+        return int(self._dropped.size)
+
+    def live_rows(self) -> Optional[np.ndarray]:
+        """Indices of the live rows, or ``None`` when no row is tombstoned."""
+        if not self._dropped.size:
+            return None
+        live = np.ones(self._n, dtype=bool)
+        live[self._dropped] = False
+        return np.flatnonzero(live)
 
     # ------------------------------------------------------------------ #
     # materialization
@@ -579,8 +813,8 @@ class ColumnarLedgerBackend:
     before validation, ordering violations raise (or quarantine) with
     the same semantics — while :meth:`record_batch` ingests a whole
     :class:`FeedbackBatch` in one vectorized pass when nothing forces
-    the per-event path (armed faults, an ordering violation in the
-    batch, or live history objects that must observe each append).
+    the per-event path (armed faults, or an ordering violation in the
+    batch); live histories take the block in one slice per server.
     """
 
     name = "columnar"
@@ -601,7 +835,7 @@ class ColumnarLedgerBackend:
         return self._store
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._store) - self._store.n_dropped
 
     # ------------------------------------------------------------------ #
     # folding
@@ -649,44 +883,35 @@ class ColumnarLedgerBackend:
         of feedbacks); ``None`` defers to the per-event path.
 
         The fast path requires clean data (no ordering violations
-        against the stored per-server last times or within the batch),
-        no armed fault plan (per-event injection sequencing must match
-        the object backend bit-for-bit), and no live histories
-        materialized yet (those must observe every append one by one).
+        against the stored per-server last times or within the batch)
+        and no armed fault plan (per-event injection sequencing must
+        match the object backend bit-for-bit).  Live histories already
+        handed out are extended by their server's slice of the block,
+        as the per-event path would have appended it.
         """
-        if _res.armed or self._histories or len(batch) == 0:
+        if _res.armed or len(batch) == 0:
             return None
         if not isinstance(batch, FeedbackBatch):
             batch = FeedbackBatch.from_feedbacks(batch)
         store = self._store
         # ordering is checked on batch-local groups, so a declined batch
         # leaves no id behind in the tables (nor in the mmap sidecars)
-        server_ids, server_groups = unique_ids(batch.servers)
-        times = batch.times
-        order = np.argsort(server_groups, kind="stable")
-        groups_sorted = server_groups[order]
-        times_sorted = times[order]
-        same = groups_sorted[1:] == groups_sorted[:-1]
-        if np.any(same & (np.diff(times_sorted) < 0)):
+        # a batch nobody else groups (a bulk load) keeps no grouping
+        runs = batch._group_runs()
+        if runs.backward is not None:
             return None
-        # every group occurs, so group g's g-th run opens with its
-        # earliest row and closes with its latest
-        breaks = np.flatnonzero(~same)
-        firsts = times_sorted[np.concatenate([[0], breaks + 1])]
-        ends = np.append(breaks, len(batch) - 1)
-        for server, first in zip(server_ids.tolist(), firsts.tolist()):
-            code = store.server_table.lookup(str(server))
-            last = None if code is None else store.last_time(code)
-            if last is not None and first < last:
-                return None
-        server_codes, new_servers = store.server_table.intern_unique(
-            server_ids, server_groups
+        known = store.server_table.codes(runs.servers)
+        if store.behind(known, runs.firsts):
+            return None
+        last_codes, new_servers = store.server_table.intern_codes(runs.servers, known)
+        server_codes = np.array(last_codes, dtype=np.uint32)
+        client_codes, _ = store.client_table.intern_unique(
+            *(batch.client_groups or unique_ids(batch.clients))
         )
-        client_codes, _ = store.client_table.intern_many(batch.clients)
         n = len(batch)
-        if batch.categories is None:
-            category_codes = np.full(n, binlog.CATEGORY_NONE, dtype=np.uint16)
-        else:
+        # a column constant across the block is stored as a scalar
+        category_codes = binlog.CATEGORY_NONE
+        if batch.categories is not None:
             category_codes = np.array(
                 [
                     binlog.CATEGORY_NONE
@@ -696,23 +921,49 @@ class ColumnarLedgerBackend:
                 ],
                 dtype=np.uint16,
             )
-        authentic = (
-            np.ones(n, dtype=np.uint8)
-            if batch.authentic is None
-            else batch.authentic.astype(np.uint8)
-        )
+        authentic = 1 if batch.authentic is None else batch.authentic.view(np.uint8)
         start_row = store.append_columns(
-            times,
-            server_codes.astype(np.uint32),
-            client_codes.astype(np.uint32),
+            batch.times,
+            server_codes[runs.inverse],
+            client_codes,
             batch.ratings,
             category_codes,
             authentic,
-            last_codes=server_codes[order[ends]],
-            last_times=times_sorted[ends],
+            last_codes=last_codes,
+            last_times=runs.lasts,
         )
         self._persist_block(start_row, n, new_servers)
+        if self._histories:
+            self._extend_histories(batch, runs, start_row)
         return n
+
+    def _extend_histories(
+        self, batch: FeedbackBatch, runs: ServerRuns, start_row: int
+    ) -> None:
+        """Extend each live history by its server's rows of a batch
+        just stored from ``start_row`` on."""
+        get = self._histories.get
+        ratings, goods, bounds, lasts = batch.run_outcomes(runs)
+        order = runs.order
+        for server, lo, hi, good, last in zip(
+            runs.servers, bounds, bounds[1:], goods, lasts
+        ):
+            history = get(server)
+            if history is None:
+                continue
+            # _ColumnarHistory's own fields, set as append_feedback would
+            n = history._n
+            end = n + hi - lo
+            if end > history._buf.size:
+                history._ensure_capacity(end)
+            history._buf[n:end] = ratings[lo:hi]
+            history._n = end
+            history._n_good += good
+            history._last_t = last
+            if history._lazy_list is not None:
+                store = self._store
+                rows = (order[lo:hi] + start_row).tolist()
+                history._lazy_list.extend(store.feedback_at(row) for row in rows)
 
     # persistence hooks (the mmap backend overrides these)
 
@@ -725,16 +976,40 @@ class ColumnarLedgerBackend:
     # ------------------------------------------------------------------ #
     # queries
 
+    def reset_server(self, server: EntityId, feedbacks: List[Feedback]) -> int:
+        """Replace every record for ``server`` with a reconciled stream.
+
+        The same contract as the object backend's, in time linear in
+        the server's old and new records: the old rows are tombstoned
+        (:meth:`ColumnarStore.drop_server`) and the stream is folded
+        one event at a time after every other server's rows.
+        """
+        for fb in feedbacks:
+            if fb.server != server:
+                raise ValueError(
+                    f"reset_server({server!r}) got feedback for {fb.server!r}"
+                )
+        code = self._store.server_table.lookup(server)
+        if code is not None:
+            self._store.drop_server(code)
+        self._histories.pop(server, None)
+        return sum(self.record(fb) for fb in feedbacks)
+
+    def _column(self, column: np.ndarray) -> np.ndarray:
+        """``column`` without its tombstoned rows."""
+        live = self._store.live_rows()
+        return column if live is None else column[live]
+
     def servers(self) -> Set[EntityId]:
         """All servers with at least one folded feedback."""
         store = self._store
-        codes = np.unique(store.server_codes)
+        codes = np.unique(self._column(store.server_codes))
         return {store.server_table.value(int(code)) for code in codes}
 
     def clients(self) -> Set[EntityId]:
         """All clients that issued at least one folded feedback."""
         store = self._store
-        codes = np.unique(store.client_codes)
+        codes = np.unique(self._column(store.client_codes))
         return {store.client_table.value(int(code)) for code in codes}
 
     def feedbacks_for_server(self, server: EntityId) -> List[Feedback]:
@@ -751,7 +1026,10 @@ class ColumnarLedgerBackend:
         code = store.client_table.lookup(client)
         if code is None:
             return []
-        rows = np.nonzero(store.client_codes == code)[0]
+        rows = np.flatnonzero(store.client_codes == code)
+        live = store.live_rows()
+        if live is not None:
+            rows = np.intersect1d(rows, live)
         return [store.feedback_at(int(row)) for row in rows]
 
     def history(self, server: EntityId) -> TransactionHistory:
@@ -810,16 +1088,17 @@ class ColumnarLedgerBackend:
         stream.
         """
         store = self._store
-        n = len(store)
-        if n == 0:
+        if len(self) == 0:
             return {}
-        combined = (
-            store.client_codes.astype(np.int64) << 32
-        ) | store.server_codes.astype(np.int64)
+        combined = self._column(
+            (store.client_codes.astype(np.int64) << 32)
+            | store.server_codes.astype(np.int64)
+        )
         uniq, first_idx, inverse = np.unique(
             combined, return_index=True, return_inverse=True
         )
-        pos = np.bincount(inverse, weights=store.ratings.astype(np.float64))
+        ratings = self._column(store.ratings).astype(np.float64)
+        pos = np.bincount(inverse, weights=ratings)
         totals = np.bincount(inverse)
         neg = totals - pos
         edges: Dict[Tuple[EntityId, EntityId], Tuple[int, int]] = {}
@@ -871,8 +1150,8 @@ class MmapLedgerBackend(ColumnarLedgerBackend):
                     records["rating"],
                     records["category"],
                     records["authentic"],
-                    last_codes=servers[order[ends]],
-                    last_times=times[order[ends]],
+                    last_codes=servers[order[ends]].tolist(),
+                    last_times=times[order[ends]].tolist(),
                 )
         self._writer = binlog.BinaryLedgerWriter(path, truncate_to=n_loaded)
         # ids already in the file must not be re-appended on the next sync
@@ -886,6 +1165,13 @@ class MmapLedgerBackend(ColumnarLedgerBackend):
     def path(self) -> str:
         """The backing binary ledger file."""
         return self._writer.path
+
+    def reset_server(self, server: EntityId, feedbacks: List[Feedback]) -> int:
+        """Unsupported: the ledger file is append-only."""
+        raise NotImplementedError(
+            "ledger backend 'mmap' does not support reset_server: its file "
+            "is append-only"
+        )
 
     def _persist_row(self, row: int, feedback: Feedback) -> None:
         store = self._store

@@ -61,6 +61,11 @@ _TRACEPARENT = re.compile(
     r"^(?P<version>[0-9a-f]{2})-(?P<trace_id>[0-9a-f]{32})-"
     r"(?P<span_id>[0-9a-f]{16})-(?P<flags>[0-9a-f]{2})$"
 )
+_TRACE_ID = re.compile(r"[0-9a-f]{32}")
+_SPAN_ID = re.compile(r"[0-9a-f]{16}")
+#: one encoder for every span line (``json.dumps`` with options builds
+#: a new one per call)
+_encode = json.JSONEncoder(default=repr).encode
 
 # Per-process anchor pairing the perf-counter and wall clocks once, so
 # span *positions* are comparable across processes while every
@@ -100,9 +105,9 @@ class TraceContext:
     baggage: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not re.fullmatch(r"[0-9a-f]{32}", self.trace_id):
+        if not _TRACE_ID.fullmatch(self.trace_id):
             raise ValueError(f"trace_id must be 32 lowercase hex chars, got {self.trace_id!r}")
-        if not re.fullmatch(r"[0-9a-f]{16}", self.span_id):
+        if not _SPAN_ID.fullmatch(self.span_id):
             raise ValueError(f"span_id must be 16 lowercase hex chars, got {self.span_id!r}")
 
     # -- boundary serialization ----------------------------------------- #
@@ -237,9 +242,9 @@ def span_to_dict(record: SpanRecord) -> Dict[str, object]:
 class SpanLog:
     """Append-only JSONL sink for finished spans.
 
-    Every write is one ``write()+flush()`` of a single line, so several
-    processes can append to the same file; the
-    reader reassembles traces by hex id, not arrival order.
+    Every write is one unbuffered ``write()`` of a single line, so
+    several processes can append to the same file; the reader
+    reassembles traces by hex id, not arrival order.
     """
 
     def __init__(self, path: PathLike):
@@ -258,9 +263,8 @@ class SpanLog:
     def append(self, span: Dict[str, object]) -> None:
         """Append one span already in :func:`span_to_dict`'s shape."""
         if self._handle is None:
-            self._handle = open(self._path, "a", encoding="utf-8")
-        self._handle.write(json.dumps(span, default=repr) + "\n")
-        self._handle.flush()
+            self._handle = open(self._path, "ab", buffering=0)
+        self._handle.write((_encode(span) + "\n").encode("utf-8"))
 
     def close(self) -> None:
         """Close the underlying file; further writes are errors."""

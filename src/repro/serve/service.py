@@ -68,9 +68,10 @@ class AssessmentService:
     ----------
     ledger:
         Attach to a system ledger: existing servers are registered, new
-        feedback auto-registers its server via the ledger's subscription
-        hook, and phase 2 receives the ledger (required by PeerTrust /
-        EigenTrust-style schemes).
+        feedback auto-registers its server via the ledger's server
+        subscription (once per distinct server of a batch), and phase 2
+        receives the ledger (required by PeerTrust / EigenTrust-style
+        schemes).
     calibration_cache:
         A :class:`~repro.serve.cache.CalibrationCache` to back the
         behavior test's ε-threshold calibrator (shared across services
@@ -168,12 +169,12 @@ class AssessmentService:
         for server in sorted(ledger.servers()):
             self._register(ledger.history(server))
 
-        def _on_feedback(feedback: Feedback) -> None:
-            if feedback.server not in self._states:
-                self._register(ledger.history(feedback.server))
+        def _on_server(server: EntityId) -> None:
+            if server not in self._states:
+                self._register(ledger.history(server))
 
-        self._ledger_callback = _on_feedback
-        ledger.subscribe(_on_feedback)
+        self._ledger_callback = _on_server
+        ledger.subscribe_servers(_on_server)
 
     def add_server(self, server) -> EntityId:
         """Register a server; returns its id.
@@ -481,7 +482,7 @@ class AssessmentService:
     def close(self) -> None:
         """Detach from the ledger; the service can be garbage collected."""
         if self._ledger is not None and self._ledger_callback is not None:
-            self._ledger.unsubscribe(self._ledger_callback)
+            self._ledger.unsubscribe_servers(self._ledger_callback)
         self._ledger = None
         self._ledger_callback = None
 

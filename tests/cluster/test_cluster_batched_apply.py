@@ -17,7 +17,10 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterNode, event_digest
+import numpy as np
+
+from repro.cluster import ClusterNode, ReplicaBatch, ShardState, event_digest
+from repro.cluster.node import DigestRuns, rolling_digest
 from repro.feedback.records import Feedback, Rating
 from repro.obs.events import EventLog
 from repro.p2p.network import SimulatedNetwork
@@ -43,8 +46,14 @@ def _node() -> ClusterNode:
     return ClusterNode("node", network, config=CLUSTER_CONFIG)
 
 
-def _ids(feedbacks):
-    return [id(fb) for fb in feedbacks]
+def _rows(feedbacks):
+    """Each event's full content, in order (a columnar replica hands
+    out fresh ``Feedback`` objects, and their equality looks at time
+    only)."""
+    return [
+        (fb.time, fb.server, fb.client, fb.rating, fb.category, fb.authentic)
+        for fb in feedbacks
+    ]
 
 
 def _fold(messages, *, one_at_a_time: bool):
@@ -79,7 +88,7 @@ def test_batched_fold_equals_one_event_at_a_time(messages, redeliver):
     assert applied + sum(skipped.values()) == sum(len(m) for m in messages)
     assert sorted(batched.shards) == sorted(reference.shards)
     for server in reference.shards:
-        assert _ids(batched.events_of(server)) == _ids(reference.events_of(server))
+        assert _rows(batched.events_of(server)) == _rows(reference.events_of(server))
         assert batched.digest_of(server) == reference.digest_of(server)
         got, want = batched.shards[server], reference.shards[server]
         assert (got.n, got.last_time) == (want.n, want.last_time)
@@ -90,7 +99,7 @@ def test_batched_fold_equals_one_event_at_a_time(messages, redeliver):
     # the ledger keeps arrival order across servers, too
     assert len(batched.ledger) == len(reference.ledger)
     for client in CLIENTS:
-        assert _ids(batched.ledger.feedbacks_by_client(client)) == _ids(
+        assert _rows(batched.ledger.feedbacks_by_client(client)) == _rows(
             reference.ledger.feedbacks_by_client(client)
         )
     assert sorted(batched.service.servers()) == sorted(reference.service.servers())
@@ -137,6 +146,87 @@ def test_reordered_tie_on_a_replica_triggers_read_repair():
         cluster.assess_many(["srv-a"])
     assert "cluster_read_repair" in [e["event"] for e in log.events]
     assert len({cluster._members[m].digest_of("srv-a") for m in pref}) == 1
+
+
+ids = st.text(min_size=1, max_size=5)
+twin_events = st.builds(
+    Feedback,
+    time=st.one_of(
+        st.floats(allow_nan=False),
+        st.sampled_from([0.0, -0.0, 2.0**60, -(2.0**60), 1e300, 5e-324]),
+    ),
+    server=ids,
+    client=ids,
+    rating=st.sampled_from([Rating.POSITIVE, Rating.NEGATIVE]),
+    category=st.one_of(st.none(), ids),
+    authentic=st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(feedbacks=st.lists(twin_events, max_size=25))
+def test_digest_column_equals_event_digest(feedbacks):
+    """The numpy digest column and the scalar digest agree bit for bit
+    (a mismatch would make anti-entropy reset healthy replicas): ``None``
+    and named categories, unauthentic events, non-ASCII ids, ``-0.0``
+    against ``0.0`` and large times."""
+    batch = ReplicaBatch.from_feedbacks(feedbacks)
+    assert batch.digests.dtype == np.uint64
+    assert batch.digests.tolist() == [event_digest(fb) for fb in feedbacks]
+
+
+def test_signed_zero_times_are_different_events():
+    zero, negative_zero = (
+        Feedback(time=t, server="srv-é", client="cli-☃", rating=Rating.POSITIVE)
+        for t in (0.0, -0.0)
+    )
+    digests = ReplicaBatch.from_feedbacks([zero, negative_zero]).digests.tolist()
+    assert digests == [event_digest(zero), event_digest(negative_zero)]
+    assert digests[0] != digests[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    runs=st.lists(
+        st.tuples(
+            st.integers(0, 2**64 - 1),
+            st.lists(
+                st.tuples(st.integers(0, 4), st.integers(0, 2**64 - 1)),
+                min_size=1,
+                max_size=8,
+            ),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_reduceat_roll_equals_rolling_digest(runs):
+    """``ShardState.applied`` rolls every run at once; each state ends as
+    folding its run's digests one at a time would leave it."""
+    states, times, digests, bounds = [], [], [], [0]
+    for head, events in runs:
+        state = ShardState()
+        state.content_hash = head
+        states.append(state)
+        events = sorted(events, key=lambda event: event[0])
+        times += [float(t) for t, _ in events]
+        digests += [d for _, d in events]
+        bounds.append(bounds[-1] + len(events))
+    ShardState.applied(
+        states,
+        DigestRuns(
+            np.array(times), np.array(digests, dtype=np.uint64), np.array(bounds)
+        ),
+    )
+    for state, (head, events), lo, hi in zip(states, runs, bounds, bounds[1:]):
+        run_digests = digests[lo:hi]
+        assert state.content_hash == rolling_digest(run_digests, head)
+        assert state.n == hi - lo
+        last = times[hi - 1]
+        assert state.last_time == last
+        assert state.tie_digests == {
+            d for t, d in zip(times[lo:hi], run_digests) if t == last
+        }
 
 
 def test_event_digest_is_stable_across_processes():

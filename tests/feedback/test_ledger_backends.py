@@ -163,6 +163,42 @@ class TestConformance:
                 server
             )
 
+    def test_column_batch_extends_live_histories_on_the_bulk_path(
+        self, make_ledger, monkeypatch
+    ):
+        """Histories handed out before a column ``record_batch`` do not
+        send it down the per-event path, and end equal to a per-event
+        fold — lazy and materialized histories alike."""
+        later = [
+            _fb(7, "s1", "c2", Rating.NEGATIVE),
+            _fb(7, "s2", "c4", category="eu"),
+            _fb(8, "s4", "c1"),
+            _fb(9, "s1", "c1"),
+        ]
+        bulk, per_event = make_ledger(), make_ledger()
+        for led in (bulk, per_event):
+            led.record_many(STREAM)
+        live = {s: bulk.history(s) for s in ("s1", "s2", "s3")}
+        live["s2"].feedbacks()  # materialized; s1 and s3 stay lazy
+
+        def per_event_fold(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("record_batch fell back to per-event folds")
+
+        monkeypatch.setattr(bulk.backend, "record", per_event_fold)
+        assert bulk.record_batch(FeedbackBatch.from_feedbacks(later)) == len(later)
+        per_event.record_many(later)
+        for server in ("s1", "s2", "s3", "s4"):
+            got, want = bulk.history(server), per_event.history(server)
+            if server in live:
+                assert got is live[server]
+            assert np.array_equal(got.outcomes(), want.outcomes())
+            assert (len(got), got.n_good, got.last_time()) == (
+                len(want),
+                want.n_good,
+                want.last_time(),
+            )
+            assert _rows(got.feedbacks()) == _rows(want.feedbacks())
+
     def test_record_batch_keeps_each_servers_last_time(self, make_ledger):
         """Interleaved servers out of global time order: after the bulk
         fold (and after reopening an mmap file) each server rejects an
@@ -282,6 +318,73 @@ class TestConformance:
         # the surviving folds are still fully queryable
         for server in led.servers():
             assert len(led.history(server)) > 0
+
+
+MERGED_S1 = [
+    _fb(0.5, "s1", "c3"),
+    _fb(2, "s1", "c1", Rating.NEGATIVE),
+    _fb(2, "s1", "c2"),
+    _fb(8, "s1", "c4", category="eu"),
+]
+
+
+def _state(led):
+    """Everything a reset may change, comparable across backends."""
+    servers, clients = sorted(led.servers()), sorted(led.clients())
+    return {
+        "len": len(led),
+        "servers": servers,
+        "clients": clients,
+        "histories": {
+            s: (
+                led.history(s).outcomes().tolist(),
+                led.history(s).last_time(),
+                _rows(led.history(s).feedbacks()),
+            )
+            for s in servers
+        },
+        "for_server": {s: _rows(led.feedbacks_for_server(s)) for s in servers},
+        "by_client": {c: _rows(led.feedbacks_by_client(c)) for c in clients},
+        "last": {
+            (s, c): _rows([led.last_interaction(s, c)])
+            for s in servers
+            for c in clients
+        },
+        "graph": list(led.feedback_graph().items()),
+    }
+
+
+class TestResetServer:
+    """``reset_server`` on the columnar backend (tombstoned rows plus an
+    append) leaves every query as the object backend's rebuild does."""
+
+    def _reset(self, backend, stream):
+        led = FeedbackLedger(backend=backend)
+        led.record_many(STREAM)
+        held = led.history("s1")  # a history handed out before the reset
+        assert led.reset_server("s1", stream) == len(stream)
+        led.record(_fb(10, "s2", "c9"))
+        if stream:
+            led.record(_fb(9, "s1", "c9"))
+        return led, held
+
+    @pytest.mark.parametrize("stream", [MERGED_S1, []], ids=["merged", "empty"])
+    def test_columnar_matches_memory(self, stream):
+        memory, _ = self._reset("memory", stream)
+        columnar, held = self._reset("columnar", stream)
+        assert _state(columnar) == _state(memory)
+        if not stream:
+            assert "s1" not in columnar.servers()
+            with pytest.raises(KeyError):
+                columnar.history("s1")
+        else:
+            assert columnar.history("s1") is not held
+
+    def test_mmap_cannot_reset(self, tmp_path):
+        led = FeedbackLedger(backend="mmap", path=str(tmp_path / "led.bin"))
+        led.record_many(STREAM)
+        with pytest.raises(NotImplementedError, match="mmap"):
+            led.reset_server("s1", MERGED_S1)
 
 
 class TestRegistry:
