@@ -823,6 +823,9 @@ class ColumnarLedgerBackend:
         self._store = ColumnarStore()
         self._quarantine = quarantine
         self._histories: Dict[EntityId, TransactionHistory] = {}
+        #: the last distinct-client array interned, and its codes: the
+        #: messages cut from one client batch share that array
+        self._clients: Tuple[Optional[np.ndarray], Optional[np.ndarray]] = (None, None)
 
     @property
     def quarantine(self) -> Optional[Quarantine]:
@@ -905,9 +908,8 @@ class ColumnarLedgerBackend:
             return None
         last_codes, new_servers = store.server_table.intern_codes(runs.servers, known)
         server_codes = np.array(last_codes, dtype=np.uint32)
-        client_codes, _ = store.client_table.intern_unique(
-            *(batch.client_groups or unique_ids(batch.clients))
-        )
+        client_ids, client_rows = batch.client_groups or unique_ids(batch.clients)
+        client_codes = self._client_codes(client_ids)[client_rows]
         n = len(batch)
         # a column constant across the block is stored as a scalar
         category_codes = binlog.CATEGORY_NONE
@@ -964,6 +966,18 @@ class ColumnarLedgerBackend:
                 store = self._store
                 rows = (order[lo:hi] + start_row).tolist()
                 history._lazy_list.extend(store.feedback_at(row) for row in rows)
+
+    def _client_codes(self, client_ids: np.ndarray) -> np.ndarray:
+        """The codes of distinct client ids, interning unseen ones."""
+        last_ids, codes = self._clients
+        if client_ids is not last_ids:
+            table = self._store.client_table
+            values = client_ids.tolist()
+            codes = np.array(
+                table.intern_codes(values, table.codes(values))[0], dtype=np.uint32
+            )
+            self._clients = (client_ids, codes)
+        return codes
 
     # persistence hooks (the mmap backend overrides these)
 
