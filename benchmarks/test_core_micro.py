@@ -12,7 +12,7 @@ from repro.cluster import ClusterNode, ReplicaBatch
 from repro.core.calibration import ThresholdCalibrator
 from repro.core.config import AssessorConfig, BehaviorTestConfig
 from repro.core.model import generate_honest_outcomes
-from repro.core.multi_testing import MultiBehaviorTest
+from repro.core.multi_testing import MultiBehaviorTest, fold_cold_batch
 from repro.core.testing import SingleBehaviorTest
 from repro.feedback.history import TransactionHistory
 from repro.feedback.records import Feedback, Rating
@@ -51,6 +51,53 @@ def test_multi_behavior_test_short(benchmark, n, n_rounds):
     test_ = MultiBehaviorTest(CONFIG, CALIBRATOR)
     assert test_.test(short).n_rounds == n_rounds
     benchmark(test_.test, short)
+
+
+@pytest.fixture(scope="module")
+def honest_histories():
+    """32 honest histories of 120-400 events at rates 0.80-0.99, the
+    shape of the histories a serving request re-judges."""
+    rng = np.random.default_rng(29)
+    sizes = rng.integers(120, 401, size=32)
+    rates = 0.80 + 0.19 * rng.random(32)
+    return [
+        TransactionHistory.from_outcomes(
+            generate_honest_outcomes(int(n), float(p), seed=i), server=f"s{i}"
+        )
+        for i, (n, p) in enumerate(zip(sizes, rates))
+    ]
+
+
+@pytest.mark.parametrize("histories", [1, 2, 4, 8, 16, 32])
+def test_fold_cold_batch_vs_scalar(benchmark, honest_histories, histories):
+    """One ``fold_cold_batch`` call against one scalar ``test`` per
+    history, with every threshold already calibrated.
+
+    The benchmark times the batch; ``extra_info`` holds both sides'
+    best per-call time over alternating repeats and ``speedup`` (scalar
+    over batch).  The smallest batch size with a speedup above 1 is the
+    crossover that sets ``repro.serve.service.VECTOR_MIN_BATCH``.
+    """
+    import time
+
+    tester = MultiBehaviorTest(CONFIG, CALIBRATOR)
+    batch = honest_histories[:histories]
+
+    def scalar():
+        return [tester.test(history) for history in batch]
+
+    def batched():
+        return fold_cold_batch(batch, tester)
+
+    assert batched() == scalar()  # and warms the calibrator
+    best = {"batch_s": float("inf"), "scalar_s": float("inf")}
+    for _ in range(100):
+        for side, run in (("batch_s", batched), ("scalar_s", scalar)):
+            start = time.perf_counter()
+            run()
+            best[side] = min(best[side], time.perf_counter() - start)
+    benchmark.extra_info.update(best, speedup=best["scalar_s"] / best["batch_s"])
+    benchmark(batched)
 
 
 def test_threshold_calibration_cold(benchmark):

@@ -688,6 +688,7 @@ class ClusterNode:
             self.service.replace_server(self.ledger.history(server))
         else:
             self.shards.pop(server, None)
+            self.service.remove_server(server)
         if _obs.enabled:
             _obs.registry.inc("cluster.shard.resets")
         return state.content_hash

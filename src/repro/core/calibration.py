@@ -14,7 +14,11 @@ confidence, distance)``, so it does not matter which keys were asked
 before it, and a miss is cheap:
 
 * thresholds are cached keyed on ``(m, k, quantized p_hat)`` — ``p_hat``
-  moves slowly during an attack, so the hit rate is high;
+  moves slowly during an attack, so the hit rate is high.  A hit is one
+  dict lookup: the raw ``(m, k, p_hat)`` of every answered call maps to
+  its threshold in a second memo, and ``quantize_p`` memoizes its grid
+  point, both cleared when they reach ``_MAX_RAW`` entries, so
+  ``p_quantum=0`` cannot grow them without bound;
 * each ``(m, p_key)`` has its own stream of null window counts, drawn
   window-major in blocks of ``_BLOCK_ROWS`` rows of ``n_sets`` counts
   from ``B(m, p_key)``.  Block ``i`` is seeded from ``(seed, m, bits of
@@ -65,6 +69,8 @@ _BLOCK_ROWS = 16
 _STREAM_ROWS = 256
 #: the most (m, p_key) streams kept at once
 _MAX_STREAMS = 128
+#: the most raw (m, k, p_hat) keys, and raw rates, memoized at once
+_MAX_RAW = 1 << 14
 
 
 def _root_seed(seed: SeedLike) -> int:
@@ -76,6 +82,14 @@ def _root_seed(seed: SeedLike) -> int:
     if root < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     return root
+
+
+def _remember(memo: dict, key, value):
+    """``memo[key] = value``, emptying ``memo`` first when it is full."""
+    if len(memo) >= _MAX_RAW:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def _key_rng(root: int, m: int, p: float, index: int) -> np.random.Generator:
@@ -126,6 +140,10 @@ class ThresholdCalibrator:
         #: (m, p_key) -> (pmf of B(m, p_key), the stream's rows drawn so far)
         self._streams: Dict[Tuple[int, float], Tuple[np.ndarray, np.ndarray]] = {}
         self._cache: Dict[_CacheKey, float] = {}
+        #: raw (m, k, p_hat) -> the threshold its cache key holds
+        self._raw: Dict[Tuple[int, int, float], float] = {}
+        #: raw p_hat -> quantize_p(p_hat)
+        self._p_keys: Dict[float, float] = {}
         self._hits = 0
         self._misses = 0
         self._store = None
@@ -185,6 +203,12 @@ class ThresholdCalibrator:
         """
         if self._p_quantum == 0:
             return float(p)
+        p_key = self._p_keys.get(p)
+        if p_key is None:
+            p_key = _remember(self._p_keys, p, self._snap(p))
+        return p_key
+
+    def _snap(self, p: float) -> float:
         snapped = round(round(p / self._p_quantum) * self._p_quantum, 12)
         if snapped >= 1.0 and p < 1.0:
             return round(1.0 - self._p_quantum, 12)
@@ -194,6 +218,13 @@ class ThresholdCalibrator:
 
     def threshold(self, m: int, k: int, p_hat: float) -> float:
         """ε for a test of ``k`` windows of size ``m`` at rate ``p_hat``."""
+        raw = (m, k, p_hat)
+        cached = self._raw.get(raw)
+        if cached is not None:
+            self._hits += 1
+            if _obs.enabled:
+                _obs.registry.inc("core.calibration.cache_hits")
+            return cached
         if m <= 0:
             raise ValueError(f"window size m must be positive, got {m}")
         if k <= 0:
@@ -207,7 +238,7 @@ class ThresholdCalibrator:
             self._hits += 1
             if _obs.enabled:
                 _obs.registry.inc("core.calibration.cache_hits")
-            return cached
+            return _remember(self._raw, raw, cached)
         if self._store is not None:
             stored = self._store.get(self._store_key(m, k, p_key))
             if stored is not None:
@@ -215,7 +246,7 @@ class ThresholdCalibrator:
                 self._cache[key] = stored
                 if _obs.enabled:
                     _obs.registry.inc("core.calibration.store_hits")
-                return stored
+                return _remember(self._raw, raw, stored)
         self._misses += 1
         if _obs.enabled:
             _obs.registry.inc("core.calibration.cache_misses")
@@ -249,7 +280,7 @@ class ThresholdCalibrator:
         self._cache[key] = value
         if self._store is not None:
             self._store.put(self._store_key(m, k, p_key), value)
-        return value
+        return _remember(self._raw, raw, value)
 
     def _calibrate_once(self, m: int, k: int, p_key: float) -> float:
         """One (possibly fault-injected) calibration attempt."""

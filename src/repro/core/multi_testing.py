@@ -23,19 +23,19 @@ Both produce identical verdicts (asserted by the test suite); Fig. 9's
 performance experiment benchmarks the difference.
 
 :func:`fold_cold_batch` runs the optimized walk over many histories at
-once (the serving cold path): the same ``bincount`` and running sum, over
-every history's rounds back to back.
+once (the serving cold path): every history's windows back to back, one
+running histogram over all of them, and each round's histogram as the
+difference of two of its rows.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
-from itertools import chain
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..feedback.windows import batched_window_counts, window_counts
+from ..feedback.windows import window_counts
 from ..obs import audit as _audit
 from ..obs import runtime as _obs
 # binomial_pmf stays a module global here: perfbench counts its calls
@@ -59,8 +59,8 @@ __all__ = [
 _STRATEGIES = ("optimized", "naive")
 
 #: Cap on windows :func:`fold_cold_batch` folds in one pass; bounds its
-#: per-window and per-round arrays.
-_CHUNK_WINDOWS = 1_000_000
+#: running histogram, ``(windows + 1) x (m + 1)`` int64 (6 MB at m = 10).
+_CHUNK_WINDOWS = 1 << 16
 
 Rounds = List[Tuple[int, BehaviorVerdict]]
 
@@ -71,9 +71,7 @@ def suffix_report(
 ) -> MultiTestReport:
     """The report over judged suffix rounds, given longest suffix first
     (the order the paper describes); it fails iff any round failed."""
-    return MultiTestReport(
-        passed=all(v.passed for _, v in rounds), rounds=tuple(rounds), reorder=reorder
-    )
+    return MultiTestReport.of_rounds(rounds, reorder)
 
 
 def insufficient_report(
@@ -136,7 +134,7 @@ def judge_rounds(
             if w != last_want:
                 d = distance(r)
                 thr = float(threshold(w, p_l[r]))
-                verdict = BehaviorVerdict(d <= thr, d, thr, p_l[r], w, m, w * m)
+                verdict = BehaviorVerdict.judged(d <= thr, d, thr, p_l[r], w, m)
                 last_want = w
             rounds.append((lengths[r], verdict))
             if not verdict.passed and not collect_all:
@@ -222,93 +220,83 @@ def fold_cold_batch(
             "use the scalar path for other testers"
         )
     cfg = tester.config
-    outcomes = [_extract_outcomes(history) for history in histories]
-    reports: List[Optional[MultiTestReport]] = [None] * len(outcomes)
+    reports: List[Optional[MultiTestReport]] = [None] * len(histories)
     # the judged histories, in chunks of at most _CHUNK_WINDOWS windows
     # (a longer history gets a chunk of its own)
-    chunks: List[List[int]] = []
+    chunks: List[Tuple[List[int], List[np.ndarray]]] = []
     windows = 0
-    for i, arr in enumerate(outcomes):
+    for i, history in enumerate(histories):
+        arr = _extract_outcomes(history)
         if arr.size < cfg.min_transactions:
             reports[i] = insufficient_report(cfg, int(arr.size))
             continue
         k = arr.size // cfg.window_size
         if not chunks or windows + k > _CHUNK_WINDOWS:
-            chunks.append([])
+            chunks.append(([], []))
             windows = 0
-        chunks[-1].append(i)
+        chunks[-1][0].append(i)
+        chunks[-1][1].append(arr)
         windows += k
-    # One threshold memo across chunks: repeat (k, p_key) shapes skip the
-    # calibrator's quantize-and-lookup; thresholds depend on the key only.
-    thr_memo: Dict[Tuple[int, float], float] = {}
-    quantize = lru_cache(maxsize=None)(tester.calibrator.quantize_p)
+    # One threshold memo across chunks: the calibrator is consulted once
+    # per (k, p_key) shape, since a threshold depends on nothing else.
+    shapes: Dict[Tuple[int, float], float] = {}
     with _obs.timer("core.vectorized.seconds"):
-        for chunk in chunks:
-            folded = _fold_chunk(
-                [outcomes[i] for i in chunk], tester, thr_memo, quantize
-            )
-            for i, report in zip(chunk, folded):
+        for chunk, arrays in chunks:
+            for i, report in zip(chunk, _fold_chunk(arrays, tester, shapes)):
                 reports[i] = report
     if _obs.enabled and chunks:
         _obs.registry.inc("core.vectorized.batches")
-        _obs.registry.inc("core.vectorized.servers", sum(map(len, chunks)))
+        _obs.registry.inc("core.vectorized.servers", sum(len(c) for c, _ in chunks))
     return reports  # type: ignore[return-value]
 
 
 def _fold_chunk(
     outcomes: List[np.ndarray],
     tester: "MultiBehaviorTest",
-    thr_memo: Dict[Tuple[int, float], float],
-    quantize: Callable[[float], float],
+    shapes: Dict[Tuple[int, float], float],
 ) -> List[MultiTestReport]:
     cfg = tester.config
     m = cfg.window_size
-    n_srv = len(outcomes)
-    sizes = [int(arr.size) for arr in outcomes]
-    offsets = np.zeros(n_srv + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    counts = batched_window_counts(
-        np.concatenate(outcomes).astype(np.int64, copy=False), offsets, m
+    # every history's windows, newest first, back to back (a window read
+    # backwards holds the same count)
+    counts = (
+        np.concatenate([arr[arr.size % m :][::-1] for arr in outcomes])
+        .reshape(-1, m)
+        .sum(axis=1, dtype=np.int64)
     )
-    ks = np.diff(offsets) // m
-    first_window = np.zeros(n_srv + 1, dtype=np.int64)
-    np.cumsum(ks, out=first_window[1:])
-
+    # cum[j] is the histogram of the first j of those windows, so a
+    # round's histogram is the difference of two of its rows
+    cum = np.zeros((counts.size + 1, m + 1), dtype=np.int64)
+    cum[np.arange(1, counts.size + 1), counts] = 1
+    np.cumsum(cum, axis=0, out=cum)
     # every history's rounds, shortest suffix first, back to back
-    schedules = [cfg.suffix_lengths(size)[::-1] for size in sizes]
-    lengths = list(chain.from_iterable(schedules))
-    n_rounds = len(lengths)
-    first_round = np.zeros(n_srv + 1, dtype=np.int64)
-    np.cumsum([len(schedule) for schedule in schedules], out=first_round[1:])
-    wants = np.array(lengths) // m
-    round_srv = np.repeat(np.arange(n_srv), np.diff(first_round))
+    lengths: List[int] = []
+    ends: List[int] = []
+    starts: List[int] = []
+    bounds = [0]
+    first = 0  # the history's first window
+    for arr in outcomes:
+        schedule = cfg.suffix_lengths(arr.size)[::-1]
+        lengths += schedule
+        ends += [first + length // m for length in schedule]
+        starts += [first] * len(schedule)
+        bounds.append(len(lengths))
+        first += arr.size // m
+    end_rows, start_rows = np.array(ends), np.array(starts)
+    hist = cum[end_rows] - cum[start_rows]
 
-    # window j of a history (0 = newest) first enters that history's
-    # round whose window count exceeds j; keys offset by history keep
-    # every history's rounds apart in one searchsorted
-    stride = int(ks.max()) + 1
-    newest = np.repeat(first_window[1:] - 1, ks) - np.arange(first_window[-1])
-    entered = (round_srv * stride + wants).searchsorted(
-        np.repeat(np.arange(n_srv), ks) * stride + newest, side="right"
-    )
-    added = np.bincount(entered * (m + 1) + counts, minlength=n_rounds * (m + 1))
-    hist = np.add.accumulate(added.reshape(n_rounds, m + 1), axis=0)
-    # the running sum carries on across histories: subtract each one's base
-    base = hist[first_round[:-1] - 1]
-    base[0] = 0
-    hist -= base[round_srv]
+    quantize, consult = tester.calibrator.quantize_p, tester.calibrator.threshold
 
     def threshold(k: int, p_hat: float) -> float:
         key = (k, quantize(p_hat))
-        thr = thr_memo.get(key)
+        thr = shapes.get(key)
         if thr is None:
-            thr = thr_memo[key] = tester.calibrator.threshold(m, k, p_hat)
+            thr = shapes[key] = consult(m, k, p_hat)
         return thr
 
-    bounds = first_round.tolist()
     judged = judge_rounds(
         hist,
-        wants,
+        end_rows - start_rows,
         lengths,
         map(range, bounds[:-1], bounds[1:]),
         threshold,
@@ -317,7 +305,7 @@ def _fold_chunk(
         collect_all=tester.collect_all,
     )
     if _obs.enabled:
-        _obs.registry.inc("core.vectorized.rounds", n_rounds)
+        _obs.registry.inc("core.vectorized.rounds", len(lengths))
     return [suffix_report(rounds[::-1]) for rounds in judged]
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["window_counts", "batched_window_counts", "n_windows", "usable_length"]
+__all__ = ["window_counts", "n_windows", "usable_length"]
 
 _ALIGNMENTS = ("recent", "oldest")
 
@@ -56,43 +56,6 @@ def window_counts(
     else:
         trimmed = arr[: k * m]
     return trimmed.reshape(k, m).sum(axis=1).astype(np.int64)
-
-
-def batched_window_counts(
-    flat: np.ndarray, offsets: np.ndarray, m: int
-) -> np.ndarray:
-    """Recent-aligned window counts for many histories in one pass.
-
-    ``flat`` is the concatenation of every history's 0/1 outcomes and
-    ``offsets`` the usual ``len(histories)+1`` prefix array (history
-    ``i`` occupies ``flat[offsets[i]:offsets[i+1]]``).  Returns the
-    concatenation of each history's ``window_counts(..., align="recent")``
-    — per-history results are recovered with the per-history window
-    counts ``(offsets[1:] - offsets[:-1]) // m``.
-
-    One reshape-free vectorized pass: the start of window ``j`` of
-    history ``i`` is ``offsets[i] + n_i % m + j*m``; a cumulative sum of
-    ``flat`` turns every window into one subtraction.
-    """
-    _validate(m)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    flat = np.asarray(flat)
-    lengths = offsets[1:] - offsets[:-1]
-    ks = lengths // m
-    total_k = int(ks.sum())
-    if total_k == 0:
-        return np.empty(0, dtype=np.int64)
-    # cumulative good count with a leading zero: window [a, b) sums to
-    # csum[b] - csum[a]
-    csum = np.zeros(flat.size + 1, dtype=np.int64)
-    np.cumsum(flat, out=csum[1:])
-    # per-window start positions, all histories at once
-    firsts = np.repeat(offsets[:-1] + (lengths - ks * m), ks)
-    within = np.arange(total_k, dtype=np.int64) - np.repeat(
-        np.concatenate([[0], np.cumsum(ks)[:-1]]), ks
-    )
-    starts = firsts + within * m
-    return csum[starts + m] - csum[starts]
 
 
 def _validate(m: int, align: str = "recent") -> None:

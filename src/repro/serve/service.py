@@ -51,8 +51,13 @@ from .cache import CalibrationCache
 __all__ = ["AssessmentService", "VECTOR_MIN_BATCH"]
 
 #: Minimum number of cold states in one ``assess_many`` sweep before the
-#: batched pre-fold pays for itself; smaller sweeps stay scalar.
-VECTOR_MIN_BATCH = 32
+#: batched pre-fold pays for itself; a lone cold state stays scalar.
+#: ``benchmarks/test_core_micro.py::test_fold_cold_batch_vs_scalar``
+#: puts the crossover at 2 histories: on a warm calibrator one
+#: ``fold_cold_batch`` call ran at 0.70-0.79x the speed of the scalar
+#: walks for 1 history, 1.21-1.28x for 2, 1.59-1.73x for 4 and
+#: 2.30-2.39x for 16 (two runs, 2 vCPUs).
+VECTOR_MIN_BATCH = 2
 
 
 class AssessmentService:
@@ -82,9 +87,11 @@ class AssessmentService:
         Use the batched cold-path fold
         (:func:`~repro.core.multi_testing.fold_cold_batch`): when an
         ``assess_many`` sweep finds at least :data:`VECTOR_MIN_BATCH`
-        cold states and the tester qualifies, their phase-1 verdicts are
-        folded in one pass and seeded into the incremental states before
-        the per-server walk (which then hits the verdict cache).
+        (2) cold states and the tester qualifies, their phase-1 verdicts
+        are folded in one call and seeded into the incremental states
+        before the per-server walk (which then hits the verdict cache);
+        a lone cold state takes the scalar walk, which is cheaper for
+        one history.
         Verdicts are bit-identical either way; the warm incremental path
         is untouched.
 
@@ -259,6 +266,14 @@ class AssessmentService:
         if _obs.enabled:
             _obs.registry.inc("serve.service.server_replacements")
         return self._register(history)
+
+    def remove_server(self, server: EntityId) -> None:
+        """Forget ``server``: drop its incremental state and memoized
+        assessment.  With a ledger attached, the server registers afresh
+        when feedback for it next arrives (the repair path's reset of a
+        server to an empty stream leaves nothing to judge until then)."""
+        self._states.pop(server, None)
+        self._assessment_cache.pop(server, None)
 
     # ------------------------------------------------------------------ #
     # assessment

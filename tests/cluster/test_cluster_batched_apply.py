@@ -118,6 +118,31 @@ def test_skips_are_counted_by_reason():
     assert skipped == {"below_watermark": 1, "duplicate_digest": 1}
 
 
+def test_reset_to_an_empty_stream_forgets_the_served_history():
+    """After a reset to nothing, a replica judges only what arrives
+    next, exactly as a node that was fed just those events."""
+
+    def events(times, bad=()):
+        return [
+            Feedback(
+                time=float(t),
+                server="srv-a",
+                client=CLIENTS[t % 2],
+                rating=Rating.NEGATIVE if t in bad else Rating.POSITIVE,
+            )
+            for t in times
+        ]
+
+    node, fresh = _node(), _node()
+    node.apply_events(events(range(5), bad=(1, 3)))
+    node.service.assess_many(["srv-a"])  # memoize the old verdict
+    node.reset_server("srv-a", [])
+    node.apply_events(events(range(10, 13)))
+    fresh.apply_events(events(range(10, 13)))
+    assert len(node.ledger.history("srv-a")) == 3
+    assert node.service.assess_many(["srv-a"]) == fresh.service.assess_many(["srv-a"])
+
+
 def _tied(client: str) -> Feedback:
     return Feedback(time=5.0, server="srv-a", client=client, rating=Rating.POSITIVE)
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import calibration
 from repro.core.calibration import _MAX_STREAMS, _STREAM_ROWS, ThresholdCalibrator
+from repro.serve import CalibrationCache
 from repro.stats.bootstrap import percentile_threshold
 from repro.stats.binomial import sample_window_counts
 from repro.stats.distances import l1_distance
@@ -230,6 +232,85 @@ class TestPerKeyStreams:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             ThresholdCalibrator(seed=-1)
+
+
+class _Forgetful(dict):
+    """A memo that keeps nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _plain(**settings):
+    """A calibrator without the raw-key memos: every lookup quantizes
+    ``p_hat`` and then looks its key up."""
+    cal = ThresholdCalibrator(**settings)
+    cal._raw = _Forgetful()
+    cal._p_keys = _Forgetful()
+    return cal
+
+
+class TestRawKeyMemo:
+    """A hit is one lookup of the raw ``(m, k, p_hat)``; it must answer
+    exactly what quantizing and looking up would."""
+
+    @staticmethod
+    def _lookups(seed=29, n=400):
+        # rates as a history produces them (good windows over k*m
+        # transactions), with repeats, python and numpy floats, short
+        # keys on the streams and long ones past _STREAM_ROWS
+        rng = np.random.default_rng(seed)
+        ks = [4, 9, 16, 40, _STREAM_ROWS + 44, 80_000]
+        pool = []
+        for k in ks:
+            for g in rng.integers(int(0.8 * 10 * k), 10 * k + 1, size=12).tolist():
+                pool.append((10, k, g / (10 * k)))
+        pool.append((10, 16, 1.0))
+        pool.append((10, 16, np.float64(0.85)))
+        return [pool[i] for i in rng.integers(0, len(pool), size=n)]
+
+    @pytest.mark.parametrize("stored", [False, True], ids=["memo", "store"])
+    @pytest.mark.parametrize("p_quantum", [0.01, 0.0])
+    def test_same_thresholds_and_misses_as_the_plain_lookup(self, p_quantum, stored):
+        settings = dict(n_sets=30, p_quantum=p_quantum, seed=8)
+        fast, plain = ThresholdCalibrator(**settings), _plain(**settings)
+        stores = [CalibrationCache(), CalibrationCache()] if stored else []
+        for cal, store in zip((fast, plain), stores):
+            cal.attach_store(store)
+        lookups = self._lookups()
+        assert [fast.threshold(*key) for key in lookups] == [
+            plain.threshold(*key) for key in lookups
+        ]
+        assert fast.cache_stats == plain.cache_stats
+        assert fast.cache_stats[1] < len(lookups)  # repeats did hit
+        if stored:
+            assert stores[0].stats() == stores[1].stats()
+
+    def test_a_store_fills_a_fresh_calibrator(self):
+        store = CalibrationCache()
+        first = ThresholdCalibrator(n_sets=30, seed=8)
+        first.attach_store(store)
+        lookups = self._lookups(n=60)
+        expected = [first.threshold(*key) for key in lookups]
+        second = ThresholdCalibrator(n_sets=30, seed=8)
+        second.attach_store(store)
+        assert [second.threshold(*key) for key in lookups] == expected
+        assert second.cache_stats[1] == 0
+
+    @pytest.mark.parametrize("p_quantum", [0.0, 0.01])
+    def test_memos_stay_bounded(self, monkeypatch, p_quantum):
+        # Fig. 9-sized k: every rate of a long history is its own key
+        # with p_quantum=0, so only the bound keeps the memo finite
+        monkeypatch.setattr(calibration, "_MAX_RAW", 64)
+        settings = dict(n_sets=16, p_quantum=p_quantum, seed=4)
+        fast, plain = ThresholdCalibrator(**settings), _plain(**settings)
+        k = 80_000
+        goods = np.random.default_rng(5).integers(700_000, 800_000, size=300)
+        for g in goods.tolist() + goods[:50].tolist():
+            p = g / (10 * k)
+            assert fast.threshold(10, k, p) == plain.threshold(10, k, p)
+            assert len(fast._raw) <= 64 and len(fast._p_keys) <= 64
+        assert fast.cache_stats == plain.cache_stats
 
 
 class TestPercentile:

@@ -9,6 +9,7 @@ from repro.core.verdict import (
     AssessmentStatus,
     BehaviorVerdict,
     MultiTestReport,
+    ReorderTrace,
 )
 from repro.feedback.history import TransactionHistory
 from repro.feedback.records import Feedback, Rating
@@ -88,6 +89,50 @@ class TestMultiTestReport:
     def test_n_rounds(self):
         report = MultiTestReport(passed=True, rounds=((1, _verdict()), (2, _verdict())))
         assert report.n_rounds == 2
+
+
+class TestFastConstructors:
+    """``BehaviorVerdict.judged`` and ``MultiTestReport.of_rounds`` skip
+    the frozen constructor; they must build what it builds."""
+
+    def test_judged_equals_the_constructor(self):
+        fast = BehaviorVerdict.judged(False, 0.4, 0.3, 0.85, 12, 10)
+        slow = BehaviorVerdict(False, 0.4, 0.3, 0.85, 12, 10, 120)
+        assert fast == slow and hash(fast) == hash(slow)
+        assert vars(fast) == vars(slow)
+        with pytest.raises(AttributeError):
+            fast.passed = True
+
+    @pytest.mark.parametrize(
+        "rounds",
+        [
+            ((300, _verdict()), (250, _verdict(distance=0.2))),
+            ((300, _verdict()), (250, _verdict(False, 0.9)), (200, _verdict(False, 0.8))),
+            (
+                (100, BehaviorVerdict.insufficient_history(
+                    passed=True, window_size=10, n_considered=30
+                )),
+                (50, _verdict(distance=0.2)),
+            ),
+            (
+                (100, _verdict()),
+                (50, BehaviorVerdict.insufficient_history(
+                    passed=False, window_size=10, n_considered=30
+                )),
+            ),
+            ((40, BehaviorVerdict.judged(True, 0.0, 0.0, 1.0, 4, 10)),),
+            (),
+        ],
+        ids=["passed", "failed", "insufficient-first", "insufficient-fails", "one", "none"],
+    )
+    def test_of_rounds_equals_the_constructor(self, rounds):
+        for reorder in (None, ReorderTrace(3, 2, (2, 1))):
+            fast = MultiTestReport.of_rounds(rounds, reorder)
+            slow = MultiTestReport(
+                passed=all(v.passed for _, v in rounds), rounds=rounds, reorder=reorder
+            )
+            assert fast == slow and vars(fast) == vars(slow)
+            assert type(fast) is MultiTestReport
 
 
 class TestVerdictUnification:

@@ -133,6 +133,40 @@ class TestParity:
         assert fold_cold_batch(mixed, tester) == [tester.test(h) for h in arrays]
 
 
+class _Asking(ThresholdCalibrator):
+    """Records the ``(k, p_key)`` shape of every consultation."""
+
+    def __init__(self):
+        super().__init__(n_sets=CONFIG.calibration_sets, seed=5)
+        self.asked = []
+
+    def threshold(self, m, k, p_hat):
+        self.asked.append((k, self.quantize_p(p_hat)))
+        return super().threshold(m, k, p_hat)
+
+
+def test_batch_consults_each_shape_once():
+    """Two histories whose longest rounds share ``(k, p_key)`` but not
+    ``p_hat``: the scalar walks ask for that shape twice, the batch
+    once, and both get the same threshold."""
+    worse = np.ones(200, dtype=np.int64)
+    worse[::10] = 0
+    better = worse.copy()
+    better[0] = 1  # the oldest window only: shorter suffixes agree
+    shape = (20, 0.9)
+    scalar, batch = _Asking(), _Asking()
+    assert batch.quantize_p(0.905) == batch.quantize_p(0.9) == 0.9
+    expected = [
+        MultiBehaviorTest(CONFIG, scalar, collect_all=True).test(h)
+        for h in (better, worse)
+    ]
+    tester = MultiBehaviorTest(CONFIG, batch, collect_all=True)
+    assert fold_cold_batch([better, worse], tester) == expected
+    assert scalar.asked.count(shape) == 2
+    assert batch.asked.count(shape) == 1
+    assert len(batch.asked) == len(set(batch.asked))
+
+
 class TestSeeds:
     def test_insufficient_histories_report_like_scalar(self):
         tester = MultiBehaviorTest(CONFIG, _calibrator())

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.feedback.windows import (
-    batched_window_counts,
-    n_windows,
-    usable_length,
-    window_counts,
-)
+from repro.feedback.windows import n_windows, usable_length, window_counts
 
 
 class TestNWindows:
@@ -91,19 +86,4 @@ class TestWindowCounts:
         np.testing.assert_array_equal(
             window_counts(trimmed, m, align="recent"),
             window_counts(trimmed, m, align="oldest"),
-        )
-
-    @given(
-        histories=st.lists(
-            st.lists(st.integers(min_value=0, max_value=1), max_size=60), max_size=8
-        ),
-        m=st.integers(min_value=1, max_value=12),
-    )
-    def test_batched_matches_per_history(self, histories, m):
-        offsets = np.cumsum([0] + [len(bits) for bits in histories])
-        flat = np.asarray([b for bits in histories for b in bits], dtype=np.int64)
-        expected = [window_counts(np.asarray(bits), m) for bits in histories]
-        np.testing.assert_array_equal(
-            batched_window_counts(flat, offsets, m),
-            np.concatenate([np.empty(0, dtype=np.int64)] + expected),
         )

@@ -62,8 +62,26 @@ class TestEquivalence:
             for sid in ids[::5]:
                 service.observe_outcome(sid, 1)
         assert vector.assess_many(ids) == scalar.assess_many(ids)
-        # the touched minority is below the min-batch bar: no second prefold
-        assert vector.n_vector_prefolds == 1
+        # the touched minority is prefolded again only if it reaches the
+        # min-batch bar
+        touched = len(ids[::5])
+        assert vector.n_vector_prefolds == 1 + (touched >= VECTOR_MIN_BATCH)
+
+    @pytest.mark.parametrize("dirty", [VECTOR_MIN_BATCH, VECTOR_MIN_BATCH - 1])
+    def test_min_batch_bar_after_a_warm_sweep(self, dirty):
+        """Exactly the bar's number of dirty states is batch-folded and
+        seeded; one fewer stays on the scalar walk."""
+        vector, scalar, ids = _pair()
+        vector.assess_many(ids)
+        scalar.assess_many(ids)
+        for service in (vector, scalar):
+            for sid in ids[:dirty]:
+                service.observe_outcome(sid, 1)
+        seeded = vector.n_vector_seeded
+        assert vector.assess_many(ids) == scalar.assess_many(ids)
+        batched = dirty >= VECTOR_MIN_BATCH
+        assert vector.n_vector_prefolds == 1 + batched
+        assert vector.n_vector_seeded == seeded + (dirty if batched else 0)
 
     def test_post_invalidation_sweep_identical(self):
         vector, scalar, ids = _pair()
