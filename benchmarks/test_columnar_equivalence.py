@@ -2,11 +2,15 @@
 
 The heavyweight throughput acceptance lives in ``test_ingest_scale.py``;
 this file is the fast correctness companion that every CI run executes:
-a small population recorded once, then checked end-to-end — backend
-state (histories, feedback graph) and verdicts (batched fold vs
-the scalar tester, vectorized service vs the scalar service) must be
-identical across the memory, columnar, and mmap backends.
+a small population recorded once, then checked end-to-end against the
+event stream itself — backend state (histories, feedback graph) against
+one ``TransactionHistory`` per server fed by ``append_feedback`` and a
+``Counter`` of the graph, and verdicts (batched fold, vectorized
+service) against the scalar tester and the per-call two-phase assessor
+on those histories — on the columnar and mmap backends.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ import pytest
 from repro.core.calibration import ThresholdCalibrator
 from repro.core.config import AssessorConfig, BehaviorTestConfig
 from repro.core.multi_testing import MultiBehaviorTest, fold_cold_batch
+from repro.core.two_phase import TwoPhaseAssessor
+from repro.feedback.history import TransactionHistory
 from repro.feedback.ledger import FeedbackLedger
 from repro.feedback.records import Feedback, Rating
 from repro.serve import AssessmentService
@@ -45,6 +51,17 @@ def events():
     return _stream()
 
 
+@pytest.fixture(scope="module")
+def histories(events):
+    """One history per server, fed by ``append_feedback``."""
+    replayed = {}
+    for fb in events:
+        if fb.server not in replayed:
+            replayed[fb.server] = TransactionHistory(fb.server)
+        replayed[fb.server].append_feedback(fb)
+    return replayed
+
+
 def _ledger(backend, tmp_path, events):
     kwargs = {"path": str(tmp_path / "led.bin")} if backend == "mmap" else {}
     led = FeedbackLedger(backend=backend, **kwargs)
@@ -53,15 +70,17 @@ def _ledger(backend, tmp_path, events):
 
 
 @pytest.mark.parametrize("backend", ["columnar", "mmap"])
-def test_backend_state_matches_memory(backend, tmp_path, events):
-    reference = _ledger("memory", tmp_path, events)
+def test_backend_state_matches_the_stream(backend, tmp_path, events, histories):
     led = _ledger(backend, tmp_path, events)
-    assert led.servers() == reference.servers()
-    assert led.feedback_graph() == reference.feedback_graph()
-    for sid in sorted(reference.servers()):
-        assert np.array_equal(
-            led.history(sid).outcomes(), reference.history(sid).outcomes()
-        )
+    counts = Counter((fb.client, fb.server, fb.rating) for fb in events)
+    graph = {
+        (c, s): (counts[c, s, Rating.POSITIVE], counts[c, s, Rating.NEGATIVE])
+        for c, s in dict.fromkeys((fb.client, fb.server) for fb in events)
+    }
+    assert led.servers() == set(histories)
+    assert list(led.feedback_graph().items()) == list(graph.items())
+    for sid, history in histories.items():
+        assert np.array_equal(led.history(sid).outcomes(), history.outcomes())
 
 
 @pytest.mark.parametrize("backend", ["columnar", "mmap"])
@@ -88,13 +107,14 @@ def test_kernel_verdicts_match_scalar(backend, tmp_path, events):
     assert folded == expected
 
 
-@pytest.mark.parametrize("backend", ["memory", "columnar", "mmap"])
-def test_vectorized_service_matches_scalar(backend, tmp_path, events):
+@pytest.mark.parametrize("backend", ["columnar", "mmap"])
+def test_vectorized_service_matches_per_call(backend, tmp_path, events, histories):
     config = AssessorConfig(test_config=CONFIG)
     vector = AssessmentService(config=config, vectorized=True)
-    scalar = AssessmentService(config=config, vectorized=False)
     vector.attach_ledger(_ledger(backend, tmp_path, events))
-    scalar.attach_ledger(_ledger("memory", tmp_path / "ref", events))
-    ids = sorted(f"server-{i:03d}" for i in range(40))
-    assert vector.assess_many(ids) == scalar.assess_many(ids)
+    per_call = TwoPhaseAssessor.from_config(config)
+    ids = sorted(histories)
+    assert vector.assess_many(ids) == {
+        sid: per_call.assess(histories[sid]) for sid in ids
+    }
     assert vector.n_vector_prefolds == 1

@@ -219,7 +219,7 @@ def _run_point(
         stride = max(len(servers) // max(verify_sample, 1), 1)
         sample = servers[::stride][:verify_sample]
         keep = set(sample)
-        reference_ledger = FeedbackLedger(backend="memory")
+        reference_ledger = FeedbackLedger()
         reference = AssessmentService(
             assessor=Assessor.from_config(
                 CLUSTER_CONFIG, calibrator=cluster._calibrator

@@ -1,24 +1,24 @@
-"""Ledger ingest and cold-assessment throughput: columnar vs per-object.
+"""Ledger ingest and cold-assessment throughput: batched vs per-object.
 
 Not a figure from the paper — this experiment quantifies the feedback
-plane itself.  The object ledger folds Python ``Feedback`` objects one
-at a time, which caps ingest throughput and makes a cold service start
-(persisted ledger -> verdicts for the whole fleet) pay per-event object
-materialization before the first assessment lands.  The columnar store
-(:mod:`repro.feedback.store`) ingests whole batches as column arrays
-and feeds the batched fold
+plane itself.  Folding Python ``Feedback`` objects one at a time caps
+ingest throughput and makes a cold service start (persisted ledger ->
+verdicts for the whole fleet) pay per-event object materialization
+before the first assessment lands.  The columnar store
+(:mod:`repro.feedback.store`) also ingests whole batches as column
+arrays and feeds the batched fold
 (:func:`repro.core.multi_testing.fold_cold_batch`), so the same cold start
 is a handful of numpy passes.
 
 Two sweeps per population size:
 
 * **ingest** — events/second folding one pre-built event stream into
-  each ledger backend (``memory`` per-event, ``columnar`` and ``mmap``
-  batched).
+  the in-memory ledger one ``Feedback`` at a time (``ingest_object``),
+  and into the ``columnar`` and ``mmap`` backends as one batch.
 * **assess_cold** — end-to-end cold start from the *persisted* binary
   ledger: open the file, attach a fresh :class:`AssessmentService`, and
   assess every server.  The object path reads ``Feedback`` objects and
-  folds them per event into the memory backend with the scalar
+  folds them per event into the in-memory ledger with the scalar
   assessor; the vector path memory-maps the columns and runs the
   batched kernel.  Both paths must return identical assessments — any
   mismatch raises.
@@ -174,11 +174,11 @@ def _run_point(
     servers = sorted(set(batch.servers.tolist()))
     path = os.path.join(workdir, f"ingest-{n_servers}.ledger")
 
-    # ---- ingest: per-object vs batched columnar vs batched mmap ----
+    # ---- ingest: per-event vs batched columnar vs batched mmap ----
     with obs.span("experiments.ingest.object", n_servers=n_servers):
         feedbacks = list(batch.iter_feedbacks())
         for _ in range(max(repeats, 1)):
-            ledger = FeedbackLedger(backend="memory")
+            ledger = FeedbackLedger()
             with obs.timer(_INGEST_METRIC, mode="ingest_object", n_events=n_events):
                 for feedback in feedbacks:
                     ledger.record(feedback)
@@ -222,7 +222,7 @@ def _run_point(
         with obs.timer(
             _INGEST_METRIC, mode="assess_cold_object", n_servers=n_servers
         ):
-            ledger = FeedbackLedger(backend="memory")
+            ledger = FeedbackLedger()
             for feedback in read(path, format="binary"):
                 ledger.record(feedback)
             service.attach_ledger(ledger)

@@ -176,38 +176,6 @@ class TransactionHistory:
         self._feedbacks.append(feedback)
         self._push(feedback.outcome)
 
-    def extend_feedbacks(self, feedbacks: Sequence[Feedback]) -> None:
-        """Append a run of feedback records in one step.
-
-        Same contract as calling :meth:`append_feedback` on each record,
-        validated up front: on any violation nothing is appended.
-        """
-        if not feedbacks:
-            return
-        if not self._has_feedbacks:
-            raise ValueError(
-                "cannot mix bare outcomes and feedback records in one history"
-            )
-        server = self._server
-        last = self._feedbacks[-1].time if self._feedbacks else feedbacks[0].time
-        outcomes = []
-        for fb in feedbacks:
-            if fb.server != server:
-                raise ValueError(
-                    f"feedback for server {fb.server!r} appended to history "
-                    f"of {server!r}"
-                )
-            if fb.time < last:
-                raise ValueError("feedback times must be non-decreasing")
-            last = fb.time
-            outcomes.append(fb.rating)
-        n, k = self._n, len(outcomes)
-        self._ensure_capacity(n + k)
-        self._buf[n : n + k] = outcomes
-        self._feedbacks.extend(feedbacks)
-        self._n = n + k
-        self._n_good += sum(outcomes)
-
     @contextmanager
     def speculate(self, outcome: int) -> Iterator["TransactionHistory"]:
         """Temporarily append ``outcome`` for what-if evaluation.

@@ -1,27 +1,24 @@
-"""Structure-of-arrays feedback storage — the columnar ledger backends.
+"""Structure-of-arrays feedback storage — the ledger backends.
 
-The object ledger folds one Python :class:`~repro.feedback.records.Feedback`
-at a time; at the ROADMAP's millions-of-users scale that per-event
-constant dominates ingest.  :class:`ColumnarStore` holds the same data
-as parallel numpy columns (``float64`` times, ``uint8`` ratings,
-``uint32`` interned server/client ids) with amortized O(1) append and a
-vectorized bulk path (:class:`FeedbackBatch`).  The bulk path interns
-a batch's id columns without sorting strings: :func:`id_hash` keys each
-id with a 64-bit FNV-1a, :func:`unique_ids` groups the keys and checks
-every row against its group's representative (a collision falls back to
-the string sort), and only the distinct ids are sorted, so codes come
-out exactly as a sort would give them.  Two ledger backends are built
-on it:
+:class:`ColumnarStore` holds folded feedback as parallel numpy columns
+(``float64`` times, ``uint8`` ratings, ``uint32`` interned server/client
+ids) with amortized O(1) per-event append and a vectorized bulk path
+(:class:`FeedbackBatch`).  The bulk path interns a batch's id columns
+without sorting strings: :func:`id_hash` keys each id with a 64-bit
+FNV-1a, :func:`unique_ids` groups the keys and checks every row against
+its group's representative (a collision falls back to the string sort),
+and only the distinct ids are sorted, so codes come out exactly as a
+sort would give them.  Two ledger backends are built on it:
 
-* ``"columnar"`` — in-memory columns only;
+* ``"columnar"`` — in-memory columns only (also named ``"memory"``);
 * ``"mmap"`` — columns plus the append-only binary file format of
   :mod:`repro.feedback.binlog` (records are appended on every fold, the
   existing file is memory-mapped and recovered on open).
 
 Both sit in the fixed backend table of :mod:`repro.feedback.ledger`,
-behind the same ``FeedbackLedger`` facade, with identical semantics to the object backend — including the
-``feedback.ledger.fold`` fault site, quarantine behavior, and the
-live-history contract (the conformance and hypothesis-equivalence
+behind the same ``FeedbackLedger`` facade, with identical semantics —
+including the ``feedback.ledger.fold`` fault site, quarantine behavior,
+and the live-history contract (the conformance and hypothesis-equivalence
 suites assert all of it, verdict-for-verdict).
 """
 
@@ -324,28 +321,22 @@ class FeedbackBatch:
         The id columns are grouped by dict (:func:`group_ids`, the
         servers in the order of ``server_ids`` when given) on the way;
         ``categories`` stays ``None`` when no record has one, and
-        ``authentic`` when every record is authentic.
+        ``authentic`` when every record is authentic.  Each column is
+        its own comprehension: a row tuple per event would be one more
+        garbage-collected allocation per event.
         """
         positive = Rating.POSITIVE
-        columns = [
-            (
-                fb.time,
-                fb.server,
-                fb.client,
-                fb.rating is positive,
-                fb.category,
-                fb.authentic,
-            )
-            for fb in feedbacks
-        ]
-        times, servers, clients, ratings, categories, authentic = (
-            zip(*columns) if columns else ((),) * 6
-        )
+        servers = [fb.server for fb in feedbacks]
+        clients = [fb.client for fb in feedbacks]
+        categories = [fb.category for fb in feedbacks]
+        authentic = [fb.authentic for fb in feedbacks]
         return cls(
-            times=np.array(times, dtype=np.float64),
+            times=np.array([fb.time for fb in feedbacks], dtype=np.float64),
             servers=np.array(servers, dtype=object),
             clients=np.array(clients, dtype=object),
-            ratings=np.array(ratings, dtype=bool).view(np.uint8),
+            ratings=np.array(
+                [fb.rating is positive for fb in feedbacks], dtype=bool
+            ).view(np.uint8),
             categories=(
                 None
                 if categories.count(None) == len(categories)
@@ -491,7 +482,8 @@ class ColumnarStore:
         # derived indices, each covering the rows before its mark
         self._rows_by_server: Dict[int, List[int]] = {}
         self._rows_indexed = 0
-        self._pair_last: Dict[Tuple[int, int], int] = {}
+        #: ``server_code << 32 | client_code`` -> last row of that pair
+        self._pair_last: Dict[int, int] = {}
         self._pairs_indexed = 0
         #: tombstoned rows (:meth:`drop_server`), in drop order
         self._dropped = np.empty(0, dtype=np.int64)
@@ -559,7 +551,11 @@ class ColumnarStore:
         category_code: int,
         authentic: int,
     ) -> int:
-        """Append one pre-validated, pre-interned event; returns its row."""
+        """Append one pre-validated, pre-interned event; returns its row.
+
+        Only the columns and the server's last time move; the row/pair
+        indices take the row in on the next point query.
+        """
         row = self._n
         self._ensure_capacity(row + 1)
         self._times[row] = time
@@ -570,12 +566,6 @@ class ColumnarStore:
         self._auth[row] = authentic
         self._n = row + 1
         self._last_time[server_code] = time
-        if self._rows_indexed == row:
-            self._rows_by_server.setdefault(server_code, []).append(row)
-            self._rows_indexed = row + 1
-        if self._pairs_indexed == row:
-            self._pair_last[(server_code, client_code)] = row
-            self._pairs_indexed = row + 1
         return row
 
     def append_columns(
@@ -637,7 +627,7 @@ class ColumnarStore:
     def last_row_for_pair(self, server_code: int, client_code: int) -> Optional[int]:
         """Row of the most recent ``(server, client)`` event, if any."""
         self._ensure_pair_index()
-        return self._pair_last.get((server_code, client_code))
+        return self._pair_last.get(server_code << 32 | client_code)
 
     def _ensure_row_index(self) -> None:
         lo = self._rows_indexed
@@ -670,10 +660,7 @@ class ColumnarStore:
         # the last row of each pair is the first one of the reversed block
         keys, first = np.unique(combined[::-1], return_index=True)
         last = (self._n - 1 - first).tolist()
-        self._pair_last.update(
-            ((key >> 32, key & 0xFFFFFFFF), row)
-            for key, row in zip(keys.tolist(), last)
-        )
+        self._pair_last.update(zip(keys.tolist(), last))
         self._pairs_indexed = self._n
 
     # ------------------------------------------------------------------ #
@@ -686,7 +673,7 @@ class ColumnarStore:
         self._ensure_pair_index()
         rows = self._rows_by_server.pop(server_code, [])
         for client_code in set(self._cli[rows].tolist()):
-            del self._pair_last[(server_code, client_code)]
+            del self._pair_last[server_code << 32 | client_code]
         self._last_time.pop(server_code, None)
         self._dropped = np.append(self._dropped, rows)
 
@@ -808,13 +795,13 @@ class ColumnarLedgerBackend:
     """In-memory columnar ledger backend (``backend="columnar"``).
 
     Implements the full ledger backend surface over a
-    :class:`ColumnarStore`.  Per-event folds replicate the object
-    backend exactly — the ``feedback.ledger.fold`` fault site fires
-    before validation, ordering violations raise (or quarantine) with
-    the same semantics — while :meth:`record_batch` ingests a whole
-    :class:`FeedbackBatch` in one vectorized pass when nothing forces
-    the per-event path (armed faults, or an ordering violation in the
-    batch); live histories take the block in one slice per server.
+    :class:`ColumnarStore`.  Per-event folds (:meth:`record`) fire the
+    ``feedback.ledger.fold`` fault site before validation and raise (or
+    quarantine) on an ordering violation, while :meth:`record_batch`
+    ingests a whole :class:`FeedbackBatch` in one vectorized pass when
+    nothing forces the per-event path (armed faults, or an ordering
+    violation in the batch); live histories take the block in one
+    slice per server.
     """
 
     name = "columnar"
@@ -844,15 +831,24 @@ class ColumnarLedgerBackend:
     # folding
 
     def record(self, feedback: Feedback) -> bool:
-        """Fold one feedback event; same contract as the object backend."""
+        """Fold one feedback event; ``False`` means it was quarantined.
+
+        The ``feedback.ledger.fold`` fault site fires first; a time
+        before the server's last one raises ``ValueError`` (or goes to
+        the quarantine).  A live history takes the outcome in place: the
+        store has checked the time, and the history is this server's.
+        The point indexes take the row in on their next query.
+        """
         store = self._store
-        server_code = store.server_table.lookup(feedback.server)
+        server = feedback.server
+        time = feedback.time
+        server_code = store.server_table.lookup(server)
         try:
             if _res.armed:
                 _res.inject(_FOLD_SITE)
             if server_code is not None:
                 last = store.last_time(server_code)
-                if last is not None and feedback.time < last:
+                if last is not None and time < last:
                     raise ValueError("feedback times must be non-decreasing")
         except (ValueError, _res.InjectedFault) as exc:
             if self._quarantine is None:
@@ -860,24 +856,28 @@ class ColumnarLedgerBackend:
             self._quarantine.add(feedback, site=_FOLD_SITE, reason=str(exc))
             return False
         if server_code is None:
-            server_code = store.server_table.intern(feedback.server)
-        client_code = store.client_table.intern(feedback.client)
-        category_code = (
-            binlog.CATEGORY_NONE
-            if feedback.category is None
-            else store.category_table.intern(feedback.category)
-        )
+            server_code = store.server_table.intern(server)
+        category = feedback.category
+        outcome = feedback.outcome
         row = store.append_row(
-            feedback.time,
+            time,
             server_code,
-            client_code,
-            feedback.outcome,
-            category_code,
+            store.client_table.intern(feedback.client),
+            outcome,
+            (
+                binlog.CATEGORY_NONE
+                if category is None
+                else store.category_table.intern(category)
+            ),
             1 if feedback.authentic else 0,
         )
-        history = self._histories.get(feedback.server)
+        history = self._histories.get(server)
         if history is not None:
-            history.append_feedback(feedback)
+            if history._lazy_list is None:
+                history._last_t = time
+                history._push(outcome)
+            else:
+                history.append_feedback(feedback)
         self._persist_row(row, feedback)
         return True
 
@@ -888,7 +888,7 @@ class ColumnarLedgerBackend:
         The fast path requires clean data (no ordering violations
         against the stored per-server last times or within the batch)
         and no armed fault plan (per-event injection sequencing must
-        match the object backend bit-for-bit).  Live histories already
+        match :meth:`record` bit-for-bit).  Live histories already
         handed out are extended by their server's slice of the block,
         as the per-event path would have appended it.
         """
@@ -987,16 +987,22 @@ class ColumnarLedgerBackend:
     def _persist_block(self, start_row: int, n: int, new_servers: List[str]) -> None:
         pass
 
+    def flush(self) -> None:
+        """Nothing to flush: the columns live in memory only."""
+
+    def close(self) -> None:
+        """Nothing to release: the columns live in memory only."""
+
     # ------------------------------------------------------------------ #
     # queries
 
     def reset_server(self, server: EntityId, feedbacks: List[Feedback]) -> int:
         """Replace every record for ``server`` with a reconciled stream.
 
-        The same contract as the object backend's, in time linear in
-        the server's old and new records: the old rows are tombstoned
-        (:meth:`ColumnarStore.drop_server`) and the stream is folded
-        one event at a time after every other server's rows.
+        In time linear in the server's old and new records: the old
+        rows are tombstoned (:meth:`ColumnarStore.drop_server`) and the
+        stream is folded one event at a time after every other server's
+        rows.
         """
         for fb in feedbacks:
             if fb.server != server:
@@ -1015,10 +1021,11 @@ class ColumnarLedgerBackend:
         return column if live is None else column[live]
 
     def servers(self) -> Set[EntityId]:
-        """All servers with at least one folded feedback."""
+        """All servers with at least one folded feedback: those with a
+        last time, which a drop removes."""
         store = self._store
-        codes = np.unique(self._column(store.server_codes))
-        return {store.server_table.value(int(code)) for code in codes}
+        value = store.server_table.value
+        return {value(code) for code in store._last_time}
 
     def clients(self) -> Set[EntityId]:
         """All clients that issued at least one folded feedback."""
@@ -1053,7 +1060,7 @@ class ColumnarLedgerBackend:
         vectorized gather; per-event :class:`Feedback` metadata stays in
         the store until first requested (:class:`_ColumnarHistory`).
         Once handed out the history is kept appended by every subsequent
-        fold — the same live-object contract as the object backend.
+        fold.
         """
         history = self._histories.get(server)
         if history is not None:
@@ -1097,9 +1104,8 @@ class ColumnarLedgerBackend:
     def feedback_graph(self) -> Dict[Tuple[EntityId, EntityId], Tuple[int, int]]:
         """``(client, server) -> (n_positive, n_negative)``, vectorized.
 
-        Edge iteration order matches the object backend byte-for-byte:
-        first appearance of each ``(client, server)`` pair in the fold
-        stream.
+        Edges iterate in order of first appearance of each
+        ``(client, server)`` pair in the fold stream.
         """
         store = self._store
         if len(self) == 0:

@@ -13,10 +13,16 @@ live in :mod:`repro.obs.runtime`.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
-__all__ = ["SpanRecord", "Tracer"]
+__all__ = ["MAX_SPAN_RECORDS", "SpanRecord", "Tracer"]
+
+#: Finished spans a tracer keeps; older ones are dropped (counted in
+#: :attr:`Tracer.dropped`), so a long traced session stays bounded.  A
+#: span sink still receives every traced span.
+MAX_SPAN_RECORDS = 10_000
 
 
 @dataclass
@@ -65,15 +71,20 @@ class _OpenSpan:
 
 @dataclass
 class Tracer:
-    """Collects finished spans and tracks the currently-open stack."""
+    """Collects finished spans (the newest :data:`MAX_SPAN_RECORDS`)
+    and tracks the currently-open stack."""
 
-    _records: List[SpanRecord] = field(default_factory=list)
+    _records: Deque[SpanRecord] = field(
+        default_factory=lambda: deque(maxlen=MAX_SPAN_RECORDS)
+    )
     _stack: List[_OpenSpan] = field(default_factory=list)
     _next_id: int = 0
+    #: finished spans dropped by the retention cap
+    dropped: int = field(default=0, init=False)
 
     @property
     def finished(self) -> List[SpanRecord]:
-        """Finished spans, in completion order."""
+        """Retained finished spans, in completion order."""
         return list(self._records)
 
     def begin(
@@ -126,7 +137,10 @@ class Tracer:
             trace_parent_id=open_span.trace_parent_id,
             events=open_span.events,
         )
-        self._records.append(record)
+        records = self._records
+        if len(records) == records.maxlen:
+            self.dropped += 1
+        records.append(record)
         return record
 
     def reset(self) -> None:
@@ -134,6 +148,7 @@ class Tracer:
         self._records.clear()
         self._stack.clear()
         self._next_id = 0
+        self.dropped = 0
 
     # -- tree queries --------------------------------------------------- #
 

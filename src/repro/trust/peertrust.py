@@ -22,7 +22,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ..feedback.ledger import FeedbackLedger
-from ..feedback.records import EntityId, Rating
+from ..feedback.records import EntityId
 from .base import LedgerTrustFunction
 
 __all__ = ["PeerTrust"]
@@ -79,13 +79,9 @@ class PeerTrust(LedgerTrustFunction):
 def _satisfaction_table(
     ledger: FeedbackLedger,
 ) -> Dict[Tuple[EntityId, EntityId], Tuple[float, int]]:
-    """``(client, server) -> (positive rate, feedback count)``."""
-    counts: Dict[Tuple[EntityId, EntityId], list] = defaultdict(lambda: [0, 0])
-    for client in ledger.clients():
-        for fb in ledger.feedbacks_by_client(client):
-            cell = counts[(client, fb.server)]
-            cell[0] += 1 if fb.rating is Rating.POSITIVE else 0
-            cell[1] += 1
+    """``(client, server) -> (positive rate, feedback count)``, read off
+    the ledger's feedback graph."""
     return {
-        pair: (pos / total, total) for pair, (pos, total) in counts.items() if total
+        pair: (pos / (pos + neg), pos + neg)
+        for pair, (pos, neg) in ledger.feedback_graph().items()
     }

@@ -117,7 +117,7 @@ def make_reference(
     servers: Optional[List[str]] = None,
 ) -> AssessmentService:
     """The single-node ground truth sharing ``calibrator``."""
-    ledger = FeedbackLedger(backend="memory")
+    ledger = FeedbackLedger()
     service = AssessmentService(
         assessor=Assessor.from_config(CLUSTER_CONFIG, calibrator=calibrator),
         ledger=ledger,

@@ -1,25 +1,30 @@
 """Backend conformance: every ledger backend honors the same contract.
 
-The ledger API redesign demands that ``backend="memory"``, ``"columnar"``
-and ``"mmap"`` are interchangeable: identical query results, identical
-live-history semantics, identical fold-fault behavior at the
-``feedback.ledger.fold`` site.  One shared test class runs against all
-three so a new backend cannot drift from the contract silently.
+``backend="columnar"`` and ``"mmap"`` are interchangeable: identical
+query results, identical live-history semantics, identical fold-fault
+behavior at the ``feedback.ledger.fold`` site.  ``"memory"`` is another
+name for the columnar backend and runs the same class, so the name
+existing callers build keeps the whole contract.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.feedback import binlog
+from repro.feedback.history import TransactionHistory
 from repro.feedback.ledger import FeedbackLedger
-from repro.feedback.store import FeedbackBatch
+from repro.feedback.store import ColumnarLedgerBackend, FeedbackBatch
 from repro.feedback.records import Feedback, Rating
 from repro.resilience import FaultPlan, Quarantine
 from repro.resilience import runtime as res
 
 BACKENDS = ("memory", "columnar", "mmap")
+#: the backend each name builds
+NAMES = {"memory": "columnar", "columnar": "columnar", "mmap": "mmap"}
 
 
 def _fb(t, server="s1", client="c1", rating=Rating.POSITIVE, category=None):
@@ -70,7 +75,7 @@ def ledger(make_ledger):
 
 class TestConformance:
     def test_backend_name(self, ledger, make_ledger):
-        assert ledger.backend_name == make_ledger.backend
+        assert ledger.backend_name == NAMES[make_ledger.backend]
 
     def test_len_servers_clients(self, ledger):
         assert len(ledger) == len(STREAM)
@@ -281,8 +286,6 @@ class TestConformance:
             led.record_batch(batch)
         assert led.servers() == {"s-b"}
         led.record(_fb(2, "s-b", "c1"))  # the next write syncs the sidecars
-        if make_ledger.backend == "memory":
-            return
         tables = led.backend.store
         assert tables.server_table.values() == ["s-b"]
         assert tables.client_table.values() == ["c1"]
@@ -354,31 +357,68 @@ def _state(led):
     }
 
 
-class TestResetServer:
-    """``reset_server`` on the columnar backend (tombstoned rows plus an
-    append) leaves every query as the object backend's rebuild does."""
+class _Replay:
+    """The ledger queries a stream of folded events answers, computed
+    from the stream alone: a history per server fed by
+    ``append_feedback`` and a ``Counter`` for the graph."""
 
-    def _reset(self, backend, stream):
-        led = FeedbackLedger(backend=backend)
+    def __init__(self, events):
+        self.events = list(events)
+
+    def __len__(self):
+        return len(self.events)
+
+    def servers(self):
+        return {fb.server for fb in self.events}
+
+    def clients(self):
+        return {fb.client for fb in self.events}
+
+    def feedbacks_for_server(self, server):
+        return [fb for fb in self.events if fb.server == server]
+
+    def feedbacks_by_client(self, client):
+        return [fb for fb in self.events if fb.client == client]
+
+    def history(self, server):
+        history = TransactionHistory(server)
+        for fb in self.feedbacks_for_server(server):
+            history.append_feedback(fb)
+        return history
+
+    def last_interaction(self, server, client):
+        pair = [fb for fb in self.feedbacks_for_server(server) if fb.client == client]
+        return pair[-1] if pair else None
+
+    def feedback_graph(self):
+        counts = Counter((fb.client, fb.server, fb.rating) for fb in self.events)
+        return {
+            (c, s): (counts[c, s, Rating.POSITIVE], counts[c, s, Rating.NEGATIVE])
+            for c, s in dict.fromkeys((fb.client, fb.server) for fb in self.events)
+        }
+
+
+class TestResetServer:
+    """``reset_server`` (tombstoned rows plus an append) leaves every
+    query as a ledger that only ever saw the other servers' events, then
+    the reconciled stream, would answer."""
+
+    @pytest.mark.parametrize("stream", [MERGED_S1, []], ids=["merged", "empty"])
+    def test_reset_matches_a_rebuild(self, stream):
+        led = FeedbackLedger()
         led.record_many(STREAM)
         held = led.history("s1")  # a history handed out before the reset
         assert led.reset_server("s1", stream) == len(stream)
-        led.record(_fb(10, "s2", "c9"))
-        if stream:
-            led.record(_fb(9, "s1", "c9"))
-        return led, held
-
-    @pytest.mark.parametrize("stream", [MERGED_S1, []], ids=["merged", "empty"])
-    def test_columnar_matches_memory(self, stream):
-        memory, _ = self._reset("memory", stream)
-        columnar, held = self._reset("columnar", stream)
-        assert _state(columnar) == _state(memory)
+        later = [_fb(10, "s2", "c9")] + ([_fb(9, "s1", "c9")] if stream else [])
+        led.record_many(later)
+        rebuilt = [fb for fb in STREAM if fb.server != "s1"] + stream + later
+        assert _state(led) == _state(_Replay(rebuilt))
         if not stream:
-            assert "s1" not in columnar.servers()
+            assert "s1" not in led.servers()
             with pytest.raises(KeyError):
-                columnar.history("s1")
+                led.history("s1")
         else:
-            assert columnar.history("s1") is not held
+            assert led.history("s1") is not held
 
     def test_mmap_cannot_reset(self, tmp_path):
         led = FeedbackLedger(backend="mmap", path=str(tmp_path / "led.bin"))
@@ -388,6 +428,11 @@ class TestResetServer:
 
 
 class TestRegistry:
+    def test_memory_names_the_columnar_backend(self):
+        for ledger in (FeedbackLedger(), FeedbackLedger(backend="memory")):
+            assert type(ledger.backend) is ColumnarLedgerBackend
+            assert ledger.backend_name == "columnar"
+
     def test_available_backends(self):
         # the error for an unknown name lists exactly the fixed table
         with pytest.raises(ValueError, match="known: columnar, memory, mmap$"):
@@ -434,7 +479,8 @@ class TestLastInteractionIndex:
             assert led.last_interaction(server, client).time == expected
 
 
-def test_memory_fold_keeps_no_per_event_gc_objects():
+@pytest.mark.parametrize("backend", ["columnar", "mmap"])
+def test_fold_keeps_no_per_event_gc_objects(backend, tmp_path):
     """Folding N events over fresh (server, client) pairs allocates
     garbage-collected objects per server and per client, not per event:
     each surviving object brings full collections closer."""
@@ -446,7 +492,8 @@ def test_memory_fold_keeps_no_per_event_gc_objects():
         for t in range(n_servers * n_clients)
     ]
     for fold in ("record_many", "record_batch"):
-        led = FeedbackLedger(backend="memory")
+        options = {"path": str(tmp_path / f"{fold}.bin")} if backend == "mmap" else {}
+        led = FeedbackLedger(backend=backend, **options)
         gc.collect()
         gc.disable()
         try:

@@ -33,7 +33,7 @@ def _events(server="srv-a", n=12, base=0.0):
 
 class TestLedgerResetServer:
     def test_reset_replaces_only_the_target_server(self):
-        ledger = FeedbackLedger(backend="memory")
+        ledger = FeedbackLedger()
         for fb in _events() + _events(server="srv-b", base=100.0):
             ledger.record(fb)
         merged = _events(n=15)  # the reconciled stream is longer
@@ -44,14 +44,14 @@ class TestLedgerResetServer:
         )
 
     def test_reset_with_empty_stream_removes_the_server(self):
-        ledger = FeedbackLedger(backend="memory")
+        ledger = FeedbackLedger()
         for fb in _events():
             ledger.record(fb)
         assert ledger.reset_server("srv-a", []) == 0
         assert "srv-a" not in ledger.servers()
 
     def test_reset_rejects_foreign_feedback(self):
-        ledger = FeedbackLedger(backend="memory")
+        ledger = FeedbackLedger()
         with pytest.raises(ValueError, match="srv-a"):
             ledger.reset_server("srv-a", _events(server="srv-b"))
 
@@ -64,7 +64,7 @@ class TestLedgerResetServer:
 
 class TestServiceReplaceServer:
     def _service(self):
-        ledger = FeedbackLedger(backend="memory")
+        ledger = FeedbackLedger()
         assessor = Assessor.from_config(AssessorConfig(trust_function="average"))
         return AssessmentService(assessor=assessor, ledger=ledger), ledger
 

@@ -4,7 +4,7 @@ import time
 import tracemalloc
 
 from repro import obs
-from repro.obs import runtime
+from repro.obs import runtime, tracing
 
 
 class TestNesting:
@@ -65,6 +65,22 @@ class TestNesting:
                 with obs.span("rep"):
                     time.sleep(0.002)
         assert session.tracer.total_time("rep") >= 0.003
+
+    def test_session_keeps_only_the_newest_spans(self):
+        """A session finishing more spans than the cap holds the cap's
+        worth, the newest, and counts the rest as dropped."""
+        extra = 5
+        with obs.activate() as session:
+            for i in range(tracing.MAX_SPAN_RECORDS + extra):
+                with obs.span("rep", i=str(i)):
+                    pass
+        tracer = session.tracer
+        kept = tracer.finished
+        assert len(kept) == tracing.MAX_SPAN_RECORDS
+        assert tracer.dropped == extra
+        assert kept[0].labels == {"i": str(extra)}
+        tracer.reset()
+        assert (tracer.finished, tracer.dropped) == ([], 0)
 
 
 class TestActivationScoping:

@@ -155,7 +155,7 @@ class TestLedgerColdStart:
     def test_attach_and_cold_assess_matches_scalar(self, backend):
         stream = self._stream()
         led_v = FeedbackLedger(backend=backend)
-        led_s = FeedbackLedger(backend="memory")
+        led_s = FeedbackLedger()
         led_v.record_many(stream)
         led_s.record_many(stream)
         vector = AssessmentService(config=CONFIG, vectorized=True)

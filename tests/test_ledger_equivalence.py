@@ -1,16 +1,20 @@
-"""Property-based ledger equivalence: every backend tells the same story.
+"""Property-based ledger equivalence: every backend tells the stream's story.
 
 For arbitrary populations — honest players, hibernating and periodic
-attackers, colluding issuer cliques — the object (``memory``), SoA
-(``columnar``) and persisted (``mmap``) backends must agree
-*verdict-for-verdict* (the behavior tests run on each backend's
-histories, including the vectorized cold-path kernel) and
-*byte-for-byte* on the aggregate ``feedback_graph()``.  A chaos variant
-replays the same stream under per-backend fresh fault plans built from
-the CI seed matrix and demands identical fold/quarantine decisions.
+attackers, colluding issuer cliques — the in-memory (``columnar``) and
+persisted (``mmap``) backends must agree with the stream itself:
+*verdict-for-verdict* with the scalar tester run on one
+``TransactionHistory`` per server fed by ``append_feedback`` (each
+backend is judged through the vectorized cold-path kernel), and
+*byte-for-byte* with the ``(client, server)`` graph counted from the
+events.  A chaos variant replays the same stream under per-backend
+fresh fault plans built from the CI seed matrix and demands identical
+fold/quarantine decisions.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,12 +27,13 @@ from repro.core.calibration import ThresholdCalibrator
 from repro.core.config import BehaviorTestConfig
 from repro.core.model import generate_honest_outcomes
 from repro.core.multi_testing import MultiBehaviorTest, fold_cold_batch
+from repro.feedback.history import TransactionHistory
 from repro.feedback.ledger import FeedbackLedger
 from repro.feedback.records import Feedback, Rating
 from repro.resilience import FaultPlan, Quarantine
 from repro.resilience import runtime as res
 
-BACKENDS = ("memory", "columnar", "mmap")
+BACKENDS = ("columnar", "mmap")
 CHAOS_SEEDS = (0, 1337, 90210)
 
 CONFIG = BehaviorTestConfig(calibration_sets=50)
@@ -90,6 +95,32 @@ def _stream(spec) -> list:
     return events
 
 
+def _replay(events):
+    """The stream's own story: a history per server fed by
+    ``append_feedback``, and the ``(client, server) -> (n_positive,
+    n_negative)`` graph counted in first-appearance order."""
+    histories = {}
+    for fb in events:
+        history = histories.get(fb.server)
+        if history is None:
+            history = histories[fb.server] = TransactionHistory(fb.server)
+        history.append_feedback(fb)
+    counts = Counter((fb.client, fb.server, fb.rating) for fb in events)
+    graph = {
+        (c, s): (counts[c, s, Rating.POSITIVE], counts[c, s, Rating.NEGATIVE])
+        for c, s in dict.fromkeys((fb.client, fb.server) for fb in events)
+    }
+    return histories, graph
+
+
+def _rows(feedbacks):
+    """Comparable field tuples (``Feedback`` equality looks at time only)."""
+    return [
+        (fb.time, fb.server, fb.client, fb.rating, fb.category, fb.authentic)
+        for fb in feedbacks
+    ]
+
+
 def _ledger(backend: str, tmp_path_factory, tag: str, **kwargs) -> FeedbackLedger:
     if backend == "mmap":
         root = tmp_path_factory.mktemp("ledger-eq")
@@ -115,34 +146,29 @@ class TestBackendEquivalence:
     @settings(max_examples=20, deadline=None)
     def test_verdicts_and_graph_agree(self, spec, tmp_path_factory):
         events = _stream(spec)
-        ledgers = {
-            backend: _ledger(backend, tmp_path_factory, f"clean-{backend}")
-            for backend in BACKENDS
-        }
-        for backend, led in ledgers.items():
-            assert led.record_many(events) == len(events)
-
-        reference = ledgers["memory"]
-        ref_graph = reference.feedback_graph()
-        servers = sorted(reference.servers())
-        # scalar verdicts on the object backend are the ground truth;
-        # each columnar backend is judged by the batched fold so
-        # the equivalence covers the whole cold path, not just storage
+        histories, graph = _replay(events)
+        servers = sorted(histories)
+        # scalar verdicts on the replayed histories are the ground
+        # truth; each backend is judged by the batched fold so the
+        # equivalence covers the whole cold path, not just storage
         tester = _tester()
-        expected = {
-            sid: tester.test(reference.history(sid)) for sid in servers
-        }
-        for backend in ("columnar", "mmap"):
-            led = ledgers[backend]
+        expected = {sid: tester.test(histories[sid]) for sid in servers}
+        for backend in BACKENDS:
+            led = _ledger(backend, tmp_path_factory, f"clean-{backend}")
+            assert led.record_many(events) == len(events)
             assert led.servers() == set(servers)
-            assert led.feedback_graph() == ref_graph
-            histories = [led.history(sid).outcomes() for sid in servers]
-            folded = fold_cold_batch(histories, tester)
+            assert list(led.feedback_graph().items()) == list(graph.items())
+            folded = fold_cold_batch(
+                [led.history(sid).outcomes() for sid in servers], tester
+            )
             for sid, report in zip(servers, folded):
                 assert report == expected[sid], f"{backend} diverged on {sid}"
             for sid in servers:
-                assert led.feedbacks_for_server(sid) == reference.feedbacks_for_server(
-                    sid
+                assert np.array_equal(
+                    led.history(sid).outcomes(), histories[sid].outcomes()
+                )
+                assert _rows(led.feedbacks_for_server(sid)) == _rows(
+                    histories[sid].feedbacks()
                 )
 
     @given(spec=population)
@@ -169,10 +195,9 @@ class TestChaosEquivalence:
     ):
         """A fresh same-seed fault plan per backend, the same per-event
         invocation sequence: every backend must fold and quarantine the
-        exact same events and agree on the surviving state."""
+        exact same events, and hold the graph of the events it folded."""
         events = _stream(spec)
         folded_sets = {}
-        graphs = {}
         for backend in BACKENDS:
             quarantine = Quarantine(name=f"eq-{backend}")
             led = _ledger(
@@ -189,9 +214,8 @@ class TestChaosEquivalence:
                     if led.record(fb):
                         folded.append(i)
             folded_sets[backend] = folded
-            graphs[backend] = led.feedback_graph()
             assert len(folded) + quarantine.depth == len(events)
-        assert folded_sets["columnar"] == folded_sets["memory"]
-        assert folded_sets["mmap"] == folded_sets["memory"]
-        assert graphs["columnar"] == graphs["memory"]
-        assert graphs["mmap"] == graphs["memory"]
+            assert len(led) == len(folded)
+            _, graph = _replay([events[i] for i in folded])
+            assert list(led.feedback_graph().items()) == list(graph.items())
+        assert folded_sets["mmap"] == folded_sets["columnar"]
