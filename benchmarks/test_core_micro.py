@@ -15,6 +15,7 @@ from repro.core.model import generate_honest_outcomes
 from repro.core.multi_testing import MultiBehaviorTest, fold_cold_batch
 from repro.core.testing import SingleBehaviorTest
 from repro.feedback.history import TransactionHistory
+from repro.feedback.ledger import FeedbackLedger
 from repro.feedback.records import Feedback, Rating
 from repro.feedback.store import StringTable
 from repro.p2p.network import SimulatedNetwork
@@ -308,3 +309,58 @@ def test_replica_apply_events(benchmark, events, servers):
         rounds=200 if events < 100 else 20,
         iterations=1,
     )
+
+
+@pytest.mark.parametrize("backend", ["columnar", "mmap"])
+def test_ledger_record_per_event(benchmark, backend, tmp_path):
+    """``FeedbackLedger.record`` for known servers, one event at a time:
+    500 servers each with a live history (as a serving engine holds
+    them), blocks of 1,000 events built outside the timing.
+    ``extra_info["us_per_event"]`` is the median block time per event."""
+    block, n_servers = 1000, 500
+    rng = np.random.default_rng(31)
+    names = [f"server-{i:05d}" for i in range(n_servers)]
+    clients = [f"client-{i:03d}" for i in range(500)]
+    clocks = np.zeros(n_servers)
+
+    def events():
+        feedbacks = []
+        picks = rng.integers(0, n_servers, size=block).tolist()
+        who = rng.integers(0, len(clients), size=block).tolist()
+        goods = (rng.random(block) < 0.9).tolist()
+        for s, c, good in zip(picks, who, goods):
+            clocks[s] += 1.0
+            feedbacks.append(
+                Feedback(
+                    time=float(clocks[s]),
+                    server=names[s],
+                    client=clients[c],
+                    rating=Rating.POSITIVE if good else Rating.NEGATIVE,
+                )
+            )
+        return feedbacks
+
+    options = {"path": str(tmp_path / "led.bin")} if backend == "mmap" else {}
+    ledger = FeedbackLedger(backend=backend, **options)
+    for _ in range(20):
+        ledger.record_many(events())
+    for name in names:
+        ledger.history(name)
+    assert ledger.servers() == set(names)
+
+    import time
+
+    times = []
+
+    def fold(feedbacks):
+        record = ledger.record
+        start = time.perf_counter()
+        for feedback in feedbacks:
+            record(feedback)
+        times.append(time.perf_counter() - start)
+
+    benchmark.pedantic(
+        fold, setup=lambda: ((events(),), {}), rounds=60, iterations=1
+    )
+    ledger.close()
+    benchmark.extra_info["us_per_event"] = float(np.median(times)) / block * 1e6

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 from dataclasses import dataclass, field
 from typing import IO, Dict, List, Optional, Sequence, Union
 
@@ -74,6 +75,9 @@ RECORD_DTYPE = np.dtype(
         ("reserved", "<u4"),
     ]
 )
+
+#: One :data:`RECORD_DTYPE` record as packed bytes, for a single event.
+_RECORD = struct.Struct("<dIIBBHI")
 
 #: ``category`` sentinel for feedback without a category.
 CATEGORY_NONE = 0xFFFF
@@ -260,6 +264,21 @@ class BinaryLedgerWriter:
         if records.size == 0:
             return
         self._records.write(records.tobytes())
+        self._records.flush()
+
+    def append_record(
+        self,
+        time: float,
+        server: int,
+        client: int,
+        rating: int,
+        authentic: int,
+        category: int,
+    ) -> None:
+        """Append one record from its field values and flush."""
+        self._records.write(
+            _RECORD.pack(time, server, client, rating, authentic, category, 0)
+        )
         self._records.flush()
 
     def flush(self) -> None:

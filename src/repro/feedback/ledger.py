@@ -130,10 +130,13 @@ class FeedbackLedger:
         """
         folded = self._backend.record(feedback)
         if folded:
-            for callback in self._subscribers:
-                callback(feedback)
-            for callback in self._server_subscribers:
-                callback(feedback.server)
+            if self._subscribers:
+                for callback in self._subscribers:
+                    callback(feedback)
+            if self._server_subscribers:
+                server = feedback.server
+                for callback in self._server_subscribers:
+                    callback(server)
         return folded
 
     def record_many(self, feedbacks: Iterable[Feedback]) -> int:

@@ -27,7 +27,17 @@ from __future__ import annotations
 from collections import defaultdict
 from copy import copy
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -38,6 +48,7 @@ from .history import TransactionHistory
 from .records import EntityId, Feedback, Rating
 
 __all__ = [
+    "CATEGORY_LIMIT",
     "id_hash",
     "unique_ids",
     "group_ids",
@@ -51,6 +62,10 @@ __all__ = [
 
 _FOLD_SITE = "feedback.ledger.fold"
 _INITIAL_CAPACITY = 1024
+
+#: The most distinct categories a store holds: codes are ``uint16`` and
+#: the last one, :data:`~repro.feedback.binlog.CATEGORY_NONE`, means none.
+CATEGORY_LIMIT = binlog.CATEGORY_NONE
 
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
@@ -539,6 +554,13 @@ class ColumnarStore:
                 return True
         return False
 
+    def has_room_for(self, categories: Iterable[Optional[str]]) -> bool:
+        """Whether interning ``categories`` (``None`` stands for none)
+        keeps the category table within :data:`CATEGORY_LIMIT`."""
+        index = self.category_table._index
+        fresh = {c for c in categories if c is not None and c not in index}
+        return len(index) + len(fresh) <= CATEGORY_LIMIT
+
     # ------------------------------------------------------------------ #
     # append paths
 
@@ -833,62 +855,103 @@ class ColumnarLedgerBackend:
     def record(self, feedback: Feedback) -> bool:
         """Fold one feedback event; ``False`` means it was quarantined.
 
-        The ``feedback.ledger.fold`` fault site fires first; a time
-        before the server's last one raises ``ValueError`` (or goes to
-        the quarantine).  A live history takes the outcome in place: the
-        store has checked the time, and the history is this server's.
-        The point indexes take the row in on their next query.
+        One flat body: the ids are looked up straight in the intern
+        tables, and the row, the server's last time and a live history
+        are written in place (a materialized history also takes the
+        record).  One guard ahead of any interning stops the events that
+        may be refused — an armed ``feedback.ledger.fold`` fault site, a
+        time before the server's last one, a category when the category
+        table is full — and :meth:`_refused` decides; an event it lets
+        through goes on to the same fold.  The point indexes take the
+        row in on their next query.
         """
         store = self._store
         server = feedback.server
         time = feedback.time
-        server_code = store.server_table.lookup(server)
+        category = feedback.category
+        last_times = store._last_time
+        server_code = store.server_table._index.get(server)
+        last = last_times.get(server_code)
+        if (
+            _res.armed
+            or (last is not None and time < last)
+            or (
+                category is not None
+                and len(store.category_table._items) >= CATEGORY_LIMIT
+            )
+        ):
+            if self._refused(feedback, last):
+                return False
+        if server_code is None:
+            server_code = store.server_table.intern(server)
+        client_code = store.client_table._index.get(feedback.client)
+        if client_code is None:
+            client_code = store.client_table.intern(feedback.client)
+        category_code = (
+            binlog.CATEGORY_NONE
+            if category is None
+            else store.category_table.intern(category)
+        )
+        rating = 1 if feedback.rating else 0
+        authentic = 1 if feedback.authentic else 0
+        row = store._n
+        if row == store._times.size:
+            store._ensure_capacity(row + 1)
+        store._times[row] = time
+        store._srv[row] = server_code
+        store._cli[row] = client_code
+        store._ratings[row] = rating
+        store._cat[row] = category_code
+        store._auth[row] = authentic
+        store._n = row + 1
+        last_times[server_code] = time
+        history = self._histories.get(server)
+        if history is not None:
+            n = history._n
+            if n == history._buf.size:
+                history._ensure_capacity(n + 1)
+            history._buf[n] = rating
+            history._n = n + 1
+            history._n_good += rating
+            history._last_t = time
+            if history._lazy_list is not None:
+                history._lazy_list.append(feedback)
+        if self._persist_row is not None:
+            self._persist_row(
+                time, server_code, client_code, rating, authentic, category_code
+            )
+        return True
+
+    def _refused(self, feedback: Feedback, last: Optional[float]) -> bool:
+        """Whether :meth:`record` refuses ``feedback`` (``last`` is its
+        server's last time): the fault site fires first, then the
+        ordering check, then the category limit.  A refusal raises, or
+        is quarantined when a quarantine is attached."""
         try:
             if _res.armed:
                 _res.inject(_FOLD_SITE)
-            if server_code is not None:
-                last = store.last_time(server_code)
-                if last is not None and time < last:
-                    raise ValueError("feedback times must be non-decreasing")
+            if last is not None and feedback.time < last:
+                raise ValueError("feedback times must be non-decreasing")
+            if not self._store.has_room_for((feedback.category,)):
+                raise ValueError(
+                    f"category table full: {CATEGORY_LIMIT} distinct categories"
+                )
         except (ValueError, _res.InjectedFault) as exc:
             if self._quarantine is None:
                 raise
             self._quarantine.add(feedback, site=_FOLD_SITE, reason=str(exc))
-            return False
-        if server_code is None:
-            server_code = store.server_table.intern(server)
-        category = feedback.category
-        outcome = feedback.outcome
-        row = store.append_row(
-            time,
-            server_code,
-            store.client_table.intern(feedback.client),
-            outcome,
-            (
-                binlog.CATEGORY_NONE
-                if category is None
-                else store.category_table.intern(category)
-            ),
-            1 if feedback.authentic else 0,
-        )
-        history = self._histories.get(server)
-        if history is not None:
-            if history._lazy_list is None:
-                history._last_t = time
-                history._push(outcome)
-            else:
-                history.append_feedback(feedback)
-        self._persist_row(row, feedback)
-        return True
+            return True
+        return False
 
     def record_batch(self, batch) -> Optional[int]:
         """Vectorized bulk fold of a :class:`FeedbackBatch` (or a list
         of feedbacks); ``None`` defers to the per-event path.
 
         The fast path requires clean data (no ordering violations
-        against the stored per-server last times or within the batch)
-        and no armed fault plan (per-event injection sequencing must
-        match :meth:`record` bit-for-bit).  Live histories already
+        against the stored per-server last times or within the batch, no
+        category past :data:`CATEGORY_LIMIT`) and no armed fault plan
+        (per-event injection sequencing must match :meth:`record`
+        bit-for-bit).  Live histories already
         handed out are extended by their server's slice of the block,
         as the per-event path would have appended it.
         """
@@ -905,6 +968,10 @@ class ColumnarLedgerBackend:
             return None
         known = store.server_table.codes(runs.servers)
         if store.behind(known, runs.firsts):
+            return None
+        if batch.categories is not None and not store.has_room_for(
+            set(batch.categories)
+        ):
             return None
         last_codes, new_servers = store.server_table.intern_codes(runs.servers, known)
         server_codes = np.array(last_codes, dtype=np.uint32)
@@ -979,10 +1046,9 @@ class ColumnarLedgerBackend:
             self._clients = (client_ids, codes)
         return codes
 
-    # persistence hooks (the mmap backend overrides these)
-
-    def _persist_row(self, row: int, feedback: Feedback) -> None:
-        pass
+    # persistence hooks (the mmap backend overrides these); a backend
+    # that persists nothing per event keeps no per-event hook to call
+    _persist_row = None
 
     def _persist_block(self, start_row: int, n: int, new_servers: List[str]) -> None:
         pass
@@ -1193,21 +1259,20 @@ class MmapLedgerBackend(ColumnarLedgerBackend):
             "is append-only"
         )
 
-    def _persist_row(self, row: int, feedback: Feedback) -> None:
-        store = self._store
-        writer = self._writer
+    def _persist_row(
+        self,
+        time: float,
+        server_code: int,
+        client_code: int,
+        rating: int,
+        authentic: int,
+        category_code: int,
+    ) -> None:
         # flush any ids this fold interned before the record referencing
         # them — the ordering the crash recovery depends on
         self._sync_ids()
-        writer.append_records(
-            binlog.pack_records(
-                np.asarray([feedback.time], dtype=np.float64),
-                store.server_codes[row : row + 1],
-                store.client_codes[row : row + 1],
-                store.ratings[row : row + 1],
-                store.authentic[row : row + 1],
-                store.category_codes[row : row + 1],
-            )
+        self._writer.append_record(
+            time, server_code, client_code, rating, authentic, category_code
         )
 
     def _persist_block(self, start_row: int, n: int, new_servers: List[str]) -> None:
@@ -1231,10 +1296,11 @@ class MmapLedgerBackend(ColumnarLedgerBackend):
             ("clients", self._store.client_table),
             ("categories", self._store.category_table),
         ):
+            items = table._items
             synced = self._synced_counts[kind]
-            if len(table) > synced:
-                self._writer.append_ids(kind, table.values()[synced:])
-                self._synced_counts[kind] = len(table)
+            if len(items) > synced:
+                self._writer.append_ids(kind, items[synced:])
+                self._synced_counts[kind] = len(items)
 
     def flush(self) -> None:
         """Flush the backing file handles."""

@@ -17,7 +17,7 @@ import pytest
 from repro.feedback import binlog
 from repro.feedback.history import TransactionHistory
 from repro.feedback.ledger import FeedbackLedger
-from repro.feedback.store import ColumnarLedgerBackend, FeedbackBatch
+from repro.feedback.store import CATEGORY_LIMIT, ColumnarLedgerBackend, FeedbackBatch
 from repro.feedback.records import Feedback, Rating
 from repro.resilience import FaultPlan, Quarantine
 from repro.resilience import runtime as res
@@ -504,3 +504,137 @@ def test_fold_keeps_no_per_event_gc_objects(backend, tmp_path):
             gc.enable()
         assert len(led.feedback_graph()) == len(stream)  # every pair is new
         assert allocated <= 4 * (n_servers + n_clients), fold
+
+
+def test_known_server_fold_makes_three_python_calls():
+    """A fold for a known server, with a serving engine attached, runs
+    the facade, the backend's fold body and the engine's server hook —
+    no helper on the way (the hot path of every per-event ingest)."""
+    import sys
+
+    from repro.core.config import AssessorConfig
+    from repro.serve import AssessmentService
+
+    led = FeedbackLedger(backend="columnar")
+    led.record_many(STREAM)
+    AssessmentService(config=AssessorConfig(), ledger=led, executor="serial")
+    assert "s1" in led.backend._histories  # the fold writes a live history
+    feedback = _fb(10, "s1", "c1")
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        assert led.record(feedback)
+    finally:
+        sys.setprofile(None)
+    assert len(calls) <= 3, calls
+    assert led.history("s1").outcomes()[-1] == 1
+
+
+class TestCategoryLimit:
+    """Category codes are ``uint16`` with ``CATEGORY_NONE`` for none, so
+    a store holds at most ``CATEGORY_LIMIT`` distinct categories; the
+    next new one is refused before any of its ids is interned, on both
+    fold paths."""
+
+    @staticmethod
+    def _nearly_full(led, free=1):
+        table = led.backend.store.category_table
+        for i in range(CATEGORY_LIMIT - free):
+            table.intern(f"k{i}")
+
+    def _stream(self):
+        return [
+            _fb(1, "s1", "c1", category="k0"),
+            _fb(2, "s1", "c2", category="last"),
+            _fb(3, "s-new", "c-new", category="over"),
+            _fb(4, "s1", "c1", category="k1"),
+        ]
+
+    @pytest.mark.parametrize("fold", ["record_many", "record_batch"])
+    def test_new_category_past_the_limit_raises(self, fold):
+        led = FeedbackLedger()
+        self._nearly_full(led)
+        with pytest.raises(ValueError, match="category table full"):
+            getattr(led, fold)(self._stream())
+        store = led.backend.store
+        assert len(led) == 2
+        assert led.feedbacks_for_server("s1")[-1].category == "last"
+        assert int(store.category_codes[-1]) == CATEGORY_LIMIT - 1
+        assert len(store.category_table) == CATEGORY_LIMIT
+        assert "s-new" not in store.server_table
+        assert "c-new" not in store.client_table
+
+    @pytest.mark.parametrize(
+        "fold, columns",
+        [("record_many", False), ("record_batch", False), ("record_batch", True)],
+    )
+    def test_quarantined_with_a_quarantine(self, fold, columns):
+        quarantine = Quarantine(name="ledger")
+        led = FeedbackLedger(quarantine=quarantine)
+        self._nearly_full(led)
+        stream = self._stream()
+        if columns:
+            stream = FeedbackBatch.from_feedbacks(stream)
+        assert getattr(led, fold)(stream) == 3
+        (item,) = quarantine.items()
+        assert (item.item.time, item.site) == (3.0, "feedback.ledger.fold")
+        assert "category table full" in item.reason
+        assert [fb.category for fb in led.feedbacks_for_server("s1")] == [
+            "k0",
+            "last",
+            "k1",
+        ]
+        assert "s-new" not in led.backend.store.server_table
+
+    def test_mmap_refuses_too(self, tmp_path):
+        led = FeedbackLedger(backend="mmap", path=str(tmp_path / "led.bin"))
+        self._nearly_full(led, free=0)
+        assert led.record(_fb(1, "s1", "c1", category="k7"))
+        with pytest.raises(ValueError, match="category table full"):
+            led.record(_fb(2, "s1", "c1", category="over"))
+        led.close()
+        reopened = FeedbackLedger(backend="mmap", path=led.backend.path)
+        assert [fb.category for fb in reopened.feedbacks_for_server("s1")] == ["k7"]
+
+
+def test_mmap_per_event_records_are_the_packed_columns(tmp_path):
+    """Per-event folds write each record from the fold's scalars; the
+    file's record region is, byte for byte, ``pack_records`` over the
+    store's own columns (categories, negatives and forged records
+    included), and reopening reads the same rows back."""
+    path = tmp_path / "led.bin"
+    stream = STREAM + [
+        Feedback(
+            time=7.25,
+            server="s4",
+            client="c2",
+            rating=Rating.NEGATIVE,
+            category="eu",
+            authentic=False,
+        ),
+        _fb(8, "s1", "c4", category="na"),
+    ]
+    led = FeedbackLedger(backend="mmap", path=str(path))
+    assert led.record_many(stream) == len(stream)
+    led.close()
+    store = led.backend.store
+    packed = binlog.pack_records(
+        store.times,
+        store.server_codes,
+        store.client_codes,
+        store.ratings,
+        store.authentic,
+        store.category_codes,
+    )
+    assert path.read_bytes()[binlog.HEADER_SIZE :] == packed.tobytes()
+    reopened = FeedbackLedger(backend="mmap", path=str(path))
+    for server in led.servers():
+        assert _rows(reopened.feedbacks_for_server(server)) == _rows(
+            led.feedbacks_for_server(server)
+        )
+    assert [fb.authentic for fb in reopened.feedbacks_for_server("s4")] == [False]
