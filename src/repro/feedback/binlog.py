@@ -243,6 +243,11 @@ class BinaryLedgerWriter:
         """The main ledger file path."""
         return self._path
 
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` has run."""
+        return self._records.closed
+
     def append_ids(self, kind: str, ids: Sequence[str]) -> None:
         """Append newly interned ids to the ``kind`` sidecar and flush."""
         if kind not in _SIDECARS:
@@ -289,7 +294,7 @@ class BinaryLedgerWriter:
 
     def close(self) -> None:
         """Flush and close every underlying file handle (idempotent)."""
-        if self._records.closed:
+        if self.closed:
             return
         self._records.close()
         for handle in self._sidecars.values():

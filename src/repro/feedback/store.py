@@ -1,4 +1,4 @@
-"""Structure-of-arrays feedback storage — the ledger backends.
+"""Structure-of-arrays feedback storage — the ledger's primitives.
 
 :class:`ColumnarStore` holds folded feedback as parallel numpy columns
 (``float64`` times, ``uint8`` ratings, ``uint32`` interned server/client
@@ -8,23 +8,17 @@ without sorting strings: :func:`id_hash` keys each id with a 64-bit
 FNV-1a, :func:`unique_ids` groups the keys and checks every row against
 its group's representative (a collision falls back to the string sort),
 and only the distinct ids are sorted, so codes come out exactly as a
-sort would give them.  Two ledger backends are built on it:
+sort would give them.  :class:`StringTable` interns the ids, and
+:class:`_ColumnarHistory` is the live per-server history view over the
+columns.
 
-* ``"columnar"`` — in-memory columns only (also named ``"memory"``);
-* ``"mmap"`` — columns plus the append-only binary file format of
-  :mod:`repro.feedback.binlog` (records are appended on every fold, the
-  existing file is memory-mapped and recovered on open).
-
-Both sit in the fixed backend table of :mod:`repro.feedback.ledger`,
-behind the same ``FeedbackLedger`` facade, with identical semantics —
-including the ``feedback.ledger.fold`` fault site, quarantine behavior,
-and the live-history contract (the conformance and hypothesis-equivalence
-suites assert all of it, verdict-for-verdict).
+:class:`~repro.feedback.ledger.FeedbackLedger` owns one store, folds
+into it, and appends to the binary ledger file
+(:mod:`repro.feedback.binlog`) when it has one.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from copy import copy
 from dataclasses import dataclass, field
 from typing import (
@@ -35,14 +29,11 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
 import numpy as np
 
-from ..resilience import runtime as _res
-from ..resilience.quarantine import Quarantine
 from . import binlog
 from .history import TransactionHistory
 from .records import EntityId, Feedback, Rating
@@ -56,11 +47,8 @@ __all__ = [
     "StringTable",
     "FeedbackBatch",
     "ColumnarStore",
-    "ColumnarLedgerBackend",
-    "MmapLedgerBackend",
 ]
 
-_FOLD_SITE = "feedback.ledger.fold"
 _INITIAL_CAPACITY = 1024
 
 #: The most distinct categories a store holds: codes are ``uint16`` and
@@ -539,10 +527,6 @@ class ColumnarStore:
         """Authenticity flags as 0/1, arrival order (live view)."""
         return self._auth[: self._n]
 
-    def last_time(self, server_code: int) -> Optional[float]:
-        """Most recent folded feedback time for ``server_code``, if any."""
-        return self._last_time.get(server_code)
-
     def behind(self, server_codes: List[Optional[int]], times: List[float]) -> bool:
         """Whether any time comes before its server's last time (a
         ``None`` code is a server not stored yet)."""
@@ -563,32 +547,6 @@ class ColumnarStore:
 
     # ------------------------------------------------------------------ #
     # append paths
-
-    def append_row(
-        self,
-        time: float,
-        server_code: int,
-        client_code: int,
-        rating: int,
-        category_code: int,
-        authentic: int,
-    ) -> int:
-        """Append one pre-validated, pre-interned event; returns its row.
-
-        Only the columns and the server's last time move; the row/pair
-        indices take the row in on the next point query.
-        """
-        row = self._n
-        self._ensure_capacity(row + 1)
-        self._times[row] = time
-        self._srv[row] = server_code
-        self._cli[row] = client_code
-        self._ratings[row] = rating
-        self._cat[row] = category_code
-        self._auth[row] = authentic
-        self._n = row + 1
-        self._last_time[server_code] = time
-        return row
 
     def append_columns(
         self,
@@ -811,501 +769,3 @@ class _ColumnarHistory(TransactionHistory):
         # store — materialize first so the rollback pops the right item
         self._feedbacks  # noqa: B018 — forces materialization
         return super().speculate_feedback(feedback)
-
-
-class ColumnarLedgerBackend:
-    """In-memory columnar ledger backend (``backend="columnar"``).
-
-    Implements the full ledger backend surface over a
-    :class:`ColumnarStore`.  Per-event folds (:meth:`record`) fire the
-    ``feedback.ledger.fold`` fault site before validation and raise (or
-    quarantine) on an ordering violation, while :meth:`record_batch`
-    ingests a whole :class:`FeedbackBatch` in one vectorized pass when
-    nothing forces the per-event path (armed faults, or an ordering
-    violation in the batch); live histories take the block in one
-    slice per server.
-    """
-
-    name = "columnar"
-
-    def __init__(self, quarantine: Optional[Quarantine] = None):
-        self._store = ColumnarStore()
-        self._quarantine = quarantine
-        self._histories: Dict[EntityId, TransactionHistory] = {}
-        #: the last distinct-client array interned, and its codes: the
-        #: messages cut from one client batch share that array
-        self._clients: Tuple[Optional[np.ndarray], Optional[np.ndarray]] = (None, None)
-
-    @property
-    def quarantine(self) -> Optional[Quarantine]:
-        """The attached quarantine for un-foldable events, if any."""
-        return self._quarantine
-
-    @property
-    def store(self) -> ColumnarStore:
-        """The underlying columnar store (shared, live)."""
-        return self._store
-
-    def __len__(self) -> int:
-        return len(self._store) - self._store.n_dropped
-
-    # ------------------------------------------------------------------ #
-    # folding
-
-    def record(self, feedback: Feedback) -> bool:
-        """Fold one feedback event; ``False`` means it was quarantined.
-
-        One flat body: the ids are looked up straight in the intern
-        tables, and the row, the server's last time and a live history
-        are written in place (a materialized history also takes the
-        record).  One guard ahead of any interning stops the events that
-        may be refused — an armed ``feedback.ledger.fold`` fault site, a
-        time before the server's last one, a category when the category
-        table is full — and :meth:`_refused` decides; an event it lets
-        through goes on to the same fold.  The point indexes take the
-        row in on their next query.
-        """
-        store = self._store
-        server = feedback.server
-        time = feedback.time
-        category = feedback.category
-        last_times = store._last_time
-        server_code = store.server_table._index.get(server)
-        last = last_times.get(server_code)
-        if (
-            _res.armed
-            or (last is not None and time < last)
-            or (
-                category is not None
-                and len(store.category_table._items) >= CATEGORY_LIMIT
-            )
-        ):
-            if self._refused(feedback, last):
-                return False
-        if server_code is None:
-            server_code = store.server_table.intern(server)
-        client_code = store.client_table._index.get(feedback.client)
-        if client_code is None:
-            client_code = store.client_table.intern(feedback.client)
-        category_code = (
-            binlog.CATEGORY_NONE
-            if category is None
-            else store.category_table.intern(category)
-        )
-        rating = 1 if feedback.rating else 0
-        authentic = 1 if feedback.authentic else 0
-        row = store._n
-        if row == store._times.size:
-            store._ensure_capacity(row + 1)
-        store._times[row] = time
-        store._srv[row] = server_code
-        store._cli[row] = client_code
-        store._ratings[row] = rating
-        store._cat[row] = category_code
-        store._auth[row] = authentic
-        store._n = row + 1
-        last_times[server_code] = time
-        history = self._histories.get(server)
-        if history is not None:
-            n = history._n
-            if n == history._buf.size:
-                history._ensure_capacity(n + 1)
-            history._buf[n] = rating
-            history._n = n + 1
-            history._n_good += rating
-            history._last_t = time
-            if history._lazy_list is not None:
-                history._lazy_list.append(feedback)
-        if self._persist_row is not None:
-            self._persist_row(
-                time, server_code, client_code, rating, authentic, category_code
-            )
-        return True
-
-    def _refused(self, feedback: Feedback, last: Optional[float]) -> bool:
-        """Whether :meth:`record` refuses ``feedback`` (``last`` is its
-        server's last time): the fault site fires first, then the
-        ordering check, then the category limit.  A refusal raises, or
-        is quarantined when a quarantine is attached."""
-        try:
-            if _res.armed:
-                _res.inject(_FOLD_SITE)
-            if last is not None and feedback.time < last:
-                raise ValueError("feedback times must be non-decreasing")
-            if not self._store.has_room_for((feedback.category,)):
-                raise ValueError(
-                    f"category table full: {CATEGORY_LIMIT} distinct categories"
-                )
-        except (ValueError, _res.InjectedFault) as exc:
-            if self._quarantine is None:
-                raise
-            self._quarantine.add(feedback, site=_FOLD_SITE, reason=str(exc))
-            return True
-        return False
-
-    def record_batch(self, batch) -> Optional[int]:
-        """Vectorized bulk fold of a :class:`FeedbackBatch` (or a list
-        of feedbacks); ``None`` defers to the per-event path.
-
-        The fast path requires clean data (no ordering violations
-        against the stored per-server last times or within the batch, no
-        category past :data:`CATEGORY_LIMIT`) and no armed fault plan
-        (per-event injection sequencing must match :meth:`record`
-        bit-for-bit).  Live histories already
-        handed out are extended by their server's slice of the block,
-        as the per-event path would have appended it.
-        """
-        if _res.armed or len(batch) == 0:
-            return None
-        if not isinstance(batch, FeedbackBatch):
-            batch = FeedbackBatch.from_feedbacks(batch)
-        store = self._store
-        # ordering is checked on batch-local groups, so a declined batch
-        # leaves no id behind in the tables (nor in the mmap sidecars)
-        # a batch nobody else groups (a bulk load) keeps no grouping
-        runs = batch._group_runs()
-        if runs.backward is not None:
-            return None
-        known = store.server_table.codes(runs.servers)
-        if store.behind(known, runs.firsts):
-            return None
-        if batch.categories is not None and not store.has_room_for(
-            set(batch.categories)
-        ):
-            return None
-        last_codes, new_servers = store.server_table.intern_codes(runs.servers, known)
-        server_codes = np.array(last_codes, dtype=np.uint32)
-        client_ids, client_rows = batch.client_groups or unique_ids(batch.clients)
-        client_codes = self._client_codes(client_ids)[client_rows]
-        n = len(batch)
-        # a column constant across the block is stored as a scalar
-        category_codes = binlog.CATEGORY_NONE
-        if batch.categories is not None:
-            category_codes = np.array(
-                [
-                    binlog.CATEGORY_NONE
-                    if cat is None
-                    else store.category_table.intern(cat)
-                    for cat in batch.categories
-                ],
-                dtype=np.uint16,
-            )
-        authentic = 1 if batch.authentic is None else batch.authentic.view(np.uint8)
-        start_row = store.append_columns(
-            batch.times,
-            server_codes[runs.inverse],
-            client_codes,
-            batch.ratings,
-            category_codes,
-            authentic,
-            last_codes=last_codes,
-            last_times=runs.lasts,
-        )
-        self._persist_block(start_row, n, new_servers)
-        if self._histories:
-            self._extend_histories(batch, runs, start_row)
-        return n
-
-    def _extend_histories(
-        self, batch: FeedbackBatch, runs: ServerRuns, start_row: int
-    ) -> None:
-        """Extend each live history by its server's rows of a batch
-        just stored from ``start_row`` on."""
-        get = self._histories.get
-        ratings, goods, bounds, lasts = batch.run_outcomes(runs)
-        order = runs.order
-        for server, lo, hi, good, last in zip(
-            runs.servers, bounds, bounds[1:], goods, lasts
-        ):
-            history = get(server)
-            if history is None:
-                continue
-            # _ColumnarHistory's own fields, set as append_feedback would
-            n = history._n
-            end = n + hi - lo
-            if end > history._buf.size:
-                history._ensure_capacity(end)
-            history._buf[n:end] = ratings[lo:hi]
-            history._n = end
-            history._n_good += good
-            history._last_t = last
-            if history._lazy_list is not None:
-                store = self._store
-                rows = (order[lo:hi] + start_row).tolist()
-                history._lazy_list.extend(store.feedback_at(row) for row in rows)
-
-    def _client_codes(self, client_ids: np.ndarray) -> np.ndarray:
-        """The codes of distinct client ids, interning unseen ones."""
-        last_ids, codes = self._clients
-        if client_ids is not last_ids:
-            table = self._store.client_table
-            values = client_ids.tolist()
-            codes = np.array(
-                table.intern_codes(values, table.codes(values))[0], dtype=np.uint32
-            )
-            self._clients = (client_ids, codes)
-        return codes
-
-    # persistence hooks (the mmap backend overrides these); a backend
-    # that persists nothing per event keeps no per-event hook to call
-    _persist_row = None
-
-    def _persist_block(self, start_row: int, n: int, new_servers: List[str]) -> None:
-        pass
-
-    def flush(self) -> None:
-        """Nothing to flush: the columns live in memory only."""
-
-    def close(self) -> None:
-        """Nothing to release: the columns live in memory only."""
-
-    # ------------------------------------------------------------------ #
-    # queries
-
-    def reset_server(self, server: EntityId, feedbacks: List[Feedback]) -> int:
-        """Replace every record for ``server`` with a reconciled stream.
-
-        In time linear in the server's old and new records: the old
-        rows are tombstoned (:meth:`ColumnarStore.drop_server`) and the
-        stream is folded one event at a time after every other server's
-        rows.
-        """
-        for fb in feedbacks:
-            if fb.server != server:
-                raise ValueError(
-                    f"reset_server({server!r}) got feedback for {fb.server!r}"
-                )
-        code = self._store.server_table.lookup(server)
-        if code is not None:
-            self._store.drop_server(code)
-        self._histories.pop(server, None)
-        return sum(self.record(fb) for fb in feedbacks)
-
-    def _column(self, column: np.ndarray) -> np.ndarray:
-        """``column`` without its tombstoned rows."""
-        live = self._store.live_rows()
-        return column if live is None else column[live]
-
-    def servers(self) -> Set[EntityId]:
-        """All servers with at least one folded feedback: those with a
-        last time, which a drop removes."""
-        store = self._store
-        value = store.server_table.value
-        return {value(code) for code in store._last_time}
-
-    def clients(self) -> Set[EntityId]:
-        """All clients that issued at least one folded feedback."""
-        store = self._store
-        codes = np.unique(self._column(store.client_codes))
-        return {store.client_table.value(int(code)) for code in codes}
-
-    def feedbacks_for_server(self, server: EntityId) -> List[Feedback]:
-        """All feedbacks issued about ``server``, in time order."""
-        code = self._store.server_table.lookup(server)
-        if code is None:
-            return []
-        rows = self._store.rows_for_server(code)
-        return [self._store.feedback_at(int(row)) for row in rows]
-
-    def feedbacks_by_client(self, client: EntityId) -> List[Feedback]:
-        """All feedbacks issued *by* ``client``, in time order."""
-        store = self._store
-        code = store.client_table.lookup(client)
-        if code is None:
-            return []
-        rows = np.flatnonzero(store.client_codes == code)
-        live = store.live_rows()
-        if live is not None:
-            rows = np.intersect1d(rows, live)
-        return [store.feedback_at(int(row)) for row in rows]
-
-    def history(self, server: EntityId) -> TransactionHistory:
-        """The live :class:`TransactionHistory` of ``server``.
-
-        The outcome buffer materializes from the columns in one
-        vectorized gather; per-event :class:`Feedback` metadata stays in
-        the store until first requested (:class:`_ColumnarHistory`).
-        Once handed out the history is kept appended by every subsequent
-        fold.
-        """
-        history = self._histories.get(server)
-        if history is not None:
-            return history
-        code = self._store.server_table.lookup(server)
-        rows = (
-            self._store.rows_for_server(code)
-            if code is not None
-            else np.empty(0, dtype=np.int64)
-        )
-        if code is None or rows.size == 0:
-            raise KeyError(f"no feedback recorded for server {server!r}")
-        history = _ColumnarHistory(server, self._store, code, rows)
-        self._histories[server] = history
-        return history
-
-    def last_interaction(
-        self, server: EntityId, client: EntityId
-    ) -> Optional[Feedback]:
-        """Most recent feedback from ``client`` about ``server``, if any."""
-        store = self._store
-        server_code = store.server_table.lookup(server)
-        client_code = store.client_table.lookup(client)
-        if server_code is None or client_code is None:
-            return None
-        row = store.last_row_for_pair(server_code, client_code)
-        return None if row is None else store.feedback_at(row)
-
-    def interaction_counts(self, server: EntityId) -> Dict[EntityId, int]:
-        """Number of feedbacks per issuing client for ``server``."""
-        store = self._store
-        code = store.server_table.lookup(server)
-        if code is None:
-            return {}
-        rows = store.rows_for_server(code)
-        counts: Dict[EntityId, int] = defaultdict(int)
-        for cli_code in store.client_codes[rows]:
-            counts[store.client_table.value(int(cli_code))] += 1
-        return dict(counts)
-
-    def feedback_graph(self) -> Dict[Tuple[EntityId, EntityId], Tuple[int, int]]:
-        """``(client, server) -> (n_positive, n_negative)``, vectorized.
-
-        Edges iterate in order of first appearance of each
-        ``(client, server)`` pair in the fold stream.
-        """
-        store = self._store
-        if len(self) == 0:
-            return {}
-        combined = self._column(
-            (store.client_codes.astype(np.int64) << 32)
-            | store.server_codes.astype(np.int64)
-        )
-        uniq, first_idx, inverse = np.unique(
-            combined, return_index=True, return_inverse=True
-        )
-        ratings = self._column(store.ratings).astype(np.float64)
-        pos = np.bincount(inverse, weights=ratings)
-        totals = np.bincount(inverse)
-        neg = totals - pos
-        edges: Dict[Tuple[EntityId, EntityId], Tuple[int, int]] = {}
-        for u in np.argsort(first_idx, kind="stable"):
-            key = int(uniq[u])
-            pair = (
-                store.client_table.value(key >> 32),
-                store.server_table.value(key & 0xFFFFFFFF),
-            )
-            edges[pair] = (int(pos[u]), int(neg[u]))
-        return edges
-
-
-class MmapLedgerBackend(ColumnarLedgerBackend):
-    """Columnar backend persisted to the binary ledger file (``"mmap"``).
-
-    Opening an existing path memory-maps and loads its record region
-    (applying truncated-tail recovery), then every fold appends the
-    fixed-width record — ids first, records second, per the
-    :mod:`~repro.feedback.binlog` crash-safety protocol.
-    """
-
-    name = "mmap"
-
-    def __init__(self, quarantine: Optional[Quarantine] = None, path: Optional[str] = None):
-        if path is None:
-            raise ValueError("backend='mmap' requires path= (the ledger file)")
-        super().__init__(quarantine)
-        import os
-
-        store = self._store
-        n_loaded = 0
-        if os.path.exists(path) and os.path.getsize(path) > 0:
-            data = binlog.load_binary_ledger(path, recover=True)
-            store.server_table = StringTable(data.servers)
-            store.client_table = StringTable(data.clients)
-            store.category_table = StringTable(data.categories)
-            records = data.records
-            n_loaded = int(records.size)
-            if n_loaded:
-                times = records["time"].astype(np.float64)
-                servers = records["server"]
-                order = np.argsort(servers, kind="stable")
-                ends = np.append(np.flatnonzero(np.diff(servers[order])), n_loaded - 1)
-                store.append_columns(
-                    times,
-                    servers,
-                    records["client"],
-                    records["rating"],
-                    records["category"],
-                    records["authentic"],
-                    last_codes=servers[order[ends]].tolist(),
-                    last_times=times[order[ends]].tolist(),
-                )
-        self._writer = binlog.BinaryLedgerWriter(path, truncate_to=n_loaded)
-        # ids already in the file must not be re-appended on the next sync
-        self._synced_counts: Dict[str, int] = {
-            "servers": len(store.server_table),
-            "clients": len(store.client_table),
-            "categories": len(store.category_table),
-        }
-
-    @property
-    def path(self) -> str:
-        """The backing binary ledger file."""
-        return self._writer.path
-
-    def reset_server(self, server: EntityId, feedbacks: List[Feedback]) -> int:
-        """Unsupported: the ledger file is append-only."""
-        raise NotImplementedError(
-            "ledger backend 'mmap' does not support reset_server: its file "
-            "is append-only"
-        )
-
-    def _persist_row(
-        self,
-        time: float,
-        server_code: int,
-        client_code: int,
-        rating: int,
-        authentic: int,
-        category_code: int,
-    ) -> None:
-        # flush any ids this fold interned before the record referencing
-        # them — the ordering the crash recovery depends on
-        self._sync_ids()
-        self._writer.append_record(
-            time, server_code, client_code, rating, authentic, category_code
-        )
-
-    def _persist_block(self, start_row: int, n: int, new_servers: List[str]) -> None:
-        store = self._store
-        self._sync_ids()
-        end = start_row + n
-        self._writer.append_records(
-            binlog.pack_records(
-                store.times[start_row:end],
-                store.server_codes[start_row:end],
-                store.client_codes[start_row:end],
-                store.ratings[start_row:end],
-                store.authentic[start_row:end],
-                store.category_codes[start_row:end],
-            )
-        )
-
-    def _sync_ids(self) -> None:
-        for kind, table in (
-            ("servers", self._store.server_table),
-            ("clients", self._store.client_table),
-            ("categories", self._store.category_table),
-        ):
-            items = table._items
-            synced = self._synced_counts[kind]
-            if len(items) > synced:
-                self._writer.append_ids(kind, items[synced:])
-                self._synced_counts[kind] = len(items)
-
-    def flush(self) -> None:
-        """Flush the backing file handles."""
-        self._writer.flush()
-
-    def close(self) -> None:
-        """Flush and close the backing file (the backend stays queryable)."""
-        self._writer.close()

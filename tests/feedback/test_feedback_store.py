@@ -221,16 +221,28 @@ class TestFeedbackBatch:
 
 
 class TestColumnarStore:
-    def test_append_row_and_indexes(self):
+    @staticmethod
+    def _append(store, times, server, clients, ratings):
+        n = len(times)
+        return store.append_columns(
+            np.asarray(times, dtype=np.float64),
+            np.full(n, server, dtype=np.uint32),
+            np.asarray(clients, dtype=np.uint32),
+            np.asarray(ratings, dtype=np.uint8),
+            binlog.CATEGORY_NONE,
+            1,
+            last_codes=[server],
+            last_times=[times[-1]],
+        )
+
+    def test_append_columns_and_indexes(self):
         store = ColumnarStore()
         s = store.server_table.intern("s1")
         c1 = store.client_table.intern("c1")
         c2 = store.client_table.intern("c2")
-        store.append_row(1.0, s, c1, 1, binlog.CATEGORY_NONE, 1)
-        store.append_row(2.0, s, c2, 0, binlog.CATEGORY_NONE, 1)
-        store.append_row(3.0, s, c1, 1, binlog.CATEGORY_NONE, 1)
+        assert self._append(store, [1.0, 2.0, 3.0], s, [c1, c2, c1], [1, 0, 1]) == 0
         assert store.rows_for_server(s).tolist() == [0, 1, 2]
-        assert store.last_time(s) == 3.0
+        assert store._last_time[s] == 3.0
         assert store.last_row_for_pair(s, c1) == 2
         assert store.last_row_for_pair(s, c2) == 1
         fb = store.feedback_at(1)
@@ -240,11 +252,13 @@ class TestColumnarStore:
         store = ColumnarStore()
         s = store.server_table.intern("s")
         c = store.client_table.intern("c")
-        for i in range(3000):
-            store.append_row(float(i), s, c, i % 2, binlog.CATEGORY_NONE, 1)
+        for lo in range(0, 3000, 500):
+            times = [float(i) for i in range(lo, lo + 500)]
+            self._append(store, times, s, [c] * 500, [i % 2 for i in range(lo, lo + 500)])
         assert len(store) == 3000
         assert store.ratings[:4].tolist() == [0, 1, 0, 1]
         assert store.rows_for_server(s).size == 3000
+        assert store._last_time[s] == 2999.0
 
 
 class TestLazyColumnarHistory:

@@ -70,7 +70,7 @@ def _rows(feedbacks):
 
 def _state(led):
     """Everything a fold may change, as values (never codes)."""
-    store = led.backend.store
+    store = led.store
     category = store.category_table.value
     servers, clients = sorted(led.servers()), sorted(led.clients())
     return {
@@ -260,7 +260,7 @@ def test_category_limit_refused_alike(
     for fold in ("record", "record_batch"):
         opts = {"quarantine": Quarantine(name="ledger")} if quarantined else {}
         led = _ledger(prefix, live, materialized, **opts)
-        table = led.backend.store.category_table
+        table = led.store.category_table
         for i in range(CATEGORY_LIMIT - free - len(table)):
             table.intern(f"k{i}")
         results.append(_fold(led, fold, rest, columns))
@@ -269,7 +269,7 @@ def test_category_limit_refused_alike(
     assert results[0] == results[1]
     assert _state(bulk) == _state(per_event)
     for led in ledgers:
-        store = led.backend.store
+        store = led.store
         assert len(store.category_table) <= CATEGORY_LIMIT
         assert set(store.server_table.values()) == led.servers()
         assert set(store.client_table.values()) == led.clients()

@@ -9,6 +9,7 @@ existing callers build keeps the whole contract.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 from repro.feedback import binlog
 from repro.feedback.history import TransactionHistory
 from repro.feedback.ledger import FeedbackLedger
-from repro.feedback.store import CATEGORY_LIMIT, ColumnarLedgerBackend, FeedbackBatch
+from repro.feedback.store import CATEGORY_LIMIT, FeedbackBatch
 from repro.feedback.records import Feedback, Rating
 from repro.resilience import FaultPlan, Quarantine
 from repro.resilience import runtime as res
@@ -189,7 +190,7 @@ class TestConformance:
         def per_event_fold(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("record_batch fell back to per-event folds")
 
-        monkeypatch.setattr(bulk.backend, "record", per_event_fold)
+        monkeypatch.setattr(bulk, "_fold", per_event_fold)
         assert bulk.record_batch(FeedbackBatch.from_feedbacks(later)) == len(later)
         per_event.record_many(later)
         for server in ("s1", "s2", "s3", "s4"):
@@ -220,7 +221,7 @@ class TestConformance:
         assert led.record_batch(FeedbackBatch.from_feedbacks(stream)) == len(stream)
         if make_ledger.backend == "mmap":
             led.close()
-            led = make_ledger(path=led.backend.path)
+            led = make_ledger(path=led.path)
         for server, last in (("s1", 3.0), ("s2", 6.0), ("s3", 7.0)):
             with pytest.raises(ValueError, match="non-decreasing"):
                 led.record(_fb(last - 0.5, server, "c9"))
@@ -286,12 +287,12 @@ class TestConformance:
             led.record_batch(batch)
         assert led.servers() == {"s-b"}
         led.record(_fb(2, "s-b", "c1"))  # the next write syncs the sidecars
-        tables = led.backend.store
+        tables = led.store
         assert tables.server_table.values() == ["s-b"]
         assert tables.client_table.values() == ["c1"]
         if make_ledger.backend == "mmap":
             led.close()
-            on_disk = binlog.load_binary_ledger(led.backend.path)
+            on_disk = binlog.load_binary_ledger(led.path)
             assert on_disk.servers == ["s-b"] and on_disk.clients == ["c1"]
 
     def test_quarantine_captures_out_of_order(self, make_ledger):
@@ -420,6 +421,38 @@ class TestResetServer:
         else:
             assert led.history("s1") is not held
 
+    @pytest.mark.parametrize("quarantined", [False, True])
+    @pytest.mark.parametrize(
+        "stream, match",
+        [
+            ([_fb(2, "s1", "c1"), _fb(1, "s1", "c2")], "non-decreasing"),
+            ([_fb(1, "s1", "c1"), _fb(2, "s2", "c2")], "got feedback for 's2'"),
+            ([_fb(1, "s1", "c1", category="over")], "category table full"),
+        ],
+        ids=["back-dated", "foreign", "category"],
+    )
+    def test_refused_reset_changes_nothing(self, stream, match, quarantined):
+        """A stream the reset refuses raises before the old rows go —
+        with a quarantine too, since a reset is a repair, not ingest —
+        and leaves the server's rows, history, last time and indexes as
+        they were."""
+        quarantine = Quarantine(name="ledger") if quarantined else None
+        led = FeedbackLedger(quarantine=quarantine)
+        led.record_many(STREAM)
+        table = led.store.category_table
+        for i in range(CATEGORY_LIMIT - len(table)):
+            table.intern(f"k{i}")
+        held = led.history("s1")
+        before = _state(led)
+        with pytest.raises(ValueError, match=match):
+            led.reset_server("s1", stream)
+        assert _state(led) == before
+        assert led.history("s1") is held
+        assert quarantine is None or quarantine.depth == 0
+        assert led.store._last_time[led.store.server_table.lookup("s1")] == 4.0
+        assert led.record(_fb(4, "s1", "c9"))
+        assert (len(held), held.last_time()) == (4, 4.0)
+
     def test_mmap_cannot_reset(self, tmp_path):
         led = FeedbackLedger(backend="mmap", path=str(tmp_path / "led.bin"))
         led.record_many(STREAM)
@@ -430,8 +463,8 @@ class TestResetServer:
 class TestRegistry:
     def test_memory_names_the_columnar_backend(self):
         for ledger in (FeedbackLedger(), FeedbackLedger(backend="memory")):
-            assert type(ledger.backend) is ColumnarLedgerBackend
             assert ledger.backend_name == "columnar"
+            assert ledger.path is None
 
     def test_available_backends(self):
         # the error for an unknown name lists exactly the fixed table
@@ -441,6 +474,22 @@ class TestRegistry:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown ledger backend"):
             FeedbackLedger(backend="nope")
+
+    @pytest.mark.parametrize("backend", ["columnar", "memory"])
+    def test_path_needs_the_mmap_backend(self, backend, tmp_path):
+        path = tmp_path / "led.bin"
+        with pytest.raises(ValueError, match="path= needs backend='mmap'"):
+            FeedbackLedger(backend=backend, path=str(path))
+        assert not path.exists()
+
+    def test_mmap_requires_a_path(self):
+        with pytest.raises(ValueError, match="requires path="):
+            FeedbackLedger(backend="mmap")
+
+    def test_mmap_names_its_file(self, tmp_path):
+        path = str(tmp_path / "led.bin")
+        ledger = FeedbackLedger(backend="mmap", path=path)
+        assert (ledger.backend_name, ledger.path) == ("mmap", path)
 
 
 class TestLastInteractionIndex:
@@ -458,8 +507,8 @@ class TestLastInteractionIndex:
         def _boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("last_interaction fell back to a scan")
 
-        monkeypatch.setattr(led.backend, "feedbacks_for_server", _boom)
-        monkeypatch.setattr(led.backend, "feedbacks_by_client", _boom)
+        monkeypatch.setattr(led, "feedbacks_for_server", _boom)
+        monkeypatch.setattr(led, "feedbacks_by_client", _boom)
         last = led.last_interaction("s1", "c1")
         assert last is not None and last.time == 4.0
 
@@ -508,7 +557,7 @@ def test_fold_keeps_no_per_event_gc_objects(backend, tmp_path):
 
 def test_known_server_fold_makes_three_python_calls():
     """A fold for a known server, with a serving engine attached, runs
-    the facade, the backend's fold body and the engine's server hook —
+    ``record``, the fold body ``_fold`` and the engine's server hook —
     no helper on the way (the hot path of every per-event ingest)."""
     import sys
 
@@ -518,7 +567,7 @@ def test_known_server_fold_makes_three_python_calls():
     led = FeedbackLedger(backend="columnar")
     led.record_many(STREAM)
     AssessmentService(config=AssessorConfig(), ledger=led, executor="serial")
-    assert "s1" in led.backend._histories  # the fold writes a live history
+    assert "s1" in led._histories  # the fold writes a live history
     feedback = _fb(10, "s1", "c1")
     calls = []
 
@@ -543,7 +592,7 @@ class TestCategoryLimit:
 
     @staticmethod
     def _nearly_full(led, free=1):
-        table = led.backend.store.category_table
+        table = led.store.category_table
         for i in range(CATEGORY_LIMIT - free):
             table.intern(f"k{i}")
 
@@ -561,7 +610,7 @@ class TestCategoryLimit:
         self._nearly_full(led)
         with pytest.raises(ValueError, match="category table full"):
             getattr(led, fold)(self._stream())
-        store = led.backend.store
+        store = led.store
         assert len(led) == 2
         assert led.feedbacks_for_server("s1")[-1].category == "last"
         assert int(store.category_codes[-1]) == CATEGORY_LIMIT - 1
@@ -589,7 +638,7 @@ class TestCategoryLimit:
             "last",
             "k1",
         ]
-        assert "s-new" not in led.backend.store.server_table
+        assert "s-new" not in led.store.server_table
 
     def test_mmap_refuses_too(self, tmp_path):
         led = FeedbackLedger(backend="mmap", path=str(tmp_path / "led.bin"))
@@ -598,7 +647,7 @@ class TestCategoryLimit:
         with pytest.raises(ValueError, match="category table full"):
             led.record(_fb(2, "s1", "c1", category="over"))
         led.close()
-        reopened = FeedbackLedger(backend="mmap", path=led.backend.path)
+        reopened = FeedbackLedger(backend="mmap", path=led.path)
         assert [fb.category for fb in reopened.feedbacks_for_server("s1")] == ["k7"]
 
 
@@ -622,7 +671,7 @@ def test_mmap_per_event_records_are_the_packed_columns(tmp_path):
     led = FeedbackLedger(backend="mmap", path=str(path))
     assert led.record_many(stream) == len(stream)
     led.close()
-    store = led.backend.store
+    store = led.store
     packed = binlog.pack_records(
         store.times,
         store.server_codes,
@@ -638,3 +687,29 @@ def test_mmap_per_event_records_are_the_packed_columns(tmp_path):
             led.feedbacks_for_server(server)
         )
     assert [fb.authentic for fb in reopened.feedbacks_for_server("s4")] == [False]
+
+
+@pytest.mark.parametrize("fold", ["record", "record_many", "record_batch", "columns"])
+def test_closed_mmap_ledger_refuses_folds(fold, tmp_path):
+    """After ``close()`` a fold raises before anything changes: the
+    ledger's length, the live history and the file all stay as they
+    were, whichever fold path is asked."""
+    path = tmp_path / "led.bin"
+    led = FeedbackLedger(backend="mmap", path=str(path))
+    led.record_many(STREAM)
+    history = led.history("s1")
+    led.close()
+    on_disk = path.read_bytes()
+    later = [_fb(9, "s1", "c9"), _fb(9, "s-new", "c-new")]
+    with pytest.raises(ValueError, match=re.escape(f"ledger file '{path}' is closed")):
+        if fold == "record":
+            led.record(later[0])
+        elif fold == "columns":
+            led.record_batch(FeedbackBatch.from_feedbacks(later))
+        else:
+            getattr(led, fold)(later)
+    assert len(led) == len(STREAM)
+    assert (len(history), history.last_time()) == (3, 4.0)
+    assert "s-new" not in led.store.server_table
+    assert path.read_bytes() == on_disk
+    assert len(FeedbackLedger(backend="mmap", path=str(path))) == len(STREAM)

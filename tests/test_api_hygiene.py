@@ -263,6 +263,16 @@ class TestDeprecations:
             else:
                 FeedbackLedger(Quarantine(name="legacy"))
 
+    def test_ledger_backend_classes_are_gone(self):
+        """One ledger class: the store module keeps storage primitives
+        only, and the ledger exposes no backend object."""
+        from repro.feedback import store
+        from repro.feedback.ledger import FeedbackLedger
+
+        for name in ("ColumnarLedgerBackend", "MmapLedgerBackend"):
+            assert not hasattr(store, name), name
+        assert not hasattr(FeedbackLedger, "backend")
+
     def test_keyword_paths_do_not_warn(self, tmp_path):
         from repro.feedback import io
         from repro.feedback.ledger import FeedbackLedger
