@@ -488,8 +488,8 @@ class TestRegistry:
 
     def test_mmap_names_its_file(self, tmp_path):
         path = str(tmp_path / "led.bin")
-        ledger = FeedbackLedger(backend="mmap", path=path)
-        assert (ledger.backend_name, ledger.path) == ("mmap", path)
+        with FeedbackLedger(backend="mmap", path=path) as ledger:
+            assert (ledger.backend_name, ledger.path) == ("mmap", path)
 
 
 class TestLastInteractionIndex:
@@ -712,4 +712,5 @@ def test_closed_mmap_ledger_refuses_folds(fold, tmp_path):
     assert (len(history), history.last_time()) == (3, 4.0)
     assert "s-new" not in led.store.server_table
     assert path.read_bytes() == on_disk
-    assert len(FeedbackLedger(backend="mmap", path=str(path))) == len(STREAM)
+    with FeedbackLedger(backend="mmap", path=str(path)) as reopened:
+        assert len(reopened) == len(STREAM)
