@@ -71,13 +71,13 @@ def honest_histories():
 
 @pytest.mark.parametrize("histories", [1, 2, 4, 8, 16, 32])
 def test_fold_cold_batch_vs_scalar(benchmark, honest_histories, histories):
-    """One ``fold_cold_batch`` call against one scalar ``test`` per
-    history, with every threshold already calibrated.
+    """One ``fold_cold_batch`` call against one ``test`` per history,
+    with every threshold already calibrated.
 
-    The benchmark times the batch; ``extra_info`` holds both sides'
-    best per-call time over alternating repeats and ``speedup`` (scalar
-    over batch).  The smallest batch size with a speedup above 1 is the
-    crossover that sets ``repro.serve.service.VECTOR_MIN_BATCH``.
+    Both run the same suffix walk, over all the histories at once or
+    one history per call.  The benchmark times the batch; ``extra_info``
+    holds both sides' best per-call time over alternating repeats and
+    ``speedup`` (per-history calls over batch).
     """
     import time
 

@@ -5,16 +5,16 @@ but most serving queries find a server whose history has not changed
 since its last verdict.  :class:`IncrementalBehaviorState` folds each
 new feedback into the server's history in O(1) amortized and memoizes
 the verdict by history length, so re-assessing an unchanged server is a
-dictionary lookup.  A grown history is re-judged in full: queries follow
-a few new events, rarely a whole window, so window counts carried from
-the previous verdict would almost never line up with the new windows.
+dictionary lookup.  A grown history is re-judged in full by
+``tester.test(history)``: queries follow a few new events, rarely a
+whole window, so window counts carried from the previous verdict would
+almost never line up with the new windows.  Verdicts are therefore
+bit-identical to the tester's, whatever the tester.
 
-``strategy="optimized"`` :class:`~repro.core.multi_testing.MultiBehaviorTest`
-is re-judged by that tester's own suffix walk
-(:func:`~repro.core.multi_testing.run_suffix_rounds`), so verdicts are
-bit-identical.  Every other tester (naive multi, collusion-resilient
-reordering, categorized/temporal metadata tests, ...) is invoked on the
-full history, with only the verdict memoization on top.
+The batched cold-path fold
+(:func:`~repro.core.multi_testing.fold_cold_batch`) may instead seed the
+memo (:meth:`IncrementalBehaviorState.seed_phase1`) for the testers it
+reproduces.
 """
 
 from __future__ import annotations
@@ -23,15 +23,11 @@ from typing import Optional, Tuple
 
 from ..feedback.history import TransactionHistory
 from ..feedback.records import Feedback
-from ..feedback.windows import window_counts
 from ..obs import runtime as _obs
-from .multi_testing import (
-    insufficient_report,
-    run_suffix_rounds,
-    suffix_report,
-    supports_vectorized,
-)
-from .verdict import BehaviorVerdict, MultiTestReport
+# run_suffix_rounds stays a module global here: perfbench wraps it
+from .multi_testing import run_suffix_rounds  # noqa: F401
+from .multi_testing import supports_vectorized
+from .verdict import BehaviorVerdict
 
 __all__ = ["IncrementalBehaviorState"]
 
@@ -42,10 +38,8 @@ class IncrementalBehaviorState:
     Parameters
     ----------
     tester:
-        Any behavior test.  ``strategy="optimized"``
-        :class:`MultiBehaviorTest` instances get the suffix-walk fast
-        path; everything else falls back to invoking the tester directly
-        (still memoized by history length).
+        Any behavior test; a fresh verdict is ``tester.test(history)``,
+        memoized by history length.
     history:
         The server's transaction history.  May be a *live* history owned
         by a ledger — appends made elsewhere are detected by length, no
@@ -60,11 +54,10 @@ class IncrementalBehaviorState:
     ):
         self._tester = tester
         self._history = history if history is not None else TransactionHistory()
-        self._fast_multi = supports_vectorized(tester)
         self._cached: Optional[Tuple[int, BehaviorVerdict]] = None
         self.n_folds = 0
         self.n_cache_hits = 0
-        #: fast-path verdicts whose window counts were taken afresh
+        #: verdicts judged afresh by the tester
         self.n_recomputes = 0
 
     # ------------------------------------------------------------------ #
@@ -82,8 +75,8 @@ class IncrementalBehaviorState:
 
     @property
     def incremental(self) -> bool:
-        """True when the suffix-walk fast path applies to this tester."""
-        return self._fast_multi
+        """True when the batched cold-path fold can seed this state."""
+        return supports_vectorized(self._tester)
 
     def __len__(self) -> int:
         return len(self._history)
@@ -115,15 +108,7 @@ class IncrementalBehaviorState:
     # external seeding (the batched cold-path fold)
 
     def needs_phase1(self) -> bool:
-        """True when the next :meth:`verdict` would recompute phase 1.
-
-        The batched cold-path fold
-        (:func:`~repro.core.multi_testing.fold_cold_batch`) uses this to
-        collect the states worth folding in one pass.  Only fast-path
-        testers qualify — the batch reproduces only the optimized walk.
-        """
-        if not self._fast_multi:
-            return False
+        """True when the next :meth:`verdict` would call the tester."""
         return self._cached is None or self._cached[0] != len(self._history)
 
     def seed_phase1(self, verdict: BehaviorVerdict) -> None:
@@ -141,43 +126,17 @@ class IncrementalBehaviorState:
     # verdicts
 
     def verdict(self) -> BehaviorVerdict:
-        """The phase-1 verdict for the current history.
-
-        Bit-identical to ``tester.test(history)``; cached until the
-        history grows or :meth:`invalidate` is called.
-        """
+        """``tester.test(history)``, cached until the history grows or
+        :meth:`invalidate` is called."""
         n = len(self._history)
         if self._cached is not None and self._cached[0] == n:
             self.n_cache_hits += 1
             if _obs.enabled:
                 _obs.registry.inc("core.incremental.verdict_cache_hits")
             return self._cached[1]
-        if self._fast_multi:
-            verdict: BehaviorVerdict = self._multi_verdict(n)
-        else:
-            verdict = self._tester.test(self._history)
+        verdict = self._tester.test(self._history)
         self._cached = (n, verdict)
-        if _obs.enabled:
-            _obs.registry.inc(
-                "core.incremental.verdicts",
-                path="incremental" if self._fast_multi else "fallback",
-            )
-        return verdict
-
-    def _multi_verdict(self, n: int) -> MultiTestReport:
-        """``MultiBehaviorTest._test`` without its audit and obs records."""
-        cfg = self._tester.config
-        lengths = cfg.suffix_lengths(n)
-        if not lengths:
-            return insufficient_report(cfg, n)
         self.n_recomputes += 1
-        rounds = run_suffix_rounds(
-            window_counts(self._history.outcomes(), cfg.window_size, align="recent"),
-            lengths,
-            window_size=cfg.window_size,
-            distance_name=cfg.distance,
-            calibrator=self._tester.calibrator,
-            collect_all=self._tester.collect_all,
-            obs_prefix="core.incremental",
-        )
-        return suffix_report(rounds[::-1])
+        if _obs.enabled:
+            _obs.registry.inc("core.incremental.verdicts")
+        return verdict

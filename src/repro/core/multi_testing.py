@@ -7,31 +7,27 @@ then the most recent ``l - k``, ``l - 2k``, ... until too few windows
 remain.  An honest player's behavior follows the binomial model on every
 suffix, so any failing round flags the server.
 
-Two interchangeable implementations are provided:
+``strategy="naive"`` re-windows and re-estimates every suffix from
+scratch: O(n^2 / k) work, the paper's unoptimized baseline that Fig. 9
+times.  ``strategy="optimized"`` is the paper's O(n) refinement and the
+one optimized walk: windows are anchored at the newest transaction, so
+every suffix's windows are a *suffix of the full window-count
+sequence*.  One numpy pass computes every round's histogram, ``p_hat``,
+expected pmf and distance; a plain loop then consults the thresholds
+from the shortest suffix to the longest and stops at the first failure.
+Both strategies give identical verdicts (asserted by the test suite).
 
-* ``strategy="naive"`` — re-window and re-estimate every suffix from
-  scratch: O(n^2 / k) work, the paper's unoptimized baseline;
-* ``strategy="optimized"`` — the paper's O(n) refinement: windows are
-  anchored at the newest transaction, so every suffix's windows are a
-  *suffix of the full window-count sequence*.  One numpy pass computes
-  every round's histogram (a ``bincount`` of the windows each round adds,
-  then a running ``cumsum``), ``p_hat``, expected pmf and distance; a
-  plain loop then consults the thresholds from the shortest suffix to
-  the longest and stops at the first failure.
-
-Both produce identical verdicts (asserted by the test suite); Fig. 9's
-performance experiment benchmarks the difference.
-
-:func:`fold_cold_batch` runs the optimized walk over many histories at
-once (the serving cold path): every history's windows back to back, one
-running histogram over all of them, and each round's histogram as the
-difference of two of its rows.
+The same walk judges one history (:func:`run_suffix_rounds`, behind
+``MultiBehaviorTest.test``) or many at once (:func:`fold_cold_batch`,
+the serving cold path): every history's windows back to back, one
+running histogram down all their rounds, and each later history's
+rounds less the running row just before its first.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +46,6 @@ __all__ = [
     "MultiBehaviorTest",
     "fold_cold_batch",
     "insufficient_report",
-    "judge_rounds",
     "run_suffix_rounds",
     "suffix_report",
     "supports_vectorized",
@@ -58,8 +53,8 @@ __all__ = [
 
 _STRATEGIES = ("optimized", "naive")
 
-#: Cap on windows :func:`fold_cold_batch` folds in one pass; bounds its
-#: running histogram, ``(windows + 1) x (m + 1)`` int64 (6 MB at m = 10).
+#: Cap on windows :func:`fold_cold_batch` folds in one pass; bounds the
+#: walk's per-window arrays.
 _CHUNK_WINDOWS = 1 << 16
 
 Rounds = List[Tuple[int, BehaviorVerdict]]
@@ -86,32 +81,53 @@ def insufficient_report(
     return MultiTestReport(passed=verdict.passed, rounds=((n, verdict),), reorder=reorder)
 
 
-def judge_rounds(
-    hist: np.ndarray,
-    wants: np.ndarray,
+def _walk(
+    counts: np.ndarray,
+    ends: np.ndarray,
+    bounds: Sequence[int],
     lengths: Sequence[int],
-    walks: Iterable[range],
     threshold: Callable[[int, float], float],
     *,
     window_size: int,
     distance_name: str,
     collect_all: bool,
 ) -> List[Rounds]:
-    """Verdicts for suffix rounds, from their window-count histograms.
+    """The paper's O(n) suffix walk over one or more histories.
 
-    Row ``r`` of ``hist`` is the integer ``(m + 1)``-bin histogram of the
-    ``wants[r]`` windows of a round over ``lengths[r]`` transactions; each
-    of ``walks`` is one history's rounds, as row indices in
-    ascending-suffix order.  ``p_hat``, the expected pmfs (one
+    ``counts`` holds every history's window counts, newest first, back
+    to back.  History ``h``'s rounds are rows ``bounds[h]`` up to
+    ``bounds[h + 1]``, shortest suffix first: round ``r`` judges the
+    most recent ``lengths[r]`` transactions, whose windows run up to
+    ``ends[r]`` in ``counts``.  A longest suffix spans its whole
+    history, so the next history's windows start where its last round
+    ends.
+
+    One ``searchsorted`` puts each window in the first round it enters,
+    one ``bincount`` counts the windows each round adds, and one running
+    sum down the rounds gives every round's histogram from the first
+    window on; each later history's rounds then drop the running row
+    just before its first round, and ``ends - base`` are the rounds'
+    window counts.  ``p_hat``, the expected pmfs (one
     :func:`binomial_pmf_many` call) and L1 distances are whole-array
     expressions.  Other distances and ``threshold(k, p_hat)`` are
     consulted lazily: only when the window count changes (an unchanged
-    window set reuses the previous verdict), and never after a walk's
-    first failing round unless ``collect_all``, so no walk pays for a
-    threshold its verdict does not use.  Returns one list of
-    ``(length, verdict)`` per walk, shortest suffix first.
+    window set reuses the previous verdict), and never after a
+    history's first failing round unless ``collect_all``, so no walk
+    pays for a threshold its verdict does not use.  Returns one list of
+    ``(length, verdict)`` per history, shortest suffix first.
     """
     m = window_size
+    n_rounds = ends.size
+    entered = ends.searchsorted(np.arange(counts.size), side="right")
+    added = np.bincount(entered * (m + 1) + counts, minlength=n_rounds * (m + 1))
+    hist = np.add.accumulate(added.reshape(n_rounds, m + 1), axis=0)  # running sum
+    wants = ends
+    if len(bounds) > 2:
+        # each later round's base: the running row before its history
+        before = np.repeat(np.array(bounds[1:-1]) - 1, np.diff(bounds[1:]))
+        hist[bounds[1] :] -= hist[before]
+        wants = ends.copy()
+        wants[bounds[1] :] -= ends[before]
     p_hat = (hist @ np.arange(m + 1)) / (wants * m)
     observed = hist / wants[:, None]
     expected = binomial_pmf_many(m, p_hat)
@@ -125,11 +141,11 @@ def judge_rounds(
 
     wants_l, p_l = wants.tolist(), p_hat.tolist()
     judged: List[Rounds] = []
-    for walk in walks:
+    for lo, hi in zip(bounds, bounds[1:]):
         rounds: Rounds = []
         verdict: Optional[BehaviorVerdict] = None
         last_want = -1
-        for r in walk:
+        for r in range(lo, hi):
             w = wants_l[r]
             if w != last_want:
                 d = distance(r)
@@ -153,32 +169,21 @@ def run_suffix_rounds(
     collect_all: bool = False,
     obs_prefix: str = "core.multi_testing",
 ) -> Rounds:
-    """The paper's O(n) suffix walk over precomputed window counts.
+    """The suffix walk over one history's precomputed window counts.
 
     ``counts`` is the recent-aligned window-count array of the full
-    history and ``lengths`` the suffix lengths, longest first.  Each
-    suffix's windows are the most recent ``length // m`` counts, so one
-    ``bincount`` of the windows each round adds, summed down the rounds,
-    yields every round's histogram for :func:`judge_rounds`.  Returns the
-    judged rounds shortest suffix first.  Both :class:`MultiBehaviorTest`
-    and the incremental serving engine call this, so their verdicts are
-    bit-identical.
+    history and ``lengths`` the suffix lengths, longest first.  Returns
+    the judged rounds shortest suffix first.
     """
     m = window_size
     suffixes = lengths[::-1]  # shortest suffix first
-    wants = np.array([length // m for length in suffixes])
-    n_rounds = wants.size
+    ends = np.array([length // m for length in suffixes])
     k_max = suffixes[-1] // m
-    newest_first = counts[counts.size - k_max :][::-1]
-    # window j (0 = newest) first enters the round whose count exceeds j
-    entered = wants.searchsorted(np.arange(k_max), side="right")
-    added = np.bincount(entered * (m + 1) + newest_first, minlength=n_rounds * (m + 1))
-    hist = np.add.accumulate(added.reshape(n_rounds, m + 1), axis=0)  # running sum
-    (judged,) = judge_rounds(
-        hist,
-        wants,
+    (judged,) = _walk(
+        counts[counts.size - k_max :][::-1],
+        ends,
+        (0, ends.size),
         suffixes,
-        [range(n_rounds)],
         partial(calibrator.threshold, m),
         window_size=m,
         distance_name=distance_name,
@@ -188,7 +193,7 @@ def run_suffix_rounds(
         # each judged round carries over the previous round's windows
         # and ingests only the ones that entered
         walked = len(judged)
-        reused, ingested = int(wants[: walked - 1].sum()), int(wants[walked - 1])
+        reused, ingested = int(ends[: walked - 1].sum()), int(ends[walked - 1])
         _obs.registry.inc(f"{obs_prefix}.suffix_reuse", reused, strategy="optimized")
         _obs.registry.inc(
             f"{obs_prefix}.suffix_recomputed", ingested, strategy="optimized"
@@ -198,7 +203,7 @@ def run_suffix_rounds(
 
 def supports_vectorized(tester) -> bool:
     """Whether ``tester`` is the optimized walk that :func:`fold_cold_batch`
-    and the incremental serving state reproduce."""
+    reproduces."""
     return isinstance(tester, MultiBehaviorTest) and tester.strategy == "optimized"
 
 
@@ -208,11 +213,11 @@ def fold_cold_batch(
     """Phase-1 multi-test reports for many histories in one pass.
 
     ``histories`` holds :class:`~repro.feedback.history.TransactionHistory`
-    objects or 1-D 0/1 outcome arrays (oldest first; validated like the
-    scalar path's).  Returns, in order, reports equal to
-    ``tester.test(history)`` bit-for-bit: every history's rounds run back
-    to back through the suffix walk's arithmetic, and the batch asks the
-    calibrator for exactly the thresholds the scalar walks would.
+    objects or 1-D 0/1 outcome arrays (oldest first; validated like
+    ``tester.test``'s).  Returns, in order, reports equal to
+    ``tester.test(history)`` bit-for-bit: every history's rounds run
+    through one suffix walk, and the batch asks the calibrator for
+    exactly the thresholds the one-history walks would.
     """
     if not supports_vectorized(tester):
         raise ValueError(
@@ -220,6 +225,7 @@ def fold_cold_batch(
             "use the scalar path for other testers"
         )
     cfg = tester.config
+    m = cfg.window_size
     reports: List[Optional[MultiTestReport]] = [None] * len(histories)
     # the judged histories, in chunks of at most _CHUNK_WINDOWS windows
     # (a longer history gets a chunk of its own)
@@ -230,61 +236,18 @@ def fold_cold_batch(
         if arr.size < cfg.min_transactions:
             reports[i] = insufficient_report(cfg, int(arr.size))
             continue
-        k = arr.size // cfg.window_size
+        k = arr.size // m
         if not chunks or windows + k > _CHUNK_WINDOWS:
             chunks.append(([], []))
             windows = 0
         chunks[-1][0].append(i)
         chunks[-1][1].append(arr)
         windows += k
-    # One threshold memo across chunks: the calibrator is consulted once
-    # per (k, p_key) shape, since a threshold depends on nothing else.
+    # One threshold memo across the batch: the calibrator is consulted
+    # once per (k, p_key) shape, since a threshold depends on nothing
+    # else.  Only other histories can repeat a shape: within one, every
+    # consulted k is new.
     shapes: Dict[Tuple[int, float], float] = {}
-    with _obs.timer("core.vectorized.seconds"):
-        for chunk, arrays in chunks:
-            for i, report in zip(chunk, _fold_chunk(arrays, tester, shapes)):
-                reports[i] = report
-    if _obs.enabled and chunks:
-        _obs.registry.inc("core.vectorized.batches")
-        _obs.registry.inc("core.vectorized.servers", sum(len(c) for c, _ in chunks))
-    return reports  # type: ignore[return-value]
-
-
-def _fold_chunk(
-    outcomes: List[np.ndarray],
-    tester: "MultiBehaviorTest",
-    shapes: Dict[Tuple[int, float], float],
-) -> List[MultiTestReport]:
-    cfg = tester.config
-    m = cfg.window_size
-    # every history's windows, newest first, back to back (a window read
-    # backwards holds the same count)
-    counts = (
-        np.concatenate([arr[arr.size % m :][::-1] for arr in outcomes])
-        .reshape(-1, m)
-        .sum(axis=1, dtype=np.int64)
-    )
-    # cum[j] is the histogram of the first j of those windows, so a
-    # round's histogram is the difference of two of its rows
-    cum = np.zeros((counts.size + 1, m + 1), dtype=np.int64)
-    cum[np.arange(1, counts.size + 1), counts] = 1
-    np.cumsum(cum, axis=0, out=cum)
-    # every history's rounds, shortest suffix first, back to back
-    lengths: List[int] = []
-    ends: List[int] = []
-    starts: List[int] = []
-    bounds = [0]
-    first = 0  # the history's first window
-    for arr in outcomes:
-        schedule = cfg.suffix_lengths(arr.size)[::-1]
-        lengths += schedule
-        ends += [first + length // m for length in schedule]
-        starts += [first] * len(schedule)
-        bounds.append(len(lengths))
-        first += arr.size // m
-    end_rows, start_rows = np.array(ends), np.array(starts)
-    hist = cum[end_rows] - cum[start_rows]
-
     quantize, consult = tester.calibrator.quantize_p, tester.calibrator.threshold
 
     def threshold(k: int, p_hat: float) -> float:
@@ -294,19 +257,43 @@ def _fold_chunk(
             thr = shapes[key] = consult(m, k, p_hat)
         return thr
 
-    judged = judge_rounds(
-        hist,
-        end_rows - start_rows,
-        lengths,
-        map(range, bounds[:-1], bounds[1:]),
-        threshold,
-        window_size=m,
-        distance_name=cfg.distance,
-        collect_all=tester.collect_all,
-    )
-    if _obs.enabled:
-        _obs.registry.inc("core.vectorized.rounds", len(lengths))
-    return [suffix_report(rounds[::-1]) for rounds in judged]
+    with _obs.timer("core.vectorized.seconds"):
+        for chunk, arrays in chunks:
+            # every history's windows, newest first, back to back (a
+            # window read backwards holds the same count), and its
+            # rounds, shortest suffix first
+            counts = (
+                np.concatenate([arr[arr.size % m :][::-1] for arr in arrays])
+                .reshape(-1, m)
+                .sum(axis=1, dtype=np.int64)
+            )
+            lengths: List[int] = []
+            ends: List[int] = []
+            bounds = [0]
+            for arr in arrays:
+                first = ends[-1] if ends else 0
+                schedule = cfg.suffix_lengths(arr.size)[::-1]
+                lengths += schedule
+                ends += [first + length // m for length in schedule]
+                bounds.append(len(lengths))
+            judged = _walk(
+                counts,
+                np.array(ends),
+                bounds,
+                lengths,
+                threshold,
+                window_size=m,
+                distance_name=cfg.distance,
+                collect_all=tester.collect_all,
+            )
+            for i, rounds in zip(chunk, judged):
+                reports[i] = suffix_report(rounds[::-1])
+            if _obs.enabled:
+                _obs.registry.inc("core.vectorized.rounds", len(lengths))
+    if _obs.enabled and chunks:
+        _obs.registry.inc("core.vectorized.batches")
+        _obs.registry.inc("core.vectorized.servers", sum(len(c) for c, _ in chunks))
+    return reports  # type: ignore[return-value]
 
 
 class MultiBehaviorTest:

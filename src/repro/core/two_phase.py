@@ -14,7 +14,7 @@ multinomial); any :class:`~repro.trust.base.TrustFunction` or
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Union
+from typing import Callable, Optional, Protocol, Union
 
 from ..feedback.history import TransactionHistory
 from ..feedback.ledger import FeedbackLedger
@@ -120,38 +120,62 @@ class TwoPhaseAssessor:
         ``ledger`` is required when phase 2 is a ledger-based scheme
         (PeerTrust, EigenTrust).
         """
-        if _audit.enabled:
-            # One decision scope per assessment: the nested behavior-test
-            # record and this assessment record are sampled together and
-            # share the server identity.
-            with _audit.trail.decision_scope(server=history.server):
-                assessment = self._assess(history, ledger)
-                if _audit.trail.want_record():
-                    self._emit_audit(assessment)
-                return assessment
-        return self._assess(history, ledger)
+        return self.audited(history, self._assess, ledger)
+
+    def audited(
+        self, history: TransactionHistory, judge: Callable[..., Assessment], *args
+    ) -> Assessment:
+        """``judge(history, *args)`` as one audited decision.
+
+        With auditing on, one decision scope covers the assessment: the
+        behavior test's record and the assessment record emitted after
+        it are sampled together and share the server identity.
+        """
+        if not _audit.enabled:
+            return judge(history, *args)
+        with _audit.trail.decision_scope(server=history.server):
+            assessment = judge(history, *args)
+            if _audit.trail.want_record():
+                self._emit_audit(assessment)
+            return assessment
 
     def _assess(
         self, history: TransactionHistory, ledger: Optional[FeedbackLedger]
     ) -> Assessment:
         behavior = None
-        if _obs.enabled:
-            _obs.registry.inc("core.two_phase.assessments")
         if self._behavior_test is not None:
             with _obs.timer("core.two_phase.phase1_seconds"):
                 behavior = self._behavior_test.test(history)
-            if not behavior.passed:
-                if _obs.enabled:
-                    _obs.registry.inc("core.two_phase.phase1_rejections")
-                    _obs.registry.inc("core.two_phase.status", status="suspicious")
-                return Assessment(
-                    status=AssessmentStatus.SUSPICIOUS,
-                    trust_value=None,
-                    behavior=behavior,
-                    server=history.server,
-                )
+        return self.decide(history, behavior, ledger=ledger)
+
+    def decide(
+        self,
+        history: TransactionHistory,
+        behavior: Optional[BehaviorVerdict],
+        *,
+        ledger: Optional[FeedbackLedger] = None,
+    ) -> Assessment:
+        """Fig. 2's rule over a phase-1 verdict (``None``: no screening).
+
+        A failed phase 1 makes the server suspicious without a trust
+        value; otherwise phase 2's trust value is compared with the
+        threshold.  The serving engine calls this with its cached
+        phase-1 verdicts.
+        """
+        if _obs.enabled:
+            _obs.registry.inc("core.two_phase.assessments")
+        if behavior is not None and not behavior.passed:
+            if _obs.enabled:
+                _obs.registry.inc("core.two_phase.phase1_rejections")
+                _obs.registry.inc("core.two_phase.status", status="suspicious")
+            return Assessment(
+                status=AssessmentStatus.SUSPICIOUS,
+                trust_value=None,
+                behavior=behavior,
+                server=history.server,
+            )
         with _obs.timer("core.two_phase.phase2_seconds"):
-            trust_value = self._trust_value(history, ledger)
+            trust_value = self.trust_value(history, ledger=ledger)
         status = (
             AssessmentStatus.TRUSTED
             if trust_value >= self._threshold
@@ -205,15 +229,9 @@ class TwoPhaseAssessor:
     ) -> float:
         """Phase 2 alone: the trust value without behavior screening.
 
-        The serving engine composes this with independently cached
-        phase-1 verdicts; ``ledger`` is required for ledger-based
-        schemes, exactly as in :meth:`assess`.
+        ``ledger`` is required for ledger-based schemes, exactly as in
+        :meth:`assess`.
         """
-        return self._trust_value(history, ledger)
-
-    def _trust_value(
-        self, history: TransactionHistory, ledger: Optional[FeedbackLedger]
-    ) -> float:
         if isinstance(self._trust_function, LedgerTrustFunction):
             if ledger is None:
                 raise ValueError(

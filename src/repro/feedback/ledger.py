@@ -482,11 +482,14 @@ class FeedbackLedger:
 
         All or nothing: a stream with a record about another server,
         a time going back, or more categories than the table has room
-        for raises :class:`ValueError` (quarantine or not: a reset is a
-        repair, not ingest) before anything changes.  Otherwise the old
-        rows are tombstoned (:meth:`ColumnarStore.drop_server`) and the
-        stream folds after every other row.  ``backend="mmap"`` raises
-        :class:`NotImplementedError`: its file is append-only.
+        for raises :class:`ValueError`, and an armed
+        ``feedback.ledger.fold`` site fires once per event, in order,
+        and raises any fault it injects — quarantine or not: a reset is
+        a repair, not ingest — before anything changes.  Otherwise the
+        old rows are tombstoned (:meth:`ColumnarStore.drop_server`) and
+        the stream folds after every other row, firing no site again.
+        ``backend="mmap"`` raises :class:`NotImplementedError`: its file
+        is append-only.
         Subscribers are *not* notified — serving layers re-register the
         rebuilt history themselves
         (:meth:`repro.serve.AssessmentService.replace_server`).
@@ -513,11 +516,15 @@ class FeedbackLedger:
                 f"reset_server({server!r}): category table full: "
                 f"{CATEGORY_LIMIT} distinct categories"
             )
+        if _res.armed:
+            for _ in feedbacks:
+                _res.inject(_FOLD_SITE)
         code = self._store.server_table.lookup(server)
         if code is not None:
             self._store.drop_server(code)
         self._histories.pop(server, None)
-        return sum(map(self._fold, feedbacks))
+        with _res.activate(None):  # the site fired above
+            return sum(map(self._fold, feedbacks))
 
     # ------------------------------------------------------------------ #
     # queries

@@ -14,12 +14,13 @@ thresholds do not tie it there: each is a pure function of its key and
 the calibrator's seed, so any calibrator with the same settings and
 seed answers with the same thresholds.
 
-Verdicts are bit-identical to per-call
-:meth:`~repro.core.two_phase.TwoPhaseAssessor.assess` — the service
-reuses the assessor's own phase logic — with one deliberate difference:
-the serving fast path only emits per-decision audit records for *fresh*
-assessments while auditing is on (memo hits never re-log; run the
-assessor directly when full phase-1 round provenance is needed).
+Assessments are bit-identical to per-call
+:meth:`~repro.core.two_phase.TwoPhaseAssessor.assess`: phase 1 is the
+tester's own ``test`` (or the batch kernel's bit-identical reports),
+and the assessor's :meth:`~repro.core.two_phase.TwoPhaseAssessor.decide`
+turns it into the assessment; the service adds only the ``degraded``
+flag.  Fresh assessments leave the assessor's audit records (memo hits
+never re-log; a kernel-seeded verdict carries no rounds).
 
 Every ``assess_many`` request runs under a root
 :class:`~repro.obs.context.TraceContext` (minted unless the caller
@@ -30,17 +31,17 @@ records all carry the request's trace_id.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..core.config import AssessorConfig
 from ..core.incremental import IncrementalBehaviorState
 from ..core.multi_testing import fold_cold_batch, supports_vectorized
 from ..core.two_phase import Assessor, TwoPhaseAssessor
-from ..core.verdict import Assessment, AssessmentStatus
+from ..core.verdict import Assessment
 from ..feedback.history import TransactionHistory
 from ..feedback.ledger import FeedbackLedger
 from ..feedback.records import EntityId, Feedback
-from ..obs import audit as _audit
 from ..obs import context as _ctx
 from ..obs import runtime as _obs
 from ..resilience import runtime as _res
@@ -48,16 +49,7 @@ from ..resilience.faults import InjectedFault, ResilienceError
 from ..trust.base import LedgerTrustFunction
 from .cache import CalibrationCache
 
-__all__ = ["AssessmentService", "VECTOR_MIN_BATCH"]
-
-#: Minimum number of cold states in one ``assess_many`` sweep before the
-#: batched pre-fold pays for itself; a lone cold state stays scalar.
-#: ``benchmarks/test_core_micro.py::test_fold_cold_batch_vs_scalar``
-#: puts the crossover at 2 histories: on a warm calibrator one
-#: ``fold_cold_batch`` call ran at 0.70-0.79x the speed of the scalar
-#: walks for 1 history, 1.21-1.28x for 2, 1.59-1.73x for 4 and
-#: 2.30-2.39x for 16 (two runs, 2 vCPUs).
-VECTOR_MIN_BATCH = 2
+__all__ = ["AssessmentService"]
 
 
 class AssessmentService:
@@ -86,14 +78,11 @@ class AssessmentService:
     vectorized:
         Use the batched cold-path fold
         (:func:`~repro.core.multi_testing.fold_cold_batch`): when an
-        ``assess_many`` sweep finds at least :data:`VECTOR_MIN_BATCH`
-        (2) cold states and the tester qualifies, their phase-1 verdicts
-        are folded in one call and seeded into the incremental states
-        before the per-server walk (which then hits the verdict cache);
-        a lone cold state takes the scalar walk, which is cheaper for
-        one history.
-        Verdicts are bit-identical either way; the warm incremental path
-        is untouched.
+        ``assess_many`` sweep finds cold states and the tester
+        qualifies, their phase-1 verdicts are folded in one call and
+        seeded into the incremental states before the per-server walk
+        (which then hits the verdict cache).  Verdicts are bit-identical
+        either way; the warm incremental path is untouched.
 
     **Faults.**  Recovery happens where the fault lands: the calibrator
     retries a failed Monte-Carlo pass and, failing that, serves a stale
@@ -293,7 +282,7 @@ class AssessmentService:
                     _obs.registry.inc("serve.service.assessment_cache_hits")
                 return cached[1]
         start = time.perf_counter() if _obs.enabled else 0.0
-        assessment = self._assess_fresh(state, history)
+        assessment = self._assessor.audited(history, self._judge, state)
         self.n_assessments += 1
         # degraded answers (stale calibration threshold) are served but
         # never memoized: the next query retries the real computation
@@ -311,71 +300,23 @@ class AssessmentService:
             )
         return assessment
 
-    def _assess_fresh(
-        self, state: IncrementalBehaviorState, history: TransactionHistory
+    def _judge(
+        self, history: TransactionHistory, state: IncrementalBehaviorState
     ) -> Assessment:
-        if _audit.enabled:
-            with _audit.trail.decision_scope(server=history.server):
-                assessment = self._assess_fresh_inner(state, history)
-                if _audit.trail.want_record():
-                    self._emit_serve_audit(assessment)
-                return assessment
-        return self._assess_fresh_inner(state, history)
-
-    def _emit_serve_audit(self, assessment: Assessment) -> None:
-        """Serve-path decision provenance (summary only, no phase-1 rounds)."""
-        provenance = getattr(self._assessor.trust_function, "provenance", None)
-        trust_name = (
-            provenance()["name"]
-            if callable(provenance)
-            else type(self._assessor.trust_function).__name__
-        )
-        _audit.trail.emit(
-            _audit.assessment_record(
-                server=assessment.server,
-                status=assessment.status.value,
-                trust_value=assessment.trust_value,
-                trust_threshold=self._assessor.trust_threshold,
-                trust_function=trust_name,
-            )
-        )
-
-    def _assess_fresh_inner(
-        self, state: IncrementalBehaviorState, history: TransactionHistory
-    ) -> Assessment:
+        """The assessor's phase rule over the state's phase-1 verdict."""
         behavior = None
-        degraded = False
         calibrator = getattr(self._assessor.behavior_test, "calibrator", None)
         stale_before = (
             calibrator.degraded_calibrations if calibrator is not None else 0
         )
         if self._assessor.behavior_test is not None:
             behavior = state.verdict()
-            if calibrator is not None:
-                # phase 1 answered off a stale calibration threshold —
-                # usable, but flagged so the caller can re-derive later
-                degraded = calibrator.degraded_calibrations > stale_before
-            if not behavior.passed:
-                return Assessment(
-                    status=AssessmentStatus.SUSPICIOUS,
-                    trust_value=None,
-                    behavior=behavior,
-                    server=history.server,
-                    degraded=degraded,
-                )
-        trust_value = self._assessor.trust_value(history, ledger=self._ledger)
-        status = (
-            AssessmentStatus.TRUSTED
-            if trust_value >= self._assessor.trust_threshold
-            else AssessmentStatus.UNTRUSTED
-        )
-        return Assessment(
-            status=status,
-            trust_value=trust_value,
-            behavior=behavior,
-            server=history.server,
-            degraded=degraded,
-        )
+        assessment = self._assessor.decide(history, behavior, ledger=self._ledger)
+        if calibrator is not None and calibrator.degraded_calibrations > stale_before:
+            # phase 1 answered off a stale calibration threshold —
+            # usable, but flagged so the caller can re-derive later
+            return replace(assessment, degraded=True)
+        return assessment
 
     def assess_many(
         self, server_ids: Optional[Iterable[EntityId]] = None
@@ -409,13 +350,13 @@ class AssessmentService:
         the per-server walk below turns into verdict-cache hits.
 
         Seeds are discarded when the batch answered off a stale
-        calibration threshold, so the scalar path can re-derive and flag
-        the assessment as degraded.  Skipped entirely when faults are
-        armed: the batch memoizes a degraded (uncached) threshold for the
-        rest of the batch and raises an escaping fault outside
+        calibration threshold, so the per-server walk can re-derive and
+        flag the assessment as degraded.  Skipped entirely when faults
+        are armed: the batch memoizes a degraded (uncached) threshold for
+        the rest of the batch and raises an escaping fault outside
         :meth:`_sweep`, so the calibration fault site would see a
-        different sequence of consultations than the scalar walk, and
-        chaos runs must replay bit-identically.
+        different sequence of consultations than the per-server walk,
+        and chaos runs must replay bit-identically.
         """
         if not self._vectorized or _res.armed:
             return
@@ -431,7 +372,7 @@ class AssessmentService:
             seen.add(sid)
             if state.needs_phase1():
                 cold.append(state)
-        if len(cold) < VECTOR_MIN_BATCH:
+        if not cold:
             return
         calibrator = getattr(tester, "calibrator", None)
         stale_before = (

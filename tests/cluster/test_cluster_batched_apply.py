@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import numpy as np
+import pytest
 
 from repro.cluster import ClusterNode, ReplicaBatch, ShardState, event_digest
 from repro.cluster.node import DigestRuns, rolling_digest
@@ -141,6 +142,30 @@ def test_reset_to_an_empty_stream_forgets_the_served_history():
     fresh.apply_events(events(range(10, 13)))
     assert len(node.ledger.history("srv-a")) == 3
     assert node.service.assess_many(["srv-a"]) == fresh.service.assess_many(["srv-a"])
+
+
+def test_refused_reset_leaves_the_shard_state():
+    """A reset the ledger refuses (here an injected fold fault) raises
+    before the node's shard state, ledger rows or served state change."""
+    node = _node()
+    stream = [
+        Feedback(
+            time=float(t), server="srv-a", client=CLIENTS[t % 2], rating=Rating.POSITIVE
+        )
+        for t in range(5)
+    ]
+    node.apply_events(stream)
+    state = node.shards["srv-a"]
+    before = (state.n, state.last_time, set(state.tie_digests), state.content_hash)
+    served = node.service.assess_many(["srv-a"])
+    plan = FaultPlan(seed=0)
+    plan.arm("feedback.ledger.fold", "exception")
+    with res.activate(plan), pytest.raises(res.InjectedFault):
+        node.reset_server("srv-a", stream[:1])
+    assert node.shards["srv-a"] is state
+    assert (state.n, state.last_time, state.tie_digests, state.content_hash) == before
+    assert len(node.ledger.history("srv-a")) == 5
+    assert node.service.assess_many(["srv-a"]) == served
 
 
 def _tied(client: str) -> Feedback:

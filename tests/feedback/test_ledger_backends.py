@@ -453,6 +453,40 @@ class TestResetServer:
         assert led.record(_fb(4, "s1", "c9"))
         assert (len(held), held.last_time()) == (4, 4.0)
 
+    @pytest.mark.parametrize("quarantined", [False, True])
+    def test_faulted_reset_changes_nothing(self, quarantined):
+        """An armed fold site fires once per event, in order, before the
+        old rows go: its fault raises, quarantine or not, and leaves the
+        server's rows, history, last time and indexes as they were."""
+        quarantine = Quarantine(name="ledger") if quarantined else None
+        led = FeedbackLedger(quarantine=quarantine)
+        led.record_many(STREAM)
+        held = led.history("s1")
+        before = _state(led)
+        plan = FaultPlan(seed=0)
+        plan.arm("feedback.ledger.fold", "exception", after=2)
+        with res.activate(plan):
+            with pytest.raises(res.InjectedFault):
+                led.reset_server("s1", MERGED_S1)
+        assert plan.counts()["feedback.ledger.fold"] == {"invocations": 3, "fires": 1}
+        assert _state(led) == before
+        assert led.history("s1") is held
+        assert quarantine is None or quarantine.depth == 0
+        assert led.store._last_time[led.store.server_table.lookup("s1")] == 4.0
+
+    def test_armed_reset_fires_once_per_event(self):
+        """A fault-free reset under an armed plan installs the whole
+        stream, and the install fires the site no second time."""
+        led, rebuilt = FeedbackLedger(), FeedbackLedger()
+        led.record_many(STREAM)
+        rebuilt.record_many([fb for fb in STREAM if fb.server != "s1"] + MERGED_S1)
+        plan = FaultPlan(seed=0)
+        plan.arm("feedback.ledger.fold", "exception", after=100)
+        with res.activate(plan):
+            assert led.reset_server("s1", MERGED_S1) == len(MERGED_S1)
+        assert plan.counts()["feedback.ledger.fold"]["invocations"] == len(MERGED_S1)
+        assert _state(led) == _state(rebuilt)
+
     def test_mmap_cannot_reset(self, tmp_path):
         led = FeedbackLedger(backend="mmap", path=str(tmp_path / "led.bin"))
         led.record_many(STREAM)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.adversary.hibernating import hibernating_attack_history
 from repro.core.config import AssessorConfig, BehaviorTestConfig
 from repro.core.model import generate_honest_outcomes
 from repro.core.multi_testing import MultiBehaviorTest
@@ -13,6 +14,7 @@ from repro.core.verdict import AssessmentStatus
 from repro.feedback.history import TransactionHistory
 from repro.feedback.ledger import FeedbackLedger
 from repro.feedback.records import Feedback, Rating
+from repro.obs.audit import audit_session
 from repro.serve import AssessmentService, CalibrationCache
 from repro.trust.registry import make_trust_function
 
@@ -296,3 +298,36 @@ class TestStatsAndCache:
         path = service.save_cache()
         reloaded = CalibrationCache(path=path)
         assert len(reloaded) == len(cache)
+
+
+class TestAudit:
+    @pytest.mark.parametrize("kind", ["honest", "hibernating"])
+    def test_fresh_assessment_leaves_the_assessors_records(
+        self, paper_config, shared_calibrator, kind
+    ):
+        """A fresh ``assess(server)``, whose phase 1 runs per server,
+        leaves the same records as ``TwoPhaseAssessor.assess`` on that
+        history: the behavior test's rounds, then the assessment."""
+        outcomes = (
+            generate_honest_outcomes(600, 0.95, seed=5)
+            if kind == "honest"
+            else hibernating_attack_history(600, 40, seed=2008)
+        )
+        history = TransactionHistory.from_outcomes(outcomes, server="srv")
+        assessor = _assessor(paper_config, shared_calibrator)
+        service = AssessmentService(assessor)
+        service.add_server(history)
+        with audit_session() as served:
+            assessment = service.assess("srv")
+        with audit_session() as direct:
+            assert assessor.assess(history) == assessment
+
+        def fields(records):
+            return [
+                {k: v for k, v in r.items() if k not in ("trace_id", "context")}
+                for r in records
+            ]
+
+        assert [r["kind"] for r in served.records] == ["behavior_test", "assessment"]
+        assert fields(served.records) == fields(direct.records)
+        assert assessment.suspicious == (kind == "hibernating")

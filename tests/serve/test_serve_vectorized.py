@@ -2,7 +2,7 @@
 
 ``AssessmentService(vectorized=True)`` must be a pure optimization:
 identical assessments to the scalar service on every schedule, engaged
-only when a batch is genuinely cold and large enough, and standing down
+whenever a sweep finds a cold state (one is enough), and standing down
 whenever correctness demands it (armed fault plans, degraded
 calibrations, unsupported testers).
 """
@@ -20,7 +20,6 @@ from repro.feedback.records import Feedback, Rating
 from repro.resilience import FaultPlan
 from repro.resilience import runtime as res
 from repro.serve import AssessmentService
-from repro.serve.service import VECTOR_MIN_BATCH
 
 CONFIG = AssessorConfig(test_config=BehaviorTestConfig(calibration_sets=50))
 
@@ -62,15 +61,15 @@ class TestEquivalence:
             for sid in ids[::5]:
                 service.observe_outcome(sid, 1)
         assert vector.assess_many(ids) == scalar.assess_many(ids)
-        # the touched minority is prefolded again only if it reaches the
-        # min-batch bar
+        # the touched minority is prefolded again; the warm rest is not
         touched = len(ids[::5])
-        assert vector.n_vector_prefolds == 1 + (touched >= VECTOR_MIN_BATCH)
+        assert vector.n_vector_prefolds == 2
+        assert vector.n_vector_seeded == len(ids) + touched
 
-    @pytest.mark.parametrize("dirty", [VECTOR_MIN_BATCH, VECTOR_MIN_BATCH - 1])
+    @pytest.mark.parametrize("dirty", [2, 1])
     def test_min_batch_bar_after_a_warm_sweep(self, dirty):
-        """Exactly the bar's number of dirty states is batch-folded and
-        seeded; one fewer stays on the scalar walk."""
+        """There is no min-batch bar: after a warm sweep, two dirty
+        states and a lone one alike are batch-folded and seeded."""
         vector, scalar, ids = _pair()
         vector.assess_many(ids)
         scalar.assess_many(ids)
@@ -79,28 +78,31 @@ class TestEquivalence:
                 service.observe_outcome(sid, 1)
         seeded = vector.n_vector_seeded
         assert vector.assess_many(ids) == scalar.assess_many(ids)
-        batched = dirty >= VECTOR_MIN_BATCH
-        assert vector.n_vector_prefolds == 1 + batched
-        assert vector.n_vector_seeded == seeded + (dirty if batched else 0)
+        assert vector.n_vector_prefolds == 2
+        assert vector.n_vector_seeded == seeded + dirty
 
     def test_post_invalidation_sweep_identical(self):
         vector, scalar, ids = _pair()
         vector.assess_many(ids)
         scalar.assess_many(ids)
-        # exactly a minimum batch turns cold again: the kernel re-engages
-        for sid in ids[:VECTOR_MIN_BATCH]:
-            vector.invalidate(sid)
-            scalar.invalidate(sid)
+        # one state turns cold again: the kernel re-engages for it alone
+        seeded = vector.n_vector_seeded
+        vector.invalidate(ids[0])
+        scalar.invalidate(ids[0])
         assert vector.assess_many(ids) == scalar.assess_many(ids)
         assert vector.n_vector_prefolds == 2
+        assert vector.n_vector_seeded == seeded + 1
 
 
 class TestGating:
-    def test_small_batches_skip_the_kernel(self):
+    def test_small_batches_use_the_kernel(self):
         service = AssessmentService(config=CONFIG, vectorized=True)
-        ids = _populate(service, n=VECTOR_MIN_BATCH - 1)
+        ids = _populate(service, n=1)
         service.assess_many(ids)
-        assert service.n_vector_prefolds == 0
+        assert (service.n_vector_prefolds, service.n_vector_seeded) == (1, 1)
+        # a warm resweep finds nothing cold: no fold at all
+        service.assess_many(ids)
+        assert service.n_vector_prefolds == 1
 
     def test_vectorized_false_never_prefolds(self):
         service = AssessmentService(config=CONFIG, vectorized=False)
