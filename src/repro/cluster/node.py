@@ -24,19 +24,18 @@ applied).
 A message is a :class:`ReplicaBatch`: columns the coordinator built once
 per client batch (:meth:`ReplicaBatch.split`), with the event digests
 and the per-server runs already computed, so a replica hashes no id
-and computes no digest.  It is folded with numpy: a run that starts
-above its server's watermark, never goes back in time and repeats no
-``(time, digest)`` is admitted whole; only the other runs take the
-scalar watermark pass (:meth:`ShardState.admit`).  All admitted runs
-take one state update (:meth:`ShardState.applied`, one
-``np.add.reduceat`` for every content digest) and the whole message
-one columnar ledger append.  An armed fault plan needs per-event fault
-sequencing, so it takes the event-at-a-time path, which the columnar
-one reproduces exactly.  Divergence *repair* never goes through it:
-read repair, anti-entropy and membership changes all pull the
-replicas' copies (``cluster_pull``) and install the merged stream via
-``cluster_reset``, which rebuilds the server's ledger history, serving
-state, and shard digest from scratch.
+and computes no digest.  One numpy pass, :func:`admit`, decides which
+rows folding them one event at a time would store; a message whose
+runs all start above their watermarks and rise strictly needs no
+pass.  The admitted rows take one columnar ledger append, then one
+state update (:meth:`ShardState.applied`, one ``np.add.reduceat`` for
+every content digest).  An armed fault plan needs per-event fault
+sequencing, so the same fold runs over one-row slices of the message.
+Divergence *repair* never goes through it: read repair, anti-entropy
+and membership changes all pull the replicas' copies
+(``cluster_pull``), merge them (:func:`reconciled`) and install the
+merged stream via ``cluster_reset``, which rebuilds the server's ledger
+history, serving state, and shard digest from scratch.
 
 Digests are 64-bit integers.  An event's digest chains five words —
 memoised blake2b keys of its server and client, the bits of its time,
@@ -278,7 +277,7 @@ class ReplicaBatch(FeedbackBatch):
     """
 
     digests: Optional[np.ndarray] = None
-    _admission: Optional[Tuple[DigestRuns, Optional[np.ndarray]]] = field(
+    _admission: Optional[Tuple[DigestRuns, bool]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -299,31 +298,19 @@ class ReplicaBatch(FeedbackBatch):
         batch.digests = self.digests[rows]
         return batch
 
-    def run_digests(self) -> Tuple[DigestRuns, Optional[np.ndarray]]:
+    def run_digests(self) -> Tuple[DigestRuns, bool]:
         """The batch's :meth:`server_runs` as :class:`DigestRuns`, and
-        the runs that go back in time or repeat a ``(time, digest)``
-        (``None`` when none does) — what admission needs besides each
-        replica's watermarks, computed once per message."""
+        whether every run rises strictly in time — what admission needs
+        besides each replica's watermarks, computed once per message."""
         if self._admission is None:
             runs = self.server_runs()
-            digests = self.digests[runs.order]
-            irregular = runs.backward
             times = runs.times
-            tied = times[1:] == times[:-1]
-            tied[runs.bounds[1:-1] - 1] = False  # a step from one run to the next
-            if tied.any():
-                groups = runs.inverse[runs.order]
-                ranked = np.lexsort((digests, times, groups))
-                g, t, d = groups[ranked], times[ranked], digests[ranked]
-                repeat = (g[1:] == g[:-1]) & (t[1:] == t[:-1]) & (d[1:] == d[:-1])
-                if repeat.any():
-                    irregular = (
-                        np.zeros(len(runs.ids), dtype=bool)
-                        if irregular is None
-                        else irregular.copy()
-                    )
-                    irregular[g[1:][repeat]] = True
-            self._admission = (DigestRuns(times, digests, runs.bounds), irregular)
+            rises = times[1:] > times[:-1]
+            rises[runs.bounds[1:-1] - 1] = True  # a step from one run to the next
+            self._admission = (
+                DigestRuns(times, self.digests[runs.order], runs.bounds),
+                bool(rises.all()),
+            )
         return self._admission
 
     @classmethod
@@ -338,7 +325,8 @@ class ReplicaBatch(FeedbackBatch):
         columns are views, and each message's :meth:`server_runs` and
         :meth:`run_digests` come sliced from the whole batch's: digests,
         grouping and sorting happen once per client batch, not once per
-        message or replica.
+        message or replica.  Every message shares the whole batch's
+        flag for runs rising strictly.
         """
         slot = {server: m for m, group in enumerate(groups) for server in group}
         row_message = np.array([slot[fb.server] for fb in feedbacks], dtype=np.intp)
@@ -348,7 +336,7 @@ class ReplicaBatch(FeedbackBatch):
             server_ids=[server for group in groups for server in group],
         )
         runs = batch.server_runs()
-        stored, irregular = batch.run_digests()
+        stored, rising = batch.run_digests()
         ratings, goods, run_bounds, lasts = batch.run_outcomes(runs)
         client_ids, client_inverse = batch.client_groups
         row_bounds = np.bincount(row_message, minlength=len(groups)).cumsum().tolist()
@@ -386,7 +374,6 @@ class ReplicaBatch(FeedbackBatch):
                 runs.lasts[glo:ghi],
                 None if backward is None or not backward.any() else backward,
             )
-            flagged = None if irregular is None else irregular[glo:ghi]
             part._admission = (
                 DigestRuns(
                     runs.times[lo:hi],
@@ -394,7 +381,7 @@ class ReplicaBatch(FeedbackBatch):
                     bounds,
                     (stored, glo, ghi),
                 ),
-                None if flagged is None or not flagged.any() else flagged,
+                rising,
             )
             part._outcomes = (
                 ratings[lo:hi],
@@ -441,16 +428,6 @@ class ReplicaBatch(FeedbackBatch):
         )
 
 
-def _replica_batch(events) -> ReplicaBatch:
-    if isinstance(events, ReplicaBatch):
-        return events
-    return ReplicaBatch.from_feedbacks(events)
-
-
-def _skip_counts() -> Dict[str, int]:
-    return {"below_watermark": 0, "duplicate_digest": 0}
-
-
 class ShardState:
     """Per-server replica bookkeeping: dedup watermark + content digest."""
 
@@ -463,35 +440,6 @@ class ShardState:
         #: region where time alone cannot distinguish new from replayed
         self.tie_digests: set = set()
         self.content_hash = 0
-
-    def admit(
-        self, times: Sequence[float], digests: Sequence[int], skipped: Dict[str, int]
-    ) -> List[int]:
-        """The positions, in one server's run of events (their times
-        and digests, in arrival order), of the events folding them one
-        at a time would apply.
-
-        Counts each skipped event into ``skipped`` by reason.  Below
-        the watermark a replay and a late event look the same, so that
-        reason names the position, not a diagnosis.  The state itself
-        is not changed; :meth:`applied` does that once the admitted
-        events are stored.
-        """
-        last, ties = self.last_time, self.tie_digests
-        admitted: List[int] = []
-        tied: List[int] = []  # digests admitted at ``last`` in this run
-        for i, (time, digest) in enumerate(zip(times, digests)):
-            if time < last:
-                skipped["below_watermark"] += 1
-                continue
-            if time > last:
-                last, ties, tied = time, (), []
-            elif digest in ties or digest in tied:
-                skipped["duplicate_digest"] += 1
-                continue
-            admitted.append(i)
-            tied.append(digest)
-        return admitted
 
     @staticmethod
     def applied(states: Sequence["ShardState"], runs: DigestRuns) -> None:
@@ -513,6 +461,73 @@ class ShardState:
             state.tie_digests.add(tail)
         for r, digest in ties:
             states[r].tie_digests.add(digest)
+
+
+def admit(
+    runs: DigestRuns, states: Sequence[ShardState], skipped: Dict[str, int]
+) -> np.ndarray:
+    """The mask of the rows of ``runs`` (run ``r`` bound for
+    ``states[r]``) that folding them one event at a time would store.
+
+    A row is skipped as ``below_watermark`` when it is earlier than the
+    running maximum of its state's watermark and the earlier rows of its
+    run (a replay and a late event look the same there), and as
+    ``duplicate_digest`` when it is at that time and an earlier row of
+    its run or the state's ``tie_digests`` already holds its digest;
+    skips are counted into ``skipped``.  Python sees only the rows tied
+    with a state's watermark."""
+    times, digests, bounds = runs.times, runs.digests, runs.bounds
+    starts = bounds[:-1]
+    run = np.arange(starts.size).repeat(np.diff(bounds))
+    marks = np.array([state.last_time for state in states])[run]
+    # each run's running maximum, on ranks offset per run so that one
+    # np.maximum.accumulate never carries a run's maximum into the next
+    values, ranks = np.unique(times, return_inverse=True)
+    offsets = run * values.size
+    last = np.empty_like(times)
+    last[1:] = values[np.maximum.accumulate(ranks + offsets) - offsets][:-1]
+    last[starts] = -np.inf
+    np.maximum(last, marks, out=last)
+    below = times < last
+    # a tie group is a run's first row or a row above the running
+    # maximum, with the rows up to the next one; its stored rows share
+    # one time, and group ids grow with the row, so after a stable sort
+    # by digest a repeat sits next to the row it repeats
+    rises = times > last
+    rises[starts] = True
+    groups = rises.cumsum()
+    rows = (~below).nonzero()[0]
+    rows = rows[digests[rows].argsort(kind="stable")]
+    earlier, later = rows[:-1], rows[1:]
+    repeat = (digests[later] == digests[earlier]) & (groups[later] == groups[earlier])
+    duplicate = np.zeros(times.size, dtype=bool)
+    duplicate[later[repeat]] = True
+    for i in ((times == marks) & ~below & ~duplicate).nonzero()[0].tolist():
+        duplicate[i] = int(digests[i]) in states[run[i]].tie_digests
+    skipped["below_watermark"] += int(below.sum())
+    skipped["duplicate_digest"] += int(duplicate.sum())
+    return ~(below | duplicate)
+
+
+def reconciled(
+    streams: Iterable[Iterable[Feedback]],
+) -> Tuple[List[Feedback], ShardState]:
+    """Merge copies of one server's stream by :func:`event_digest` in
+    ``(time, digest)`` order: the merged events, and the state of a
+    replica holding exactly them."""
+    merged: Dict[int, Feedback] = {}
+    for events in streams:
+        for feedback in events:
+            merged[event_digest(feedback)] = feedback
+    keyed = sorted(merged.items(), key=lambda item: (item[1].time, item[0]))
+    ordered = [feedback for _, feedback in keyed]
+    state = ShardState()
+    if keyed:
+        times = np.array([feedback.time for feedback in ordered], dtype=np.float64)
+        digests = np.array([digest for digest, _ in keyed], dtype=np.uint64)
+        runs = DigestRuns(times, digests, np.array([0, len(keyed)]))
+        ShardState.applied([state], runs)
+    return ordered, state
 
 
 class ClusterNode:
@@ -562,128 +577,77 @@ class ClusterNode:
         at or below its watermark; returns how many were applied.
 
         Skips are counted by reason into ``skipped`` when given, and
-        into ``cluster.shard.events_skipped`` when observed.
+        into ``cluster.shard.events_skipped`` when observed.  Under an
+        armed fault plan the message is folded one row at a time, so
+        every ledger fold meets the fault site in order, and a fault
+        leaves this shard holding exactly the rows stored before it.
         """
-        batch = _replica_batch(events)
-        counts = _skip_counts()
+        if isinstance(events, ReplicaBatch):
+            batch = events
+        else:
+            batch = ReplicaBatch.from_feedbacks(events)
+        counts = {"below_watermark": 0, "duplicate_digest": 0}
         if not len(batch):
             applied = 0
         elif _res.armed:
-            applied = self._apply_each(batch, counts)
+            applied = sum(
+                self._apply(batch.take([i]), counts) for i in range(len(batch))
+            )
         else:
-            applied = self._apply_columns(batch, counts)
-        if skipped is not None:
-            for reason, count in counts.items():
+            applied = self._apply(batch, counts)
+        for reason, count in counts.items():
+            if skipped is not None:
                 skipped[reason] = skipped.get(reason, 0) + count
-        if _obs.enabled:
-            for reason, count in counts.items():
-                if count:
-                    _obs.registry.inc(
-                        "cluster.shard.events_skipped", count, reason=reason
-                    )
+            if count and _obs.enabled:
+                _obs.registry.inc("cluster.shard.events_skipped", count, reason=reason)
         if applied and _obs.enabled:
             _obs.registry.inc("cluster.shard.events_applied", applied)
         return applied
 
-    def _states(
-        self, servers: List[str], firsts: List[float]
-    ) -> Tuple[List[ShardState], List[int]]:
-        """Each server's state (created on first sight), and the runs
-        that start at or below their server's watermark."""
+    def _apply(self, batch: ReplicaBatch, skipped: Dict[str, int]) -> int:
+        """The columnar fold: :func:`admit` keeps the rows folding them
+        one event at a time would store (all of them, unasked, when every
+        run rises strictly from above its watermark); they take one
+        ledger append, in arrival order, then one :meth:`ShardState.applied`.
+        A server new to this shard gets its state once the ledger holds it."""
+        runs = batch.server_runs()
+        stored, whole = batch.run_digests()
         shards = self.shards
         states = []
-        behind = []
-        for g, (server, first) in enumerate(zip(servers, firsts)):
+        fresh = []
+        for server, first in zip(runs.servers, runs.firsts):
             state = shards.get(server)
             if state is None:
-                state = shards[server] = ShardState()
+                state = ShardState()
+                fresh.append((server, state))
             elif first <= state.last_time:
-                behind.append(g)
+                whole = False
             states.append(state)
-        return states, behind
-
-    def _apply_columns(self, batch: ReplicaBatch, skipped: Dict[str, int]) -> int:
-        """The columnar fold.  Rows are grouped into per-server runs
-        (arrival order within a run).  A run that starts above its
-        watermark, never goes back in time and repeats no ``(time,
-        digest)`` is admitted whole, which is what folding it one event
-        at a time would do; any other run takes :meth:`ShardState.admit`.
-        The admitted runs are accounted in one :meth:`ShardState.applied`
-        and stored in one ledger append, in arrival order.  Accounting
-        before the append is safe: a run admits only events at or above
-        its watermark, in time order, and the watermark is the ledger
-        history's last time, so the append cannot refuse them."""
-        runs = batch.server_runs()
-        stored, irregular = batch.run_digests()
-        states, slow = self._states(runs.servers, runs.firsts)
-        if irregular is not None:
-            slow = sorted(set(slow).union(irregular.nonzero()[0].tolist()))
-        if slow:
-            times, digests, bounds = stored.times, stored.digests, stored.bounds
-            n = len(batch)
-            admitted = np.ones(n, dtype=bool)
-            for g in slow:
-                lo, hi = bounds[g], bounds[g + 1]
-                taken = states[g].admit(
-                    times[lo:hi].tolist(), digests[lo:hi].tolist(), skipped
-                )
-                if len(taken) < hi - lo:
-                    admitted[lo:hi] = False
-                    admitted[lo + np.array(taken, dtype=np.intp)] = True
+        if not whole:
+            admitted = admit(stored, states, skipped)
             if not admitted.all():
                 if not admitted.any():
                     return 0
-                counts = np.add.reduceat(admitted, bounds[:-1], dtype=np.intp)
+                counts = np.add.reduceat(admitted, stored.bounds[:-1], dtype=np.intp)
                 states = [state for state, k in zip(states, counts.tolist()) if k]
                 stored = DigestRuns(
-                    times[admitted],
-                    digests[admitted],
+                    stored.times[admitted],
+                    stored.digests[admitted],
                     np.append(0, counts[counts > 0].cumsum()),
                 )
-                mask = np.zeros(n, dtype=bool)
+                mask = np.zeros(len(batch), dtype=bool)
                 mask[runs.order[admitted]] = True
                 batch = batch.take(mask)
-        ShardState.applied(states, stored)
         self.ledger.record_batch(batch)
+        ShardState.applied(states, stored)
+        shards.update(fresh)
         return len(batch)
-
-    def _apply_each(self, batch: ReplicaBatch, skipped: Dict[str, int]) -> int:
-        """One event at a time, so an armed fault plan sees every
-        ledger fold in order."""
-        applied = 0
-        one = np.array([0, 1])
-        for i in range(len(batch)):
-            feedback = batch.feedback_at(i)
-            state = self.shards.get(feedback.server)
-            if state is None:
-                state = self.shards[feedback.server] = ShardState()
-            digest = batch.digests[i : i + 1]
-            if state.admit([feedback.time], digest.tolist(), skipped):
-                self.ledger.record(feedback)
-                ShardState.applied(
-                    [state], DigestRuns(batch.times[i : i + 1], digest, one)
-                )
-                applied += 1
-        return applied
 
     def reset_server(self, server: str, events: List[Feedback]) -> int:
         """Install a reconciled stream for ``server`` from scratch."""
-        keyed = sorted(
-            ((event_digest(fb), fb) for fb in events),
-            key=lambda item: (item[1].time, item[0]),
-        )
-        ordered = [fb for _, fb in keyed]
+        ordered, state = reconciled([events])
         self.ledger.reset_server(server, ordered)
-        state = ShardState()
         if ordered:
-            ShardState.applied(
-                [state],
-                DigestRuns(
-                    np.array([fb.time for fb in ordered], dtype=np.float64),
-                    np.array([digest for digest, _ in keyed], dtype=np.uint64),
-                    np.array([0, len(ordered)]),
-                ),
-            )
             self.shards[server] = state
             self.service.replace_server(self.ledger.history(server))
         else:
@@ -716,7 +680,7 @@ class ClusterNode:
 
     def _dispatch(self, message_type: str, payload: Dict[str, Any]) -> Any:
         if message_type == "cluster_record":
-            skipped = _skip_counts()
+            skipped: Dict[str, int] = {}  # every reason, zeros too
             applied = self.apply_events(payload["events"], skipped)
             return {"applied": applied, "skipped": skipped}
         if message_type == "cluster_assess":

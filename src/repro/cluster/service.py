@@ -25,8 +25,9 @@ the coordinator:
   moved, across its reachable old and new replicas.
 
 Repair is one path for all three: pull every reachable replica's copy
-(``cluster_pull``), merge by event digest in ``(time, digest)`` order,
-and reset each replica whose digest differs (``cluster_reset``).  A
+(``cluster_pull``), merge by event digest in ``(time, digest)`` order
+(:func:`~repro.cluster.node.reconciled`), and reset each replica whose
+digest differs from the merged stream's (``cluster_reset``).  A
 replica that joins therefore holds the union of every reachable copy.
 
 Every inter-shard RPC runs under the resilience stack: a shared
@@ -53,7 +54,9 @@ from ..p2p.network import NodeUnreachable, SimulatedNetwork
 from ..resilience import runtime as _res
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.retry import RetryExhausted, RetryPolicy
-from .node import ClusterNode, ReplicaBatch, event_digest, rolling_digest
+from .node import ClusterNode, ReplicaBatch, reconciled
+# event_digest stays a module global here: perfbench wraps it
+from .node import event_digest  # noqa: F401
 from .partition import HashRingView
 
 __all__ = ["ClusterAssessmentService", "PeerUnavailable"]
@@ -133,12 +136,8 @@ class ClusterAssessmentService:
             self._members, m_bits=self._m_bits, replicas=self._replicas
         )
 
-    def _alive_members(self) -> List[str]:
-        return [
-            name
-            for name in self._members
-            if name not in self._dead and self._network.is_alive(name)
-        ]
+    def _alive(self, names: Iterable[str]) -> List[str]:
+        return [n for n in names if n not in self._dead and self._network.is_alive(n)]
 
     @property
     def network(self) -> SimulatedNetwork:
@@ -406,7 +405,7 @@ class ClusterAssessmentService:
         """Merge every reachable copy of ``server``; reset the stragglers.
 
         Pulls ``server`` from each reachable member of ``sources``,
-        unions the streams by event digest in ``(time, digest)`` order,
+        merges the streams (:func:`~repro.cluster.node.reconciled`),
         and resets each pulled member of ``targets`` whose digest
         differs from the merged stream's.  Returns the counts and the
         targets that now hold the merged digest (``None`` if no source
@@ -421,19 +420,13 @@ class ClusterAssessmentService:
                 pulls.append((member, reply))
         if not pulls:
             return None
-        merged: Dict[int, Feedback] = {}
-        for _, reply in pulls:
-            for feedback in reply["events"]:
-                merged[event_digest(feedback)] = feedback
-        keyed = sorted(merged.items(), key=lambda item: (item[1].time, item[0]))
-        ordered = [feedback for _, feedback in keyed]
-        expected = rolling_digest(digest for digest, _ in keyed)
+        ordered, merged = reconciled(reply["events"] for _, reply in pulls)
         holders: List[str] = []
         reset = 0
         for member, reply in pulls:
             if member not in targets:
                 continue
-            if reply["digest"] != expected:
+            if reply["digest"] != merged.content_hash:
                 if self._call(
                     member, "cluster_reset", {"server": server, "events": ordered}
                 ) is None:
@@ -489,11 +482,7 @@ class ClusterAssessmentService:
             with _obs.span("cluster.anti_entropy"):
                 for pref, group in self._ring.partition(list(self._servers)).items():
                     summary["groups"] += 1
-                    alive = [
-                        m
-                        for m in pref
-                        if m not in self._dead and self._network.is_alive(m)
-                    ]
+                    alive = self._alive(pref)
                     if len(alive) < 2:
                         summary["skipped"] += 1
                         continue
@@ -603,7 +592,7 @@ class ClusterAssessmentService:
             self._members[name].rejoin()
         self._breaker(name).reset()
         replayed = 0
-        for member in self._alive_members():
+        for member in self._alive(self._members):
             if member == name:
                 continue
             if not self._members[member].hints.get(name):
@@ -625,7 +614,7 @@ class ClusterAssessmentService:
 
     def stats_report(self) -> Dict[str, Any]:
         """Shard ownership and replication of the live membership."""
-        alive = set(self._alive_members())
+        alive = set(self._alive(self._members))
         ownership: Counter = Counter()
         satisfied = violated = 0
         required = min(self._replicas, len(alive)) if alive else 0

@@ -1,10 +1,12 @@
 """The batched replica write path equals folding one event at a time.
 
 ``ClusterNode.apply_events`` folds a message per server run.  An armed
-fault plan sends it down the event-at-a-time path instead, so a plan
-that arms no site is the reference: same skips, same ledger, same
-digests.  The digests themselves must be stable across processes and
-must depend on the order of tied events.
+fault plan folds it one row at a time instead, so a plan that arms no
+site is the reference: same skips, same ledger, same digests.  Both go
+through the one admission, ``admit``, so it is also checked against a
+per-event watermark model that shares none of its code.  The digests
+themselves must be stable across processes and must depend on the
+order of tied events.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterNode, ReplicaBatch, ShardState, event_digest
-from repro.cluster.node import DigestRuns, rolling_digest
+from repro.cluster.node import DigestRuns, admit, reconciled, rolling_digest
 from repro.feedback.records import Feedback, Rating
 from repro.obs.events import EventLog
 from repro.p2p.network import SimulatedNetwork
@@ -118,6 +120,105 @@ def test_skips_are_counted_by_reason():
     assert node.apply_events([late, stream[-1]], skipped) == 0
     assert skipped == {"below_watermark": 1, "duplicate_digest": 1}
 
+
+def _admit_one_at_a_time(times, digests, bounds, marks):
+    """The per-event watermark model: each run folds from its state's
+    ``(last_time, tie_digests)``, one row at a time."""
+    mask, skipped = [], {"below_watermark": 0, "duplicate_digest": 0}
+    for lo, hi, (last, ties) in zip(bounds, bounds[1:], marks):
+        tied = set()  # digests stored at ``last`` by this run
+        for time, digest in zip(times[lo:hi], digests[lo:hi]):
+            if time < last:
+                skipped["below_watermark"] += 1
+                mask.append(False)
+                continue
+            if time > last:
+                last, ties, tied = time, set(), set()
+            elif digest in ties or digest in tied:
+                skipped["duplicate_digest"] += 1
+                mask.append(False)
+                continue
+            tied.add(digest)
+            mask.append(True)
+    return mask, skipped
+
+
+watermarks = st.one_of(
+    st.tuples(st.just(float("-inf")), st.sets(st.integers(0, 3), max_size=2)),
+    st.tuples(
+        st.integers(0, 4).map(float), st.sets(st.integers(0, 3), min_size=1, max_size=3)
+    ),
+)
+admission_runs = st.lists(
+    st.tuples(
+        watermarks,
+        st.lists(
+            st.tuples(st.integers(0, 6).map(float), st.integers(0, 3)),
+            min_size=1,
+            max_size=10,
+        ),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs=admission_runs)
+def test_admission_equals_the_per_event_watermark_model(runs):
+    """Ties, repeated ``(time, digest)`` pairs, back-dated rows and rows
+    at a finite or ``-inf`` watermark with a tie set: the one admission
+    keeps and skips exactly what the per-event model does, and leaves
+    the states alone."""
+    marks = [(last, set(ties)) for (last, ties), _ in runs]
+    times = [t for _, rows in runs for t, _ in rows]
+    digests = [d for _, rows in runs for _, d in rows]
+    bounds = np.cumsum([0] + [len(rows) for _, rows in runs])
+    states = []
+    for last, ties in marks:
+        state = ShardState()
+        state.last_time, state.tie_digests = last, set(ties)
+        states.append(state)
+    skipped = {"below_watermark": 0, "duplicate_digest": 0}
+    mask = admit(
+        DigestRuns(np.array(times), np.array(digests, dtype=np.uint64), bounds),
+        states,
+        skipped,
+    )
+    assert (mask.tolist(), skipped) == _admit_one_at_a_time(
+        times, digests, bounds.tolist(), marks
+    )
+    assert [(s.last_time, s.tie_digests) for s in states] == marks
+
+
+def test_fault_mid_message_leaves_each_state_equal_to_its_ledger():
+    """A fold fault on the fifth event of an in-order message leaves the
+    four stored events accounted, and nothing else; re-delivering the
+    message stores the other six."""
+    stream = [
+        Feedback(
+            time=float(t), server="srv-a", client=CLIENTS[t % 2], rating=Rating.POSITIVE
+        )
+        for t in range(10)
+    ]
+    message = ReplicaBatch.from_feedbacks(stream)
+    node = _node()
+    plan = FaultPlan(seed=0)
+    plan.arm("feedback.ledger.fold", "exception", after=4, max_fires=1)
+    with res.activate(plan), pytest.raises(res.InjectedFault):
+        node.apply_events(message)
+    stored = node.events_of("srv-a")
+    state = node.shards["srv-a"]
+    assert state.n == len(stored) == 4
+    assert state.last_time == stored[-1].time
+    assert node.digest_of("srv-a") == reconciled([stored])[1].content_hash
+    skipped = {}
+    assert node.apply_events(message, skipped) == 6
+    assert skipped == {"below_watermark": 3, "duplicate_digest": 1}
+    whole = _node()
+    whole.apply_events(stream)
+    assert _rows(node.events_of("srv-a")) == _rows(stream)
+    assert node.digest_of("srv-a") == whole.digest_of("srv-a")
 
 def test_reset_to_an_empty_stream_forgets_the_served_history():
     """After a reset to nothing, a replica judges only what arrives

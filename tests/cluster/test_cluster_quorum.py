@@ -4,10 +4,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
+
 from repro.cluster import ClusterAssessmentService
 from repro.core.verdict import AssessmentStatus
 from repro.feedback.records import Feedback, Rating
 from repro.obs.events import EventLog
+from repro.resilience import FaultPlan
 from repro.resilience import runtime as res
 
 from .conftest import corpus, make_cluster, make_reference
@@ -71,6 +74,35 @@ class TestQuorumDegradation:
             cluster.kill(member)
         got = cluster.assess_many()
         assert sorted(got) == sorted(cluster.servers)
+
+    def test_faulted_first_fold_leaves_no_replica_state(self):
+        """A fault on a new server's first ledger fold raises, and no
+        replica then claims the server: the read is fail-safe, and the
+        re-sent batch gives the single-node verdict."""
+        events = [
+            Feedback(
+                time=float(t),
+                server="s-new",
+                client=f"cli-{t % 3}",
+                rating=Rating.NEGATIVE if t % 7 == 0 else Rating.POSITIVE,
+            )
+            for t in range(30)
+        ]
+        cluster = make_cluster()
+        plan = FaultPlan(seed=0)
+        plan.arm("feedback.ledger.fold", "exception", probability=1.0, max_fires=1)
+        with res.activate(plan), pytest.raises(res.InjectedFault):
+            cluster.record_batch(events)
+        for node in cluster._members.values():
+            assert "s-new" not in node.shards
+            assert node.events_of("s-new") == []
+        assert cluster.stats_report()["replication"] == {"satisfied": 0, "violated": 1}
+        verdict = cluster.assess_many()["s-new"]
+        assert verdict.status is AssessmentStatus.UNTRUSTED
+        assert verdict.degraded and verdict.trust_value is None
+        cluster.record_batch(events)
+        reference = make_reference(events, cluster._calibrator)
+        assert cluster.assess_many() == reference.assess_many(["s-new"])
 
 
 class TestDigestFirstReads:
