@@ -14,11 +14,13 @@ from repro.core.config import AssessorConfig, BehaviorTestConfig
 from repro.core.model import generate_honest_outcomes
 from repro.core.multi_testing import MultiBehaviorTest, fold_cold_batch
 from repro.core.testing import SingleBehaviorTest
+from repro.core.two_phase import Assessor
 from repro.feedback.history import TransactionHistory
 from repro.feedback.ledger import FeedbackLedger
 from repro.feedback.records import Feedback, Rating
-from repro.feedback.store import StringTable
+from repro.feedback.store import FeedbackBatch, StringTable
 from repro.p2p.network import SimulatedNetwork
+from repro.serve import AssessmentService
 from repro.stats.binomial import binomial_pmf
 from repro.trust.weighted import WeightedTrust
 
@@ -364,3 +366,50 @@ def test_ledger_record_per_event(benchmark, backend, tmp_path):
     )
     ledger.close()
     benchmark.extra_info["us_per_event"] = float(np.median(times)) / block * 1e6
+
+
+def test_attach_ledger_bulk(benchmark, tmp_path):
+    """``AssessmentService`` attaching to a freshly opened mmap ledger of
+    the cold-start shape (2,400 servers, 120-360 events each, about
+    580k events): every history comes from one server-sorted pass, and
+    no per-server row list is built.  Each round opens the file outside
+    the timing; ``extra_info["attach_ms"]`` is the median attach."""
+    rng = np.random.default_rng(41)
+    n = 2400
+    lengths = rng.integers(120, 361, size=n)
+    total = int(lengths.sum())
+    path = str(tmp_path / "cold.ledger")
+    with FeedbackLedger(backend="mmap", path=path) as ledger:
+        ledger.record_batch(
+            FeedbackBatch(
+                times=np.concatenate([np.arange(k, dtype=np.float64) for k in lengths]),
+                servers=np.repeat([f"server-{i:05d}" for i in range(n)], lengths),
+                clients=np.char.add(
+                    "client-", rng.integers(0, 1000, size=total).astype("U4")
+                ),
+                ratings=(rng.random(total) < 0.9).astype(np.uint8),
+            )
+        )
+    assessor = Assessor.from_config(AssessorConfig())
+    opened = []
+
+    def setup():
+        while opened:
+            opened.pop().close()
+        opened.append(FeedbackLedger(backend="mmap", path=path))
+        return (assessor,), {"ledger": opened[-1]}
+
+    import time
+
+    times = []
+
+    def attach(assessor, ledger):
+        start = time.perf_counter()
+        service = AssessmentService(assessor, ledger=ledger)
+        times.append(time.perf_counter() - start)
+        return service
+
+    service = benchmark.pedantic(attach, setup=setup, rounds=7, iterations=1)
+    assert len(service) == n and not opened[-1].store._rows_by_server
+    opened.pop().close()
+    benchmark.extra_info["attach_ms"] = float(np.median(times)) * 1e3

@@ -618,6 +618,35 @@ def test_known_server_fold_makes_three_python_calls():
     assert led.history("s1").outcomes()[-1] == 1
 
 
+def test_known_server_fold_makes_two_python_calls():
+    """A fold for a server the ledger holds, with a serving engine
+    attached, runs ``record`` and the fold body ``_fold`` only: the
+    engine hears of a server at its first live row, not on every fold."""
+    import sys
+
+    from repro.core.config import AssessorConfig
+    from repro.serve import AssessmentService
+
+    led = FeedbackLedger(backend="columnar")
+    led.record_many(STREAM)
+    AssessmentService(config=AssessorConfig(), ledger=led, executor="serial")
+    led.record(_fb(9, "s1", "c2"))  # grows the bulk-built outcome buffer
+    feedback = _fb(10, "s1", "c1")
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        assert led.record(feedback)
+    finally:
+        sys.setprofile(None)
+    assert calls == ["record", "_fold"], calls
+    assert led.history("s1").outcomes()[-1] == 1
+
+
 class TestCategoryLimit:
     """Category codes are ``uint16`` with ``CATEGORY_NONE`` for none, so
     a store holds at most ``CATEGORY_LIMIT`` distinct categories; the

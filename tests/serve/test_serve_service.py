@@ -239,6 +239,55 @@ class TestLedgerMode:
         )
         assert before.server == "srv-a"
 
+    def test_add_server_binds_the_ledgers_live_history(
+        self, paper_config, shared_calibrator
+    ):
+        """A bare id the ledger does not hold is refused, not pinned to a
+        detached empty history the ledger never extends; the server
+        registers at its first live row and serves all of its events."""
+        assessor = _assessor(paper_config, shared_calibrator)
+        ledger = self._ledger_with(
+            {"a": generate_honest_outcomes(150, 0.95, seed=6)}
+        )
+        service = AssessmentService(assessor, ledger=ledger)
+        with pytest.raises(ValueError, match="'b'"):
+            service.add_server("b")
+        for i, outcome in enumerate(generate_honest_outcomes(150, 0.95, seed=7)):
+            ledger.record(
+                Feedback(
+                    time=1e3 + i,
+                    server="b",
+                    client=f"client-{i % 7}",
+                    rating=Rating.POSITIVE if outcome else Rating.NEGATIVE,
+                )
+            )
+        assert service.add_server("b") == "b"
+        assert service.add_server(ledger.history("b")) == "b"
+        with pytest.raises(ValueError, match="'b'"):
+            service.add_server(ledger.history("b").copy())
+        served = service.assess("b")
+        assert not served.behavior.insufficient
+        assert served == assessor.assess(ledger.history("b"), ledger=ledger)
+
+    def test_remove_server_held_by_the_ledger_invalidates(
+        self, paper_config, shared_calibrator
+    ):
+        assessor = _assessor(paper_config, shared_calibrator)
+        ledger = self._ledger_with(
+            {"a": generate_honest_outcomes(200, 0.95, seed=8)}
+        )
+        service = AssessmentService(assessor, ledger=ledger)
+        service.assess("a")
+        service.remove_server("a")
+        assert service.servers() == ["a"]
+        ledger.record(
+            Feedback(time=1e3, server="a", client="c", rating=Rating.NEGATIVE)
+        )
+        assert service.assess("a") == assessor.assess(
+            ledger.history("a"), ledger=ledger
+        )
+        assert service.n_assessments == 2
+
     def test_observe_outcome_refused_with_ledger(
         self, paper_config, shared_calibrator
     ):
