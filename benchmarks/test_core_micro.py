@@ -103,6 +103,25 @@ def test_fold_cold_batch_vs_scalar(benchmark, honest_histories, histories):
     benchmark(batched)
 
 
+def test_fold_cold_batch_late_run(benchmark):
+    """16 warm histories of 1,000-5,000 outcomes, the batch a
+    long-running server re-judges once its hot servers have grown: about
+    700 suffix rounds per call, every threshold already calibrated.
+    ``extra_info`` holds the rounds judged per call."""
+    rng = np.random.default_rng(37)
+    batch = []
+    for i, (n, p) in enumerate(zip(rng.integers(1000, 5001, 16), 0.80 + 0.19 * rng.random(16))):
+        outcomes = generate_honest_outcomes(int(n), float(p), seed=100 + i)
+        if i % 10 == 9:
+            outcomes[-20:] = 0  # one in ten ends with a run of failures
+        batch.append(outcomes)
+    tester = MultiBehaviorTest(CONFIG, CALIBRATOR)
+    reports = fold_cold_batch(batch, tester)
+    assert reports == [tester.test(history) for history in batch]
+    benchmark.extra_info["rounds"] = sum(report.n_rounds for report in reports)
+    benchmark(fold_cold_batch, batch, tester)
+
+
 def test_threshold_calibration_cold(benchmark):
     """One uncached Monte-Carlo calibration (400 sample sets)."""
 

@@ -17,11 +17,12 @@ expected pmf and distance; a plain loop then consults the thresholds
 from the shortest suffix to the longest and stops at the first failure.
 Both strategies give identical verdicts (asserted by the test suite).
 
-The same walk judges one history (:func:`run_suffix_rounds`, behind
-``MultiBehaviorTest.test``) or many at once (:func:`fold_cold_batch`,
-the serving cold path): every history's windows back to back, one
-running histogram down all their rounds, and each later history's
-rounds less the running row just before its first.
+The same walk judges one history (``MultiBehaviorTest.test``) or many
+at once (:func:`fold_cold_batch`, the serving cold path): every
+history's windows back to back, one running histogram down all their
+rounds, and each later history's rounds less the running row just
+before its first.  Its reports build their round verdicts only when
+``rounds`` is read (:meth:`MultiTestReport.of_rows`).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from ..stats.distances import get_distance
 from .calibration import ThresholdCalibrator
 from .config import DEFAULT_CONFIG, BehaviorTestConfig
 from .testing import HistoryInput, SingleBehaviorTest, _extract_outcomes
-from .verdict import BehaviorVerdict, MultiTestReport, ReorderTrace
+from .verdict import BehaviorVerdict, MultiTestReport, ReorderTrace, SuffixRows
 
 __all__ = [
     "MultiBehaviorTest",
@@ -85,13 +86,13 @@ def _walk(
     counts: np.ndarray,
     ends: np.ndarray,
     bounds: Sequence[int],
-    lengths: Sequence[int],
+    lengths: List[int],
     threshold: Callable[[int, float], float],
     *,
     window_size: int,
     distance_name: str,
     collect_all: bool,
-) -> List[Rounds]:
+) -> Tuple[List[list], List[Tuple[int, int, int]]]:
     """The paper's O(n) suffix walk over one or more histories.
 
     ``counts`` holds every history's window counts, newest first, back
@@ -111,10 +112,12 @@ def _walk(
     :func:`binomial_pmf_many` call) and L1 distances are whole-array
     expressions.  Other distances and ``threshold(k, p_hat)`` are
     consulted lazily: only when the window count changes (an unchanged
-    window set reuses the previous verdict), and never after a
+    window set shares the previous verdict), and never after a
     history's first failing round unless ``collect_all``, so no walk
-    pays for a threshold its verdict does not use.  Returns one list of
-    ``(length, verdict)`` per history, shortest suffix first.
+    pays for a threshold its verdict does not use.
+
+    Returns the rounds' columns (see :class:`SuffixRows`) and, per
+    history, its judged rows ``lo`` up to ``stop`` and its decisive row.
     """
     m = window_size
     n_rounds = ends.size
@@ -132,31 +135,64 @@ def _walk(
     observed = hist / wants[:, None]
     expected = binomial_pmf_many(m, p_hat)
     if distance_name == "l1":
-        distance = np.abs(observed - expected).sum(axis=1).tolist().__getitem__
+        fn, dist = None, np.abs(observed - expected).sum(axis=1).tolist()
     else:
-        fn = get_distance(distance_name)
-
-        def distance(r: int) -> float:
-            return float(fn(observed[r], expected[r]))
-
-    wants_l, p_l = wants.tolist(), p_hat.tolist()
-    judged: List[Rounds] = []
+        fn, dist = get_distance(distance_name), [0.0] * n_rounds
+    wants_l, p_l, thr = wants.tolist(), p_hat.tolist(), [0.0] * n_rounds
+    judged: List[Tuple[int, int, int]] = []
     for lo, hi in zip(bounds, bounds[1:]):
-        rounds: Rounds = []
-        verdict: Optional[BehaviorVerdict] = None
-        last_want = -1
+        last_want, failed = -1, None
         for r in range(lo, hi):
             w = wants_l[r]
             if w != last_want:
-                d = distance(r)
-                thr = float(threshold(w, p_l[r]))
-                verdict = BehaviorVerdict.judged(d <= thr, d, thr, p_l[r], w, m)
-                last_want = w
-            rounds.append((lengths[r], verdict))
-            if not verdict.passed and not collect_all:
-                break
-        judged.append(rounds)
-    return judged
+                last_want, first = w, r
+                if fn is not None:
+                    dist[r] = float(fn(observed[r], expected[r]))
+                t = thr[r] = float(threshold(w, p_l[r]))
+                passed = dist[r] <= t
+            if not passed:
+                failed = first  # the longest failure is the decisive one
+                if not collect_all:
+                    break
+        judged.append((lo, r + 1, first if failed is None else failed))
+    return [lengths, wants_l, dist, thr, p_l], judged
+
+
+def _suffix_rows(
+    counts: np.ndarray,
+    lengths: List[int],
+    m: int,
+    distance_name: str,
+    calibrator: ThresholdCalibrator,
+    collect_all: bool,
+    obs_prefix: str = "core.multi_testing",
+) -> Tuple[SuffixRows, int]:
+    """One history's walk (see :func:`run_suffix_rounds`): its judged
+    rows and its decisive row."""
+    suffixes = lengths[::-1]  # shortest suffix first
+    ends = np.array([length // m for length in suffixes])
+    k_max = suffixes[-1] // m
+    columns, ((_, walked, decisive),) = _walk(
+        counts[counts.size - k_max :][::-1],
+        ends,
+        (0, ends.size),
+        suffixes,
+        partial(calibrator.threshold, m),
+        window_size=m,
+        distance_name=distance_name,
+        collect_all=collect_all,
+    )
+    if _obs.enabled:
+        # each judged round carries over the previous round's windows
+        # and ingests only the ones that entered
+        reused, ingested = int(ends[: walked - 1].sum()), int(ends[walked - 1])
+        _obs.registry.inc(f"{obs_prefix}.suffix_reuse", reused, strategy="optimized")
+        _obs.registry.inc(
+            f"{obs_prefix}.suffix_recomputed", ingested, strategy="optimized"
+        )
+    if walked < ends.size:
+        columns = [column[:walked] for column in columns]
+    return SuffixRows(columns, m), decisive
 
 
 def run_suffix_rounds(
@@ -175,30 +211,10 @@ def run_suffix_rounds(
     history and ``lengths`` the suffix lengths, longest first.  Returns
     the judged rounds shortest suffix first.
     """
-    m = window_size
-    suffixes = lengths[::-1]  # shortest suffix first
-    ends = np.array([length // m for length in suffixes])
-    k_max = suffixes[-1] // m
-    (judged,) = _walk(
-        counts[counts.size - k_max :][::-1],
-        ends,
-        (0, ends.size),
-        suffixes,
-        partial(calibrator.threshold, m),
-        window_size=m,
-        distance_name=distance_name,
-        collect_all=collect_all,
+    rows, _ = _suffix_rows(
+        counts, lengths, window_size, distance_name, calibrator, collect_all, obs_prefix
     )
-    if _obs.enabled:
-        # each judged round carries over the previous round's windows
-        # and ingests only the ones that entered
-        walked = len(judged)
-        reused, ingested = int(ends[: walked - 1].sum()), int(ends[walked - 1])
-        _obs.registry.inc(f"{obs_prefix}.suffix_reuse", reused, strategy="optimized")
-        _obs.registry.inc(
-            f"{obs_prefix}.suffix_recomputed", ingested, strategy="optimized"
-        )
-    return judged
+    return rows.verdicts()
 
 
 def supports_vectorized(tester) -> bool:
@@ -276,7 +292,7 @@ def fold_cold_batch(
                 lengths += schedule
                 ends += [first + length // m for length in schedule]
                 bounds.append(len(lengths))
-            judged = _walk(
+            columns, judged = _walk(
                 counts,
                 np.array(ends),
                 bounds,
@@ -286,8 +302,9 @@ def fold_cold_batch(
                 distance_name=cfg.distance,
                 collect_all=tester.collect_all,
             )
-            for i, rounds in zip(chunk, judged):
-                reports[i] = suffix_report(rounds[::-1])
+            for i, (lo, stop, decisive) in zip(chunk, judged):
+                rows = SuffixRows([column[lo:stop] for column in columns], m)
+                reports[i] = MultiTestReport.of_rows(rows, decisive - lo)
             if _obs.enabled:
                 _obs.registry.inc("core.vectorized.rounds", len(lengths))
     if _obs.enabled and chunks:
@@ -377,16 +394,17 @@ class MultiBehaviorTest:
         with _obs.timer("core.multi_testing.seconds", strategy=self._strategy):
             if self._strategy == "naive":
                 rounds = self._run_naive(outcomes, lengths)
+                report = suffix_report(rounds)
             else:
-                rounds = run_suffix_rounds(
+                rounds, decisive = _suffix_rows(
                     window_counts(outcomes, m, align="recent"),
                     lengths,
-                    window_size=m,
-                    distance_name=self._config.distance,
-                    calibrator=self._calibrator,
-                    collect_all=self._collect_all,
-                )[::-1]
-        report = suffix_report(rounds)
+                    m,
+                    self._config.distance,
+                    self._calibrator,
+                    self._collect_all,
+                )
+                report = MultiTestReport.of_rows(rounds, decisive)
         if _obs.enabled:
             _obs.registry.inc("core.multi_testing.runs", strategy=self._strategy)
             _obs.registry.inc(

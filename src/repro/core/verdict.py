@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "ReorderTrace",
@@ -227,6 +227,55 @@ class BehaviorVerdict:
             object.__setattr__(self, "insufficient", True)
 
 
+class SuffixRows:
+    """One history's suffix rounds as the walk judged them: columns of
+    suffix length, window count, distance, threshold and ``p_hat``,
+    shortest suffix first.  Distance and threshold are set on the first
+    of consecutive rounds with one window count; the rest share its
+    verdict."""
+
+    __slots__ = ("columns", "window_size")
+
+    def __init__(self, columns: Sequence[list], window_size: int):
+        self.columns = columns
+        self.window_size = window_size
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def verdict(self, r: int) -> BehaviorVerdict:
+        """The verdict of row ``r``, the first row of its window count."""
+        _, n_windows, distance, threshold, p_hat = self.columns
+        d, t = distance[r], threshold[r]
+        return BehaviorVerdict.judged(d <= t, d, t, p_hat[r], n_windows[r], self.window_size)
+
+    def verdicts(self) -> List[Tuple[int, BehaviorVerdict]]:
+        """``(length, verdict)`` per round, shortest suffix first."""
+        rounds, last, verdict = [], -1, None
+        for r, (length, k) in enumerate(zip(self.columns[0], self.columns[1])):
+            if k != last:
+                last, verdict = k, self.verdict(r)
+            rounds.append((length, verdict))
+        return rounds
+
+
+class _RoundsOnRead:
+    """``MultiTestReport.rounds``, built from :class:`SuffixRows` on first
+    read and kept.  A data descriptor, so the field's class default does
+    not shadow it; ``__init__`` stores rounds through ``__set__``."""
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return ()
+        rounds = report.__dict__["rounds"]
+        if type(rounds) is SuffixRows:
+            rounds = report.__dict__["rounds"] = tuple(reversed(rounds.verdicts()))
+        return rounds
+
+    def __set__(self, report, rounds) -> None:
+        report.__dict__["rounds"] = rounds
+
+
 @dataclass(frozen=True)
 class MultiTestReport(BehaviorVerdict):
     """Outcome of multi-testing: one verdict per suffix length.
@@ -238,8 +287,14 @@ class MultiTestReport(BehaviorVerdict):
     :class:`BehaviorVerdict` describe the decisive round.
     """
 
+    rounds = _RoundsOnRead()
+
     def __post_init__(self) -> None:
         self._fill_aggregates_from_rounds()
+
+    def __getstate__(self) -> dict:
+        # pickles and copies carry the built rounds, not the walk's rows
+        return {**self.__dict__, "rounds": self.rounds}
 
     @classmethod
     def of_rounds(
@@ -262,6 +317,13 @@ class MultiTestReport(BehaviorVerdict):
         fields = dict(vars(decisive))
         fields.update(passed=failed is None, rounds=rounds, reorder=reorder)
         return _frozen(cls, fields)
+
+    @classmethod
+    def of_rows(cls, rows: SuffixRows, decisive: int) -> "MultiTestReport":
+        """``of_rounds(reversed(rows.verdicts()))``, with ``rounds`` built
+        on first read.  Row ``decisive`` holds the first failure in
+        report order, else the longest suffix."""
+        return _frozen(cls, {**vars(rows.verdict(decisive)), "rounds": rows})
 
 
 class AssessmentStatus(Enum):

@@ -105,8 +105,11 @@ def _load_sidecar(path: str) -> List[str]:
         raw = handle.read()
     if not raw:
         return []
-    complete = raw if raw.endswith(b"\n") else raw[: raw.rfind(b"\n") + 1]
-    return [json.loads(line) for line in complete.decode("utf-8").splitlines()]
+    complete = raw[: raw.rfind(b"\n") + 1]
+    if not complete:
+        return []
+    # one JSON array of every complete line, not one parse per line
+    return json.loads(b"[" + complete[:-1].replace(b"\n", b",") + b"]")
 
 
 @dataclass
@@ -234,8 +237,11 @@ class BinaryLedgerWriter:
                 with open(self._path, "r+b") as handle:
                     handle.truncate(keep)
         self._records: IO[bytes] = open(self._path, "ab")
+        # a fresh record file starts fresh id tables: ids left by a
+        # removed ledger would shift every code written from here on
+        mode = "wb" if fresh else "ab"
         self._sidecars: Dict[str, IO[bytes]] = {
-            kind: open(_sidecar_path(self._path, kind), "ab") for kind in _SIDECARS
+            kind: open(_sidecar_path(self._path, kind), mode) for kind in _SIDECARS
         }
 
     @property

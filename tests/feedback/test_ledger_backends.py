@@ -752,6 +752,43 @@ def test_mmap_per_event_records_are_the_packed_columns(tmp_path):
     assert [fb.authentic for fb in reopened.feedbacks_for_server("s4")] == [False]
 
 
+def test_mmap_ledger_over_a_removed_file_starts_fresh_id_tables(tmp_path):
+    """A ledger created where only the ``.ledger`` file was removed
+    replaces the id sidecars left behind, so a reopen finds each id once
+    and every server's rows."""
+    from repro.core.config import AssessorConfig
+    from repro.serve import AssessmentService
+
+    path = tmp_path / "led.ledger"
+    stream = [_fb(t, f"s{t % 3}", f"c{t % 5}") for t in range(45)]
+    for _ in range(2):
+        path.unlink(missing_ok=True)
+        with FeedbackLedger(backend="mmap", path=str(path)) as led:
+            led.record_batch(stream)
+    reopened = FeedbackLedger(backend="mmap", path=str(path))
+    assert binlog.load_binary_ledger(path).servers == ["s0", "s1", "s2"]
+    assert len(reopened.history("s0")) == 15
+    service = AssessmentService(config=AssessorConfig(), ledger=reopened)
+    assert sorted(service.servers()) == ["s0", "s1", "s2"]
+    reopened.close()
+
+
+@pytest.mark.parametrize(
+    "raw, ids",
+    [
+        (b"", []),
+        (b'"s1', []),
+        (b'"s1"\n"s\\"2', ["s1"]),
+        (b'"s1"\n"\\u00e9\\n"\n', ["s1", "é\n"]),
+    ],
+    ids=["empty", "torn-only-line", "torn-last-line", "escapes"],
+)
+def test_sidecar_load_drops_a_torn_last_line(tmp_path, raw, ids):
+    sidecar = tmp_path / "led.ledger.servers"
+    sidecar.write_bytes(raw)
+    assert binlog._load_sidecar(str(sidecar)) == ids
+
+
 @pytest.mark.parametrize("fold", ["record", "record_many", "record_batch", "columns"])
 def test_closed_mmap_ledger_refuses_folds(fold, tmp_path):
     """After ``close()`` a fold raises before anything changes: the
